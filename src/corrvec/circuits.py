@@ -2,34 +2,56 @@
 
 Conventions
 -----------
-Qubit 0 is the least significant bit of a basis index.  Dense operators are
-built as ``kron(op[m-1], ..., op[0])``.  Rz(t) = diag(exp(-it/2), exp(+it/2)),
-PHASE(p) = diag(1, exp(ip)).  Three-qubit gates never reach the simulator;
-builders emit their one- and two-qubit decompositions.  The depolarizing
-channel acts on the two qubits of every two-qubit gate; single-qubit gates
-are noiseless.
+Qubit 0 is the least significant bit of a basis index, so the dense matrix
+of a one-qubit gate on qubit q is ``kron(I, ..., U, ..., I)`` with U in
+position m-1-q.  Rz(t) = diag(exp(-it/2), exp(+it/2)), PHASE(p) =
+diag(1, exp(ip)).  Three-qubit gates never reach the simulator; builders
+emit their one- and two-qubit decompositions.
+
+Kernel
+------
+No full-register matrix is built.  A gate on target qubit t views the
+statevector as shape (..., 2, 2^t) and mixes the two slices of the middle
+axis in place with its 2x2 matrix; a controlled gate does the same on the
+control=1 slice only.  Consecutive one-qubit gates on a qubit are first
+multiplied into one 2x2 matrix.  A density matrix of m qubits runs through the same
+kernel as a vector of 2m qubits: its row index supplies qubits m..2m-1 and
+its column index qubits 0..m-1, so U rho U+ is U on row qubit t + m and
+conj(U) on column qubit t.
+
+Noise
+-----
+The two-qubit depolarizing channel of strength p2 follows every two-qubit
+gate, on that gate's pair; single-qubit gates are noiseless.  It is the
+local map (1 - 16 p2/15) rho + (16 p2/15) tr_pair(rho) (x) I/4, with the
+partial trace taken over the pair's axes of the reshaped density matrix.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import PauliSum, apply_string, apply_sum, string_action
+from .pauli import PauliSum, apply_sum, string_overlaps, string_traces
 
 ONE_QUBIT_KINDS = frozenset({"H", "X", "PHASE", "RX", "RY", "RZ"})
 TWO_QUBIT_KINDS = frozenset({"CX", "CY", "CZ", "CPHASE"})
 ROTATION_KINDS = frozenset({"PHASE", "RX", "RY", "RZ", "CPHASE"})
 
-_EYE2 = np.eye(2, dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
+# 2x2 matrices as row-major entries (u00, u01, u10, u11); a controlled gate
+# acts on its target with the matrix of the kind it controls
+_R = 1.0 / math.sqrt(2.0)
+_ANGLELESS = {
+    "H": (_R, _R, _R, -_R),
+    "X": (0, 1, 1, 0),
+    "Y": (0, -1j, 1j, 0),
+    "Z": (1, 0, 0, -1),
+}
+_TARGET_KIND = {"CX": "X", "CY": "Y", "CZ": "Z", "CPHASE": "PHASE"}
 
 
 @dataclass(frozen=True)
@@ -126,57 +148,75 @@ def ccx_gates(c1: int, c2: int, t: int) -> list[Gate]:
     return [Gate(k, q, a) for k, q, a in seq]
 
 
-def _one_qubit_matrix(kind: str, angle: float | None) -> np.ndarray:
-    if kind == "H":
-        return _H
-    if kind == "X":
-        return _X
+def _entries(kind: str, angle: float | None) -> tuple:
+    fixed = _ANGLELESS.get(kind)
+    if fixed is not None:
+        return fixed
     if kind == "PHASE":
-        return np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=complex)
+        return (1, 0, 0, cmath.exp(1j * angle))
     half = 0.5 * angle
-    c, s = np.cos(half), np.sin(half)
+    c, s = math.cos(half), math.sin(half)
     if kind == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+        return (c, -1j * s, -1j * s, c)
     if kind == "RY":
-        return np.array([[c, -s], [s, c]], dtype=complex)
+        return (c, -s, s, c)
     if kind == "RZ":
-        return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]], dtype=complex)
+        e = cmath.exp(1j * half)
+        return (e.conjugate(), 0, 0, e)
     raise ValueError(f"not a one-qubit kind: {kind}")
 
 
-def _embed(factors: dict[int, np.ndarray], m: int) -> np.ndarray:
-    out = np.ones((1, 1), dtype=complex)
-    for q in range(m - 1, -1, -1):
-        out = np.kron(out, factors.get(q, _EYE2))
-    return out
+def _times(a: tuple, b: tuple) -> tuple:
+    """Entries of the product a @ b."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-_FIXED_CACHE: dict[tuple, np.ndarray] = {}
+def _matrix(u: tuple) -> np.ndarray:
+    return np.array(u, dtype=complex).reshape(2, 2)
 
 
-def gate_matrix(gate: Gate, m: int, theta: np.ndarray | None = None) -> np.ndarray:
-    """Full-register unitary of one gate; fixed-angle results are cached."""
-    if gate.slot is None:
-        angle = gate.angle
-        key = (gate.kind, gate.qubits, angle, m)
-        hit = _FIXED_CACHE.get(key)
-        if hit is not None:
-            return hit
+def _fused(gates: Iterable[Gate], theta: np.ndarray | None):
+    """(target, control or None, 2x2 matrix) per kernel step, angles bound.
+
+    Runs of one-qubit gates on a qubit merge into one matrix, applied just
+    before the next two-qubit gate touching that qubit or at the end.  Only
+    noiseless one-qubit gates move, so the channel placement is unchanged.
+    """
+    pending: dict[int, tuple] = {}
+    for g in gates:
+        angle = g.angle if g.slot is None else g.scale * float(theta[g.slot])
+        if len(g.qubits) == 1:
+            q = g.qubits[0]
+            u = _entries(g.kind, angle)
+            prev = pending.get(q)
+            pending[q] = u if prev is None else _times(u, prev)
+            continue
+        control, target = g.qubits
+        for q in (control, target):
+            if q in pending:
+                yield q, None, _matrix(pending.pop(q))
+        yield target, control, _matrix(_entries(_TARGET_KIND[g.kind], angle))
+    for q, u in pending.items():
+        yield q, None, _matrix(u)
+
+
+def _apply(vec: np.ndarray, u: np.ndarray, target: int, control: int | None) -> None:
+    """vec <- u on the target qubit (on the control=1 slice), in place.
+
+    The view puts the target qubit on axis -2, so one broadcast matmul
+    updates every amplitude pair; ``vec`` must be contiguous.
+    """
+    if control is None:
+        w = vec.reshape(-1, 2, 1 << target)
+    elif control > target:
+        w = vec.reshape(-1, 2, 1 << (control - target - 1), 2, 1 << target)[:, 1]
     else:
-        angle = gate.scale * float(theta[gate.slot])
-        key = None
-    if gate.kind in ONE_QUBIT_KINDS:
-        full = _embed({gate.qubits[0]: _one_qubit_matrix(gate.kind, angle)}, m)
-    else:
-        c, t = gate.qubits
-        if gate.kind == "CPHASE":
-            u = np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=complex)
-        else:
-            u = {"CX": _X, "CY": _Y, "CZ": _Z}[gate.kind]
-        full = _embed({c: _P0}, m) + _embed({c: _P1, t: u}, m)
-    if key is not None and len(_FIXED_CACHE) < 4096:
-        _FIXED_CACHE[key] = full
-    return full
+        w = vec.reshape(-1, 2, 1 << (target - control - 1), 2,
+                        1 << control)[:, :, :, 1].transpose(0, 2, 1, 3)
+    np.matmul(u, w, out=w)
 
 
 def run_pure(circ: Circuit, theta: Sequence[float] | None = None) -> np.ndarray:
@@ -184,29 +224,9 @@ def run_pure(circ: Circuit, theta: Sequence[float] | None = None) -> np.ndarray:
     th = _check_theta(circ, theta)
     psi = np.zeros(1 << circ.width, dtype=complex)
     psi[0] = 1.0
-    for g in circ.gates:
-        psi = gate_matrix(g, circ.width, th) @ psi
+    for target, control, u in _fused(circ.gates, th):
+        _apply(psi, u, target, control)
     return psi
-
-
-_PAIR_PERMS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _pair_perm(q1: int, q2: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (q1, q2, m)
-    hit = _PAIR_PERMS.get(key)
-    if hit is not None:
-        return hit
-    rest = [q for q in range(m) if q not in (q1, q2)]
-    order = rest + [q1, q2]
-    b = np.arange(1 << m)
-    new = np.zeros_like(b)
-    for j, q in enumerate(order):
-        new |= ((b >> q) & 1) << j
-    inv = np.empty_like(new)
-    inv[new] = b
-    _PAIR_PERMS[key] = (new, inv)
-    return new, inv
 
 
 def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2: float, m: int) -> np.ndarray:
@@ -214,22 +234,31 @@ def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2: float, m: int) -> np.
 
     Uniform conjugation by all 16 Pauli pairs averages the pair to the
     maximally mixed state, so the channel reduces to
-    (1 - 16 p/15) rho + (16 p/15) tr_pair(rho) (x) I/4.
+    (1 - 16 p/15) rho + (16 p/15) tr_pair(rho) (x) I/4.  The partial trace
+    sums the four pair-diagonal cells of rho viewed as a 2m-axis tensor,
+    whose axis m-1-q is row qubit q and axis 2m-1-q is column qubit q.
     """
     if p2 == 0.0:
         return rho
     if not 0.0 <= p2 <= 15.0 / 16.0:
         raise ValueError(f"p2={p2} outside [0, 15/16]")
     c = 16.0 * p2 / 15.0
-    new, inv = _pair_perm(q1, q2, m)
-    r = 1 << (m - 2)
-    rho_t = rho[np.ix_(inv, inv)].reshape(4, r, 4, r)
-    reduced = np.einsum("prps->rs", rho_t)
-    out_t = np.zeros_like(rho_t)
-    for p in range(4):
-        out_t[p, :, p, :] = 0.25 * reduced
-    out = out_t.reshape(1 << m, 1 << m)[np.ix_(new, new)]
-    return (1.0 - c) * rho + c * out
+    shape = (2,) * (2 * m)
+    cells = []
+    for x in (0, 1):
+        for y in (0, 1):
+            cell = [slice(None)] * (2 * m)
+            cell[m - 1 - q1] = cell[2 * m - 1 - q1] = x
+            cell[m - 1 - q2] = cell[2 * m - 1 - q2] = y
+            cells.append(tuple(cell))
+    t = rho.reshape(shape)
+    reduced = t[cells[0]] + t[cells[1]] + t[cells[2]] + t[cells[3]]
+    reduced *= 0.25 * c
+    out = (1.0 - c) * rho
+    o = out.reshape(shape)
+    for cell in cells:
+        o[cell] += reduced
+    return out
 
 
 def _check_theta(circ: Circuit, theta) -> np.ndarray | None:
@@ -243,6 +272,20 @@ def _check_theta(circ: Circuit, theta) -> np.ndarray | None:
     return th
 
 
+def _evolve_density(rho: np.ndarray, gates: Iterable[Gate],
+                    theta: np.ndarray | None, p2: float) -> np.ndarray:
+    """Apply the gates to a contiguous density matrix, each two-qubit gate
+    followed by the depolarizing channel of strength p2."""
+    m = rho.shape[0].bit_length() - 1
+    for target, control, u in _fused(gates, theta):
+        flat = rho.reshape(-1)
+        _apply(flat, u, target + m, None if control is None else control + m)
+        _apply(flat, u.conj(), target, control)
+        if control is not None and p2 > 0.0:
+            rho = depolarize_pair(rho, control, target, p2, m)
+    return rho
+
+
 def run_density(circ: Circuit, theta: Sequence[float] | None = None,
                 p2: float = 0.0) -> np.ndarray:
     """Density matrix after the circuit with a depolarizing channel of
@@ -251,20 +294,7 @@ def run_density(circ: Circuit, theta: Sequence[float] | None = None,
     dim = 1 << circ.width
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
-    for g in circ.gates:
-        u = gate_matrix(g, circ.width, th)
-        rho = u @ rho @ u.conj().T
-        if len(g.qubits) == 2 and p2 > 0.0:
-            rho = depolarize_pair(rho, g.qubits[0], g.qubits[1], p2, circ.width)
-    return rho
-
-
-def circuit_unitary(circ: Circuit, theta: Sequence[float] | None = None) -> np.ndarray:
-    th = _check_theta(circ, theta)
-    u = np.eye(1 << circ.width, dtype=complex)
-    for g in circ.gates:
-        u = gate_matrix(g, circ.width, th) @ u
-    return u
+    return _evolve_density(rho, circ.gates, th, p2)
 
 
 def assert_valid_state(psi: np.ndarray, tol: float = 1e-10) -> None:
@@ -277,17 +307,6 @@ def assert_valid_density(rho: np.ndarray, tol: float = 1e-10) -> None:
     assert abs(np.trace(rho).imag) <= tol
     assert np.max(np.abs(rho - rho.conj().T)) <= tol, "density not hermitian"
     assert np.linalg.eigvalsh(rho).min() >= -tol, "density not positive"
-
-
-def density_expectation(rho: np.ndarray, op: PauliSum) -> complex:
-    """tr(rho A) without materializing A."""
-    dim = rho.shape[0]
-    idx = np.arange(dim)
-    total = 0.0 + 0j
-    for label, coeff in op:
-        flip, phases = string_action(label)
-        total += coeff * np.dot(phases, rho[idx, idx ^ flip])
-    return complex(total)
 
 
 # ---------------------------------------------------------------------------
@@ -346,52 +365,66 @@ def zne_extrapolate(e_p: float, e_2p: float) -> float:
     return 2.0 * e_p - e_2p
 
 
+def _noise_levels(noise: NoiseModel) -> list[float]:
+    if noise.zne:
+        return [noise.p2, noise.boost * noise.p2]
+    return [noise.p2]
+
+
+def simulate(circ: Circuit, theta, noise: NoiseModel) -> list[np.ndarray]:
+    """The circuit's output as the estimators read it: the statevector when
+    noise is off, else one density matrix per noise level (p2, then
+    boost * p2 under ZNE)."""
+    if not noise.enabled:
+        return [run_pure(circ, theta)]
+    return [run_density(circ, theta, p2=lvl) for lvl in _noise_levels(noise)]
+
+
 def sample_pauli_expectation(circ: Circuit, theta, op: PauliSum,
                              settings: MeasurementSettings,
                              noise: NoiseModel,
-                             rng: np.random.Generator | None = None) -> float:
+                             rng: np.random.Generator | None = None,
+                             states: list[np.ndarray] | None = None) -> float:
     """<A> on the circuit's output state, honoring mode and noise.
 
     The identity component is added exactly; every other string is estimated
     independently.  With ZNE enabled each string is measured at p2 and
-    boost*p2 and extrapolated before weighting.
+    boost*p2 and extrapolated before weighting.  ``states`` is the output of
+    ``simulate(circ, theta, noise)`` when the caller already has it, so
+    several operators can be estimated on one simulation.
     """
     if not op.is_hermitian():
         raise ValueError("expectation sampling requires a hermitian operator")
     if settings.mode == "sampled" and rng is None:
         rng = settings.make_rng()
+    if states is None:
+        states = simulate(circ, theta, noise)
     ident = "I" * op.width
+    total = op.coefficient(ident).real
     if not noise.enabled:
-        psi = run_pure(circ, theta)
+        psi = states[0]
         if settings.mode == "exact":
             return expectation_from_state(psi, op)
-        total = op.coefficient(ident).real
-        for label, coeff in sorted(op):
-            if label == ident:
-                continue
-            z = np.vdot(psi, apply_string(label, psi)).real
-            total += coeff.real * sample_z_value(z, settings.shots, rng)
+        labels, zs = string_overlaps(op, psi, psi)
+        for label, z in zip(labels, zs.real):
+            if label != ident:
+                total += op.coefficient(label).real * sample_z_value(
+                    z, settings.shots, rng)
         return float(total)
 
-    levels = [noise.p2]
-    if noise.zne:
-        levels.append(noise.boost * noise.p2)
-    rhos = {lvl: run_density(circ, theta, p2=lvl) for lvl in levels}
-    dim = rhos[levels[0]].shape[0]
-    idx = np.arange(dim)
-    total = op.coefficient(ident).real
-    for label, coeff in sorted(op):
+    traces = [string_traces(op, rho) for rho in states]
+    labels = traces[0][0]
+    for s, label in enumerate(labels):
         if label == ident:
             continue
-        flip, phases = string_action(label)
         ests = []
-        for lvl in levels:
-            z = float(np.dot(phases, rhos[lvl][idx, idx ^ flip]).real)
+        for _, zs in traces:
+            z = float(zs[s].real)
             if settings.mode == "sampled":
                 z = sample_z_value(z, settings.shots, rng)
             ests.append(z)
         z_final = zne_extrapolate(*ests) if noise.zne else ests[0]
-        total += coeff.real * z_final
+        total += op.coefficient(label).real * z_final
     return float(total)
 
 
@@ -522,35 +555,42 @@ class OverlapEngine:
             self.prefix = prefix
 
     def estimate_sum(self, theta, op: PauliSum,
-                     rng: np.random.Generator | None = None) -> complex:
-        """Sum of coeff * <psi1|P|psi2(theta)> over the strings of ``op``."""
+                     rng: np.random.Generator | None = None,
+                     psi2: np.ndarray | None = None) -> complex:
+        """Sum of coeff * <psi1|P|psi2(theta)> over the strings of ``op``.
+
+        Without noise, ``psi2`` may pass in U2(theta)|0> when the caller
+        already simulated it; the noisy path always simulates its prefix.
+        """
         if op.width != self.m:
             raise ValueError("operator width mismatch")
         settings, noise = self.settings, self.noise
         if settings.mode == "sampled" and rng is None:
             rng = settings.make_rng()
         if not noise.enabled:
-            psi2 = run_pure(self.u2, theta)
+            if psi2 is None:
+                psi2 = run_pure(self.u2, theta)
             if settings.mode == "exact":
                 return complex(np.vdot(self.psi1, apply_sum(op, psi2)))
             total = 0.0 + 0j
-            for label, coeff in sorted(op):
-                c = np.vdot(self.psi1, apply_string(label, psi2))
+            labels, overlaps = string_overlaps(op, self.psi1, psi2)
+            for label, c in zip(labels, overlaps):
+                coeff = op.coefficient(label)
                 z_re = sample_z_value(c.real, settings.shots, rng)
                 z_im = sample_z_value(-c.imag, settings.shots, rng)
                 total += coeff * complex(z_re, -z_im)
             return total
 
-        levels = [noise.p2]
-        if noise.zne:
-            levels.append(noise.boost * noise.p2)
+        levels = _noise_levels(noise)
         prefixes = [run_density(self.prefix, theta, p2=lvl) for lvl in levels]
+        half = prefixes[0].shape[0] // 2
         total = 0.0 + 0j
         for label, coeff in sorted(op):
+            suffix = Circuit(self.m + 1)
+            suffix.add_controlled_pauli(self.m, label)
             block_traces = []
             for rho, lvl in zip(prefixes, levels):
-                rho_s = self._apply_suffix(rho, label, lvl)
-                half = rho_s.shape[0] // 2
+                rho_s = _evolve_density(rho.copy(), suffix.gates, None, lvl)
                 block_traces.append(np.trace(rho_s[half:, :half]))
             z_parts = []
             for phi, pick in ((0.0, lambda t: 2.0 * t.real),
@@ -564,16 +604,3 @@ class OverlapEngine:
                 z_parts.append(zne_extrapolate(*ests) if noise.zne else ests[0])
             total += coeff * complex(z_parts[0], -z_parts[1])
         return total
-
-    def _apply_suffix(self, rho: np.ndarray, label: str, p2: float) -> np.ndarray:
-        anc = self.m
-        width = self.m + 1
-        out = rho
-        for q, ch in enumerate(label):
-            if ch == "I":
-                continue
-            kind = {"X": "CX", "Y": "CY", "Z": "CZ"}[ch]
-            u = gate_matrix(Gate(kind, (anc, q)), width)
-            out = u @ out @ u.conj().T
-            out = depolarize_pair(out, anc, q, p2, width)
-        return out

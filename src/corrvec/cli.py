@@ -29,7 +29,7 @@ from .oracle import GreensOracle, exact_ground
 from .solver import (HOLE, PARTICLE, PointRecord, SolverOptions,
                      assemble_matrices, solve_column)
 from .store import (CheckpointStore, ManifestWriter, dumps_canonical,
-                    read_series, sha256_of_file, write_series,
+                    fmt_float, read_series, sha256_of_file, write_series,
                     write_spectrum_csv, write_text_atomic)
 from .vqe import AnsatzSpec, build_hea, hf_start_angles, vqe_ground_state
 
@@ -115,7 +115,7 @@ class Problem:
         n = self.cfg.noise
         if not n.enabled:
             return NoiseModel()
-        return NoiseModel(enabled=True, p2=n.p2, boost=n.boost, zne=n.zne)
+        return _noise_model(n.p2, n.boost, n.zne)
 
     def gs_start(self, spec: AnsatzSpec) -> np.ndarray | None:
         if self.n_elec % 2:
@@ -133,6 +133,21 @@ class Problem:
             spin = cfg.spin_penalty * total_spin_squared(self.n_orb)
             total = spin if total is None else total + spin
         return total
+
+
+def _noise_model(p2: float, boost: float, zne: bool) -> NoiseModel:
+    """An enabled noise model; settings the channel cannot take exit 2."""
+    try:
+        return NoiseModel(enabled=True, p2=p2, boost=boost, zne=zne)
+    except ValueError as exc:
+        raise CliFailure(EXIT_CONFIG, f"noise: {exc}")
+
+
+def _open_problem(cfg: RunConfig) -> Problem:
+    try:
+        return Problem(cfg)
+    except IngestError as exc:
+        raise CliFailure(EXIT_INGEST, str(exc))
 
 
 def _run_ground_state(prob: Problem):
@@ -161,10 +176,8 @@ def _persist_ground_state(out: Path, e0, theta, trace) -> list[Path]:
 
 def cmd_ground_state(args) -> int:
     cfg = _load_config(args)
-    try:
-        prob = Problem(cfg)
-    except IngestError as exc:
-        raise CliFailure(EXIT_INGEST, str(exc))
+    prob = _open_problem(cfg)
+    prob.noise()  # bad noise settings exit 2 before any output exists
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = ManifestWriter(out, cfg.to_json_dict())
@@ -180,9 +193,28 @@ def cmd_ground_state(args) -> int:
     return EXIT_OK
 
 
+def _reusable_points(checkpoint: CheckpointStore, zs: np.ndarray,
+                     out: Path) -> dict[tuple[str, int], dict[int, PointRecord]]:
+    """Checkpointed points by column, refused unless each sits at the
+    canonicalized frequency the current grid puts at its index."""
+    existing = {key: {k: PointRecord.from_json_dict(d) for k, d in col.items()}
+                for key, col in checkpoint.by_column().items()}
+    for (branch, j), col in existing.items():
+        for k, rec in col.items():
+            want = (complex(fmt_float(zs[k].real), fmt_float(zs[k].imag))
+                    if 0 <= k < len(zs) else None)
+            if rec.z != want:
+                raise CliFailure(
+                    EXIT_CONFIG,
+                    f"checkpoint in {out} holds point ({branch}, {j}, k={k}) "
+                    f"at z={rec.z}, which is not on the configured grid; "
+                    f"sweep into a fresh out_dir")
+    return existing
+
+
 def _sweep_records(prob: Problem, e0: float, theta: np.ndarray,
-                   spec: AnsatzSpec, zs: np.ndarray,
-                   checkpoint: CheckpointStore) -> list[PointRecord]:
+                   spec: AnsatzSpec, zs: np.ndarray, checkpoint: CheckpointStore,
+                   existing: dict) -> list[PointRecord]:
     cfg = prob.cfg
     opts = SolverOptions(
         epsilon=cfg.optimizer.epsilon, max_sweeps=cfg.optimizer.max_sweeps,
@@ -191,8 +223,6 @@ def _sweep_records(prob: Problem, e0: float, theta: np.ndarray,
         sector_penalty=cfg.optimizer.sector_penalty)
     gs_circ = build_hea(spec).bound(theta)
     orbitals = list(range(prob.n_orb))
-    existing = {key: {k: PointRecord.from_json_dict(d) for k, d in col.items()}
-                for key, col in checkpoint.by_column().items()}
     lock = threading.Lock()
 
     def on_point(rec: PointRecord) -> None:
@@ -239,11 +269,12 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     if cfg.grid is None:
         raise CliFailure(EXIT_CONFIG, "sweep requires a grid section")
-    try:
-        prob = Problem(cfg)
-    except IngestError as exc:
-        raise CliFailure(EXIT_INGEST, str(exc))
+    prob = _open_problem(cfg)
+    prob.noise()  # bad noise settings exit 2 before any output exists
     out = Path(cfg.out_dir)
+    zs = cfg.grid.build().points
+    checkpoint = CheckpointStore(out / "checkpoint.jsonl")
+    existing = _reusable_points(checkpoint, zs, out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = ManifestWriter(out, cfg.to_json_dict())
 
@@ -271,10 +302,7 @@ def cmd_sweep(args) -> int:
         e0 = float(payload["e0"])
         theta = np.asarray(payload["angles"], dtype=float)
 
-    grid = cfg.grid.build()
-    zs = grid.points
-    checkpoint = CheckpointStore(out / "checkpoint.jsonl")
-    records = _sweep_records(prob, e0, theta, spec, zs, checkpoint)
+    records = _sweep_records(prob, e0, theta, spec, zs, checkpoint, existing)
 
     n_conv = sum(r.converged for r in records)
     frac = n_conv / len(records)
@@ -316,10 +344,7 @@ def cmd_embed(args) -> int:
         raise CliFailure(EXIT_CONFIG, "embed requires embedding mode != 'none'")
     if cfg.hamiltonian.kind != "fcidump":
         raise CliFailure(EXIT_CONFIG, "embedding needs a molecular fcidump source")
-    try:
-        prob = Problem(cfg)
-    except IngestError as exc:
-        raise CliFailure(EXIT_INGEST, str(exc))
+    prob = _open_problem(cfg)
     out = Path(cfg.out_dir)
     series_path = out / "series.jsonl"
     if not series_path.exists():
@@ -383,10 +408,7 @@ def cmd_oracle(args) -> int:
     cfg = _load_config(args)
     if cfg.grid is None:
         raise CliFailure(EXIT_CONFIG, "oracle requires a grid section")
-    try:
-        prob = Problem(cfg)
-    except IngestError as exc:
-        raise CliFailure(EXIT_INGEST, str(exc))
+    prob = _open_problem(cfg)
     if prob.n_modes > 14:
         raise CliFailure(EXIT_CONFIG,
                          f"{prob.n_modes} modes is beyond dense diagonalization")
@@ -473,10 +495,9 @@ def cmd_noise_scan(args) -> int:
         raise CliFailure(EXIT_CONFIG, "p2 list must not be empty")
     if any(not 0 <= p <= 1 for p in p2_values):
         raise CliFailure(EXIT_CONFIG, "p2 values must lie in [0, 1]")
-    try:
-        prob = Problem(cfg)
-    except IngestError as exc:
-        raise CliFailure(EXIT_INGEST, str(exc))
+    models = [NoiseModel() if p2 == 0 else
+              _noise_model(p2, cfg.noise.boost, cfg.noise.zne) for p2 in p2_values]
+    prob = _open_problem(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = ManifestWriter(out, cfg.to_json_dict())
@@ -484,12 +505,7 @@ def cmd_noise_scan(args) -> int:
     penalty = prob.gs_penalty()
     settings = prob.measurement()
     rows = []
-    for p2 in p2_values:
-        if p2 == 0:
-            noise = NoiseModel()
-        else:
-            noise = NoiseModel(enabled=True, p2=p2, boost=cfg.noise.boost,
-                               zne=cfg.noise.zne)
+    for p2, noise in zip(p2_values, models):
         e0, theta, trace = vqe_ground_state(
             prob.h_op, spec, settings, noise, tol=cfg.optimizer.gs_tol,
             max_sweeps=cfg.optimizer.gs_max_sweeps, penalty=penalty,
@@ -497,8 +513,7 @@ def cmd_noise_scan(args) -> int:
         row = {"p2": p2, "e0": float(e0), "sweeps": trace.sweeps,
                "converged": bool(trace.converged)}
         if p2 > 0 and cfg.noise.zne:
-            raw = NoiseModel(enabled=True, p2=p2, boost=cfg.noise.boost,
-                             zne=False)
+            raw = replace(noise, zne=False)
             circ = build_hea(spec)
             row["e0_raw"] = float(sample_pauli_expectation(
                 circ, theta, prob.h_op, settings, raw,

@@ -5,6 +5,12 @@ acts on qubit ``i``.  Qubit 0 is the least significant bit of a basis-state
 index, so the dense matrix of a string is ``kron(P[m-1], ..., P[0])``.
 Coefficients are complex and terms with magnitude at or below PRUNE_TOL are
 dropped on construction, so the zero operator has no terms.
+
+A sum acts on states through forms compiled on first use and kept on the
+(immutable) sum: for ``apply_sum`` the strings that flip the same bits merge
+into one diagonal, and for the per-string estimators every string keeps its
+own row.  Either way a call is one vectorized gather, with no per-string
+Python loop.
 """
 
 from __future__ import annotations
@@ -65,7 +71,8 @@ def strings_commute(a: str, b: str) -> bool:
 class PauliSum:
     """Immutable weighted sum of Pauli strings on ``width`` qubits."""
 
-    __slots__ = ("width", "_terms")
+    # _compiled and _table stay unset until an action first needs them
+    __slots__ = ("width", "_terms", "_compiled", "_table")
 
     def __init__(self, width: int, terms: Mapping[str, complex] | Iterable[tuple[str, complex]] = ()):
         if width < 1:
@@ -225,13 +232,30 @@ def string_action(label: str) -> tuple[int, np.ndarray]:
     return flip, phases
 
 
-def apply_string(label: str, psi: np.ndarray) -> np.ndarray:
-    """P|psi> for one string, vectorized over the full register."""
-    flip, phases = string_action(label)
-    out = np.empty_like(psi, dtype=complex)
-    idx = np.arange(psi.shape[0]) ^ flip
-    out[idx] = phases * psi
-    return out
+def _compiled(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """``(idx, diag)`` with A|psi> = sum_g diag[g] * psi[idx[g]].
+
+    Row g gathers every string with flip mask f_g: idx[g] = b ^ f_g and
+    diag[g][b] = sum of coeff * phases[b ^ f_g] over those strings.  Built
+    once per operator and kept on it.
+    """
+    comp = getattr(op, "_compiled", None)
+    if comp is None:
+        dim = 1 << op.width
+        merged: dict[int, np.ndarray] = {}
+        for label, coeff in op:
+            flip, phases = string_action(label)
+            acc = merged.get(flip)
+            if acc is None:
+                merged[flip] = coeff * phases
+            else:
+                acc += coeff * phases
+        flips = np.fromiter(merged, dtype=np.intp, count=len(merged))
+        idx = np.arange(dim)[None, :] ^ flips[:, None]
+        by_source = np.array(list(merged.values()), dtype=complex).reshape(-1, dim)
+        comp = (idx, np.take_along_axis(by_source, idx, axis=1))
+        object.__setattr__(op, "_compiled", comp)
+    return comp
 
 
 def apply_sum(op: PauliSum, psi: np.ndarray) -> np.ndarray:
@@ -239,12 +263,43 @@ def apply_sum(op: PauliSum, psi: np.ndarray) -> np.ndarray:
     dim = 1 << op.width
     if psi.shape != (dim,):
         raise ValueError(f"state has shape {psi.shape}, expected ({dim},)")
-    out = np.zeros(dim, dtype=complex)
-    idx = np.arange(dim)
-    for label, coeff in op:
-        flip, phases = string_action(label)
-        out[idx ^ flip] += coeff * (phases * psi)
-    return out
+    idx, diag = _compiled(op)
+    return np.einsum("gc,gc->c", diag, psi[idx])
+
+
+def _string_table(op: PauliSum) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``(labels, idx, phases)`` over the strings in sorted label order:
+    P_s|b> = phases[s][b] |idx[s][b]>.  Built once per operator and kept."""
+    table = getattr(op, "_table", None)
+    if table is None:
+        labels = sorted(op._terms)
+        dim = 1 << op.width
+        actions = [string_action(label) for label in labels]
+        flips = np.array([f for f, _ in actions], dtype=np.intp)
+        phases = np.array([ph for _, ph in actions], dtype=complex).reshape(-1, dim)
+        table = (labels, np.arange(dim)[None, :] ^ flips[:, None], phases)
+        object.__setattr__(op, "_table", table)
+    return table
+
+
+def string_overlaps(op: PauliSum, bra: np.ndarray,
+                    ket: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Sorted labels of ``op`` and <bra|P|ket> for each of them."""
+    labels, idx, phases = _string_table(op)
+    return labels, np.einsum("sb,sb,b->s", bra.conj()[idx], phases, ket)
+
+
+def string_traces(op: PauliSum, rho: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Sorted labels of ``op`` and tr(rho P) for each of them."""
+    labels, idx, phases = _string_table(op)
+    return labels, np.einsum("sb,sb->s", phases,
+                             rho[np.arange(rho.shape[0]), idx])
+
+
+def density_expectation(rho: np.ndarray, op: PauliSum) -> complex:
+    """tr(rho A) without materializing A: sum_g,b diag[g][b] rho[b ^ f_g, b]."""
+    idx, diag = _compiled(op)
+    return complex(np.sum(diag * rho[idx, np.arange(rho.shape[0])]))
 
 
 def expectation_exact(state: np.ndarray, op: PauliSum) -> complex:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuits import (Circuit, MeasurementSettings, NoiseModel, OverlapEngine,
-                       sample_pauli_expectation)
+                       run_pure, sample_pauli_expectation, simulate)
 from .fermion import ladder_pauli, number_penalty
 from .pauli import PauliSum
 from .store import dumps_canonical
@@ -141,22 +141,30 @@ class CorrectionProblem:
         return cached
 
     def make_cost(self, z: complex, spec: AnsatzSpec, v_norm: float, rng):
-        """Returns (cost over angles, overlap estimator over angles)."""
+        """Returns (cost over angles, overlap estimator over angles).
+
+        One cost evaluation simulates the ansatz once: <Q+Q>, the penalty
+        and, without noise, the overlap all read that output.  The noisy
+        overlap needs its own ancilla circuit.  Estimates are drawn in the
+        order <Q+Q>, overlap, penalty.
+        """
         qdq = self.qdq(z)
         vdq = self.vdq(z)
         circ, engine = self.engine_for(spec)
+        settings, noise = self.settings, self.noise
 
-        def overlap(theta) -> complex:
-            return engine.estimate_sum(theta, vdq, rng)
+        def overlap(theta, psi2=None) -> complex:
+            return engine.estimate_sum(theta, vdq, rng, psi2)
 
         def cost(theta) -> float:
-            term1 = sample_pauli_expectation(circ, theta, qdq,
-                                             self.settings, self.noise, rng)
-            ov = overlap(theta)
+            states = simulate(circ, theta, noise)
+            term1 = sample_pauli_expectation(circ, theta, qdq, settings, noise,
+                                             rng, states)
+            ov = overlap(theta, None if noise.enabled else states[0])
             value = float(term1 - abs(ov) ** 2 / v_norm)
             if self.penalty_op is not None:
                 value += sample_pauli_expectation(circ, theta, self.penalty_op,
-                                                  self.settings, self.noise, rng)
+                                                  settings, noise, rng, states)
             return value
 
         return cost, overlap
@@ -172,7 +180,11 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
     """Rotosolve until g/<V|V> < epsilon, growing depth on stalls.
 
     ``theta0``/``depth0`` warm-start from a neighboring frequency.  The
-    returned angles are the best seen by measured cost.
+    returned angles are the best seen by measured cost.  ``epsilon``
+    (default ``options.epsilon``) is where the sweeps stop; ``converged``
+    always means the residual is below ``options.epsilon`` and gamma is
+    defined, so a tighter re-solve that runs out of sweeps still counts
+    as converged when it meets the sweep's threshold.
     """
     eps = options.epsilon if epsilon is None else epsilon
     v_norm = problem.measure_v_norm(rng)
@@ -195,7 +207,6 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
     best_theta, best_val, best_depth = theta, np.inf, cur.depth
     history: list[float] = []
     sweeps = 0
-    converged = False
     while sweeps < options.max_sweeps:
         theta, value = rotosolve_sweep(cost, theta, check_monotone=exact_run)
         sweeps += 1
@@ -203,7 +214,6 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
         if value < best_val:
             best_theta, best_val, best_depth = theta.copy(), value, cur.depth
         if value / v_norm < eps:
-            converged = True
             break
         if (len(history) >= options.stall_sweeps
                 and cur.depth < max_depth
@@ -219,6 +229,7 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
         cur = replace(cur, depth=best_depth)
     _, overlap = problem.make_cost(z, cur, v_norm, rng)
     denom = overlap(best_theta)
+    converged = bool(best_val / v_norm < options.epsilon)
     if abs(denom) < 1e-10:
         gamma = 0.0 + 0j
         converged = False
@@ -299,8 +310,9 @@ def _column_elements(problem: CorrectionProblem, spec_at: AnsatzSpec,
                      rng) -> np.ndarray:
     if sol.zero or sol.gamma == 0:
         return np.zeros(len(element_ops), dtype=complex)
-    _, engine = problem.engine_for(spec_at)
-    vals = [engine.estimate_sum(sol.theta, a_op, rng) for a_op in element_ops]
+    circ, engine = problem.engine_for(spec_at)
+    psi2 = None if problem.noise.enabled else run_pure(circ, sol.theta)
+    vals = [engine.estimate_sum(sol.theta, a_op, rng, psi2) for a_op in element_ops]
     return sol.gamma * np.asarray(vals, dtype=complex)
 
 

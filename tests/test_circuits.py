@@ -11,8 +11,6 @@ from corrvec.circuits import (
     ancilla_z,
     assert_valid_density,
     assert_valid_state,
-    circuit_unitary,
-    density_expectation,
     depolarize_pair,
     expectation_from_state,
     make_controlled,
@@ -24,7 +22,8 @@ from corrvec.circuits import (
     zne_extrapolate,
 )
 from corrvec.oracle import materialize
-from corrvec.pauli import PauliSum, apply_string, apply_sum
+from corrvec.pauli import PauliSum, apply_sum, density_expectation
+from kron_reference import apply_string, circuit_unitary
 
 
 def small_parameterized(width=2):

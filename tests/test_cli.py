@@ -116,6 +116,29 @@ def test_invalid_worker_env(tmp_path, monkeypatch):
     assert run("sweep", "--config", str(cfg)) == 2
 
 
+def test_sweep_refuses_checkpoint_from_another_grid(tmp_path, capsys):
+    out = tmp_path / "out"
+    first = write_config(
+        tmp_path / "first.json",
+        grid={"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0, "n": 2},
+        out_dir=str(out))
+    assert run("sweep", "--config", str(first)) == 0
+    series = (out / "series.jsonl").read_bytes()
+    capsys.readouterr()
+
+    moved = write_config(
+        tmp_path / "moved.json",
+        grid={"kind": "retarded", "omega_min": 2.0, "omega_max": 3.0, "n": 2},
+        out_dir=str(out))
+    assert run("sweep", "--config", str(moved)) == 2
+    assert str(out) in capsys.readouterr().err
+    assert (out / "series.jsonl").read_bytes() == series
+
+    # the same grid resumes from the checkpoint
+    assert run("sweep", "--config", str(first)) == 0
+    assert (out / "series.jsonl").read_bytes() == series
+
+
 def test_missing_fcidump_exits_3_without_outputs(tmp_path):
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
@@ -141,6 +164,16 @@ def test_config_errors_exit_2(tmp_path):
     assert run("noise-scan", "--config", str(no_grid), "--p2", "") == 2
     assert run("noise-scan", "--config", str(no_grid), "--p2", "0.1,zzz") == 2
     assert run("noise-scan", "--config", str(no_grid), "--p2", "2.0") == 2
+    # in range for the parser, outside what the noise channel can take
+    assert run("noise-scan", "--config", str(no_grid), "--p2", "1.0") == 2
+    for noise in ({"enabled": True, "p2": 0.95},
+                  {"enabled": True, "p2": 0.5, "boost": 2.0, "zne": True},
+                  {"enabled": True, "boost": 1.0, "zne": False}):
+        noisy = write_config(tmp_path / "noisy.json", noise=noise,
+                             out_dir=str(tmp_path / "noisy"))
+        assert run("ground-state", "--config", str(noisy)) == 2
+        assert run("noise-scan", "--config", str(noisy), "--p2", "0.5") == 2
+    assert not (tmp_path / "noisy").exists()
 
     missing = tmp_path / "missing.json"
     assert run("ground-state", "--config", str(missing)) == 2

@@ -7,7 +7,6 @@ from corrvec.oracle import materialize
 from corrvec.pauli import (
     PRUNE_TOL,
     PauliSum,
-    apply_string,
     apply_sum,
     expectation_exact,
     multiply_strings,
@@ -16,6 +15,7 @@ from corrvec.pauli import (
     sum_multiply,
     validate_string,
 )
+from kron_reference import apply_string
 
 
 def random_sum(width, n_terms, rng):

@@ -1,10 +1,14 @@
 """Per-frequency variational linear solves and their bookkeeping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from corrvec import circuits, solver
 from corrvec.circuits import MeasurementSettings, NoiseModel
-from corrvec.fermion import number_operator, number_penalty, total_spin_squared
+from corrvec.fermion import (ladder_pauli, number_operator, number_penalty,
+                             total_spin_squared)
 from corrvec.oracle import GreensOracle, materialize
 from corrvec.pauli import PauliSum
 from corrvec.solver import (
@@ -135,6 +139,60 @@ def test_warm_start_shape_is_checked(h2_hamiltonian, h2_gs, rng):
     with pytest.raises(ValueError):
         solve_correction_vector(problem, 1.0 + 0.1j, spec, SolverOptions(),
                                 rng, theta0=np.zeros(3))
+
+
+def particle_problem(h2_hamiltonian, h2_gs):
+    e0, gs_circ = h2_gs
+    return CorrectionProblem(h2_hamiltonian, e0, -1, ladder_pauli(0, True, 4),
+                             gs_circ, MeasurementSettings(), NoiseModel(),
+                             n_target=3)
+
+
+def test_exact_cost_simulates_once(h2_hamiltonian, h2_gs, monkeypatch, rng):
+    problem = particle_problem(h2_hamiltonian, h2_gs)
+    z, spec = 1.0 + 0.2j, AnsatzSpec(width=4, depth=2)
+    theta = rng.uniform(-np.pi, np.pi, size=spec.n_slots)
+    v_norm = problem.measure_v_norm(rng)
+    cost, _ = problem.make_cost(z, spec, v_norm, rng)
+    calls = []
+    real_run_pure = circuits.run_pure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_run_pure(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "run_pure", counting)
+    monkeypatch.setattr(solver, "run_pure", counting)
+    value = cost(theta)
+    assert len(calls) == 1
+
+    # the shared state gives the quadratic form plus the sector penalty
+    psi = real_run_pure(build_hea(spec), theta)
+    psi0 = real_run_pure(problem.gs_circuit)
+    q = materialize(problem.qdq(z))
+    ov = np.vdot(psi0, materialize(problem.vdq(z)) @ psi)
+    pen = materialize(problem.penalty_op)
+    dense = (np.vdot(psi, (q + pen) @ psi) - abs(ov) ** 2 / v_norm).real
+    assert value == pytest.approx(dense, abs=1e-10)
+
+
+def test_tight_resolve_that_meets_epsilon_is_converged(h2_hamiltonian, h2_gs):
+    """A re-solve stops at epsilon/10 but is judged against the sweep's
+    epsilon: running out of sweeps below that threshold is convergence."""
+    problem = particle_problem(h2_hamiltonian, h2_gs)
+    spec = AnsatzSpec(width=4, depth=2)
+    options = SolverOptions(epsilon=0.05, max_sweeps=1, extra_depth=0)
+    sol = solve_correction_vector(problem, 1.0 + 0.2j, spec, options,
+                                  np.random.default_rng(5), epsilon=1e-9)
+    assert sol.sweeps == options.max_sweeps
+    assert 1e-9 < sol.residual < options.epsilon
+    assert sol.gamma != 0
+    assert sol.converged
+
+    strict = replace(options, epsilon=sol.residual / 2)
+    sol = solve_correction_vector(problem, 1.0 + 0.2j, spec, strict,
+                                  np.random.default_rng(5), epsilon=1e-9)
+    assert not sol.converged
 
 
 def test_point_record_roundtrip():
