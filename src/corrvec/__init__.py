@@ -11,7 +11,7 @@ from .circuits import (Circuit, MeasurementSettings, NoiseModel,
 from .config import ConfigError, RunConfig, load_config
 from .fermion import (BlockedSpinOrbitals, hamiltonian_to_qubits,
                       ladder_pauli, number_operator, number_penalty,
-                      perturbation_operator, total_spin_squared)
+                      total_spin_squared)
 from .greens import (FrequencyGrid, dyson_embed, expand_spin, g0,
                      matsubara_grid, nondyson_embed, retarded_grid,
                      spin_up_block, trace_spectrum)
@@ -42,7 +42,7 @@ __all__ = [
     "hf_start_angles", "hubbard_dimer", "hubbard_dimer_energy",
     "ladder_pauli", "lehmann_decomposition", "load_config",
     "matsubara_grid", "nondyson_embed", "number_operator",
-    "number_penalty", "perturbation_operator", "read_fcidump",
+    "number_penalty", "read_fcidump",
     "retarded_grid", "rotate_orbitals", "rotosolve_sweep", "run_density",
     "run_pure", "sample_pauli_expectation", "solve_column",
     "solve_correction_vector", "spin_up_block", "sweep_columns",

@@ -318,7 +318,7 @@ class NoiseModel:
     enabled: bool = False
     p2: float = 1e-3
     boost: float = 2.0
-    zne: bool = False
+    zne: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.p2 <= 15.0 / 16.0:
@@ -333,17 +333,18 @@ class NoiseModel:
 class MeasurementSettings:
     mode: str = "exact"
     shots: int = 1_000_000
-    seed: int | None = None
+    seed: int = 7
 
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown measurement mode {self.mode!r}")
-        if self.shots < 1:
-            raise ValueError("shots must be positive")
+        if not 1 <= self.shots < 2**63:  # the binomial draw takes an int64
+            raise ValueError("shots must be positive and below 2**63")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def make_rng(self, *extra: int) -> np.random.Generator:
-        base = 0 if self.seed is None else self.seed
-        return np.random.default_rng(np.random.SeedSequence([base, *extra]))
+        return np.random.default_rng(np.random.SeedSequence([self.seed, *extra]))
 
 
 def sample_z_value(z_exact: float, shots: int, rng: np.random.Generator) -> float:

@@ -4,30 +4,26 @@ exact references, comparisons, and noise scans.
 Every command reads a strict JSON config, writes its numeric artifacts
 through atomic renames, and finishes by writing a manifest that pins each
 output file with a content digest.  Fixed (config, seed) pairs reproduce
-numeric outputs byte for byte, regardless of worker count.
+numeric outputs byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .circuits import MeasurementSettings, NoiseModel, sample_pauli_expectation
+from .circuits import sample_pauli_expectation
 from .config import ConfigError, RunConfig, load_config
 from .fermion import BlockedSpinOrbitals, number_penalty, total_spin_squared
 from .greens import (dyson_embed, nondyson_embed, spin_up_block, trace_spectrum)
 from .molham import build_cas, fock_matrix, hubbard_dimer, read_fcidump
 from .oracle import GreensOracle, exact_ground
-from .solver import (HOLE, PARTICLE, PointRecord, SolverOptions,
-                     assemble_matrices, solve_column)
+from .solver import PointRecord, assemble_matrices, sweep_columns
 from .store import (CheckpointStore, ManifestWriter, dumps_canonical,
                     fmt_float, read_series, sha256_of_file, write_series,
                     write_spectrum_csv, write_text_atomic)
@@ -38,8 +34,6 @@ EXIT_CONFIG = 2
 EXIT_INGEST = 3
 EXIT_BUDGET = 4
 EXIT_COMPARE = 5
-
-WORKERS_ENV = "CORRVEC_WORKERS"
 
 
 class IngestError(RuntimeError):
@@ -52,22 +46,17 @@ class CliFailure(SystemExit):
         super().__init__(code)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliFailure(EXIT_CONFIG, f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    return max(1, n)
-
-
 def _load_config(args) -> RunConfig:
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
         raise CliFailure(EXIT_CONFIG, str(exc))
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, measurement=replace(cfg.measurement, seed=args.seed))
+        try:
+            measurement = replace(cfg.measurement, seed=args.seed)
+        except ValueError as exc:
+            raise CliFailure(EXIT_CONFIG, f"--seed: {exc}")
+        cfg = replace(cfg, measurement=measurement)
     if getattr(args, "out", None) is not None:
         cfg = replace(cfg, out_dir=args.out)
     return cfg
@@ -107,22 +96,17 @@ class Problem:
         return AnsatzSpec(self.n_modes, self.cfg.ansatz.depth,
                           self.cfg.ansatz.pattern)
 
-    def measurement(self) -> MeasurementSettings:
-        m = self.cfg.measurement
-        return MeasurementSettings(mode=m.mode, shots=m.shots, seed=m.seed)
-
-    def noise(self) -> NoiseModel:
-        n = self.cfg.noise
-        if not n.enabled:
-            return NoiseModel()
-        return _noise_model(n.p2, n.boost, n.zne)
-
     def gs_start(self, spec: AnsatzSpec) -> np.ndarray | None:
+        """Jittered closed-shell start angles for an even electron count; an
+        ansatz pattern that cannot prepare the determinant exits 2."""
         if self.n_elec % 2:
             return None
         modes = BlockedSpinOrbitals(self.n_orb).closed_shell_modes(self.n_elec)
-        return hf_start_angles(spec, modes, jitter=0.02,
-                               rng=self.measurement().make_rng())
+        try:
+            return hf_start_angles(spec, modes, jitter=0.02,
+                                   rng=self.cfg.measurement.make_rng())
+        except ValueError as exc:
+            raise CliFailure(EXIT_CONFIG, f"ansatz: {exc}")
 
     def gs_penalty(self):
         cfg = self.cfg
@@ -135,14 +119,6 @@ class Problem:
         return total
 
 
-def _noise_model(p2: float, boost: float, zne: bool) -> NoiseModel:
-    """An enabled noise model; settings the channel cannot take exit 2."""
-    try:
-        return NoiseModel(enabled=True, p2=p2, boost=boost, zne=zne)
-    except ValueError as exc:
-        raise CliFailure(EXIT_CONFIG, f"noise: {exc}")
-
-
 def _open_problem(cfg: RunConfig) -> Problem:
     try:
         return Problem(cfg)
@@ -150,14 +126,12 @@ def _open_problem(cfg: RunConfig) -> Problem:
         raise CliFailure(EXIT_INGEST, str(exc))
 
 
-def _run_ground_state(prob: Problem):
+def _run_ground_state(prob: Problem, spec: AnsatzSpec, theta0):
     cfg = prob.cfg
-    spec = prob.ansatz()
-    e0, theta, trace = vqe_ground_state(
-        prob.h_op, spec, prob.measurement(), prob.noise(),
+    return vqe_ground_state(
+        prob.h_op, spec, cfg.measurement, cfg.noise,
         tol=cfg.optimizer.gs_tol, max_sweeps=cfg.optimizer.gs_max_sweeps,
-        penalty=prob.gs_penalty(), theta0=prob.gs_start(spec))
-    return e0, theta, trace, spec
+        penalty=prob.gs_penalty(), theta0=theta0)
 
 
 def _persist_ground_state(out: Path, e0, theta, trace) -> list[Path]:
@@ -177,11 +151,12 @@ def _persist_ground_state(out: Path, e0, theta, trace) -> list[Path]:
 def cmd_ground_state(args) -> int:
     cfg = _load_config(args)
     prob = _open_problem(cfg)
-    prob.noise()  # bad noise settings exit 2 before any output exists
+    spec = prob.ansatz()
+    theta0 = prob.gs_start(spec)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = ManifestWriter(out, cfg.to_json_dict())
-    e0, theta, trace, _ = _run_ground_state(prob)
+    e0, theta, trace = _run_ground_state(prob, spec, theta0)
     files = _persist_ground_state(out, e0, theta, trace)
     for f in files:
         manifest.register(f)
@@ -212,46 +187,6 @@ def _reusable_points(checkpoint: CheckpointStore, zs: np.ndarray,
     return existing
 
 
-def _sweep_records(prob: Problem, e0: float, theta: np.ndarray,
-                   spec: AnsatzSpec, zs: np.ndarray, checkpoint: CheckpointStore,
-                   existing: dict) -> list[PointRecord]:
-    cfg = prob.cfg
-    opts = SolverOptions(
-        epsilon=cfg.optimizer.epsilon, max_sweeps=cfg.optimizer.max_sweeps,
-        stall_sweeps=cfg.optimizer.stall_sweeps,
-        extra_depth=cfg.optimizer.extra_depth,
-        sector_penalty=cfg.optimizer.sector_penalty)
-    gs_circ = build_hea(spec).bound(theta)
-    orbitals = list(range(prob.n_orb))
-    lock = threading.Lock()
-
-    def on_point(rec: PointRecord) -> None:
-        with lock:
-            checkpoint.add(rec.to_json_dict())
-
-    columns = [(branch, j) for branch in (PARTICLE, HOLE) for j in orbitals]
-
-    def run_column(col):
-        branch, j = col
-        return solve_column(
-            prob.h_op, e0, gs_circ, zs, branch, j, orbitals, spec, opts,
-            prob.measurement(), prob.noise(), cfg.measurement.seed,
-            n_elec=prob.n_elec, existing=existing.get((branch, j)),
-            on_point=on_point)
-
-    workers = _worker_count()
-    records: list[PointRecord] = []
-    if workers == 1:
-        for col in columns:
-            records.extend(run_column(col))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(run_column, columns):
-                records.extend(chunk)
-    records.sort(key=lambda r: (r.branch, r.orbital, r.k))
-    return records
-
-
 def _series_extras(records: list[PointRecord], n_points: int) -> list[dict]:
     extras = [{"residuals": [], "gamma_re": [], "gamma_im": [],
                "depth": [], "converged": []} for _ in range(n_points)]
@@ -270,7 +205,8 @@ def cmd_sweep(args) -> int:
     if cfg.grid is None:
         raise CliFailure(EXIT_CONFIG, "sweep requires a grid section")
     prob = _open_problem(cfg)
-    prob.noise()  # bad noise settings exit 2 before any output exists
+    spec = prob.ansatz()
+    theta0 = prob.gs_start(spec)
     out = Path(cfg.out_dir)
     zs = cfg.grid.build().points
     checkpoint = CheckpointStore(out / "checkpoint.jsonl")
@@ -279,7 +215,6 @@ def cmd_sweep(args) -> int:
     manifest = ManifestWriter(out, cfg.to_json_dict())
 
     gs_path = out / "ground_state.json"
-    spec = prob.ansatz()
     if gs_path.exists():
         with open(gs_path) as fh:
             payload = json.load(fh)
@@ -290,7 +225,7 @@ def cmd_sweep(args) -> int:
                              "stored ground state does not match the ansatz")
         manifest.stage("ground-state", "reused", e0=e0)
     else:
-        e0, theta, trace, spec = _run_ground_state(prob)
+        e0, theta, trace = _run_ground_state(prob, spec, theta0)
         for f in _persist_ground_state(out, e0, theta, trace):
             manifest.register(f)
         manifest.stage("ground-state", "ok", e0=float(e0), sweeps=trace.sweeps,
@@ -302,7 +237,12 @@ def cmd_sweep(args) -> int:
         e0 = float(payload["e0"])
         theta = np.asarray(payload["angles"], dtype=float)
 
-    records = _sweep_records(prob, e0, theta, spec, zs, checkpoint, existing)
+    records = sweep_columns(
+        prob.h_op, e0, build_hea(spec).bound(theta), zs,
+        list(range(prob.n_orb)), spec, cfg.optimizer, cfg.measurement,
+        cfg.noise, cfg.measurement.seed, n_elec=prob.n_elec, existing=existing,
+        on_point=lambda rec: checkpoint.add(rec.to_json_dict()))
+    records.sort(key=lambda r: (r.branch, r.orbital, r.k))
 
     n_conv = sum(r.converged for r in records)
     frac = n_conv / len(records)
@@ -493,23 +433,24 @@ def cmd_noise_scan(args) -> int:
         raise CliFailure(EXIT_CONFIG, f"unparseable p2 list: {args.p2!r}")
     if not p2_values:
         raise CliFailure(EXIT_CONFIG, "p2 list must not be empty")
-    if any(not 0 <= p <= 1 for p in p2_values):
-        raise CliFailure(EXIT_CONFIG, "p2 values must lie in [0, 1]")
-    models = [NoiseModel() if p2 == 0 else
-              _noise_model(p2, cfg.noise.boost, cfg.noise.zne) for p2 in p2_values]
+    try:
+        models = [replace(cfg.noise, enabled=p2 != 0, p2=p2) for p2 in p2_values]
+    except ValueError as exc:
+        raise CliFailure(EXIT_CONFIG, f"--p2: {exc}")
     prob = _open_problem(cfg)
+    spec = prob.ansatz()
+    theta0 = prob.gs_start(spec)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = ManifestWriter(out, cfg.to_json_dict())
-    spec = prob.ansatz()
     penalty = prob.gs_penalty()
-    settings = prob.measurement()
+    settings = cfg.measurement
     rows = []
     for p2, noise in zip(p2_values, models):
         e0, theta, trace = vqe_ground_state(
             prob.h_op, spec, settings, noise, tol=cfg.optimizer.gs_tol,
             max_sweeps=cfg.optimizer.gs_max_sweeps, penalty=penalty,
-            theta0=prob.gs_start(spec))
+            theta0=theta0)
         row = {"p2": p2, "e0": float(e0), "sweeps": trace.sweeps,
                "converged": bool(trace.converged)}
         if p2 > 0 and cfg.noise.zne:

@@ -1,18 +1,26 @@
 """Run configuration: a strict, archival JSON schema.
 
 Unknown keys are rejected at every nesting level so an experiment file
-cannot silently drift from what the code actually reads.  A parsed config
-serializes back to an equivalent dictionary, which the manifest embeds as
-the run's permanent record.
+cannot silently drift from what the code actually reads.  The
+``optimizer``, ``measurement`` and ``noise`` sections parse straight into
+the runtime types ``SolverOptions``, ``MeasurementSettings`` and
+``NoiseModel``: their fields are the section's keys, their defaults are
+what a missing key means, and their ``__post_init__`` holds every rule.
+A parsed config serializes back to an equivalent dictionary, which the
+manifest embeds as the run's permanent record.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-VALID_ROTATIONS = ("RX", "RY", "RZ")
+from .circuits import MeasurementSettings, NoiseModel
+from .solver import SolverOptions
+from .vqe import VALID_ROTATIONS
+
 EMBED_MODES = ("none", "dyson", "nondyson", "both")
 
 
@@ -20,8 +28,11 @@ class ConfigError(ValueError):
     """Raised for malformed, inconsistent, or unknown configuration."""
 
 
-def _take(section: dict, name: str, keys: dict[str, object]) -> dict:
-    """Pop known keys with defaults; reject anything left over."""
+def _take(section: dict | None, name: str, keys: dict[str, object]) -> dict:
+    """Pop known keys with defaults; reject anything left over.  A missing
+    (None) section takes every default."""
+    if section is None:
+        section = {}
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: expected an object")
     out = {}
@@ -31,6 +42,26 @@ def _take(section: dict, name: str, keys: dict[str, object]) -> dict:
     if data:
         raise ConfigError(f"{name}: unknown keys {sorted(data)}")
     return out
+
+
+def _coerce(value, kind: type):
+    """``value`` converted to ``kind``; a float must come out finite."""
+    out = kind(value)
+    if kind is float and not math.isfinite(out):
+        raise ValueError(f"{value!r} is not a finite number")
+    return out
+
+
+def _parse_flat(cls, name: str, section: dict | None):
+    """A flat section parsed into the runtime dataclass ``cls``: its keys
+    and defaults are the class's fields, each value is converted with the
+    type of its default, and the class checks the result."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    vals = _take(section, name, defaults)
+    try:
+        return cls(**{k: _coerce(v, type(defaults[k])) for k, v in vals.items()})
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 _REQUIRED = object()
@@ -66,8 +97,8 @@ class HamiltonianSource:
                 raise ConfigError("hamiltonian: hubbard-dimer requires 't' and 'u'")
             if vals["path"] is not None:
                 raise ConfigError("hamiltonian: path only applies to fcidump")
-            return HamiltonianSource("hubbard-dimer", t=float(vals["t"]),
-                                     u=float(vals["u"]))
+            return HamiltonianSource("hubbard-dimer", t=_coerce(vals["t"], float),
+                                     u=_coerce(vals["u"], float))
         raise ConfigError(f"hamiltonian: unknown kind {kind!r}")
 
     def to_json_dict(self) -> dict:
@@ -97,17 +128,18 @@ class GridConfig:
         if kind == "retarded":
             if vals["omega_min"] is None:
                 raise ConfigError("grid: retarded grid requires omega_min")
-            eta = 0.05 if vals["eta"] is None else float(vals["eta"])
+            eta = 0.05 if vals["eta"] is None else _coerce(vals["eta"], float)
             if eta <= 0:
                 raise ConfigError("grid: retarded grid requires eta > 0")
-            lo, hi = float(vals["omega_min"]), float(vals["omega_max"])
+            lo = _coerce(vals["omega_min"], float)
+            hi = _coerce(vals["omega_max"], float)
             if not lo < hi:
                 raise ConfigError("grid: omega_min must be below omega_max")
             return GridConfig("retarded", lo, hi, n, eta)
         if kind == "matsubara":
             if vals["omega_min"] is not None or vals["eta"] is not None:
                 raise ConfigError("grid: matsubara grid takes only omega_max and n")
-            hi = float(vals["omega_max"])
+            hi = _coerce(vals["omega_max"], float)
             if hi <= 0:
                 raise ConfigError("grid: omega_max must be positive")
             return GridConfig("matsubara", None, hi, n, None)
@@ -138,6 +170,8 @@ class AnsatzConfig:
         depth = int(vals["depth"])
         if depth < 1:
             raise ConfigError("ansatz: depth must be at least 1")
+        if not isinstance(vals["pattern"], list):
+            raise ConfigError("ansatz: pattern must be a list of rotations")
         pattern = tuple(str(p) for p in vals["pattern"])
         if not pattern or any(p not in VALID_ROTATIONS for p in pattern):
             raise ConfigError(f"ansatz: pattern entries must be in {VALID_ROTATIONS}")
@@ -145,92 +179,6 @@ class AnsatzConfig:
 
     def to_json_dict(self) -> dict:
         return {"depth": self.depth, "pattern": list(self.pattern)}
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    epsilon: float = 0.05
-    max_sweeps: int = 60
-    stall_sweeps: int = 10
-    extra_depth: int = 3
-    sector_penalty: float = 1.0
-    gs_tol: float = 1e-8
-    gs_max_sweeps: int = 200
-
-    @staticmethod
-    def parse(section: dict) -> "OptimizerConfig":
-        d = OptimizerConfig()
-        vals = _take(section, "optimizer", {
-            "epsilon": d.epsilon, "max_sweeps": d.max_sweeps,
-            "stall_sweeps": d.stall_sweeps, "extra_depth": d.extra_depth,
-            "sector_penalty": d.sector_penalty, "gs_tol": d.gs_tol,
-            "gs_max_sweeps": d.gs_max_sweeps})
-        out = OptimizerConfig(
-            epsilon=float(vals["epsilon"]), max_sweeps=int(vals["max_sweeps"]),
-            stall_sweeps=int(vals["stall_sweeps"]),
-            extra_depth=int(vals["extra_depth"]),
-            sector_penalty=float(vals["sector_penalty"]),
-            gs_tol=float(vals["gs_tol"]),
-            gs_max_sweeps=int(vals["gs_max_sweeps"]))
-        if out.epsilon <= 0 or out.max_sweeps < 1 or out.gs_max_sweeps < 1:
-            raise ConfigError("optimizer: epsilon and sweep budgets must be positive")
-        if out.sector_penalty < 0:
-            raise ConfigError("optimizer: sector_penalty must be non-negative")
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "max_sweeps": self.max_sweeps,
-                "stall_sweeps": self.stall_sweeps, "extra_depth": self.extra_depth,
-                "sector_penalty": self.sector_penalty, "gs_tol": self.gs_tol,
-                "gs_max_sweeps": self.gs_max_sweeps}
-
-
-@dataclass(frozen=True)
-class MeasurementConfig:
-    mode: str = "exact"
-    shots: int = 10**6
-    seed: int = 7
-
-    @staticmethod
-    def parse(section: dict) -> "MeasurementConfig":
-        d = MeasurementConfig()
-        vals = _take(section, "measurement",
-                     {"mode": d.mode, "shots": d.shots, "seed": d.seed})
-        mode = str(vals["mode"])
-        if mode not in ("exact", "sampled"):
-            raise ConfigError("measurement: mode must be 'exact' or 'sampled'")
-        shots = int(vals["shots"])
-        if shots < 1:
-            raise ConfigError("measurement: shots must be positive")
-        return MeasurementConfig(mode, shots, int(vals["seed"]))
-
-    def to_json_dict(self) -> dict:
-        return {"mode": self.mode, "shots": self.shots, "seed": self.seed}
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    enabled: bool = False
-    p2: float = 1e-3
-    boost: float = 2.0
-    zne: bool = True
-
-    @staticmethod
-    def parse(section: dict) -> "NoiseConfig":
-        d = NoiseConfig()
-        vals = _take(section, "noise", {"enabled": d.enabled, "p2": d.p2,
-                                        "boost": d.boost, "zne": d.zne})
-        out = NoiseConfig(bool(vals["enabled"]), float(vals["p2"]),
-                          float(vals["boost"]), bool(vals["zne"]))
-        if not 0 <= out.p2 <= 1:
-            raise ConfigError("noise: p2 must lie in [0, 1]")
-        if out.boost <= 1 and out.zne:
-            raise ConfigError("noise: extrapolation needs boost > 1")
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {"enabled": self.enabled, "p2": self.p2, "boost": self.boost,
-                "zne": self.zne}
 
 
 @dataclass(frozen=True)
@@ -242,9 +190,9 @@ class RunConfig:
     number_penalty: float = 1.0
     spin_penalty: float = 1.0
     ansatz: AnsatzConfig = field(default_factory=AnsatzConfig)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    measurement: MeasurementConfig = field(default_factory=MeasurementConfig)
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
+    optimizer: SolverOptions = field(default_factory=SolverOptions)
+    measurement: MeasurementSettings = field(default_factory=MeasurementSettings)
+    noise: NoiseModel = field(default_factory=NoiseModel)
     embedding: str = "none"
     min_converged_fraction: float = 0.95
     out_dir: str = "runs/out"
@@ -254,42 +202,56 @@ class RunConfig:
         d = RunConfig.__dataclass_fields__
         vals = _take(data, "config", {
             "hamiltonian": _REQUIRED, "grid": None, "active_space": None,
-            "mu": 0.0, "number_penalty": d["number_penalty"].default,
+            "mu": d["mu"].default, "number_penalty": d["number_penalty"].default,
             "spin_penalty": d["spin_penalty"].default, "ansatz": None,
             "optimizer": None, "measurement": None, "noise": None,
             "embedding": "none",
             "min_converged_fraction": d["min_converged_fraction"].default,
             "out_dir": d["out_dir"].default})
         _require("config", vals)
-        active = vals["active_space"]
-        if active is not None:
-            active = tuple(sorted(int(a) for a in active))
-            if len(set(active)) != len(active) or any(a < 0 for a in active):
-                raise ConfigError("active_space: need distinct non-negative orbitals")
-        embedding = str(vals["embedding"])
-        if embedding not in EMBED_MODES:
-            raise ConfigError(f"embedding: must be one of {EMBED_MODES}")
-        if embedding != "none" and active is None:
-            raise ConfigError("embedding requires an active_space")
-        frac = float(vals["min_converged_fraction"])
-        if not 0 <= frac <= 1:
-            raise ConfigError("min_converged_fraction must lie in [0, 1]")
-        if float(vals["number_penalty"]) < 0 or float(vals["spin_penalty"]) < 0:
-            raise ConfigError("number_penalty and spin_penalty must be non-negative")
-        return RunConfig(
-            hamiltonian=HamiltonianSource.parse(vals["hamiltonian"]),
-            grid=None if vals["grid"] is None else GridConfig.parse(vals["grid"]),
-            active_space=active,
-            mu=float(vals["mu"]),
-            number_penalty=float(vals["number_penalty"]),
-            spin_penalty=float(vals["spin_penalty"]),
-            ansatz=AnsatzConfig.parse(vals["ansatz"] or {}),
-            optimizer=OptimizerConfig.parse(vals["optimizer"] or {}),
-            measurement=MeasurementConfig.parse(vals["measurement"] or {}),
-            noise=NoiseConfig.parse(vals["noise"] or {}),
-            embedding=embedding,
-            min_converged_fraction=frac,
-            out_dir=str(vals["out_dir"]))
+        # one point turns a value that cannot be converted (a string where
+        # a number belongs, a number where a list belongs) into a ConfigError
+        try:
+            active = vals["active_space"]
+            if active is not None:
+                if not isinstance(active, list):
+                    raise ConfigError("active_space: expected a list of orbitals")
+                active = tuple(sorted(int(a) for a in active))
+                if len(set(active)) != len(active) or any(a < 0 for a in active):
+                    raise ConfigError(
+                        "active_space: need distinct non-negative orbitals")
+            embedding = str(vals["embedding"])
+            if embedding not in EMBED_MODES:
+                raise ConfigError(f"embedding: must be one of {EMBED_MODES}")
+            if embedding != "none" and active is None:
+                raise ConfigError("embedding requires an active_space")
+            frac = _coerce(vals["min_converged_fraction"], float)
+            if not 0 <= frac <= 1:
+                raise ConfigError("min_converged_fraction must lie in [0, 1]")
+            number_pen = _coerce(vals["number_penalty"], float)
+            spin_pen = _coerce(vals["spin_penalty"], float)
+            if number_pen < 0 or spin_pen < 0:
+                raise ConfigError(
+                    "number_penalty and spin_penalty must be non-negative")
+            return RunConfig(
+                hamiltonian=HamiltonianSource.parse(vals["hamiltonian"]),
+                grid=None if vals["grid"] is None else GridConfig.parse(vals["grid"]),
+                active_space=active,
+                mu=_coerce(vals["mu"], float),
+                number_penalty=number_pen,
+                spin_penalty=spin_pen,
+                ansatz=AnsatzConfig.parse(vals["ansatz"]),
+                optimizer=_parse_flat(SolverOptions, "optimizer", vals["optimizer"]),
+                measurement=_parse_flat(MeasurementSettings, "measurement",
+                                        vals["measurement"]),
+                noise=_parse_flat(NoiseModel, "noise", vals["noise"]),
+                embedding=embedding,
+                min_converged_fraction=frac,
+                out_dir=str(vals["out_dir"]))
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config: {exc}") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -301,9 +263,9 @@ class RunConfig:
             "number_penalty": self.number_penalty,
             "spin_penalty": self.spin_penalty,
             "ansatz": self.ansatz.to_json_dict(),
-            "optimizer": self.optimizer.to_json_dict(),
-            "measurement": self.measurement.to_json_dict(),
-            "noise": self.noise.to_json_dict(),
+            "optimizer": asdict(self.optimizer),
+            "measurement": asdict(self.measurement),
+            "noise": asdict(self.noise),
             "embedding": self.embedding,
             "min_converged_fraction": self.min_converged_fraction,
             "out_dir": self.out_dir,

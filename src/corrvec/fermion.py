@@ -65,12 +65,6 @@ def number_operator(m: int, modes: tuple[int, ...] | None = None) -> PauliSum:
     return PauliSum(m, terms)
 
 
-def perturbation_operator(orbital: int, spin: int, n_orb: int, dagger: bool) -> PauliSum:
-    """Single creation or annihilation operator as a two-string PauliSum."""
-    conv = BlockedSpinOrbitals(n_orb)
-    return ladder_pauli(conv.index(orbital, spin), dagger, conv.n_modes)
-
-
 def _product_of_ladders(factors: list[tuple[int, bool]], m: int) -> PauliSum:
     out = None
     for mode, dagger in factors:

@@ -8,7 +8,7 @@ mirrored back.  Energies in Hartree, Green's functions in inverse Hartree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,29 +67,6 @@ def trace_spectrum(g: np.ndarray) -> float:
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("expected a square matrix")
     return float(np.trace(g).imag)
-
-
-@dataclass
-class GreensSeries:
-    """Green's-function matrices over a frequency grid plus diagnostics."""
-
-    grid: FrequencyGrid
-    matrices: np.ndarray                     # (n_points, dim, dim) complex
-    diagnostics: list = field(default_factory=list)
-
-    def __post_init__(self):
-        n = len(self.grid)
-        if self.matrices.shape[0] != n:
-            raise ValueError("matrix count does not match the grid")
-        if self.matrices.ndim != 3 or self.matrices.shape[1] != self.matrices.shape[2]:
-            raise ValueError("matrices must be (n_points, dim, dim)")
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrices.shape[1])
-
-    def trace_values(self) -> np.ndarray:
-        return self.matrices.diagonal(axis1=1, axis2=2).imag.sum(axis=1)
 
 
 def g0(f: np.ndarray, z: complex) -> np.ndarray:

@@ -15,7 +15,7 @@ column without further optimization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,30 +31,6 @@ _BRANCH_CODE = {PARTICLE: 0, HOLE: 1}
 _BRANCH_SIGN = {PARTICLE: -1, HOLE: +1}
 
 V_NORM_THRESHOLD = 1e-8
-
-
-@dataclass(frozen=True)
-class ShiftedOperator:
-    """Q(z) = z + sign (H - e0); non-hermitian whenever Im z != 0."""
-
-    base: PauliSum
-    e0: float
-    z: complex
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-
-    def to_pauli(self) -> PauliSum:
-        return build_q(self.base, self.e0, self.z, self.sign)
-
-
-def build_q(h: PauliSum, e0: float, z: complex, sign: int) -> PauliSum:
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    shift = PauliSum.identity(h.width, z - sign * e0)
-    return shift + sign * h
 
 
 @dataclass
@@ -81,8 +57,13 @@ class SolverOptions:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if min(self.max_sweeps, self.gs_max_sweeps, self.stall_sweeps) < 1:
+            raise ValueError("max_sweeps, gs_max_sweeps and stall_sweeps "
+                             "must be at least 1")
         if self.extra_depth < 0:
             raise ValueError("extra_depth must be nonnegative")
+        if self.sector_penalty < 0:
+            raise ValueError("sector_penalty must be nonnegative")
 
 
 class CorrectionProblem:

@@ -19,7 +19,7 @@ from .circuits import (Circuit, MeasurementSettings, NoiseModel,
                        sample_pauli_expectation)
 from .pauli import PauliSum
 
-_VALID_ROTATIONS = ("RX", "RY", "RZ")
+VALID_ROTATIONS = ("RX", "RY", "RZ")
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class AnsatzSpec:
         if not self.pattern:
             raise ValueError("rotation pattern must be non-empty")
         for kind in self.pattern:
-            if kind not in _VALID_ROTATIONS:
+            if kind not in VALID_ROTATIONS:
                 raise ValueError(f"unsupported rotation kind {kind!r}")
 
     @property

@@ -172,6 +172,8 @@ def test_measurement_settings():
         MeasurementSettings(mode="analog")
     with pytest.raises(ValueError):
         MeasurementSettings(shots=0)
+    with pytest.raises(ValueError):
+        MeasurementSettings(seed=-1)
     s = MeasurementSettings(mode="sampled", shots=100, seed=5)
     a = s.make_rng(1, 2).standard_normal(4)
     b = s.make_rng(1, 2).standard_normal(4)
@@ -232,7 +234,7 @@ def test_noisy_expectation_and_zne_improvement():
     assert sample_pauli_expectation(circ, None, op, settings, zero_noise) == \
         pytest.approx(exact, abs=1e-10)
     raw = sample_pauli_expectation(
-        circ, None, op, settings, NoiseModel(enabled=True, p2=5e-3))
+        circ, None, op, settings, NoiseModel(enabled=True, p2=5e-3, zne=False))
     mitigated = sample_pauli_expectation(
         circ, None, op, settings, NoiseModel(enabled=True, p2=5e-3, zne=True))
     assert abs(raw - exact) > 1e-3

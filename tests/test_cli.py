@@ -92,30 +92,6 @@ def test_resume_matches_uninterrupted(dimer_sweep, tmp_path):
         assert sha256_of_file(out / name) == sha256_of_file(src / name)
 
 
-def test_worker_count_does_not_change_bytes(dimer_sweep, tmp_path,
-                                            monkeypatch):
-    monkeypatch.setenv("CORRVEC_WORKERS", "2")
-    out = tmp_path / "parallel"
-    cfg = write_config(
-        tmp_path / "cfg.json",
-        grid={"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0, "n": 3},
-        out_dir=str(out))
-    assert run("sweep", "--config", str(cfg)) == 0
-    src = dimer_sweep["out"]
-    for name in ("series.jsonl", "spectrum.csv", "checkpoint.jsonl"):
-        assert sha256_of_file(out / name) == sha256_of_file(src / name)
-
-
-def test_invalid_worker_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("CORRVEC_WORKERS", "many")
-    out = tmp_path / "out"
-    cfg = write_config(
-        tmp_path / "cfg.json",
-        grid={"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0, "n": 2},
-        out_dir=str(out))
-    assert run("sweep", "--config", str(cfg)) == 2
-
-
 def test_sweep_refuses_checkpoint_from_another_grid(tmp_path, capsys):
     out = tmp_path / "out"
     first = write_config(
@@ -174,6 +150,29 @@ def test_config_errors_exit_2(tmp_path):
         assert run("ground-state", "--config", str(noisy)) == 2
         assert run("noise-scan", "--config", str(noisy), "--p2", "0.5") == 2
     assert not (tmp_path / "noisy").exists()
+
+    # each accepted by the parser once, then a traceback partway through a run
+    grid = {"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0, "n": 2}
+    no_ry = {"pattern": ["RX", "RZ"]}  # cannot prepare the even-N start state
+    probe_out = tmp_path / "probe"
+    for argv, overrides in (
+        (["sweep"], {"grid": grid, "optimizer": {"extra_depth": -1}}),
+        (["sweep"], {"grid": grid, "optimizer": {"stall_sweeps": -1}}),
+        (["sweep"], {"grid": grid, "optimizer": {"max_sweeps": "x"}}),
+        (["ground-state"], {"measurement": {"seed": -1}}),
+        (["ground-state"], {"active_space": 3}),
+        (["ground-state"], {"hamiltonian": {"kind": "hubbard-dimer",
+                                            "t": "a", "u": 2.0}}),
+        (["ground-state"], {"ansatz": no_ry}),
+        (["sweep"], {"grid": grid, "ansatz": no_ry}),
+        (["noise-scan", "--p2", "0"], {"ansatz": no_ry}),
+        (["ground-state", "--seed", "-1"], {}),
+        (["noise-scan", "--p2", "0", "--seed", "-1"], {}),
+    ):
+        probe = write_config(tmp_path / "probe.json", out_dir=str(probe_out),
+                             **overrides)
+        assert run(argv[0], "--config", str(probe), *argv[1:]) == 2, argv
+        assert not probe_out.exists()
 
     missing = tmp_path / "missing.json"
     assert run("ground-state", "--config", str(missing)) == 2

@@ -3,18 +3,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corrvec.circuits import MeasurementSettings, NoiseModel
 from corrvec.config import (
     AnsatzConfig,
     ConfigError,
     GridConfig,
     HamiltonianSource,
-    MeasurementConfig,
-    NoiseConfig,
-    OptimizerConfig,
     RunConfig,
     load_config,
 )
+from corrvec.solver import SolverOptions
 
 
 def minimal(**overrides):
@@ -29,10 +30,12 @@ def test_defaults():
     assert cfg.mu == 0.0
     assert cfg.number_penalty == 1.0 and cfg.spin_penalty == 1.0
     assert cfg.ansatz == AnsatzConfig()
-    assert cfg.optimizer == OptimizerConfig()
+    assert cfg.optimizer == SolverOptions()
     assert cfg.optimizer.gs_tol == 1e-8
-    assert cfg.measurement == MeasurementConfig()
-    assert cfg.noise == NoiseConfig()
+    assert cfg.measurement == MeasurementSettings()
+    assert cfg.measurement.seed == 7
+    assert cfg.noise == NoiseModel()
+    assert cfg.noise.zne
     assert cfg.embedding == "none"
     assert cfg.min_converged_fraction == 0.95
 
@@ -126,25 +129,36 @@ def test_ansatz_validation():
 
 
 def test_optimizer_validation():
-    with pytest.raises(ConfigError):
-        OptimizerConfig.parse({"epsilon": 0.0})
-    with pytest.raises(ConfigError):
-        OptimizerConfig.parse({"sector_penalty": -1.0})
-    with pytest.raises(ConfigError):
-        OptimizerConfig.parse({"gs_max_sweeps": 0})
+    for bad in ({"epsilon": 0.0}, {"sector_penalty": -1.0},
+                {"gs_max_sweeps": 0}, {"extra_depth": -1},
+                {"stall_sweeps": -1}, {"max_sweeps": "x"},
+                {"epsilon": "nan"}, {"max_sweeps": None}):
+        with pytest.raises(ConfigError, match="optimizer"):
+            RunConfig.parse(minimal(optimizer=bad))
 
 
 def test_measurement_and_noise_validation():
-    with pytest.raises(ConfigError):
-        MeasurementConfig.parse({"mode": "tomography"})
-    with pytest.raises(ConfigError):
-        MeasurementConfig.parse({"shots": 0})
-    with pytest.raises(ConfigError):
-        NoiseConfig.parse({"p2": 1.5})
-    with pytest.raises(ConfigError):
-        NoiseConfig.parse({"boost": 1.0, "zne": True})
-    quiet = NoiseConfig.parse({"boost": 1.0, "zne": False})
-    assert not quiet.zne
+    for section, bad in (
+        ("measurement", {"mode": "tomography"}),
+        ("measurement", {"shots": 0}),
+        ("measurement", {"shots": 2**63}),
+        ("measurement", {"seed": -1}),
+        ("noise", {"p2": 1.5}),
+        ("noise", {"boost": 1.0, "zne": True}),
+        # the channel takes boost > 1 whether or not ZNE is on, and an
+        # out-of-range p2 even while the noise is switched off
+        ("noise", {"boost": 1.0, "zne": False}),
+        ("noise", {"enabled": False, "p2": 0.95}),
+        ("noise", {"enabled": True, "p2": 0.5, "boost": 2.0}),
+        ("noise", {"boost": "inf"}),
+    ):
+        with pytest.raises(ConfigError, match=section):
+            RunConfig.parse(minimal(**{section: bad}))
+    cfg = RunConfig.parse(minimal(noise={"enabled": True, "p2": 0.5,
+                                         "zne": False},
+                                  measurement={"seed": "11"}))
+    assert cfg.noise == NoiseModel(enabled=True, p2=0.5, zne=False)
+    assert cfg.measurement.seed == 11
 
 
 def test_run_config_cross_field_rules():
@@ -164,6 +178,62 @@ def test_run_config_cross_field_rules():
         RunConfig.parse(minimal(spin_penalty=-0.1))
     cfg = RunConfig.parse(minimal(embedding="nondyson", active_space=[0, 1]))
     assert cfg.embedding == "nondyson"
+
+
+def test_unconvertible_values_rejected():
+    for bad in (
+        minimal(active_space=3),
+        minimal(active_space="12"),
+        minimal(active_space=[0, "x"]),
+        minimal(hamiltonian={"kind": "hubbard-dimer", "t": "a", "u": 4.0}),
+        minimal(hamiltonian={"kind": "hubbard-dimer", "t": 1.0, "u": [4.0]}),
+        minimal(grid={"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0,
+                      "n": "x"}),
+        minimal(grid={"kind": "retarded", "omega_min": None,
+                      "omega_max": {}, "n": 5}),
+        minimal(grid={"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0,
+                      "n": 5, "eta": "nan"}),
+        minimal(mu="a"),
+        minimal(mu=float("inf")),
+        minimal(ansatz={"pattern": "RY"}),
+        minimal(ansatz={"depth": None}),
+        minimal(optimizer=[]),
+    ):
+        with pytest.raises(ConfigError):
+            RunConfig.parse(bad)
+
+
+FULL = RunConfig.parse(minimal(
+    grid={"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0, "n": 5},
+    active_space=[0, 1])).to_json_dict()
+KEYS = ([(None, key) for key in FULL]
+        + [(name, key) for name, section in FULL.items()
+           if isinstance(section, dict) for key in section]
+        + [("hamiltonian", "path")])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(KEYS), JSON_VALUES),
+                min_size=1, max_size=3))
+def test_parse_rejects_or_roundtrips(edits):
+    """Any value at any key either is refused with a ConfigError or parses
+    into a config that its own serialization parses back to."""
+    data = json.loads(json.dumps(FULL))
+    for (section, key), value in edits:
+        if section is None:
+            data[key] = value
+        elif isinstance(data.get(section), dict):
+            data[section][key] = value
+    try:
+        cfg = RunConfig.parse(data)
+    except ConfigError:
+        return
+    assert RunConfig.parse(cfg.to_json_dict()) == cfg
 
 
 def test_load_config(tmp_path):

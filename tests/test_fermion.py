@@ -9,7 +9,6 @@ from corrvec.fermion import (
     ladder_pauli,
     number_operator,
     number_penalty,
-    perturbation_operator,
     total_spin_squared,
 )
 from corrvec.molham import hubbard_dimer
@@ -69,17 +68,6 @@ def test_number_operator_counts_bits():
     sub = np.diag(materialize(number_operator(m, (0, 2)))).real
     for b in range(1 << m):
         assert sub[b] == pytest.approx((b & 1) + ((b >> 2) & 1), abs=1e-12)
-
-
-def test_perturbation_operator_matches_ladder():
-    n_orb = 2
-    layout = BlockedSpinOrbitals(n_orb)
-    for orb in range(n_orb):
-        for spin in (0, 1):
-            for dagger in (False, True):
-                direct = perturbation_operator(orb, spin, n_orb, dagger)
-                ladder = ladder_pauli(layout.index(orb, spin), dagger, 2 * n_orb)
-                assert (direct - ladder).norm1() < 1e-14
 
 
 def test_hamiltonian_is_hermitian_and_number_conserving(dimer_integrals):

@@ -5,7 +5,6 @@ import pytest
 
 from corrvec.greens import (
     FrequencyGrid,
-    GreensSeries,
     dyson_embed,
     expand_spin,
     g0,
@@ -69,19 +68,6 @@ def test_trace_spectrum():
     assert trace_spectrum(g) == pytest.approx(-6.0)
     with pytest.raises(ValueError):
         trace_spectrum(np.zeros((2, 3)))
-
-
-def test_greens_series_diagnostics(rng):
-    grid = retarded_grid(-1.0, 1.0, 3, eta=0.05)
-    mats = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-    series = GreensSeries(grid, mats)
-    assert series.dim == 2
-    expected = [trace_spectrum(mats[k]) for k in range(3)]
-    assert np.allclose(series.trace_values(), expected)
-    with pytest.raises(ValueError):
-        GreensSeries(grid, mats[:2])
-    with pytest.raises(ValueError):
-        GreensSeries(grid, rng.normal(size=(3, 2)))
 
 
 def test_g0_is_lorentzian_on_eigenbasis():

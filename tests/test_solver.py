@@ -16,10 +16,8 @@ from corrvec.solver import (
     PARTICLE,
     CorrectionProblem,
     PointRecord,
-    ShiftedOperator,
     SolverOptions,
     assemble_matrices,
-    build_q,
     solve_column,
     solve_correction_vector,
     sweep_columns,
@@ -48,30 +46,31 @@ def particle_column(lehmann, z, j):
 
 
 def test_build_q_matches_dense(dimer_hamiltonian, dimer_ground):
+    """The cost's operators against Q = z + sign (H - e0) built densely:
+    qdq(z) is Q+Q and vdq(z) is V+Q."""
     e0, _ = dimer_ground
-    z = 0.3 + 0.05j
     mat = materialize(dimer_hamiltonian)
     eye = np.eye(mat.shape[0])
+    gs_circ = build_hea(AnsatzSpec(width=4, depth=1)).bound(np.zeros(16))
+    v_op = ladder_pauli(1, True, 4)
+    v_adj = materialize(v_op).conj().T
     for sign in (-1, +1):
-        q = materialize(build_q(dimer_hamiltonian, e0, z, sign))
-        assert np.allclose(q, z * eye + sign * (mat - e0 * eye), atol=1e-12)
-    with pytest.raises(ValueError):
-        build_q(dimer_hamiltonian, e0, z, 0)
-
-
-def test_shifted_operator_wraps_build_q(dimer_hamiltonian):
-    op = ShiftedOperator(dimer_hamiltonian, -1.0, 0.5 + 0.1j, -1)
-    direct = build_q(dimer_hamiltonian, -1.0, 0.5 + 0.1j, -1)
-    assert (op.to_pauli() - direct).norm1() < 1e-14
-    with pytest.raises(ValueError):
-        ShiftedOperator(dimer_hamiltonian, -1.0, 0.5, 2)
+        problem = CorrectionProblem(dimer_hamiltonian, e0, sign, v_op, gs_circ,
+                                    MeasurementSettings(), NoiseModel())
+        for z in (0.3 + 0.05j, -1.7 + 0.2j, 2.5j, 0.8):
+            q = z * eye + sign * (mat - e0 * eye)
+            assert np.allclose(materialize(problem.qdq(z)), q.conj().T @ q,
+                               atol=1e-12)
+            assert np.allclose(materialize(problem.vdq(z)), v_adj @ q,
+                               atol=1e-12)
 
 
 def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(epsilon=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(extra_depth=-1)
+    for bad in ({"epsilon": 0.0}, {"extra_depth": -1}, {"max_sweeps": 0},
+                {"gs_max_sweeps": 0}, {"stall_sweeps": 0},
+                {"sector_penalty": -1.0}):
+        with pytest.raises(ValueError):
+            SolverOptions(**bad)
 
 
 def test_correction_problem_requires_bound_circuit(h2_hamiltonian):
