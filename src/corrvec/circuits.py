@@ -25,6 +25,22 @@ The two-qubit depolarizing channel of strength p2 follows every two-qubit
 gate, on that gate's pair; single-qubit gates are noiseless.  It is the
 local map (1 - 16 p2/15) rho + (16 p2/15) tr_pair(rho) (x) I/4, with the
 partial trace taken over the pair's axes of the reshaped density matrix.
+
+Estimators
+----------
+Every number the method reads off a device is a weighted sum of per-string
+estimates.  A string's exact value is computed at each noise level: <P> on
+the statevector without noise, tr(rho P) on the density matrix of each level
+with it (p2, then boost * p2 under ZNE).  For an overlap <psi1|P|psi2> the
+values are the two ancilla readings of the interference circuit, Re and
+then -Im of the overlap; under noise the overlap is twice the trace of the
+ancilla's off-diagonal block after the string's controlled-P suffix.
+``_estimate`` turns one string's values into one number: in sampled mode a
+binomial draw of ``shots`` per level, then zero-noise extrapolation when
+there are two levels.  Seeded runs depend on the draw order: strings in
+sorted label order, p2 before boost * p2, and for an overlap the real part
+before the imaginary part.  Exact noiseless estimates skip the per-string
+step and apply the whole operator at once.
 """
 
 from __future__ import annotations
@@ -130,9 +146,6 @@ class Circuit:
                 out.gates.append(replace(g, angle=g.scale * float(theta[g.slot]),
                                          slot=None, scale=1.0))
         return out
-
-    def two_qubit_count(self) -> int:
-        return sum(1 for g in self.gates if len(g.qubits) == 2)
 
 
 def ccx_gates(c1: int, c2: int, t: int) -> list[Gate]:
@@ -297,18 +310,6 @@ def run_density(circ: Circuit, theta: Sequence[float] | None = None,
     return _evolve_density(rho, circ.gates, th, p2)
 
 
-def assert_valid_state(psi: np.ndarray, tol: float = 1e-10) -> None:
-    norm = float(np.linalg.norm(psi))
-    assert abs(norm - 1.0) <= tol, f"state norm {norm} deviates from 1"
-
-
-def assert_valid_density(rho: np.ndarray, tol: float = 1e-10) -> None:
-    assert abs(np.trace(rho).real - 1.0) <= tol, "density trace deviates from 1"
-    assert abs(np.trace(rho).imag) <= tol
-    assert np.max(np.abs(rho - rho.conj().T)) <= tol, "density not hermitian"
-    assert np.linalg.eigvalsh(rho).min() >= -tol, "density not positive"
-
-
 # ---------------------------------------------------------------------------
 # measurement and noise configuration
 
@@ -381,6 +382,15 @@ def simulate(circ: Circuit, theta, noise: NoiseModel) -> list[np.ndarray]:
     return [run_density(circ, theta, p2=lvl) for lvl in _noise_levels(noise)]
 
 
+def _estimate(values: Sequence[float], settings: MeasurementSettings,
+              rng: np.random.Generator | None) -> float:
+    """One string's estimate from its exact value at each noise level: a
+    binomial draw per level when sampled, then ZNE when there are two."""
+    if settings.mode == "sampled":
+        values = [sample_z_value(v, settings.shots, rng) for v in values]
+    return zne_extrapolate(*values) if len(values) == 2 else values[0]
+
+
 def sample_pauli_expectation(circ: Circuit, theta, op: PauliSum,
                              settings: MeasurementSettings,
                              noise: NoiseModel,
@@ -388,9 +398,8 @@ def sample_pauli_expectation(circ: Circuit, theta, op: PauliSum,
                              states: list[np.ndarray] | None = None) -> float:
     """<A> on the circuit's output state, honoring mode and noise.
 
-    The identity component is added exactly; every other string is estimated
-    independently.  With ZNE enabled each string is measured at p2 and
-    boost*p2 and extrapolated before weighting.  ``states`` is the output of
+    The identity component is added exactly and every other string goes
+    through ``_estimate``.  ``states`` is the output of
     ``simulate(circ, theta, noise)`` when the caller already has it, so
     several operators can be estimated on one simulation.
     """
@@ -400,32 +409,20 @@ def sample_pauli_expectation(circ: Circuit, theta, op: PauliSum,
         rng = settings.make_rng()
     if states is None:
         states = simulate(circ, theta, noise)
+    if not noise.enabled:
+        if settings.mode == "exact":
+            return expectation_from_state(states[0], op)
+        tables = [string_overlaps(op, states[0], states[0])]
+    else:
+        tables = [string_traces(op, rho) for rho in states]
+    # per string, its values at each level as Python floats, which the
+    # scalar draw and ZNE handle faster than numpy scalars
+    per_string = zip(*(vals.real.tolist() for _, vals in tables))
     ident = "I" * op.width
     total = op.coefficient(ident).real
-    if not noise.enabled:
-        psi = states[0]
-        if settings.mode == "exact":
-            return expectation_from_state(psi, op)
-        labels, zs = string_overlaps(op, psi, psi)
-        for label, z in zip(labels, zs.real):
-            if label != ident:
-                total += op.coefficient(label).real * sample_z_value(
-                    z, settings.shots, rng)
-        return float(total)
-
-    traces = [string_traces(op, rho) for rho in states]
-    labels = traces[0][0]
-    for s, label in enumerate(labels):
-        if label == ident:
-            continue
-        ests = []
-        for _, zs in traces:
-            z = float(zs[s].real)
-            if settings.mode == "sampled":
-                z = sample_z_value(z, settings.shots, rng)
-            ests.append(z)
-        z_final = zne_extrapolate(*ests) if noise.zne else ests[0]
-        total += op.coefficient(label).real * z_final
+    for label, values in zip(tables[0][0], per_string):
+        if label != ident:
+            total += op.coefficient(label).real * _estimate(values, settings, rng)
     return float(total)
 
 
@@ -489,40 +486,6 @@ def _add_half(out: Circuit, kind: str, q: int, g: Gate, factor: float) -> None:
         out.add(kind, q, slot=g.slot, scale=factor * g.scale)
 
 
-def overlap_circuit(u1_bound: Circuit, u2: Circuit, label: str, phi: float) -> Circuit:
-    """Literal single-ancilla interference circuit for one Pauli string.
-
-    Measuring Z on the ancilla of the output state gives
-    Re(exp(i phi) <0|U1' P U2|0>).
-    """
-    if u1_bound.n_slots:
-        raise ValueError("u1 must be fully bound")
-    m = u1_bound.width
-    anc = m
-    circ = Circuit(m + 1)
-    circ.add("H", anc)
-    circ.add("PHASE", anc, angle=phi)
-    circ.add("X", anc)
-    circ.extend(make_controlled(u1_bound).gates)
-    circ.add("X", anc)
-    cu2 = make_controlled(u2)
-    circ.extend(cu2.gates)
-    circ.n_slots = max(circ.n_slots, cu2.n_slots)
-    circ.add_controlled_pauli(anc, label)
-    circ.add("H", anc)
-    return circ
-
-
-def ancilla_z(state_or_rho: np.ndarray) -> float:
-    """<Z> on the most significant qubit."""
-    if state_or_rho.ndim == 1:
-        probs = np.abs(state_or_rho) ** 2
-    else:
-        probs = np.diag(state_or_rho).real
-    half = probs.shape[0] // 2
-    return float(probs[:half].sum() - probs[half:].sum())
-
-
 class OverlapEngine:
     """Estimates sums of overlaps <psi1| P |U2(theta)|0> for many strings.
 
@@ -565,43 +528,38 @@ class OverlapEngine:
         """
         if op.width != self.m:
             raise ValueError("operator width mismatch")
-        settings, noise = self.settings, self.noise
+        settings = self.settings
         if settings.mode == "sampled" and rng is None:
             rng = settings.make_rng()
-        if not noise.enabled:
+        if self.noise.enabled:
+            labels, rows = self._ancilla_overlaps(theta, op)
+        else:
             if psi2 is None:
                 psi2 = run_pure(self.u2, theta)
             if settings.mode == "exact":
                 return complex(np.vdot(self.psi1, apply_sum(op, psi2)))
-            total = 0.0 + 0j
             labels, overlaps = string_overlaps(op, self.psi1, psi2)
-            for label, c in zip(labels, overlaps):
-                coeff = op.coefficient(label)
-                z_re = sample_z_value(c.real, settings.shots, rng)
-                z_im = sample_z_value(-c.imag, settings.shots, rng)
-                total += coeff * complex(z_re, -z_im)
-            return total
-
-        levels = _noise_levels(noise)
-        prefixes = [run_density(self.prefix, theta, p2=lvl) for lvl in levels]
-        half = prefixes[0].shape[0] // 2
+            rows = overlaps[None, :]
         total = 0.0 + 0j
-        for label, coeff in sorted(op):
+        for label, ws in zip(labels, zip(*rows.tolist())):
+            z_re = _estimate([w.real for w in ws], settings, rng)
+            z_im = _estimate([-w.imag for w in ws], settings, rng)
+            total += op.coefficient(label) * complex(z_re, -z_im)
+        return total
+
+    def _ancilla_overlaps(self, theta, op: PauliSum) -> tuple[list[str], np.ndarray]:
+        """Sorted labels of ``op`` and, per noise level and string, twice
+        the trace of the ancilla's off-diagonal block after the string's
+        controlled-P suffix: the noisy <psi1|P|psi2>."""
+        levels = _noise_levels(self.noise)
+        prefixes = simulate(self.prefix, theta, self.noise)
+        half = 1 << self.m
+        labels = sorted(op.terms)
+        rows = np.empty((len(levels), len(labels)), dtype=complex)
+        for s, label in enumerate(labels):
             suffix = Circuit(self.m + 1)
             suffix.add_controlled_pauli(self.m, label)
-            block_traces = []
-            for rho, lvl in zip(prefixes, levels):
+            for i, (rho, lvl) in enumerate(zip(prefixes, levels)):
                 rho_s = _evolve_density(rho.copy(), suffix.gates, None, lvl)
-                block_traces.append(np.trace(rho_s[half:, :half]))
-            z_parts = []
-            for phi, pick in ((0.0, lambda t: 2.0 * t.real),
-                              (np.pi / 2, lambda t: -2.0 * t.imag)):
-                ests = []
-                for t in block_traces:
-                    z = pick(t)
-                    if settings.mode == "sampled":
-                        z = sample_z_value(z, settings.shots, rng)
-                    ests.append(z)
-                z_parts.append(zne_extrapolate(*ests) if noise.zne else ests[0])
-            total += coeff * complex(z_parts[0], -z_parts[1])
-        return total
+                rows[i, s] = 2.0 * np.trace(rho_s[half:, :half])
+        return labels, rows

@@ -44,8 +44,26 @@ def _take(section: dict | None, name: str, keys: dict[str, object]) -> dict:
     return out
 
 
+def _int(value) -> int:
+    """An integer, an integral float or an integer string as ``int``; a bool
+    or a fractional value is refused rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    if not isinstance(value, (int, float, str)):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _coerce(value, kind: type):
-    """``value`` converted to ``kind``; a float must come out finite."""
+    """``value`` converted to ``kind``: a bool must be JSON true or false,
+    an int goes through ``_int`` and a float must come out finite."""
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"{value!r} is not true or false")
+        return value
+    if kind is int:
+        return _int(value)
     out = kind(value)
     if kind is float and not math.isfinite(out):
         raise ValueError(f"{value!r} is not a finite number")
@@ -122,7 +140,7 @@ class GridConfig:
                                        "eta": None})
         _require("grid", vals)
         kind = vals["kind"]
-        n = int(vals["n"])
+        n = _int(vals["n"])
         if n < 1:
             raise ConfigError("grid: n must be at least 1")
         if kind == "retarded":
@@ -167,7 +185,7 @@ class AnsatzConfig:
     @staticmethod
     def parse(section: dict) -> "AnsatzConfig":
         vals = _take(section, "ansatz", {"depth": 3, "pattern": ["RY", "RZ"]})
-        depth = int(vals["depth"])
+        depth = _int(vals["depth"])
         if depth < 1:
             raise ConfigError("ansatz: depth must be at least 1")
         if not isinstance(vals["pattern"], list):
@@ -216,7 +234,7 @@ class RunConfig:
             if active is not None:
                 if not isinstance(active, list):
                     raise ConfigError("active_space: expected a list of orbitals")
-                active = tuple(sorted(int(a) for a in active))
+                active = tuple(sorted(_int(a) for a in active))
                 if len(set(active)) != len(active) or any(a < 0 for a in active):
                     raise ConfigError(
                         "active_space: need distinct non-negative orbitals")

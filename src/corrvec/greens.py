@@ -69,13 +69,24 @@ def trace_spectrum(g: np.ndarray) -> float:
     return float(np.trace(g).imag)
 
 
+def _inverse(mat: np.ndarray) -> np.ndarray | None:
+    """mat^{-1}, or None when mat is numerically singular: exactly, or with
+    a 1-norm condition number |mat| |mat^{-1}| above 1e12.  Unlike a
+    determinant threshold, the test does not depend on scale or size."""
+    try:
+        inv = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        return None
+    cond = np.linalg.norm(mat, 1) * np.linalg.norm(inv, 1)
+    return inv if cond < 1e12 else None   # None for a NaN as well
+
+
 def g0(f: np.ndarray, z: complex) -> np.ndarray:
     """Mean-field resolvent [z - F]^{-1}."""
-    dim = f.shape[0]
-    mat = z * np.eye(dim) - f
-    if abs(np.linalg.det(mat)) < 1e-300:
+    inv = _inverse(z * np.eye(f.shape[0]) - f)
+    if inv is None:
         raise np.linalg.LinAlgError("z coincides with a mean-field pole")
-    return np.linalg.inv(mat)
+    return inv
 
 
 def expand_spin(spatial: np.ndarray) -> np.ndarray:
@@ -98,9 +109,9 @@ def dyson_embed(g_cas: np.ndarray, f: np.ndarray, active: tuple[int, ...],
 
     The active block contributes Sigma(z) = (z - F_AA) - G_cas(z)^{-1},
     inserted into [z - F - Sigma]^{-1} over all orbitals.  Points where the
-    sampled G_cas is numerically singular are skipped (returned in the second
-    element) and left as NaN; inverting noisy data is exactly where this
-    scheme becomes fragile.
+    sampled G_cas is numerically singular (condition number above 1e12)
+    are skipped (returned in the second element) and left as NaN;
+    inverting noisy data is exactly where this scheme becomes fragile.
     """
     n = f.shape[0]
     idx = np.asarray(active)
@@ -108,11 +119,11 @@ def dyson_embed(g_cas: np.ndarray, f: np.ndarray, active: tuple[int, ...],
     out = np.full((len(zs), n, n), np.nan, dtype=complex)
     skipped = []
     for k, z in enumerate(zs):
-        gc = g_cas[k]
-        if abs(np.linalg.det(gc)) < 1e-12:
+        gc_inv = _inverse(g_cas[k])
+        if gc_inv is None:
             skipped.append(k)
             continue
-        sigma_cas = (z * np.eye(len(idx)) - f_aa) - np.linalg.inv(gc)
+        sigma_cas = (z * np.eye(len(idx)) - f_aa) - gc_inv
         sigma = np.zeros((n, n), dtype=complex)
         sigma[np.ix_(idx, idx)] = sigma_cas
         out[k] = np.linalg.inv(z * np.eye(n) - f - sigma)

@@ -295,19 +295,3 @@ def string_traces(op: PauliSum, rho: np.ndarray) -> tuple[list[str], np.ndarray]
     return labels, np.einsum("sb,sb->s", phases,
                              rho[np.arange(rho.shape[0]), idx])
 
-
-def density_expectation(rho: np.ndarray, op: PauliSum) -> complex:
-    """tr(rho A) without materializing A: sum_g,b diag[g][b] rho[b ^ f_g, b]."""
-    idx, diag = _compiled(op)
-    return complex(np.sum(diag * rho[idx, np.arange(rho.shape[0])]))
-
-
-def expectation_exact(state: np.ndarray, op: PauliSum) -> complex:
-    """<state|A|state> from an explicit statevector.
-
-    When A is hermitian the imaginary part must vanish; asserted to 1e-10.
-    """
-    val = np.vdot(state, apply_sum(op, state))
-    if op.is_hermitian():
-        assert abs(val.imag) <= 1e-10, f"hermitian expectation has imag {val.imag:.3e}"
-    return complex(val)

@@ -119,8 +119,8 @@ def wrap_angle(x: float) -> float:
     return np.pi if w == -np.pi else float(w)
 
 
-def rotosolve_sweep(cost, theta: np.ndarray, *, check_monotone: bool = False,
-                    check_sinusoid: bool = False) -> tuple[np.ndarray, float]:
+def rotosolve_sweep(cost, theta: np.ndarray, *,
+                    check_monotone: bool = False) -> tuple[np.ndarray, float]:
     """One coordinate-descent pass over all slots.
 
     Each slot is moved to the closed-form minimum of its sinusoidal
@@ -140,13 +140,6 @@ def rotosolve_sweep(cost, theta: np.ndarray, *, check_monotone: bool = False,
         f_minus = float(cost(theta))
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise ValueError(f"cost returned a non-finite value probing slot {d}")
-        if check_sinusoid:
-            theta[d] = base + np.pi
-            f_pi = float(cost(theta))
-            if abs((f0 + f_pi) - (f_plus + f_minus)) > 1e-8:
-                raise AssertionError(
-                    f"slot {d} violates the sinusoid identity: "
-                    f"{f0 + f_pi:.3e} vs {f_plus + f_minus:.3e}")
         theta[d] = wrap_angle(base - half - np.arctan2(2.0 * f0 - f_plus - f_minus,
                                                        f_plus - f_minus))
         current = float(cost(theta))

@@ -1,17 +1,26 @@
-"""Dense references for the simulation kernels, kept out of the package.
+"""Dense references for the simulation kernels and the estimators, kept
+out of the package.
 
 Every gate becomes its full-register 2^m x 2^m matrix built with ``np.kron``
 (qubit 0 is the least significant bit, so the factor of qubit q sits in
 position m-1-q), the depolarizing channel is the explicit Kraus sum over the
 16 Pauli pairs, and a Pauli sum acts string by string.  Slow by design: the
 point is independence from the local-gate kernel and the compiled Pauli form.
+
+The estimator references read each string's exact value off these dense
+simulations (an overlap from the literal single-ancilla interference
+circuit), then draw and extrapolate in the order the package documents:
+strings in sorted label order, p2 before boost * p2, real before imaginary.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from corrvec.circuits import ONE_QUBIT_KINDS, Circuit, Gate
+from corrvec.circuits import (ONE_QUBIT_KINDS, Circuit, Gate, make_controlled,
+                              sample_z_value, zne_extrapolate)
 from corrvec.pauli import PauliSum, string_action
 
 EYE2 = np.eye(2, dtype=complex)
@@ -77,13 +86,22 @@ def run_pure(circ: Circuit, theta=None) -> np.ndarray:
     return psi
 
 
+@functools.lru_cache(maxsize=None)
+def _pauli_pairs(q1: int, q2: int, m: int) -> tuple[np.ndarray, ...]:
+    """The 16 Pauli pairs on (q1, q2) as dense matrices, built once and
+    shared read-only."""
+    pairs = tuple(embed({q1: PAULI[a], q2: PAULI[b]}, m)
+                  for a in "IXYZ" for b in "IXYZ")
+    for pm in pairs:
+        pm.flags.writeable = False
+    return pairs
+
+
 def depolarize_kraus(rho: np.ndarray, q1: int, q2: int, p2: float, m: int) -> np.ndarray:
     """(1 - p2) rho + p2/15 * sum of the 15 non-identity Pauli pairs."""
     acc = np.zeros_like(rho)
-    for a in "IXYZ":
-        for b in "IXYZ":
-            pm = embed({q1: PAULI[a], q2: PAULI[b]}, m)
-            acc += pm @ rho @ pm.conj().T
+    for pm in _pauli_pairs(q1, q2, m):
+        acc += pm @ rho @ pm.conj().T
     return (1.0 - p2) * rho + (p2 / 15.0) * (acc - rho)
 
 
@@ -116,3 +134,110 @@ def apply_sum_loop(op: PauliSum, psi: np.ndarray) -> np.ndarray:
         flip, phases = string_action(label)
         out[idx ^ flip] += coeff * (phases * psi)
     return out
+
+
+def string_matrix(label: str) -> np.ndarray:
+    """Dense matrix of one Pauli string."""
+    return embed({q: PAULI[ch] for q, ch in enumerate(label)}, len(label))
+
+
+def two_qubit_count(circ: Circuit) -> int:
+    return sum(1 for g in circ.gates if len(g.qubits) == 2)
+
+
+def assert_valid_state(psi: np.ndarray, tol: float = 1e-10) -> None:
+    norm = float(np.linalg.norm(psi))
+    assert abs(norm - 1.0) <= tol, f"state norm {norm} deviates from 1"
+
+
+def assert_valid_density(rho: np.ndarray, tol: float = 1e-10) -> None:
+    assert abs(np.trace(rho).real - 1.0) <= tol, "density trace deviates from 1"
+    assert abs(np.trace(rho).imag) <= tol
+    assert np.max(np.abs(rho - rho.conj().T)) <= tol, "density not hermitian"
+    assert np.linalg.eigvalsh(rho).min() >= -tol, "density not positive"
+
+
+def overlap_circuit(u1_bound: Circuit, u2: Circuit, label: str, phi: float) -> Circuit:
+    """Literal single-ancilla interference circuit for one Pauli string.
+
+    Measuring Z on the ancilla of the output state gives
+    Re(exp(i phi) <0|U1' P U2|0>).
+    """
+    if u1_bound.n_slots:
+        raise ValueError("u1 must be fully bound")
+    m = u1_bound.width
+    anc = m
+    circ = Circuit(m + 1)
+    circ.add("H", anc)
+    circ.add("PHASE", anc, angle=phi)
+    circ.add("X", anc)
+    circ.extend(make_controlled(u1_bound).gates)
+    circ.add("X", anc)
+    cu2 = make_controlled(u2)
+    circ.extend(cu2.gates)
+    circ.n_slots = max(circ.n_slots, cu2.n_slots)
+    circ.add_controlled_pauli(anc, label)
+    circ.add("H", anc)
+    return circ
+
+
+def ancilla_z(state_or_rho: np.ndarray) -> float:
+    """<Z> on the most significant qubit."""
+    if state_or_rho.ndim == 1:
+        probs = np.abs(state_or_rho) ** 2
+    else:
+        probs = np.diag(state_or_rho).real
+    half = probs.shape[0] // 2
+    return float(probs[:half].sum() - probs[half:].sum())
+
+
+def _levels(noise) -> list:
+    """Noise strengths the estimators read, None for the noiseless state."""
+    if not noise.enabled:
+        return [None]
+    return [noise.p2, noise.boost * noise.p2] if noise.zne else [noise.p2]
+
+
+def _simulate(circ: Circuit, theta, level) -> np.ndarray:
+    th = theta if circ.n_slots else None
+    return run_pure(circ, th) if level is None else run_density(circ, th, p2=level)
+
+
+def _draw(values: list[float], settings, rng) -> float:
+    if settings.mode == "sampled":
+        values = [sample_z_value(v, settings.shots, rng) for v in values]
+    return zne_extrapolate(*values) if len(values) == 2 else values[0]
+
+
+def estimate_expectation(circ: Circuit, theta, op: PauliSum, settings, noise,
+                         rng) -> float:
+    """Reference for ``sample_pauli_expectation``: <P> or tr(rho P) of each
+    non-identity string from the dense states, drawn and extrapolated."""
+    states = [_simulate(circ, theta, lvl) for lvl in _levels(noise)]
+    ident = "I" * op.width
+    total = op.coefficient(ident).real
+    for label in sorted(op.terms):
+        if label == ident:
+            continue
+        p = string_matrix(label)
+        values = [float(np.vdot(st, p @ st).real) if st.ndim == 1
+                  else float(np.trace(st @ p).real) for st in states]
+        total += op.coefficient(label).real * _draw(values, settings, rng)
+    return float(total)
+
+
+def estimate_overlap(u1_bound: Circuit, u2: Circuit, theta, op: PauliSum,
+                     settings, noise, rng) -> complex:
+    """Reference for ``OverlapEngine.estimate_sum``: the ancilla readings of
+    the literal interference circuit at phi = 0 and pi/2, Re(<P>) and
+    -Im(<P>), per string and noise level, drawn and extrapolated."""
+    total = 0.0 + 0j
+    for label in sorted(op.terms):
+        parts = []
+        for phi in (0.0, np.pi / 2):
+            circ = overlap_circuit(u1_bound, u2, label, phi)
+            values = [ancilla_z(_simulate(circ, theta, lvl))
+                      for lvl in _levels(noise)]
+            parts.append(_draw(values, settings, rng))
+        total += op.coefficient(label) * complex(parts[0], -parts[1])
+    return total

@@ -168,6 +168,15 @@ def test_config_errors_exit_2(tmp_path):
         (["noise-scan", "--p2", "0"], {"ansatz": no_ry}),
         (["ground-state", "--seed", "-1"], {}),
         (["noise-scan", "--p2", "0", "--seed", "-1"], {}),
+        # accepted once with a changed meaning: "false" switched noise or
+        # ZNE on, and integer fields truncated
+        (["ground-state"], {"noise": {"enabled": "false"}}),
+        (["noise-scan", "--p2", "0.01"], {"noise": {"zne": "false"}}),
+        (["sweep"], {"grid": grid, "optimizer": {"max_sweeps": 2.7}}),
+        (["sweep"], {"grid": grid, "optimizer": {"max_sweeps": True}}),
+        (["sweep"], {"grid": {**grid, "n": 2.7}}),
+        (["ground-state"], {"ansatz": {"depth": 2.5}}),
+        (["ground-state"], {"active_space": [0.9]}),
     ):
         probe = write_config(tmp_path / "probe.json", out_dir=str(probe_out),
                              **overrides)

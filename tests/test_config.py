@@ -198,9 +198,37 @@ def test_unconvertible_values_rejected():
         minimal(ansatz={"pattern": "RY"}),
         minimal(ansatz={"depth": None}),
         minimal(optimizer=[]),
+        # a bool field takes only true or false, and an integer field is
+        # never truncated
+        minimal(noise={"enabled": "false"}),
+        minimal(noise={"zne": "false"}),
+        minimal(noise={"zne": 0}),
+        minimal(optimizer={"max_sweeps": 2.7}),
+        minimal(optimizer={"max_sweeps": True}),
+        minimal(measurement={"shots": "1e3"}),
+        minimal(grid={"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0,
+                      "n": 2.7}),
+        minimal(ansatz={"depth": 2.5}),
+        minimal(ansatz={"depth": False}),
+        minimal(active_space=[0.9]),
     ):
         with pytest.raises(ConfigError):
             RunConfig.parse(bad)
+
+
+def test_integral_values_accepted():
+    cfg = RunConfig.parse(minimal(
+        grid={"kind": "matsubara", "omega_max": 10.0, "n": 4.0},
+        active_space=[1.0, "0"], ansatz={"depth": "2"},
+        optimizer={"max_sweeps": 3.0}, measurement={"shots": 1e3},
+        noise={"enabled": False, "zne": False}))
+    assert cfg.grid.n == 4 and cfg.active_space == (0, 1)
+    assert cfg.ansatz.depth == 2 and cfg.optimizer.max_sweeps == 3
+    assert cfg.measurement.shots == 1000
+    assert cfg.noise.enabled is False and cfg.noise.zne is False
+    assert all(type(v) is int for v in (cfg.grid.n, cfg.ansatz.depth,
+                                        cfg.optimizer.max_sweeps,
+                                        cfg.measurement.shots, *cfg.active_space))
 
 
 FULL = RunConfig.parse(minimal(

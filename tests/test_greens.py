@@ -152,6 +152,25 @@ def test_dyson_embed_skips_singular_points(rng):
     assert not np.any(np.isnan(g[[0, 2]].real))
 
 
+def test_singularity_guard_is_scale_invariant():
+    """A well-conditioned G_cas with small entries is not singular: at
+    |z| = 1000 an exact diag 1/(z - eps) over 4 active orbitals has a
+    determinant near 1e-12 but condition number near 1."""
+    eps = np.array([-1.3, -0.4, 0.2, 0.9, 1.7, 2.5])
+    f = np.diag(eps)
+    active = (1, 2, 3, 4)
+    zs = matsubara_grid(1e3, 8).points
+    g_cas = np.stack([np.diag(1.0 / (z - eps[list(active)])) for z in zs])
+    g_dyson, skipped = dyson_embed(g_cas, f, active, zs)
+    assert skipped == []
+    assert np.allclose(g_dyson, nondyson_embed(g_cas, f, active, zs),
+                       rtol=1e-10, atol=0.0)
+    # the resolvent's guard does not depend on scale either
+    tiny = 1e-200
+    assert np.allclose(g0(tiny * f, tiny * 1j),
+                       np.diag(1.0 / (tiny * 1j - tiny * eps)), rtol=1e-12, atol=0.0)
+
+
 def test_zero_self_energy_recovers_mean_field(rng):
     n, active = 4, (1, 2)
     f = random_hermitian(n, rng).real

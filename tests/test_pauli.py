@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from corrvec.circuits import expectation_from_state
 from corrvec.oracle import materialize
 from corrvec.pauli import (
     PRUNE_TOL,
     PauliSum,
     apply_sum,
-    expectation_exact,
     multiply_strings,
     string_action,
     strings_commute,
@@ -150,11 +150,11 @@ def test_expectation_exact(rng):
     psi /= np.linalg.norm(psi)
     op = random_sum(2, 4, rng)
     herm = op + op.adjoint()
-    val = expectation_exact(psi, herm)
+    val = expectation_from_state(psi, herm)
     assert val.imag == pytest.approx(0.0, abs=1e-10)
     assert val.real == pytest.approx(
         float(np.real(psi.conj() @ materialize(herm) @ psi)), abs=1e-12)
     # computational basis states against Z
     z0 = PauliSum.from_label("Z")
-    assert expectation_exact(np.array([1.0, 0.0], dtype=complex), z0).real == pytest.approx(1.0)
-    assert expectation_exact(np.array([0.0, 1.0], dtype=complex), z0).real == pytest.approx(-1.0)
+    assert expectation_from_state(np.array([1.0, 0.0], dtype=complex), z0).real == pytest.approx(1.0)
+    assert expectation_from_state(np.array([0.0, 1.0], dtype=complex), z0).real == pytest.approx(-1.0)
