@@ -18,9 +18,9 @@ from .greens import (FrequencyGrid, dyson_embed, expand_spin, g0,
 from .molham import (MolecularIntegrals, build_cas, fock_matrix,
                      givens_rotation, hubbard_dimer, hubbard_dimer_energy,
                      read_fcidump, rotate_orbitals, write_fcidump)
-from .oracle import (GreensOracle, LehmannData, exact_correction_vector,
-                     exact_greens_function, exact_ground,
-                     greens_from_lehmann, lehmann_decomposition)
+from .oracle import (GreensOracle, LehmannData, exact_greens_function,
+                     exact_ground, greens_from_lehmann,
+                     lehmann_decomposition)
 from .pauli import PauliSum
 from .solver import (CorrectionProblem, PointRecord, SolverOptions,
                      assemble_matrices, solve_column,
@@ -36,7 +36,7 @@ __all__ = [
     "MeasurementSettings", "MolecularIntegrals", "NoiseModel",
     "OverlapEngine", "PauliSum", "PointRecord", "RunConfig",
     "SolverOptions", "assemble_matrices", "build_cas", "build_hea",
-    "dyson_embed", "exact_correction_vector", "exact_greens_function",
+    "dyson_embed", "exact_greens_function",
     "exact_ground", "expand_spin", "fock_matrix", "g0", "givens_rotation",
     "greens_from_lehmann", "grow_hea_angles", "hamiltonian_to_qubits",
     "hf_start_angles", "hubbard_dimer", "hubbard_dimer_energy",

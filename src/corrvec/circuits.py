@@ -17,7 +17,10 @@ control=1 slice only.  Consecutive one-qubit gates on a qubit are first
 multiplied into one 2x2 matrix.  A density matrix of m qubits runs through the same
 kernel as a vector of 2m qubits: its row index supplies qubits m..2m-1 and
 its column index qubits 0..m-1, so U rho U+ is U on row qubit t + m and
-conj(U) on column qubit t.
+conj(U) on column qubit t.  A batch of statevectors, such as the pair of
+states a Rotosolve slot reads, runs the same way: stored as one contiguous
+(..., 2^m) array, its batch index acts as extra most-significant qubits that
+no gate touches.
 
 Noise
 -----
@@ -232,14 +235,21 @@ def _apply(vec: np.ndarray, u: np.ndarray, target: int, control: int | None) -> 
     np.matmul(u, w, out=w)
 
 
+def apply_gates(states: np.ndarray, gates: Iterable[Gate],
+                theta: np.ndarray | None = None) -> np.ndarray:
+    """Run noiseless gates in place on a contiguous (..., 2^m) batch of
+    statevectors, slot angles taken from ``theta``; returns ``states``."""
+    for target, control, u in _fused(gates, theta):
+        _apply(states, u, target, control)
+    return states
+
+
 def run_pure(circ: Circuit, theta: Sequence[float] | None = None) -> np.ndarray:
     """Noiseless statevector after the circuit, starting from |0...0>."""
     th = _check_theta(circ, theta)
     psi = np.zeros(1 << circ.width, dtype=complex)
     psi[0] = 1.0
-    for target, control, u in _fused(circ.gates, th):
-        _apply(psi, u, target, control)
-    return psi
+    return apply_gates(psi, circ.gates, th)
 
 
 def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2: float, m: int) -> np.ndarray:

@@ -57,13 +57,16 @@ def _int(value) -> int:
 
 def _coerce(value, kind: type):
     """``value`` converted to ``kind``: a bool must be JSON true or false,
-    an int goes through ``_int`` and a float must come out finite."""
+    an int goes through ``_int`` and a float must be a number or a numeric
+    string, not a bool, that comes out finite."""
     if kind is bool:
         if not isinstance(value, bool):
             raise ValueError(f"{value!r} is not true or false")
         return value
     if kind is int:
         return _int(value)
+    if kind is float and isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
     out = kind(value)
     if kind is float and not math.isfinite(out):
         raise ValueError(f"{value!r} is not a finite number")

@@ -87,32 +87,6 @@ def exact_ground(h_op: PauliSum, n_particles: int | None = None) -> tuple[float,
     return float(vals[0]), embed_sector_vector(vecs[:, 0], basis, m)
 
 
-def exact_correction_vector(h_op: PauliSum, e0: float, z: complex, sign: int,
-                            rhs: np.ndarray) -> np.ndarray:
-    """Solve (z + sign (H - e0)) chi = rhs densely on the full register."""
-    mat = materialize(h_op)
-    dim = mat.shape[0]
-    q = z * np.eye(dim) + sign * (mat - e0 * np.eye(dim))
-    return np.linalg.solve(q, rhs)
-
-
-def dense_h_prime(h_op: PauliSum, e0: float, z: complex, sign: int,
-                  v_psi0: np.ndarray) -> np.ndarray:
-    """Dense Q+ (1 - |V><V|/<V|V>) Q, the quadratic form behind the cost.
-
-    Hermitian and positive semidefinite; its kernel contains the normalized
-    correction vector.
-    """
-    mat = materialize(h_op)
-    dim = mat.shape[0]
-    q = z * np.eye(dim) + sign * (mat - e0 * np.eye(dim))
-    v_norm_sq = float(np.vdot(v_psi0, v_psi0).real)
-    if v_norm_sq <= 0:
-        raise ValueError("perturbed state has zero norm")
-    projector = np.eye(dim) - np.outer(v_psi0, v_psi0.conj()) / v_norm_sq
-    return q.conj().T @ projector @ q
-
-
 @dataclass(frozen=True)
 class LehmannData:
     """Pole positions and transition weights of a single-particle spectrum."""

@@ -259,12 +259,13 @@ def _compiled(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_sum(op: PauliSum, psi: np.ndarray) -> np.ndarray:
-    """A|psi> for a weighted sum acting on a statevector."""
+    """A|psi> for a weighted sum acting on a statevector, or on each
+    statevector of a (..., 2^m) batch."""
     dim = 1 << op.width
-    if psi.shape != (dim,):
-        raise ValueError(f"state has shape {psi.shape}, expected ({dim},)")
+    if psi.ndim < 1 or psi.shape[-1] != dim:
+        raise ValueError(f"state has shape {psi.shape}, expected (..., {dim})")
     idx, diag = _compiled(op)
-    return np.einsum("gc,gc->c", diag, psi[idx])
+    return np.einsum("gc,...gc->...c", diag, psi[..., idx])
 
 
 def _string_table(op: PauliSum) -> tuple[list[str], np.ndarray, np.ndarray]:

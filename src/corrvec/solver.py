@@ -22,9 +22,10 @@ import numpy as np
 from .circuits import (Circuit, MeasurementSettings, NoiseModel, OverlapEngine,
                        run_pure, sample_pauli_expectation, simulate)
 from .fermion import ladder_pauli, number_penalty
-from .pauli import PauliSum
+from .pauli import PauliSum, apply_sum
 from .store import dumps_canonical
-from .vqe import AnsatzSpec, build_hea, grow_hea_angles, rotosolve_sweep
+from .vqe import (AnsatzSpec, ExactCost, build_hea, grow_hea_angles,
+                  rotosolve_sweep)
 
 PARTICLE, HOLE = "particle", "hole"
 _BRANCH_CODE = {PARTICLE: 0, HOLE: 1}
@@ -122,17 +123,27 @@ class CorrectionProblem:
         return cached
 
     def make_cost(self, z: complex, spec: AnsatzSpec, v_norm: float, rng):
-        """Returns (cost over angles, overlap estimator over angles).
+        """Returns (cost over angles, overlap estimator over angles, exact
+        form of the cost or None when measurements are sampled or noisy).
 
         One cost evaluation simulates the ansatz once: <Q+Q>, the penalty
         and, without noise, the overlap all read that output.  The noisy
         overlap needs its own ancilla circuit.  Estimates are drawn in the
-        order <Q+Q>, overlap, penalty.
+        order <Q+Q>, overlap, penalty.  The exact form is
+        M = Q+Q + penalty - |w><w| / <V|V>: the overlap is <w|psi> with
+        w = (V+Q)+ |psi0> = (z* + D) V|psi0>, which reuses the compiled D
+        and V instead of compiling the adjoint of V+Q.
         """
         qdq = self.qdq(z)
         vdq = self.vdq(z)
         circ, engine = self.engine_for(spec)
         settings, noise = self.settings, self.noise
+        exact = None
+        if settings.mode == "exact" and not noise.enabled:
+            v_psi0 = apply_sum(self.v_op, engine.psi1)
+            w = z.conjugate() * v_psi0 + apply_sum(self.d_op, v_psi0)
+            ops = [qdq] if self.penalty_op is None else [qdq, self.penalty_op]
+            exact = ExactCost(circ, ops, w / np.sqrt(v_norm))
 
         def overlap(theta, psi2=None) -> complex:
             return engine.estimate_sum(theta, vdq, rng, psi2)
@@ -148,7 +159,7 @@ class CorrectionProblem:
                                                   settings, noise, rng, states)
             return value
 
-        return cost, overlap
+        return cost, overlap, exact
 
 
 def solve_correction_vector(problem: CorrectionProblem, z: complex,
@@ -183,13 +194,12 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
     else:
         theta = rng.uniform(-0.1, 0.1, size=cur.n_slots)
 
-    exact_run = problem.settings.mode == "exact" and not problem.noise.enabled
-    cost, _ = problem.make_cost(z, cur, v_norm, rng)
+    cost, _, exact = problem.make_cost(z, cur, v_norm, rng)
     best_theta, best_val, best_depth = theta, np.inf, cur.depth
     history: list[float] = []
     sweeps = 0
     while sweeps < options.max_sweeps:
-        theta, value = rotosolve_sweep(cost, theta, check_monotone=exact_run)
+        theta, value = rotosolve_sweep(cost, theta, exact=exact)
         sweeps += 1
         history.append(value)
         if value < best_val:
@@ -203,12 +213,12 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
             grown = replace(cur, depth=cur.depth + 1)
             theta = grow_hea_angles(theta, cur, grown)
             cur = grown
-            cost, _ = problem.make_cost(z, cur, v_norm, rng)
+            cost, _, exact = problem.make_cost(z, cur, v_norm, rng)
             history.clear()
 
     if best_depth != cur.depth:
         cur = replace(cur, depth=best_depth)
-    _, overlap = problem.make_cost(z, cur, v_norm, rng)
+    _, overlap, _ = problem.make_cost(z, cur, v_norm, rng)
     denom = overlap(best_theta)
     converged = bool(best_val / v_norm < options.epsilon)
     if abs(denom) < 1e-10:

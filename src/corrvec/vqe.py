@@ -3,8 +3,17 @@
 The ansatz repeats a block of single-qubit rotations (one independent angle
 per gate) followed by a linear CNOT ladder, and closes with a final rotation
 layer.  Rotosolve exploits the exact sinusoidal dependence of the cost on
-each angle: three probes per slot give the coordinate minimum in closed
-form, so no step sizes or gradients appear anywhere.
+each angle: the value at the slot's angle and at +-pi/2 from it give the
+coordinate minimum in closed form, so no step sizes or gradients appear
+anywhere.
+
+A sampled or noisy cost is probed as a black box, three evaluations per
+slot.  An exact cost <psi|M|psi> is read off the circuit instead (see
+``ExactCost``): with phi the state before slot d's gate R(t) = exp(-i t s/2)
+and S the rest of the circuit, psi(t) = cos(t/2) a + sin(t/2) b for
+a = S phi and b = -i S s phi.  One run of S on the pair (a, b) gives the
+2x2 matrix K of M on it and with it the slot's whole sinusoid, while phi
+advances by one gate range per slot.
 """
 
 from __future__ import annotations
@@ -15,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import (Circuit, MeasurementSettings, NoiseModel,
-                       sample_pauli_expectation)
-from .pauli import PauliSum
+from .circuits import (Circuit, Gate, MeasurementSettings, NoiseModel,
+                       apply_gates, sample_pauli_expectation)
+from .pauli import PauliSum, apply_sum
 
 VALID_ROTATIONS = ("RX", "RY", "RZ")
 
@@ -119,18 +128,73 @@ def wrap_angle(x: float) -> float:
     return np.pi if w == -np.pi else float(w)
 
 
+class ExactCost:
+    """The exact cost <psi|M|psi> of a circuit's output, with M the sum of
+    ``ops`` minus |w><w|, in the form the pair path of ``rotosolve_sweep``
+    reads.
+
+    ``ops`` are hermitian sums, kept apart so that each keeps its compiled
+    action, and ``w`` is an optional register vector.  The circuit's slots
+    must be one-qubit rotations with unit scale, each used once and in gate
+    order, as ``build_hea`` lays them out.
+    """
+
+    _GENERATOR = {"RX": "X", "RY": "Y", "RZ": "Z"}
+
+    def __init__(self, circ: Circuit, ops: Sequence[PauliSum],
+                 w: np.ndarray | None = None):
+        self.circ = circ
+        self.ops = tuple(ops)
+        self.w = w
+        self.positions = [i for i, g in enumerate(circ.gates) if g.slot is not None]
+        slotted = [circ.gates[i] for i in self.positions]
+        if ([g.slot for g in slotted] != list(range(circ.n_slots))
+                or any(g.kind not in self._GENERATOR or g.scale != 1.0
+                       for g in slotted)):
+            raise ValueError("slots must be unit-scale rotations in gate order")
+        self.generators = [Gate(self._GENERATOR[g.kind], g.qubits) for g in slotted]
+        # angles and closed-form value at the end of the last sweep, which
+        # the next sweep's full evaluation checks
+        self.closed: tuple[np.ndarray, float] | None = None
+
+    def matrix(self, pair: np.ndarray) -> np.ndarray:
+        """K[i, j] = <pair_i|M|pair_j> for a (2, 2^m) pair of states."""
+        k = pair.conj() @ sum(apply_sum(op, pair) for op in self.ops).T
+        if self.w is not None:
+            x = pair @ self.w.conj()
+            k -= np.outer(x.conj(), x)
+        return k
+
+
+def _check_carried(value: float, carried: float, where: str) -> None:
+    if not abs(value - carried) <= 1e-10 * (1.0 + abs(carried)):
+        raise AssertionError(f"{where}: exact cost {value:.15g} differs from "
+                             f"the carried value {carried:.15g}")
+
+
 def rotosolve_sweep(cost, theta: np.ndarray, *,
-                    check_monotone: bool = False) -> tuple[np.ndarray, float]:
+                    exact: ExactCost | None = None) -> tuple[np.ndarray, float]:
     """One coordinate-descent pass over all slots.
 
     Each slot is moved to the closed-form minimum of its sinusoidal
-    restriction.  Returns the updated angles and the cost evaluated there.
+    restriction.  Returns the updated angles and the cost there.
+
+    Without ``exact`` the cost is probed at +-pi/2 from each slot's angle
+    and evaluated again after the move, which is the next slot's value at
+    its current angle.  With ``exact`` (the same cost in exact form) the
+    sweep calls ``cost`` once, at the start, and reads every slot's
+    sinusoid off one pair run; a slot whose sinusoid is flat keeps its
+    angle.  Each slot's value at its current angle must then equal the
+    carried one, the full evaluation at slot 0 and the previous slot's
+    closed-form minimum after that, or AssertionError is raised.
     """
     theta = np.array(theta, dtype=float)
-    half = 0.5 * np.pi
     current = float(cost(theta))
     if not np.isfinite(current):
         raise ValueError("cost returned a non-finite value at the start point")
+    if exact is not None:
+        return _pair_sweep(exact, theta, current)
+    half = 0.5 * np.pi
     for d in range(theta.shape[0]):
         base = theta[d]
         f0 = current
@@ -143,9 +207,44 @@ def rotosolve_sweep(cost, theta: np.ndarray, *,
         theta[d] = wrap_angle(base - half - np.arctan2(2.0 * f0 - f_plus - f_minus,
                                                        f_plus - f_minus))
         current = float(cost(theta))
-        if check_monotone and current > f0 + 1e-10:
-            raise AssertionError(
-                f"slot {d} update raised the cost: {f0:.12g} -> {current:.12g}")
+    return theta, current
+
+
+def _pair_sweep(exact: ExactCost, theta: np.ndarray,
+                current: float) -> tuple[np.ndarray, float]:
+    if exact.closed is not None and np.array_equal(exact.closed[0], theta):
+        _check_carried(current, exact.closed[1], "sweep start")
+    gates = exact.circ.gates
+    phi = np.zeros(1 << exact.circ.width, dtype=complex)
+    phi[0] = 1.0
+    done = 0
+    for d, pos in enumerate(exact.positions):
+        apply_gates(phi, gates[done:pos], theta)
+        done = pos
+        pair = np.array([phi, phi])
+        apply_gates(pair[1], [exact.generators[d]])
+        pair[1] *= -1j
+        apply_gates(pair, gates[pos + 1:], theta)
+        k = exact.matrix(pair)
+        # f(t) = mean + amp_c cos t + amp_s sin t; relative to the current
+        # angle f(base + x) = mean + rel_c cos x + rel_s sin x, the form the
+        # probe path's update reads (2 rel_c = 2 f0 - f+ - f-,
+        # 2 rel_s = f+ - f-), so both paths pick and wrap angles alike
+        mean = 0.5 * (k[0, 0].real + k[1, 1].real)
+        amp_c = 0.5 * (k[0, 0].real - k[1, 1].real)
+        amp_s = k[0, 1].real
+        base = theta[d]
+        c, s = np.cos(base), np.sin(base)
+        rel_c = amp_c * c + amp_s * s
+        rel_s = amp_s * c - amp_c * s
+        _check_carried(mean + rel_c, current, f"slot {d}")
+        amp = np.hypot(amp_c, amp_s)
+        if amp > 1e-12 * (1.0 + abs(mean)):
+            theta[d] = wrap_angle(base - 0.5 * np.pi - np.arctan2(rel_c, rel_s))
+            current = float(mean - amp)
+        else:
+            current = float(mean + rel_c)
+    exact.closed = (theta.copy(), current)
     return theta, current
 
 
@@ -187,6 +286,7 @@ def vqe_ground_state(h: PauliSum, spec: AnsatzSpec,
     circ = build_hea(spec)
     cost_op = h if penalty is None else h + penalty
     exact_run = settings.mode == "exact" and not noise.enabled
+    exact = ExactCost(circ, [cost_op]) if exact_run else None
 
     def cost(theta: np.ndarray) -> float:
         return sample_pauli_expectation(circ, theta, cost_op, settings, noise, rng)
@@ -200,7 +300,7 @@ def vqe_ground_state(h: PauliSum, spec: AnsatzSpec,
     trace = OptimizationTrace()
     window = 3
     for sweep in range(max_sweeps):
-        theta, value = rotosolve_sweep(cost, theta, check_monotone=exact_run)
+        theta, value = rotosolve_sweep(cost, theta, exact=exact)
         trace.cost_history.append(value)
         trace.sweeps = sweep + 1
         hist = trace.cost_history

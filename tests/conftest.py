@@ -1,17 +1,26 @@
 """Shared fixtures: molecular integrals, qubit operators, exact references.
 
 Heavy objects are session-scoped so each is built once for the whole run.
+Property tests run under one derandomized hypothesis profile: a fixed
+example sequence, no example database and no deadline, so the suite is
+deterministic; each test sets only its number of examples.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from corrvec.molham import build_cas, hubbard_dimer, read_fcidump
 from corrvec.oracle import GreensOracle, exact_ground, lehmann_decomposition
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+settings.register_profile("derandomized", derandomize=True, database=None,
+                          deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("derandomized")
 
 
 def fixture_path(name: str) -> str:

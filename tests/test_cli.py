@@ -177,6 +177,8 @@ def test_config_errors_exit_2(tmp_path):
         (["sweep"], {"grid": {**grid, "n": 2.7}}),
         (["ground-state"], {"ansatz": {"depth": 2.5}}),
         (["ground-state"], {"active_space": [0.9]}),
+        # a float field took a bool as 1.0
+        (["ground-state"], {"mu": True}),
     ):
         probe = write_config(tmp_path / "probe.json", out_dir=str(probe_out),
                              **overrides)

@@ -211,6 +211,12 @@ def test_unconvertible_values_rejected():
         minimal(ansatz={"depth": 2.5}),
         minimal(ansatz={"depth": False}),
         minimal(active_space=[0.9]),
+        # nor does a float field take a bool as 1.0 or 0.0
+        minimal(mu=True),
+        minimal(optimizer={"epsilon": True}),
+        minimal(hamiltonian={"kind": "hubbard-dimer", "t": True, "u": 4.0}),
+        minimal(grid={"kind": "retarded", "omega_min": False,
+                      "omega_max": 1.0, "n": 5}),
     ):
         with pytest.raises(ConfigError):
             RunConfig.parse(bad)
@@ -245,7 +251,7 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.lists(st.tuples(st.sampled_from(KEYS), JSON_VALUES),
                 min_size=1, max_size=3))
 def test_parse_rejects_or_roundtrips(edits):

@@ -2,7 +2,7 @@
 against the dense references in ``kron_reference``."""
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrvec.circuits import (ROTATION_KINDS, Circuit, make_controlled,
@@ -16,10 +16,8 @@ ONE_QUBIT = ("H", "X", "PHASE", "RX", "RY", "RZ")
 TWO_QUBIT = ("CX", "CY", "CZ", "CPHASE")
 CONTROLLABLE_TWO_QUBIT = ("CX", "CZ")   # what make_controlled accepts
 
-# a fixed example sequence keeps the suite deterministic
-PROPERTY = settings(max_examples=30, deadline=None, database=None,
-                    derandomize=True,
-                    suppress_health_check=[HealthCheck.too_slow])
+# on top of the suite's derandomized profile (conftest.py)
+PROPERTY = settings(max_examples=30)
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 
 

@@ -9,9 +9,7 @@ from corrvec.molham import hubbard_dimer
 from corrvec.oracle import (
     GreensOracle,
     broadened_trace_integral,
-    dense_h_prime,
     embed_sector_vector,
-    exact_correction_vector,
     exact_greens_function,
     exact_ground,
     greens_from_lehmann,
@@ -22,6 +20,7 @@ from corrvec.oracle import (
     spectral_sum_budget,
 )
 from corrvec.pauli import PauliSum, apply_sum
+from oracle_reference import dense_h_prime, exact_correction_vector
 
 
 def test_materialize_bit_order():

@@ -152,7 +152,7 @@ def test_exact_cost_simulates_once(h2_hamiltonian, h2_gs, monkeypatch, rng):
     z, spec = 1.0 + 0.2j, AnsatzSpec(width=4, depth=2)
     theta = rng.uniform(-np.pi, np.pi, size=spec.n_slots)
     v_norm = problem.measure_v_norm(rng)
-    cost, _ = problem.make_cost(z, spec, v_norm, rng)
+    cost, _, _ = problem.make_cost(z, spec, v_norm, rng)
     calls = []
     real_run_pure = circuits.run_pure
 
