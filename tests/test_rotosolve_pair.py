@@ -81,18 +81,22 @@ def assert_matches_resimulation(cost, start, final, value, seen):
     assert abs(value - cost(final)) <= TOL * (1 + abs(value))
 
 
-@settings(max_examples=40)
-@given(ansatz_cases())
-def test_ground_state_pair_matches_resimulation(case):
-    spec, rng = case
+def ground_state_case(spec, rng):
+    """(full cost, exact form, start angles) for a random hermitian sum."""
     circ = build_hea(spec)
     op = random_sum(rng, spec.width, 6)
 
     def cost(theta):
         return sample_pauli_expectation(circ, theta, op, EXACT, NOISELESS)
 
-    start = rng.uniform(-np.pi, np.pi, size=spec.n_slots)
-    final, value, seen = recorded_sweep(cost, start, ExactCost(circ, [op]))
+    return cost, ExactCost(circ, [op]), rng.uniform(-np.pi, np.pi, spec.n_slots)
+
+
+@settings(max_examples=40)
+@given(ansatz_cases())
+def test_ground_state_pair_matches_resimulation(case):
+    cost, exact, start = ground_state_case(*case)
+    final, value, seen = recorded_sweep(cost, start, exact)
     assert_matches_resimulation(cost, start, final, value, seen)
 
 
@@ -125,25 +129,15 @@ def test_correction_pair_matches_dense_form_and_resimulation(case):
         assert np.abs(k - pair.conj() @ dense @ pair.T).max() <= TOL * (1 + scale)
 
 
-def ground_state_case(rng):
-    spec = AnsatzSpec(width=3, depth=2, pattern=("RY", "RX"))
-    circ = build_hea(spec)
-    op = random_sum(rng, 3, 6)
-
-    def cost(theta):
-        return sample_pauli_expectation(circ, theta, op, EXACT, NOISELESS)
-
-    return cost, ExactCost(circ, [op]), rng.uniform(-np.pi, np.pi, spec.n_slots)
-
-
 def test_pair_sweep_rejects_a_disagreeing_cost(rng):
     """The full evaluation at the start of a sweep checks the pair run at
     slot 0 and the closed-form value the previous sweep ended on."""
-    cost, exact, theta = ground_state_case(rng)
+    spec = AnsatzSpec(width=3, depth=2, pattern=("RY", "RX"))
+    cost, exact, theta = ground_state_case(spec, rng)
     with pytest.raises(AssertionError, match="slot 0"):
         rotosolve_sweep(lambda th: cost(th) + 1.0, theta, exact=exact)
 
-    cost, exact, theta = ground_state_case(rng)
+    cost, exact, theta = ground_state_case(spec, rng)
     theta, _ = rotosolve_sweep(cost, theta, exact=exact)
     with pytest.raises(AssertionError, match="sweep start"):
         rotosolve_sweep(lambda th: cost(th) + 1e-6, theta, exact=exact)
