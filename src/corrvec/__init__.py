@@ -18,9 +18,7 @@ from .greens import (FrequencyGrid, dyson_embed, expand_spin, g0,
 from .molham import (MolecularIntegrals, build_cas, fock_matrix,
                      givens_rotation, hubbard_dimer, hubbard_dimer_energy,
                      read_fcidump, rotate_orbitals, write_fcidump)
-from .oracle import (GreensOracle, LehmannData, exact_greens_function,
-                     exact_ground, greens_from_lehmann,
-                     lehmann_decomposition)
+from .oracle import GreensOracle, exact_ground
 from .pauli import PauliSum
 from .solver import (CorrectionProblem, PointRecord, SolverOptions,
                      assemble_matrices, solve_column,
@@ -32,15 +30,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnsatzSpec", "BlockedSpinOrbitals", "Circuit", "ConfigError",
-    "CorrectionProblem", "FrequencyGrid", "GreensOracle", "LehmannData",
+    "CorrectionProblem", "FrequencyGrid", "GreensOracle",
     "MeasurementSettings", "MolecularIntegrals", "NoiseModel",
     "OverlapEngine", "PauliSum", "PointRecord", "RunConfig",
     "SolverOptions", "assemble_matrices", "build_cas", "build_hea",
-    "dyson_embed", "exact_greens_function",
-    "exact_ground", "expand_spin", "fock_matrix", "g0", "givens_rotation",
-    "greens_from_lehmann", "grow_hea_angles", "hamiltonian_to_qubits",
+    "dyson_embed", "exact_ground", "expand_spin", "fock_matrix", "g0",
+    "givens_rotation", "grow_hea_angles", "hamiltonian_to_qubits",
     "hf_start_angles", "hubbard_dimer", "hubbard_dimer_energy",
-    "ladder_pauli", "lehmann_decomposition", "load_config",
+    "ladder_pauli", "load_config",
     "matsubara_grid", "nondyson_embed", "number_operator",
     "number_penalty", "read_fcidump",
     "retarded_grid", "rotate_orbitals", "rotosolve_sweep", "run_density",

@@ -1,22 +1,31 @@
-"""Dense reference solutions: exact ground states, resolvents, spectra.
+"""Dense reference solutions: exact ground states and Green's functions.
 
 Everything here works with explicit matrices, independent of the circuit
 machinery, so it can certify the variational pipeline.  Registers are capped
 at 14 qubits; particle-number sectors keep the linear algebra small well
 before that limit.
+
+``GreensOracle`` holds the Green's function in pole/weight form.  It
+diagonalises the N+1 and N-1 sector blocks once each, H = V diag(E) V+, and
+every frequency then reads W+ diag(1 / (z -+ (E - E0))) W off the transition
+amplitudes W = V+ c+_j|0> (particle branch, minus) or V+ c_j|0> (hole
+branch, plus).  The Jordan-Wigner blocks of real integrals are exactly real;
+when a block and its transition columns have no imaginary part the
+diagonalisation runs in real arithmetic, otherwise in complex.  The dense
+linear solve per frequency that this form replaces is the test reference in
+``tests/oracle_reference.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.linalg
 
 from .fermion import ladder_pauli
-from .pauli import PauliSum, string_action
+from .pauli import PauliSum, _string_masks, string_action
 
 _MAX_DENSE_QUBITS = 14
+# strings whose signs on the basis project_to_sector holds at once
+_CHUNK_STRINGS = 64
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -42,26 +51,39 @@ def materialize(op: PauliSum) -> np.ndarray:
 
 def sector_basis(m: int, n_particles: int) -> np.ndarray:
     """Basis indices with the given occupation count, ascending."""
-    states = [b for b in range(1 << m) if bin(b).count("1") == n_particles]
-    return np.asarray(states, dtype=np.int64)
+    idx = np.arange(1 << m, dtype=np.int64)
+    return idx[np.bitwise_count(idx) == n_particles]
 
 
 def project_to_sector(op: PauliSum, basis: np.ndarray) -> np.ndarray:
     """Dense block of the operator on a fixed-particle-number basis.
 
     Pauli sums from particle-conserving fermionic operators map sector
-    states into the same sector, so the block captures them exactly.
+    states into the same sector, so the block captures them exactly.  The
+    strings that flip the same bits share one pattern of matrix cells; each
+    such group sums its strings' signed coefficients on the basis, a chunk of
+    strings at a time, and writes its cells at once.
     """
     dim = basis.shape[0]
     out = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    for label, coeff in op:
-        flip, phases = string_action(label)
-        targets = basis ^ flip
-        rows = np.searchsorted(basis, targets)
-        rows_clipped = np.minimum(rows, dim - 1)
-        found = basis[rows_clipped] == targets
-        out[rows_clipped[found], cols[found]] += coeff * phases[basis[found]]
+    if dim == 0 or len(op) == 0:
+        return out
+    labels, coeffs = zip(*op)
+    flips, z_masks, phase0 = (np.array(col) for col in
+                              zip(*map(_string_masks, labels)))
+    coeffs = np.array(coeffs) * phase0
+    groups, group_of = np.unique(flips, return_inverse=True)
+    summed = np.zeros((groups.shape[0], dim), dtype=complex)
+    for lo in range(0, flips.shape[0], _CHUNK_STRINGS):
+        part = slice(lo, lo + _CHUNK_STRINGS)
+        odd = np.bitwise_count(basis[None, :] & z_masks[part, None]) & 1
+        np.add.at(summed, group_of[part],
+                  coeffs[part, None] * np.where(odd, -1.0, 1.0))
+    targets = basis[None, :] ^ groups[:, None]
+    rows = np.minimum(np.searchsorted(basis, targets), dim - 1)
+    found = basis[rows] == targets
+    # distinct flips send a column to distinct rows: every cell is set once
+    out[rows[found], np.broadcast_to(np.arange(dim), rows.shape)[found]] = summed[found]
     return out
 
 
@@ -71,6 +93,14 @@ def embed_sector_vector(vec: np.ndarray, basis: np.ndarray, m: int) -> np.ndarra
     return full
 
 
+def _real_if_exact(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays' real parts when none of them has an imaginary part, so
+    that ``eigh`` runs in real arithmetic; otherwise the arrays unchanged."""
+    if any(a.imag.any() for a in arrays):
+        return arrays
+    return tuple(a.real for a in arrays)
+
+
 def exact_ground(h_op: PauliSum, n_particles: int | None = None) -> tuple[float, np.ndarray]:
     """Lowest eigenpair, optionally restricted to a particle-number sector.
 
@@ -78,23 +108,13 @@ def exact_ground(h_op: PauliSum, n_particles: int | None = None) -> tuple[float,
     """
     m = h_op.width
     if n_particles is None:
-        mat = materialize(h_op)
-        vals, vecs = np.linalg.eigh(mat)
-        return float(vals[0]), vecs[:, 0]
-    basis = sector_basis(m, n_particles)
-    block = project_to_sector(h_op, basis)
-    vals, vecs = np.linalg.eigh(block)
+        basis = np.arange(1 << m)
+        block = materialize(h_op)
+    else:
+        basis = sector_basis(m, n_particles)
+        block = project_to_sector(h_op, basis)
+    vals, vecs = np.linalg.eigh(*_real_if_exact(block))
     return float(vals[0]), embed_sector_vector(vecs[:, 0], basis, m)
-
-
-@dataclass(frozen=True)
-class LehmannData:
-    """Pole positions and transition weights of a single-particle spectrum."""
-
-    poles_particle: np.ndarray      # excitation energies E_k(N+1) - E0
-    weights_particle: np.ndarray    # (n_poles, n_modes) amplitudes <k|c+_j|0>
-    poles_hole: np.ndarray          # E_k(N-1) - E0
-    weights_hole: np.ndarray        # (n_poles, n_modes) amplitudes <k|c_j|0>
 
 
 def _mode_transitions(psi0: np.ndarray, m: int, dagger: bool) -> np.ndarray:
@@ -110,42 +130,20 @@ def _mode_transitions(psi0: np.ndarray, m: int, dagger: bool) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def lehmann_decomposition(h_op: PauliSum, e0: float, psi0: np.ndarray,
-                          n_particles: int) -> LehmannData:
-    """Eigen-decomposition of the N+-1 sectors against c|0> and c+|0>."""
-    m = h_op.width
-    out = {}
-    for dagger, n_sec in ((True, n_particles + 1), (False, n_particles - 1)):
-        if not 0 <= n_sec <= m:
-            poles = np.zeros(0)
-            weights = np.zeros((0, m), dtype=complex)
-        else:
-            basis = sector_basis(m, n_sec)
-            block = project_to_sector(h_op, basis)
-            vals, vecs = np.linalg.eigh(block)
-            trans = _mode_transitions(psi0, m, dagger)[basis, :]
-            weights = vecs.conj().T @ trans
-            poles = vals - e0
-        out[dagger] = (np.asarray(poles, dtype=float), weights)
-    return LehmannData(poles_particle=out[True][0], weights_particle=out[True][1],
-                       poles_hole=out[False][0], weights_hole=out[False][1])
-
-
-def greens_from_lehmann(lehmann: LehmannData, z: complex) -> np.ndarray:
-    """G_ij(z) summed over both branches at one complex frequency."""
-    wp = lehmann.weights_particle
-    gp = np.einsum("ki,kj->ij", wp.conj(), wp / (z - lehmann.poles_particle)[:, None])
-    wh = lehmann.weights_hole
-    gh = np.einsum("kj,ki->ij", wh.conj(), wh / (z + lehmann.poles_hole)[:, None])
-    return gp + gh
-
-
 class GreensOracle:
-    """Resolvent matrix elements by direct linear solves, reusing the
-    projected sector blocks across frequencies.
+    """Resolvent matrix elements from the poles and weights of the N+1 and
+    N-1 sectors, each diagonalised once.
 
-    Particle branch: <0| c_i [z - (H - e0)]^{-1} c+_j |0>.
-    Hole branch:     <0| c+_j [z + (H - e0)]^{-1} c_i |0>.
+    Particle branch: <0| c_i [z - (H - e0)]^{-1} c+_j |0>
+                     = sum_k conj(Wp[k, i]) Wp[k, j] / (z - Ep[k]).
+    Hole branch:     <0| c+_j [z + (H - e0)]^{-1} c_i |0>
+                     = sum_k conj(Wh[k, j]) Wh[k, i] / (z + Eh[k]).
+
+    ``particle`` and ``hole`` are the ``(poles, weights)`` pairs: excitation
+    energies E_k - e0 of shape (n_poles,) and amplitudes <k|c+_j|0> or
+    <k|c_j|0> of shape (n_poles, m).  A branch whose sector does not exist
+    has no poles.  Without ``n_particles`` both branches span the full
+    register.
     """
 
     def __init__(self, h_op: PauliSum, e0: float, psi0: np.ndarray,
@@ -156,64 +154,25 @@ class GreensOracle:
             raise ValueError("ground state has the wrong dimension")
         self.m = m
         self.e0 = e0
-        plus = _mode_transitions(psi0, m, True)
-        minus = _mode_transitions(psi0, m, False)
-        self._branches = []
-        for dagger, trans, sign in ((True, plus, -1), (False, minus, +1)):
+        branches = []
+        for dagger in (True, False):
             if n_particles is None:
                 basis = np.arange(dim)
             else:
-                n_sec = n_particles + (1 if dagger else -1)
-                if not 0 <= n_sec <= m:
-                    continue
-                basis = sector_basis(m, n_sec)
-            if basis.shape[0] == 0:
-                continue
-            block = project_to_sector(h_op, basis) - e0 * np.eye(basis.shape[0])
-            self._branches.append((dagger, sign, block, trans[basis, :]))
+                # empty when the sector lies outside [0, m]: no poles
+                basis = sector_basis(m, n_particles + (1 if dagger else -1))
+            block = project_to_sector(h_op, basis)
+            trans = _mode_transitions(psi0, m, dagger)[basis, :]
+            block, trans = _real_if_exact(block, trans)
+            vals, vecs = np.linalg.eigh(block)
+            branches.append((vals - e0, vecs.conj().T @ trans))
+        self.particle, self.hole = branches
 
     def matrix(self, z: complex) -> np.ndarray:
-        g = np.zeros((self.m, self.m), dtype=complex)
-        for dagger, sign, block, trans in self._branches:
-            q = z * np.eye(block.shape[0]) + sign * block
-            sol = np.linalg.solve(q, trans)
-            part = trans.conj().T @ sol
-            g += part if dagger else part.T
-        return g
+        (poles_p, w_p), (poles_h, w_h) = self.particle, self.hole
+        g_particle = (w_p.conj().T / (z - poles_p)) @ w_p
+        g_hole = (w_h.conj().T / (z + poles_h)) @ w_h
+        return g_particle + g_hole.T
 
     def series(self, zs: np.ndarray) -> np.ndarray:
         return np.stack([self.matrix(z) for z in zs])
-
-
-def exact_greens_function(h_op: PauliSum, e0: float, psi0: np.ndarray,
-                          z: complex, n_particles: int | None = None) -> np.ndarray:
-    """One-shot resolvent matrix at a single frequency."""
-    return GreensOracle(h_op, e0, psi0, n_particles).matrix(z)
-
-
-def broadened_trace_integral(lehmann: LehmannData, omegas: np.ndarray,
-                             eta: float) -> float:
-    """Integral of -(1/pi) Im tr G over the real window, exactly per pole.
-
-    Each Lorentzian pole of weight w contributes
-    w/pi * [atan((b - x0)/eta) - atan((a - x0)/eta)].
-    """
-    a, b = float(omegas[0]), float(omegas[-1])
-    total = 0.0
-    for poles, weights, branch in ((lehmann.poles_particle, lehmann.weights_particle, +1),
-                                   (lehmann.poles_hole, lehmann.weights_hole, -1)):
-        if poles.shape[0] == 0:
-            continue
-        w_tr = np.sum(np.abs(weights) ** 2, axis=1)
-        x0 = branch * poles
-        total += float(np.sum(w_tr / np.pi * (np.arctan2(b - x0, eta)
-                                              - np.arctan2(a - x0, eta))))
-    return total
-
-
-def spectral_sum_budget(lehmann: LehmannData, omegas: np.ndarray, eta: float) -> float:
-    """How much spectral weight the window misses: modes minus the exact
-    broadened integral over [omega_min, omega_max]."""
-    n_modes = lehmann.weights_particle.shape[1] if lehmann.weights_particle.size \
-        else lehmann.weights_hole.shape[1]
-    return float(n_modes) - broadened_trace_integral(lehmann, omegas, eta)

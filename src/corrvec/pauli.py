@@ -199,15 +199,15 @@ def sum_multiply(a: PauliSum, b: PauliSum) -> PauliSum:
     return PauliSum(a.width, merged)
 
 
-def string_action(label: str) -> tuple[int, np.ndarray]:
-    """Action of one Pauli string on computational basis states.
+def _string_masks(label: str) -> tuple[int, int, complex]:
+    """``(flip, z_mask, phase0)`` of one Pauli string: the bits it flips, the
+    bits whose value sets its sign, and i^(number of Ys).
 
-    Returns ``(flip, phases)`` such that P|b> = phases[b] * |b ^ flip>
-    for every basis index b.  ``phases`` has shape (2**m,).
+    P|b> = phase0 * (-1)^popcount(b & z_mask) |b ^ flip>, the sign convention
+    fixed by Y|0> = i|1>, Y|1> = -i|0>.
     """
-    m = len(label)
-    dim = 1 << m
     flip = 0
+    # one product per Y, so every phase keeps the same signed zeros
     phase0 = 1.0 + 0j
     z_mask = 0
     for q, ch in enumerate(label):
@@ -219,15 +219,18 @@ def string_action(label: str) -> tuple[int, np.ndarray]:
             phase0 *= 1j
         elif ch == "Z":
             z_mask |= 1 << q
-    b = np.arange(dim, dtype=np.uint64)
-    # parity of bits of b under z_mask; Y contributes an extra i and a sign
-    # convention fixed by Y|0> = i|1>, Y|1> = -i|0>
-    masked = b & np.uint64(z_mask)
-    parity = np.zeros(dim, dtype=np.int64)
-    mm = masked.copy()
-    while mm.any():
-        parity ^= (mm & np.uint64(1)).astype(np.int64)
-        mm >>= np.uint64(1)
+    return flip, z_mask, phase0
+
+
+def string_action(label: str) -> tuple[int, np.ndarray]:
+    """Action of one Pauli string on computational basis states.
+
+    Returns ``(flip, phases)`` such that P|b> = phases[b] * |b ^ flip>
+    for every basis index b.  ``phases`` has shape (2**m,).
+    """
+    flip, z_mask, phase0 = _string_masks(label)
+    b = np.arange(1 << len(label), dtype=np.uint64)
+    parity = np.bitwise_count(b & np.uint64(z_mask)) & 1
     phases = phase0 * np.where(parity, -1.0, 1.0).astype(complex)
     return flip, phases
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from corrvec.molham import build_cas, hubbard_dimer, read_fcidump
-from corrvec.oracle import GreensOracle, exact_ground, lehmann_decomposition
+from corrvec.oracle import GreensOracle, exact_ground
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -46,12 +46,6 @@ def h2_ground(h2_hamiltonian):
 def h2_oracle(h2_hamiltonian, h2_ground):
     e0, psi0 = h2_ground
     return GreensOracle(h2_hamiltonian, e0, psi0, n_particles=2)
-
-
-@pytest.fixture(scope="session")
-def h2_lehmann(h2_hamiltonian, h2_ground):
-    e0, psi0 = h2_ground
-    return lehmann_decomposition(h2_hamiltonian, e0, psi0, 2)
 
 
 @pytest.fixture(scope="session")

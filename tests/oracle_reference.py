@@ -1,16 +1,72 @@
-"""Dense references for the correction-vector problem, kept out of the
-package: the shifted system Q chi = rhs with Q = z + sign (H - e0), and the
-quadratic form Q+ (1 - |V><V|/<V|V>) Q whose kernel is the normalized
-correction vector.  Both build full-register matrices with
-``corrvec.oracle.materialize``.
+"""Dense references for the oracle and the correction-vector problem, kept
+out of the package: the Green's function by one linear solve per branch and
+frequency, the shifted system Q chi = rhs with Q = z + sign (H - e0), and
+the quadratic form Q+ (1 - |V><V|/<V|V>) Q whose kernel is the normalized
+correction vector.  All build their matrices with
+``corrvec.oracle.materialize``; the spectral-weight sums read the poles and
+weights of a ``GreensOracle``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from corrvec.oracle import materialize
+from corrvec.fermion import ladder_pauli
+from corrvec.oracle import GreensOracle, materialize, sector_basis
 from corrvec.pauli import PauliSum
+
+
+def solve_greens(h_op: PauliSum, e0: float, psi0: np.ndarray, zs: np.ndarray,
+                 n_particles: int | None = None) -> np.ndarray:
+    """G(z) at every z by dense linear solves on the N+1 and N-1 blocks.
+
+    Particle branch: <0| c_i [z - (H - e0)]^{-1} c+_j |0>.
+    Hole branch:     <0| c+_j [z + (H - e0)]^{-1} c_i |0>.
+    Without ``n_particles`` both branches span the full register.
+    """
+    m = h_op.width
+    mat = materialize(h_op)
+    g = np.zeros((len(zs), m, m), dtype=complex)
+    for dagger, sign in ((True, -1), (False, +1)):
+        if n_particles is None:
+            basis = np.arange(1 << m)
+        else:
+            n_sec = n_particles + (1 if dagger else -1)
+            if not 0 <= n_sec <= m:
+                continue
+            basis = sector_basis(m, n_sec)
+        block = mat[np.ix_(basis, basis)] - e0 * np.eye(basis.shape[0])
+        trans = np.stack([materialize(ladder_pauli(j, dagger, m)) @ psi0
+                          for j in range(m)], axis=1)[basis, :]
+        for k, z in enumerate(zs):
+            sol = np.linalg.solve(z * np.eye(basis.shape[0]) + sign * block, trans)
+            part = trans.conj().T @ sol
+            g[k] += part if dagger else part.T
+    return g
+
+
+def broadened_trace_integral(oracle: GreensOracle, omegas: np.ndarray,
+                             eta: float) -> float:
+    """Integral of -(1/pi) Im tr G over the real window, exactly per pole.
+
+    Each Lorentzian pole of weight w contributes
+    w/pi * [atan((b - x0)/eta) - atan((a - x0)/eta)].
+    """
+    a, b = float(omegas[0]), float(omegas[-1])
+    total = 0.0
+    for (poles, weights), branch in ((oracle.particle, +1), (oracle.hole, -1)):
+        w_tr = np.sum(np.abs(weights) ** 2, axis=1)
+        x0 = branch * poles
+        total += float(np.sum(w_tr / np.pi * (np.arctan2(b - x0, eta)
+                                              - np.arctan2(a - x0, eta))))
+    return total
+
+
+def spectral_sum_budget(oracle: GreensOracle, omegas: np.ndarray,
+                        eta: float) -> float:
+    """How much spectral weight the window misses: modes minus the exact
+    broadened integral over [omega_min, omega_max]."""
+    return float(oracle.m) - broadened_trace_integral(oracle, omegas, eta)
 
 
 def shifted_matrix(h_op: PauliSum, e0: float, z: complex, sign: int) -> np.ndarray:

@@ -1,7 +1,10 @@
 """End-to-end command-line runs: outputs, determinism, failure modes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from corrvec.cli import main
 from corrvec.store import read_series, sha256_of_file, verify_manifest
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -299,3 +303,13 @@ def test_embed_failure_modes(tmp_path):
         "embedding": "dyson",
         "out_dir": str(tmp_path / "empty")}))
     assert run("embed", "--config", str(cfg_path)) == 3
+
+
+def test_cli_import_leaves_scipy_out():
+    """Importing the command line loads no scipy: it would add to every
+    command's start-up time and memory."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import corrvec.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -2,25 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corrvec.fermion import number_operator
+from corrvec.fermion import hamiltonian_to_qubits, ladder_pauli, number_operator
 from corrvec.greens import expand_spin, g0
 from corrvec.molham import hubbard_dimer
 from corrvec.oracle import (
     GreensOracle,
-    broadened_trace_integral,
     embed_sector_vector,
-    exact_greens_function,
     exact_ground,
-    greens_from_lehmann,
-    lehmann_decomposition,
     materialize,
     project_to_sector,
     sector_basis,
-    spectral_sum_budget,
 )
 from corrvec.pauli import PauliSum, apply_sum
-from oracle_reference import dense_h_prime, exact_correction_vector
+from oracle_reference import (broadened_trace_integral, dense_h_prime,
+                              exact_correction_vector, solve_greens,
+                              spectral_sum_budget)
 
 
 def test_materialize_bit_order():
@@ -114,16 +113,15 @@ def test_dense_h_prime_is_psd_with_correction_kernel(h2_hamiltonian,
         dense_h_prime(h2_hamiltonian, e0, z, sign, np.zeros(16))
 
 
-def test_resolvent_routes_agree(h2_hamiltonian, h2_ground, h2_oracle,
-                                h2_lehmann):
+def test_resolvent_routes_agree(h2_hamiltonian, h2_ground, h2_oracle):
     e0, psi0 = h2_ground
-    for z in (0.3 + 0.07j, -0.6 + 0.05j, 10j):
-        ref = greens_from_lehmann(h2_lehmann, z)
-        assert np.max(np.abs(h2_oracle.matrix(z) - ref)) < 1e-10
-        direct = exact_greens_function(h2_hamiltonian, e0, psi0, z, 2)
-        assert np.max(np.abs(direct - ref)) < 1e-10
-    series = h2_oracle.series(np.array([0.3 + 0.07j, 10j]))
-    assert series.shape == (2, 4, 4)
+    zs = np.array([0.3 + 0.07j, -0.6 + 0.05j, 10j])
+    ref = solve_greens(h2_hamiltonian, e0, psi0, zs, 2)
+    for z, g in zip(zs, ref):
+        assert np.max(np.abs(h2_oracle.matrix(z) - g)) < 1e-10
+    series = h2_oracle.series(zs)
+    assert series.shape == (3, 4, 4)
+    assert np.max(np.abs(series - ref)) < 1e-10
 
 
 def test_oracle_validates_state_dimension(h2_hamiltonian):
@@ -137,37 +135,140 @@ def test_free_fermion_resolvent_is_mean_field():
     e0, psi0 = exact_ground(h_op, 2)
     assert e0 == pytest.approx(-2.0, abs=1e-12)
     f = expand_spin(ints.h)
+    oracle = GreensOracle(h_op, e0, psi0, 2)
     for z in (0.4 + 0.1j, -1.3 + 0.05j, 2j):
-        g = exact_greens_function(h_op, e0, psi0, z, 2)
+        g = oracle.matrix(z)
         assert np.max(np.abs(g - g0(f, z))) < 1e-10
 
 
-def test_lehmann_weights_are_complete(h2_lehmann):
-    wp, wh = h2_lehmann.weights_particle, h2_lehmann.weights_hole
+def test_lehmann_weights_are_complete(h2_oracle):
+    (_, wp), (_, wh) = h2_oracle.particle, h2_oracle.hole
     total = np.einsum("ki,kj->ij", wp.conj(), wp) \
         + np.einsum("kj,ki->ij", wh.conj(), wh)
     assert np.allclose(total, np.eye(4), atol=1e-10)
     assert total.trace().real == pytest.approx(4.0, abs=1e-10)
 
 
-def test_high_frequency_tail(h2_lehmann):
+def test_high_frequency_tail(h2_oracle):
     z = 1e6j
-    g = greens_from_lehmann(h2_lehmann, z)
+    g = h2_oracle.matrix(z)
     assert np.max(np.abs(z * g - np.eye(4))) < 5e-6
 
 
-def test_broadened_integral_matches_quadrature(h2_lehmann):
+def test_broadened_integral_matches_quadrature(h2_oracle):
     eta = 0.05
     omegas = np.linspace(-2.0, 2.0, 4001)
-    vals = np.array([-np.trace(greens_from_lehmann(h2_lehmann,
-                                                   w + 1j * eta)).imag / np.pi
+    vals = np.array([-np.trace(h2_oracle.matrix(w + 1j * eta)).imag / np.pi
                      for w in omegas])
     quad = np.trapezoid(vals, omegas)
-    exact = broadened_trace_integral(h2_lehmann, omegas, eta)
+    exact = broadened_trace_integral(h2_oracle, omegas, eta)
     assert quad == pytest.approx(exact, abs=1e-4)
 
-    budget = spectral_sum_budget(h2_lehmann, omegas, eta)
+    budget = spectral_sum_budget(h2_oracle, omegas, eta)
     assert budget >= 0
     assert budget == pytest.approx(4.0 - exact, abs=1e-12)
     wide = np.linspace(-200.0, 200.0, 11)
-    assert spectral_sum_budget(h2_lehmann, wide, eta) < 1e-3
+    assert spectral_sum_budget(h2_oracle, wide, eta) < 1e-3
+
+
+# property tests: each sets its number of examples on top of the suite's
+# derandomized profile (conftest.py)
+def _hopping_and_density(m, t, u):
+    """sum_ij t_ij c+_i c_j + sum_{i<j} u_ij n_i n_j on m modes."""
+    out = PauliSum(m)
+    cd = [ladder_pauli(j, True, m) for j in range(m)]
+    c = [ladder_pauli(j, False, m) for j in range(m)]
+    for i in range(m):
+        for j in range(m):
+            if t[i, j] != 0:
+                out = out + t[i, j] * (cd[i] * c[j])
+            if i < j and u[i, j] != 0:
+                out = out + u[i, j] * (cd[i] * c[i] * cd[j] * c[j])
+    return out
+
+
+@st.composite
+def conserving_hamiltonians(draw):
+    """A particle-conserving Hamiltonian on 4-6 modes and a sector of it.
+
+    Complex hopping gives blocks with an imaginary part; a degenerate case
+    drops the interaction and repeats one-body levels, so poles coincide;
+    the spin case has spin-up and spin-down copies of every pole.
+    """
+    kind = draw(st.sampled_from(("real", "complex", "degenerate",
+                                 "degenerate complex", "spin")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "spin":
+        n_orb = draw(st.integers(2, 3))
+        h = rng.normal(size=(n_orb, n_orb))
+        g = np.zeros((n_orb,) * 4)
+        for p in range(n_orb):
+            for q in range(n_orb):
+                g[p, q, p, q] = g[q, p, q, p] = abs(rng.normal())
+        h_op = hamiltonian_to_qubits((h + h.T) / 2, g, 0.0)
+        m = 2 * n_orb
+    else:
+        m = draw(st.integers(4, 6))
+        a = rng.normal(size=(m, m))
+        if "complex" in kind:
+            a = a + 1j * rng.normal(size=(m, m))
+        t = (a + a.conj().T) / 2
+        u = rng.normal(size=(m, m))
+        if "degenerate" in kind:
+            _, vecs = np.linalg.eigh(t)
+            levels = rng.choice([-1.0, 0.5], size=m)
+            t = (vecs * levels) @ vecs.conj().T
+            u = np.zeros((m, m))
+        h_op = _hopping_and_density(m, t, u)
+    n = draw(st.one_of(st.none(), st.integers(0, m)))
+    return kind, h_op, n
+
+
+@settings(max_examples=40)
+@given(conserving_hamiltonians(),
+       st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(0.02, 1.0)),
+                min_size=1, max_size=4))
+def test_spectral_oracle_matches_solve_route(case, points):
+    kind, h_op, n = case
+    m = h_op.width
+    e0, psi0 = exact_ground(h_op, n)
+    basis = np.arange(1 << m) if n is None else sector_basis(m, n)
+    block = materialize(h_op)[np.ix_(basis, basis)]
+    assert e0 == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-10)
+    oracle = GreensOracle(h_op, e0, psi0, n)
+    for poles, weights in (oracle.particle, oracle.hole):
+        if poles.size and "complex" not in kind:
+            assert np.isrealobj(weights)
+    if "complex" in kind and n is not None and 0 < n < m:
+        assert np.iscomplexobj(oracle.particle[1])
+    zs = np.array([x + 1j * eta for x, eta in points])
+    g = oracle.series(zs)
+    ref = solve_greens(h_op, e0, psi0, zs, n)
+    assert np.max(np.abs(g - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref)))
+
+
+@st.composite
+def operators_and_bases(draw):
+    """A random Pauli sum and an ascending basis: a particle-number sector
+    or any subset of the register."""
+    m = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.text("IXYZ", min_size=m, max_size=m),
+                           min_size=0, max_size=12))
+    coeffs = draw(st.lists(st.complex_numbers(max_magnitude=3.0),
+                           min_size=len(labels), max_size=len(labels)))
+    if draw(st.booleans()):
+        basis = sector_basis(m, draw(st.integers(0, m)))
+    else:
+        basis = np.array(sorted(draw(st.sets(st.integers(0, (1 << m) - 1)))),
+                         dtype=np.int64)
+    return PauliSum(m, list(zip(labels, coeffs))), basis
+
+
+@settings(max_examples=60)
+@given(operators_and_bases())
+def test_project_to_sector_matches_dense_block(case):
+    op, basis = case
+    block = project_to_sector(op, basis)
+    assert block.shape == (basis.shape[0],) * 2
+    dense = materialize(op)[np.ix_(basis, basis)]
+    assert np.max(np.abs(block - dense), initial=0.0) <= 1e-12

@@ -9,7 +9,7 @@ from corrvec import circuits, solver
 from corrvec.circuits import MeasurementSettings, NoiseModel
 from corrvec.fermion import (ladder_pauli, number_operator, number_penalty,
                              total_spin_squared)
-from corrvec.oracle import GreensOracle, materialize
+from corrvec.oracle import materialize
 from corrvec.pauli import PauliSum
 from corrvec.solver import (
     HOLE,
@@ -39,10 +39,11 @@ def h2_gs(h2_hamiltonian):
     return e0, build_hea(spec).bound(theta)
 
 
-def particle_column(lehmann, z, j):
-    wp = lehmann.weights_particle
-    return np.einsum("ki,k->i", wp.conj(),
-                     wp[:, j] / (z - lehmann.poles_particle))
+def particle_column(oracle, z, j):
+    """Column j of the particle branch alone, from the oracle's poles and
+    weights."""
+    poles, weights = oracle.particle
+    return np.einsum("ki,k->i", weights.conj(), weights[:, j] / (z - poles))
 
 
 def test_build_q_matches_dense(dimer_hamiltonian, dimer_ground):
@@ -83,7 +84,7 @@ def test_correction_problem_requires_bound_circuit(h2_hamiltonian):
 
 
 def test_single_point_solve_matches_resolvent(h2_hamiltonian, h2_gs,
-                                              h2_lehmann, rng):
+                                              h2_oracle, rng):
     e0, gs_circ = h2_gs
     spec = AnsatzSpec(width=4, depth=3)
     options = SolverOptions(epsilon=1e-5)
@@ -94,7 +95,7 @@ def test_single_point_solve_matches_resolvent(h2_hamiltonian, h2_gs,
     rec = records[0]
     assert rec.converged
     assert rec.residual < 1e-5
-    ref = particle_column(h2_lehmann, 1.0 + 0.2j, 0)[:2]
+    ref = particle_column(h2_oracle, 1.0 + 0.2j, 0)[:2]
     assert np.max(np.abs(rec.elements - ref)) < 1e-3
 
 
