@@ -187,9 +187,9 @@ def _reusable_points(checkpoint: CheckpointStore, zs: np.ndarray,
     return existing
 
 
-def _series_extras(records: list[PointRecord], n_points: int) -> list[dict]:
-    extras = [{"residuals": [], "gamma_re": [], "gamma_im": [],
-               "depth": [], "converged": []} for _ in range(n_points)]
+def _series_extras(records: list[PointRecord], bound: np.ndarray) -> list[dict]:
+    extras = [{"residuals": [], "gamma_re": [], "gamma_im": [], "depth": [],
+               "converged": [], "bound": b.ravel()} for b in bound]
     for rec in records:
         e = extras[rec.k]
         e["residuals"].append(float(rec.residual))
@@ -246,9 +246,14 @@ def cmd_sweep(args) -> int:
 
     n_conv = sum(r.converged for r in records)
     frac = n_conv / len(records)
-    g = assemble_matrices(records, list(range(prob.n_orb)), prob.n_orb, len(zs))
+    orbitals = list(range(prob.n_orb))
+    g = assemble_matrices(records, orbitals, prob.n_orb, len(zs))
+    # each element's bound sums those of the records that placed it
+    bound = assemble_matrices(
+        [replace(r, elements=np.full(len(orbitals), r.bound())) for r in records],
+        orbitals, prob.n_orb, len(zs)).real
     series_path = out / "series.jsonl"
-    write_series(series_path, zs, g, _series_extras(records, len(zs)))
+    write_series(series_path, zs, g, _series_extras(records, bound))
     csv_path = out / "spectrum.csv"
     write_spectrum_csv(csv_path, zs, g)
     manifest.register(series_path)
@@ -352,10 +357,13 @@ def cmd_oracle(args) -> int:
     if prob.n_modes > 14:
         raise CliFailure(EXIT_CONFIG,
                          f"{prob.n_modes} modes is beyond dense diagonalization")
+    sector = args.sector if args.sector is not None else prob.n_elec
+    if not 0 <= sector <= prob.n_modes:
+        raise CliFailure(EXIT_CONFIG,
+                         f"--sector {sector} outside 0..{prob.n_modes}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = ManifestWriter(out, cfg.to_json_dict())
-    sector = args.sector if args.sector is not None else prob.n_elec
     e0, psi0 = exact_ground(prob.h_op, n_particles=sector)
     oracle = GreensOracle(prob.h_op, e0, psi0, n_particles=sector)
     zs = cfg.grid.build().points
@@ -401,8 +409,8 @@ def cmd_compare(args) -> int:
         if not p.exists():
             raise CliFailure(EXIT_INGEST, f"series not found: {p}")
         _check_manifested(p, args.force)
-    zs_a, g_a, _ = read_series(path_a)
-    zs_b, g_b, _ = read_series(path_b)
+    zs_a, g_a, extras_a = read_series(path_a)
+    zs_b, g_b, extras_b = read_series(path_b)
     if zs_a.shape != zs_b.shape or not np.allclose(zs_a, zs_b, atol=1e-12):
         raise CliFailure(EXIT_COMPARE, "frequency grids do not align")
     if g_a.shape != g_b.shape:
@@ -418,6 +426,10 @@ def cmd_compare(args) -> int:
         "elements": {"max_abs": float(d_g.max()),
                      "mean_abs": float(d_g.mean())},
     }
+    bounds = [np.array([e["bound"] for e in ex]).reshape(g_a.shape)
+              for ex in (extras_a, extras_b) if all("bound" in e for e in ex)]
+    if bounds:
+        report["inside_bound"] = float(np.mean(d_g <= sum(bounds)))
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.tol is not None and d_g.max() > args.tol:
         raise CliFailure(EXIT_COMPARE,
@@ -505,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="particle-number sector (default: electron count)")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("compare", help="grid-aligned difference of two series")
+    p = sub.add_parser("compare", help="grid-aligned difference of two series "
+                                       "and the share inside stored error bounds")
     p.add_argument("series_a")
     p.add_argument("series_b")
     p.add_argument("--tol", type=float, default=None,

@@ -24,7 +24,6 @@ class MolecularIntegrals:
     g: np.ndarray
     e_const: float
     n_elec: int
-    restricted: bool = True
 
     def __post_init__(self):
         if self.h.shape != (self.n_orb, self.n_orb):
@@ -170,8 +169,7 @@ def rotate_orbitals(integrals: MolecularIntegrals, q: np.ndarray) -> MolecularIn
     g = np.einsum("pa,qb,rc,sd,pqrs->abcd", q, q, q, q, integrals.g,
                   optimize=True)
     return MolecularIntegrals(n_orb=n, h=h, g=g, e_const=integrals.e_const,
-                              n_elec=integrals.n_elec,
-                              restricted=integrals.restricted)
+                              n_elec=integrals.n_elec)
 
 
 def givens_rotation(n: int, i: int, j: int, angle: float) -> np.ndarray:

@@ -167,18 +167,14 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
                             rng: np.random.Generator,
                             theta0: np.ndarray | None = None,
                             depth0: int | None = None,
-                            epsilon: float | None = None,
                             ) -> CorrectionVectorSolution:
     """Rotosolve until g/<V|V> < epsilon, growing depth on stalls.
 
     ``theta0``/``depth0`` warm-start from a neighboring frequency.  The
-    returned angles are the best seen by measured cost.  ``epsilon``
-    (default ``options.epsilon``) is where the sweeps stop; ``converged``
-    always means the residual is below ``options.epsilon`` and gamma is
-    defined, so a tighter re-solve that runs out of sweeps still counts
-    as converged when it meets the sweep's threshold.
+    returned angles are the best seen by measured cost; ``converged``
+    means their residual is below ``options.epsilon`` and gamma is
+    defined.
     """
-    eps = options.epsilon if epsilon is None else epsilon
     v_norm = problem.measure_v_norm(rng)
     if v_norm < V_NORM_THRESHOLD:
         return CorrectionVectorSolution(
@@ -204,7 +200,7 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
         history.append(value)
         if value < best_val:
             best_theta, best_val, best_depth = theta.copy(), value, cur.depth
-        if value / v_norm < eps:
+        if value / v_norm < options.epsilon:
             break
         if (len(history) >= options.stall_sweeps
                 and cur.depth < max_depth
@@ -250,7 +246,7 @@ class PointRecord:
     residual: float
     gamma: complex
     converged: bool
-    attempts: int = 1
+    attempts: int = 1            # 1; checkpoints of re-solved points hold 2
 
     def to_json_dict(self) -> dict:
         return {
@@ -278,17 +274,28 @@ class PointRecord:
             converged=d["converged"], attempts=d.get("attempts", 1),
         )
 
+    def bound(self) -> float:
+        """Bound on each element's error: g vanishes at the correction
+        vector and Q(z) is normal with |eigenvalues| >= |Im z|, so the error
+        is at most |gamma| sqrt(residual) / |Im z|.  A point whose overlap
+        vanished stores 0 for elements of modulus <= 1 / |Im z|.  The error
+        of the prepared ground state is excluded."""
+        if self.gamma == 0 and not self.converged:
+            return 1.0 / abs(self.z.imag)
+        return abs(self.gamma) * np.sqrt(max(self.residual, 0.0)) / abs(self.z.imag)
 
-def _point_rng(seed: int, branch: str, orbital: int, k: int, attempt: int):
+
+def _point_rng(seed: int, branch: str, orbital: int, k: int):
+    # the constant 0 keeps the draws that existing checkpoints were made with
     return np.random.default_rng(np.random.SeedSequence(
-        [seed & 0xFFFFFFFF, _BRANCH_CODE[branch], orbital, k, attempt]))
+        [seed & 0xFFFFFFFF, _BRANCH_CODE[branch], orbital, k, 0]))
 
 
 def _stored_form(rec: PointRecord) -> PointRecord:
     """Round-trip a record through its persisted text representation.
 
-    Warm starts, re-solve decisions, and matrix assembly then consume the
-    same canonicalized floats whether the record was just computed or was
+    Warm starts, matrix assembly and error bounds then consume the same
+    canonicalized floats whether the record was just computed or was
     loaded back from a checkpoint, which keeps interrupted-and-resumed runs
     byte-identical to uninterrupted ones.
     """
@@ -316,11 +323,10 @@ def solve_column(h: PauliSum, e0: float, gs_circuit: Circuit,
                  on_point=None) -> list[PointRecord]:
     """March one (orbital, branch) chain across the grid in order.
 
-    Each frequency warm-starts from its predecessor.  After the pass, any
-    interior point whose diagonal magnitude deviates more than 20% from both
-    neighbors is re-solved at epsilon/10 with a fresh sub-seed.  ``n_elec``
-    (electrons in the reference state) switches on the sector penalty for
-    the N+1 / N-1 target space.
+    Each frequency is solved once, warm-started from its predecessor; its
+    record's residual bounds its error (``PointRecord.bound``), so no point
+    is judged by its neighbours.  ``n_elec`` (electrons in the reference
+    state) switches on the sector penalty for the N+1 / N-1 target space.
     """
     if branch not in _BRANCH_SIGN:
         raise ValueError(f"unknown branch {branch!r}")
@@ -340,7 +346,7 @@ def solve_column(h: PauliSum, e0: float, gs_circuit: Circuit,
     for k, z in enumerate(zs):
         rec = existing.get(k)
         if rec is None:
-            rng = _point_rng(seed, branch, orbital, k, 0)
+            rng = _point_rng(seed, branch, orbital, k)
             theta0, depth0 = prev if prev is not None else (None, None)
             sol = solve_correction_vector(problem, complex(z), spec, options,
                                           rng, theta0=theta0, depth0=depth0)
@@ -356,33 +362,6 @@ def solve_column(h: PauliSum, e0: float, gs_circuit: Circuit,
         prev = (rec.theta, rec.depth)
         records.append(rec)
 
-    pos = orbitals.index(orbital)
-    diag = np.array([abs(r.elements[pos]) for r in records])
-    floor = 1e-12
-    for k in range(1, len(records) - 1):
-        if records[k].attempts > 1:
-            continue
-        left, mid, right = diag[k - 1], diag[k], diag[k + 1]
-        if (abs(mid - left) > 0.2 * max(left, floor)
-                and abs(mid - right) > 0.2 * max(right, floor)):
-            rng = _point_rng(seed, branch, orbital, k, 1)
-            warm = records[k - 1]
-            sol = solve_correction_vector(
-                problem, complex(zs[k]), spec, options, rng,
-                theta0=warm.theta, depth0=warm.depth,
-                epsilon=options.epsilon / 10.0)
-            if sol.residual <= records[k].residual or not records[k].converged:
-                spec_at = replace(spec, depth=sol.depth)
-                elements = _column_elements(problem, spec_at, sol,
-                                            element_ops, rng)
-                rec = _stored_form(PointRecord(
-                    k=k, z=complex(zs[k]), orbital=orbital, branch=branch,
-                    elements=elements, theta=sol.theta, depth=sol.depth,
-                    sweeps=sol.sweeps, residual=sol.residual, gamma=sol.gamma,
-                    converged=sol.converged, attempts=2))
-                records[k] = rec
-                if on_point is not None:
-                    on_point(rec)
     return records
 
 

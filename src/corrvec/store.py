@@ -81,7 +81,9 @@ def series_lines(zs: np.ndarray, g: np.ndarray,
     """One JSON line per frequency: z, flattened G (re/im), trace spectrum.
 
     ``extras`` supplies per-point diagnostic fields (residuals, gamma,
-    depth, ...) merged into each record.
+    depth, ...) merged into each record.  A sweep adds ``bound``, flattened
+    like ``g_re``: each element's error bound from its solves' residuals,
+    which excludes the error of the prepared ground state.
     """
     from .greens import trace_spectrum
 

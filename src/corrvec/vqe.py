@@ -18,7 +18,6 @@ advances by one gate range per slot.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -157,13 +156,22 @@ class ExactCost:
         # the next sweep's full evaluation checks
         self.closed: tuple[np.ndarray, float] | None = None
 
-    def matrix(self, pair: np.ndarray) -> np.ndarray:
-        """K[i, j] = <pair_i|M|pair_j> for a (2, 2^m) pair of states."""
+    def matrix(self, pair: np.ndarray) -> tuple[np.ndarray, float]:
+        """K[i, j] = <pair_i|M|pair_j> for a (2, 2^m) pair of states, and
+        the size of the terms summed into K: max |<pair|ops|pair>| plus
+        max |<pair|w>|^2.  Round-off in K is a few eps times that size."""
         k = pair.conj() @ sum(apply_sum(op, pair) for op in self.ops).T
+        scale = float(np.abs(k).max())
         if self.w is not None:
             x = pair @ self.w.conj()
             k -= np.outer(x.conj(), x)
-        return k
+            scale += float(np.abs(x).max()) ** 2
+        return k, scale
+
+
+# a slot's sinusoid is flat when its amplitude is within round-off of the
+# terms summed into its 2x2 matrix
+_FLAT = 64 * np.finfo(float).eps
 
 
 def _check_carried(value: float, carried: float, where: str) -> None:
@@ -183,7 +191,8 @@ def rotosolve_sweep(cost, theta: np.ndarray, *,
     and evaluated again after the move, which is the next slot's value at
     its current angle.  With ``exact`` (the same cost in exact form) the
     sweep calls ``cost`` once, at the start, and reads every slot's
-    sinusoid off one pair run; a slot whose sinusoid is flat keeps its
+    sinusoid off one pair run; a slot whose sinusoid is flat, its
+    amplitude within round-off of the terms summed into it, keeps its
     angle.  Each slot's value at its current angle must then equal the
     carried one, the full evaluation at slot 0 and the previous slot's
     closed-form minimum after that, or AssertionError is raised.
@@ -225,7 +234,7 @@ def _pair_sweep(exact: ExactCost, theta: np.ndarray,
         apply_gates(pair[1], [exact.generators[d]])
         pair[1] *= -1j
         apply_gates(pair, gates[pos + 1:], theta)
-        k = exact.matrix(pair)
+        k, scale = exact.matrix(pair)
         # f(t) = mean + amp_c cos t + amp_s sin t; relative to the current
         # angle f(base + x) = mean + rel_c cos x + rel_s sin x, the form the
         # probe path's update reads (2 rel_c = 2 f0 - f+ - f-,
@@ -239,7 +248,7 @@ def _pair_sweep(exact: ExactCost, theta: np.ndarray,
         rel_s = amp_s * c - amp_c * s
         _check_carried(mean + rel_c, current, f"slot {d}")
         amp = np.hypot(amp_c, amp_s)
-        if amp > 1e-12 * (1.0 + abs(mean)):
+        if amp > _FLAT * scale:
             theta[d] = wrap_angle(base - 0.5 * np.pi - np.arctan2(rel_c, rel_s))
             current = float(mean - amp)
         else:
@@ -252,9 +261,7 @@ def _pair_sweep(exact: ExactCost, theta: np.ndarray,
 class OptimizationTrace:
     sweeps: int = 0
     cost_history: list[float] = field(default_factory=list)
-    final_angles: np.ndarray | None = None
     converged: bool = False
-    wall_clock: float = 0.0
 
     def log_lines(self) -> str:
         return "".join(f"{i} {c:.12g}\n" for i, c in enumerate(self.cost_history))
@@ -280,7 +287,6 @@ def vqe_ground_state(h: PauliSum, spec: AnsatzSpec,
         raise ValueError("Hamiltonian must be hermitian")
     if h.width != spec.width:
         raise ValueError("ansatz width does not match the Hamiltonian")
-    started = time.perf_counter()
     if rng is None:
         rng = settings.make_rng()
     circ = build_hea(spec)
@@ -314,7 +320,5 @@ def vqe_ground_state(h: PauliSum, spec: AnsatzSpec,
             if abs(recent - previous) < tol:
                 trace.converged = True
                 break
-    trace.final_angles = theta
-    trace.wall_clock = time.perf_counter() - started
     e0 = sample_pauli_expectation(circ, theta, h, settings, noise, rng)
     return float(e0), theta, trace

@@ -71,6 +71,10 @@ def test_sweep_outputs(dimer_sweep):
     assert np.allclose(zs.imag, 0.05)
     assert all(all(e["converged"]) for e in extras)
     assert np.allclose(g[:, :2, :2], g[:, 2:, 2:])
+    # every line bounds each element's error, flattened like G
+    bound = np.array([e["bound"] for e in extras])
+    assert bound.shape == (3, 16)
+    assert np.all(bound >= 0) and np.all(bound[:, [0, 1, 4, 5]] > 0)
     csv_lines = (out / "spectrum.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "z_re,z_im,trace_spectrum,spectral_function"
     assert len(csv_lines) == 4
@@ -183,6 +187,9 @@ def test_config_errors_exit_2(tmp_path):
         (["ground-state"], {"active_space": [0.9]}),
         # a float field took a bool as 1.0
         (["ground-state"], {"mu": True}),
+        # a particle-number sector the 4 modes cannot hold
+        (["oracle", "--sector", "7"], {"grid": grid}),
+        (["oracle", "--sector", "-1"], {"grid": grid}),
     ):
         probe = write_config(tmp_path / "probe.json", out_dir=str(probe_out),
                              **overrides)
@@ -220,6 +227,21 @@ def test_compare_command(dimer_sweep, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["elements"]["max_abs"] == 0.0
     assert report["trace_spectrum"]["max_abs"] == 0.0
+    assert report["inside_bound"] == 1.0
+
+    # every variational element lies within its bound of the exact one
+    oracle_out = tmp_path / "oracle"
+    assert run("oracle", "--config", str(dimer_sweep["config"]),
+               "--out", str(oracle_out)) == 0
+    capsys.readouterr()
+    assert run("compare", str(series), str(oracle_out / "series.jsonl")) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["elements"]["max_abs"] > 0
+    assert report["inside_bound"] == 1.0
+    # the oracle's series carries no bound, so neither does its self-compare
+    assert run("compare", str(oracle_out / "series.jsonl"),
+               str(oracle_out / "series.jsonl")) == 0
+    assert "inside_bound" not in json.loads(capsys.readouterr().out)
 
     # tampering with a manifested input is refused
     loose = tmp_path / "loose.jsonl"

@@ -48,9 +48,9 @@ def recorded_sweep(cost, theta, exact):
     matrix = exact.matrix
 
     def recording(pair):
-        k = matrix(pair)
+        k, scale = matrix(pair)
         seen.append((pair.copy(), k))
-        return k
+        return k, scale
 
     exact.matrix = recording
     final, value = rotosolve_sweep(cost, theta, exact=exact)

@@ -176,23 +176,52 @@ def test_exact_cost_simulates_once(h2_hamiltonian, h2_gs, monkeypatch, rng):
     assert value == pytest.approx(dense, abs=1e-10)
 
 
-def test_tight_resolve_that_meets_epsilon_is_converged(h2_hamiltonian, h2_gs):
-    """A re-solve stops at epsilon/10 but is judged against the sweep's
-    epsilon: running out of sweeps below that threshold is convergence."""
+def test_converged_means_residual_below_epsilon(h2_hamiltonian, h2_gs):
+    """A solve that runs out of sweeps is converged exactly when its
+    residual is below epsilon and gamma is defined."""
     problem = particle_problem(h2_hamiltonian, h2_gs)
     spec = AnsatzSpec(width=4, depth=2)
     options = SolverOptions(epsilon=0.05, max_sweeps=1, extra_depth=0)
     sol = solve_correction_vector(problem, 1.0 + 0.2j, spec, options,
-                                  np.random.default_rng(5), epsilon=1e-9)
+                                  np.random.default_rng(5))
     assert sol.sweeps == options.max_sweeps
-    assert 1e-9 < sol.residual < options.epsilon
+    assert sol.residual < options.epsilon
     assert sol.gamma != 0
     assert sol.converged
 
     strict = replace(options, epsilon=sol.residual / 2)
     sol = solve_correction_vector(problem, 1.0 + 0.2j, spec, strict,
-                                  np.random.default_rng(5), epsilon=1e-9)
+                                  np.random.default_rng(5))
+    assert sol.residual >= strict.epsilon
     assert not sol.converged
+
+
+def test_each_point_is_solved_once(lih_cas_hamiltonian, monkeypatch):
+    """LiH CAS(2,2) on a coarse grid, where G is steep between neighbours:
+    every point gets exactly one solve, whatever its neighbours hold."""
+    h = lih_cas_hamiltonian
+    spec = AnsatzSpec(width=4, depth=3)
+    rng = np.random.default_rng(7)
+    theta0 = hf_start_angles(spec, [0, 2], jitter=0.02, rng=rng)
+    pen = number_penalty(4, 2, 1.0) + total_spin_squared(2)
+    e0, theta, _ = vqe_ground_state(h, spec, MeasurementSettings(), NoiseModel(),
+                                    tol=1e-6, penalty=pen, theta0=theta0)
+    zs = np.linspace(-0.8, 0.0, 3) + 0.05j
+    calls = []
+    real_solve = solver.solve_correction_vector
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_correction_vector", counting)
+    records = sweep_columns(h, e0, build_hea(spec).bound(theta), zs, [0, 1],
+                            spec, SolverOptions(max_sweeps=4),
+                            MeasurementSettings(), NoiseModel(), seed=7,
+                            n_elec=2)
+    assert len(records) == 12
+    assert len(calls) == len(records)
+    assert all(r.attempts == 1 for r in records)
 
 
 def test_point_record_roundtrip():
@@ -213,6 +242,17 @@ def test_point_record_roundtrip():
     legacy = rec.to_json_dict()
     del legacy["attempts"]
     assert PointRecord.from_json_dict(legacy).attempts == 1
+
+
+def test_point_bound_from_residual_and_gamma():
+    rec = PointRecord(k=0, z=0.3 + 0.05j, orbital=0, branch=PARTICLE,
+                      elements=np.array([0.1 + 0.2j]), theta=np.zeros(1),
+                      depth=1, sweeps=3, residual=4e-4, gamma=3 - 4j,
+                      converged=True)
+    assert rec.bound() == pytest.approx(5 * 0.02 / 0.05)
+    # a vanished overlap stores 0, which is off by at most 1 / |Im z|
+    lost = replace(rec, elements=np.zeros(1), gamma=0j, converged=False)
+    assert lost.bound() == pytest.approx(1 / 0.05)
 
 
 def test_assemble_matrices_placement():

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from corrvec.circuits import MeasurementSettings, NoiseModel, run_pure
+from corrvec.circuits import (Circuit, MeasurementSettings, NoiseModel, run_pure,
+                              sample_pauli_expectation)
 from corrvec.fermion import BlockedSpinOrbitals, number_penalty, total_spin_squared
+from corrvec.pauli import PauliSum
 from corrvec.vqe import (
     AnsatzSpec,
+    ExactCost,
     build_hea,
     grow_hea_angles,
     hf_start_angles,
@@ -174,6 +177,27 @@ def test_flat_slots_keep_their_angle(h2_hamiltonian, rng):
     assert trace.sweeps == 3
     assert np.array_equal(theta[first_rz], theta0[first_rz])
     assert not np.array_equal(theta, theta0)
+
+
+def test_small_slots_of_large_terms_move():
+    """f(t) = 1e-13 cos t, the difference of two O(1) terms, is far above
+    their round-off: exact sweeps move the slot to its minimum at +-pi, as
+    the probe path does, instead of calling it flat."""
+    circ = Circuit(1)
+    circ.add("RY", 0, slot=0)
+    op = PauliSum(1, [("I", 0.5), ("Z", 0.5 + 1e-13)])
+    w = np.array([1.0, 0.0], dtype=complex)
+
+    def cost(theta):
+        psi = run_pure(circ, theta)
+        return (sample_pauli_expectation(circ, theta, op, MeasurementSettings(),
+                                         NoiseModel()) - abs(psi[0]) ** 2)
+
+    for start in (0.0, 0.3):
+        for exact in (ExactCost(circ, [op], w), None):
+            theta, value = rotosolve_sweep(cost, np.array([start]), exact=exact)
+            assert abs(abs(theta[0]) - np.pi) < 1e-2, (start, exact)
+            assert value == pytest.approx(-1e-13, abs=1e-15)
 
 
 def test_vqe_reaches_h2_ground_state(h2_hamiltonian, h2_ground, rng):
