@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +23,7 @@ from .config import ConfigError, RunConfig, load_config
 from .fermion import BlockedSpinOrbitals, number_penalty, total_spin_squared
 from .greens import (dyson_embed, nondyson_embed, spin_up_block, trace_spectrum)
 from .molham import build_cas, fock_matrix, hubbard_dimer, read_fcidump
-from .oracle import GreensOracle, exact_ground
+from .oracle import MAX_DENSE_QUBITS, GreensOracle, exact_ground
 from .solver import PointRecord, assemble_matrices, sweep_columns
 from .store import (CheckpointStore, ManifestWriter, dumps_canonical,
                     fmt_float, read_series, sha256_of_file, write_series,
@@ -76,15 +77,13 @@ class Problem:
                 raise IngestError(str(exc))
         else:
             self.integrals = hubbard_dimer(cfg.hamiltonian.t, cfg.hamiltonian.u)
-        self.partition = None
         if cfg.active_space is not None:
             for a in cfg.active_space:
                 if a >= self.integrals.n_orb:
                     raise IngestError(
                         f"active orbital {a} outside the {self.integrals.n_orb}"
                         f"-orbital problem")
-            self.partition, self.problem_integrals = build_cas(
-                self.integrals, cfg.active_space)
+            self.problem_integrals = build_cas(self.integrals, cfg.active_space)
         else:
             self.problem_integrals = self.integrals
         self.h_op = self.problem_integrals.to_qubits(mu=cfg.mu)
@@ -208,34 +207,30 @@ def cmd_sweep(args) -> int:
     spec = prob.ansatz()
     theta0 = prob.gs_start(spec)
     out = Path(cfg.out_dir)
-    zs = cfg.grid.build().points
+    zs = cfg.grid.points()
     checkpoint = CheckpointStore(out / "checkpoint.jsonl")
     existing = _reusable_points(checkpoint, zs, out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = ManifestWriter(out, cfg.to_json_dict())
 
     gs_path = out / "ground_state.json"
-    if gs_path.exists():
-        with open(gs_path) as fh:
-            payload = json.load(fh)
-        e0 = float(payload["e0"])
-        theta = np.asarray(payload["angles"], dtype=float)
-        if theta.shape != (spec.n_slots,):
-            raise CliFailure(EXIT_CONFIG,
-                             "stored ground state does not match the ansatz")
-        manifest.stage("ground-state", "reused", e0=e0)
-    else:
+    reused = gs_path.exists()
+    if not reused:
         e0, theta, trace = _run_ground_state(prob, spec, theta0)
-        for f in _persist_ground_state(out, e0, theta, trace):
-            manifest.register(f)
+        _persist_ground_state(out, e0, theta, trace)
         manifest.stage("ground-state", "ok", e0=float(e0), sweeps=trace.sweeps,
                        converged=bool(trace.converged))
-        # continue from the canonicalized values on disk, so a later resume
-        # reads exactly what this run used
-        with open(gs_path) as fh:
-            payload = json.load(fh)
-        e0 = float(payload["e0"])
-        theta = np.asarray(payload["angles"], dtype=float)
+    # continue from the canonicalized values on disk, so a later resume
+    # reads exactly what this run used
+    with open(gs_path) as fh:
+        payload = json.load(fh)
+    e0 = float(payload["e0"])
+    theta = np.asarray(payload.get("angles"), dtype=float)
+    if theta.shape != (spec.n_slots,):
+        raise CliFailure(EXIT_CONFIG,
+                         "stored ground state does not match the ansatz")
+    if reused:
+        manifest.stage("ground-state", "reused", e0=e0)
 
     records = sweep_columns(
         prob.h_op, e0, build_hea(spec).bound(theta), zs,
@@ -259,10 +254,9 @@ def cmd_sweep(args) -> int:
     manifest.register(series_path)
     manifest.register(csv_path)
     manifest.register(out / "checkpoint.jsonl")
-    if gs_path.exists():
-        manifest.register(gs_path)
-        if (out / "trace.log").exists():
-            manifest.register(out / "trace.log")
+    manifest.register(gs_path)
+    if (out / "trace.log").exists():
+        manifest.register(out / "trace.log")
     status = "ok" if frac >= cfg.min_converged_fraction else "budget-exceeded"
     manifest.stage("sweep", status, points=len(records), converged=n_conv,
                    fraction=round(frac, 6))
@@ -283,8 +277,20 @@ def _embedded_series(mode: str, g_cas_spatial: np.ndarray, f: np.ndarray,
     return nondyson_embed(g_cas_spatial, f, active, zs), []
 
 
+def _read_series(path: Path):
+    try:
+        return read_series(path)
+    except ValueError as exc:
+        raise CliFailure(EXIT_INGEST, str(exc))
+
+
 def cmd_embed(args) -> int:
     cfg = _load_config(args)
+    if not (math.isfinite(args.inject_sigma) and args.inject_sigma >= 0):
+        raise CliFailure(EXIT_CONFIG, "--inject-sigma must be a finite "
+                                      "non-negative number")
+    if args.realizations < 1:
+        raise CliFailure(EXIT_CONFIG, "--realizations must be at least 1")
     if cfg.embedding == "none":
         raise CliFailure(EXIT_CONFIG, "embed requires embedding mode != 'none'")
     if cfg.hamiltonian.kind != "fcidump":
@@ -294,7 +300,7 @@ def cmd_embed(args) -> int:
     series_path = out / "series.jsonl"
     if not series_path.exists():
         raise CliFailure(EXIT_INGEST, f"no active-space series at {series_path}")
-    zs, g_cas, _ = read_series(series_path)
+    zs, g_cas, _ = _read_series(series_path)
     if g_cas.shape[1] != prob.n_modes:
         raise CliFailure(EXIT_INGEST,
                          "stored series does not match the active space")
@@ -354,7 +360,7 @@ def cmd_oracle(args) -> int:
     if cfg.grid is None:
         raise CliFailure(EXIT_CONFIG, "oracle requires a grid section")
     prob = _open_problem(cfg)
-    if prob.n_modes > 14:
+    if prob.n_modes > MAX_DENSE_QUBITS:
         raise CliFailure(EXIT_CONFIG,
                          f"{prob.n_modes} modes is beyond dense diagonalization")
     sector = args.sector if args.sector is not None else prob.n_elec
@@ -366,7 +372,7 @@ def cmd_oracle(args) -> int:
     manifest = ManifestWriter(out, cfg.to_json_dict())
     e0, psi0 = exact_ground(prob.h_op, n_particles=sector)
     oracle = GreensOracle(prob.h_op, e0, psi0, n_particles=sector)
-    zs = cfg.grid.build().points
+    zs = cfg.grid.points()
     g = oracle.series(zs)
     series_path = out / "series.jsonl"
     write_series(series_path, zs, g)
@@ -404,13 +410,15 @@ def _check_manifested(series_path: Path, force: bool) -> None:
 
 
 def cmd_compare(args) -> int:
+    if args.tol is not None and not args.tol >= 0:
+        raise CliFailure(EXIT_CONFIG, "--tol must be a non-negative number")
     path_a, path_b = Path(args.series_a), Path(args.series_b)
     for p in (path_a, path_b):
         if not p.exists():
             raise CliFailure(EXIT_INGEST, f"series not found: {p}")
         _check_manifested(p, args.force)
-    zs_a, g_a, extras_a = read_series(path_a)
-    zs_b, g_b, extras_b = read_series(path_b)
+    zs_a, g_a, extras_a = _read_series(path_a)
+    zs_b, g_b, extras_b = _read_series(path_b)
     if zs_a.shape != zs_b.shape or not np.allclose(zs_a, zs_b, atol=1e-12):
         raise CliFailure(EXIT_COMPARE, "frequency grids do not align")
     if g_a.shape != g_b.shape:

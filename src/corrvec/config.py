@@ -6,8 +6,9 @@ cannot silently drift from what the code actually reads.  The
 the runtime types ``SolverOptions``, ``MeasurementSettings`` and
 ``NoiseModel``: their fields are the section's keys, their defaults are
 what a missing key means, and their ``__post_init__`` holds every rule.
-A parsed config serializes back to an equivalent dictionary, which the
-manifest embeds as the run's permanent record.
+``GridConfig`` holds every frequency-grid rule and builds the grid's
+points.  A parsed config serializes back to an equivalent dictionary,
+which the manifest embeds as the run's permanent record.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
 
 from .circuits import MeasurementSettings, NoiseModel
 from .solver import SolverOptions
@@ -166,12 +169,16 @@ class GridConfig:
             return GridConfig("matsubara", None, hi, n, None)
         raise ConfigError(f"grid: unknown kind {kind!r}")
 
-    def build(self):
-        from .greens import matsubara_grid, retarded_grid
-
+    def points(self) -> np.ndarray:
+        """The complex frequencies in grid order.  A retarded grid spaces
+        omega_min..omega_max evenly at Im z = eta; a Matsubara grid spaces
+        (0, omega_max] logarithmically from omega_max/1000 on the imaginary
+        axis, which is continuous at zero temperature."""
         if self.kind == "retarded":
-            return retarded_grid(self.omega_min, self.omega_max, self.n, self.eta)
-        return matsubara_grid(self.omega_max, self.n)
+            return np.linspace(self.omega_min, self.omega_max, self.n) + 1j * self.eta
+        if self.n == 1:
+            return 1j * np.array([self.omega_max])
+        return 1j * np.geomspace(self.omega_max / 1000.0, self.omega_max, self.n)
 
     def to_json_dict(self) -> dict:
         if self.kind == "retarded":

@@ -1,65 +1,18 @@
-"""Frequency grids, Green's-function series, and active-space embedding.
+"""Green's-function read-off and active-space embedding: the trace
+spectrum, the mean-field resolvent, and the Dyson and inversion-free
+embeddings of an active-space series.  The frequency grids are built by
+``config.GridConfig``.
 
 Matrices are stored over spin orbitals in blocked ordering (all spin-up
 orbitals first).  Spin-restricted systems carry identical blocks, so the
-embedding algebra runs on the spatial (spin-up) block and the result is
-mirrored back.  Energies in Hartree, Green's functions in inverse Hartree.
+embedding algebra runs on the spatial (spin-up) block and returns
+spatial-orbital matrices.  Energies in Hartree, Green's functions in
+inverse Hartree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    kind: str                      # "retarded" or "matsubara"
-    points: np.ndarray             # complex frequencies, grid order
-    eta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("retarded", "matsubara"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
-        if self.points.ndim != 1 or self.points.shape[0] < 1:
-            raise ValueError("grid needs at least one point")
-        if self.kind == "retarded":
-            if self.eta <= 0:
-                raise ValueError("retarded grid requires eta > 0")
-            if not np.allclose(self.points.imag, self.eta):
-                raise ValueError("retarded points must sit at Im z = eta")
-        else:
-            if np.any(self.points.real != 0.0) or np.any(self.points.imag <= 0.0):
-                raise ValueError("matsubara points must be purely imaginary, Im > 0")
-
-    def __len__(self) -> int:
-        return int(self.points.shape[0])
-
-
-def retarded_grid(omega_min: float, omega_max: float, n: int, eta: float = 0.05) -> FrequencyGrid:
-    """Evenly spaced real frequencies shifted by the broadening i*eta."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    omegas = np.linspace(omega_min, omega_max, n)
-    return FrequencyGrid("retarded", omegas + 1j * eta, eta=eta)
-
-
-def matsubara_grid(omega_max: float, n: int = 64) -> FrequencyGrid:
-    """Log-spaced purely imaginary frequencies on (0, omega_max].
-
-    Zero temperature makes the imaginary axis continuous; log spacing from
-    omega_max/1000 resolves the low-frequency structure.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if omega_max <= 0:
-        raise ValueError("omega_max must be positive")
-    if n == 1:
-        omegas = np.array([omega_max])
-    else:
-        omegas = np.geomspace(omega_max / 1000.0, omega_max, n)
-    return FrequencyGrid("matsubara", 1j * omegas)
 
 
 def trace_spectrum(g: np.ndarray) -> float:
@@ -87,15 +40,6 @@ def g0(f: np.ndarray, z: complex) -> np.ndarray:
     if inv is None:
         raise np.linalg.LinAlgError("z coincides with a mean-field pole")
     return inv
-
-
-def expand_spin(spatial: np.ndarray) -> np.ndarray:
-    """Mirror a spatial-orbital matrix onto both spin blocks."""
-    n = spatial.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = spatial
-    out[n:, n:] = spatial
-    return out
 
 
 def spin_up_block(mat: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ spatial orbitals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,39 +152,6 @@ def write_fcidump(integrals: MolecularIntegrals, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def rotate_orbitals(integrals: MolecularIntegrals, q: np.ndarray) -> MolecularIntegrals:
-    """Re-express the integrals in an orthogonally rotated orbital basis.
-
-    Useful for working in non-canonical orbitals, where the mean-field
-    matrix picks up off-diagonal couplings.  The physics (spectrum, total
-    energy) is invariant; only the basis labels change.
-    """
-    n = integrals.n_orb
-    q = np.asarray(q, dtype=float)
-    if q.shape != (n, n):
-        raise ValueError(f"rotation shape {q.shape} != ({n}, {n})")
-    if not np.allclose(q.T @ q, np.eye(n), atol=1e-10):
-        raise ValueError("rotation must be orthogonal")
-    h = q.T @ integrals.h @ q
-    g = np.einsum("pa,qb,rc,sd,pqrs->abcd", q, q, q, q, integrals.g,
-                  optimize=True)
-    return MolecularIntegrals(n_orb=n, h=h, g=g, e_const=integrals.e_const,
-                              n_elec=integrals.n_elec)
-
-
-def givens_rotation(n: int, i: int, j: int, angle: float) -> np.ndarray:
-    """Orthogonal matrix mixing orbitals i and j by the given angle."""
-    if not (0 <= i < n and 0 <= j < n and i != j):
-        raise ValueError(f"need two distinct orbitals below {n}")
-    q = np.eye(n)
-    c, s = np.cos(angle), np.sin(angle)
-    q[i, i] = c
-    q[j, j] = c
-    q[i, j] = -s
-    q[j, i] = s
-    return q
-
-
 def hubbard_dimer(t: float, u: float) -> MolecularIntegrals:
     """Two-site Hubbard model at half filling, site basis.
 
@@ -202,18 +169,7 @@ def hubbard_dimer_energy(t: float, u: float) -> float:
     return 0.5 * (u - np.sqrt(u * u + 16.0 * t * t))
 
 
-@dataclass(frozen=True)
-class CasPartition:
-    """Orbital split for an active-space calculation on canonical orbitals."""
-
-    core: tuple[int, ...]
-    active: tuple[int, ...]
-    virtual: tuple[int, ...]
-    e_core: float
-    v_core: np.ndarray
-
-
-def build_cas(integrals: MolecularIntegrals, active: tuple[int, ...]) -> tuple[CasPartition, MolecularIntegrals]:
+def build_cas(integrals: MolecularIntegrals, active: tuple[int, ...]) -> MolecularIntegrals:
     """Freeze doubly occupied non-active orbitals into an effective problem.
 
     Occupied orbitals are the lowest n_elec/2 in file order (canonical
@@ -231,10 +187,8 @@ def build_cas(integrals: MolecularIntegrals, active: tuple[int, ...]) -> tuple[C
         raise ValueError("active-space construction requires an even electron count")
     n_occ = integrals.n_elec // 2
     core = tuple(p for p in range(n_occ) if p not in active)
-    virtual = tuple(p for p in range(n) if p not in active and p not in core)
+    # core lies inside the n_elec/2 occupied orbitals, so this is never negative
     n_act_elec = integrals.n_elec - 2 * len(core)
-    if n_act_elec < 0:
-        raise ValueError("core orbitals hold more electrons than available")
     if n_act_elec > 2 * len(active):
         raise ValueError(f"{n_act_elec} electrons cannot fit in {len(active)} active orbitals")
 
@@ -251,12 +205,9 @@ def build_cas(integrals: MolecularIntegrals, active: tuple[int, ...]) -> tuple[C
     idx = np.asarray(active)
     h_cas = (integrals.h + v_core)[np.ix_(idx, idx)]
     g_cas = g[np.ix_(idx, idx, idx, idx)]
-    cas = MolecularIntegrals(n_orb=len(active), h=h_cas, g=g_cas.copy(),
-                             e_const=integrals.e_const + e_core,
-                             n_elec=n_act_elec)
-    part = CasPartition(core=core, active=active, virtual=virtual,
-                        e_core=e_core, v_core=v_core)
-    return part, cas
+    return MolecularIntegrals(n_orb=len(active), h=h_cas, g=g_cas.copy(),
+                              e_const=integrals.e_const + e_core,
+                              n_elec=n_act_elec)
 
 
 def fock_matrix(integrals: MolecularIntegrals) -> np.ndarray:

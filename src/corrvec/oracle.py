@@ -2,8 +2,8 @@
 
 Everything here works with explicit matrices, independent of the circuit
 machinery, so it can certify the variational pipeline.  Registers are capped
-at 14 qubits; particle-number sectors keep the linear algebra small well
-before that limit.
+at MAX_DENSE_QUBITS; particle-number sectors keep the linear algebra small
+well before that limit.
 
 ``GreensOracle`` holds the Green's function in pole/weight form.  It
 diagonalises the N+1 and N-1 sector blocks once each, H = V diag(E) V+, and
@@ -21,9 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from .fermion import ladder_pauli
-from .pauli import PauliSum, _string_masks, string_action
+from .pauli import PauliSum, _string_masks, apply_sum
 
-_MAX_DENSE_QUBITS = 14
+# largest register the dense references build
+MAX_DENSE_QUBITS = 14
 # strings whose signs on the basis project_to_sector holds at once
 _CHUNK_STRINGS = 64
 
@@ -37,7 +38,7 @@ _SINGLE = {
 
 def materialize(op: PauliSum) -> np.ndarray:
     """Dense matrix of a weighted Pauli sum (guarded against large registers)."""
-    if op.width > _MAX_DENSE_QUBITS:
+    if op.width > MAX_DENSE_QUBITS:
         raise ValueError(f"refusing to materialize {op.width} qubits densely")
     dim = 1 << op.width
     out = np.zeros((dim, dim), dtype=complex)
@@ -118,16 +119,9 @@ def exact_ground(h_op: PauliSum, n_particles: int | None = None) -> tuple[float,
 
 
 def _mode_transitions(psi0: np.ndarray, m: int, dagger: bool) -> np.ndarray:
-    cols = []
-    for j in range(m):
-        op = ladder_pauli(j, dagger, m)
-        out = np.zeros_like(psi0)
-        for label, coeff in op:
-            flip, phases = string_action(label)
-            idx = np.arange(psi0.shape[0]) ^ flip
-            out[idx] += coeff * (phases * psi0)
-        cols.append(out)
-    return np.stack(cols, axis=1)
+    """Columns c+_j|psi0> (``dagger``) or c_j|psi0>, one per mode j."""
+    return np.stack([apply_sum(ladder_pauli(j, dagger, m), psi0)
+                     for j in range(m)], axis=1)
 
 
 class GreensOracle:

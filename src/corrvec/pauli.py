@@ -22,13 +22,6 @@ import numpy as np
 PAULI_CHARS = "IXYZ"
 PRUNE_TOL = 1e-14
 
-_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 # (a, b) -> (phase, c) with a.b = phase * c for single-qubit letters
 _PRODUCT = {
     ("I", "I"): (1.0, "I"), ("I", "X"): (1.0, "X"),
@@ -60,12 +53,6 @@ def multiply_strings(a: str, b: str) -> tuple[complex, str]:
         phase *= ph
         out.append(cc)
     return phase, "".join(out)
-
-
-def strings_commute(a: str, b: str) -> bool:
-    """True when the strings commute (even number of conflicting sites)."""
-    conflicts = sum(1 for ca, cb in zip(a, b) if ca != "I" and cb != "I" and ca != cb)
-    return conflicts % 2 == 0
 
 
 class PauliSum:
@@ -156,36 +143,6 @@ class PauliSum:
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(abs(c.imag) <= tol for c in self._terms.values())
-
-    def norm1(self) -> float:
-        """Sum of coefficient magnitudes."""
-        return float(sum(abs(c) for c in self._terms.values()))
-
-    def to_lines(self) -> str:
-        """Textual dump, one term per line: coeff_re coeff_im letters."""
-        lines = [
-            f"{c.real:+.17g} {c.imag:+.17g} {lbl}"
-            for lbl, c in sorted(self._terms.items())
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_lines(cls, text: str, width: int | None = None) -> "PauliSum":
-        terms = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 3:
-                raise ValueError(f"malformed Pauli term line: {raw!r}")
-            re_s, im_s, label = fields
-            terms.append((label, complex(float(re_s), float(im_s))))
-        if width is None:
-            if not terms:
-                raise ValueError("cannot infer width from an empty dump")
-            width = len(terms[0][0])
-        return cls(width, terms)
 
 
 def sum_multiply(a: PauliSum, b: PauliSum) -> PauliSum:

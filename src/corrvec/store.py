@@ -108,23 +108,37 @@ def write_series(path: str | Path, zs: np.ndarray, g: np.ndarray,
 
 
 def read_series(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    """Load a JSON-lines series back into (zs, G, extras)."""
+    """Load a JSON-lines series back into (zs, G, extras).
+
+    A line that is not a series record or whose G is empty, not square or
+    of another size than the first, and a file without points, raise
+    ValueError naming the path (and the line).
+    """
     zs, mats, extras = [], [], []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            zs.append(rec["z_re"] + 1j * rec["z_im"])
-            re = np.asarray(rec["g_re"], dtype=float)
-            im = np.asarray(rec["g_im"], dtype=float)
+            try:
+                rec = json.loads(line)
+                z = rec["z_re"] + 1j * rec["z_im"]
+                re = np.asarray(rec["g_re"], dtype=float)
+                im = np.asarray(rec["g_im"], dtype=float)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}, line {lineno}: not a series "
+                                 f"record ({exc!r})") from None
             n = int(round(math.sqrt(re.size)))
-            if n * n != re.size:
-                raise ValueError(f"{path}: G is not square at point {len(zs) - 1}")
+            if n < 1 or n * n != re.size or im.shape != re.shape or (
+                    mats and mats[0].shape != (n, n)):
+                raise ValueError(f"{path}, line {lineno}: G is not a "
+                                 f"non-empty square matrix of one size")
+            zs.append(z)
             mats.append((re + 1j * im).reshape(n, n))
             extras.append({k: v for k, v in rec.items()
                            if k not in ("z_re", "z_im", "g_re", "g_im")})
+    if not zs:
+        raise ValueError(f"{path}: the series holds no points")
     return np.asarray(zs), np.asarray(mats), extras
 
 
@@ -210,16 +224,3 @@ class ManifestWriter:
         text = json.dumps(_canonical(self.data), sort_keys=True, indent=2)
         write_text_atomic(target, text + "\n")
         return target
-
-
-def verify_manifest(out_dir: str | Path) -> list[str]:
-    """Return the files whose digest no longer matches (empty = intact)."""
-    out_dir = Path(out_dir)
-    with open(out_dir / "manifest.json") as fh:
-        data = json.load(fh)
-    bad = []
-    for rel, digest in data["files"].items():
-        target = out_dir / rel
-        if not target.exists() or sha256_of_file(target) != digest:
-            bad.append(rel)
-    return bad

@@ -60,7 +60,7 @@ def lih_cas(lih_integrals):
 
 @pytest.fixture(scope="session")
 def lih_cas_hamiltonian(lih_cas):
-    return lih_cas[1].to_qubits()
+    return lih_cas.to_qubits()
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,8 @@ frequency, the shifted system Q chi = rhs with Q = z + sign (H - e0), and
 the quadratic form Q+ (1 - |V><V|/<V|V>) Q whose kernel is the normalized
 correction vector.  All build their matrices with
 ``corrvec.oracle.materialize``; the spectral-weight sums read the poles and
-weights of a ``GreensOracle``.
+weights of a ``GreensOracle``.  ``expand_spin`` mirrors a spatial-orbital
+matrix onto both spin blocks, the layout of the oracle's matrices.
 """
 
 from __future__ import annotations
@@ -67,6 +68,15 @@ def spectral_sum_budget(oracle: GreensOracle, omegas: np.ndarray,
     """How much spectral weight the window misses: modes minus the exact
     broadened integral over [omega_min, omega_max]."""
     return float(oracle.m) - broadened_trace_integral(oracle, omegas, eta)
+
+
+def expand_spin(spatial: np.ndarray) -> np.ndarray:
+    """Mirror a spatial-orbital matrix onto both spin blocks."""
+    n = spatial.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    out[:n, :n] = spatial
+    out[n:, n:] = spatial
+    return out
 
 
 def shifted_matrix(h_op: PauliSum, e0: float, z: complex, sign: int) -> np.ndarray:

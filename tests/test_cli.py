@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from corrvec.cli import main
-from corrvec.store import read_series, sha256_of_file, verify_manifest
+from corrvec.store import read_series, sha256_of_file
+from manifest_check import verify_manifest
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -214,6 +215,9 @@ def test_oracle_command(tmp_path, capsys):
     assert verify_manifest(out) == []
     payload = json.loads((out / "ground_state.json").read_text())
     assert payload["sector"] == 2
+    # an oracle's ground state holds no angles for a sweep to start from
+    assert run("sweep", "--config", str(cfg)) == 2
+    assert not (out / "checkpoint.jsonl").exists()
 
     assert run("oracle", "--config", str(cfg), "--out", str(tmp_path / "o1"),
                "--sector", "1") == 0
@@ -258,6 +262,10 @@ def test_compare_command(dimer_sweep, tmp_path, capsys):
                "--tol", "0.5") == 5
     assert run("compare", str(series), str(shifted), "--force",
                "--tol", "3.0") == 0
+    # NaN would pass every difference and a negative tolerance none
+    for tol in ("nan", "-1"):
+        assert run("compare", str(series), str(shifted), "--force",
+                   "--tol", tol) == 2
     capsys.readouterr()
 
     other_grid = tmp_path / "grid.jsonl"
@@ -312,6 +320,17 @@ def test_embed_command(tmp_path, capsys):
     for mode in ("dyson", "nondyson"):
         assert report["modes"][mode]["mean_abs_spectrum_error"] > 0
 
+    written = (out / "embed_report.json").read_bytes()
+    for flags in (["--inject-sigma", "0.01", "--realizations", "0"],
+                  ["--inject-sigma", "0.01", "--realizations", "-2"],
+                  ["--inject-sigma", "nan"],
+                  ["--inject-sigma", "inf"],
+                  ["--inject-sigma", "-1"]):
+        assert run("embed", "--config", str(cfg_path), *flags) == 2, flags
+        # the message names the flag whose value is refused
+        assert flags[-2] in capsys.readouterr().err
+    assert (out / "embed_report.json").read_bytes() == written
+
 
 def test_embed_failure_modes(tmp_path):
     cfg = write_config(tmp_path / "dimer.json", out_dir=str(tmp_path / "o"))
@@ -325,6 +344,22 @@ def test_embed_failure_modes(tmp_path):
         "embedding": "dyson",
         "out_dir": str(tmp_path / "empty")}))
     assert run("embed", "--config", str(cfg_path)) == 3
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "series.jsonl").write_text("")
+    assert run("embed", "--config", str(cfg_path)) == 3
+
+
+def test_compare_refuses_malformed_series(tmp_path, capsys):
+    good = {"z_re": 0.1, "z_im": 0.05, "g_re": [1.0], "g_im": [0.0]}
+    not_json = tmp_path / "not_json.jsonl"
+    not_json.write_text(json.dumps(good) + "\n{not json\n")
+    no_z_im = tmp_path / "no_z_im.jsonl"
+    no_z_im.write_text(json.dumps({k: v for k, v in good.items()
+                                   if k != "z_im"}) + "\n")
+    for bad, line in ((not_json, 2), (no_z_im, 1)):
+        capsys.readouterr()
+        assert run("compare", str(bad), str(bad), "--force") == 3
+        assert f"{bad}, line {line}" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_out():

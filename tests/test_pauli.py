@@ -1,4 +1,4 @@
-"""Algebra of weighted Pauli-string sums: products, signs, serialization."""
+"""Algebra of weighted Pauli-string sums: products, signs, actions."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from corrvec.pauli import (
     apply_sum,
     multiply_strings,
     string_action,
-    strings_commute,
     sum_multiply,
     validate_string,
 )
@@ -52,21 +51,6 @@ def test_string_product_matches_dense(rng):
         assert np.allclose(lhs, rhs, atol=1e-14)
 
 
-def test_commutation_predicate(rng):
-    assert strings_commute("XX", "YY")
-    assert strings_commute("IZ", "ZI")
-    assert not strings_commute("XI", "ZI")
-    assert not strings_commute("XYZ", "ZYZ")
-    # agreement with the dense commutator on random pairs
-    for _ in range(20):
-        a = "".join(rng.choice(list("IXYZ"), size=3))
-        b = "".join(rng.choice(list("IXYZ"), size=3))
-        ma = materialize(PauliSum.from_label(a))
-        mb = materialize(PauliSum.from_label(b))
-        comm = np.abs(ma @ mb - mb @ ma).max()
-        assert strings_commute(a, b) == (comm < 1e-12)
-
-
 def test_construction_merges_and_prunes():
     op = PauliSum(2, [("XZ", 0.5), ("XZ", 0.5), ("YY", 1e-16)])
     assert len(op) == 1
@@ -102,25 +86,6 @@ def test_adjoint_and_hermiticity(rng):
     herm = a + a.adjoint()
     assert herm.is_hermitian()
     assert not (1j * herm + PauliSum.identity(3)).is_hermitian()
-
-
-def test_norm1():
-    op = PauliSum(2, [("XZ", 3.0), ("YY", -4j)])
-    assert op.norm1() == pytest.approx(7.0)
-
-
-def test_lines_roundtrip(rng):
-    a = random_sum(3, 6, rng)
-    back = PauliSum.from_lines(a.to_lines())
-    assert back == a
-    # comment and blank lines are ignored, width may be given explicitly
-    text = "# header\n\n+1 -0.5 XI\n"
-    op = PauliSum.from_lines(text, width=2)
-    assert op.coefficient("XI") == 1 - 0.5j
-    with pytest.raises(ValueError):
-        PauliSum.from_lines("1 2 3 4\n")
-    with pytest.raises(ValueError):
-        PauliSum.from_lines("")
 
 
 def test_string_action_matches_dense(rng):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from corrvec.store import (
     read_series,
     sha256_of_file,
     spectrum_csv,
-    verify_manifest,
     write_series,
     write_spectrum_csv,
     write_text_atomic,
 )
+from manifest_check import verify_manifest
 
 
 def test_fmt_float_canonicalizes():
@@ -86,6 +87,23 @@ def test_read_series_rejects_non_square(tmp_path):
     rec = {"z_re": 0.0, "z_im": 0.1, "g_re": [1.0, 2.0], "g_im": [0.0, 0.0]}
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(ValueError):
+        read_series(path)
+
+
+def test_read_series_names_path_and_line_of_a_malformed_record(tmp_path):
+    good = {"z_re": 0.0, "z_im": 0.1, "g_re": [1.0], "g_im": [0.0]}
+    path = tmp_path / "bad.jsonl"
+    for second in ("{not json", "[1, 2]",
+                   json.dumps({k: v for k, v in good.items() if k != "z_im"}),
+                   json.dumps(dict(good, g_re="x")),
+                   json.dumps(dict(good, g_im=[0.0, 0.0])),
+                   json.dumps(dict(good, g_re=[1.0] * 4, g_im=[0.0] * 4)),
+                   json.dumps(dict(good, g_re=[], g_im=[]))):
+        path.write_text(json.dumps(good) + "\n\n" + second + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3")):
+            read_series(path)
+    path.write_text("\n")
+    with pytest.raises(ValueError, match="no points"):
         read_series(path)
 
 

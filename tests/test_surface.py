@@ -1,0 +1,44 @@
+"""The package's public surface, read from the source text: the names the
+package root exports, and no public module-level function or class that
+only the tests use."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import corrvec
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "corrvec"
+
+# what the command line's callers in bench/ and tools/ import
+EXPORTS = {
+    "AnsatzSpec", "GreensOracle", "MolecularIntegrals", "build_hea", "cli",
+    "exact_ground", "hubbard_dimer", "hubbard_dimer_energy", "materialize",
+    "read_fcidump", "run_pure", "write_fcidump",
+}
+
+
+def test_package_exports_the_agreed_names():
+    assert set(corrvec.__all__) == EXPORTS
+    assert len(corrvec.__all__) == len(EXPORTS)
+    for name in corrvec.__all__:
+        assert getattr(corrvec, name, None) is not None, name
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """Each public function or class of a package module is referenced in
+    the package, bench/*.py or tools/*.py beyond its own definition."""
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    users = (modules + sorted((ROOT / "bench").glob("*.py"))
+             + sorted((ROOT / "tools").glob("*.py")))
+    words = Counter()
+    for path in users:
+        words.update(re.findall(r"\w+", path.read_text()))
+    # the definition itself is one occurrence
+    unused = [f"{module.name}:{node.name}" for module in modules
+              for node in ast.parse(module.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and words[node.name] < 2]
+    assert unused == []
