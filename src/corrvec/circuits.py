@@ -41,9 +41,10 @@ ancilla's off-diagonal block after the string's controlled-P suffix.
 ``_estimate`` turns one string's values into one number: in sampled mode a
 binomial draw of ``shots`` per level, then zero-noise extrapolation when
 there are two levels.  Seeded runs depend on the draw order: strings in
-sorted label order, p2 before boost * p2, and for an overlap the real part
-before the imaginary part.  Exact noiseless estimates skip the per-string
-step and apply the whole operator at once.
+sorted label order (``pauli.sorted_strings``; an expectation's identity
+string takes no draw), p2 before boost * p2, and for an overlap the real
+part before the imaginary part.  Exact noiseless estimates skip the
+per-string step and apply the whole operator at once.
 """
 
 from __future__ import annotations
@@ -55,11 +56,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import PauliSum, apply_sum, string_overlaps, string_traces
+from .pauli import (PauliSum, Strings, apply_sum, sorted_strings,
+                    string_overlaps, string_traces)
 
 ONE_QUBIT_KINDS = frozenset({"H", "X", "PHASE", "RX", "RY", "RZ"})
-TWO_QUBIT_KINDS = frozenset({"CX", "CY", "CZ", "CPHASE"})
-ROTATION_KINDS = frozenset({"PHASE", "RX", "RY", "RZ", "CPHASE"})
+TWO_QUBIT_KINDS = frozenset({"CX", "CY", "CZ"})
+ROTATION_KINDS = frozenset({"PHASE", "RX", "RY", "RZ"})
 
 # 2x2 matrices as row-major entries (u00, u01, u10, u11); a controlled gate
 # acts on its target with the matrix of the kind it controls
@@ -70,7 +72,9 @@ _ANGLELESS = {
     "Y": (0, -1j, 1j, 0),
     "Z": (1, 0, 0, -1),
 }
-_TARGET_KIND = {"CX": "X", "CY": "Y", "CZ": "Z", "CPHASE": "PHASE"}
+_TARGET_KIND = {"CX": "X", "CY": "Y", "CZ": "Z"}
+# the controlled gate of a Pauli string's letter, keyed by (x bit) + 2 * (z bit)
+_CONTROLLED_LETTER = {1: "CX", 2: "CZ", 3: "CY"}
 
 
 @dataclass(frozen=True)
@@ -118,17 +122,13 @@ class Circuit:
         for g in ccx_gates(c1, c2, t):
             self.gates.append(g)
 
-    def add_ccz(self, c1: int, c2: int, t: int) -> None:
-        self.add("H", t)
-        self.add_ccx(c1, c2, t)
-        self.add("H", t)
-
-    def add_controlled_pauli(self, control: int, label: str) -> None:
-        """Controlled application of a Pauli string, one 2-qubit gate per site."""
-        for q, ch in enumerate(label):
-            if ch == "I":
-                continue
-            self.add({"X": "CX", "Y": "CY", "Z": "CZ"}[ch], control, q)
+    def add_controlled_pauli(self, control: int, x: int, z: int) -> None:
+        """Controlled application of the Pauli string with masks ``(x, z)``,
+        one 2-qubit gate per site it acts on, in qubit order."""
+        for q in range((x | z).bit_length()):
+            kind = _CONTROLLED_LETTER.get((x >> q & 1) | (z >> q & 1) << 1)
+            if kind is not None:
+                self.add(kind, control, q)
 
     def extend(self, gates: Iterable[Gate]) -> None:
         for g in gates:
@@ -428,11 +428,10 @@ def sample_pauli_expectation(circ: Circuit, theta, op: PauliSum,
     # per string, its values at each level as Python floats, which the
     # scalar draw and ZNE handle faster than numpy scalars
     per_string = zip(*(vals.real.tolist() for _, vals in tables))
-    ident = "I" * op.width
-    total = op.coefficient(ident).real
-    for label, values in zip(tables[0][0], per_string):
-        if label != ident:
-            total += op.coefficient(label).real * _estimate(values, settings, rng)
+    total = 0.0
+    for (_, x, z, coeff), values in zip(tables[0][0], per_string):
+        # the identity (x = z = 0) sorts first; its value is exactly 1
+        total += coeff.real * (_estimate(values, settings, rng) if x or z else 1.0)
     return float(total)
 
 
@@ -449,9 +448,11 @@ def expectation_from_state(psi: np.ndarray, op: PauliSum) -> float:
 def make_controlled(circ: Circuit) -> Circuit:
     """Circuit on width+1 qubits applying ``circ`` when the top qubit is 1.
 
-    The control is qubit ``circ.width``.  Controlled rotations split into two
-    half-angle rotations around CNOTs, so slot bindings carry through with
-    scaled angles.  Toffolis from controlled CNOTs are emitted decomposed.
+    The control is qubit ``circ.width``.  ``circ`` holds the gates
+    ``build_hea`` emits: RX, RY and RZ rotations, bound or slotted, and CX.
+    Controlled rotations split into two half-angle rotations around CNOTs,
+    so slot bindings carry through with scaled angles.  Toffolis from
+    controlled CNOTs are emitted decomposed.
     """
     m = circ.width
     anc = m
@@ -459,17 +460,7 @@ def make_controlled(circ: Circuit) -> Circuit:
     out.n_slots = circ.n_slots
     for g in circ.gates:
         k = g.kind
-        if k == "H":
-            (q,) = g.qubits
-            out.add("RY", q, angle=-np.pi / 4)
-            out.add("CZ", anc, q)
-            out.add("RY", q, angle=np.pi / 4)
-        elif k == "X":
-            out.add("CX", anc, g.qubits[0])
-        elif k == "PHASE":
-            out.add("CPHASE", anc, g.qubits[0], angle=g.angle,
-                    slot=g.slot, scale=g.scale)
-        elif k in ("RZ", "RY", "RX"):
+        if k in ("RZ", "RY", "RX"):
             (q,) = g.qubits
             if k == "RX":
                 out.add("H", q)
@@ -482,8 +473,6 @@ def make_controlled(circ: Circuit) -> Circuit:
                 out.add("H", q)
         elif k == "CX":
             out.add_ccx(anc, g.qubits[0], g.qubits[1])
-        elif k == "CZ":
-            out.add_ccz(anc, g.qubits[0], g.qubits[1])
         else:
             raise ValueError(f"cannot control gate kind {k!r}")
     return out
@@ -542,34 +531,34 @@ class OverlapEngine:
         if settings.mode == "sampled" and rng is None:
             rng = settings.make_rng()
         if self.noise.enabled:
-            labels, rows = self._ancilla_overlaps(theta, op)
+            strings, rows = self._ancilla_overlaps(theta, op)
         else:
             if psi2 is None:
                 psi2 = run_pure(self.u2, theta)
             if settings.mode == "exact":
                 return complex(np.vdot(self.psi1, apply_sum(op, psi2)))
-            labels, overlaps = string_overlaps(op, self.psi1, psi2)
+            strings, overlaps = string_overlaps(op, self.psi1, psi2)
             rows = overlaps[None, :]
         total = 0.0 + 0j
-        for label, ws in zip(labels, zip(*rows.tolist())):
+        for (_, _, _, coeff), ws in zip(strings, zip(*rows.tolist())):
             z_re = _estimate([w.real for w in ws], settings, rng)
             z_im = _estimate([-w.imag for w in ws], settings, rng)
-            total += op.coefficient(label) * complex(z_re, -z_im)
+            total += coeff * complex(z_re, -z_im)
         return total
 
-    def _ancilla_overlaps(self, theta, op: PauliSum) -> tuple[list[str], np.ndarray]:
-        """Sorted labels of ``op`` and, per noise level and string, twice
+    def _ancilla_overlaps(self, theta, op: PauliSum) -> tuple[Strings, np.ndarray]:
+        """``sorted_strings(op)`` and, per noise level and string, twice
         the trace of the ancilla's off-diagonal block after the string's
         controlled-P suffix: the noisy <psi1|P|psi2>."""
         levels = _noise_levels(self.noise)
         prefixes = simulate(self.prefix, theta, self.noise)
         half = 1 << self.m
-        labels = sorted(op.terms)
-        rows = np.empty((len(levels), len(labels)), dtype=complex)
-        for s, label in enumerate(labels):
+        strings = sorted_strings(op)
+        rows = np.empty((len(levels), len(strings)), dtype=complex)
+        for s, (_, x, z, _) in enumerate(strings):
             suffix = Circuit(self.m + 1)
-            suffix.add_controlled_pauli(self.m, label)
+            suffix.add_controlled_pauli(self.m, x, z)
             for i, (rho, lvl) in enumerate(zip(prefixes, levels)):
                 rho_s = _evolve_density(rho.copy(), suffix.gates, None, lvl)
                 rows[i, s] = 2.0 * np.trace(rho_s[half:, :half])
-        return labels, rows
+        return strings, rows

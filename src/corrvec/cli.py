@@ -398,13 +398,16 @@ def _check_manifested(series_path: Path, force: bool) -> None:
     if not manifest_path.exists():
         message = f"{series_path} has no manifest"
     else:
-        with open(manifest_path) as fh:
-            data = json.load(fh)
-        digest = data.get("files", {}).get(series_path.name)
-        if digest is None:
-            message = f"{series_path.name} is not listed in {manifest_path}"
-        elif sha256_of_file(series_path) != digest:
-            message = f"{series_path} does not match its manifest digest"
+        try:
+            with open(manifest_path) as fh:
+                digest = json.load(fh).get("files", {}).get(series_path.name)
+        except (ValueError, AttributeError):
+            message = f"{manifest_path} is not a readable manifest"
+        else:
+            if digest is None:
+                message = f"{series_path.name} is not listed in {manifest_path}"
+            elif sha256_of_file(series_path) != digest:
+                message = f"{series_path} does not match its manifest digest"
     if message:
         raise CliFailure(EXIT_COMPARE, message + " (use --force to override)")
 

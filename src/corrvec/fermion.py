@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliSum
+from .pauli import PauliSum, weighted_sum
 
 
 @dataclass(frozen=True)
@@ -94,43 +94,36 @@ def hamiltonian_to_qubits(h: np.ndarray, g: np.ndarray, e_const: float,
     conv = BlockedSpinOrbitals(n_orb)
     m = conv.n_modes
 
-    acc: dict[str, complex] = {}
+    def parts():
+        yield e_const, PauliSum.identity(m)
+        if mu != 0.0:
+            yield -mu, number_operator(m)
+        for p in range(n_orb):
+            for q in range(n_orb):
+                if abs(h[p, q]) <= 1e-14:
+                    continue
+                for spin in (0, 1):
+                    a, b = conv.index(p, spin), conv.index(q, spin)
+                    yield h[p, q], _product_of_ladders([(a, True), (b, False)], m)
+        for p in range(n_orb):
+            for q in range(n_orb):
+                for r in range(n_orb):
+                    for s in range(n_orb):
+                        coeff = 0.5 * g[p, q, r, s]
+                        if abs(coeff) <= 1e-14:
+                            continue
+                        for sp in (0, 1):
+                            for sq in (0, 1):
+                                a = conv.index(p, sp)
+                                b = conv.index(q, sq)
+                                c = conv.index(s, sq)
+                                d = conv.index(r, sp)
+                                if a == b or c == d:
+                                    continue
+                                yield coeff, _product_of_ladders(
+                                    [(a, True), (b, True), (c, False), (d, False)], m)
 
-    def put(term: PauliSum, weight: float) -> None:
-        for lbl, c in term:
-            acc[lbl] = acc.get(lbl, 0.0) + weight * c
-
-    put(PauliSum.identity(m), e_const)
-    if mu != 0.0:
-        put(number_operator(m), -mu)
-
-    for p in range(n_orb):
-        for q in range(n_orb):
-            if abs(h[p, q]) <= 1e-14:
-                continue
-            for spin in (0, 1):
-                a, b = conv.index(p, spin), conv.index(q, spin)
-                put(_product_of_ladders([(a, True), (b, False)], m), h[p, q])
-
-    for p in range(n_orb):
-        for q in range(n_orb):
-            for r in range(n_orb):
-                for s in range(n_orb):
-                    coeff = 0.5 * g[p, q, r, s]
-                    if abs(coeff) <= 1e-14:
-                        continue
-                    for sp in (0, 1):
-                        for sq in (0, 1):
-                            a = conv.index(p, sp)
-                            b = conv.index(q, sq)
-                            c = conv.index(s, sq)
-                            d = conv.index(r, sp)
-                            if a == b or c == d:
-                                continue
-                            put(_product_of_ladders(
-                                [(a, True), (b, True), (c, False), (d, False)], m),
-                                coeff)
-    return PauliSum(m, acc)
+    return weighted_sum(m, parts())
 
 
 def number_penalty(m: int, target: int, strength: float) -> PauliSum:

@@ -21,19 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from .fermion import ladder_pauli
-from .pauli import PauliSum, _string_masks, apply_sum
+from .pauli import PauliSum, apply_sum, string_action
 
 # largest register the dense references build
 MAX_DENSE_QUBITS = 14
 # strings whose signs on the basis project_to_sector holds at once
 _CHUNK_STRINGS = 64
-
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def materialize(op: PauliSum) -> np.ndarray:
@@ -42,11 +35,9 @@ def materialize(op: PauliSum) -> np.ndarray:
         raise ValueError(f"refusing to materialize {op.width} qubits densely")
     dim = 1 << op.width
     out = np.zeros((dim, dim), dtype=complex)
-    for label, coeff in op:
-        term = np.ones((1, 1), dtype=complex)
-        for q in range(op.width - 1, -1, -1):
-            term = np.kron(term, _SINGLE[label[q]])
-        out += coeff * term
+    cols = np.arange(dim)
+    for (x, z), coeff in op.masks.items():
+        out[cols ^ x, cols] += coeff * string_action(x, z, op.width)
     return out
 
 
@@ -69,10 +60,11 @@ def project_to_sector(op: PauliSum, basis: np.ndarray) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     if dim == 0 or len(op) == 0:
         return out
-    labels, coeffs = zip(*op)
-    flips, z_masks, phase0 = (np.array(col) for col in
-                              zip(*map(_string_masks, labels)))
-    coeffs = np.array(coeffs) * phase0
+    keys, coeffs = zip(*op.masks.items())
+    flips, z_masks = np.array(keys).T
+    # P = i^{|x & z|} X^x Z^z: each string's phase on the basis state 0
+    coeffs = np.array(coeffs) * np.array([1, 1j, -1, -1j])[
+        np.bitwise_count(flips & z_masks) & 3]
     groups, group_of = np.unique(flips, return_inverse=True)
     summed = np.zeros((groups.shape[0], dim), dtype=complex)
     for lo in range(0, flips.shape[0], _CHUNK_STRINGS):

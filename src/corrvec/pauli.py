@@ -1,16 +1,25 @@
 """Weighted sums of Pauli strings on a fixed qubit register.
 
-A Pauli string is a plain ``str`` of letters from ``IXYZ``; position ``i``
-acts on qubit ``i``.  Qubit 0 is the least significant bit of a basis-state
-index, so the dense matrix of a string is ``kron(P[m-1], ..., P[0])``.
+A string is held as two integer bit masks (x, z), qubit q on bit q: x has
+bit q set where the string acts with X or Y, z where it acts with Y or Z.
+The string is P = i^{|x & z|} X^x Z^z, with |.| the number of set bits, so
+every Y is i X Z.  Qubit 0 is the least significant bit of a basis-state
+index, so P|b> = i^{|x & z|} (-1)^{|b & z|} |b ^ x> and the dense matrix of
+a string is ``kron(P[m-1], ..., P[0])``.  The product of two strings is the
+string (x1 ^ x2, z1 ^ z2) times i^k, k = |x1 & z1| + |x2 & z2| - |x3 & z3|
++ 2 |z1 & x2| mod 4.
+
+Text labels exist only where callers meet a sum: the constructor,
+``from_label``, ``identity``, ``terms``, iteration and ``coefficient`` take
+or give a ``str`` of letters from ``IXYZ``, letter q acting on qubit q.
 Coefficients are complex and terms with magnitude at or below PRUNE_TOL are
 dropped on construction, so the zero operator has no terms.
 
 A sum acts on states through forms compiled on first use and kept on the
 (immutable) sum: for ``apply_sum`` the strings that flip the same bits merge
 into one diagonal, and for the per-string estimators every string keeps its
-own row.  Either way a call is one vectorized gather, with no per-string
-Python loop.
+own row, next to its label and coefficient.  Either way a call is one
+vectorized gather, with no per-string Python loop.
 """
 
 from __future__ import annotations
@@ -19,56 +28,52 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-PAULI_CHARS = "IXYZ"
 PRUNE_TOL = 1e-14
 
-# (a, b) -> (phase, c) with a.b = phase * c for single-qubit letters
-_PRODUCT = {
-    ("I", "I"): (1.0, "I"), ("I", "X"): (1.0, "X"),
-    ("I", "Y"): (1.0, "Y"), ("I", "Z"): (1.0, "Z"),
-    ("X", "I"): (1.0, "X"), ("Y", "I"): (1.0, "Y"), ("Z", "I"): (1.0, "Z"),
-    ("X", "X"): (1.0, "I"), ("Y", "Y"): (1.0, "I"), ("Z", "Z"): (1.0, "I"),
-    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
-}
+# a sum's strings as (label, x, z, coeff) in sorted label order
+Strings = list[tuple[str, int, int, complex]]
+
+# i^k for k = 0..3
+_I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+# the letter of (x bit) + 2 * (z bit)
+_LETTERS = "IXZY"
 
 
-def validate_string(label: str, width: int) -> None:
+def _string_masks(label: str, width: int) -> tuple[int, int]:
+    """``(x, z)`` of a label of ``width`` letters from IXYZ."""
     if len(label) != width:
         raise ValueError(f"Pauli string {label!r} has length {len(label)}, expected {width}")
-    bad = set(label) - set(PAULI_CHARS)
+    bad = set(label) - set("IXYZ")
     if bad:
         raise ValueError(f"Pauli string {label!r} contains invalid letters {sorted(bad)}")
+    rev = label[::-1]
+    return int(rev.translate(_X_BITS), 2), int(rev.translate(_Z_BITS), 2)
 
 
-def multiply_strings(a: str, b: str) -> tuple[complex, str]:
-    """Product of two Pauli strings: a.b = phase * c with phase in {1,-1,i,-i}."""
-    if len(a) != len(b):
-        raise ValueError("Pauli strings of unequal length")
-    phase = 1.0 + 0j
-    out = []
-    for ca, cb in zip(a, b):
-        ph, cc = _PRODUCT[(ca, cb)]
-        phase *= ph
-        out.append(cc)
-    return phase, "".join(out)
+def _label(x: int, z: int, width: int) -> str:
+    return "".join(_LETTERS[(x >> q & 1) | (z >> q & 1) << 1] for q in range(width))
 
 
 class PauliSum:
     """Immutable weighted sum of Pauli strings on ``width`` qubits."""
 
+    # _terms maps (x, z) to the coefficient, in order of first occurrence;
     # _compiled and _table stay unset until an action first needs them
     __slots__ = ("width", "_terms", "_compiled", "_table")
 
     def __init__(self, width: int, terms: Mapping[str, complex] | Iterable[tuple[str, complex]] = ()):
         if width < 1:
             raise ValueError("register width must be at least 1")
-        merged: dict[str, complex] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for label, coeff in items:
-            validate_string(label, width)
-            merged[label] = merged.get(label, 0.0) + complex(coeff)
+        self._set(width, ((_string_masks(label, width), coeff) for label, coeff in items))
+
+    def _set(self, width: int, items: Iterable[tuple[tuple[int, int], complex]]) -> None:
+        """Merge ``((x, z), coeff)`` items in order and drop the negligible sums."""
+        merged: dict[tuple[int, int], complex] = {}
+        for key, coeff in items:
+            merged[key] = merged.get(key, 0.0) + complex(coeff)
         object.__setattr__(self, "width", width)
         object.__setattr__(
             self, "_terms",
@@ -88,13 +93,18 @@ class PauliSum:
 
     @property
     def terms(self) -> dict[str, complex]:
+        return dict(self)
+
+    @property
+    def masks(self) -> dict[tuple[int, int], complex]:
+        """The terms keyed by their ``(x, z)`` masks."""
         return dict(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def __iter__(self) -> Iterator[tuple[str, complex]]:
-        return iter(self._terms.items())
+        return ((_label(x, z, self.width), c) for (x, z), c in self._terms.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliSum):
@@ -102,11 +112,11 @@ class PauliSum:
         return self.width == other.width and self._terms == other._terms
 
     def __repr__(self) -> str:
-        parts = [f"({c:+.6g})*{lbl}" for lbl, c in sorted(self._terms.items())]
+        parts = [f"({c:+.6g})*{lbl}" for lbl, c in sorted(self)]
         return f"PauliSum({self.width}, {' + '.join(parts) or '0'})"
 
     def coefficient(self, label: str) -> complex:
-        return self._terms.get(label, 0.0 + 0j)
+        return self._terms.get(_string_masks(label, self.width), 0.0 + 0j)
 
     def _check_width(self, other: "PauliSum") -> None:
         if self.width != other.width:
@@ -117,9 +127,9 @@ class PauliSum:
             return NotImplemented
         self._check_width(other)
         merged = dict(self._terms)
-        for label, coeff in other._terms.items():
-            merged[label] = merged.get(label, 0.0) + coeff
-        return PauliSum(self.width, merged)
+        for key, coeff in other._terms.items():
+            merged[key] = merged.get(key, 0.0) + coeff
+        return _from_masks(self.width, merged.items())
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         if not isinstance(other, PauliSum):
@@ -132,64 +142,59 @@ class PauliSum:
     def __mul__(self, other):
         if isinstance(other, PauliSum):
             return sum_multiply(self, other)
-        return PauliSum(self.width, {k: v * other for k, v in self._terms.items()})
+        return _from_masks(self.width, ((k, v * other) for k, v in self._terms.items()))
 
     def __rmul__(self, scalar) -> "PauliSum":
-        return PauliSum(self.width, {k: v * scalar for k, v in self._terms.items()})
+        return _from_masks(self.width, ((k, v * scalar) for k, v in self._terms.items()))
 
     def adjoint(self) -> "PauliSum":
         """Hermitian conjugate; strings are self-adjoint so only coefficients conjugate."""
-        return PauliSum(self.width, {k: np.conj(v) for k, v in self._terms.items()})
+        return _from_masks(self.width, ((k, np.conj(v)) for k, v in self._terms.items()))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(abs(c.imag) <= tol for c in self._terms.values())
 
 
+def _from_masks(width: int, items: Iterable[tuple[tuple[int, int], complex]]) -> PauliSum:
+    op = object.__new__(PauliSum)
+    op._set(width, items)
+    return op
+
+
 def sum_multiply(a: PauliSum, b: PauliSum) -> PauliSum:
     """Operator product of two sums, merged and pruned."""
     a._check_width(b)
-    merged: dict[str, complex] = {}
-    for la, ca in a._terms.items():
-        for lb, cb in b._terms.items():
-            phase, lc = multiply_strings(la, lb)
-            merged[lc] = merged.get(lc, 0.0) + ca * cb * phase
-    return PauliSum(a.width, merged)
+    right = [(xb, zb, (xb & zb).bit_count(), cb) for (xb, zb), cb in b._terms.items()]
+    merged: dict[tuple[int, int], complex] = {}
+    for (xa, za), ca in a._terms.items():
+        ya = (xa & za).bit_count()
+        for xb, zb, yb, cb in right:
+            key = (xa ^ xb, za ^ zb)
+            k = ya + yb - (key[0] & key[1]).bit_count() + 2 * (za & xb).bit_count()
+            merged[key] = merged.get(key, 0.0) + ca * cb * _I_POWERS[k & 3]
+    return _from_masks(a.width, merged.items())
 
 
-def _string_masks(label: str) -> tuple[int, int, complex]:
-    """``(flip, z_mask, phase0)`` of one Pauli string: the bits it flips, the
-    bits whose value sets its sign, and i^(number of Ys).
+def weighted_sum(width: int, parts: Iterable[tuple[complex, PauliSum]]) -> PauliSum:
+    """Sum of weight * op over ``parts``, each coefficient accumulated in
+    order and the result pruned once, at the end."""
+    merged: dict[tuple[int, int], complex] = {}
+    for weight, op in parts:
+        for key, coeff in op._terms.items():
+            merged[key] = merged.get(key, 0.0) + weight * coeff
+    return _from_masks(width, merged.items())
 
-    P|b> = phase0 * (-1)^popcount(b & z_mask) |b ^ flip>, the sign convention
-    fixed by Y|0> = i|1>, Y|1> = -i|0>.
-    """
-    flip = 0
+
+def string_action(x: int, z: int, width: int) -> np.ndarray:
+    """Action of the string with masks ``(x, z)`` on basis states: the
+    ``phases`` of shape (2**width,) with P|b> = phases[b] * |b ^ x>."""
     # one product per Y, so every phase keeps the same signed zeros
     phase0 = 1.0 + 0j
-    z_mask = 0
-    for q, ch in enumerate(label):
-        if ch == "X":
-            flip |= 1 << q
-        elif ch == "Y":
-            flip |= 1 << q
-            z_mask |= 1 << q
-            phase0 *= 1j
-        elif ch == "Z":
-            z_mask |= 1 << q
-    return flip, z_mask, phase0
-
-
-def string_action(label: str) -> tuple[int, np.ndarray]:
-    """Action of one Pauli string on computational basis states.
-
-    Returns ``(flip, phases)`` such that P|b> = phases[b] * |b ^ flip>
-    for every basis index b.  ``phases`` has shape (2**m,).
-    """
-    flip, z_mask, phase0 = _string_masks(label)
-    b = np.arange(1 << len(label), dtype=np.uint64)
-    parity = np.bitwise_count(b & np.uint64(z_mask)) & 1
-    phases = phase0 * np.where(parity, -1.0, 1.0).astype(complex)
-    return flip, phases
+    for _ in range((x & z).bit_count()):
+        phase0 *= 1j
+    b = np.arange(1 << width, dtype=np.uint64)
+    parity = np.bitwise_count(b & np.uint64(z)) & 1
+    return phase0 * np.where(parity, -1.0, 1.0).astype(complex)
 
 
 def _compiled(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
@@ -203,11 +208,11 @@ def _compiled(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     if comp is None:
         dim = 1 << op.width
         merged: dict[int, np.ndarray] = {}
-        for label, coeff in op:
-            flip, phases = string_action(label)
-            acc = merged.get(flip)
+        for (x, z), coeff in op._terms.items():
+            phases = string_action(x, z, op.width)
+            acc = merged.get(x)
             if acc is None:
-                merged[flip] = coeff * phases
+                merged[x] = coeff * phases
             else:
                 acc += coeff * phases
         flips = np.fromiter(merged, dtype=np.intp, count=len(merged))
@@ -228,31 +233,35 @@ def apply_sum(op: PauliSum, psi: np.ndarray) -> np.ndarray:
     return np.einsum("gc,...gc->...c", diag, psi[..., idx])
 
 
-def _string_table(op: PauliSum) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """``(labels, idx, phases)`` over the strings in sorted label order:
-    P_s|b> = phases[s][b] |idx[s][b]>.  Built once per operator and kept."""
+def _string_table(op: PauliSum) -> tuple[Strings, np.ndarray, np.ndarray]:
+    """``(strings, idx, phases)`` with P_s|b> = phases[s][b] |idx[s][b]>.
+    Built once per operator and kept."""
     table = getattr(op, "_table", None)
     if table is None:
-        labels = sorted(op._terms)
+        strings = sorted((_label(x, z, op.width), x, z, c)
+                         for (x, z), c in op._terms.items())
         dim = 1 << op.width
-        actions = [string_action(label) for label in labels]
-        flips = np.array([f for f, _ in actions], dtype=np.intp)
-        phases = np.array([ph for _, ph in actions], dtype=complex).reshape(-1, dim)
-        table = (labels, np.arange(dim)[None, :] ^ flips[:, None], phases)
+        flips = np.array([x for _, x, _, _ in strings], dtype=np.intp)
+        phases = np.array([string_action(x, z, op.width) for _, x, z, _ in strings],
+                          dtype=complex).reshape(-1, dim)
+        table = (strings, np.arange(dim)[None, :] ^ flips[:, None], phases)
         object.__setattr__(op, "_table", table)
     return table
 
 
-def string_overlaps(op: PauliSum, bra: np.ndarray,
-                    ket: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Sorted labels of ``op`` and <bra|P|ket> for each of them."""
-    labels, idx, phases = _string_table(op)
-    return labels, np.einsum("sb,sb,b->s", bra.conj()[idx], phases, ket)
+def sorted_strings(op: PauliSum) -> Strings:
+    """The strings of ``op``, in the order every per-string estimate is drawn in."""
+    return _string_table(op)[0]
 
 
-def string_traces(op: PauliSum, rho: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Sorted labels of ``op`` and tr(rho P) for each of them."""
-    labels, idx, phases = _string_table(op)
-    return labels, np.einsum("sb,sb->s", phases,
-                             rho[np.arange(rho.shape[0]), idx])
+def string_overlaps(op: PauliSum, bra: np.ndarray, ket: np.ndarray) -> tuple[Strings, np.ndarray]:
+    """``sorted_strings(op)`` and <bra|P|ket> for each of them."""
+    strings, idx, phases = _string_table(op)
+    return strings, np.einsum("sb,sb,b->s", bra.conj()[idx], phases, ket)
 
+
+def string_traces(op: PauliSum, rho: np.ndarray) -> tuple[Strings, np.ndarray]:
+    """``sorted_strings(op)`` and tr(rho P) for each of them."""
+    strings, idx, phases = _string_table(op)
+    return strings, np.einsum("sb,sb->s", phases,
+                              rho[np.arange(rho.shape[0]), idx])

@@ -110,9 +110,10 @@ def write_series(path: str | Path, zs: np.ndarray, g: np.ndarray,
 def read_series(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[dict]]:
     """Load a JSON-lines series back into (zs, G, extras).
 
-    A line that is not a series record or whose G is empty, not square or
-    of another size than the first, and a file without points, raise
-    ValueError naming the path (and the line).
+    A line that is not a series record, whose G is empty, not square or
+    of another size than the first, or whose ``bound`` has not one entry
+    per element of G, and a file without points, raise ValueError naming
+    the path (and the line).
     """
     zs, mats, extras = [], [], []
     with open(path) as fh:
@@ -125,6 +126,7 @@ def read_series(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[dict]]:
                 z = rec["z_re"] + 1j * rec["z_im"]
                 re = np.asarray(rec["g_re"], dtype=float)
                 im = np.asarray(rec["g_im"], dtype=float)
+                bound = np.asarray(rec.get("bound", re), dtype=float)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}, line {lineno}: not a series "
                                  f"record ({exc!r})") from None
@@ -133,6 +135,9 @@ def read_series(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[dict]]:
                     mats and mats[0].shape != (n, n)):
                 raise ValueError(f"{path}, line {lineno}: G is not a "
                                  f"non-empty square matrix of one size")
+            if bound.shape != re.shape:
+                raise ValueError(f"{path}, line {lineno}: bound has not one "
+                                 f"entry per element of G")
             zs.append(z)
             mats.append((re + 1j * im).reshape(n, n))
             extras.append({k: v for k, v in rec.items()

@@ -4,8 +4,10 @@ out of the package.
 Every gate becomes its full-register 2^m x 2^m matrix built with ``np.kron``
 (qubit 0 is the least significant bit, so the factor of qubit q sits in
 position m-1-q), the depolarizing channel is the explicit Kraus sum over the
-16 Pauli pairs, and a Pauli sum acts string by string.  Slow by design: the
-point is independence from the local-gate kernel and the compiled Pauli form.
+16 Pauli pairs, and a Pauli sum acts string by string through the dense
+matrices of its letters.  Slow by design: the point is independence from the
+local-gate kernel and from the mask form of ``corrvec.pauli``; the letter
+product table here is the reference for the mask products.
 
 The estimator references read each string's exact value off these dense
 simulations (an overlap from the literal single-ancilla interference
@@ -21,7 +23,7 @@ import numpy as np
 
 from corrvec.circuits import (ONE_QUBIT_KINDS, Circuit, Gate, make_controlled,
                               sample_z_value, zne_extrapolate)
-from corrvec.pauli import PauliSum, string_action
+from corrvec.pauli import PauliSum
 
 EYE2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -33,6 +35,40 @@ PAULI = {
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
+
+# (a, b) -> (phase, c) with a.b = phase * c for single-qubit letters
+PRODUCT = {
+    ("I", "I"): (1.0, "I"), ("I", "X"): (1.0, "X"),
+    ("I", "Y"): (1.0, "Y"), ("I", "Z"): (1.0, "Z"),
+    ("X", "I"): (1.0, "X"), ("Y", "I"): (1.0, "Y"), ("Z", "I"): (1.0, "Z"),
+    ("X", "X"): (1.0, "I"), ("Y", "Y"): (1.0, "I"), ("Z", "Z"): (1.0, "I"),
+    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
+    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
+    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
+}
+
+
+def multiply_strings(a: str, b: str) -> tuple[complex, str]:
+    """Product of two Pauli strings letter by letter: a.b = phase * c."""
+    if len(a) != len(b):
+        raise ValueError("Pauli strings of unequal length")
+    phase = 1.0 + 0j
+    out = []
+    for ca, cb in zip(a, b):
+        ph, cc = PRODUCT[(ca, cb)]
+        phase *= ph
+        out.append(cc)
+    return phase, "".join(out)
+
+
+def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:
+    """Operator product of two sums, the double loop over their labels."""
+    merged: dict[str, complex] = {}
+    for la, ca in a:
+        for lb, cb in b:
+            phase, lc = multiply_strings(la, lb)
+            merged[lc] = merged.get(lc, 0.0) + ca * cb * phase
+    return PauliSum(a.width, merged)
 
 
 def one_qubit_matrix(kind: str, angle: float | None) -> np.ndarray:
@@ -66,7 +102,7 @@ def gate_matrix(gate: Gate, m: int, theta=None) -> np.ndarray:
     if gate.kind in ONE_QUBIT_KINDS:
         return embed({gate.qubits[0]: one_qubit_matrix(gate.kind, angle)}, m)
     c, t = gate.qubits
-    target = {"CX": "X", "CY": "Y", "CZ": "Z", "CPHASE": "PHASE"}[gate.kind]
+    target = {"CX": "X", "CY": "Y", "CZ": "Z"}[gate.kind]
     u = one_qubit_matrix(target, angle)
     return embed({c: P0}, m) + embed({c: P1, t: u}, m)
 
@@ -117,28 +153,22 @@ def run_density(circ: Circuit, theta=None, p2: float = 0.0) -> np.ndarray:
     return rho
 
 
+def string_matrix(label: str) -> np.ndarray:
+    """Dense matrix of one Pauli string."""
+    return embed({q: PAULI[ch] for q, ch in enumerate(label)}, len(label))
+
+
 def apply_string(label: str, psi: np.ndarray) -> np.ndarray:
     """P|psi> for one string."""
-    flip, phases = string_action(label)
-    out = np.empty_like(psi, dtype=complex)
-    out[np.arange(psi.shape[0]) ^ flip] = phases * psi
-    return out
+    return string_matrix(label) @ psi
 
 
 def apply_sum_loop(op: PauliSum, psi: np.ndarray) -> np.ndarray:
     """A|psi>, one string at a time."""
-    dim = 1 << op.width
-    out = np.zeros(dim, dtype=complex)
-    idx = np.arange(dim)
+    out = np.zeros(1 << op.width, dtype=complex)
     for label, coeff in op:
-        flip, phases = string_action(label)
-        out[idx ^ flip] += coeff * (phases * psi)
+        out += coeff * apply_string(label, psi)
     return out
-
-
-def string_matrix(label: str) -> np.ndarray:
-    """Dense matrix of one Pauli string."""
-    return embed({q: PAULI[ch] for q, ch in enumerate(label)}, len(label))
 
 
 def two_qubit_count(circ: Circuit) -> int:
@@ -176,7 +206,9 @@ def overlap_circuit(u1_bound: Circuit, u2: Circuit, label: str, phi: float) -> C
     cu2 = make_controlled(u2)
     circ.extend(cu2.gates)
     circ.n_slots = max(circ.n_slots, cu2.n_slots)
-    circ.add_controlled_pauli(anc, label)
+    for q, ch in enumerate(label):
+        if ch != "I":
+            circ.add("C" + ch, anc, q)
     circ.add("H", anc)
     return circ
 

@@ -32,13 +32,14 @@ from kron_reference import (
 
 
 def small_parameterized(width=2):
+    """A circuit of the gate kinds build_hea emits, which make_controlled takes."""
     circ = Circuit(width)
-    circ.add("H", 0)
+    circ.add("RX", 0, angle=0.7)
     circ.add("RY", 0, slot=0)
     circ.add("CX", 0, 1)
     circ.add("RZ", 1, slot=1)
     circ.add("RX", 1, slot=2)
-    circ.add("PHASE", 0, angle=0.3)
+    circ.add("RZ", 0, angle=0.3)
     return circ
 
 
@@ -107,6 +108,12 @@ def test_controlled_circuit_block_structure(rng):
     expect[:4, :4] = np.eye(4)
     expect[4:, 4:] = u
     assert np.allclose(u_full, expect, atol=1e-12)
+    # only the kinds build_hea emits can be controlled
+    for kind, qubits in (("H", (0,)), ("X", (0,)), ("CZ", (0, 1))):
+        other = Circuit(2)
+        other.add(kind, *qubits)
+        with pytest.raises(ValueError):
+            make_controlled(other)
 
 
 def test_depolarize_matches_pauli_kraus_sum(rng):
@@ -160,8 +167,8 @@ def test_density_expectation_matches_dense(rng):
     rho = run_density(circ, theta, p2=1e-3)
     op = PauliSum(2, [("XZ", 0.7), ("YI", -0.2), ("II", 0.4)])
     direct = np.trace(rho @ materialize(op))
-    labels, traces = string_traces(op, rho)
-    summed = sum(op.coefficient(label) * t for label, t in zip(labels, traces))
+    strings, traces = string_traces(op, rho)
+    summed = sum(coeff * t for (_, _, _, coeff), t in zip(strings, traces))
     assert summed == pytest.approx(complex(direct), abs=1e-12)
 
 
@@ -250,7 +257,7 @@ def test_noisy_expectation_and_zne_improvement():
 
 def hadamard_case(rng):
     u1 = Circuit(2)
-    u1.add("H", 0)
+    u1.add("RX", 0, angle=1.1)
     u1.add("RY", 0, angle=0.4)
     u1.add("CX", 0, 1)
     u1.add("RZ", 1, angle=-0.9)

@@ -362,6 +362,32 @@ def test_compare_refuses_malformed_series(tmp_path, capsys):
         assert f"{bad}, line {line}" in capsys.readouterr().err
 
 
+def test_compare_refuses_a_corrupt_manifest(dimer_sweep, tmp_path, capsys):
+    """A manifest that is not JSON pins nothing: the series is refused with
+    the unpinned exit code, not a traceback."""
+    out = tmp_path / "run"
+    shutil.copytree(dimer_sweep["out"], out)
+    (out / "manifest.json").write_text("{broken")
+    series = out / "series.jsonl"
+    capsys.readouterr()
+    assert run("compare", str(series), str(series)) == 5
+    assert "manifest" in capsys.readouterr().err
+    assert run("compare", str(series), str(series), "--force") == 0
+
+
+def test_compare_refuses_bounds_of_the_wrong_length(dimer_sweep, tmp_path, capsys):
+    records = [json.loads(line) for line in
+               (dimer_sweep["out"] / "series.jsonl").read_text().splitlines()]
+    for rec in records:
+        assert len(rec["bound"]) > 2
+        rec["bound"] = rec["bound"][:2]
+    bad = tmp_path / "short_bounds.jsonl"
+    bad.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    capsys.readouterr()
+    assert run("compare", str(bad), str(bad), "--force") == 3
+    assert f"{bad}, line 1" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_scipy_out():
     """Importing the command line loads no scipy: it would add to every
     command's start-up time and memory."""

@@ -13,8 +13,10 @@ import kron_reference as ref
 
 TOL = 1e-12
 ONE_QUBIT = ("H", "X", "PHASE", "RX", "RY", "RZ")
-TWO_QUBIT = ("CX", "CY", "CZ", "CPHASE")
-CONTROLLABLE_TWO_QUBIT = ("CX", "CZ")   # what make_controlled accepts
+TWO_QUBIT = ("CX", "CY", "CZ")
+# what make_controlled accepts: the gates build_hea emits
+CONTROLLABLE_ONE_QUBIT = ("RX", "RY", "RZ")
+CONTROLLABLE_TWO_QUBIT = ("CX",)
 
 # on top of the suite's derandomized profile (conftest.py)
 PROPERTY = settings(max_examples=30)
@@ -28,6 +30,7 @@ def random_circuits(draw, max_width=6, max_gates=12, controllable=False,
     if width is None:
         width = draw(st.integers(1, max_width))
     circ = Circuit(width)
+    one = CONTROLLABLE_ONE_QUBIT if controllable else ONE_QUBIT
     two = CONTROLLABLE_TWO_QUBIT if controllable else TWO_QUBIT
     for _ in range(draw(st.integers(0, max_gates))):
         if width > 1 and draw(st.booleans()):
@@ -35,7 +38,7 @@ def random_circuits(draw, max_width=6, max_gates=12, controllable=False,
             qubits = draw(st.lists(st.integers(0, width - 1), min_size=2,
                                    max_size=2, unique=True))
         else:
-            kind = draw(st.sampled_from(ONE_QUBIT))
+            kind = draw(st.sampled_from(one))
             qubits = [draw(st.integers(0, width - 1))]
         if kind not in ROTATION_KINDS:
             circ.add(kind, *qubits)
@@ -150,8 +153,8 @@ def test_compiled_density_expectation_matches_dense(op, seed):
     rho = a @ a.conj().T
     rho /= np.trace(rho)
     direct = complex(np.trace(rho @ materialize(op)))
-    labels, traces = string_traces(op, rho)
-    summed = sum((op.coefficient(label) * t for label, t in zip(labels, traces)), 0j)
+    strings, traces = string_traces(op, rho)
+    summed = sum((coeff * t for (_, _, _, coeff), t in zip(strings, traces)), 0j)
     assert abs(summed - direct) <= TOL
 
 
@@ -164,8 +167,9 @@ def test_string_tables_match_dense(op, seed):
     bra, ket = bra / np.linalg.norm(bra), ket / np.linalg.norm(ket)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T / np.trace(a @ a.conj().T)
-    labels, overlaps = string_overlaps(op, bra, ket)
+    strings, overlaps = string_overlaps(op, bra, ket)
     _, traces = string_traces(op, rho)
+    labels = [label for label, _, _, _ in strings]
     assert labels == sorted(op.terms)
     for label, ov, tr in zip(labels, overlaps, traces):
         p = materialize(PauliSum.from_label(label))

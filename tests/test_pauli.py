@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrvec.circuits import expectation_from_state
 from corrvec.oracle import materialize
@@ -9,12 +11,33 @@ from corrvec.pauli import (
     PRUNE_TOL,
     PauliSum,
     apply_sum,
-    multiply_strings,
     string_action,
+    string_overlaps,
+    string_traces,
     sum_multiply,
-    validate_string,
 )
-from kron_reference import apply_string
+from kron_reference import apply_string, multiply_sums, multiply_strings, string_matrix
+
+# on top of the suite's derandomized profile (conftest.py)
+PROPERTY = settings(max_examples=40)
+widths = st.integers(1, 14)
+
+
+def pauli_labels(width):
+    return st.text("IXYZ", min_size=width, max_size=width)
+
+
+@st.composite
+def pauli_sums(draw, width, max_terms=6):
+    drawn = draw(st.lists(pauli_labels(width), max_size=max_terms))
+    coeffs = draw(st.lists(st.complex_numbers(max_magnitude=3.0),
+                           min_size=len(drawn), max_size=len(drawn)))
+    return PauliSum(width, zip(drawn, coeffs))
+
+
+def bits(op):
+    """(label, real bits, imaginary bits) per term, in the sum's order."""
+    return [(label, c.real.hex(), c.imag.hex()) for label, c in op]
 
 
 def random_sum(width, n_terms, rng):
@@ -24,21 +47,32 @@ def random_sum(width, n_terms, rng):
 
 
 def test_validate_string_rejects_bad_input():
-    validate_string("IXYZ", 4)
+    assert PauliSum(4, {"IXYZ": 1.0}).coefficient("IXYZ") == 1.0
     with pytest.raises(ValueError):
-        validate_string("IX", 3)
+        PauliSum(3, {"IX": 1.0})
     with pytest.raises(ValueError):
-        validate_string("IXQZ", 4)
+        PauliSum(4, {"IXQZ": 1.0})
+    with pytest.raises(ValueError):
+        PauliSum.identity(4).coefficient("IXQZ")
+
+
+def test_masks_put_qubit_q_on_bit_q():
+    # X on qubit 0, Y on qubit 1, Z on qubit 2
+    assert PauliSum.from_label("XYZI").masks == {(0b0011, 0b0110): 1.0}
+    assert PauliSum.identity(3, 2.0).masks == {(0, 0): 2.0}
 
 
 def test_single_qubit_products():
-    assert multiply_strings("X", "Y") == (1j, "Z")
-    assert multiply_strings("Y", "X") == (-1j, "Z")
-    assert multiply_strings("Y", "Z") == (1j, "X")
-    assert multiply_strings("Z", "X") == (1j, "Y")
+    def product(a, b):
+        return list(PauliSum.from_label(a) * PauliSum.from_label(b))
+
+    assert product("X", "Y") == [("Z", 1j)]
+    assert product("Y", "X") == [("Z", -1j)]
+    assert product("Y", "Z") == [("X", 1j)]
+    assert product("Z", "X") == [("Y", 1j)]
     for p in "XYZ":
-        assert multiply_strings(p, p) == (1.0, "I")
-        assert multiply_strings("I", p) == (1.0, p)
+        assert product(p, p) == [("I", 1.0)]
+        assert product("I", p) == [(p, 1.0)]
 
 
 def test_string_product_matches_dense(rng):
@@ -46,9 +80,41 @@ def test_string_product_matches_dense(rng):
         a = "".join(rng.choice(list("IXYZ"), size=3))
         b = "".join(rng.choice(list("IXYZ"), size=3))
         phase, c = multiply_strings(a, b)
-        lhs = materialize(PauliSum.from_label(a)) @ materialize(PauliSum.from_label(b))
-        rhs = phase * materialize(PauliSum.from_label(c))
-        assert np.allclose(lhs, rhs, atol=1e-14)
+        lhs = string_matrix(a) @ string_matrix(b)
+        assert np.allclose(lhs, phase * string_matrix(c), atol=1e-14)
+        assert np.allclose(materialize(PauliSum.from_label(a) * PauliSum.from_label(b)),
+                           lhs, atol=1e-14)
+
+
+@PROPERTY
+@given(st.data())
+def test_mask_products_match_letter_table(data):
+    width = data.draw(widths)
+    a, b = data.draw(pauli_labels(width)), data.draw(pauli_labels(width))
+    phase, c = multiply_strings(a, b)
+    assert list(PauliSum.from_label(a) * PauliSum.from_label(b)) == [(c, phase)]
+
+
+@PROPERTY
+@given(st.data())
+def test_sum_multiply_matches_label_double_loop(data):
+    width = data.draw(widths)
+    a, b = data.draw(pauli_sums(width)), data.draw(pauli_sums(width))
+    assert bits(sum_multiply(a, b)) == bits(multiply_sums(a, b))
+
+
+@PROPERTY
+@given(st.data())
+def test_string_tables_list_sorted_labels(data):
+    width = data.draw(widths)
+    op = data.draw(pauli_sums(width))
+    dim = 1 << width
+    # the values are not read here, so zero views stand in for the states
+    vec = np.broadcast_to(np.zeros(1, dtype=complex), (dim,))
+    rho = np.broadcast_to(np.zeros(1, dtype=complex), (dim, dim))
+    for strings, _ in (string_overlaps(op, vec, vec), string_traces(op, rho)):
+        assert [label for label, _, _, _ in strings] == sorted(op.terms)
+        assert [(label, c) for label, _, _, c in strings] == sorted(op)
 
 
 def test_construction_merges_and_prunes():
@@ -90,13 +156,15 @@ def test_adjoint_and_hermiticity(rng):
 
 def test_string_action_matches_dense(rng):
     for label in ("XYZ", "IYI", "ZZX", "YYY"):
-        flip, phases = string_action(label)
-        dense = materialize(PauliSum.from_label(label))
+        ((x, z),) = PauliSum.from_label(label).masks
+        phases = string_action(x, z, 3)
         dim = 8
         rebuilt = np.zeros((dim, dim), dtype=complex)
         for b in range(dim):
-            rebuilt[b ^ flip, b] = phases[b]
-        assert np.allclose(rebuilt, dense, atol=1e-14)
+            rebuilt[b ^ x, b] = phases[b]
+        assert np.allclose(rebuilt, string_matrix(label), atol=1e-14)
+        assert np.allclose(materialize(PauliSum.from_label(label)),
+                           string_matrix(label), atol=1e-14)
 
 
 def test_apply_string_and_sum(rng):

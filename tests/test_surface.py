@@ -42,3 +42,15 @@ def test_every_public_name_is_used_outside_the_tests():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and words[node.name] < 2]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """Each module keeps its underscore names to itself: the Pauli string
+    format, for one, stays behind ``pauli``."""
+    offenders = [f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.level > 0 or (node.module or "").startswith("corrvec"))
+                 for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
