@@ -17,10 +17,24 @@ control=1 slice only.  Consecutive one-qubit gates on a qubit are first
 multiplied into one 2x2 matrix.  A density matrix of m qubits runs through the same
 kernel as a vector of 2m qubits: its row index supplies qubits m..2m-1 and
 its column index qubits 0..m-1, so U rho U+ is U on row qubit t + m and
-conj(U) on column qubit t.  A batch of statevectors, such as the pair of
-states a Rotosolve slot reads, runs the same way: stored as one contiguous
-(..., 2^m) array, its batch index acts as extra most-significant qubits that
-no gate touches.
+conj(U) on column qubit t.  A batch of statevectors or of density matrices,
+such as the members of a slot's restriction, runs the same way: stored as
+one contiguous (..., 2^m) or (..., 2^m, 2^m) array, its batch index acts as
+extra most-significant qubits that no gate touches, and the depolarizing
+channel acts on every member.
+
+Slot restrictions
+-----------------
+A coordinate sweep needs each slot's output as a function of that slot's
+angle t alone (``restrictions``).  Slot d's restriction starts from the
+state before its first gate, advanced by one gate range per slot, and runs
+the rest of the circuit once on a batch.  A gate that reads the slot is
+R(sigma t) = exp(-i sigma t s / 2) for its Pauli generator s and scale
+sigma; instead of applying it, every member of the batch splits.  A
+statevector x splits into (x, -i s x), with weights cos(sigma t / 2) and
+sin(sigma t / 2); a density matrix X into 1/2 (X + sXs), 1/2 (X - sXs) and
+i/2 (Xs - sX), with weights 1, cos(sigma t) and sin(sigma t).  The output at
+any t is the batch summed with the products of its members' weights.
 
 Noise
 -----
@@ -52,7 +66,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -194,6 +208,11 @@ def _matrix(u: tuple) -> np.ndarray:
     return np.array(u, dtype=complex).reshape(2, 2)
 
 
+# the Pauli generator s of each rotation a slot may drive: R(t) = exp(-i t s/2)
+_GENERATOR = {kind: _matrix(_ANGLELESS[s]) for kind, s in
+              (("RX", "X"), ("RY", "Y"), ("RZ", "Z"))}
+
+
 def _fused(gates: Iterable[Gate], theta: np.ndarray | None):
     """(target, control or None, 2x2 matrix) per kernel step, angles bound.
 
@@ -253,27 +272,29 @@ def run_pure(circ: Circuit, theta: Sequence[float] | None = None) -> np.ndarray:
 
 
 def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2: float, m: int) -> np.ndarray:
-    """Two-qubit depolarizing channel on (q1, q2).
+    """Two-qubit depolarizing channel on (q1, q2), for a density matrix or
+    each of a (..., 2^m, 2^m) batch.
 
     Uniform conjugation by all 16 Pauli pairs averages the pair to the
     maximally mixed state, so the channel reduces to
     (1 - 16 p/15) rho + (16 p/15) tr_pair(rho) (x) I/4.  The partial trace
-    sums the four pair-diagonal cells of rho viewed as a 2m-axis tensor,
-    whose axis m-1-q is row qubit q and axis 2m-1-q is column qubit q.
+    sums the four pair-diagonal cells of rho viewed as a tensor whose last
+    2m axes are the qubits: axis m-1-q of them is row qubit q and axis
+    2m-1-q column qubit q.
     """
     if p2 == 0.0:
         return rho
     if not 0.0 <= p2 <= 15.0 / 16.0:
         raise ValueError(f"p2={p2} outside [0, 15/16]")
     c = 16.0 * p2 / 15.0
-    shape = (2,) * (2 * m)
+    shape = rho.shape[:-2] + (2,) * (2 * m)
     cells = []
     for x in (0, 1):
         for y in (0, 1):
             cell = [slice(None)] * (2 * m)
             cell[m - 1 - q1] = cell[2 * m - 1 - q1] = x
             cell[m - 1 - q2] = cell[2 * m - 1 - q2] = y
-            cells.append(tuple(cell))
+            cells.append((Ellipsis, *cell))
     t = rho.reshape(shape)
     reduced = t[cells[0]] + t[cells[1]] + t[cells[2]] + t[cells[3]]
     reduced *= 0.25 * c
@@ -297,9 +318,10 @@ def _check_theta(circ: Circuit, theta) -> np.ndarray | None:
 
 def _evolve_density(rho: np.ndarray, gates: Iterable[Gate],
                     theta: np.ndarray | None, p2: float) -> np.ndarray:
-    """Apply the gates to a contiguous density matrix, each two-qubit gate
-    followed by the depolarizing channel of strength p2."""
-    m = rho.shape[0].bit_length() - 1
+    """Apply the gates to a contiguous density matrix, or (..., 2^m, 2^m)
+    batch of them, each two-qubit gate followed by the depolarizing channel
+    of strength p2."""
+    m = rho.shape[-1].bit_length() - 1
     for target, control, u in _fused(gates, theta):
         flat = rho.reshape(-1)
         _apply(flat, u, target + m, None if control is None else control + m)
@@ -390,6 +412,108 @@ def simulate(circ: Circuit, theta, noise: NoiseModel) -> list[np.ndarray]:
     if not noise.enabled:
         return [run_pure(circ, theta)]
     return [run_density(circ, theta, p2=lvl) for lvl in _noise_levels(noise)]
+
+
+# ---------------------------------------------------------------------------
+# slot restrictions
+
+
+@dataclass
+class Restriction:
+    """One circuit's output as a function of one slot's angle: per entry of
+    ``simulate``'s output, a batch split once by each of the slot's gates,
+    whose ``scales`` are listed in gate order, the last split outermost."""
+
+    batches: list[np.ndarray]
+    scales: tuple[float, ...]
+    pure: bool
+
+    def at(self, t: float) -> list[np.ndarray]:
+        """The output with the slot at angle t, as ``simulate`` gives it."""
+        w = np.ones(1)
+        for sigma in self.scales:
+            a = sigma * t
+            part = ((math.cos(0.5 * a), math.sin(0.5 * a)) if self.pure
+                    else (1.0, math.cos(a), math.sin(a)))
+            w = np.kron(part, w)
+        return [np.tensordot(w, batch, axes=1) for batch in self.batches]
+
+
+def restrictions(circ: Circuit, theta: np.ndarray,
+                 noise: NoiseModel) -> Iterator[Restriction]:
+    """Each slot's restriction in turn, for one coordinate sweep.
+
+    The state before slot d's first gate is kept per noise level and
+    advanced with the angles ``theta`` holds when slot d is reached: the
+    caller moves theta[d] in place before it asks for slot d + 1.  The
+    slots' first gates must come in slot order, and every slotted gate
+    must be an RX, RY or RZ.
+    """
+    _check_theta(circ, theta)
+    gates = circ.gates
+    where: dict[int, list[int]] = {}
+    for i, g in enumerate(gates):
+        if g.slot is not None:
+            if g.kind not in _GENERATOR:
+                raise ValueError(f"slot {g.slot} drives a {g.kind}, not a rotation")
+            where.setdefault(g.slot, []).append(i)
+    if list(where) != list(range(circ.n_slots)):
+        raise ValueError("the slots' first gates are not in slot order")
+    levels = _noise_levels(noise) if noise.enabled else [None]
+    dim = 1 << circ.width
+    states = [np.zeros((dim,) if lvl is None else (dim, dim), dtype=complex)
+              for lvl in levels]
+    for state in states:
+        state.flat[0] = 1.0
+    done = 0
+    for at in where.values():
+        states = [_evolve(s, gates[done:at[0]], theta, lvl)
+                  for s, lvl in zip(states, levels)]
+        done = at[0]
+        yield Restriction([_slot_suffix(s, gates, at, theta, lvl)
+                           for s, lvl in zip(states, levels)],
+                          tuple(gates[i].scale for i in at), not noise.enabled)
+
+
+def _evolve(states: np.ndarray, gates: Sequence[Gate], theta: np.ndarray,
+            level: float | None) -> np.ndarray:
+    """Run gates on a batch of statevectors without a noise level, else
+    on density matrices with the channel at that level."""
+    if level is None:
+        return apply_gates(states, gates, theta)
+    return _evolve_density(states, gates, theta, level)
+
+
+def _slot_suffix(state: np.ndarray, gates: Sequence[Gate], at: list[int],
+                 theta: np.ndarray, level: float | None) -> np.ndarray:
+    """The restriction's batch: the gates from ``at[0]`` on run on
+    ``state``, every member splitting at the gates indexed by ``at``."""
+    batch = state[None]
+    for i, j in zip(at, at[1:] + [len(gates)]):
+        batch = _evolve(_split(batch, gates[i], level), gates[i + 1:j], theta, level)
+    return batch
+
+
+def _split(batch: np.ndarray, gate: Gate, level: float | None) -> np.ndarray:
+    """Every member of ``batch`` split at the rotation ``gate`` (see the
+    module notes), the new components outermost."""
+    s = _GENERATOR[gate.kind]
+    (q,) = gate.qubits
+    if level is None:
+        out = np.concatenate([batch, batch])
+        sx = out[batch.shape[0]:]
+        _apply(sx, s, q, None)
+        sx *= -1j
+        return out
+    m = batch.shape[-1].bit_length() - 1
+    sx, xs = batch.copy(), batch.copy()
+    _apply(sx.reshape(-1), s, q + m, None)
+    # right multiplication by s is s^T = conj(s) on the column qubit
+    _apply(xs.reshape(-1), s.conj(), q, None)
+    sxs = xs.copy()
+    _apply(sxs.reshape(-1), s, q + m, None)
+    return np.concatenate([0.5 * (batch + sxs), 0.5 * (batch - sxs),
+                           0.5j * (xs - sx)])
 
 
 def _estimate(values: Sequence[float], settings: MeasurementSettings,
@@ -502,9 +626,10 @@ class OverlapEngine:
         self.m = u2.width
         self.settings = settings
         self.noise = noise
-        self.u2 = u2
         u1_bound = u1.bound(theta1) if u1.n_slots else u1
         self.psi1 = run_pure(u1_bound)
+        # the circuit whose output estimate_sum reads
+        self.circuit = u2
         if noise.enabled:
             anc = self.m
             prefix = Circuit(self.m + 1)
@@ -512,32 +637,31 @@ class OverlapEngine:
             prefix.add("X", anc)
             prefix.extend(make_controlled(u1_bound).gates)
             prefix.add("X", anc)
-            cu2 = make_controlled(u2)
-            prefix.extend(cu2.gates)
-            prefix.n_slots = cu2.n_slots
-            self.prefix = prefix
+            prefix.extend(make_controlled(u2).gates)
+            self.circuit = prefix
 
     def estimate_sum(self, theta, op: PauliSum,
                      rng: np.random.Generator | None = None,
-                     psi2: np.ndarray | None = None) -> complex:
+                     states: list[np.ndarray] | None = None) -> complex:
         """Sum of coeff * <psi1|P|psi2(theta)> over the strings of ``op``.
 
-        Without noise, ``psi2`` may pass in U2(theta)|0> when the caller
-        already simulated it; the noisy path always simulates its prefix.
+        ``states`` is the output of ``simulate(self.circuit, theta, noise)``
+        when the caller already has it: U2(theta)|0> without noise, the
+        ancilla prefix's density matrix per noise level with it.
         """
         if op.width != self.m:
             raise ValueError("operator width mismatch")
         settings = self.settings
         if settings.mode == "sampled" and rng is None:
             rng = settings.make_rng()
+        if states is None:
+            states = simulate(self.circuit, theta, self.noise)
         if self.noise.enabled:
-            strings, rows = self._ancilla_overlaps(theta, op)
+            strings, rows = self._ancilla_overlaps(states, op)
         else:
-            if psi2 is None:
-                psi2 = run_pure(self.u2, theta)
             if settings.mode == "exact":
-                return complex(np.vdot(self.psi1, apply_sum(op, psi2)))
-            strings, overlaps = string_overlaps(op, self.psi1, psi2)
+                return complex(np.vdot(self.psi1, apply_sum(op, states[0])))
+            strings, overlaps = string_overlaps(op, self.psi1, states[0])
             rows = overlaps[None, :]
         total = 0.0 + 0j
         for (_, _, _, coeff), ws in zip(strings, zip(*rows.tolist())):
@@ -546,12 +670,13 @@ class OverlapEngine:
             total += coeff * complex(z_re, -z_im)
         return total
 
-    def _ancilla_overlaps(self, theta, op: PauliSum) -> tuple[Strings, np.ndarray]:
+    def _ancilla_overlaps(self, prefixes: list[np.ndarray],
+                          op: PauliSum) -> tuple[Strings, np.ndarray]:
         """``sorted_strings(op)`` and, per noise level and string, twice
         the trace of the ancilla's off-diagonal block after the string's
-        controlled-P suffix: the noisy <psi1|P|psi2>."""
+        controlled-P suffix on that level's prefix: the noisy
+        <psi1|P|psi2>."""
         levels = _noise_levels(self.noise)
-        prefixes = simulate(self.prefix, theta, self.noise)
         half = 1 << self.m
         strings = sorted_strings(op)
         rows = np.empty((len(levels), len(strings)), dtype=complex)

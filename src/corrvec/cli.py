@@ -73,6 +73,9 @@ class Problem:
                 self.integrals = read_fcidump(cfg.hamiltonian.path)
             except FileNotFoundError:
                 raise IngestError(f"fcidump not found: {cfg.hamiltonian.path}")
+            except OSError as exc:
+                raise IngestError(f"{cfg.hamiltonian.path}: cannot be read "
+                                  f"({exc.strerror or exc})")
             except ValueError as exc:
                 raise IngestError(str(exc))
         else:
@@ -169,12 +172,18 @@ def cmd_ground_state(args) -> int:
 
 def _reusable_points(checkpoint: CheckpointStore, zs: np.ndarray,
                      out: Path) -> dict[tuple[str, int], dict[int, PointRecord]]:
-    """Checkpointed points by column, refused unless each sits at the
-    canonicalized frequency the current grid puts at its index."""
-    existing = {key: {k: PointRecord.from_json_dict(d) for k, d in col.items()}
-                for key, col in checkpoint.by_column().items()}
-    for (branch, j), col in existing.items():
-        for k, rec in col.items():
+    """Checkpointed points by column, refused unless each is a point record
+    (exit 3) that sits at the canonicalized frequency the current grid puts
+    at its index (exit 2)."""
+    existing: dict[tuple[str, int], dict[int, PointRecord]] = {}
+    for (branch, j), col in checkpoint.by_column().items():
+        for k, d in col.items():
+            try:
+                rec = PointRecord.from_json_dict(d)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CliFailure(EXIT_INGEST,
+                                 f"{checkpoint.path}: point ({branch}, {j}, "
+                                 f"k={k}) is not a point record ({exc!r})")
             want = (complex(fmt_float(zs[k].real), fmt_float(zs[k].imag))
                     if 0 <= k < len(zs) else None)
             if rec.z != want:
@@ -183,6 +192,7 @@ def _reusable_points(checkpoint: CheckpointStore, zs: np.ndarray,
                     f"checkpoint in {out} holds point ({branch}, {j}, k={k}) "
                     f"at z={rec.z}, which is not on the configured grid; "
                     f"sweep into a fresh out_dir")
+            existing.setdefault((branch, j), {})[k] = rec
     return existing
 
 
@@ -208,7 +218,10 @@ def cmd_sweep(args) -> int:
     theta0 = prob.gs_start(spec)
     out = Path(cfg.out_dir)
     zs = cfg.grid.points()
-    checkpoint = CheckpointStore(out / "checkpoint.jsonl")
+    try:
+        checkpoint = CheckpointStore(out / "checkpoint.jsonl")
+    except ValueError as exc:
+        raise CliFailure(EXIT_INGEST, str(exc))
     existing = _reusable_points(checkpoint, zs, out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = ManifestWriter(out, cfg.to_json_dict())
@@ -222,10 +235,19 @@ def cmd_sweep(args) -> int:
                        converged=bool(trace.converged))
     # continue from the canonicalized values on disk, so a later resume
     # reads exactly what this run used
-    with open(gs_path) as fh:
-        payload = json.load(fh)
-    e0 = float(payload["e0"])
-    theta = np.asarray(payload.get("angles"), dtype=float)
+    try:
+        with open(gs_path) as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise CliFailure(EXIT_INGEST, f"{gs_path}, line {exc.lineno}: "
+                                      f"not JSON ({exc.msg})")
+    try:
+        e0 = float(payload["e0"])
+        theta = np.asarray(payload.get("angles"), dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        # the record is one line, as _persist_ground_state writes it
+        raise CliFailure(EXIT_INGEST, f"{gs_path}, line 1: not a ground-state "
+                                      f"record ({exc!r})")
     if theta.shape != (spec.n_slots,):
         raise CliFailure(EXIT_CONFIG,
                          "stored ground state does not match the ansatz")

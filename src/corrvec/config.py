@@ -306,6 +306,8 @@ def load_config(path: str | Path) -> RunConfig:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot be read ({exc.strerror or exc})")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
     return RunConfig.parse(data)

@@ -20,11 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import (Circuit, MeasurementSettings, NoiseModel, OverlapEngine,
-                       run_pure, sample_pauli_expectation, simulate)
+                       sample_pauli_expectation, simulate)
 from .fermion import ladder_pauli, number_penalty
 from .pauli import PauliSum, apply_sum
 from .store import dumps_canonical
-from .vqe import (AnsatzSpec, ExactCost, build_hea, grow_hea_angles,
+from .vqe import (AnsatzSpec, CircuitCost, build_hea, grow_hea_angles,
                   rotosolve_sweep)
 
 PARTICLE, HOLE = "particle", "hole"
@@ -123,43 +123,42 @@ class CorrectionProblem:
         return cached
 
     def make_cost(self, z: complex, spec: AnsatzSpec, v_norm: float, rng):
-        """Returns (cost over angles, overlap estimator over angles, exact
-        form of the cost or None when measurements are sampled or noisy).
+        """Returns g at frequency z over the ansatz's angles, as a
+        ``CircuitCost``, and the overlap estimator over angles.
 
-        One cost evaluation simulates the ansatz once: <Q+Q>, the penalty
-        and, without noise, the overlap all read that output.  The noisy
-        overlap needs its own ancilla circuit.  Estimates are drawn in the
-        order <Q+Q>, overlap, penalty.  The exact form is
-        M = Q+Q + penalty - |w><w| / <V|V>: the overlap is <w|psi> with
-        w = (V+Q)+ |psi0> = (z* + D) V|psi0>, which reuses the compiled D
-        and V instead of compiling the adjoint of V+Q.
+        g reads one output of the ansatz for <Q+Q>, the penalty and, without
+        noise, the overlap; the noisy overlap reads the output of its own
+        ancilla circuit (``OverlapEngine.circuit``), the cost's second
+        circuit.  Estimates are drawn in the order <Q+Q>, overlap, penalty.
+        As an operator g is M = Q+Q + penalty - |w><w| / <V|V>: the overlap
+        is <w|psi> with w = (V+Q)+ |psi0> = (z* + D) V|psi0>, which reuses
+        the compiled D and V instead of compiling the adjoint of V+Q.
         """
         qdq = self.qdq(z)
         vdq = self.vdq(z)
         circ, engine = self.engine_for(spec)
         settings, noise = self.settings, self.noise
-        exact = None
-        if settings.mode == "exact" and not noise.enabled:
-            v_psi0 = apply_sum(self.v_op, engine.psi1)
-            w = z.conjugate() * v_psi0 + apply_sum(self.d_op, v_psi0)
-            ops = [qdq] if self.penalty_op is None else [qdq, self.penalty_op]
-            exact = ExactCost(circ, ops, w / np.sqrt(v_norm))
+        v_psi0 = apply_sum(self.v_op, engine.psi1)
+        w = z.conjugate() * v_psi0 + apply_sum(self.d_op, v_psi0)
+        ops = [qdq] if self.penalty_op is None else [qdq, self.penalty_op]
 
-        def overlap(theta, psi2=None) -> complex:
-            return engine.estimate_sum(theta, vdq, rng, psi2)
-
-        def cost(theta) -> float:
-            states = simulate(circ, theta, noise)
-            term1 = sample_pauli_expectation(circ, theta, qdq, settings, noise,
+        def read(outputs) -> float:
+            states = outputs[0]
+            term1 = sample_pauli_expectation(circ, None, qdq, settings, noise,
                                              rng, states)
-            ov = overlap(theta, None if noise.enabled else states[0])
+            ov = engine.estimate_sum(None, vdq, rng, outputs[-1])
             value = float(term1 - abs(ov) ** 2 / v_norm)
             if self.penalty_op is not None:
-                value += sample_pauli_expectation(circ, theta, self.penalty_op,
+                value += sample_pauli_expectation(circ, None, self.penalty_op,
                                                   settings, noise, rng, states)
             return value
 
-        return cost, overlap, exact
+        def overlap(theta) -> complex:
+            return engine.estimate_sum(theta, vdq, rng)
+
+        circuits = [circ, engine.circuit] if noise.enabled else [circ]
+        cost = CircuitCost(circuits, settings, noise, read, ops, w / np.sqrt(v_norm))
+        return cost, overlap
 
 
 def solve_correction_vector(problem: CorrectionProblem, z: complex,
@@ -190,12 +189,12 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
     else:
         theta = rng.uniform(-0.1, 0.1, size=cur.n_slots)
 
-    cost, _, exact = problem.make_cost(z, cur, v_norm, rng)
+    cost, _ = problem.make_cost(z, cur, v_norm, rng)
     best_theta, best_val, best_depth = theta, np.inf, cur.depth
     history: list[float] = []
     sweeps = 0
     while sweeps < options.max_sweeps:
-        theta, value = rotosolve_sweep(cost, theta, exact=exact)
+        theta, value = rotosolve_sweep(cost, theta, cost)
         sweeps += 1
         history.append(value)
         if value < best_val:
@@ -209,12 +208,12 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
             grown = replace(cur, depth=cur.depth + 1)
             theta = grow_hea_angles(theta, cur, grown)
             cur = grown
-            cost, _, exact = problem.make_cost(z, cur, v_norm, rng)
+            cost, _ = problem.make_cost(z, cur, v_norm, rng)
             history.clear()
 
     if best_depth != cur.depth:
         cur = replace(cur, depth=best_depth)
-    _, overlap, _ = problem.make_cost(z, cur, v_norm, rng)
+    _, overlap = problem.make_cost(z, cur, v_norm, rng)
     denom = overlap(best_theta)
     converged = bool(best_val / v_norm < options.epsilon)
     if abs(denom) < 1e-10:
@@ -308,9 +307,9 @@ def _column_elements(problem: CorrectionProblem, spec_at: AnsatzSpec,
                      rng) -> np.ndarray:
     if sol.zero or sol.gamma == 0:
         return np.zeros(len(element_ops), dtype=complex)
-    circ, engine = problem.engine_for(spec_at)
-    psi2 = None if problem.noise.enabled else run_pure(circ, sol.theta)
-    vals = [engine.estimate_sum(sol.theta, a_op, rng, psi2) for a_op in element_ops]
+    _, engine = problem.engine_for(spec_at)
+    states = simulate(engine.circuit, sol.theta, problem.noise)
+    vals = [engine.estimate_sum(sol.theta, a_op, rng, states) for a_op in element_ops]
     return sol.gamma * np.asarray(vals, dtype=complex)
 
 

@@ -169,6 +169,8 @@ class CheckpointStore:
     Records accumulate in memory keyed by (branch, orbital, k); each save
     rewrites the JSON-lines file through the rename discipline, so a kill
     at any instant leaves either the previous or the new consistent state.
+    A line that is not a JSON object with those three keys, a string and
+    two integers, raises ValueError naming the path and the line.
     """
 
     def __init__(self, path: str | Path):
@@ -176,12 +178,20 @@ class CheckpointStore:
         self.records: dict[tuple[str, int, int], dict] = {}
         if self.path.exists():
             with open(self.path) as fh:
-                for line in fh:
+                for lineno, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
                         continue
-                    rec = json.loads(line)
-                    self.records[(rec["branch"], rec["orbital"], rec["k"])] = rec
+                    try:
+                        rec = json.loads(line)
+                        key = (rec["branch"], rec["orbital"], rec["k"])
+                        if [type(v) for v in key] != [str, int, int]:
+                            raise TypeError("branch, orbital and k are not "
+                                            "a string and two integers")
+                        self.records[key] = rec
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise ValueError(f"{self.path}, line {lineno}: not a "
+                                         f"checkpoint record ({exc!r})") from None
 
     def add(self, rec_dict: dict) -> None:
         key = (rec_dict["branch"], rec_dict["orbital"], rec_dict["k"])

@@ -7,24 +7,28 @@ each angle: the value at the slot's angle and at +-pi/2 from it give the
 coordinate minimum in closed form, so no step sizes or gradients appear
 anywhere.
 
-A sampled or noisy cost is probed as a black box, three evaluations per
-slot.  An exact cost <psi|M|psi> is read off the circuit instead (see
-``ExactCost``): with phi the state before slot d's gate R(t) = exp(-i t s/2)
-and S the rest of the circuit, psi(t) = cos(t/2) a + sin(t/2) b for
-a = S phi and b = -i S s phi.  One run of S on the pair (a, b) gives the
-2x2 matrix K of M on it and with it the slot's whole sinusoid, while phi
-advances by one gate range per slot.
+Every mode reads a slot off the circuit's restriction to it
+(``circuits.restrictions``): the state before the slot's gate is kept and
+advanced by one gate range per slot, and one run of the rest of the circuit
+on a batch gives the output at any angle of the slot.  A sampled or noisy
+cost is then estimated on the outputs at +-pi/2 and at the angle the slot
+moves to, three estimates per slot, drawn as the estimators would on full
+simulations.  An exact cost <psi|M|psi> needs no estimate: with phi the
+state before slot d's gate R(t) = exp(-i t s/2) and S the rest of the
+circuit, psi(t) = cos(t/2) a + sin(t/2) b for a = S phi and b = -i S s phi,
+and the 2x2 matrix K of M on the pair (a, b) gives the slot's whole
+sinusoid.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import (Circuit, Gate, MeasurementSettings, NoiseModel,
-                       apply_gates, sample_pauli_expectation)
+from .circuits import (Circuit, MeasurementSettings, NoiseModel, restrictions,
+                       sample_pauli_expectation, simulate)
 from .pauli import PauliSum, apply_sum
 
 VALID_ROTATIONS = ("RX", "RY", "RZ")
@@ -127,34 +131,41 @@ def wrap_angle(x: float) -> float:
     return np.pi if w == -np.pi else float(w)
 
 
-class ExactCost:
-    """The exact cost <psi|M|psi> of a circuit's output, with M the sum of
-    ``ops`` minus |w><w|, in the form the pair path of ``rotosolve_sweep``
-    reads.
+class CircuitCost:
+    """A cost read off the outputs of circuits that share one set of slots,
+    in the form ``rotosolve_sweep`` reads slot by slot.
 
-    ``ops`` are hermitian sums, kept apart so that each keeps its compiled
-    action, and ``w`` is an optional register vector.  The circuit's slots
-    must be one-qubit rotations with unit scale, each used once and in gate
-    order, as ``build_hea`` lays them out.
+    ``read(outputs)`` estimates the cost from a list holding, per circuit,
+    its output as ``simulate`` gives it, drawing shots as it goes; calling
+    the object evaluates the cost at full angles.  ``ops`` and ``w`` give
+    the same cost as <psi|M|psi> on the first circuit's output, with M the
+    sum of ``ops`` (hermitian sums, kept apart so that each keeps its
+    compiled action) minus |w><w|.  With exact, noiseless measurement the
+    sweep reads each slot off the 2x2 matrix of M (``matrix``), so the
+    first circuit must then hold one unit-scale gate per slot.
     """
 
-    _GENERATOR = {"RX": "X", "RY": "Y", "RZ": "Z"}
-
-    def __init__(self, circ: Circuit, ops: Sequence[PauliSum],
-                 w: np.ndarray | None = None):
-        self.circ = circ
+    def __init__(self, circuits: Sequence[Circuit], settings: MeasurementSettings,
+                 noise: NoiseModel, read: Callable[[list], float],
+                 ops: Sequence[PauliSum], w: np.ndarray | None = None):
+        self.circuits = list(circuits)
+        self.noise = noise
+        self.read = read
         self.ops = tuple(ops)
         self.w = w
-        self.positions = [i for i, g in enumerate(circ.gates) if g.slot is not None]
-        slotted = [circ.gates[i] for i in self.positions]
-        if ([g.slot for g in slotted] != list(range(circ.n_slots))
-                or any(g.kind not in self._GENERATOR or g.scale != 1.0
-                       for g in slotted)):
-            raise ValueError("slots must be unit-scale rotations in gate order")
-        self.generators = [Gate(self._GENERATOR[g.kind], g.qubits) for g in slotted]
-        # angles and closed-form value at the end of the last sweep, which
-        # the next sweep's full evaluation checks
+        self.exact = settings.mode == "exact" and not noise.enabled
+        if self.exact:
+            slotted = [g for g in self.circuits[0].gates if g.slot is not None]
+            if (len(slotted) != self.circuits[0].n_slots
+                    or any(g.scale != 1.0 for g in slotted)):
+                raise ValueError("exact sweeps need one unit-scale gate per slot")
+        # exact sweeps: angles and closed-form value at the end of the last
+        # sweep, which the next sweep's full evaluation checks
         self.closed: tuple[np.ndarray, float] | None = None
+
+    def __call__(self, theta: np.ndarray) -> float:
+        return float(self.read([simulate(c, theta, self.noise)
+                                for c in self.circuits]))
 
     def matrix(self, pair: np.ndarray) -> tuple[np.ndarray, float]:
         """K[i, j] = <pair_i|M|pair_j> for a (2, 2^m) pair of states, and
@@ -180,80 +191,65 @@ def _check_carried(value: float, carried: float, where: str) -> None:
                              f"the carried value {carried:.15g}")
 
 
-def rotosolve_sweep(cost, theta: np.ndarray, *,
-                    exact: ExactCost | None = None) -> tuple[np.ndarray, float]:
+def rotosolve_sweep(cost, theta: np.ndarray,
+                    form: CircuitCost) -> tuple[np.ndarray, float]:
     """One coordinate-descent pass over all slots.
 
     Each slot is moved to the closed-form minimum of its sinusoidal
     restriction.  Returns the updated angles and the cost there.
 
-    Without ``exact`` the cost is probed at +-pi/2 from each slot's angle
-    and evaluated again after the move, which is the next slot's value at
-    its current angle.  With ``exact`` (the same cost in exact form) the
-    sweep calls ``cost`` once, at the start, and reads every slot's
-    sinusoid off one pair run; a slot whose sinusoid is flat, its
-    amplitude within round-off of the terms summed into it, keeps its
-    angle.  Each slot's value at its current angle must then equal the
-    carried one, the full evaluation at slot 0 and the previous slot's
-    closed-form minimum after that, or AssertionError is raised.
+    ``cost(theta)`` evaluates ``form`` at full angles (pass ``form``
+    itself unless the call is to be observed); it is called once, at the
+    start.  Each slot's restriction then comes from one suffix run per
+    circuit of ``form`` (``circuits.restrictions``).  With exact, noiseless
+    measurement the restriction of the first circuit is a pair of states
+    (a, b), and the slot's whole sinusoid is read off the 2x2 matrix K of
+    the cost on it: a slot whose sinusoid is flat, its amplitude within
+    round-off of the terms summed into K, keeps its angle, and the value at
+    the slot's current angle must equal the carried one, the full
+    evaluation at slot 0 and the previous slot's closed-form minimum after
+    that, or AssertionError is raised.  Otherwise the cost is estimated on
+    the outputs at +-pi/2 from the slot's angle and at the angle it moves
+    to, in that order; the last is the next slot's value at its angle.
     """
     theta = np.array(theta, dtype=float)
     current = float(cost(theta))
     if not np.isfinite(current):
         raise ValueError("cost returned a non-finite value at the start point")
-    if exact is not None:
-        return _pair_sweep(exact, theta, current)
+    if form.exact and form.closed is not None and np.array_equal(form.closed[0], theta):
+        _check_carried(current, form.closed[1], "sweep start")
     half = 0.5 * np.pi
-    for d in range(theta.shape[0]):
+    slots = zip(*(restrictions(c, theta, form.noise) for c in form.circuits))
+    for d, parts in enumerate(slots):
         base = theta[d]
-        f0 = current
-        theta[d] = base + half
-        f_plus = float(cost(theta))
-        theta[d] = base - half
-        f_minus = float(cost(theta))
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise ValueError(f"cost returned a non-finite value probing slot {d}")
-        theta[d] = wrap_angle(base - half - np.arctan2(2.0 * f0 - f_plus - f_minus,
-                                                       f_plus - f_minus))
-        current = float(cost(theta))
-    return theta, current
-
-
-def _pair_sweep(exact: ExactCost, theta: np.ndarray,
-                current: float) -> tuple[np.ndarray, float]:
-    if exact.closed is not None and np.array_equal(exact.closed[0], theta):
-        _check_carried(current, exact.closed[1], "sweep start")
-    gates = exact.circ.gates
-    phi = np.zeros(1 << exact.circ.width, dtype=complex)
-    phi[0] = 1.0
-    done = 0
-    for d, pos in enumerate(exact.positions):
-        apply_gates(phi, gates[done:pos], theta)
-        done = pos
-        pair = np.array([phi, phi])
-        apply_gates(pair[1], [exact.generators[d]])
-        pair[1] *= -1j
-        apply_gates(pair, gates[pos + 1:], theta)
-        k, scale = exact.matrix(pair)
-        # f(t) = mean + amp_c cos t + amp_s sin t; relative to the current
-        # angle f(base + x) = mean + rel_c cos x + rel_s sin x, the form the
-        # probe path's update reads (2 rel_c = 2 f0 - f+ - f-,
-        # 2 rel_s = f+ - f-), so both paths pick and wrap angles alike
-        mean = 0.5 * (k[0, 0].real + k[1, 1].real)
-        amp_c = 0.5 * (k[0, 0].real - k[1, 1].real)
-        amp_s = k[0, 1].real
-        base = theta[d]
-        c, s = np.cos(base), np.sin(base)
-        rel_c = amp_c * c + amp_s * s
-        rel_s = amp_s * c - amp_c * s
-        _check_carried(mean + rel_c, current, f"slot {d}")
-        amp = np.hypot(amp_c, amp_s)
-        if amp > _FLAT * scale:
-            theta[d] = wrap_angle(base - 0.5 * np.pi - np.arctan2(rel_c, rel_s))
-            current = float(mean - amp)
+        if form.exact:
+            k, scale = form.matrix(parts[0].batches[0])
+            # f(t) = mean + amp_c cos t + amp_s sin t; relative to the
+            # current angle f(base + x) = mean + rel_c cos x + rel_s sin x
+            mean = 0.5 * (k[0, 0].real + k[1, 1].real)
+            amp_c = 0.5 * (k[0, 0].real - k[1, 1].real)
+            amp_s = k[0, 1].real
+            c, s = np.cos(base), np.sin(base)
+            rel_c = amp_c * c + amp_s * s
+            rel_s = amp_s * c - amp_c * s
+            _check_carried(mean + rel_c, current, f"slot {d}")
+            amp = np.hypot(amp_c, amp_s)
+            if amp <= _FLAT * scale:
+                current = float(mean + rel_c)
+                continue
         else:
-            current = float(mean + rel_c)
-    exact.closed = (theta.copy(), current)
+            f_plus = form.read([p.at(base + half) for p in parts])
+            f_minus = form.read([p.at(base - half) for p in parts])
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise ValueError(f"cost returned a non-finite value at slot {d}")
+            # twice rel_c and rel_s, read off the three values
+            rel_c = 2.0 * current - f_plus - f_minus
+            rel_s = f_plus - f_minus
+        theta[d] = wrap_angle(base - half - np.arctan2(rel_c, rel_s))
+        current = (float(mean - amp) if form.exact else
+                   float(form.read([p.at(theta[d]) for p in parts])))
+    if form.exact:
+        form.closed = (theta.copy(), current)
     return theta, current
 
 
@@ -291,12 +287,12 @@ def vqe_ground_state(h: PauliSum, spec: AnsatzSpec,
         rng = settings.make_rng()
     circ = build_hea(spec)
     cost_op = h if penalty is None else h + penalty
-    exact_run = settings.mode == "exact" and not noise.enabled
-    exact = ExactCost(circ, [cost_op]) if exact_run else None
 
-    def cost(theta: np.ndarray) -> float:
-        return sample_pauli_expectation(circ, theta, cost_op, settings, noise, rng)
+    def read(outputs) -> float:
+        return sample_pauli_expectation(circ, None, cost_op, settings, noise,
+                                        rng, outputs[0])
 
+    cost = CircuitCost([circ], settings, noise, read, [cost_op])
     if theta0 is None:
         theta = rng.uniform(-0.1, 0.1, size=spec.n_slots)
     else:
@@ -304,21 +300,15 @@ def vqe_ground_state(h: PauliSum, spec: AnsatzSpec,
         if theta.shape != (spec.n_slots,):
             raise ValueError(f"theta0 must have {spec.n_slots} angles")
     trace = OptimizationTrace()
-    window = 3
+    window = 1 if cost.exact else 3
+    hist = trace.cost_history
     for sweep in range(max_sweeps):
-        theta, value = rotosolve_sweep(cost, theta, exact=exact)
-        trace.cost_history.append(value)
+        theta, value = rotosolve_sweep(cost, theta, cost)
+        hist.append(value)
         trace.sweeps = sweep + 1
-        hist = trace.cost_history
-        if exact_run:
-            if len(hist) >= 2 and abs(hist[-1] - hist[-2]) < tol:
-                trace.converged = True
-                break
-        elif len(hist) >= 2 * window:
-            recent = np.mean(hist[-window:])
-            previous = np.mean(hist[-2 * window:-window])
-            if abs(recent - previous) < tol:
-                trace.converged = True
-                break
+        if len(hist) >= 2 * window and abs(
+                np.mean(hist[-window:]) - np.mean(hist[-2 * window:-window])) < tol:
+            trace.converged = True
+            break
     e0 = sample_pauli_expectation(circ, theta, h, settings, noise, rng)
     return float(e0), theta, trace

@@ -127,11 +127,47 @@ def test_sweep_refuses_checkpoint_from_another_grid(tmp_path, capsys):
 def test_missing_fcidump_exits_3_without_outputs(tmp_path):
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "hamiltonian": {"kind": "fcidump", "path": str(tmp_path / "no.fcidump")},
-        "out_dir": str(out)}))
-    assert run("ground-state", "--config", str(cfg)) == 3
-    assert not out.exists()
+    # a missing file, then a path that names a directory
+    for path in (tmp_path / "no.fcidump", tmp_path):
+        cfg.write_text(json.dumps({
+            "hamiltonian": {"kind": "fcidump", "path": str(path)},
+            "out_dir": str(out)}))
+        assert run("ground-state", "--config", str(cfg)) == 3, path
+        assert not out.exists()
+
+
+def test_sweep_refuses_corrupt_resume_files(dimer_sweep, tmp_path, capsys):
+    """Resuming a sweep whose checkpoint or ground state is corrupt exits 3
+    with the file and the line (or the point) named, and writes no
+    series."""
+    src = dimer_sweep["out"]
+    lines = (src / "checkpoint.jsonl").read_text().splitlines()
+    keyless, textual, pointless = (json.loads(lines[1]) for _ in range(3))
+    del keyless["orbital"]
+    textual["k"] = str(textual["k"])
+    del pointless["z_re"]
+    point = f"point ({pointless['branch']}, {pointless['orbital']}, k={pointless['k']})"
+    cases = [
+        ("checkpoint.jsonl", [lines[0], "{not json", *lines[2:]], "line 2"),
+        ("checkpoint.jsonl", [lines[0], json.dumps(keyless)], "line 2"),
+        ("checkpoint.jsonl", [lines[0], json.dumps(textual)], "line 2"),
+        ("checkpoint.jsonl", [lines[0], json.dumps(pointless)], point),
+        ("ground_state.json", ['{"e0": -1.2,', ' "angles": ['], "line 3"),
+        ("ground_state.json", [json.dumps({"angles": [0.0] * 24})], "line 1"),
+    ]
+    grid = {"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0, "n": 3}
+    for i, (name, text, where) in enumerate(cases):
+        out = tmp_path / f"case{i}"
+        out.mkdir()
+        for kept in ("ground_state.json", "checkpoint.jsonl"):
+            shutil.copy(src / kept, out / kept)
+        (out / name).write_text("\n".join(text) + "\n")
+        cfg = write_config(tmp_path / "cfg.json", grid=grid, out_dir=str(out))
+        capsys.readouterr()
+        assert run("sweep", "--config", str(cfg)) == 3, (name, where)
+        err = capsys.readouterr().err
+        assert f"{out / name}, {where}" in err or f"{out / name}: {where}" in err, err
+        assert not (out / "series.jsonl").exists()
 
 
 def test_config_errors_exit_2(tmp_path):
@@ -199,6 +235,8 @@ def test_config_errors_exit_2(tmp_path):
 
     missing = tmp_path / "missing.json"
     assert run("ground-state", "--config", str(missing)) == 2
+    # a config path that names a directory
+    assert run("ground-state", "--config", str(tmp_path)) == 2
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -1,14 +1,18 @@
 """Property tests: the local-gate kernel and the compiled Pauli action
-against the dense references in ``kron_reference``."""
+against the dense references in ``kron_reference``, and slot restrictions
+against full runs of the kernel."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrvec.circuits import (ROTATION_KINDS, Circuit, make_controlled,
-                              run_density, run_pure)
+from corrvec.circuits import (ROTATION_KINDS, Circuit, MeasurementSettings,
+                              NoiseModel, OverlapEngine, make_controlled,
+                              restrictions, run_density, run_pure)
 from corrvec.oracle import materialize
 from corrvec.pauli import PauliSum, apply_sum, string_overlaps, string_traces
+from corrvec.vqe import AnsatzSpec, build_hea
 import kron_reference as ref
 
 TOL = 1e-12
@@ -120,6 +124,60 @@ def test_overlap_circuits_match_kron(data):
     if width <= 3:
         assert max_diff(run_density(circ, th, p2=0.01),
                         ref.run_density(circ, th, p2=0.01)) <= TOL
+
+
+@st.composite
+def restriction_cases(draw, case):
+    """(circuit, noise, start angles, probe angles, moved angles).
+
+    ``case`` "pure", "noisy" and "zne" draw an ansatz of width 1-4 and
+    depth 1-2 over RX/RY/RZ, run without noise, at one noise level or at
+    both ZNE levels; "overlap" draws the noisy ancilla prefix of an
+    ``OverlapEngine`` on an ansatz of width 1-3 and depth 1, whose every
+    slot drives two half-angle rotations around a noisy CX.
+    """
+    small = case == "overlap"
+    spec = AnsatzSpec(draw(st.integers(1, 3 if small else 4)),
+                      draw(st.integers(1, 1 if small else 2)),
+                      tuple(draw(st.lists(st.sampled_from(("RX", "RY", "RZ")),
+                                          min_size=1, max_size=2))))
+    noise = (NoiseModel() if case == "pure" else
+             NoiseModel(enabled=True, p2=draw(st.floats(0.001, 0.05)),
+                        zne=case != "noisy"))
+    circ = build_hea(spec)
+    if small:
+        u1_spec = AnsatzSpec(spec.width, 1)
+        u1 = build_hea(u1_spec).bound(draw(st.lists(
+            angles, min_size=u1_spec.n_slots, max_size=u1_spec.n_slots)))
+        circ = OverlapEngine(u1, None, circ, MeasurementSettings(), noise).circuit
+    n = spec.n_slots
+    start, probes, moves = (np.array(draw(st.lists(angles, min_size=n, max_size=n)))
+                            for _ in range(3))
+    return circ, noise, start, probes, moves
+
+
+@pytest.mark.parametrize("case", ["pure", "noisy", "zne", "overlap"])
+@settings(max_examples=8)
+@given(data=st.data())
+def test_restrictions_match_full_runs(case, data):
+    """Slot by slot, the restriction at an angle equals a full run with
+    the slot at that angle, while the sweep moves each slot in turn, so
+    each slot also checks the prefix its predecessors advanced."""
+    circ, noise, theta, probes, moves = data.draw(restriction_cases(case))
+    levels = [noise.p2, noise.boost * noise.p2] if noise.zne else [noise.p2]
+    count = 0
+    for d, restriction in enumerate(restrictions(circ, theta, noise)):
+        probe = theta.copy()
+        probe[d] = probes[d]
+        full = ([run_pure(circ, probe)] if not noise.enabled else
+                [run_density(circ, probe, p2=lvl) for lvl in levels])
+        at = restriction.at(probes[d])
+        assert len(at) == len(full)
+        for a, b in zip(at, full):
+            assert max_diff(a, b) <= TOL, d
+        theta[d] = moves[d]
+        count += 1
+    assert count == circ.n_slots
 
 
 @st.composite

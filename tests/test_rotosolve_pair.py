@@ -1,4 +1,4 @@
-"""The pair path of ``rotosolve_sweep`` against full re-simulation.
+"""The exact slot reading of ``rotosolve_sweep`` against full re-simulation.
 
 Every slot's 2x2 matrix K, read off one suffix run on the pair (a, b), must
 give the same sinusoid f(t) = cos^2(t/2) K00 + sin^2(t/2) K11
@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrvec.circuits import MeasurementSettings, NoiseModel, sample_pauli_expectation
+from corrvec.circuits import (MeasurementSettings, NoiseModel, make_controlled,
+                              sample_pauli_expectation)
 from corrvec.oracle import materialize
 from corrvec.pauli import PauliSum
 from corrvec.solver import CorrectionProblem
-from corrvec.vqe import AnsatzSpec, ExactCost, build_hea, rotosolve_sweep
+from corrvec.vqe import AnsatzSpec, CircuitCost, build_hea, rotosolve_sweep
 from oracle_reference import dense_h_prime
 
 TOL = 1e-10
@@ -41,19 +42,19 @@ def random_sum(rng, width: int, n_terms: int, hermitian: bool = True) -> PauliSu
     return PauliSum(width, zip(labels, coeffs))
 
 
-def recorded_sweep(cost, theta, exact):
-    """One pair sweep; returns the final angles, the value and each slot's
-    (pair, K) in slot order."""
+def recorded_sweep(cost, theta, form):
+    """One exact sweep of ``form``, started from ``cost``; returns the final
+    angles, the value and each slot's (pair, K) in slot order."""
     seen = []
-    matrix = exact.matrix
+    matrix = form.matrix
 
     def recording(pair):
         k, scale = matrix(pair)
         seen.append((pair.copy(), k))
         return k, scale
 
-    exact.matrix = recording
-    final, value = rotosolve_sweep(cost, theta, exact=exact)
+    form.matrix = recording
+    final, value = rotosolve_sweep(cost, theta, form)
     return final, value, seen
 
 
@@ -81,6 +82,14 @@ def assert_matches_resimulation(cost, start, final, value, seen):
     assert abs(value - cost(final)) <= TOL * (1 + abs(value))
 
 
+def ground_state_form(circ, op):
+    def read(outputs):
+        return sample_pauli_expectation(circ, None, op, EXACT, NOISELESS, None,
+                                        outputs[0])
+
+    return CircuitCost([circ], EXACT, NOISELESS, read, [op])
+
+
 def ground_state_case(spec, rng):
     """(full cost, exact form, start angles) for a random hermitian sum."""
     circ = build_hea(spec)
@@ -89,7 +98,8 @@ def ground_state_case(spec, rng):
     def cost(theta):
         return sample_pauli_expectation(circ, theta, op, EXACT, NOISELESS)
 
-    return cost, ExactCost(circ, [op]), rng.uniform(-np.pi, np.pi, spec.n_slots)
+    return (cost, ground_state_form(circ, op),
+            rng.uniform(-np.pi, np.pi, spec.n_slots))
 
 
 @settings(max_examples=40)
@@ -115,10 +125,10 @@ def test_correction_pair_matches_dense_form_and_resimulation(case):
                                 n_target=int(rng.integers(0, m + 1)),
                                 sector_penalty=0.7)
     v_norm = problem.measure_v_norm(rng)
-    cost, _, exact = problem.make_cost(z, spec, v_norm, rng)
+    cost, _ = problem.make_cost(z, spec, v_norm, rng)
 
     start = rng.uniform(-np.pi, np.pi, size=spec.n_slots)
-    final, value, seen = recorded_sweep(cost, start, exact)
+    final, value, seen = recorded_sweep(cost, start, cost)
     assert_matches_resimulation(cost, start, final, value, seen)
 
     psi0 = problem.engine_for(spec)[1].psi1
@@ -135,22 +145,29 @@ def test_pair_sweep_rejects_a_disagreeing_cost(rng):
     spec = AnsatzSpec(width=3, depth=2, pattern=("RY", "RX"))
     cost, exact, theta = ground_state_case(spec, rng)
     with pytest.raises(AssertionError, match="slot 0"):
-        rotosolve_sweep(lambda th: cost(th) + 1.0, theta, exact=exact)
+        rotosolve_sweep(lambda th: cost(th) + 1.0, theta, exact)
 
     cost, exact, theta = ground_state_case(spec, rng)
-    theta, _ = rotosolve_sweep(cost, theta, exact=exact)
+    theta, _ = rotosolve_sweep(cost, theta, exact)
     with pytest.raises(AssertionError, match="sweep start"):
-        rotosolve_sweep(lambda th: cost(th) + 1e-6, theta, exact=exact)
+        rotosolve_sweep(lambda th: cost(th) + 1e-6, theta, exact)
 
 
 def test_exact_cost_needs_unit_rotation_slots():
+    """Exact sweeps read one unit-scale gate per slot; every sweep needs
+    rotation slots whose first gates come in slot order."""
     spec = AnsatzSpec(width=2, depth=1)
     op = PauliSum.identity(2)
+    theta = np.zeros(spec.n_slots)
+    with pytest.raises(ValueError, match="unit-scale"):
+        ground_state_form(make_controlled(build_hea(spec)), PauliSum.identity(3))
     circ = build_hea(spec)
     circ.add("PHASE", 0, slot=spec.n_slots)
-    with pytest.raises(ValueError):
-        ExactCost(circ, [op])
+    form = ground_state_form(circ, op)
+    with pytest.raises(ValueError, match="not a rotation"):
+        rotosolve_sweep(form, np.zeros(circ.n_slots), form)
     reordered = build_hea(spec)
     reordered.gates.reverse()
-    with pytest.raises(ValueError):
-        ExactCost(reordered, [op])
+    form = ground_state_form(reordered, op)
+    with pytest.raises(ValueError, match="slot order"):
+        rotosolve_sweep(form, theta, form)

@@ -153,7 +153,7 @@ def test_exact_cost_simulates_once(h2_hamiltonian, h2_gs, monkeypatch, rng):
     z, spec = 1.0 + 0.2j, AnsatzSpec(width=4, depth=2)
     theta = rng.uniform(-np.pi, np.pi, size=spec.n_slots)
     v_norm = problem.measure_v_norm(rng)
-    cost, _, _ = problem.make_cost(z, spec, v_norm, rng)
+    cost, _ = problem.make_cost(z, spec, v_norm, rng)
     calls = []
     real_run_pure = circuits.run_pure
 
@@ -162,7 +162,6 @@ def test_exact_cost_simulates_once(h2_hamiltonian, h2_gs, monkeypatch, rng):
         return real_run_pure(*args, **kwargs)
 
     monkeypatch.setattr(circuits, "run_pure", counting)
-    monkeypatch.setattr(solver, "run_pure", counting)
     value = cost(theta)
     assert len(calls) == 1
 
@@ -273,3 +272,33 @@ def test_assemble_matrices_placement():
     assert out[1, 0, 0] == c and out[1, 0, 1] == d
     assert np.array_equal(out[:, 2:, 2:], out[:, :2, :2])
     assert np.all(out[:, :2, 2:] == 0) and np.all(out[:, 2:, :2] == 0)
+
+
+def test_sampled_noisy_solve_is_finite_and_repeatable(dimer_hamiltonian,
+                                                      dimer_ground):
+    """A hole-branch correction vector on the Hubbard dimer under shot
+    sampling, depolarizing noise and ZNE: every estimate of its sweeps
+    reads the slot restrictions of the ansatz and of the noisy ancilla
+    prefix.  Its residual and gamma are finite, and a rerun with the same
+    seed repeats it bit for bit."""
+    e0, _ = dimer_ground
+    spec = AnsatzSpec(width=4, depth=1, pattern=("RY",))
+    gs_circ = build_hea(spec).bound(hf_start_angles(spec, [0, 2]))
+    settings = MeasurementSettings(mode="sampled", shots=10_000, seed=11)
+    noise = NoiseModel(enabled=True, p2=0.005, boost=2.0, zne=True)
+    options = SolverOptions(max_sweeps=1, extra_depth=0)
+
+    def solve():
+        problem = CorrectionProblem(dimer_hamiltonian, e0, +1,
+                                    ladder_pauli(0, False, 4), gs_circ,
+                                    settings, noise, n_target=1)
+        return solve_correction_vector(problem, -0.5 + 0.1j, spec, options,
+                                       np.random.default_rng(3))
+
+    first, again = solve(), solve()
+    assert not first.zero and first.sweeps == 1
+    assert np.isfinite(first.residual) and np.isfinite(first.gamma)
+    assert first.gamma != 0
+    assert first.theta.tobytes() == again.theta.tobytes()
+    assert (first.residual, first.gamma, first.sweeps, first.converged) == \
+        (again.residual, again.gamma, again.sweeps, again.converged)

@@ -9,7 +9,7 @@ from corrvec.fermion import BlockedSpinOrbitals, number_penalty, total_spin_squa
 from corrvec.pauli import PauliSum
 from corrvec.vqe import (
     AnsatzSpec,
-    ExactCost,
+    CircuitCost,
     build_hea,
     grow_hea_angles,
     hf_start_angles,
@@ -101,67 +101,106 @@ def test_wrap_angle():
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
 
 
-def monotone(cost):
-    """``cost`` recording its values.  The generic sweep evaluates the start
-    point, then per slot the two probes and the value after the move, so
-    every third value after the first is a slot's result; ``check`` asserts
-    that none of them rose above the one before."""
-    values = []
+EXACT = MeasurementSettings()
+# exact values through the estimating path of a sweep: density matrices at
+# p2 = 0, one noise level, read by the per-string estimator
+ESTIMATED = NoiseModel(enabled=True, p2=0.0, zne=False)
+# the exact slot reading, then the estimating one
+MODES = (NoiseModel(), ESTIMATED)
 
-    def recorded(th):
-        values.append(float(cost(th)))
+
+def circuit_cost(circ, op, noise, w=None):
+    """<op> - |<w|psi>|^2 on the circuit's output, as a ``CircuitCost``."""
+    def read(outputs):
+        value = sample_pauli_expectation(circ, None, op, EXACT, noise, None,
+                                         outputs[0])
+        if w is not None:
+            out = outputs[0][0]
+            value -= (abs(np.vdot(w, out)) ** 2 if out.ndim == 1
+                      else np.vdot(w, out @ w).real)
+        return value
+
+    return CircuitCost([circ], EXACT, noise, read, [op], w)
+
+
+def one_rotation():
+    circ = Circuit(1)
+    circ.add("RY", 0, slot=0)
+    return circ
+
+
+def monotone(cost):
+    """Records every estimate ``cost`` reads.  An estimating sweep reads
+    the start point, then per slot the two probes and the value after the
+    move, so every third value after the first is a slot's result;
+    ``check`` asserts that none of them rose above the one before."""
+    values = []
+    read = cost.read
+
+    def recorded(outputs):
+        values.append(float(read(outputs)))
         return values[-1]
 
     def check():
         kept = values[::3]
+        assert len(values) % 3 == 1
         assert all(b <= a + 1e-10 for a, b in zip(kept, kept[1:])), kept
         values.clear()
 
-    recorded.check = check
-    return recorded
+    cost.read = recorded
+    return check
 
 
 def test_rotosolve_exact_on_pure_sinusoid():
-    def cost(th):
-        return 1.3 + 0.7 * np.cos(th[0] - 0.4)
-
-    assert_sinusoidal(cost, np.array([0.0]))
-    recorded = monotone(cost)
-    theta, value = rotosolve_sweep(recorded, np.array([0.0]))
-    recorded.check()
-    assert value == pytest.approx(0.6, abs=1e-12)
-    assert np.cos(theta[0] - 0.4) == pytest.approx(-1.0, abs=1e-12)
+    """<Z> = cos t and <X> = sin t on RY(t)|0>, so the cost is
+    1.3 + 0.7 cos(t - 0.4), whose minimum 0.6 one slot update reaches."""
+    op = PauliSum(1, [("I", 1.3), ("Z", 0.7 * np.cos(0.4)), ("X", 0.7 * np.sin(0.4))])
+    for noise in MODES:
+        cost = circuit_cost(one_rotation(), op, noise)
+        assert_sinusoidal(cost, np.array([0.0]))
+        assert cost(np.array([0.0])) == pytest.approx(1.3 + 0.7 * np.cos(0.4),
+                                                      abs=1e-14)
+        check = monotone(cost)
+        theta, value = rotosolve_sweep(cost, np.array([0.0]), cost)
+        if noise.enabled:
+            check()
+        assert value == pytest.approx(0.6, abs=1e-12)
+        assert np.cos(theta[0] - 0.4) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_rotosolve_rejects_non_finite_cost():
-    def cost(th):
-        return np.nan
-
-    with pytest.raises(ValueError):
-        rotosolve_sweep(cost, np.array([0.0]))
+    op = PauliSum(1, [("Z", 1.0)])
+    for noise in MODES:
+        cost = circuit_cost(one_rotation(), op, noise)
+        with pytest.raises(ValueError, match="start point"):
+            rotosolve_sweep(lambda th: np.nan, np.array([0.0]), cost)
+    # an estimate that turns non-finite partway through a sweep
+    cost = circuit_cost(one_rotation(), op, ESTIMATED)
+    estimates = iter([1.0, np.inf, 1.0])
+    cost.read = lambda outputs: next(estimates)
+    with pytest.raises(ValueError, match="slot 0"):
+        rotosolve_sweep(cost, np.array([0.0]), cost)
 
 
 def test_rotosolve_monotone_on_circuit_cost(h2_hamiltonian, rng):
-    from corrvec.circuits import sample_pauli_expectation
-
     spec = AnsatzSpec(width=4, depth=2)
-    circ = build_hea(spec)
-    settings = MeasurementSettings()
-
-    def cost(th):
-        return sample_pauli_expectation(circ, th, h2_hamiltonian,
-                                        settings, NoiseModel())
-
-    theta = rng.uniform(-0.3, 0.3, size=spec.n_slots)
-    values = [cost(theta)]
-    recorded = monotone(cost)
-    for _ in range(3):
-        assert_sinusoidal(cost, theta)
-        theta, value = rotosolve_sweep(recorded, theta)
-        recorded.check()
-        values.append(value)
-    assert_sinusoidal(cost, theta)
-    assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
+    start = rng.uniform(-0.3, 0.3, size=spec.n_slots)
+    for noise in MODES:
+        full = circuit_cost(build_hea(spec), h2_hamiltonian, noise)
+        cost = circuit_cost(build_hea(spec), h2_hamiltonian, noise)
+        theta = start
+        values = [full(theta)]
+        check = monotone(cost)
+        for _ in range(3):
+            assert_sinusoidal(full, theta)
+            theta, value = rotosolve_sweep(cost, theta, cost)
+            # an exact sweep reads no estimate per slot; it checks each
+            # slot's value against the carried one itself
+            if noise.enabled:
+                check()
+            values.append(value)
+        assert_sinusoidal(full, theta)
+        assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
 
 
 def test_flat_slots_keep_their_angle(h2_hamiltonian, rng):
@@ -181,22 +220,15 @@ def test_flat_slots_keep_their_angle(h2_hamiltonian, rng):
 
 def test_small_slots_of_large_terms_move():
     """f(t) = 1e-13 cos t, the difference of two O(1) terms, is far above
-    their round-off: exact sweeps move the slot to its minimum at +-pi, as
-    the probe path does, instead of calling it flat."""
-    circ = Circuit(1)
-    circ.add("RY", 0, slot=0)
+    their round-off: sweeps move the slot to its minimum at +-pi, the exact
+    one instead of calling it flat."""
     op = PauliSum(1, [("I", 0.5), ("Z", 0.5 + 1e-13)])
     w = np.array([1.0, 0.0], dtype=complex)
-
-    def cost(theta):
-        psi = run_pure(circ, theta)
-        return (sample_pauli_expectation(circ, theta, op, MeasurementSettings(),
-                                         NoiseModel()) - abs(psi[0]) ** 2)
-
-    for start in (0.0, 0.3):
-        for exact in (ExactCost(circ, [op], w), None):
-            theta, value = rotosolve_sweep(cost, np.array([start]), exact=exact)
-            assert abs(abs(theta[0]) - np.pi) < 1e-2, (start, exact)
+    for noise in MODES:
+        cost = circuit_cost(one_rotation(), op, noise, w)
+        for start in (0.0, 0.3):
+            theta, value = rotosolve_sweep(cost, np.array([start]), cost)
+            assert abs(abs(theta[0]) - np.pi) < 1e-2, (start, noise)
             assert value == pytest.approx(-1e-13, abs=1e-15)
 
 
