@@ -616,18 +616,18 @@ class OverlapEngine:
     controlled-U1 applied on the 0 branch, controlled-U2 on the 1 branch);
     only the controlled-P tail differs per string.  The phase gate selecting
     the real or imaginary part commutes with everything after the first
-    Hadamard, so both parts come from one prefix as well.
+    Hadamard, so both parts come from one prefix as well.  ``u1`` is a
+    bound circuit.
     """
 
-    def __init__(self, u1: Circuit, theta1, u2: Circuit,
+    def __init__(self, u1: Circuit, u2: Circuit,
                  settings: MeasurementSettings, noise: NoiseModel):
         if u1.width != u2.width:
             raise ValueError("register widths differ")
         self.m = u2.width
         self.settings = settings
         self.noise = noise
-        u1_bound = u1.bound(theta1) if u1.n_slots else u1
-        self.psi1 = run_pure(u1_bound)
+        self.psi1 = run_pure(u1)
         # the circuit whose output estimate_sum reads
         self.circuit = u2
         if noise.enabled:
@@ -635,7 +635,7 @@ class OverlapEngine:
             prefix = Circuit(self.m + 1)
             prefix.add("H", anc)
             prefix.add("X", anc)
-            prefix.extend(make_controlled(u1_bound).gates)
+            prefix.extend(make_controlled(u1).gates)
             prefix.add("X", anc)
             prefix.extend(make_controlled(u2).gates)
             self.circuit = prefix

@@ -26,8 +26,8 @@ from .molham import build_cas, fock_matrix, hubbard_dimer, read_fcidump
 from .oracle import MAX_DENSE_QUBITS, GreensOracle, exact_ground
 from .solver import PointRecord, assemble_matrices, sweep_columns
 from .store import (CheckpointStore, ManifestWriter, dumps_canonical,
-                    fmt_float, read_series, sha256_of_file, write_series,
-                    write_spectrum_csv, write_text_atomic)
+                    fmt_float, read_series, series_lines, sha256_of_file,
+                    spectrum_csv)
 from .vqe import AnsatzSpec, build_hea, hf_start_angles, vqe_ground_state
 
 EXIT_OK = 0
@@ -81,12 +81,11 @@ class Problem:
         else:
             self.integrals = hubbard_dimer(cfg.hamiltonian.t, cfg.hamiltonian.u)
         if cfg.active_space is not None:
-            for a in cfg.active_space:
-                if a >= self.integrals.n_orb:
-                    raise IngestError(
-                        f"active orbital {a} outside the {self.integrals.n_orb}"
-                        f"-orbital problem")
-            self.problem_integrals = build_cas(self.integrals, cfg.active_space)
+            try:
+                self.problem_integrals = build_cas(self.integrals,
+                                                   cfg.active_space)
+            except ValueError as exc:
+                raise IngestError(f"active_space: {exc}")
         else:
             self.problem_integrals = self.integrals
         self.h_op = self.problem_integrals.to_qubits(mu=cfg.mu)
@@ -136,18 +135,15 @@ def _run_ground_state(prob: Problem, spec: AnsatzSpec, theta0):
         penalty=prob.gs_penalty(), theta0=theta0)
 
 
-def _persist_ground_state(out: Path, e0, theta, trace) -> list[Path]:
-    gs_path = out / "ground_state.json"
+def _persist_ground_state(manifest: ManifestWriter, e0, theta, trace) -> None:
     payload = {
         "e0": float(e0),
         "converged": bool(trace.converged),
         "sweeps": int(trace.sweeps),
         "angles": [float(t) for t in theta],
     }
-    write_text_atomic(gs_path, dumps_canonical(payload) + "\n")
-    log_path = out / "trace.log"
-    write_text_atomic(log_path, trace.log_lines())
-    return [gs_path, log_path]
+    manifest.write("ground_state.json", dumps_canonical(payload) + "\n")
+    manifest.write("trace.log", trace.log_lines())
 
 
 def cmd_ground_state(args) -> int:
@@ -155,31 +151,31 @@ def cmd_ground_state(args) -> int:
     prob = _open_problem(cfg)
     spec = prob.ansatz()
     theta0 = prob.gs_start(spec)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = ManifestWriter(out, cfg.to_json_dict())
+    manifest = ManifestWriter(cfg.out_dir, cfg.to_json_dict())
     e0, theta, trace = _run_ground_state(prob, spec, theta0)
-    files = _persist_ground_state(out, e0, theta, trace)
-    for f in files:
-        manifest.register(f)
+    _persist_ground_state(manifest, e0, theta, trace)
     manifest.stage("ground-state", "ok", e0=float(e0), sweeps=trace.sweeps,
                    converged=bool(trace.converged))
     manifest.finish()
     print(f"E0 = {e0:.10f} ({trace.sweeps} sweeps, "
-          f"converged={trace.converged}) -> {out}")
+          f"converged={trace.converged}) -> {manifest.out_dir}")
     return EXIT_OK
 
 
 def _reusable_points(checkpoint: CheckpointStore, zs: np.ndarray,
                      out: Path) -> dict[tuple[str, int], dict[int, PointRecord]]:
     """Checkpointed points by column, refused unless each is a point record
-    (exit 3) that sits at the canonicalized frequency the current grid puts
-    at its index (exit 2)."""
+    of finite numbers (exit 3) that sits at the canonicalized frequency the
+    current grid puts at its index (exit 2)."""
     existing: dict[tuple[str, int], dict[int, PointRecord]] = {}
     for (branch, j), col in checkpoint.by_column().items():
         for k, d in col.items():
             try:
                 rec = PointRecord.from_json_dict(d)
+                if not np.isfinite(np.concatenate((
+                        [rec.z, rec.residual, rec.gamma], rec.elements,
+                        rec.theta))).all():
+                    raise ValueError("a number is not finite")
             except (KeyError, TypeError, ValueError) as exc:
                 raise CliFailure(EXIT_INGEST,
                                  f"{checkpoint.path}: point ({branch}, {j}, "
@@ -223,14 +219,13 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise CliFailure(EXIT_INGEST, str(exc))
     existing = _reusable_points(checkpoint, zs, out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = ManifestWriter(out, cfg.to_json_dict())
 
     gs_path = out / "ground_state.json"
     reused = gs_path.exists()
     if not reused:
         e0, theta, trace = _run_ground_state(prob, spec, theta0)
-        _persist_ground_state(out, e0, theta, trace)
+        _persist_ground_state(manifest, e0, theta, trace)
         manifest.stage("ground-state", "ok", e0=float(e0), sweeps=trace.sweeps,
                        converged=bool(trace.converged))
     # continue from the canonicalized values on disk, so a later resume
@@ -243,7 +238,9 @@ def cmd_sweep(args) -> int:
                                       f"not JSON ({exc.msg})")
     try:
         e0 = float(payload["e0"])
-        theta = np.asarray(payload.get("angles"), dtype=float)
+        theta = np.asarray(payload.get("angles", []), dtype=float)
+        if not (math.isfinite(e0) and np.isfinite(theta).all()):
+            raise ValueError("e0 or an angle is not finite")
     except (KeyError, TypeError, ValueError) as exc:
         # the record is one line, as _persist_ground_state writes it
         raise CliFailure(EXIT_INGEST, f"{gs_path}, line 1: not a ground-state "
@@ -252,6 +249,9 @@ def cmd_sweep(args) -> int:
         raise CliFailure(EXIT_CONFIG,
                          "stored ground state does not match the ansatz")
     if reused:
+        manifest.register(gs_path)
+        if (out / "trace.log").exists():
+            manifest.register(out / "trace.log")
         manifest.stage("ground-state", "reused", e0=e0)
 
     records = sweep_columns(
@@ -269,16 +269,10 @@ def cmd_sweep(args) -> int:
     bound = assemble_matrices(
         [replace(r, elements=np.full(len(orbitals), r.bound())) for r in records],
         orbitals, prob.n_orb, len(zs)).real
-    series_path = out / "series.jsonl"
-    write_series(series_path, zs, g, _series_extras(records, bound))
-    csv_path = out / "spectrum.csv"
-    write_spectrum_csv(csv_path, zs, g)
-    manifest.register(series_path)
-    manifest.register(csv_path)
-    manifest.register(out / "checkpoint.jsonl")
-    manifest.register(gs_path)
-    if (out / "trace.log").exists():
-        manifest.register(out / "trace.log")
+    manifest.write("series.jsonl",
+                   series_lines(zs, g, _series_extras(records, bound)))
+    manifest.write("spectrum.csv", spectrum_csv(zs, g))
+    manifest.register(checkpoint.path)
     status = "ok" if frac >= cfg.min_converged_fraction else "budget-exceeded"
     manifest.stage("sweep", status, points=len(records), converged=n_conv,
                    fraction=round(frac, 6))
@@ -346,12 +340,8 @@ def cmd_embed(args) -> int:
     spectra = {}
     for mode in modes:
         g_emb, skipped = _embedded_series(mode, g_sp, f, active, zs)
-        path = out / f"embedded_{mode}.jsonl"
-        write_series(path, zs, g_emb)
-        manifest.register(path)
-        csv_path = out / f"embedded_{mode}.csv"
-        write_spectrum_csv(csv_path, zs, g_emb)
-        manifest.register(csv_path)
+        manifest.write(f"embedded_{mode}.jsonl", series_lines(zs, g_emb))
+        manifest.write(f"embedded_{mode}.csv", spectrum_csv(zs, g_emb))
         spectra[mode] = np.array([trace_spectrum(m) for m in g_emb])
         entry = {"singular_points": len(skipped)}
         if noise is not None:
@@ -367,9 +357,7 @@ def cmd_embed(args) -> int:
     if len(modes) == 2:
         diff = np.abs(spectra["dyson"] - spectra["nondyson"])
         report["max_spectrum_delta"] = float(np.nanmax(diff))
-    report_path = out / "embed_report.json"
-    write_text_atomic(report_path, dumps_canonical(report) + "\n")
-    manifest.register(report_path)
+    manifest.write("embed_report.json", dumps_canonical(report) + "\n")
     manifest.stage("embed", "ok", **{k: v for k, v in report.items()
                                      if k != "modes"})
     manifest.finish()
@@ -389,26 +377,19 @@ def cmd_oracle(args) -> int:
     if not 0 <= sector <= prob.n_modes:
         raise CliFailure(EXIT_CONFIG,
                          f"--sector {sector} outside 0..{prob.n_modes}")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = ManifestWriter(out, cfg.to_json_dict())
+    manifest = ManifestWriter(cfg.out_dir, cfg.to_json_dict())
     e0, psi0 = exact_ground(prob.h_op, n_particles=sector)
     oracle = GreensOracle(prob.h_op, e0, psi0, n_particles=sector)
     zs = cfg.grid.points()
     g = oracle.series(zs)
-    series_path = out / "series.jsonl"
-    write_series(series_path, zs, g)
-    csv_path = out / "spectrum.csv"
-    write_spectrum_csv(csv_path, zs, g)
-    gs_path = out / "ground_state.json"
-    write_text_atomic(gs_path, dumps_canonical(
+    manifest.write("series.jsonl", series_lines(zs, g))
+    manifest.write("spectrum.csv", spectrum_csv(zs, g))
+    manifest.write("ground_state.json", dumps_canonical(
         {"e0": float(e0), "sector": int(sector)}) + "\n")
-    for f in (series_path, csv_path, gs_path):
-        manifest.register(f)
     manifest.stage("oracle", "ok", e0=float(e0), sector=int(sector))
     manifest.finish()
     print(f"oracle: E0 = {e0:.10f} (sector {sector}), "
-          f"{len(zs)} points -> {out}")
+          f"{len(zs)} points -> {manifest.out_dir}")
     return EXIT_OK
 
 
@@ -485,9 +466,7 @@ def cmd_noise_scan(args) -> int:
     prob = _open_problem(cfg)
     spec = prob.ansatz()
     theta0 = prob.gs_start(spec)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = ManifestWriter(out, cfg.to_json_dict())
+    manifest = ManifestWriter(cfg.out_dir, cfg.to_json_dict())
     penalty = prob.gs_penalty()
     settings = cfg.measurement
     rows = []
@@ -505,9 +484,7 @@ def cmd_noise_scan(args) -> int:
                 circ, theta, prob.h_op, settings, raw,
                 settings.make_rng()))
         rows.append(row)
-    scan_path = out / "noise_scan.json"
-    write_text_atomic(scan_path, dumps_canonical({"rows": rows}) + "\n")
-    manifest.register(scan_path)
+    manifest.write("noise_scan.json", dumps_canonical({"rows": rows}) + "\n")
     manifest.stage("noise-scan", "ok", n=len(rows))
     manifest.finish()
     print(json.dumps({"rows": rows}, indent=2, sort_keys=True))

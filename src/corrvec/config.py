@@ -22,7 +22,7 @@ import numpy as np
 
 from .circuits import MeasurementSettings, NoiseModel
 from .solver import SolverOptions
-from .vqe import VALID_ROTATIONS
+from .vqe import AnsatzSpec
 
 EMBED_MODES = ("none", "dyson", "nondyson", "both")
 
@@ -195,15 +195,16 @@ class AnsatzConfig:
     @staticmethod
     def parse(section: dict) -> "AnsatzConfig":
         vals = _take(section, "ansatz", {"depth": 3, "pattern": ["RY", "RZ"]})
-        depth = _int(vals["depth"])
-        if depth < 1:
-            raise ConfigError("ansatz: depth must be at least 1")
         if not isinstance(vals["pattern"], list):
             raise ConfigError("ansatz: pattern must be a list of rotations")
-        pattern = tuple(str(p) for p in vals["pattern"])
-        if not pattern or any(p not in VALID_ROTATIONS for p in pattern):
-            raise ConfigError(f"ansatz: pattern entries must be in {VALID_ROTATIONS}")
-        return AnsatzConfig(depth, pattern)
+        parsed = AnsatzConfig(_int(vals["depth"]),
+                              tuple(str(p) for p in vals["pattern"]))
+        try:
+            # the value rules are the ansatz's own, whatever its width
+            AnsatzSpec(1, parsed.depth, parsed.pattern)
+        except ValueError as exc:
+            raise ConfigError(f"ansatz: {exc}") from None
+        return parsed
 
     def to_json_dict(self) -> dict:
         return {"depth": self.depth, "pattern": list(self.pattern)}
@@ -245,9 +246,10 @@ class RunConfig:
                 if not isinstance(active, list):
                     raise ConfigError("active_space: expected a list of orbitals")
                 active = tuple(sorted(_int(a) for a in active))
-                if len(set(active)) != len(active) or any(a < 0 for a in active):
-                    raise ConfigError(
-                        "active_space: need distinct non-negative orbitals")
+                if (not active or len(set(active)) != len(active)
+                        or any(a < 0 for a in active)):
+                    raise ConfigError("active_space: need a non-empty list of "
+                                      "distinct non-negative orbitals")
             embedding = str(vals["embedding"])
             if embedding not in EMBED_MODES:
                 raise ConfigError(f"embedding: must be one of {EMBED_MODES}")

@@ -9,7 +9,9 @@ chi(z) = [z + s(H - E0)]^{-1} V |psi0> (s = -1 on the particle branch,
 a positive semidefinite quadratic form whose kernel is the normalized
 correction vector.  The optimized circuit plus the scalar
 gamma = <V|V> / <V|Q U|0> reproduces every Green's-function element of the
-column without further optimization.
+column without further optimization: after its sweeps each point simulates
+its overlap circuit once and reads the denominator of gamma and every
+element of the column off that one output.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ V_NORM_THRESHOLD = 1e-8
 class CorrectionVectorSolution:
     theta: np.ndarray
     residual: float              # g / <V|V> at the returned angles
-    gamma: complex
+    gamma: complex               # 0 when V|psi0> or the overlap vanished
     depth: int
     sweeps: int
     converged: bool
-    zero: bool = False           # perturbation annihilated the ground state
+    elements: np.ndarray         # gamma * <psi0|A_i|U|0> over element_ops
 
 
 @dataclass(frozen=True)
@@ -68,18 +70,24 @@ class SolverOptions:
 
 
 class CorrectionProblem:
-    """Shared per-column operators and the cost function at one frequency."""
+    """Shared per-column operators and the cost function at one frequency.
+
+    ``element_ops`` are the operators A_i whose overlaps, times gamma, give
+    the column's elements: the adjoint ladder operators of its orbitals.
+    """
 
     def __init__(self, h: PauliSum, e0: float, sign: int, v_op: PauliSum,
                  gs_circuit: Circuit, settings: MeasurementSettings,
                  noise: NoiseModel, n_target: int | None = None,
-                 sector_penalty: float = 1.0):
+                 sector_penalty: float = 1.0,
+                 element_ops: tuple[PauliSum, ...] = ()):
         if gs_circuit.n_slots:
             raise ValueError("ground-state circuit must be fully bound")
         self.h = h
         self.e0 = e0
         self.sign = sign
         self.v_op = v_op
+        self.element_ops = element_ops
         self.gs_circuit = gs_circuit
         self.settings = settings
         self.noise = noise
@@ -116,15 +124,15 @@ class CorrectionProblem:
         cached = self._engines.get(spec.depth)
         if cached is None:
             circ = build_hea(spec)
-            engine = OverlapEngine(self.gs_circuit, None, circ,
-                                   self.settings, self.noise)
+            engine = OverlapEngine(self.gs_circuit, circ, self.settings,
+                                   self.noise)
             cached = (circ, engine)
             self._engines[spec.depth] = cached
         return cached
 
-    def make_cost(self, z: complex, spec: AnsatzSpec, v_norm: float, rng):
-        """Returns g at frequency z over the ansatz's angles, as a
-        ``CircuitCost``, and the overlap estimator over angles.
+    def make_cost(self, z: complex, spec: AnsatzSpec, v_norm: float,
+                  rng) -> CircuitCost:
+        """g at frequency z over the ansatz's angles, as a ``CircuitCost``.
 
         g reads one output of the ansatz for <Q+Q>, the penalty and, without
         noise, the overlap; the noisy overlap reads the output of its own
@@ -153,12 +161,8 @@ class CorrectionProblem:
                                                   settings, noise, rng, states)
             return value
 
-        def overlap(theta) -> complex:
-            return engine.estimate_sum(theta, vdq, rng)
-
         circuits = [circ, engine.circuit] if noise.enabled else [circ]
-        cost = CircuitCost(circuits, settings, noise, read, ops, w / np.sqrt(v_norm))
-        return cost, overlap
+        return CircuitCost(circuits, settings, noise, read, ops, w / np.sqrt(v_norm))
 
 
 def solve_correction_vector(problem: CorrectionProblem, z: complex,
@@ -172,13 +176,18 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
     ``theta0``/``depth0`` warm-start from a neighboring frequency.  The
     returned angles are the best seen by measured cost; ``converged``
     means their residual is below ``options.epsilon`` and gamma is
-    defined.
+    defined.  One simulation of the overlap circuit at those angles then
+    gives the denominator of gamma and each element of
+    ``problem.element_ops``, estimated in that order.  A perturbation that
+    annihilates the ground state returns gamma 0, converged, with zero
+    elements.
     """
+    zeros = np.zeros(len(problem.element_ops), dtype=complex)
     v_norm = problem.measure_v_norm(rng)
     if v_norm < V_NORM_THRESHOLD:
         return CorrectionVectorSolution(
-            theta=np.zeros(spec.n_slots), residual=0.0, gamma=0.0,
-            depth=spec.depth, sweeps=0, converged=True, zero=True)
+            theta=np.zeros(spec.n_slots), residual=0.0, gamma=0j,
+            depth=spec.depth, sweeps=0, converged=True, elements=zeros)
 
     cur = spec if depth0 is None else replace(spec, depth=depth0)
     max_depth = spec.depth + options.extra_depth
@@ -189,7 +198,7 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
     else:
         theta = rng.uniform(-0.1, 0.1, size=cur.n_slots)
 
-    cost, _ = problem.make_cost(z, cur, v_norm, rng)
+    cost = problem.make_cost(z, cur, v_norm, rng)
     best_theta, best_val, best_depth = theta, np.inf, cur.depth
     history: list[float] = []
     sweeps = 0
@@ -208,22 +217,24 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
             grown = replace(cur, depth=cur.depth + 1)
             theta = grow_hea_angles(theta, cur, grown)
             cur = grown
-            cost, _ = problem.make_cost(z, cur, v_norm, rng)
+            cost = problem.make_cost(z, cur, v_norm, rng)
             history.clear()
 
-    if best_depth != cur.depth:
-        cur = replace(cur, depth=best_depth)
-    _, overlap = problem.make_cost(z, cur, v_norm, rng)
-    denom = overlap(best_theta)
+    _, engine = problem.engine_for(replace(cur, depth=best_depth))
+    states = simulate(engine.circuit, best_theta, problem.noise)
+    denom = engine.estimate_sum(best_theta, problem.vdq(z), rng, states)
     converged = bool(best_val / v_norm < options.epsilon)
     if abs(denom) < 1e-10:
-        gamma = 0.0 + 0j
-        converged = False
+        gamma, elements, converged = 0j, zeros, False
     else:
-        gamma = v_norm / denom
+        gamma = complex(v_norm / denom)
+        elements = gamma * np.asarray(
+            [engine.estimate_sum(best_theta, a_op, rng, states)
+             for a_op in problem.element_ops], dtype=complex)
     return CorrectionVectorSolution(
-        theta=best_theta, residual=float(best_val / v_norm), gamma=complex(gamma),
-        depth=cur.depth, sweeps=sweeps, converged=converged)
+        theta=best_theta, residual=float(best_val / v_norm), gamma=gamma,
+        depth=best_depth, sweeps=sweeps, converged=converged,
+        elements=elements)
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +313,6 @@ def _stored_form(rec: PointRecord) -> PointRecord:
         rec.to_json_dict())))
 
 
-def _column_elements(problem: CorrectionProblem, spec_at: AnsatzSpec,
-                     sol: CorrectionVectorSolution, element_ops: list[PauliSum],
-                     rng) -> np.ndarray:
-    if sol.zero or sol.gamma == 0:
-        return np.zeros(len(element_ops), dtype=complex)
-    _, engine = problem.engine_for(spec_at)
-    states = simulate(engine.circuit, sol.theta, problem.noise)
-    vals = [engine.estimate_sum(sol.theta, a_op, rng, states) for a_op in element_ops]
-    return sol.gamma * np.asarray(vals, dtype=complex)
-
-
 def solve_column(h: PauliSum, e0: float, gs_circuit: Circuit,
                  zs: np.ndarray, branch: str, orbital: int,
                  orbitals: list[int], spec: AnsatzSpec, options: SolverOptions,
@@ -333,11 +333,11 @@ def solve_column(h: PauliSum, e0: float, gs_circuit: Circuit,
     sign = _BRANCH_SIGN[branch]
     create = branch == PARTICLE
     v_op = ladder_pauli(orbital, create, n_modes)
-    element_ops = [ladder_pauli(i, not create, n_modes) for i in orbitals]
     n_target = None if n_elec is None else n_elec + (1 if create else -1)
-    problem = CorrectionProblem(h, e0, sign, v_op, gs_circuit, settings, noise,
-                                n_target=n_target,
-                                sector_penalty=options.sector_penalty)
+    problem = CorrectionProblem(
+        h, e0, sign, v_op, gs_circuit, settings, noise, n_target=n_target,
+        sector_penalty=options.sector_penalty,
+        element_ops=tuple(ladder_pauli(i, not create, n_modes) for i in orbitals))
     existing = existing or {}
 
     records: list[PointRecord] = []
@@ -349,11 +349,9 @@ def solve_column(h: PauliSum, e0: float, gs_circuit: Circuit,
             theta0, depth0 = prev if prev is not None else (None, None)
             sol = solve_correction_vector(problem, complex(z), spec, options,
                                           rng, theta0=theta0, depth0=depth0)
-            spec_at = replace(spec, depth=sol.depth)
-            elements = _column_elements(problem, spec_at, sol, element_ops, rng)
             rec = _stored_form(PointRecord(
                 k=k, z=complex(z), orbital=orbital, branch=branch,
-                elements=elements, theta=sol.theta, depth=sol.depth,
+                elements=sol.elements, theta=sol.theta, depth=sol.depth,
                 sweeps=sol.sweeps, residual=sol.residual, gamma=sol.gamma,
                 converged=sol.converged))
             if on_point is not None:

@@ -4,7 +4,9 @@ Every write lands via a temporary file in the target directory followed by
 an atomic rename, so an interrupted run never leaves a half-written file.
 All floating-point text is canonicalized to 12 significant digits, which
 makes byte-identical reruns a meaningful promise and lets the manifest pin
-each file with a content digest.
+each file with a content digest.  ``series_lines`` and ``spectrum_csv``
+render a series as text; a command writes that text, and each of its other
+outputs, through ``ManifestWriter.write``, which pins the file as it lands.
 """
 
 from __future__ import annotations
@@ -102,11 +104,6 @@ def series_lines(zs: np.ndarray, g: np.ndarray,
     return "\n".join(lines) + "\n"
 
 
-def write_series(path: str | Path, zs: np.ndarray, g: np.ndarray,
-                 extras: list[dict] | None = None) -> None:
-    write_text_atomic(path, series_lines(zs, g, extras))
-
-
 def read_series(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[dict]]:
     """Load a JSON-lines series back into (zs, G, extras).
 
@@ -159,10 +156,6 @@ def spectrum_csv(zs: np.ndarray, g: np.ndarray) -> str:
     return "\n".join(rows) + "\n"
 
 
-def write_spectrum_csv(path: str | Path, zs: np.ndarray, g: np.ndarray) -> None:
-    write_text_atomic(path, spectrum_csv(zs, g))
-
-
 class CheckpointStore:
     """Per-point solver checkpoints with atomic whole-file rewrites.
 
@@ -210,10 +203,15 @@ class CheckpointStore:
 
 
 class ManifestWriter:
-    """Run manifest: config snapshot, stage log, file digests, timing."""
+    """Run manifest: config snapshot, stage log, file digests, timing.
+
+    It creates its directory.  ``write`` writes a file of the run and pins
+    its digest at once; ``register`` pins a file the run reuses as it is.
+    """
 
     def __init__(self, out_dir: str | Path, config_snapshot: dict):
         self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.data = {
             "config": config_snapshot,
             "stages": [],
@@ -227,6 +225,11 @@ class ManifestWriter:
         entry = {"name": name, "status": status}
         entry.update(info)
         self.data["stages"].append(entry)
+
+    def write(self, name: str, text: str) -> None:
+        path = self.out_dir / name
+        write_text_atomic(path, text)
+        self.register(path)
 
     def register(self, path: str | Path) -> None:
         path = Path(path)

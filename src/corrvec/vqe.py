@@ -49,7 +49,8 @@ class AnsatzSpec:
             raise ValueError("rotation pattern must be non-empty")
         for kind in self.pattern:
             if kind not in VALID_ROTATIONS:
-                raise ValueError(f"unsupported rotation kind {kind!r}")
+                raise ValueError(f"unsupported rotation kind {kind!r}, "
+                                 f"expected one of {VALID_ROTATIONS}")
 
     @property
     def n_slots(self) -> int:

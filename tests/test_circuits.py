@@ -282,7 +282,7 @@ def test_overlap_circuit_matches_direct(rng):
 def test_overlap_engine_exact_matches_direct(rng):
     u1, u2, theta = hadamard_case(rng)
     op = PauliSum(2, [("XY", 0.3 - 0.2j), ("ZI", 1.2), ("II", 0.5j)])
-    engine = OverlapEngine(u1, None, u2, MeasurementSettings(), NoiseModel())
+    engine = OverlapEngine(u1, u2, MeasurementSettings(), NoiseModel())
     est = engine.estimate_sum(theta, op)
     direct = np.vdot(run_pure(u1), apply_sum(op, run_pure(u2, theta)))
     assert est == pytest.approx(complex(direct), abs=1e-10)
@@ -292,10 +292,10 @@ def test_overlap_engine_noisy_path_consistent(rng):
     u1, u2, theta = hadamard_case(rng)
     op = PauliSum(2, [("XY", 0.3 - 0.2j), ("ZI", 1.2)])
     direct = np.vdot(run_pure(u1), apply_sum(op, run_pure(u2, theta)))
-    silent = OverlapEngine(u1, None, u2, MeasurementSettings(),
+    silent = OverlapEngine(u1, u2, MeasurementSettings(),
                            NoiseModel(enabled=True, p2=0.0))
     assert silent.estimate_sum(theta, op) == pytest.approx(complex(direct), abs=1e-10)
-    noisy = OverlapEngine(u1, None, u2, MeasurementSettings(),
+    noisy = OverlapEngine(u1, u2, MeasurementSettings(),
                           NoiseModel(enabled=True, p2=1e-3, zne=True, boost=2.0))
     est = noisy.estimate_sum(theta, op)
     assert abs(est - direct) < 0.05
@@ -337,7 +337,7 @@ def test_estimators_match_dense_references(mode, noise_name, rng):
     assert got == pytest.approx(expect, abs=1e-10)
 
     op = PauliSum(2, [("XY", 0.3 - 0.2j), ("ZI", 1.2), ("II", 0.5j)])
-    engine = OverlapEngine(u1, None, u2, settings, noise)
+    engine = OverlapEngine(u1, u2, settings, noise)
     got = engine.estimate_sum(theta, op, np.random.default_rng(22))
     expect = estimate_overlap(u1, u2, theta, op, settings, noise,
                               np.random.default_rng(22))

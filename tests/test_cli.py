@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from corrvec.cli import main
-from corrvec.store import read_series, sha256_of_file
+from corrvec.store import (read_series, series_lines, sha256_of_file,
+                           write_text_atomic)
 from manifest_check import verify_manifest
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -136,24 +137,48 @@ def test_missing_fcidump_exits_3_without_outputs(tmp_path):
         assert not out.exists()
 
 
+def test_unusable_active_space_exits_3_without_outputs(tmp_path):
+    """An active space the fcidump cannot take: an odd electron count, and
+    an orbital beyond NORB."""
+    out = tmp_path / "out"
+    h2 = FIXTURES / "h2_2.0.fcidump"
+    odd = tmp_path / "odd.fcidump"
+    odd.write_text(h2.read_text().replace("NELEC=2", "NELEC=1", 1))
+    for path, active in ((odd, [0, 1]), (h2, [0, 2])):
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(out),
+                           hamiltonian={"kind": "fcidump", "path": str(path)},
+                           active_space=active)
+        assert run("ground-state", "--config", str(cfg)) == 3, active
+        assert not out.exists()
+
+
 def test_sweep_refuses_corrupt_resume_files(dimer_sweep, tmp_path, capsys):
     """Resuming a sweep whose checkpoint or ground state is corrupt exits 3
     with the file and the line (or the point) named, and writes no
     series."""
     src = dimer_sweep["out"]
     lines = (src / "checkpoint.jsonl").read_text().splitlines()
-    keyless, textual, pointless = (json.loads(lines[1]) for _ in range(3))
+    keyless, textual, pointless, nan_element = (json.loads(lines[1])
+                                                for _ in range(4))
     del keyless["orbital"]
     textual["k"] = str(textual["k"])
     del pointless["z_re"]
+    nan_element["elements_re"][0] = float("nan")
     point = f"point ({pointless['branch']}, {pointless['orbital']}, k={pointless['k']})"
+    # Python's json reads NaN and Infinity, which no run writes
+    ground = json.loads((src / "ground_state.json").read_text())
+    nan_e0 = dict(ground, e0=float("nan"))
+    inf_angle = dict(ground, angles=[float("inf")] + ground["angles"][1:])
     cases = [
         ("checkpoint.jsonl", [lines[0], "{not json", *lines[2:]], "line 2"),
         ("checkpoint.jsonl", [lines[0], json.dumps(keyless)], "line 2"),
         ("checkpoint.jsonl", [lines[0], json.dumps(textual)], "line 2"),
         ("checkpoint.jsonl", [lines[0], json.dumps(pointless)], point),
+        ("checkpoint.jsonl", [lines[0], json.dumps(nan_element)], point),
         ("ground_state.json", ['{"e0": -1.2,', ' "angles": ['], "line 3"),
         ("ground_state.json", [json.dumps({"angles": [0.0] * 24})], "line 1"),
+        ("ground_state.json", [json.dumps(nan_e0)], "line 1"),
+        ("ground_state.json", [json.dumps(inf_angle)], "line 1"),
     ]
     grid = {"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0, "n": 3}
     for i, (name, text, where) in enumerate(cases):
@@ -206,6 +231,7 @@ def test_config_errors_exit_2(tmp_path):
         (["sweep"], {"grid": grid, "optimizer": {"max_sweeps": "x"}}),
         (["ground-state"], {"measurement": {"seed": -1}}),
         (["ground-state"], {"active_space": 3}),
+        (["ground-state"], {"active_space": []}),
         (["ground-state"], {"hamiltonian": {"kind": "hubbard-dimer",
                                             "t": "a", "u": 2.0}}),
         (["ground-state"], {"ansatz": no_ry}),
@@ -293,9 +319,8 @@ def test_compare_command(dimer_sweep, tmp_path, capsys):
     capsys.readouterr()
 
     zs, g, _ = read_series(series)
-    from corrvec.store import write_series
     shifted = tmp_path / "shifted.jsonl"
-    write_series(shifted, zs, g + 1.0)
+    write_text_atomic(shifted, series_lines(zs, g + 1.0))
     assert run("compare", str(series), str(shifted), "--force",
                "--tol", "0.5") == 5
     assert run("compare", str(series), str(shifted), "--force",
@@ -307,7 +332,7 @@ def test_compare_command(dimer_sweep, tmp_path, capsys):
     capsys.readouterr()
 
     other_grid = tmp_path / "grid.jsonl"
-    write_series(other_grid, zs + 0.01, g)
+    write_text_atomic(other_grid, series_lines(zs + 0.01, g))
     assert run("compare", str(series), str(other_grid), "--force") == 5
     assert run("compare", str(series), str(tmp_path / "none.jsonl")) == 3
 

@@ -193,6 +193,8 @@ def test_run_config_cross_field_rules():
     with pytest.raises(ConfigError):
         RunConfig.parse(minimal(active_space=[-1]))
     with pytest.raises(ConfigError):
+        RunConfig.parse(minimal(active_space=[]))
+    with pytest.raises(ConfigError):
         RunConfig.parse(minimal(embedding="dyson"))
     with pytest.raises(ConfigError):
         RunConfig.parse(minimal(embedding="pade", active_space=[0, 1]))

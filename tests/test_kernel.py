@@ -149,7 +149,7 @@ def restriction_cases(draw, case):
         u1_spec = AnsatzSpec(spec.width, 1)
         u1 = build_hea(u1_spec).bound(draw(st.lists(
             angles, min_size=u1_spec.n_slots, max_size=u1_spec.n_slots)))
-        circ = OverlapEngine(u1, None, circ, MeasurementSettings(), noise).circuit
+        circ = OverlapEngine(u1, circ, MeasurementSettings(), noise).circuit
     n = spec.n_slots
     start, probes, moves = (np.array(draw(st.lists(angles, min_size=n, max_size=n)))
                             for _ in range(3))

@@ -125,7 +125,7 @@ def test_correction_pair_matches_dense_form_and_resimulation(case):
                                 n_target=int(rng.integers(0, m + 1)),
                                 sector_penalty=0.7)
     v_norm = problem.measure_v_norm(rng)
-    cost, _ = problem.make_cost(z, spec, v_norm, rng)
+    cost = problem.make_cost(z, spec, v_norm, rng)
 
     start = rng.uniform(-np.pi, np.pi, size=spec.n_slots)
     final, value, seen = recorded_sweep(cost, start, cost)

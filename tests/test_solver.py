@@ -130,6 +130,38 @@ def test_zero_perturbation_short_circuits():
     assert np.all(rec.elements == 0)
 
 
+def test_each_point_simulates_its_overlap_circuit_once(h2_hamiltonian,
+                                                       h2_gs, monkeypatch):
+    """After its last sweep a point simulates its overlap circuit once, and
+    reads gamma's denominator and every element off that output."""
+    e0, gs_circ = h2_gs
+    after_sweeps = []
+    real_sweep, real_simulate = solver.rotosolve_sweep, circuits.simulate
+
+    def sweep(*args, **kwargs):
+        result = real_sweep(*args, **kwargs)
+        after_sweeps.clear()
+        return result
+
+    def simulate(*args, **kwargs):
+        after_sweeps.append(args[0])
+        return real_simulate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "rotosolve_sweep", sweep)
+    for module in (circuits, solver):
+        monkeypatch.setattr(module, "simulate", simulate)
+    per_point = []
+    zs = np.array([-0.5 + 0.1j, 0.6 + 0.1j])
+    records = solve_column(
+        h2_hamiltonian, e0, gs_circ, zs, PARTICLE, 1, [0, 1],
+        AnsatzSpec(width=4, depth=2), SolverOptions(max_sweeps=2),
+        MeasurementSettings(), NoiseModel(), seed=9, n_elec=2,
+        on_point=lambda rec: per_point.append(list(after_sweeps)))
+    assert all(r.sweeps > 0 and r.gamma != 0 for r in records)
+    assert [len(calls) for calls in per_point] == [1, 1]
+    assert all(calls[0].n_slots for calls in per_point)
+
+
 def test_warm_start_shape_is_checked(h2_hamiltonian, h2_gs, rng):
     e0, gs_circ = h2_gs
     spec = AnsatzSpec(width=4, depth=2)
@@ -153,7 +185,7 @@ def test_exact_cost_simulates_once(h2_hamiltonian, h2_gs, monkeypatch, rng):
     z, spec = 1.0 + 0.2j, AnsatzSpec(width=4, depth=2)
     theta = rng.uniform(-np.pi, np.pi, size=spec.n_slots)
     v_norm = problem.measure_v_norm(rng)
-    cost, _ = problem.make_cost(z, spec, v_norm, rng)
+    cost = problem.make_cost(z, spec, v_norm, rng)
     calls = []
     real_run_pure = circuits.run_pure
 
@@ -289,16 +321,19 @@ def test_sampled_noisy_solve_is_finite_and_repeatable(dimer_hamiltonian,
     options = SolverOptions(max_sweeps=1, extra_depth=0)
 
     def solve():
-        problem = CorrectionProblem(dimer_hamiltonian, e0, +1,
-                                    ladder_pauli(0, False, 4), gs_circ,
-                                    settings, noise, n_target=1)
+        problem = CorrectionProblem(
+            dimer_hamiltonian, e0, +1, ladder_pauli(0, False, 4), gs_circ,
+            settings, noise, n_target=1,
+            element_ops=tuple(ladder_pauli(i, True, 4) for i in (0, 1)))
         return solve_correction_vector(problem, -0.5 + 0.1j, spec, options,
                                        np.random.default_rng(3))
 
     first, again = solve(), solve()
-    assert not first.zero and first.sweeps == 1
+    assert first.sweeps == 1
     assert np.isfinite(first.residual) and np.isfinite(first.gamma)
     assert first.gamma != 0
+    assert first.elements.shape == (2,) and np.isfinite(first.elements).all()
     assert first.theta.tobytes() == again.theta.tobytes()
+    assert first.elements.tobytes() == again.elements.tobytes()
     assert (first.residual, first.gamma, first.sweeps, first.converged) == \
         (again.residual, again.gamma, again.sweeps, again.converged)

@@ -13,10 +13,9 @@ from corrvec.store import (
     dumps_canonical,
     fmt_float,
     read_series,
+    series_lines,
     sha256_of_file,
     spectrum_csv,
-    write_series,
-    write_spectrum_csv,
     write_text_atomic,
 )
 from manifest_check import verify_manifest
@@ -67,7 +66,7 @@ def test_series_roundtrip(tmp_path, rng):
     g = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
     extras = [{"residual": 1e-4, "depth": 3}, {"residual": 2e-4, "depth": 4}]
     path = tmp_path / "series.jsonl"
-    write_series(path, zs, g, extras)
+    write_text_atomic(path, series_lines(zs, g, extras))
     zs2, g2, extras2 = read_series(path)
     assert np.array_equal(zs2, zs)
     assert np.max(np.abs(g2 - g)) < 1e-11
@@ -76,9 +75,9 @@ def test_series_roundtrip(tmp_path, rng):
     tr = np.trace(g2[0]).imag
     assert extras2[0]["trace_spectrum"] == pytest.approx(tr, abs=1e-10)
 
-    write_series(path, zs, g, extras)
+    write_text_atomic(path, series_lines(zs, g, extras))
     rewritten = sha256_of_file(path)
-    write_series(path, zs, g, extras)
+    write_text_atomic(path, series_lines(zs, g, extras))
     assert sha256_of_file(path) == rewritten
 
 
@@ -118,7 +117,7 @@ def test_spectrum_csv_columns(tmp_path):
     assert float(fields[2]) == pytest.approx(-1.2)
     assert float(fields[3]) == pytest.approx(1.2 / math.pi, rel=1e-10)
     out = tmp_path / "spec.csv"
-    write_spectrum_csv(out, zs, g)
+    write_text_atomic(out, text)
     assert out.read_text() == text
 
 
@@ -153,14 +152,15 @@ def test_checkpoint_store_roundtrip(tmp_path):
 
 def test_manifest_writer_and_verify(tmp_path):
     out = tmp_path / "run"
-    out.mkdir()
+    m = ManifestWriter(out, {"seed": 7})
+    assert out.is_dir()
     a = out / "a.txt"
     b = out / "sub" / "b.txt"
-    write_text_atomic(a, "alpha\n")
+    # a file the run writes is pinned as it lands, one it reuses as it is
+    m.write("a.txt", "alpha\n")
+    assert a.read_text() == "alpha\n"
     write_text_atomic(b, "beta\n")
-    m = ManifestWriter(out, {"seed": 7})
     m.stage("solve", "ok", points=3)
-    m.register(a)
     m.register(b)
     target = m.finish()
     assert target == out / "manifest.json"
