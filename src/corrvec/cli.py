@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import sample_pauli_expectation
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, to_json_dict
 from .fermion import BlockedSpinOrbitals, number_penalty, total_spin_squared
 from .greens import (dyson_embed, nondyson_embed, spin_up_block, trace_spectrum)
 from .molham import build_cas, fock_matrix, hubbard_dimer, read_fcidump
@@ -151,7 +151,7 @@ def cmd_ground_state(args) -> int:
     prob = _open_problem(cfg)
     spec = prob.ansatz()
     theta0 = prob.gs_start(spec)
-    manifest = ManifestWriter(cfg.out_dir, cfg.to_json_dict())
+    manifest = ManifestWriter(cfg.out_dir, to_json_dict(cfg))
     e0, theta, trace = _run_ground_state(prob, spec, theta0)
     _persist_ground_state(manifest, e0, theta, trace)
     manifest.stage("ground-state", "ok", e0=float(e0), sweeps=trace.sweeps,
@@ -162,11 +162,14 @@ def cmd_ground_state(args) -> int:
     return EXIT_OK
 
 
-def _reusable_points(checkpoint: CheckpointStore, zs: np.ndarray,
+def _reusable_points(checkpoint: CheckpointStore, prob: Problem,
+                     spec: AnsatzSpec, zs: np.ndarray,
                      out: Path) -> dict[tuple[str, int], dict[int, PointRecord]]:
     """Checkpointed points by column, refused unless each is a point record
     of finite numbers (exit 3) that sits at the canonicalized frequency the
-    current grid puts at its index (exit 2)."""
+    current grid puts at its index, holds an element per orbital and has
+    the angles of a depth the configured ansatz may grow to (exit 2)."""
+    depths = range(spec.depth, spec.depth + prob.cfg.optimizer.extra_depth + 1)
     existing: dict[tuple[str, int], dict[int, PointRecord]] = {}
     for (branch, j), col in checkpoint.by_column().items():
         for k, d in col.items():
@@ -187,6 +190,14 @@ def _reusable_points(checkpoint: CheckpointStore, zs: np.ndarray,
                     EXIT_CONFIG,
                     f"checkpoint in {out} holds point ({branch}, {j}, k={k}) "
                     f"at z={rec.z}, which is not on the configured grid; "
+                    f"sweep into a fresh out_dir")
+            if not (len(rec.elements) == prob.n_orb and rec.depth in depths
+                    and rec.theta.shape == (spec.grown(rec.depth - spec.depth)
+                                            .n_slots,)):
+                raise CliFailure(
+                    EXIT_CONFIG,
+                    f"checkpoint in {out} holds point ({branch}, {j}, k={k}), "
+                    f"which does not fit the configured ansatz or orbitals; "
                     f"sweep into a fresh out_dir")
             existing.setdefault((branch, j), {})[k] = rec
     return existing
@@ -218,8 +229,8 @@ def cmd_sweep(args) -> int:
         checkpoint = CheckpointStore(out / "checkpoint.jsonl")
     except ValueError as exc:
         raise CliFailure(EXIT_INGEST, str(exc))
-    existing = _reusable_points(checkpoint, zs, out)
-    manifest = ManifestWriter(out, cfg.to_json_dict())
+    existing = _reusable_points(checkpoint, prob, spec, zs, out)
+    manifest = ManifestWriter(out, to_json_dict(cfg))
 
     gs_path = out / "ground_state.json"
     reused = gs_path.exists()
@@ -238,7 +249,7 @@ def cmd_sweep(args) -> int:
                                       f"not JSON ({exc.msg})")
     try:
         e0 = float(payload["e0"])
-        theta = np.asarray(payload.get("angles", []), dtype=float)
+        theta = np.asarray(payload["angles"], dtype=float)
         if not (math.isfinite(e0) and np.isfinite(theta).all()):
             raise ValueError("e0 or an angle is not finite")
     except (KeyError, TypeError, ValueError) as exc:
@@ -320,7 +331,7 @@ def cmd_embed(args) -> int:
     if g_cas.shape[1] != prob.n_modes:
         raise CliFailure(EXIT_INGEST,
                          "stored series does not match the active space")
-    manifest = ManifestWriter(out, cfg.to_json_dict())
+    manifest = ManifestWriter(out, to_json_dict(cfg))
     manifest.register(series_path)
     f = fock_matrix(prob.integrals)
     active = cfg.active_space
@@ -377,7 +388,7 @@ def cmd_oracle(args) -> int:
     if not 0 <= sector <= prob.n_modes:
         raise CliFailure(EXIT_CONFIG,
                          f"--sector {sector} outside 0..{prob.n_modes}")
-    manifest = ManifestWriter(cfg.out_dir, cfg.to_json_dict())
+    manifest = ManifestWriter(cfg.out_dir, to_json_dict(cfg))
     e0, psi0 = exact_ground(prob.h_op, n_particles=sector)
     oracle = GreensOracle(prob.h_op, e0, psi0, n_particles=sector)
     zs = cfg.grid.points()
@@ -466,7 +477,7 @@ def cmd_noise_scan(args) -> int:
     prob = _open_problem(cfg)
     spec = prob.ansatz()
     theta0 = prob.gs_start(spec)
-    manifest = ManifestWriter(cfg.out_dir, cfg.to_json_dict())
+    manifest = ManifestWriter(cfg.out_dir, to_json_dict(cfg))
     penalty = prob.gs_penalty()
     settings = cfg.measurement
     rows = []

@@ -1,21 +1,27 @@
-"""Run configuration: a strict, archival JSON schema.
+"""Run configuration: the dataclass is the schema.
 
-Unknown keys are rejected at every nesting level so an experiment file
-cannot silently drift from what the code actually reads.  The
-``optimizer``, ``measurement`` and ``noise`` sections parse straight into
-the runtime types ``SolverOptions``, ``MeasurementSettings`` and
-``NoiseModel``: their fields are the section's keys, their defaults are
-what a missing key means, and their ``__post_init__`` holds every rule.
-``GridConfig`` holds every frequency-grid rule and builds the grid's
-points.  A parsed config serializes back to an equivalent dictionary,
-which the manifest embeds as the run's permanent record.
+Each section of the JSON file is a frozen dataclass.  Its fields are the
+section's keys, a field without a default is a required key, and unknown
+keys are refused at every nesting level, so an experiment file cannot
+silently drift from what the code reads.  The declared type of a field
+says how a JSON value converts, and the class's ``__post_init__`` holds
+every value rule, so a section built by the parser, by its constructor or
+by ``dataclasses.replace`` obeys the same rules.  The ``optimizer``,
+``measurement`` and ``noise`` sections are the runtime types
+``SolverOptions``, ``MeasurementSettings`` and ``NoiseModel`` themselves.
+
+One ``parse`` builds any section and one ``to_json_dict`` serializes it
+back to an equivalent dictionary, which the manifest embeds as the run's
+permanent record.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,22 +37,6 @@ class ConfigError(ValueError):
     """Raised for malformed, inconsistent, or unknown configuration."""
 
 
-def _take(section: dict | None, name: str, keys: dict[str, object]) -> dict:
-    """Pop known keys with defaults; reject anything left over.  A missing
-    (None) section takes every default."""
-    if section is None:
-        section = {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name}: expected an object")
-    out = {}
-    data = dict(section)
-    for key, default in keys.items():
-        out[key] = data.pop(key, default)
-    if data:
-        raise ConfigError(f"{name}: unknown keys {sorted(data)}")
-    return out
-
-
 def _int(value) -> int:
     """An integer, an integral float or an integer string as ``int``; a bool
     or a fractional value is refused rather than truncated."""
@@ -58,43 +48,87 @@ def _int(value) -> int:
     return int(value)
 
 
-def _coerce(value, kind: type):
-    """``value`` converted to ``kind``: a bool must be JSON true or false,
-    an int goes through ``_int`` and a float must be a number or a numeric
-    string, not a bool, that comes out finite."""
+def _convert(value, kind, name: str):
+    """A JSON value as the declared type ``kind``.  ``X | None`` takes null,
+    ``tuple[T, ...]`` a list, and a nested section an object (null takes
+    all its defaults).  A str or bool takes only its own JSON kind, an int
+    goes through ``_int`` and a float must be a number or a numeric string,
+    not a bool, that comes out finite."""
+    if isinstance(kind, types.UnionType):
+        if value is None:
+            return None
+        (kind,) = [a for a in typing.get_args(kind) if a is not type(None)]
+    if is_dataclass(kind):
+        return parse(kind, value, name)
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{value!r} is not a list")
+        return tuple(_convert(v, typing.get_args(kind)[0], name) for v in value)
+    if kind is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{value!r} is not a string")
+        return value
     if kind is bool:
         if not isinstance(value, bool):
             raise ValueError(f"{value!r} is not true or false")
         return value
     if kind is int:
         return _int(value)
-    if kind is float and isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
-    out = kind(value)
-    if kind is float and not math.isfinite(out):
-        raise ValueError(f"{value!r} is not a finite number")
-    return out
+    if kind is float:
+        if isinstance(value, bool):
+            raise ValueError(f"{value!r} is not a number")
+        out = float(value)
+        if not math.isfinite(out):
+            raise ValueError(f"{value!r} is not a finite number")
+        return out
+    raise TypeError(f"no conversion to {kind!r}")
 
 
-def _parse_flat(cls, name: str, section: dict | None):
-    """A flat section parsed into the runtime dataclass ``cls``: its keys
-    and defaults are the class's fields, each value is converted with the
-    type of its default, and the class checks the result."""
-    defaults = {f.name: f.default for f in fields(cls)}
-    vals = _take(section, name, defaults)
+def parse(cls, data: dict | None, name: str):
+    """The section ``cls`` built from the JSON object ``data`` (None takes
+    every default).  Every ConfigError starts with the section's ``name``;
+    a value that does not convert also names its key."""
+    if data is None:
+        data = {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name}: expected an object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {unknown}")
+    missing = sorted(k for k, f in known.items() if k not in data
+                     and f.default is MISSING and f.default_factory is MISSING)
+    if missing:
+        raise ConfigError(f"{name}: missing required keys {missing}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, value in data.items():
+        try:
+            values[key] = _convert(value, hints[key], key)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{name}: {key}: {exc}") from None
     try:
-        return cls(**{k: _coerce(v, type(defaults[k])) for k, v in vals.items()})
+        return cls(**values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
 
-_REQUIRED = object()
-
-
-def _require(name: str, values: dict) -> None:
-    missing = [k for k, v in values.items() if v is _REQUIRED]
-    if missing:
-        raise ConfigError(f"{name}: missing required keys {sorted(missing)}")
+def to_json_dict(section) -> dict:
+    """The JSON object that ``parse`` reads back into ``section``: nested
+    sections recurse, tuples become lists and a None value leaves its key
+    out."""
+    out = {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            value = to_json_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        if value is not None:
+            out[f.name] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,70 +138,48 @@ class HamiltonianSource:
     t: float | None = None
     u: float | None = None
 
-    @staticmethod
-    def parse(section: dict) -> "HamiltonianSource":
-        vals = _take(section, "hamiltonian",
-                     {"kind": _REQUIRED, "path": None, "t": None, "u": None})
-        _require("hamiltonian", vals)
-        kind = vals["kind"]
-        if kind == "fcidump":
-            if not vals["path"]:
-                raise ConfigError("hamiltonian: fcidump source requires 'path'")
-            if vals["t"] is not None or vals["u"] is not None:
-                raise ConfigError("hamiltonian: t/u only apply to hubbard-dimer")
-            return HamiltonianSource("fcidump", path=str(vals["path"]))
-        if kind == "hubbard-dimer":
-            if vals["t"] is None or vals["u"] is None:
-                raise ConfigError("hamiltonian: hubbard-dimer requires 't' and 'u'")
-            if vals["path"] is not None:
-                raise ConfigError("hamiltonian: path only applies to fcidump")
-            return HamiltonianSource("hubbard-dimer", t=_coerce(vals["t"], float),
-                                     u=_coerce(vals["u"], float))
-        raise ConfigError(f"hamiltonian: unknown kind {kind!r}")
-
-    def to_json_dict(self) -> dict:
+    def __post_init__(self):
         if self.kind == "fcidump":
-            return {"kind": "fcidump", "path": self.path}
-        return {"kind": "hubbard-dimer", "t": self.t, "u": self.u}
+            if not self.path:
+                raise ValueError("fcidump source requires 'path'")
+            if self.t is not None or self.u is not None:
+                raise ValueError("t/u only apply to hubbard-dimer")
+        elif self.kind == "hubbard-dimer":
+            if self.t is None or self.u is None:
+                raise ValueError("hubbard-dimer requires 't' and 'u'")
+            if self.path is not None:
+                raise ValueError("path only applies to fcidump")
+        else:
+            raise ValueError(f"unknown kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class GridConfig:
     kind: str
-    omega_min: float | None
     omega_max: float
     n: int
-    eta: float | None
+    omega_min: float | None = None
+    eta: float | None = None
 
-    @staticmethod
-    def parse(section: dict) -> "GridConfig":
-        vals = _take(section, "grid", {"kind": _REQUIRED, "omega_min": None,
-                                       "omega_max": _REQUIRED, "n": _REQUIRED,
-                                       "eta": None})
-        _require("grid", vals)
-        kind = vals["kind"]
-        n = _int(vals["n"])
-        if n < 1:
-            raise ConfigError("grid: n must be at least 1")
-        if kind == "retarded":
-            if vals["omega_min"] is None:
-                raise ConfigError("grid: retarded grid requires omega_min")
-            eta = 0.05 if vals["eta"] is None else _coerce(vals["eta"], float)
-            if eta <= 0:
-                raise ConfigError("grid: retarded grid requires eta > 0")
-            lo = _coerce(vals["omega_min"], float)
-            hi = _coerce(vals["omega_max"], float)
-            if not lo < hi:
-                raise ConfigError("grid: omega_min must be below omega_max")
-            return GridConfig("retarded", lo, hi, n, eta)
-        if kind == "matsubara":
-            if vals["omega_min"] is not None or vals["eta"] is not None:
-                raise ConfigError("grid: matsubara grid takes only omega_max and n")
-            hi = _coerce(vals["omega_max"], float)
-            if hi <= 0:
-                raise ConfigError("grid: omega_max must be positive")
-            return GridConfig("matsubara", None, hi, n, None)
-        raise ConfigError(f"grid: unknown kind {kind!r}")
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+        if self.kind == "retarded":
+            if self.omega_min is None:
+                raise ValueError("retarded grid requires omega_min")
+            if self.eta is None:
+                object.__setattr__(self, "eta", 0.05)
+            if self.eta <= 0:
+                raise ValueError("retarded grid requires eta > 0")
+            if not self.omega_min < self.omega_max:
+                raise ValueError("omega_min must be below omega_max")
+        elif self.kind == "matsubara":
+            if self.omega_min is not None or self.eta is not None:
+                raise ValueError("matsubara grid takes only omega_max and n")
+            if self.omega_max <= 0:
+                raise ValueError("omega_max must be positive")
+        else:
+            raise ValueError(f"unknown kind {self.kind!r}")
 
     def points(self) -> np.ndarray:
         """The complex frequencies in grid order.  A retarded grid spaces
@@ -180,34 +192,15 @@ class GridConfig:
             return 1j * np.array([self.omega_max])
         return 1j * np.geomspace(self.omega_max / 1000.0, self.omega_max, self.n)
 
-    def to_json_dict(self) -> dict:
-        if self.kind == "retarded":
-            return {"kind": "retarded", "omega_min": self.omega_min,
-                    "omega_max": self.omega_max, "n": self.n, "eta": self.eta}
-        return {"kind": "matsubara", "omega_max": self.omega_max, "n": self.n}
-
 
 @dataclass(frozen=True)
 class AnsatzConfig:
     depth: int = 3
     pattern: tuple[str, ...] = ("RY", "RZ")
 
-    @staticmethod
-    def parse(section: dict) -> "AnsatzConfig":
-        vals = _take(section, "ansatz", {"depth": 3, "pattern": ["RY", "RZ"]})
-        if not isinstance(vals["pattern"], list):
-            raise ConfigError("ansatz: pattern must be a list of rotations")
-        parsed = AnsatzConfig(_int(vals["depth"]),
-                              tuple(str(p) for p in vals["pattern"]))
-        try:
-            # the value rules are the ansatz's own, whatever its width
-            AnsatzSpec(1, parsed.depth, parsed.pattern)
-        except ValueError as exc:
-            raise ConfigError(f"ansatz: {exc}") from None
-        return parsed
-
-    def to_json_dict(self) -> dict:
-        return {"depth": self.depth, "pattern": list(self.pattern)}
+    def __post_init__(self):
+        # the value rules are the ansatz's own, whatever its width
+        AnsatzSpec(1, self.depth, self.pattern)
 
 
 @dataclass(frozen=True)
@@ -226,80 +219,22 @@ class RunConfig:
     min_converged_fraction: float = 0.95
     out_dir: str = "runs/out"
 
-    @staticmethod
-    def parse(data: dict) -> "RunConfig":
-        d = RunConfig.__dataclass_fields__
-        vals = _take(data, "config", {
-            "hamiltonian": _REQUIRED, "grid": None, "active_space": None,
-            "mu": d["mu"].default, "number_penalty": d["number_penalty"].default,
-            "spin_penalty": d["spin_penalty"].default, "ansatz": None,
-            "optimizer": None, "measurement": None, "noise": None,
-            "embedding": "none",
-            "min_converged_fraction": d["min_converged_fraction"].default,
-            "out_dir": d["out_dir"].default})
-        _require("config", vals)
-        # one point turns a value that cannot be converted (a string where
-        # a number belongs, a number where a list belongs) into a ConfigError
-        try:
-            active = vals["active_space"]
-            if active is not None:
-                if not isinstance(active, list):
-                    raise ConfigError("active_space: expected a list of orbitals")
-                active = tuple(sorted(_int(a) for a in active))
-                if (not active or len(set(active)) != len(active)
-                        or any(a < 0 for a in active)):
-                    raise ConfigError("active_space: need a non-empty list of "
-                                      "distinct non-negative orbitals")
-            embedding = str(vals["embedding"])
-            if embedding not in EMBED_MODES:
-                raise ConfigError(f"embedding: must be one of {EMBED_MODES}")
-            if embedding != "none" and active is None:
-                raise ConfigError("embedding requires an active_space")
-            frac = _coerce(vals["min_converged_fraction"], float)
-            if not 0 <= frac <= 1:
-                raise ConfigError("min_converged_fraction must lie in [0, 1]")
-            number_pen = _coerce(vals["number_penalty"], float)
-            spin_pen = _coerce(vals["spin_penalty"], float)
-            if number_pen < 0 or spin_pen < 0:
-                raise ConfigError(
-                    "number_penalty and spin_penalty must be non-negative")
-            return RunConfig(
-                hamiltonian=HamiltonianSource.parse(vals["hamiltonian"]),
-                grid=None if vals["grid"] is None else GridConfig.parse(vals["grid"]),
-                active_space=active,
-                mu=_coerce(vals["mu"], float),
-                number_penalty=number_pen,
-                spin_penalty=spin_pen,
-                ansatz=AnsatzConfig.parse(vals["ansatz"]),
-                optimizer=_parse_flat(SolverOptions, "optimizer", vals["optimizer"]),
-                measurement=_parse_flat(MeasurementSettings, "measurement",
-                                        vals["measurement"]),
-                noise=_parse_flat(NoiseModel, "noise", vals["noise"]),
-                embedding=embedding,
-                min_converged_fraction=frac,
-                out_dir=str(vals["out_dir"]))
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"config: {exc}") from None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "hamiltonian": self.hamiltonian.to_json_dict(),
-            "grid": None if self.grid is None else self.grid.to_json_dict(),
-            "active_space": None if self.active_space is None
-            else list(self.active_space),
-            "mu": self.mu,
-            "number_penalty": self.number_penalty,
-            "spin_penalty": self.spin_penalty,
-            "ansatz": self.ansatz.to_json_dict(),
-            "optimizer": asdict(self.optimizer),
-            "measurement": asdict(self.measurement),
-            "noise": asdict(self.noise),
-            "embedding": self.embedding,
-            "min_converged_fraction": self.min_converged_fraction,
-            "out_dir": self.out_dir,
-        }
+    def __post_init__(self):
+        if self.active_space is not None:
+            active = tuple(sorted(self.active_space))
+            object.__setattr__(self, "active_space", active)
+            if not active or len(set(active)) != len(active) or active[0] < 0:
+                raise ValueError("active_space: need a non-empty list of "
+                                 "distinct non-negative orbitals")
+        if self.embedding not in EMBED_MODES:
+            raise ValueError(f"embedding: must be one of {EMBED_MODES}")
+        if self.embedding != "none" and self.active_space is None:
+            raise ValueError("embedding requires an active_space")
+        if not 0 <= self.min_converged_fraction <= 1:
+            raise ValueError("min_converged_fraction must lie in [0, 1]")
+        if self.number_penalty < 0 or self.spin_penalty < 0:
+            raise ValueError("number_penalty and spin_penalty must be "
+                             "non-negative")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -312,4 +247,4 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: cannot be read ({exc.strerror or exc})")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
-    return RunConfig.parse(data)
+    return parse(RunConfig, data, "config")

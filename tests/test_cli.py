@@ -195,6 +195,37 @@ def test_sweep_refuses_corrupt_resume_files(dimer_sweep, tmp_path, capsys):
         assert not (out / "series.jsonl").exists()
 
 
+def test_sweep_refuses_checkpoint_of_another_ansatz(dimer_sweep, tmp_path,
+                                                     capsys):
+    """A checkpoint record whose angles, elements or depth do not fit the
+    configured ansatz (depth 3, growing by at most 3) and orbitals exits 2
+    and writes no series."""
+    src = dimer_sweep["out"]
+    lines = (src / "checkpoint.jsonl").read_text().splitlines()
+    short_theta, short_elements, deep, deep_angles = (json.loads(lines[1])
+                                                      for _ in range(4))
+    short_theta["theta"] = short_theta["theta"][:-1]
+    short_elements["elements_re"] = short_elements["elements_re"][:-1]
+    short_elements["elements_im"] = short_elements["elements_im"][:-1]
+    deep["depth"] = 7
+    # depth 7 with as many angles as depth 7 has
+    per_layer = len(deep_angles["theta"]) // (deep_angles["depth"] + 1)
+    deep_angles.update(depth=7, theta=[0.0] * (per_layer * 8))
+    grid = {"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0, "n": 3}
+    for i, rec in enumerate((short_theta, short_elements, deep, deep_angles)):
+        out = tmp_path / f"case{i}"
+        out.mkdir()
+        shutil.copy(src / "ground_state.json", out / "ground_state.json")
+        (out / "checkpoint.jsonl").write_text(
+            "\n".join([lines[0], json.dumps(rec)]) + "\n")
+        cfg = write_config(tmp_path / "cfg.json", grid=grid, out_dir=str(out))
+        capsys.readouterr()
+        assert run("sweep", "--config", str(cfg)) == 2, i
+        err = capsys.readouterr().err
+        assert f"checkpoint in {out} holds point" in err and "fresh" in err, err
+        assert not (out / "series.jsonl").exists()
+
+
 def test_config_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"hamiltonian": {"kind": "hubbard-dimer",
@@ -279,8 +310,11 @@ def test_oracle_command(tmp_path, capsys):
     assert verify_manifest(out) == []
     payload = json.loads((out / "ground_state.json").read_text())
     assert payload["sector"] == 2
-    # an oracle's ground state holds no angles for a sweep to start from
-    assert run("sweep", "--config", str(cfg)) == 2
+    # an oracle's ground state holds no angles for a sweep to start from:
+    # the sweep names the file and line, as for a record without e0
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg)) == 3
+    assert f"{out / 'ground_state.json'}, line 1" in capsys.readouterr().err
     assert not (out / "checkpoint.jsonl").exists()
 
     assert run("oracle", "--config", str(cfg), "--out", str(tmp_path / "o1"),

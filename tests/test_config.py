@@ -1,6 +1,8 @@
 """Strict JSON run configuration: parsing, validation, serialization."""
 
 import json
+import typing
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from corrvec.config import (
     HamiltonianSource,
     RunConfig,
     load_config,
+    parse,
+    to_json_dict,
 )
 from corrvec.solver import SolverOptions
 
@@ -26,7 +30,7 @@ def minimal(**overrides):
 
 
 def test_defaults():
-    cfg = RunConfig.parse(minimal())
+    cfg = parse(RunConfig, minimal(), "config")
     assert cfg.grid is None and cfg.active_space is None
     assert cfg.mu == 0.0
     assert cfg.number_penalty == 1.0 and cfg.spin_penalty == 1.0
@@ -56,55 +60,59 @@ def test_full_roundtrip():
         embedding="both",
         min_converged_fraction=0.8,
         out_dir="runs/x")
-    cfg = RunConfig.parse(data)
+    cfg = parse(RunConfig, data, "config")
     assert cfg.active_space == (1, 2)
     assert cfg.ansatz.pattern == ("RX", "RZ")
     assert cfg.spin_penalty == 0.5
-    assert RunConfig.parse(cfg.to_json_dict()) == cfg
+    assert parse(RunConfig, to_json_dict(cfg), "config") == cfg
 
 
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError):
-        RunConfig.parse(minimal(typo=1))
+        parse(RunConfig, minimal(typo=1), "config")
     with pytest.raises(ConfigError):
-        RunConfig.parse(minimal(optimizer={"epsilonn": 0.1}))
+        parse(RunConfig, minimal(optimizer={"epsilonn": 0.1}), "config")
     with pytest.raises(ConfigError):
-        RunConfig.parse({"hamiltonian": {"kind": "fcidump", "path": "x",
-                                         "extra": 1}})
+        parse(RunConfig, {"hamiltonian": {"kind": "fcidump", "path": "x",
+                                          "extra": 1}}, "config")
 
 
 def test_missing_required():
     with pytest.raises(ConfigError):
-        RunConfig.parse({})
+        parse(RunConfig, {}, "config")
     with pytest.raises(ConfigError):
-        GridConfig.parse({"kind": "retarded", "omega_min": -1.0})
+        parse(GridConfig, {"kind": "retarded", "omega_min": -1.0}, "grid")
 
 
 def test_hamiltonian_source_validation():
     with pytest.raises(ConfigError):
-        HamiltonianSource.parse({"kind": "fcidump"})
+        parse(HamiltonianSource, {"kind": "fcidump"}, "hamiltonian")
     with pytest.raises(ConfigError):
-        HamiltonianSource.parse({"kind": "fcidump", "path": "x", "t": 1.0})
+        parse(HamiltonianSource, {"kind": "fcidump", "path": "x", "t": 1.0},
+              "hamiltonian")
     with pytest.raises(ConfigError):
-        HamiltonianSource.parse({"kind": "hubbard-dimer", "t": 1.0})
+        parse(HamiltonianSource, {"kind": "hubbard-dimer", "t": 1.0},
+              "hamiltonian")
     with pytest.raises(ConfigError):
-        HamiltonianSource.parse({"kind": "hubbard-dimer", "t": 1.0, "u": 4.0,
-                                 "path": "x"})
+        parse(HamiltonianSource, {"kind": "hubbard-dimer", "t": 1.0, "u": 4.0,
+                                  "path": "x"}, "hamiltonian")
     with pytest.raises(ConfigError):
-        HamiltonianSource.parse({"kind": "heisenberg"})
-    src = HamiltonianSource.parse({"kind": "fcidump", "path": "a.fcidump"})
-    assert src.to_json_dict() == {"kind": "fcidump", "path": "a.fcidump"}
+        parse(HamiltonianSource, {"kind": "heisenberg"}, "hamiltonian")
+    src = parse(HamiltonianSource, {"kind": "fcidump", "path": "a.fcidump"},
+                "hamiltonian")
+    assert to_json_dict(src) == {"kind": "fcidump", "path": "a.fcidump"}
 
 
 def test_grid_validation_and_build():
-    g = GridConfig.parse({"kind": "retarded", "omega_min": -1.0,
-                          "omega_max": 1.0, "n": 5})
+    g = parse(GridConfig, {"kind": "retarded", "omega_min": -1.0,
+                           "omega_max": 1.0, "n": 5}, "grid")
     assert g.eta == 0.05
     assert g.points().shape == (5,)
 
-    m = GridConfig.parse({"kind": "matsubara", "omega_max": 10.0, "n": 8})
+    m = parse(GridConfig, {"kind": "matsubara", "omega_max": 10.0, "n": 8},
+              "grid")
     assert np.all(m.points().real == 0)
-    assert m.to_json_dict() == {"kind": "matsubara", "omega_max": 10.0, "n": 8}
+    assert to_json_dict(m) == {"kind": "matsubara", "omega_max": 10.0, "n": 8}
 
     for bad in (
         {"kind": "retarded", "omega_min": 1.0, "omega_max": -1.0, "n": 5},
@@ -117,12 +125,12 @@ def test_grid_validation_and_build():
         {"kind": "legendre", "omega_max": 1.0, "n": 5},
     ):
         with pytest.raises(ConfigError):
-            GridConfig.parse(bad)
+            parse(GridConfig, bad, "grid")
 
 
 def test_retarded_grid_layout():
-    grid = GridConfig.parse({"kind": "retarded", "omega_min": -1.0,
-                             "omega_max": 1.0, "n": 5, "eta": 0.1})
+    grid = parse(GridConfig, {"kind": "retarded", "omega_min": -1.0,
+                              "omega_max": 1.0, "n": 5, "eta": 0.1}, "grid")
     points = grid.points()
     assert grid.kind == "retarded"
     assert len(points) == 5
@@ -131,7 +139,8 @@ def test_retarded_grid_layout():
 
 
 def test_matsubara_grid_layout():
-    grid = GridConfig.parse({"kind": "matsubara", "omega_max": 10.0, "n": 64})
+    grid = parse(GridConfig, {"kind": "matsubara", "omega_max": 10.0,
+                              "n": 64}, "grid")
     points = grid.points()
     assert grid.kind == "matsubara"
     assert len(points) == 64
@@ -141,17 +150,18 @@ def test_matsubara_grid_layout():
     assert omegas[-1] == pytest.approx(10.0)
     ratios = omegas[1:] / omegas[:-1]
     assert np.allclose(ratios, ratios[0])
-    one = GridConfig.parse({"kind": "matsubara", "omega_max": 3.0, "n": 1})
+    one = parse(GridConfig, {"kind": "matsubara", "omega_max": 3.0, "n": 1},
+                "grid")
     assert one.points()[0] == 3.0j
 
 
 def test_ansatz_validation():
     with pytest.raises(ConfigError):
-        AnsatzConfig.parse({"depth": 0})
+        parse(AnsatzConfig, {"depth": 0}, "ansatz")
     with pytest.raises(ConfigError):
-        AnsatzConfig.parse({"pattern": ["RY", "H"]})
+        parse(AnsatzConfig, {"pattern": ["RY", "H"]}, "ansatz")
     with pytest.raises(ConfigError):
-        AnsatzConfig.parse({"pattern": []})
+        parse(AnsatzConfig, {"pattern": []}, "ansatz")
 
 
 def test_optimizer_validation():
@@ -160,7 +170,7 @@ def test_optimizer_validation():
                 {"stall_sweeps": -1}, {"max_sweeps": "x"},
                 {"epsilon": "nan"}, {"max_sweeps": None}):
         with pytest.raises(ConfigError, match="optimizer"):
-            RunConfig.parse(minimal(optimizer=bad))
+            parse(RunConfig, minimal(optimizer=bad), "config")
 
 
 def test_measurement_and_noise_validation():
@@ -179,32 +189,34 @@ def test_measurement_and_noise_validation():
         ("noise", {"boost": "inf"}),
     ):
         with pytest.raises(ConfigError, match=section):
-            RunConfig.parse(minimal(**{section: bad}))
-    cfg = RunConfig.parse(minimal(noise={"enabled": True, "p2": 0.5,
-                                         "zne": False},
-                                  measurement={"seed": "11"}))
+            parse(RunConfig, minimal(**{section: bad}), "config")
+    cfg = parse(RunConfig, minimal(noise={"enabled": True, "p2": 0.5,
+                                          "zne": False},
+                                   measurement={"seed": "11"}), "config")
     assert cfg.noise == NoiseModel(enabled=True, p2=0.5, zne=False)
     assert cfg.measurement.seed == 11
 
 
 def test_run_config_cross_field_rules():
     with pytest.raises(ConfigError):
-        RunConfig.parse(minimal(active_space=[1, 1]))
+        parse(RunConfig, minimal(active_space=[1, 1]), "config")
     with pytest.raises(ConfigError):
-        RunConfig.parse(minimal(active_space=[-1]))
+        parse(RunConfig, minimal(active_space=[-1]), "config")
     with pytest.raises(ConfigError):
-        RunConfig.parse(minimal(active_space=[]))
+        parse(RunConfig, minimal(active_space=[]), "config")
     with pytest.raises(ConfigError):
-        RunConfig.parse(minimal(embedding="dyson"))
+        parse(RunConfig, minimal(embedding="dyson"), "config")
     with pytest.raises(ConfigError):
-        RunConfig.parse(minimal(embedding="pade", active_space=[0, 1]))
+        parse(RunConfig, minimal(embedding="pade", active_space=[0, 1]),
+              "config")
     with pytest.raises(ConfigError):
-        RunConfig.parse(minimal(min_converged_fraction=1.5))
+        parse(RunConfig, minimal(min_converged_fraction=1.5), "config")
     with pytest.raises(ConfigError):
-        RunConfig.parse(minimal(number_penalty=-1.0))
+        parse(RunConfig, minimal(number_penalty=-1.0), "config")
     with pytest.raises(ConfigError):
-        RunConfig.parse(minimal(spin_penalty=-0.1))
-    cfg = RunConfig.parse(minimal(embedding="nondyson", active_space=[0, 1]))
+        parse(RunConfig, minimal(spin_penalty=-0.1), "config")
+    cfg = parse(RunConfig, minimal(embedding="nondyson", active_space=[0, 1]),
+                "config")
     assert cfg.embedding == "nondyson"
 
 
@@ -245,17 +257,68 @@ def test_unconvertible_values_rejected():
         minimal(hamiltonian={"kind": "hubbard-dimer", "t": True, "u": 4.0}),
         minimal(grid={"kind": "retarded", "omega_min": False,
                       "omega_max": 1.0, "n": 5}),
+        # a string field takes only a string, not its str() text
+        minimal(out_dir=None),
+        minimal(out_dir=5),
+        minimal(hamiltonian={"kind": "fcidump", "path": 5}),
+        minimal(hamiltonian={"kind": "fcidump", "path": ["x"]}),
     ):
         with pytest.raises(ConfigError):
-            RunConfig.parse(bad)
+            parse(RunConfig, bad, "config")
+    with pytest.raises(ConfigError,
+                       match=r"^config: out_dir: None is not a string$"):
+        parse(RunConfig, minimal(out_dir=None), "config")
+
+
+def test_rules_hold_under_replace():
+    cfg = parse(RunConfig, minimal(grid={"kind": "retarded", "omega_min": -1.0,
+                                         "omega_max": 1.0, "n": 5}), "config")
+    with pytest.raises(ValueError):
+        replace(cfg.grid, omega_min=5.0)
+    with pytest.raises(ValueError):
+        replace(cfg.hamiltonian, kind="fcidump")
+    with pytest.raises(ValueError):
+        replace(cfg, embedding="dyson")
+
+
+def reachable_sections(cls) -> set:
+    """``cls`` and every section class its fields hold, at any depth."""
+    found = {cls}
+    for kind in typing.get_type_hints(cls).values():
+        for arg in (kind, *typing.get_args(kind)):
+            if is_dataclass(arg):
+                found |= reachable_sections(arg)
+    return found
+
+
+def test_every_section_roundtrips():
+    """Each section class reachable from RunConfig serializes to an object
+    that parses back to an equal instance, so a field of a type the parser
+    cannot convert fails here."""
+    cfg = parse(RunConfig, minimal(
+        grid={"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0,
+              "n": 11, "eta": 0.02},
+        active_space=[2, 1], mu=0.1,
+        ansatz={"depth": 4, "pattern": ["RX", "RZ"]},
+        optimizer={"epsilon": 0.01, "max_sweeps": 9, "gs_tol": 1e-9},
+        measurement={"mode": "sampled", "shots": 2000, "seed": 13},
+        noise={"enabled": True, "p2": 1e-3, "zne": False},
+        embedding="both"), "config")
+    examples = [cfg, cfg.hamiltonian, cfg.grid, cfg.ansatz, cfg.optimizer,
+                cfg.measurement, cfg.noise,
+                HamiltonianSource("fcidump", path="a.fcidump"),
+                GridConfig("matsubara", 10.0, 8)]
+    assert {type(x) for x in examples} == reachable_sections(RunConfig)
+    for x in examples:
+        assert parse(type(x), to_json_dict(x), "section") == x
 
 
 def test_integral_values_accepted():
-    cfg = RunConfig.parse(minimal(
+    cfg = parse(RunConfig, minimal(
         grid={"kind": "matsubara", "omega_max": 10.0, "n": 4.0},
         active_space=[1.0, "0"], ansatz={"depth": "2"},
         optimizer={"max_sweeps": 3.0}, measurement={"shots": 1e3},
-        noise={"enabled": False, "zne": False}))
+        noise={"enabled": False, "zne": False}), "config")
     assert cfg.grid.n == 4 and cfg.active_space == (0, 1)
     assert cfg.ansatz.depth == 2 and cfg.optimizer.max_sweeps == 3
     assert cfg.measurement.shots == 1000
@@ -265,9 +328,9 @@ def test_integral_values_accepted():
                                         cfg.measurement.shots, *cfg.active_space))
 
 
-FULL = RunConfig.parse(minimal(
+FULL = to_json_dict(parse(RunConfig, minimal(
     grid={"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0, "n": 5},
-    active_space=[0, 1])).to_json_dict()
+    active_space=[0, 1]), "config"))
 KEYS = ([(None, key) for key in FULL]
         + [(name, key) for name, section in FULL.items()
            if isinstance(section, dict) for key in section]
@@ -292,10 +355,10 @@ def test_parse_rejects_or_roundtrips(edits):
         elif isinstance(data.get(section), dict):
             data[section][key] = value
     try:
-        cfg = RunConfig.parse(data)
+        cfg = parse(RunConfig, data, "config")
     except ConfigError:
         return
-    assert RunConfig.parse(cfg.to_json_dict()) == cfg
+    assert parse(RunConfig, to_json_dict(cfg), "config") == cfg
 
 
 def test_load_config(tmp_path):
