@@ -1,10 +1,11 @@
 """Command-line batch tool: ground states, frequency sweeps, embedding,
 exact references, comparisons, and noise scans.
 
-Every command reads a strict JSON config, writes its numeric artifacts
-through atomic renames, and finishes by writing a manifest that pins each
-output file with a content digest.  Fixed (config, seed) pairs reproduce
-numeric outputs byte for byte.
+Every command reads a strict JSON config, writes each output through
+``ManifestWriter.write``, an atomic rename that pins the file's digest, and
+finishes by writing the manifest.  Fixed (config, seed) pairs reproduce
+numeric outputs byte for byte.  A sweep also appends each solved point to
+its checkpoint log, which a resume reads back through ``config.parse``.
 """
 
 from __future__ import annotations
@@ -13,20 +14,20 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .circuits import sample_pauli_expectation
-from .config import ConfigError, RunConfig, load_config, to_json_dict
+from .config import ConfigError, RunConfig, load_config, parse, to_json_dict
 from .fermion import BlockedSpinOrbitals, number_penalty, total_spin_squared
 from .greens import (dyson_embed, nondyson_embed, spin_up_block, trace_spectrum)
 from .molham import build_cas, fock_matrix, hubbard_dimer, read_fcidump
 from .oracle import MAX_DENSE_QUBITS, GreensOracle, exact_ground
 from .solver import PointRecord, assemble_matrices, sweep_columns
-from .store import (CheckpointStore, ManifestWriter, dumps_canonical,
-                    fmt_float, read_series, series_lines, sha256_of_file,
+from .store import (ManifestWriter, append_lines, dumps_canonical, fmt_float,
+                    read_json_log, read_series, series_lines, sha256_of_file,
                     spectrum_csv)
 from .vqe import AnsatzSpec, build_hea, hf_start_angles, vqe_ground_state
 
@@ -52,14 +53,14 @@ def _load_config(args) -> RunConfig:
         cfg = load_config(args.config)
     except ConfigError as exc:
         raise CliFailure(EXIT_CONFIG, str(exc))
-    if getattr(args, "seed", None) is not None:
-        try:
-            measurement = replace(cfg.measurement, seed=args.seed)
-        except ValueError as exc:
-            raise CliFailure(EXIT_CONFIG, f"--seed: {exc}")
-        cfg = replace(cfg, measurement=measurement)
-    if getattr(args, "out", None) is not None:
-        cfg = replace(cfg, out_dir=args.out)
+    try:
+        if getattr(args, "seed", None) is not None:
+            cfg = replace(cfg, measurement=replace(cfg.measurement,
+                                                   seed=args.seed))
+        if getattr(args, "out", None) is not None:
+            cfg = replace(cfg, out_dir=args.out)
+    except ValueError as exc:  # the message names the field
+        raise CliFailure(EXIT_CONFIG, f"--seed or --out: {exc}")
     return cfg
 
 
@@ -127,23 +128,31 @@ def _open_problem(cfg: RunConfig) -> Problem:
         raise CliFailure(EXIT_INGEST, str(exc))
 
 
-def _run_ground_state(prob: Problem, spec: AnsatzSpec, theta0):
+@dataclass(frozen=True)
+class GroundState:
+    """The one-line record of ``ground_state.json`` a sweep starts from."""
+
+    e0: float
+    converged: bool
+    sweeps: int
+    angles: tuple[float, ...]
+
+
+def _ground_state(prob: Problem, spec: AnsatzSpec, theta0,
+                  manifest: ManifestWriter) -> GroundState:
+    """Search the ground state and write its record and trace."""
     cfg = prob.cfg
-    return vqe_ground_state(
+    e0, theta, trace = vqe_ground_state(
         prob.h_op, spec, cfg.measurement, cfg.noise,
         tol=cfg.optimizer.gs_tol, max_sweeps=cfg.optimizer.gs_max_sweeps,
         penalty=prob.gs_penalty(), theta0=theta0)
-
-
-def _persist_ground_state(manifest: ManifestWriter, e0, theta, trace) -> None:
-    payload = {
-        "e0": float(e0),
-        "converged": bool(trace.converged),
-        "sweeps": int(trace.sweeps),
-        "angles": [float(t) for t in theta],
-    }
-    manifest.write("ground_state.json", dumps_canonical(payload) + "\n")
+    gs = GroundState(e0=float(e0), converged=bool(trace.converged),
+                     sweeps=trace.sweeps, angles=tuple(theta))
+    manifest.write("ground_state.json", dumps_canonical(to_json_dict(gs)) + "\n")
     manifest.write("trace.log", trace.log_lines())
+    manifest.stage("ground-state", "ok", e0=gs.e0, sweeps=gs.sweeps,
+                   converged=gs.converged)
+    return gs
 
 
 def cmd_ground_state(args) -> int:
@@ -152,54 +161,61 @@ def cmd_ground_state(args) -> int:
     spec = prob.ansatz()
     theta0 = prob.gs_start(spec)
     manifest = ManifestWriter(cfg.out_dir, to_json_dict(cfg))
-    e0, theta, trace = _run_ground_state(prob, spec, theta0)
-    _persist_ground_state(manifest, e0, theta, trace)
-    manifest.stage("ground-state", "ok", e0=float(e0), sweeps=trace.sweeps,
-                   converged=bool(trace.converged))
+    gs = _ground_state(prob, spec, theta0, manifest)
     manifest.finish()
-    print(f"E0 = {e0:.10f} ({trace.sweeps} sweeps, "
-          f"converged={trace.converged}) -> {manifest.out_dir}")
+    print(f"E0 = {gs.e0:.10f} ({gs.sweeps} sweeps, "
+          f"converged={gs.converged}) -> {manifest.out_dir}")
     return EXIT_OK
 
 
-def _reusable_points(checkpoint: CheckpointStore, prob: Problem,
-                     spec: AnsatzSpec, zs: np.ndarray,
-                     out: Path) -> dict[tuple[str, int], dict[int, PointRecord]]:
-    """Checkpointed points by column, refused unless each is a point record
-    of finite numbers (exit 3) that sits at the canonicalized frequency the
-    current grid puts at its index, holds an element per orbital and has
-    the angles of a depth the configured ansatz may grow to (exit 2)."""
+def _checkpoint_text(records: list[PointRecord]) -> str:
+    return "".join(dumps_canonical(to_json_dict(rec)) + "\n" for rec in records)
+
+
+def _reusable_points(path: Path, prob: Problem, spec: AnsatzSpec,
+                     zs: np.ndarray) -> dict[tuple[str, int], dict[int, PointRecord]]:
+    """Logged points by column in point order, a point's last line winning.
+    Refused unless each line has a branch string and integer orbital and k
+    and each point parses (exit 3) and sits where the grid puts its k, on a
+    configured orbital, with angles of a depth the ansatz may reach (exit 2)."""
+    if not path.exists():
+        return {}
+    try:
+        lines = read_json_log(path)
+    except ValueError as exc:
+        raise CliFailure(EXIT_INGEST, str(exc))
+    latest = {}
+    for lineno, d in lines:
+        key = (tuple(map(d.get, ("branch", "orbital", "k")))
+               if isinstance(d, dict) else ())
+        if [type(v) for v in key] != [str, int, int]:
+            raise CliFailure(EXIT_INGEST, f"{path}, line {lineno}: not a "
+                                          f"checkpoint record")
+        latest[key] = d
     depths = range(spec.depth, spec.depth + prob.cfg.optimizer.extra_depth + 1)
     existing: dict[tuple[str, int], dict[int, PointRecord]] = {}
-    for (branch, j), col in checkpoint.by_column().items():
-        for k, d in col.items():
-            try:
-                rec = PointRecord.from_json_dict(d)
-                if not np.isfinite(np.concatenate((
-                        [rec.z, rec.residual, rec.gamma], rec.elements,
-                        rec.theta))).all():
-                    raise ValueError("a number is not finite")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CliFailure(EXIT_INGEST,
-                                 f"{checkpoint.path}: point ({branch}, {j}, "
-                                 f"k={k}) is not a point record ({exc!r})")
-            want = (complex(fmt_float(zs[k].real), fmt_float(zs[k].imag))
-                    if 0 <= k < len(zs) else None)
-            if rec.z != want:
-                raise CliFailure(
-                    EXIT_CONFIG,
-                    f"checkpoint in {out} holds point ({branch}, {j}, k={k}) "
-                    f"at z={rec.z}, which is not on the configured grid; "
-                    f"sweep into a fresh out_dir")
-            if not (len(rec.elements) == prob.n_orb and rec.depth in depths
-                    and rec.theta.shape == (spec.grown(rec.depth - spec.depth)
-                                            .n_slots,)):
-                raise CliFailure(
-                    EXIT_CONFIG,
-                    f"checkpoint in {out} holds point ({branch}, {j}, k={k}), "
-                    f"which does not fit the configured ansatz or orbitals; "
-                    f"sweep into a fresh out_dir")
-            existing.setdefault((branch, j), {})[k] = rec
+    for (branch, j, k), d in sorted(latest.items()):
+        try:
+            rec = parse(PointRecord, d, f"{path}: point ({branch}, {j}, k={k})")
+        except ConfigError as exc:
+            raise CliFailure(EXIT_INGEST, str(exc))
+        want = (complex(fmt_float(zs[k].real), fmt_float(zs[k].imag))
+                if 0 <= k < len(zs) else None)
+        if rec.z != want:
+            raise CliFailure(
+                EXIT_CONFIG,
+                f"checkpoint in {path.parent} holds point ({branch}, {j}, k={k}) "
+                f"at z={rec.z}, which is not on the configured grid; "
+                f"sweep into a fresh out_dir")
+        if not (0 <= j < prob.n_orb and len(rec.elements_re) == prob.n_orb
+                and rec.depth in depths
+                and len(rec.theta) == spec.grown(rec.depth - spec.depth).n_slots):
+            raise CliFailure(
+                EXIT_CONFIG,
+                f"checkpoint in {path.parent} holds point ({branch}, {j}, k={k}), "
+                f"which does not fit the configured ansatz or orbitals; "
+                f"sweep into a fresh out_dir")
+        existing.setdefault((branch, j), {})[k] = rec
     return existing
 
 
@@ -208,11 +224,9 @@ def _series_extras(records: list[PointRecord], bound: np.ndarray) -> list[dict]:
                "converged": [], "bound": b.ravel()} for b in bound]
     for rec in records:
         e = extras[rec.k]
-        e["residuals"].append(float(rec.residual))
-        e["gamma_re"].append(float(rec.gamma.real))
-        e["gamma_im"].append(float(rec.gamma.imag))
-        e["depth"].append(int(rec.depth))
-        e["converged"].append(bool(rec.converged))
+        e["residuals"].append(rec.residual)
+        for name in ("gamma_re", "gamma_im", "depth", "converged"):
+            e[name].append(getattr(rec, name))
     return extras
 
 
@@ -225,51 +239,43 @@ def cmd_sweep(args) -> int:
     theta0 = prob.gs_start(spec)
     out = Path(cfg.out_dir)
     zs = cfg.grid.points()
-    try:
-        checkpoint = CheckpointStore(out / "checkpoint.jsonl")
-    except ValueError as exc:
-        raise CliFailure(EXIT_INGEST, str(exc))
-    existing = _reusable_points(checkpoint, prob, spec, zs, out)
+    log = out / "checkpoint.jsonl"
+    existing = _reusable_points(log, prob, spec, zs)
     manifest = ManifestWriter(out, to_json_dict(cfg))
 
     gs_path = out / "ground_state.json"
     reused = gs_path.exists()
     if not reused:
-        e0, theta, trace = _run_ground_state(prob, spec, theta0)
-        _persist_ground_state(manifest, e0, theta, trace)
-        manifest.stage("ground-state", "ok", e0=float(e0), sweeps=trace.sweeps,
-                       converged=bool(trace.converged))
+        _ground_state(prob, spec, theta0, manifest)
     # continue from the canonicalized values on disk, so a later resume
     # reads exactly what this run used
     try:
         with open(gs_path) as fh:
-            payload = json.load(fh)
+            # the record is one line, as _ground_state writes it
+            gs = parse(GroundState, json.load(fh), f"{gs_path}, line 1")
     except json.JSONDecodeError as exc:
         raise CliFailure(EXIT_INGEST, f"{gs_path}, line {exc.lineno}: "
                                       f"not JSON ({exc.msg})")
-    try:
-        e0 = float(payload["e0"])
-        theta = np.asarray(payload["angles"], dtype=float)
-        if not (math.isfinite(e0) and np.isfinite(theta).all()):
-            raise ValueError("e0 or an angle is not finite")
-    except (KeyError, TypeError, ValueError) as exc:
-        # the record is one line, as _persist_ground_state writes it
-        raise CliFailure(EXIT_INGEST, f"{gs_path}, line 1: not a ground-state "
-                                      f"record ({exc!r})")
-    if theta.shape != (spec.n_slots,):
+    except ConfigError as exc:
+        raise CliFailure(EXIT_INGEST, str(exc))
+    if len(gs.angles) != spec.n_slots:
         raise CliFailure(EXIT_CONFIG,
                          "stored ground state does not match the ansatz")
     if reused:
         manifest.register(gs_path)
         if (out / "trace.log").exists():
             manifest.register(out / "trace.log")
-        manifest.stage("ground-state", "reused", e0=e0)
+        manifest.stage("ground-state", "reused", e0=gs.e0)
 
+    if log.exists():
+        # a line cut short by a kill must not run into the next append
+        manifest.write(log.name, _checkpoint_text(
+            [rec for col in existing.values() for rec in col.values()]))
     records = sweep_columns(
-        prob.h_op, e0, build_hea(spec).bound(theta), zs,
+        prob.h_op, gs.e0, build_hea(spec).bound(gs.angles), zs,
         list(range(prob.n_orb)), spec, cfg.optimizer, cfg.measurement,
         cfg.noise, cfg.measurement.seed, n_elec=prob.n_elec, existing=existing,
-        on_point=lambda rec: checkpoint.add(rec.to_json_dict()))
+        on_point=lambda rec: append_lines(log, _checkpoint_text([rec])))
     records.sort(key=lambda r: (r.branch, r.orbital, r.k))
 
     n_conv = sum(r.converged for r in records)
@@ -278,12 +284,12 @@ def cmd_sweep(args) -> int:
     g = assemble_matrices(records, orbitals, prob.n_orb, len(zs))
     # each element's bound sums those of the records that placed it
     bound = assemble_matrices(
-        [replace(r, elements=np.full(len(orbitals), r.bound())) for r in records],
-        orbitals, prob.n_orb, len(zs)).real
+        records, orbitals, prob.n_orb, len(zs),
+        values=[np.full(len(orbitals), r.bound()) for r in records]).real
     manifest.write("series.jsonl",
                    series_lines(zs, g, _series_extras(records, bound)))
     manifest.write("spectrum.csv", spectrum_csv(zs, g))
-    manifest.register(checkpoint.path)
+    manifest.write(log.name, _checkpoint_text(records))
     status = "ok" if frac >= cfg.min_converged_fraction else "budget-exceeded"
     manifest.stage("sweep", status, points=len(records), converged=n_conv,
                    fraction=round(frac, 6))
@@ -351,6 +357,9 @@ def cmd_embed(args) -> int:
     spectra = {}
     for mode in modes:
         g_emb, skipped = _embedded_series(mode, g_sp, f, active, zs)
+        if skipped:  # only dyson skips points, and it runs first
+            raise CliFailure(EXIT_INGEST, f"{series_path}: G is singular at "
+                             f"z = {', '.join(f'{zs[k]:.6g}' for k in skipped)}")
         manifest.write(f"embedded_{mode}.jsonl", series_lines(zs, g_emb))
         manifest.write(f"embedded_{mode}.csv", spectrum_csv(zs, g_emb))
         spectra[mode] = np.array([trace_spectrum(m) for m in g_emb])

@@ -10,9 +10,9 @@ by ``dataclasses.replace`` obeys the same rules.  The ``optimizer``,
 ``measurement`` and ``noise`` sections are the runtime types
 ``SolverOptions``, ``MeasurementSettings`` and ``NoiseModel`` themselves.
 
-One ``parse`` builds any section and one ``to_json_dict`` serializes it
-back to an equivalent dictionary, which the manifest embeds as the run's
-permanent record.
+One ``parse`` builds any section, and each record a sweep resumes from,
+and one ``to_json_dict`` serializes it back to an equivalent dictionary:
+the config's is the manifest's permanent record of the run.
 """
 
 from __future__ import annotations
@@ -235,6 +235,8 @@ class RunConfig:
         if self.number_penalty < 0 or self.spin_penalty < 0:
             raise ValueError("number_penalty and spin_penalty must be "
                              "non-negative")
+        if not self.out_dir:
+            raise ValueError("out_dir is empty, which is the current directory")
 
 
 def load_config(path: str | Path) -> RunConfig:

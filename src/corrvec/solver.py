@@ -16,8 +16,7 @@ element of the column off that one output.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .circuits import (Circuit, MeasurementSettings, NoiseModel, OverlapEngine,
                        sample_pauli_expectation, simulate)
 from .fermion import ladder_pauli, number_penalty
 from .pauli import PauliSum, apply_sum
-from .store import dumps_canonical
+from .store import fmt_float
 from .vqe import (AnsatzSpec, CircuitCost, build_hea, grow_hea_angles,
                   rotosolve_sweep)
 
@@ -241,48 +240,55 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
 # columns, sweeps, records
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointRecord:
-    """Everything produced by one (frequency, orbital, branch) solve."""
+    """Everything produced by one (frequency, orbital, branch) solve.
+
+    The fields are the keys of its checkpoint line.  Each float is rounded
+    to its stored text as the record is built, so a resumed run reads back
+    exactly the numbers an uninterrupted one goes on with.
+    """
 
     k: int
-    z: complex
+    z_re: float
+    z_im: float
     orbital: int
     branch: str
-    elements: np.ndarray         # gamma * <V_i|U|0> over the orbital list
-    theta: np.ndarray
+    elements_re: tuple[float, ...]   # gamma * <V_i|U|0> over the orbitals
+    elements_im: tuple[float, ...]
+    theta: tuple[float, ...]
     depth: int
     sweeps: int
     residual: float
-    gamma: complex
+    gamma_re: float
+    gamma_im: float
     converged: bool
     attempts: int = 1            # 1; checkpoints of re-solved points hold 2
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k, "z_re": self.z.real, "z_im": self.z.imag,
-            "orbital": self.orbital, "branch": self.branch,
-            "elements_re": [float(x.real) for x in self.elements],
-            "elements_im": [float(x.imag) for x in self.elements],
-            "theta": [float(t) for t in self.theta],
-            "depth": self.depth, "sweeps": self.sweeps,
-            "residual": self.residual,
-            "gamma_re": self.gamma.real, "gamma_im": self.gamma.imag,
-            "converged": self.converged, "attempts": self.attempts,
-        }
+    def __post_init__(self):
+        if self.branch not in _BRANCH_SIGN:
+            raise ValueError(f"unknown branch {self.branch!r}")
+        if len(self.elements_re) != len(self.elements_im):
+            raise ValueError("elements_re and elements_im differ in length")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float":
+                value = fmt_float(value)
+            elif f.type == "tuple[float, ...]":
+                value = tuple(map(fmt_float, value))
+            object.__setattr__(self, f.name, value)
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PointRecord":
-        return cls(
-            k=d["k"], z=complex(d["z_re"], d["z_im"]), orbital=d["orbital"],
-            branch=d["branch"],
-            elements=np.array([complex(a, b) for a, b in
-                               zip(d["elements_re"], d["elements_im"])]),
-            theta=np.asarray(d["theta"], dtype=float), depth=d["depth"],
-            sweeps=d["sweeps"], residual=d["residual"],
-            gamma=complex(d["gamma_re"], d["gamma_im"]),
-            converged=d["converged"], attempts=d.get("attempts", 1),
-        )
+    @property
+    def z(self) -> complex:
+        return complex(self.z_re, self.z_im)
+
+    @property
+    def gamma(self) -> complex:
+        return complex(self.gamma_re, self.gamma_im)
+
+    @property
+    def elements(self) -> np.ndarray:
+        return np.array(self.elements_re) + 1j * np.array(self.elements_im)
 
     def bound(self) -> float:
         """Bound on each element's error: g vanishes at the correction
@@ -299,18 +305,6 @@ def _point_rng(seed: int, branch: str, orbital: int, k: int):
     # the constant 0 keeps the draws that existing checkpoints were made with
     return np.random.default_rng(np.random.SeedSequence(
         [seed & 0xFFFFFFFF, _BRANCH_CODE[branch], orbital, k, 0]))
-
-
-def _stored_form(rec: PointRecord) -> PointRecord:
-    """Round-trip a record through its persisted text representation.
-
-    Warm starts, matrix assembly and error bounds then consume the same
-    canonicalized floats whether the record was just computed or was
-    loaded back from a checkpoint, which keeps interrupted-and-resumed runs
-    byte-identical to uninterrupted ones.
-    """
-    return PointRecord.from_json_dict(json.loads(dumps_canonical(
-        rec.to_json_dict())))
 
 
 def solve_column(h: PauliSum, e0: float, gs_circuit: Circuit,
@@ -349,11 +343,13 @@ def solve_column(h: PauliSum, e0: float, gs_circuit: Circuit,
             theta0, depth0 = prev if prev is not None else (None, None)
             sol = solve_correction_vector(problem, complex(z), spec, options,
                                           rng, theta0=theta0, depth0=depth0)
-            rec = _stored_form(PointRecord(
-                k=k, z=complex(z), orbital=orbital, branch=branch,
-                elements=sol.elements, theta=sol.theta, depth=sol.depth,
-                sweeps=sol.sweeps, residual=sol.residual, gamma=sol.gamma,
-                converged=sol.converged))
+            rec = PointRecord(
+                k=k, z_re=z.real, z_im=z.imag, orbital=orbital, branch=branch,
+                elements_re=sol.elements.real, elements_im=sol.elements.imag,
+                theta=sol.theta, depth=sol.depth, sweeps=sol.sweeps,
+                residual=sol.residual,
+                gamma_re=sol.gamma.real, gamma_im=sol.gamma.imag,
+                converged=sol.converged)
             if on_point is not None:
                 on_point(rec)
         prev = (rec.theta, rec.depth)
@@ -363,22 +359,27 @@ def solve_column(h: PauliSum, e0: float, gs_circuit: Circuit,
 
 
 def assemble_matrices(records: list[PointRecord], orbitals: list[int],
-                      n_orb: int, n_points: int) -> np.ndarray:
+                      n_orb: int, n_points: int,
+                      values: list[np.ndarray] | None = None) -> np.ndarray:
     """Spin-orbital Green's-function matrices from column records.
 
     Particle records fill column j over rows i; hole records fill row j over
     columns i.  The spatial (spin-up) block is mirrored onto the spin-down
     block, cross-spin elements vanish for spin-restricted references.
+    ``values``, one array over the orbitals per record, takes the place of
+    the records' elements: a sweep sums its per-element bounds this way.
     """
     m = 2 * n_orb
     out = np.zeros((n_points, m, m), dtype=complex)
-    for rec in records:
+    if values is None:
+        values = [rec.elements for rec in records]
+    for rec, vals in zip(records, values):
         if rec.branch == PARTICLE:
             for pos, i in enumerate(orbitals):
-                out[rec.k, i, rec.orbital] += rec.elements[pos]
+                out[rec.k, i, rec.orbital] += vals[pos]
         else:
             for pos, i in enumerate(orbitals):
-                out[rec.k, rec.orbital, i] += rec.elements[pos]
+                out[rec.k, rec.orbital, i] += vals[pos]
     out[:, n_orb:, n_orb:] = out[:, :n_orb, :n_orb]
     return out
 

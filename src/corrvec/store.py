@@ -2,11 +2,14 @@
 
 Every write lands via a temporary file in the target directory followed by
 an atomic rename, so an interrupted run never leaves a half-written file.
-All floating-point text is canonicalized to 12 significant digits, which
-makes byte-identical reruns a meaningful promise and lets the manifest pin
-each file with a content digest.  ``series_lines`` and ``spectrum_csv``
-render a series as text; a command writes that text, and each of its other
-outputs, through ``ManifestWriter.write``, which pins the file as it lands.
+The one exception is an append-only log, grown one fsynced line at a time
+by ``append_lines``: a kill can cut short only its last line, which
+``read_json_log`` drops.  All floating-point text is canonicalized to 12
+significant digits, which makes byte-identical reruns a meaningful promise
+and lets the manifest pin each file with a content digest.
+``series_lines`` and ``spectrum_csv`` render a series as text; a command
+writes that text, and each of its other outputs, through
+``ManifestWriter.write``, which pins the file as it lands.
 """
 
 from __future__ import annotations
@@ -70,6 +73,31 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def append_lines(path: str | Path, text: str) -> None:
+    """Append whole lines to ``path``; they are durable on return."""
+    with open(path, "a") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def read_json_log(path: str | Path) -> list[tuple[int, object]]:
+    """(line number, JSON value) of each non-blank line of an append log.
+    A last line without newline that is not JSON was torn by a kill and is
+    dropped; any other such line raises ValueError naming path and line."""
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    out = []
+    for lineno, line in enumerate(lines, 1):
+        try:
+            if line.strip():
+                out.append((lineno, json.loads(line)))
+        except ValueError as exc:
+            if lineno < len(lines):
+                raise ValueError(f"{path}, line {lineno}: not JSON ({exc})") from None
+    return out
+
+
 def sha256_of_file(path: str | Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -108,9 +136,10 @@ def read_series(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[dict]]:
     """Load a JSON-lines series back into (zs, G, extras).
 
     A line that is not a series record, whose G is empty, not square or
-    of another size than the first, or whose ``bound`` has not one entry
-    per element of G, and a file without points, raise ValueError naming
-    the path (and the line).
+    of another size than the first, whose ``bound`` has not one entry per
+    element of G, or whose z, G or bound holds a number that is not finite,
+    and a file without points, raise ValueError naming the path (and the
+    line).
     """
     zs, mats, extras = [], [], []
     with open(path) as fh:
@@ -135,6 +164,10 @@ def read_series(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[dict]]:
             if bound.shape != re.shape:
                 raise ValueError(f"{path}, line {lineno}: bound has not one "
                                  f"entry per element of G")
+            if not np.isfinite(np.concatenate(([z.real, z.imag], re, im,
+                                               bound))).all():
+                raise ValueError(f"{path}, line {lineno}: z, G or bound "
+                                 f"holds a number that is not finite")
             zs.append(z)
             mats.append((re + 1j * im).reshape(n, n))
             extras.append({k: v for k, v in rec.items()
@@ -154,52 +187,6 @@ def spectrum_csv(zs: np.ndarray, g: np.ndarray) -> str:
         rows.append(",".join(FLOAT_FMT % v for v in
                              (np.real(z), np.imag(z), tr, -tr / math.pi)))
     return "\n".join(rows) + "\n"
-
-
-class CheckpointStore:
-    """Per-point solver checkpoints with atomic whole-file rewrites.
-
-    Records accumulate in memory keyed by (branch, orbital, k); each save
-    rewrites the JSON-lines file through the rename discipline, so a kill
-    at any instant leaves either the previous or the new consistent state.
-    A line that is not a JSON object with those three keys, a string and
-    two integers, raises ValueError naming the path and the line.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.records: dict[tuple[str, int, int], dict] = {}
-        if self.path.exists():
-            with open(self.path) as fh:
-                for lineno, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = json.loads(line)
-                        key = (rec["branch"], rec["orbital"], rec["k"])
-                        if [type(v) for v in key] != [str, int, int]:
-                            raise TypeError("branch, orbital and k are not "
-                                            "a string and two integers")
-                        self.records[key] = rec
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise ValueError(f"{self.path}, line {lineno}: not a "
-                                         f"checkpoint record ({exc!r})") from None
-
-    def add(self, rec_dict: dict) -> None:
-        key = (rec_dict["branch"], rec_dict["orbital"], rec_dict["k"])
-        self.records[key] = rec_dict
-        self.save()
-
-    def save(self) -> None:
-        lines = [dumps_canonical(self.records[k]) for k in sorted(self.records)]
-        write_text_atomic(self.path, "\n".join(lines) + "\n" if lines else "")
-
-    def by_column(self) -> dict[tuple[str, int], dict[int, dict]]:
-        out: dict[tuple[str, int], dict[int, dict]] = {}
-        for (branch, orbital, k), rec in self.records.items():
-            out.setdefault((branch, orbital), {})[k] = rec
-        return out
 
 
 class ManifestWriter:

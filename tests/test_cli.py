@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from corrvec import solver
 from corrvec.cli import main
 from corrvec.store import (read_series, series_lines, sha256_of_file,
                            write_text_atomic)
@@ -158,12 +159,16 @@ def test_sweep_refuses_corrupt_resume_files(dimer_sweep, tmp_path, capsys):
     series."""
     src = dimer_sweep["out"]
     lines = (src / "checkpoint.jsonl").read_text().splitlines()
-    keyless, textual, pointless, nan_element = (json.loads(lines[1])
-                                                for _ in range(4))
+    keyless, textual, pointless, nan_element, *mistyped = (
+        json.loads(lines[1]) for _ in range(7))
     del keyless["orbital"]
     textual["k"] = str(textual["k"])
     del pointless["z_re"]
     nan_element["elements_re"][0] = float("nan")
+    # a traceback once, then two values accepted as they were
+    for rec, value in zip(mistyped, ({"converged": "yes"}, {"converged": 1},
+                                     {"sweeps": "x"})):
+        rec.update(value)
     point = f"point ({pointless['branch']}, {pointless['orbital']}, k={pointless['k']})"
     # Python's json reads NaN and Infinity, which no run writes
     ground = json.loads((src / "ground_state.json").read_text())
@@ -175,6 +180,8 @@ def test_sweep_refuses_corrupt_resume_files(dimer_sweep, tmp_path, capsys):
         ("checkpoint.jsonl", [lines[0], json.dumps(textual)], "line 2"),
         ("checkpoint.jsonl", [lines[0], json.dumps(pointless)], point),
         ("checkpoint.jsonl", [lines[0], json.dumps(nan_element)], point),
+        *(("checkpoint.jsonl", [lines[0], json.dumps(rec)], point)
+          for rec in mistyped),
         ("ground_state.json", ['{"e0": -1.2,', ' "angles": ['], "line 3"),
         ("ground_state.json", [json.dumps({"angles": [0.0] * 24})], "line 1"),
         ("ground_state.json", [json.dumps(nan_e0)], "line 1"),
@@ -193,6 +200,94 @@ def test_sweep_refuses_corrupt_resume_files(dimer_sweep, tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{out / name}, {where}" in err or f"{out / name}: {where}" in err, err
         assert not (out / "series.jsonl").exists()
+
+
+class Killed(Exception):
+    """Stands in for a kill of the process partway through a sweep."""
+
+
+def test_killed_sweep_resumes_to_the_uninterrupted_bytes(dimer_sweep, tmp_path,
+                                                         monkeypatch):
+    """A sweep killed after k of its N = 12 points, for k = 0, 1, N/2 and
+    N - 1, resumes to the bytes of the uninterrupted sweep, solving only
+    the N - k points its log lacks, both from its log as the kill left it
+    and with a torn fragment of the next line at its end.  So does a resume
+    from a torn log that is itself killed."""
+    src = dimer_sweep["out"]
+    grid = {"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0, "n": 3}
+    n_points = len((src / "checkpoint.jsonl").read_text().splitlines())
+    assert n_points == 12
+    real_solve = solver.solve_correction_vector
+    solved = {}
+
+    def sweep(out: Path, kill_at: int | None = None) -> int:
+        """Sweep into ``out``, killed at the ``kill_at``-th point solve; the
+        number of points solved."""
+        calls = []
+
+        def solve(problem, z, spec, options, rng, theta0=None, depth0=None):
+            # a solve is a function of its point's draws and its warm
+            # start, so each distinct one runs once across these sweeps
+            key = (z, str(rng.bit_generator.state), depth0,
+                   None if theta0 is None else np.asarray(theta0).tobytes())
+            calls.append(key)
+            if len(calls) == kill_at:
+                raise Killed
+            if key not in solved:
+                solved[key] = real_solve(problem, z, spec, options, rng,
+                                         theta0=theta0, depth0=depth0)
+            return solved[key]
+
+        cfg = write_config(tmp_path / "cfg.json", grid=grid, out_dir=str(out))
+        with monkeypatch.context() as m:
+            m.setattr(solver, "solve_correction_vector", solve)
+            if kill_at is not None:
+                with pytest.raises(Killed):
+                    run("sweep", "--config", str(cfg))
+                return len(calls) - 1
+            assert run("sweep", "--config", str(cfg)) == 0
+        for name in ("series.jsonl", "spectrum.csv", "checkpoint.jsonl"):
+            assert (out / name).read_bytes() == (src / name).read_bytes()
+        return len(calls)
+
+    def killed_after(k: int) -> Path:
+        out = tmp_path / f"killed{k}"
+        out.mkdir()
+        # the ground-state stage finished before the point sweep began
+        for name in ("ground_state.json", "trace.log"):
+            shutil.copy(src / name, out / name)
+        assert sweep(out, kill_at=k + 1) == k
+        return out
+
+    # the log of the last kill holds all but one line, in the order solved
+    last = killed_after(n_points - 1)
+    appended = (last / "checkpoint.jsonl").read_text().splitlines()
+    appended += sorted(set((src / "checkpoint.jsonl").read_text().splitlines())
+                       - set(appended))
+    assert len(appended) == n_points
+
+    for k in (0, 1, n_points // 2, n_points - 1):
+        killed = last if k == n_points - 1 else killed_after(k)
+        log = killed / "checkpoint.jsonl"
+        assert (log.read_text() if log.exists() else "") == \
+            "".join(line + "\n" for line in appended[:k])
+        for torn in (False, True):
+            out = tmp_path / f"resumed{k}{'torn' if torn else ''}"
+            shutil.copytree(killed, out)
+            if torn:
+                with open(out / "checkpoint.jsonl", "a") as fh:
+                    fh.write(appended[k][:len(appended[k]) // 2])
+            assert sweep(out) == n_points - k
+
+    # killed again two points into a resume from a torn log
+    out = tmp_path / "twice"
+    shutil.copytree(tmp_path / f"killed{n_points // 2}", out)
+    with open(out / "checkpoint.jsonl", "a") as fh:
+        fh.write(appended[n_points // 2][:10])
+    assert sweep(out, kill_at=3) == 2
+    assert (out / "checkpoint.jsonl").read_text().count("\n") == \
+        n_points // 2 + 2
+    assert sweep(out) == n_points // 2 - 2
 
 
 def test_sweep_refuses_checkpoint_of_another_ansatz(dimer_sweep, tmp_path,
@@ -294,6 +389,18 @@ def test_config_errors_exit_2(tmp_path):
     assert run("ground-state", "--config", str(missing)) == 2
     # a config path that names a directory
     assert run("ground-state", "--config", str(tmp_path)) == 2
+
+
+def test_empty_out_dir_exits_2(tmp_path, monkeypatch):
+    """An empty out_dir, from the config or from --out, names the current
+    directory: it is refused before anything is written there."""
+    monkeypatch.chdir(tmp_path)
+    empty = write_config(tmp_path / "empty.json", out_dir="")
+    assert run("ground-state", "--config", str(empty)) == 2
+    cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"))
+    assert run("ground-state", "--config", str(cfg), "--out", "") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                          "empty.json"]
 
 
 def test_oracle_command(tmp_path, capsys):
@@ -429,7 +536,7 @@ def test_embed_command(tmp_path, capsys):
     assert (out / "embed_report.json").read_bytes() == written
 
 
-def test_embed_failure_modes(tmp_path):
+def test_embed_failure_modes(tmp_path, capsys):
     cfg = write_config(tmp_path / "dimer.json", out_dir=str(tmp_path / "o"))
     assert run("embed", "--config", str(cfg)) == 2
 
@@ -445,6 +552,19 @@ def test_embed_failure_modes(tmp_path):
     (tmp_path / "empty" / "series.jsonl").write_text("")
     assert run("embed", "--config", str(cfg_path)) == 3
 
+    # a G_cas that Dyson embedding cannot invert at one frequency
+    zs = np.array([-0.5 + 0.05j, 0.25 + 0.05j, 0.5 + 0.05j])
+    g = np.array([np.diag(1.0 / (z - np.array([-0.3, 0.2, -0.3, 0.2])))
+                  for z in zs])
+    g[1] = 0.0
+    series = tmp_path / "empty" / "series.jsonl"
+    write_text_atomic(series, series_lines(zs, g))
+    capsys.readouterr()
+    assert run("embed", "--config", str(cfg_path)) == 3
+    err = capsys.readouterr().err
+    assert str(series) in err and "0.25+0.05j" in err, err
+    assert [p.name for p in series.parent.iterdir()] == ["series.jsonl"]
+
 
 def test_compare_refuses_malformed_series(tmp_path, capsys):
     good = {"z_re": 0.1, "z_im": 0.05, "g_re": [1.0], "g_im": [0.0]}
@@ -453,7 +573,11 @@ def test_compare_refuses_malformed_series(tmp_path, capsys):
     no_z_im = tmp_path / "no_z_im.jsonl"
     no_z_im.write_text(json.dumps({k: v for k, v in good.items()
                                    if k != "z_im"}) + "\n")
-    for bad, line in ((not_json, 2), (no_z_im, 1)):
+    # json reads NaN, which would pass every tolerance
+    nan = tmp_path / "nan.jsonl"
+    nan.write_text(json.dumps(good) + "\n" + json.dumps(dict(
+        good, g_re=[float("nan")])) + "\n")
+    for bad, line in ((not_json, 2), (no_z_im, 1), (nan, 2)):
         capsys.readouterr()
         assert run("compare", str(bad), str(bad), "--force") == 3
         assert f"{bad}, line {line}" in capsys.readouterr().err

@@ -215,6 +215,9 @@ def test_run_config_cross_field_rules():
         parse(RunConfig, minimal(number_penalty=-1.0), "config")
     with pytest.raises(ConfigError):
         parse(RunConfig, minimal(spin_penalty=-0.1), "config")
+    # an empty path is the current directory
+    with pytest.raises(ConfigError, match="out_dir"):
+        parse(RunConfig, minimal(out_dir=""), "config")
     cfg = parse(RunConfig, minimal(embedding="nondyson", active_space=[0, 1]),
                 "config")
     assert cfg.embedding == "nondyson"

@@ -7,6 +7,7 @@ import pytest
 
 from corrvec import circuits, solver
 from corrvec.circuits import MeasurementSettings, NoiseModel
+from corrvec.config import ConfigError, parse, to_json_dict
 from corrvec.fermion import (ladder_pauli, number_operator, number_penalty,
                              total_spin_squared)
 from corrvec.oracle import materialize
@@ -257,46 +258,52 @@ def test_each_point_is_solved_once(lih_cas_hamiltonian, monkeypatch):
 
 def test_point_record_roundtrip():
     rec = PointRecord(
-        k=4, z=0.25 + 0.05j, orbital=1, branch=HOLE,
-        elements=np.array([0.1 - 0.2j, 0.3 + 0.4j]),
+        k=4, z_re=0.25, z_im=0.05, orbital=1, branch=HOLE,
+        elements_re=(0.1, 0.3), elements_im=(-0.2, 0.4),
         theta=np.array([0.5, -0.25, 1.0]), depth=3, sweeps=12,
-        residual=2.5e-4, gamma=1.5 - 0.7j, converged=True, attempts=2)
-    back = PointRecord.from_json_dict(rec.to_json_dict())
-    assert back.k == rec.k and back.z == rec.z
-    assert back.orbital == rec.orbital and back.branch == rec.branch
-    assert np.array_equal(back.elements, rec.elements)
-    assert np.array_equal(back.theta, rec.theta)
-    assert (back.depth, back.sweeps, back.attempts) == (3, 12, 2)
-    assert back.residual == rec.residual and back.gamma == rec.gamma
-    assert back.converged
+        residual=2.5e-4, gamma_re=1.5, gamma_im=-0.7, converged=True,
+        attempts=2)
+    assert rec.z == 0.25 + 0.05j and rec.gamma == 1.5 - 0.7j
+    assert np.array_equal(rec.elements, [0.1 - 0.2j, 0.3 + 0.4j])
+    assert rec.theta == (0.5, -0.25, 1.0)
+    back = parse(PointRecord, to_json_dict(rec), "record")
+    assert back == rec
 
-    legacy = rec.to_json_dict()
+    legacy = to_json_dict(rec)
     del legacy["attempts"]
-    assert PointRecord.from_json_dict(legacy).attempts == 1
+    assert parse(PointRecord, legacy, "record").attempts == 1
+    # a record is canonical as it is built: every float at 12 digits
+    assert replace(rec, residual=0.1 + 0.2, theta=(1 / 3,)) == \
+        replace(rec, residual=0.3, theta=(0.333333333333,))
+    for bad in ({"branch": "up"}, {"elements_im": [0.0]},
+                {"converged": 1}, {"sweeps": "x"}, {"gamma_re": float("nan")}):
+        with pytest.raises(ConfigError):
+            parse(PointRecord, dict(to_json_dict(rec), **bad), "record")
 
 
 def test_point_bound_from_residual_and_gamma():
-    rec = PointRecord(k=0, z=0.3 + 0.05j, orbital=0, branch=PARTICLE,
-                      elements=np.array([0.1 + 0.2j]), theta=np.zeros(1),
-                      depth=1, sweeps=3, residual=4e-4, gamma=3 - 4j,
-                      converged=True)
+    rec = PointRecord(k=0, z_re=0.3, z_im=0.05, orbital=0, branch=PARTICLE,
+                      elements_re=(0.1,), elements_im=(0.2,), theta=(0.0,),
+                      depth=1, sweeps=3, residual=4e-4, gamma_re=3.0,
+                      gamma_im=-4.0, converged=True)
     assert rec.bound() == pytest.approx(5 * 0.02 / 0.05)
     # a vanished overlap stores 0, which is off by at most 1 / |Im z|
-    lost = replace(rec, elements=np.zeros(1), gamma=0j, converged=False)
+    lost = replace(rec, elements_re=(0.0,), elements_im=(0.0,), gamma_re=0.0,
+                   gamma_im=0.0, converged=False)
     assert lost.bound() == pytest.approx(1 / 0.05)
 
 
 def test_assemble_matrices_placement():
     a, b, c, d = 0.1 + 0.5j, 0.2 - 0.1j, 0.3 + 0.0j, 0.4 + 0.2j
+    common = dict(theta=(0.0,), depth=1, sweeps=1, residual=0.0, gamma_re=1.0,
+                  gamma_im=0.0, converged=True)
     recs = [
-        PointRecord(k=0, z=1j, orbital=1, branch=PARTICLE,
-                    elements=np.array([a, b]), theta=np.zeros(1),
-                    depth=1, sweeps=1, residual=0.0, gamma=1.0,
-                    converged=True),
-        PointRecord(k=1, z=2j, orbital=0, branch=HOLE,
-                    elements=np.array([c, d]), theta=np.zeros(1),
-                    depth=1, sweeps=1, residual=0.0, gamma=1.0,
-                    converged=True),
+        PointRecord(k=0, z_re=0.0, z_im=1.0, orbital=1, branch=PARTICLE,
+                    elements_re=(a.real, b.real), elements_im=(a.imag, b.imag),
+                    **common),
+        PointRecord(k=1, z_re=0.0, z_im=2.0, orbital=0, branch=HOLE,
+                    elements_re=(c.real, d.real), elements_im=(c.imag, d.imag),
+                    **common),
     ]
     out = assemble_matrices(recs, [0, 1], 2, 2)
     assert out.shape == (2, 4, 4)

@@ -1,4 +1,5 @@
-"""Atomic persistence: canonical text, series files, checkpoints, manifests."""
+"""Atomic persistence: canonical text, series files, the append log,
+manifests."""
 
 import json
 import math
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 from corrvec.store import (
-    CheckpointStore,
     ManifestWriter,
+    append_lines,
     dumps_canonical,
     fmt_float,
+    read_json_log,
     read_series,
     series_lines,
     sha256_of_file,
@@ -97,7 +99,11 @@ def test_read_series_names_path_and_line_of_a_malformed_record(tmp_path):
                    json.dumps(dict(good, g_re="x")),
                    json.dumps(dict(good, g_im=[0.0, 0.0])),
                    json.dumps(dict(good, g_re=[1.0] * 4, g_im=[0.0] * 4)),
-                   json.dumps(dict(good, g_re=[], g_im=[]))):
+                   json.dumps(dict(good, g_re=[], g_im=[])),
+                   # json reads NaN and Infinity, which no run writes
+                   json.dumps(dict(good, z_re=float("nan"))),
+                   json.dumps(dict(good, g_im=[float("-inf")])),
+                   json.dumps(dict(good, bound=[float("nan")]))):
         path.write_text(json.dumps(good) + "\n\n" + second + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 3")):
             read_series(path)
@@ -121,33 +127,26 @@ def test_spectrum_csv_columns(tmp_path):
     assert out.read_text() == text
 
 
-def make_rec(branch, orbital, k, residual=1e-3):
-    return {"branch": branch, "orbital": orbital, "k": k,
-            "residual": residual, "theta": [0.1 * k, -0.2]}
+def test_append_log_drops_only_a_torn_last_line(tmp_path):
+    path = tmp_path / "log.jsonl"
+    for rec in ({"k": 0}, {"k": 1}, {"k": 0, "x": 2.5}):
+        append_lines(path, dumps_canonical(rec) + "\n")
+    assert path.read_text() == '{"k":0}\n{"k":1}\n{"k":0,"x":2.5}\n'
+    want = [(1, {"k": 0}), (2, {"k": 1}), (3, {"k": 0, "x": 2.5})]
+    assert read_json_log(path) == want
 
-
-def test_checkpoint_store_roundtrip(tmp_path):
-    path = tmp_path / "ckpt.jsonl"
-    store = CheckpointStore(path)
-    store.add(make_rec("particle", 0, 1))
-    store.add(make_rec("hole", 1, 0))
-    store.add(make_rec("particle", 0, 0))
-
-    reloaded = CheckpointStore(path)
-    assert set(reloaded.records) == {("particle", 0, 1), ("hole", 1, 0),
-                                     ("particle", 0, 0)}
-    cols = reloaded.by_column()
-    assert set(cols) == {("particle", 0), ("hole", 1)}
-    assert sorted(cols[("particle", 0)]) == [0, 1]
-
-    # re-adding a key overwrites in place
-    store.add(make_rec("hole", 1, 0, residual=5e-4))
-    reloaded = CheckpointStore(path)
-    assert reloaded.records[("hole", 1, 0)]["residual"] == 5e-4
-
-    digest = sha256_of_file(path)
-    store.save()
-    assert sha256_of_file(path) == digest
+    # a kill partway through an append leaves a last line without newline
+    with open(path, "a") as fh:
+        fh.write('{"k":2,"x"')
+    assert read_json_log(path) == want
+    # a complete last line whose newline was lost still counts
+    path.write_text('{"k":0}\n{"k":1}')
+    assert read_json_log(path) == want[:2]
+    # a line that is not JSON anywhere else is refused, with its line
+    for text in ('{"k":0}\n{"k":\n{"k":1}\n', '{"k":0}\n{"k":\n'):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2")):
+            read_json_log(path)
 
 
 def test_manifest_writer_and_verify(tmp_path):

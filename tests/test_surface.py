@@ -1,6 +1,6 @@
 """The package's public surface, read from the source text: the names the
-package root exports, and no public module-level function or class that
-only the tests use."""
+package root exports, no public module-level function or class that only
+the tests use, and the one way the command line writes files."""
 
 import ast
 import re
@@ -53,4 +53,25 @@ def test_no_module_imports_a_private_name_of_another():
                  if isinstance(node, ast.ImportFrom)
                  and (node.level > 0 or (node.module or "").startswith("corrvec"))
                  for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
+
+
+def test_cli_writes_files_only_through_the_manifest_and_the_log():
+    """Every file a command writes goes through ``ManifestWriter.write``,
+    which pins it, or ``store.append_lines``, the checkpoint log: the command
+    line itself opens nothing for writing."""
+    offenders = []
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if name in ("write_text_atomic", "write_text", "write_bytes"):
+            offenders.append(f"line {node.lineno}: {name}")
+        elif name == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"]
+            if any(not (isinstance(m, ast.Constant) and set(m.value) <= set("rbt"))
+                   for m in modes):
+                offenders.append(f"line {node.lineno}: open for writing")
     assert offenders == []
