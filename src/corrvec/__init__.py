@@ -5,14 +5,14 @@ active-space embedding, with dense-diagonalization references.
 
 The command line is ``corrvec.cli``.  The package root re-exports only the
 names that the command line's callers use: the model Hamiltonians and the
-FCIDUMP reader and writer, the ansatz and its statevector run, and the
-dense oracle.  Everything else is imported from its module.
+FCIDUMP reader, the ansatz and its statevector run, and the dense oracle.
+Everything else is imported from its module.
 """
 
 from . import cli
 from .circuits import run_pure
 from .molham import (MolecularIntegrals, hubbard_dimer, hubbard_dimer_energy,
-                     read_fcidump, write_fcidump)
+                     read_fcidump)
 from .oracle import GreensOracle, exact_ground, materialize
 from .vqe import AnsatzSpec, build_hea
 
@@ -21,5 +21,5 @@ __version__ = "0.1.0"
 __all__ = [
     "AnsatzSpec", "GreensOracle", "MolecularIntegrals", "build_hea", "cli",
     "exact_ground", "hubbard_dimer", "hubbard_dimer_energy", "materialize",
-    "read_fcidump", "run_pure", "write_fcidump",
+    "read_fcidump", "run_pure",
 ]

@@ -27,14 +27,26 @@ Slot restrictions
 -----------------
 A coordinate sweep needs each slot's output as a function of that slot's
 angle t alone (``restrictions``).  Slot d's restriction starts from the
-state before its first gate, advanced by one gate range per slot, and runs
-the rest of the circuit once on a batch.  A gate that reads the slot is
-R(sigma t) = exp(-i sigma t s / 2) for its Pauli generator s and scale
-sigma; instead of applying it, every member of the batch splits.  A
-statevector x splits into (x, -i s x), with weights cos(sigma t / 2) and
-sin(sigma t / 2); a density matrix X into 1/2 (X + sXs), 1/2 (X - sXs) and
-i/2 (Xs - sX), with weights 1, cos(sigma t) and sin(sigma t).  The output at
-any t is the batch summed with the products of its members' weights.
+state before its first gate, advanced by one gate range per slot.  A gate
+that reads the slot is R(sigma t) = exp(-i sigma t s / 2) for its Pauli
+generator s and scale sigma; instead of applying it, every member of a
+batch splits.  A statevector x splits into (x, -i s x), with weights
+cos(sigma t / 2) and sin(sigma t / 2); a density matrix X into
+1/2 (X + sXs), 1/2 (X - sXs) and i/2 (Xs - sX), with weights 1, cos(sigma t)
+and sin(sigma t).  The output at any t is the batch summed with the
+products of its members' weights.
+
+The rest of the circuit reaches the batch in one of two ways.  A noiseless
+circuit with one gate per slot and 2^m <= n_slots carries it as one
+2^m x 2^m unitary S_d, the gates after slot d's gate: S_0 comes from one
+run of those gates on the 2^m basis states, and each later slot peels the
+next segment off, S_{d+1} = S_d G^-1 for G the gates after slot d's gate
+up to and including slot d+1's, the last at its angle before the sweep
+moves it.  Slot d's batch is then its split pair times S_d.  Peeling costs
+about 2^m vector steps per gate where a suffix run costs about n_slots, so
+wider registers, and density matrices, whose 16^m suffix superoperator
+cannot be peeled stably, run the rest of the circuit on each slot's split
+batch instead.
 
 Noise
 -----
@@ -430,13 +442,14 @@ class Restriction:
 
     def at(self, t: float) -> list[np.ndarray]:
         """The output with the slot at angle t, as ``simulate`` gives it."""
-        w = np.ones(1)
+        w = None
         for sigma in self.scales:
             a = sigma * t
-            part = ((math.cos(0.5 * a), math.sin(0.5 * a)) if self.pure
-                    else (1.0, math.cos(a), math.sin(a)))
-            w = np.kron(part, w)
-        return [np.tensordot(w, batch, axes=1) for batch in self.batches]
+            part = np.array((math.cos(0.5 * a), math.sin(0.5 * a)) if self.pure
+                            else (1.0, math.cos(a), math.sin(a)))
+            w = part if w is None else np.multiply.outer(part, w).ravel()
+        return [(w @ batch.reshape(len(w), -1)).reshape(batch.shape[1:])
+                for batch in self.batches]
 
 
 def restrictions(circ: Circuit, theta: np.ndarray,
@@ -446,8 +459,9 @@ def restrictions(circ: Circuit, theta: np.ndarray,
     The state before slot d's first gate is kept per noise level and
     advanced with the angles ``theta`` holds when slot d is reached: the
     caller moves theta[d] in place before it asks for slot d + 1.  The
-    slots' first gates must come in slot order, and every slotted gate
-    must be an RX, RY or RZ.
+    rest of the circuit is the carried unitary or a suffix run per slot,
+    by the rule of the module notes.  The slots' first gates must come in
+    slot order, and every slotted gate must be an RX, RY or RZ.
     """
     _check_theta(circ, theta)
     gates = circ.gates
@@ -465,14 +479,30 @@ def restrictions(circ: Circuit, theta: np.ndarray,
               for lvl in levels]
     for state in states:
         state.flat[0] = 1.0
+    carry = (not noise.enabled and dim <= circ.n_slots
+             and all(len(at) == 1 for at in where.values()))
+    rest = None  # the carried S_d
     done = 0
     for at in where.values():
         states = [_evolve(s, gates[done:at[0]], theta, lvl)
                   for s, lvl in zip(states, levels)]
+        if not carry:
+            batches = [_slot_suffix(s, gates, at, theta, lvl)
+                       for s, lvl in zip(states, levels)]
+        else:
+            if rest is None:
+                # row j of the run is S e_j
+                rest = apply_gates(np.eye(dim, dtype=complex),
+                                   gates[at[0] + 1:], theta).T.copy()
+            else:
+                # S G^-1 is conj(g) on S's rows, in forward order, with
+                # this slot's gate at the angle it had when S was built
+                for target, control, u in _fused(gates[done + 1:at[0] + 1], theta):
+                    _apply(rest, u.conj(), target, control)
+            batches = [_split(states[0][None], gates[at[0]], None) @ rest.T]
         done = at[0]
-        yield Restriction([_slot_suffix(s, gates, at, theta, lvl)
-                           for s, lvl in zip(states, levels)],
-                          tuple(gates[i].scale for i in at), not noise.enabled)
+        yield Restriction(batches, tuple(gates[i].scale for i in at),
+                          not noise.enabled)
 
 
 def _evolve(states: np.ndarray, gates: Sequence[Gate], theta: np.ndarray,

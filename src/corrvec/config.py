@@ -17,6 +17,7 @@ the config's is the manifest's permanent record of the run.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import types
@@ -84,6 +85,11 @@ def _convert(value, kind, name: str):
     raise TypeError(f"no conversion to {kind!r}")
 
 
+@functools.cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
 def parse(cls, data: dict | None, name: str):
     """The section ``cls`` built from the JSON object ``data`` (None takes
     every default).  Every ConfigError starts with the section's ``name``;
@@ -100,7 +106,7 @@ def parse(cls, data: dict | None, name: str):
                      and f.default is MISSING and f.default_factory is MISSING)
     if missing:
         raise ConfigError(f"{name}: missing required keys {missing}")
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     values = {}
     for key, value in data.items():
         try:

@@ -24,7 +24,7 @@ vectorized gather, with no per-string Python loop.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -185,6 +185,37 @@ def weighted_sum(width: int, parts: Iterable[tuple[complex, PauliSum]]) -> Pauli
     return _from_masks(width, merged.items())
 
 
+def precompiled_sum(width: int, parts: Sequence[tuple[complex, PauliSum]]) -> PauliSum:
+    """``weighted_sum`` of ``parts``, holding each form that every part
+    holds (``precompile``), built from theirs with no string compiled
+    again: its action's rows are the weighted sums of the parts' rows, and
+    its string table takes each string's phases from a part."""
+    out = weighted_sum(width, parts)
+    if all(getattr(op, "_compiled", None) is not None for _, op in parts):
+        rows: dict[int, np.ndarray] = {}
+        for weight, op in parts:
+            idx, diag = op._compiled
+            for flip, row in zip(idx[:, 0].tolist(), diag):
+                acc = rows.get(flip)
+                rows[flip] = weight * row if acc is None else acc + weight * row
+        object.__setattr__(out, "_compiled", _by_flip(width, rows))
+    if all(getattr(op, "_table", None) is not None for _, op in parts):
+        _string_table(out, {(x, z): row for _, op in parts for (_, x, z, _), row
+                            in zip(op._table[0], op._table[2])})
+    return out
+
+
+def precompile(op: PauliSum, per_string: bool) -> PauliSum:
+    """Build and keep on ``op`` the form its reads use: the action
+    ``apply_sum`` gathers with, or with ``per_string`` the string table of
+    the per-string estimators.  Returns ``op``."""
+    if per_string:
+        _string_table(op)
+    else:
+        _compiled(op)
+    return op
+
+
 def string_action(x: int, z: int, width: int) -> np.ndarray:
     """Action of the string with masks ``(x, z)`` on basis states: the
     ``phases`` of shape (2**width,) with P|b> = phases[b] * |b ^ x>."""
@@ -206,7 +237,6 @@ def _compiled(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     """
     comp = getattr(op, "_compiled", None)
     if comp is None:
-        dim = 1 << op.width
         merged: dict[int, np.ndarray] = {}
         for (x, z), coeff in op._terms.items():
             phases = string_action(x, z, op.width)
@@ -215,12 +245,19 @@ def _compiled(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
                 merged[x] = coeff * phases
             else:
                 acc += coeff * phases
-        flips = np.fromiter(merged, dtype=np.intp, count=len(merged))
-        idx = np.arange(dim)[None, :] ^ flips[:, None]
-        by_source = np.array(list(merged.values()), dtype=complex).reshape(-1, dim)
+        idx, by_source = _by_flip(op.width, merged)
         comp = (idx, np.take_along_axis(by_source, idx, axis=1))
         object.__setattr__(op, "_compiled", comp)
     return comp
+
+
+def _by_flip(width: int, rows: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(idx, stacked)`` for rows keyed by flip mask f_g: idx[g] = b ^ f_g
+    and stacked[g] the row of f_g."""
+    dim = 1 << width
+    flips = np.fromiter(rows, dtype=np.intp, count=len(rows))
+    return (np.arange(dim)[None, :] ^ flips[:, None],
+            np.array(list(rows.values()), dtype=complex).reshape(-1, dim))
 
 
 def apply_sum(op: PauliSum, psi: np.ndarray) -> np.ndarray:
@@ -233,16 +270,20 @@ def apply_sum(op: PauliSum, psi: np.ndarray) -> np.ndarray:
     return np.einsum("gc,...gc->...c", diag, psi[..., idx])
 
 
-def _string_table(op: PauliSum) -> tuple[Strings, np.ndarray, np.ndarray]:
+def _string_table(op: PauliSum,
+                  known: Mapping[tuple[int, int], np.ndarray] | None = None,
+                  ) -> tuple[Strings, np.ndarray, np.ndarray]:
     """``(strings, idx, phases)`` with P_s|b> = phases[s][b] |idx[s][b]>.
-    Built once per operator and kept."""
+    Built once per operator and kept; ``known`` holds every string's
+    phases when they are already computed, keyed by its masks."""
     table = getattr(op, "_table", None)
     if table is None:
         strings = sorted((_label(x, z, op.width), x, z, c)
                          for (x, z), c in op._terms.items())
         dim = 1 << op.width
         flips = np.array([x for _, x, _, _ in strings], dtype=np.intp)
-        phases = np.array([string_action(x, z, op.width) for _, x, z, _ in strings],
+        phases = np.array([string_action(x, z, op.width) if known is None
+                           else known[x, z] for _, x, z, _ in strings],
                           dtype=complex).reshape(-1, dim)
         table = (strings, np.arange(dim)[None, :] ^ flips[:, None], phases)
         object.__setattr__(op, "_table", table)

@@ -9,15 +9,18 @@ anywhere.
 
 Every mode reads a slot off the circuit's restriction to it
 (``circuits.restrictions``): the state before the slot's gate is kept and
-advanced by one gate range per slot, and one run of the rest of the circuit
-on a batch gives the output at any angle of the slot.  A sampled or noisy
-cost is then estimated on the outputs at +-pi/2 and at the angle the slot
-moves to, three estimates per slot, drawn as the estimators would on full
-simulations.  An exact cost <psi|M|psi> needs no estimate: with phi the
-state before slot d's gate R(t) = exp(-i t s/2) and S the rest of the
-circuit, psi(t) = cos(t/2) a + sin(t/2) b for a = S phi and b = -i S s phi,
-and the 2x2 matrix K of M on the pair (a, b) gives the slot's whole
-sinusoid.
+advanced by one gate range per slot, and the rest of the circuit applied to
+its split batch gives the output at any angle of the slot.  A noiseless
+circuit with one gate per slot and 2^m <= n_slots carries the rest as one
+2^m x 2^m unitary, built once per sweep and peeled by one gate range per
+slot; density matrices and wider registers run it on each slot's batch.
+A sampled or noisy cost is then estimated on the outputs at +-pi/2 and at
+the angle the slot moves to, three estimates per slot, drawn as the
+estimators would on full simulations.  An exact cost <psi|M|psi> needs no
+estimate: with phi the state before slot d's gate R(t) = exp(-i t s/2) and
+S the rest of the circuit, psi(t) = cos(t/2) a + sin(t/2) b for a = S phi
+and b = -i S s phi, and the 2x2 matrix K of M on the pair (a, b) gives the
+slot's whole sinusoid.
 """
 
 from __future__ import annotations
@@ -201,8 +204,10 @@ def rotosolve_sweep(cost, theta: np.ndarray,
 
     ``cost(theta)`` evaluates ``form`` at full angles (pass ``form``
     itself unless the call is to be observed); it is called once, at the
-    start.  Each slot's restriction then comes from one suffix run per
-    circuit of ``form`` (``circuits.restrictions``).  With exact, noiseless
+    start.  Each slot's restriction then comes from ``circuits.restrictions``
+    per circuit of ``form``: the split pair times the carried unitary of
+    the rest of the circuit for a noiseless circuit with one gate per slot
+    and 2^m <= n_slots, a suffix run per slot otherwise.  With exact, noiseless
     measurement the restriction of the first circuit is a pair of states
     (a, b), and the slot's whole sinusoid is read off the 2x2 matrix K of
     the cost on it: a slot whose sinusoid is flat, its amplitude within

@@ -2,16 +2,20 @@
 against the dense references in ``kron_reference``, and slot restrictions
 against full runs of the kernel."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrvec import circuits, pauli
 from corrvec.circuits import (ROTATION_KINDS, Circuit, MeasurementSettings,
                               NoiseModel, OverlapEngine, make_controlled,
                               restrictions, run_density, run_pure)
 from corrvec.oracle import materialize
-from corrvec.pauli import PauliSum, apply_sum, string_overlaps, string_traces
+from corrvec.pauli import (PauliSum, apply_sum, precompile, precompiled_sum,
+                           string_overlaps, string_traces)
 from corrvec.vqe import AnsatzSpec, build_hea
 import kron_reference as ref
 
@@ -163,7 +167,12 @@ def test_restrictions_match_full_runs(case, data):
     """Slot by slot, the restriction at an angle equals a full run with
     the slot at that angle, while the sweep moves each slot in turn, so
     each slot also checks the prefix its predecessors advanced."""
-    circ, noise, theta, probes, moves = data.draw(restriction_cases(case))
+    check_sweep(*data.draw(restriction_cases(case)))
+
+
+def check_sweep(circ, noise, theta, probes, moves):
+    """Each slot's restriction at its probe angle against a full run, the
+    sweep moving each slot to its ``moves`` angle after it is checked."""
     levels = [noise.p2, noise.boost * noise.p2] if noise.zne else [noise.p2]
     count = 0
     for d, restriction in enumerate(restrictions(circ, theta, noise)):
@@ -178,6 +187,26 @@ def test_restrictions_match_full_runs(case, data):
         theta[d] = moves[d]
         count += 1
     assert count == circ.n_slots
+
+
+@pytest.mark.parametrize("spec, suffix_runs", [
+    (AnsatzSpec(4, 1, ("RY",)), 8),   # 8 slots, 2^4 > 8: a suffix run per slot
+    (AnsatzSpec(2, 2), 0),            # 12 slots, 2^2 <= 12: the carried S
+    (AnsatzSpec(4, 8), 0),            # 72 slots: peel drift over a long sweep
+])
+def test_statevector_sweeps_carry_the_suffix_when_the_register_is_small(
+        spec, suffix_runs, monkeypatch):
+    """A noiseless sweep reads every slot off one carried unitary when
+    2^m <= n_slots and runs each slot's suffix otherwise; either way each
+    restriction matches a full run."""
+    runs = []
+    suffix = circuits._slot_suffix
+    monkeypatch.setattr(circuits, "_slot_suffix",
+                        lambda *args: runs.append(1) or suffix(*args))
+    rng = np.random.default_rng(spec.n_slots)
+    theta, probes, moves = rng.uniform(-np.pi, np.pi, (3, spec.n_slots))
+    check_sweep(build_hea(spec), NoiseModel(), theta, probes, moves)
+    assert len(runs) == suffix_runs
 
 
 @st.composite
@@ -233,3 +262,31 @@ def test_string_tables_match_dense(op, seed):
         p = materialize(PauliSum.from_label(label))
         assert abs(ov - np.vdot(bra, p @ ket)) <= TOL
         assert abs(tr - np.trace(rho @ p)) <= TOL
+
+
+@PROPERTY
+@given(st.data())
+def test_precompiled_sum_combines_precompiled_forms(data):
+    """A weighted sum of precompiled parts takes its action and its string
+    table from theirs, and both match the forms compiled from its terms."""
+    first = data.draw(pauli_sums(max_width=4))
+    parts = [(data.draw(st.complex_numbers(max_magnitude=3.0)),
+              data.draw(pauli_sums(max_width=4).filter(
+                  lambda op: op.width == first.width)) if k else first)
+             for k in range(3)]
+    for per_string in (False, True):
+        for _, op in parts:
+            precompile(op, per_string)
+    rng = np.random.default_rng(len(first))
+    dim = 1 << first.width
+    bra, ket = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+    with mock.patch.object(pauli, "string_action",
+                           side_effect=AssertionError("a string compiled again")):
+        combined = precompiled_sum(first.width, parts)
+        action = apply_sum(combined, ket)
+        strings, overlaps = string_overlaps(combined, bra, ket)
+    fresh = PauliSum(first.width, combined.terms)
+    assert max_diff(action, apply_sum(fresh, ket)) <= TOL
+    fresh_strings, fresh_overlaps = string_overlaps(fresh, bra, ket)
+    assert strings == fresh_strings
+    assert np.array_equal(overlaps, fresh_overlaps)

@@ -1,6 +1,7 @@
 """Molecular integral handling: file format, model systems, active spaces."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,12 @@ from corrvec.molham import (
     hubbard_dimer,
     hubbard_dimer_energy,
     read_fcidump,
-    write_fcidump,
 )
 from corrvec.oracle import exact_ground
 from molham_reference import givens_rotation, rotate_orbitals
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from fcidump import write_fcidump  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -16,7 +16,7 @@ PACKAGE = ROOT / "src" / "corrvec"
 EXPORTS = {
     "AnsatzSpec", "GreensOracle", "MolecularIntegrals", "build_hea", "cli",
     "exact_ground", "hubbard_dimer", "hubbard_dimer_energy", "materialize",
-    "read_fcidump", "run_pure", "write_fcidump",
+    "read_fcidump", "run_pure",
 }
 
 

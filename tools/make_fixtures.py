@@ -21,7 +21,8 @@ from scipy.special import hyp1f1
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from corrvec.molham import MolecularIntegrals, write_fcidump  # noqa: E402
+from corrvec.molham import MolecularIntegrals  # noqa: E402
+from fcidump import write_fcidump  # noqa: E402
 
 ANGSTROM_TO_BOHR = 1.0 / 0.529177210903
 
