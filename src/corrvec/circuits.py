@@ -61,16 +61,26 @@ Every number the method reads off a device is a weighted sum of per-string
 estimates.  A string's exact value is computed at each noise level: <P> on
 the statevector without noise, tr(rho P) on the density matrix of each level
 with it (p2, then boost * p2 under ZNE).  For an overlap <psi1|P|psi2> the
-values are the two ancilla readings of the interference circuit, Re and
-then -Im of the overlap; under noise the overlap is twice the trace of the
-ancilla's off-diagonal block after the string's controlled-P suffix.
+values are the two ancilla readings of the Hadamard test, Re and then -Im of
+the overlap.  Under noise only the test's prefix is simulated, and the
+string's controlled-P suffix and readout are taken in closed form.  The
+readout is tr(O rho) for O = 2 |0><1| (x) I on (ancilla, register).  Each
+pair channel is covariant: a mixture of conjugations by the pair's Pauli
+strings, it commutes with every unitary on the pair, is its own adjoint and
+maps an operator A to (1 - c) A + c tr_pair(A) (x) I/4, c = 16 p2/15.  O is
+traceless in the ancilla, so pulled back through the suffix each channel
+only scales it by 1 - c, and each controlled letter s turns 2 |0><1| (x) Q
+into 2 |0><1| (x) Q s.  A string of weight |P| thus reads
+2 (1 - c)^|P| tr(P rho_10), for rho_10 = rho[2^m:, :2^m] the prefix's
+off-diagonal ancilla block: one string-table read per level.
+
 ``_estimate`` turns one string's values into one number: in sampled mode a
 binomial draw of ``shots`` per level, then zero-noise extrapolation when
 there are two levels.  Seeded runs depend on the draw order: strings in
-sorted label order (``pauli.sorted_strings``; an expectation's identity
-string takes no draw), p2 before boost * p2, and for an overlap the real
-part before the imaginary part.  Exact noiseless estimates skip the
-per-string step and apply the whole operator at once.
+sorted label order (an expectation's identity string takes no draw), p2
+before boost * p2, and for an overlap the real part before the imaginary
+part.  Exact noiseless estimates skip the per-string step and apply the
+whole operator at once.
 """
 
 from __future__ import annotations
@@ -82,8 +92,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .pauli import (PauliSum, Strings, apply_sum, sorted_strings,
-                    string_overlaps, string_traces)
+from .pauli import PauliSum, apply_sum, string_overlaps, string_traces
 
 ONE_QUBIT_KINDS = frozenset({"H", "X", "PHASE", "RX", "RY", "RZ"})
 TWO_QUBIT_KINDS = frozenset({"CX", "CY", "CZ"})
@@ -99,8 +108,6 @@ _ANGLELESS = {
     "Z": (1, 0, 0, -1),
 }
 _TARGET_KIND = {"CX": "X", "CY": "Y", "CZ": "Z"}
-# the controlled gate of a Pauli string's letter, keyed by (x bit) + 2 * (z bit)
-_CONTROLLED_LETTER = {1: "CX", 2: "CZ", 3: "CY"}
 
 
 @dataclass(frozen=True)
@@ -143,18 +150,6 @@ class Circuit:
         self.gates.append(Gate(kind, tuple(qubits), angle, slot, scale))
         if slot is not None:
             self.n_slots = max(self.n_slots, slot + 1)
-
-    def add_ccx(self, c1: int, c2: int, t: int) -> None:
-        for g in ccx_gates(c1, c2, t):
-            self.gates.append(g)
-
-    def add_controlled_pauli(self, control: int, x: int, z: int) -> None:
-        """Controlled application of the Pauli string with masks ``(x, z)``,
-        one 2-qubit gate per site it acts on, in qubit order."""
-        for q in range((x | z).bit_length()):
-            kind = _CONTROLLED_LETTER.get((x >> q & 1) | (z >> q & 1) << 1)
-            if kind is not None:
-                self.add(kind, control, q)
 
     def extend(self, gates: Iterable[Gate]) -> None:
         for g in gates:
@@ -283,6 +278,14 @@ def run_pure(circ: Circuit, theta: Sequence[float] | None = None) -> np.ndarray:
     return apply_gates(psi, circ.gates, th)
 
 
+def _mixing_weight(p2: float) -> float:
+    """The weight c = 16 p2/15 that the depolarizing channel of strength p2
+    moves to the maximally mixed pair; p2 must lie in [0, 15/16]."""
+    if not 0.0 <= p2 <= 15.0 / 16.0:
+        raise ValueError(f"p2={p2} outside [0, 15/16]")
+    return 16.0 * p2 / 15.0
+
+
 def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2: float, m: int) -> np.ndarray:
     """Two-qubit depolarizing channel on (q1, q2), for a density matrix or
     each of a (..., 2^m, 2^m) batch.
@@ -296,9 +299,7 @@ def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2: float, m: int) -> np.
     """
     if p2 == 0.0:
         return rho
-    if not 0.0 <= p2 <= 15.0 / 16.0:
-        raise ValueError(f"p2={p2} outside [0, 15/16]")
-    c = 16.0 * p2 / 15.0
+    c = _mixing_weight(p2)
     shape = rho.shape[:-2] + (2,) * (2 * m)
     cells = []
     for x in (0, 1):
@@ -366,8 +367,7 @@ class NoiseModel:
     zne: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.p2 <= 15.0 / 16.0:
-            raise ValueError(f"p2={self.p2} outside [0, 15/16]")
+        _mixing_weight(self.p2)  # refuses a p2 the channel cannot take
         if self.boost <= 1.0:
             raise ValueError("boost factor must exceed 1")
         if self.enabled and self.zne and self.boost * self.p2 > 15.0 / 16.0:
@@ -626,7 +626,7 @@ def make_controlled(circ: Circuit) -> Circuit:
             if k == "RX":
                 out.add("H", q)
         elif k == "CX":
-            out.add_ccx(anc, g.qubits[0], g.qubits[1])
+            out.extend(ccx_gates(anc, g.qubits[0], g.qubits[1]))
         else:
             raise ValueError(f"cannot control gate kind {k!r}")
     return out
@@ -642,12 +642,14 @@ def _add_half(out: Circuit, kind: str, q: int, g: Gate, factor: float) -> None:
 class OverlapEngine:
     """Estimates sums of overlaps <psi1| P |U2(theta)|0> for many strings.
 
-    All strings of a weighted sum share one noisy prefix (ancilla prepared,
-    controlled-U1 applied on the 0 branch, controlled-U2 on the 1 branch);
-    only the controlled-P tail differs per string.  The phase gate selecting
-    the real or imaginary part commutes with everything after the first
-    Hadamard, so both parts come from one prefix as well.  ``u1`` is a
-    bound circuit.
+    Without noise the overlaps are read off psi1 = U1|0> and U2(theta)|0>.
+    With it, the Hadamard test's prefix (ancilla in |+>, controlled-U1 on
+    the 0 branch, controlled-U2 on the 1 branch) runs once per noise level,
+    and each string's controlled-P suffix and ancilla readout are taken in
+    closed form (module notes): 2 (1 - c)^|P| tr(P rho_10), for rho_10 the
+    prefix's off-diagonal ancilla block, c = 16 p2/15 and |P| the string's
+    weight.  Re and -Im of that value are the ancilla readings at phase 0
+    and pi/2.  ``u1`` is a bound circuit.
     """
 
     def __init__(self, u1: Circuit, u2: Circuit,
@@ -686,34 +688,22 @@ class OverlapEngine:
             rng = settings.make_rng()
         if states is None:
             states = simulate(self.circuit, theta, self.noise)
-        if self.noise.enabled:
-            strings, rows = self._ancilla_overlaps(states, op)
-        else:
+        if not self.noise.enabled:
             if settings.mode == "exact":
                 return complex(np.vdot(self.psi1, apply_sum(op, states[0])))
             strings, overlaps = string_overlaps(op, self.psi1, states[0])
             rows = overlaps[None, :]
+        else:
+            half = 1 << self.m
+            tables = [string_traces(op, rho[half:, :half]) for rho in states]
+            strings = tables[0][0]
+            weight = np.array([(x | z).bit_count() for _, x, z, _ in strings])
+            rows = np.array([2.0 * (1.0 - _mixing_weight(lvl)) ** weight * traces
+                             for lvl, (_, traces) in
+                             zip(_noise_levels(self.noise), tables)])
         total = 0.0 + 0j
         for (_, _, _, coeff), ws in zip(strings, zip(*rows.tolist())):
             z_re = _estimate([w.real for w in ws], settings, rng)
             z_im = _estimate([-w.imag for w in ws], settings, rng)
             total += coeff * complex(z_re, -z_im)
         return total
-
-    def _ancilla_overlaps(self, prefixes: list[np.ndarray],
-                          op: PauliSum) -> tuple[Strings, np.ndarray]:
-        """``sorted_strings(op)`` and, per noise level and string, twice
-        the trace of the ancilla's off-diagonal block after the string's
-        controlled-P suffix on that level's prefix: the noisy
-        <psi1|P|psi2>."""
-        levels = _noise_levels(self.noise)
-        half = 1 << self.m
-        strings = sorted_strings(op)
-        rows = np.empty((len(levels), len(strings)), dtype=complex)
-        for s, (_, x, z, _) in enumerate(strings):
-            suffix = Circuit(self.m + 1)
-            suffix.add_controlled_pauli(self.m, x, z)
-            for i, (rho, lvl) in enumerate(zip(prefixes, levels)):
-                rho_s = _evolve_density(rho.copy(), suffix.gates, None, lvl)
-                rows[i, s] = 2.0 * np.trace(rho_s[half:, :half])
-        return strings, rows

@@ -230,15 +230,26 @@ def _series_extras(records: list[PointRecord], bound: np.ndarray) -> list[dict]:
     return extras
 
 
+def _grid_points(cfg: RunConfig, command: str) -> np.ndarray:
+    """The configured frequencies; a missing grid, or one too large for
+    numpy to build, exits 2 before anything is written."""
+    if cfg.grid is None:
+        raise CliFailure(EXIT_CONFIG, f"{command} requires a grid section")
+    try:
+        return cfg.grid.points()
+    except (ValueError, IndexError, OverflowError) as exc:
+        # numpy refuses a size it cannot hold with one of these, by magnitude
+        raise CliFailure(EXIT_CONFIG, f"grid: n is too large to build its "
+                                      f"points ({exc})")
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    if cfg.grid is None:
-        raise CliFailure(EXIT_CONFIG, "sweep requires a grid section")
+    zs = _grid_points(cfg, "sweep")
     prob = _open_problem(cfg)
     spec = prob.ansatz()
     theta0 = prob.gs_start(spec)
     out = Path(cfg.out_dir)
-    zs = cfg.grid.points()
     log = out / "checkpoint.jsonl"
     existing = _reusable_points(log, prob, spec, zs)
     manifest = ManifestWriter(out, to_json_dict(cfg))
@@ -387,8 +398,7 @@ def cmd_embed(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _load_config(args)
-    if cfg.grid is None:
-        raise CliFailure(EXIT_CONFIG, "oracle requires a grid section")
+    zs = _grid_points(cfg, "oracle")
     prob = _open_problem(cfg)
     if prob.n_modes > MAX_DENSE_QUBITS:
         raise CliFailure(EXIT_CONFIG,
@@ -400,7 +410,6 @@ def cmd_oracle(args) -> int:
     manifest = ManifestWriter(cfg.out_dir, to_json_dict(cfg))
     e0, psi0 = exact_ground(prob.h_op, n_particles=sector)
     oracle = GreensOracle(prob.h_op, e0, psi0, n_particles=sector)
-    zs = cfg.grid.points()
     g = oracle.series(zs)
     manifest.write("series.jsonl", series_lines(zs, g))
     manifest.write("spectrum.csv", spectrum_csv(zs, g))

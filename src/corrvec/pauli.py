@@ -200,7 +200,8 @@ def precompiled_sum(width: int, parts: Sequence[tuple[complex, PauliSum]]) -> Pa
                 rows[flip] = weight * row if acc is None else acc + weight * row
         object.__setattr__(out, "_compiled", _by_flip(width, rows))
     if all(getattr(op, "_table", None) is not None for _, op in parts):
-        _string_table(out, {(x, z): row for _, op in parts for (_, x, z, _), row
+        _string_table(out, {(x, z): (label, row) for _, op in parts
+                            for (label, x, z, _), row
                             in zip(op._table[0], op._table[2])})
     return out
 
@@ -271,38 +272,35 @@ def apply_sum(op: PauliSum, psi: np.ndarray) -> np.ndarray:
 
 
 def _string_table(op: PauliSum,
-                  known: Mapping[tuple[int, int], np.ndarray] | None = None,
+                  known: Mapping[tuple[int, int], tuple[str, np.ndarray]] | None = None,
                   ) -> tuple[Strings, np.ndarray, np.ndarray]:
-    """``(strings, idx, phases)`` with P_s|b> = phases[s][b] |idx[s][b]>.
-    Built once per operator and kept; ``known`` holds every string's
-    phases when they are already computed, keyed by its masks."""
+    """``(strings, idx, phases)`` with P_s|b> = phases[s][b] |idx[s][b]>,
+    the strings in sorted label order, the order every per-string estimate
+    is drawn in.  Built once per operator and kept; ``known`` maps every
+    string's masks to its label and phases when they are already computed."""
     table = getattr(op, "_table", None)
     if table is None:
-        strings = sorted((_label(x, z, op.width), x, z, c)
-                         for (x, z), c in op._terms.items())
+        if known is None:
+            known = {(x, z): (_label(x, z, op.width), string_action(x, z, op.width))
+                     for x, z in op._terms}
+        strings = sorted((known[x, z][0], x, z, c) for (x, z), c in op._terms.items())
         dim = 1 << op.width
         flips = np.array([x for _, x, _, _ in strings], dtype=np.intp)
-        phases = np.array([string_action(x, z, op.width) if known is None
-                           else known[x, z] for _, x, z, _ in strings],
+        phases = np.array([known[x, z][1] for _, x, z, _ in strings],
                           dtype=complex).reshape(-1, dim)
         table = (strings, np.arange(dim)[None, :] ^ flips[:, None], phases)
         object.__setattr__(op, "_table", table)
     return table
 
 
-def sorted_strings(op: PauliSum) -> Strings:
-    """The strings of ``op``, in the order every per-string estimate is drawn in."""
-    return _string_table(op)[0]
-
-
 def string_overlaps(op: PauliSum, bra: np.ndarray, ket: np.ndarray) -> tuple[Strings, np.ndarray]:
-    """``sorted_strings(op)`` and <bra|P|ket> for each of them."""
+    """The strings of ``op`` in sorted label order and <bra|P|ket> for each."""
     strings, idx, phases = _string_table(op)
     return strings, np.einsum("sb,sb,b->s", bra.conj()[idx], phases, ket)
 
 
 def string_traces(op: PauliSum, rho: np.ndarray) -> tuple[Strings, np.ndarray]:
-    """``sorted_strings(op)`` and tr(rho P) for each of them."""
+    """The strings of ``op`` in sorted label order and tr(rho P) for each."""
     strings, idx, phases = _string_table(op)
     return strings, np.einsum("sb,sb->s", phases,
                               rho[np.arange(rho.shape[0]), idx])

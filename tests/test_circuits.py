@@ -8,6 +8,7 @@ from corrvec.circuits import (
     MeasurementSettings,
     NoiseModel,
     OverlapEngine,
+    ccx_gates,
     depolarize_pair,
     expectation_from_state,
     make_controlled,
@@ -88,7 +89,7 @@ def test_circuit_unitary_consistency(rng):
 
 def test_toffoli_decomposition_is_exact():
     circ = Circuit(3)
-    circ.add_ccx(0, 1, 2)
+    circ.extend(ccx_gates(0, 1, 2))
     u = circuit_unitary(circ)
     expect = np.eye(8, dtype=complex)
     # bits 0 and 1 set: flip bit 2
@@ -317,6 +318,8 @@ ESTIMATOR_NOISE = {
     "noisy": NoiseModel(enabled=True, p2=0.02, zne=False),
     "zne": NoiseModel(enabled=True, p2=0.02, boost=2.0, zne=True),
     "zne at p2 = 0": NoiseModel(enabled=True, p2=0.0),
+    # c = 1: the overlap's (1 - c)^w is 0 for each non-identity string, 0^0 = 1
+    "full depolarization": NoiseModel(enabled=True, p2=15.0 / 16.0, zne=False),
 }
 
 

@@ -321,7 +321,7 @@ def test_sweep_refuses_checkpoint_of_another_ansatz(dimer_sweep, tmp_path,
         assert not (out / "series.jsonl").exists()
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"hamiltonian": {"kind": "hubbard-dimer",
                                                "t": 1.0, "u": 2.0},
@@ -384,6 +384,18 @@ def test_config_errors_exit_2(tmp_path):
                              **overrides)
         assert run(argv[0], "--config", str(probe), *argv[1:]) == 2, argv
         assert not probe_out.exists()
+
+    # a grid numpy refuses to build, at sizes it refuses without allocating
+    for n in (1e300, 2**63, 10**400):
+        for kind in ({"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0},
+                     {"kind": "matsubara", "omega_max": 1.0}):
+            probe = write_config(tmp_path / "probe.json", out_dir=str(probe_out),
+                                 grid={**kind, "n": n})
+            for command in ("sweep", "oracle"):
+                capsys.readouterr()
+                assert run(command, "--config", str(probe)) == 2, (command, n)
+                assert "grid: n is too large" in capsys.readouterr().err
+                assert not probe_out.exists()
 
     missing = tmp_path / "missing.json"
     assert run("ground-state", "--config", str(missing)) == 2

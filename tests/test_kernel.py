@@ -128,6 +128,13 @@ def test_overlap_circuits_match_kron(data):
     if width <= 3:
         assert max_diff(run_density(circ, th, p2=0.01),
                         ref.run_density(circ, th, p2=0.01)) <= TOL
+        # the engine's closed-form suffix against the literal circuit
+        op = PauliSum.from_label(label)
+        for p2 in (0.01, 0.3, 15.0 / 16.0):
+            noise = NoiseModel(enabled=True, p2=p2, zne=False)
+            engine = OverlapEngine(u1, u2, MeasurementSettings(), noise)
+            assert abs(engine.estimate_sum(th, op) - ref.estimate_overlap(
+                u1, u2, th, op, MeasurementSettings(), noise, None)) <= TOL, p2
 
 
 @st.composite
