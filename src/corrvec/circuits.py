@@ -13,21 +13,28 @@ Kernel
 No full-register matrix is built.  A gate on target qubit t views the
 statevector as shape (..., 2, 2^t) and mixes the two slices of the middle
 axis in place with its 2x2 matrix; a controlled gate does the same on the
-control=1 slice only.  Consecutive one-qubit gates on a qubit are first
-multiplied into one 2x2 matrix.  A density matrix of m qubits runs through the same
-kernel as a vector of 2m qubits: its row index supplies qubits m..2m-1 and
-its column index qubits 0..m-1, so U rho U+ is U on row qubit t + m and
-conj(U) on column qubit t.  A batch of statevectors or of density matrices,
-such as the members of a slot's restriction, runs the same way: stored as
-one contiguous (..., 2^m) or (..., 2^m, 2^m) array, its batch index acts as
-extra most-significant qubits that no gate touches, and the depolarizing
-channel acts on every member.
+control=1 slice only.  That is one small product per 2^(t+1) amplitudes, so
+on a large batch a gate whose qubits all sit below bit 4 is instead one
+matmul of the flat (-1, 2^(top+1)) view, top its highest qubit, with the
+gate's block matrix on those low qubits.  Consecutive one-qubit gates on a
+qubit are first multiplied into one 2x2 matrix.  A density matrix of m
+qubits runs through the same kernel as a vector of 2m qubits: its row index
+supplies qubits m..2m-1 and its column index qubits 0..m-1, so U rho U+ is U
+on row qubit t + m and conj(U) on column qubit t; the column updates are
+the ones on low qubits.  A batch of statevectors or of density matrices,
+such as the members of a slot's restriction or the noise levels of one
+circuit, runs the same way: stored as one contiguous (..., 2^m) or
+(..., 2^m, 2^m) array, its batch index acts as extra most-significant
+qubits that no gate touches, and the depolarizing channel acts on every
+member.
 
 Slot restrictions
 -----------------
 A coordinate sweep needs each slot's output as a function of that slot's
 angle t alone (``restrictions``).  Slot d's restriction starts from the
-state before its first gate, advanced by one gate range per slot.  A gate
+state before its first gate, advanced by one gate range per slot.  Under
+noise that state is one (levels, 2^m, 2^m) stack, so all noise levels run
+in one batch, and a split puts its members outside the levels.  A gate
 that reads the slot is R(sigma t) = exp(-i sigma t s / 2) for its Pauli
 generator s and scale sigma; instead of applying it, every member of a
 batch splits.  A statevector x splits into (x, -i s x), with weights
@@ -54,6 +61,9 @@ The two-qubit depolarizing channel of strength p2 follows every two-qubit
 gate, on that gate's pair; single-qubit gates are noiseless.  It is the
 local map (1 - 16 p2/15) rho + (16 p2/15) tr_pair(rho) (x) I/4, with the
 partial trace taken over the pair's axes of the reshaped density matrix.
+On a stack of noise levels it takes one strength per level (p2, then
+boost * p2 under ZNE), so all levels run as one batch with the arithmetic
+of separate runs.
 
 Estimators
 ----------
@@ -86,6 +96,7 @@ whole operator at once.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
@@ -245,12 +256,50 @@ def _fused(gates: Iterable[Gate], theta: np.ndarray | None):
         yield q, None, _matrix(u)
 
 
+# A gate whose qubits all sit below bit _BLOCK_BITS, on a batch of at least
+# _BLOCK_MIN_SIZE amplitudes, takes the block path (module notes).  Both
+# come from a timing scan of the two paths over register widths 1-6 and
+# batch sizes 1-46 (CHANGES.md): from 512 amplitudes on, the block path was
+# never more than 10% slower than the view for a gate below bit 4.
+_BLOCK_BITS = 4
+_BLOCK_MIN_SIZE = 512
+_ONE_ZERO = np.array([1.0, 0.0], dtype=complex)
+
+
+@functools.cache
+def _block_source(target: int, control: int | None) -> np.ndarray:
+    """For each entry of the transposed block matrix of a gate on qubits
+    0..top, its index in (u00, u01, u10, u11, 1, 0): 1 on the diagonal
+    where the control is 0, 0 where the gate links no pair.  Read-only, as
+    every caller shares it."""
+    top = target if control is None else max(target, control)
+    dim = 2 << top
+    src = np.full((dim, dim), 5)
+    for j in range(dim):
+        if control is not None and not j >> control & 1:
+            src[j, j] = 4
+            continue
+        bit = j >> target & 1
+        for out in (0, 1):
+            src[j, j & ~(1 << target) | out << target] = 2 * out + bit
+    src.flags.writeable = False
+    return src
+
+
 def _apply(vec: np.ndarray, u: np.ndarray, target: int, control: int | None) -> None:
     """vec <- u on the target qubit (on the control=1 slice), in place.
 
-    The view puts the target qubit on axis -2, so one broadcast matmul
-    updates every amplitude pair; ``vec`` must be contiguous.
+    A gate on low qubits of a large batch is one matmul with its block
+    matrix (above).  Otherwise the view puts the target qubit on axis -2,
+    so one broadcast matmul updates every amplitude pair.  ``vec`` must be
+    contiguous.
     """
+    top = target if control is None else max(target, control)
+    if top < _BLOCK_BITS and vec.size >= _BLOCK_MIN_SIZE:
+        src = _block_source(target, control)
+        w = vec.reshape(-1, len(src))
+        np.matmul(w, np.concatenate((u.ravel(), _ONE_ZERO))[src], out=w)
+        return
     if control is None:
         w = vec.reshape(-1, 2, 1 << target)
     elif control > target:
@@ -278,17 +327,21 @@ def run_pure(circ: Circuit, theta: Sequence[float] | None = None) -> np.ndarray:
     return apply_gates(psi, circ.gates, th)
 
 
-def _mixing_weight(p2: float) -> float:
+def _mixing_weight(p2: float | Sequence[float]) -> np.ndarray:
     """The weight c = 16 p2/15 that the depolarizing channel of strength p2
-    moves to the maximally mixed pair; p2 must lie in [0, 15/16]."""
-    if not 0.0 <= p2 <= 15.0 / 16.0:
+    moves to the maximally mixed pair, for one strength or an array of
+    them; each must lie in [0, 15/16]."""
+    p2 = np.asarray(p2, dtype=float)
+    if not np.all((0.0 <= p2) & (p2 <= 15.0 / 16.0)):
         raise ValueError(f"p2={p2} outside [0, 15/16]")
     return 16.0 * p2 / 15.0
 
 
-def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2: float, m: int) -> np.ndarray:
+def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2: float | Sequence[float],
+                    m: int) -> np.ndarray:
     """Two-qubit depolarizing channel on (q1, q2), for a density matrix or
-    each of a (..., 2^m, 2^m) batch.
+    each of a (..., 2^m, 2^m) batch.  ``p2`` is one strength, or one per
+    noise level of a (..., levels, 2^m, 2^m) batch.
 
     Uniform conjugation by all 16 Pauli pairs averages the pair to the
     maximally mixed state, so the channel reduces to
@@ -297,9 +350,9 @@ def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2: float, m: int) -> np.
     2m axes are the qubits: axis m-1-q of them is row qubit q and axis
     2m-1-q column qubit q.
     """
-    if p2 == 0.0:
-        return rho
     c = _mixing_weight(p2)
+    if not c.any():
+        return rho
     shape = rho.shape[:-2] + (2,) * (2 * m)
     cells = []
     for x in (0, 1):
@@ -310,8 +363,9 @@ def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2: float, m: int) -> np.
             cells.append((Ellipsis, *cell))
     t = rho.reshape(shape)
     reduced = t[cells[0]] + t[cells[1]] + t[cells[2]] + t[cells[3]]
-    reduced *= 0.25 * c
-    out = (1.0 - c) * rho
+    # one weight per level, broadcast over the qubit axes that remain
+    reduced *= 0.25 * c.reshape(c.shape + (1,) * (2 * m - 4))
+    out = (1.0 - c)[..., None, None] * rho
     o = out.reshape(shape)
     for cell in cells:
         o[cell] += reduced
@@ -330,28 +384,32 @@ def _check_theta(circ: Circuit, theta) -> np.ndarray | None:
 
 
 def _evolve_density(rho: np.ndarray, gates: Iterable[Gate],
-                    theta: np.ndarray | None, p2: float) -> np.ndarray:
+                    theta: np.ndarray | None,
+                    p2: float | Sequence[float]) -> np.ndarray:
     """Apply the gates to a contiguous density matrix, or (..., 2^m, 2^m)
     batch of them, each two-qubit gate followed by the depolarizing channel
-    of strength p2."""
+    of strength p2: one strength, or one per level of a
+    (..., levels, 2^m, 2^m) batch."""
     m = rho.shape[-1].bit_length() - 1
+    noisy = bool(np.any(p2))
     for target, control, u in _fused(gates, theta):
         flat = rho.reshape(-1)
         _apply(flat, u, target + m, None if control is None else control + m)
         _apply(flat, u.conj(), target, control)
-        if control is not None and p2 > 0.0:
+        if control is not None and noisy:
             rho = depolarize_pair(rho, control, target, p2, m)
     return rho
 
 
 def run_density(circ: Circuit, theta: Sequence[float] | None = None,
-                p2: float = 0.0) -> np.ndarray:
+                p2: float | Sequence[float] = 0.0) -> np.ndarray:
     """Density matrix after the circuit with a depolarizing channel of
-    strength p2 following every two-qubit gate."""
+    strength p2 following every two-qubit gate; for a sequence of
+    strengths, a (levels, 2^m, 2^m) stack of them, all run as one batch."""
     th = _check_theta(circ, theta)
     dim = 1 << circ.width
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
+    rho = np.zeros(np.shape(p2) + (dim, dim), dtype=complex)
+    rho[..., 0, 0] = 1.0
     return _evolve_density(rho, circ.gates, th, p2)
 
 
@@ -393,7 +451,10 @@ class MeasurementSettings:
 
 
 def sample_z_value(z_exact: float, shots: int, rng: np.random.Generator) -> float:
-    """Binomial estimate of an expectation value in [-1, 1]."""
+    """Binomial estimate of an expectation value in [-1, 1]; a value just
+    outside that range is clipped, a non-finite one refused."""
+    if not math.isfinite(z_exact):
+        raise ValueError(f"cannot sample a non-finite expectation value {z_exact}")
     p0 = min(1.0, max(0.0, 0.5 * (1.0 + z_exact)))
     k = rng.binomial(shots, p0)
     return 2.0 * k / shots - 1.0
@@ -420,10 +481,10 @@ def _noise_levels(noise: NoiseModel) -> list[float]:
 def simulate(circ: Circuit, theta, noise: NoiseModel) -> list[np.ndarray]:
     """The circuit's output as the estimators read it: the statevector when
     noise is off, else one density matrix per noise level (p2, then
-    boost * p2 under ZNE)."""
+    boost * p2 under ZNE), all levels run as one batch."""
     if not noise.enabled:
         return [run_pure(circ, theta)]
-    return [run_density(circ, theta, p2=lvl) for lvl in _noise_levels(noise)]
+    return list(run_density(circ, theta, p2=_noise_levels(noise)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +493,13 @@ def simulate(circ: Circuit, theta, noise: NoiseModel) -> list[np.ndarray]:
 
 @dataclass
 class Restriction:
-    """One circuit's output as a function of one slot's angle: per entry of
-    ``simulate``'s output, a batch split once by each of the slot's gates,
-    whose ``scales`` are listed in gate order, the last split outermost."""
+    """One circuit's output as a function of one slot's angle: a batch
+    split once by each of the slot's gates, whose ``scales`` are listed in
+    gate order, the last split outermost.  Each member is a statevector,
+    or a (levels, 2^m, 2^m) stack of density matrices, one per noise
+    level."""
 
-    batches: list[np.ndarray]
+    batch: np.ndarray
     scales: tuple[float, ...]
     pure: bool
 
@@ -448,20 +511,21 @@ class Restriction:
             part = np.array((math.cos(0.5 * a), math.sin(0.5 * a)) if self.pure
                             else (1.0, math.cos(a), math.sin(a)))
             w = part if w is None else np.multiply.outer(part, w).ravel()
-        return [(w @ batch.reshape(len(w), -1)).reshape(batch.shape[1:])
-                for batch in self.batches]
+        out = (w @ self.batch.reshape(len(w), -1)).reshape(self.batch.shape[1:])
+        return [out] if self.pure else list(out)
 
 
 def restrictions(circ: Circuit, theta: np.ndarray,
                  noise: NoiseModel) -> Iterator[Restriction]:
     """Each slot's restriction in turn, for one coordinate sweep.
 
-    The state before slot d's first gate is kept per noise level and
-    advanced with the angles ``theta`` holds when slot d is reached: the
-    caller moves theta[d] in place before it asks for slot d + 1.  The
-    rest of the circuit is the carried unitary or a suffix run per slot,
-    by the rule of the module notes.  The slots' first gates must come in
-    slot order, and every slotted gate must be an RX, RY or RZ.
+    The state before slot d's first gate, under noise one batch holding a
+    density matrix per noise level, is kept and advanced with the angles
+    ``theta`` holds when slot d is reached: the caller moves theta[d] in
+    place before it asks for slot d + 1.  The rest of the circuit is the
+    carried unitary or a suffix run per slot, by the rule of the module
+    notes.  The slots' first gates must come in slot order, and every
+    slotted gate must be an RX, RY or RZ.
     """
     _check_theta(circ, theta)
     gates = circ.gates
@@ -473,22 +537,22 @@ def restrictions(circ: Circuit, theta: np.ndarray,
             where.setdefault(g.slot, []).append(i)
     if list(where) != list(range(circ.n_slots)):
         raise ValueError("the slots' first gates are not in slot order")
-    levels = _noise_levels(noise) if noise.enabled else [None]
+    levels = _noise_levels(noise) if noise.enabled else None
     dim = 1 << circ.width
-    states = [np.zeros((dim,) if lvl is None else (dim, dim), dtype=complex)
-              for lvl in levels]
-    for state in states:
-        state.flat[0] = 1.0
-    carry = (not noise.enabled and dim <= circ.n_slots
+    if levels is None:
+        state = np.zeros(dim, dtype=complex)
+        state[0] = 1.0
+    else:
+        state = np.zeros((len(levels), dim, dim), dtype=complex)
+        state[:, 0, 0] = 1.0
+    carry = (levels is None and dim <= circ.n_slots
              and all(len(at) == 1 for at in where.values()))
     rest = None  # the carried S_d
     done = 0
     for at in where.values():
-        states = [_evolve(s, gates[done:at[0]], theta, lvl)
-                  for s, lvl in zip(states, levels)]
+        state = _evolve(state, gates[done:at[0]], theta, levels)
         if not carry:
-            batches = [_slot_suffix(s, gates, at, theta, lvl)
-                       for s, lvl in zip(states, levels)]
+            batch = _slot_suffix(state, gates, at, theta, levels)
         else:
             if rest is None:
                 # row j of the run is S e_j
@@ -499,37 +563,38 @@ def restrictions(circ: Circuit, theta: np.ndarray,
                 # this slot's gate at the angle it had when S was built
                 for target, control, u in _fused(gates[done + 1:at[0] + 1], theta):
                     _apply(rest, u.conj(), target, control)
-            batches = [_split(states[0][None], gates[at[0]], None) @ rest.T]
+            batch = _split(state[None], gates[at[0]], None) @ rest.T
         done = at[0]
-        yield Restriction(batches, tuple(gates[i].scale for i in at),
-                          not noise.enabled)
+        yield Restriction(batch, tuple(gates[i].scale for i in at),
+                          levels is None)
 
 
 def _evolve(states: np.ndarray, gates: Sequence[Gate], theta: np.ndarray,
-            level: float | None) -> np.ndarray:
-    """Run gates on a batch of statevectors without a noise level, else
-    on density matrices with the channel at that level."""
-    if level is None:
+            levels: list[float] | None) -> np.ndarray:
+    """Run gates on a batch of statevectors without noise levels, else on
+    a batch of (levels, 2^m, 2^m) stacks with the channel at each level."""
+    if levels is None:
         return apply_gates(states, gates, theta)
-    return _evolve_density(states, gates, theta, level)
+    return _evolve_density(states, gates, theta, levels)
 
 
 def _slot_suffix(state: np.ndarray, gates: Sequence[Gate], at: list[int],
-                 theta: np.ndarray, level: float | None) -> np.ndarray:
+                 theta: np.ndarray, levels: list[float] | None) -> np.ndarray:
     """The restriction's batch: the gates from ``at[0]`` on run on
     ``state``, every member splitting at the gates indexed by ``at``."""
     batch = state[None]
     for i, j in zip(at, at[1:] + [len(gates)]):
-        batch = _evolve(_split(batch, gates[i], level), gates[i + 1:j], theta, level)
+        batch = _evolve(_split(batch, gates[i], levels), gates[i + 1:j], theta,
+                        levels)
     return batch
 
 
-def _split(batch: np.ndarray, gate: Gate, level: float | None) -> np.ndarray:
+def _split(batch: np.ndarray, gate: Gate, levels: list[float] | None) -> np.ndarray:
     """Every member of ``batch`` split at the rotation ``gate`` (see the
     module notes), the new components outermost."""
     s = _GENERATOR[gate.kind]
     (q,) = gate.qubits
-    if level is None:
+    if levels is None:
         out = np.concatenate([batch, batch])
         sx = out[batch.shape[0]:]
         _apply(sx, s, q, None)

@@ -229,7 +229,7 @@ def rotosolve_sweep(cost, theta: np.ndarray,
     for d, parts in enumerate(slots):
         base = theta[d]
         if form.exact:
-            k, scale = form.matrix(parts[0].batches[0])
+            k, scale = form.matrix(parts[0].batch)
             # f(t) = mean + amp_c cos t + amp_s sin t; relative to the
             # current angle f(base + x) = mean + rel_c cos x + rel_s sin x
             mean = 0.5 * (k[0, 0].real + k[1, 1].real)

@@ -205,6 +205,18 @@ def test_sample_z_value_statistics():
     assert sample_z_value(-1.0, 100, rng) == -1.0
 
 
+def test_sample_z_value_clips_round_off_and_refuses_non_finite():
+    """A value a rounding step outside [-1, 1] is read as the bound; a NaN
+    or infinite one, the mark of a broken state, raises instead of reading
+    as a finite estimate."""
+    rng = np.random.default_rng(9)
+    assert sample_z_value(1.0 + 4e-16, 100, rng) == 1.0
+    assert sample_z_value(-1.0 - 4e-16, 100, rng) == -1.0
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_z_value(bad, 100, rng)
+
+
 def test_zne_closed_form():
     e_true, c, p = 0.8, 120.0, 1e-3
     e_p = e_true * np.exp(-c * p)

@@ -2,6 +2,7 @@
 against the dense references in ``kron_reference``, and slot restrictions
 against full runs of the kernel."""
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 from corrvec import circuits, pauli
 from corrvec.circuits import (ROTATION_KINDS, Circuit, MeasurementSettings,
-                              NoiseModel, OverlapEngine, make_controlled,
-                              restrictions, run_density, run_pure)
+                              NoiseModel, OverlapEngine, depolarize_pair,
+                              make_controlled, restrictions, run_density,
+                              run_pure)
 from corrvec.oracle import materialize
 from corrvec.pauli import (PauliSum, apply_sum, precompile, precompiled_sum,
                            string_overlaps, string_traces)
@@ -101,6 +103,72 @@ def test_run_density_matches_kron(case, p2):
                     ref.run_density(circ, theta, p2=p2)) <= TOL
 
 
+@pytest.mark.parametrize("width", range(1, 7))
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_apply_matches_kron_on_both_branches(width, seed):
+    """``_apply`` against the dense matrix of its gate, for every target and
+    every (control, target) placement on a batch of registers of ``width``
+    qubits, one member and batches just below and at the size from which
+    gates on low qubits take the block path; both branches must run."""
+    rng = np.random.default_rng(seed)
+    # not unitary, so that a transposed or conjugated entry shows
+    u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    dim = 1 << width
+    edge = -(-circuits._BLOCK_MIN_SIZE // dim)
+    ran = Counter()
+    block = circuits._block_source
+    placements = [(t, c) for t in range(width) for c in [None, *range(width)]
+                  if c != t]
+    with mock.patch.object(circuits, "_block_source",
+                           lambda *key: ran.update(["block"]) or block(*key)):
+        for target, control in placements:
+            dense = (ref.embed({target: u}, width) if control is None else
+                     ref.embed({control: ref.P0}, width)
+                     + ref.embed({control: ref.P1, target: u}, width))
+            for batch in sorted({1, max(1, edge - 1), edge}):
+                vec = rng.normal(size=(batch, dim)) + 1j * rng.normal(size=(batch, dim))
+                out = vec.copy()
+                circuits._apply(out, u, target, control)
+                ran["calls"] += 1
+                assert max_diff(out, vec @ dense.T) <= TOL, (batch, target, control)
+    assert 0 < ran["block"] < ran["calls"]
+
+
+@pytest.mark.parametrize("min_size", [1 << 62, 0], ids=["view", "block"])
+@PROPERTY
+@given(data=st.data())
+def test_stacked_levels_match_per_level_runs(min_size, data):
+    """A batch holding every noise level runs the channel, and the gates,
+    exactly as one run per level does.  The kernel branch is pinned for both
+    runs: the view path everywhere, or the block path wherever the qubits
+    allow.  Each branch computes a member alike however large its batch, so
+    equality is exact; each level gets two or three members, so that no
+    block matmul has a single row, which BLAS would take as a
+    matrix-vector product."""
+    circ, theta = data.draw(random_circuits(max_width=3, max_gates=8))
+    levels = data.draw(st.lists(st.sampled_from((0.0, 0.01, 0.3, 15.0 / 16.0)),
+                                min_size=1, max_size=3))
+    m = circ.width
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (data.draw(st.integers(2, 3)), len(levels), 1 << m, 1 << m)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    th = theta if circ.n_slots else None
+    with mock.patch.object(circuits, "_BLOCK_MIN_SIZE", min_size):
+        together = circuits._evolve_density(stack.copy(), circ.gates, th, levels)
+        for k, p2 in enumerate(levels):
+            alone = circuits._evolve_density(np.ascontiguousarray(stack[:, k]),
+                                             circ.gates, th, p2)
+            assert np.array_equal(together[:, k], alone), p2
+    if m >= 2:
+        q1, q2 = data.draw(st.lists(st.integers(0, m - 1), min_size=2,
+                                    max_size=2, unique=True))
+        together = depolarize_pair(stack, q1, q2, levels, m)
+        for k, p2 in enumerate(levels):
+            assert np.array_equal(together[:, k],
+                                  depolarize_pair(stack[:, k], q1, q2, p2, m)), p2
+
+
 @PROPERTY
 @given(random_circuits(max_width=5, max_gates=6, controllable=True),
        st.sampled_from((0.0, 0.02)))
@@ -128,13 +196,16 @@ def test_overlap_circuits_match_kron(data):
     if width <= 3:
         assert max_diff(run_density(circ, th, p2=0.01),
                         ref.run_density(circ, th, p2=0.01)) <= TOL
-        # the engine's closed-form suffix against the literal circuit
-        op = PauliSum.from_label(label)
-        for p2 in (0.01, 0.3, 15.0 / 16.0):
-            noise = NoiseModel(enabled=True, p2=p2, zne=False)
-            engine = OverlapEngine(u1, u2, MeasurementSettings(), noise)
-            assert abs(engine.estimate_sum(th, op) - ref.estimate_overlap(
-                u1, u2, th, op, MeasurementSettings(), noise, None)) <= TOL, p2
+        # the engine's closed-form suffix against the literal circuit, on
+        # the drawn label and on fixed ones whose weight counts Z letters
+        for fixed in (label, "Z" * width, ("XZ" * width)[:width]):
+            op = PauliSum.from_label(fixed)
+            for p2 in (0.01, 0.3, 15.0 / 16.0):
+                noise = NoiseModel(enabled=True, p2=p2, zne=False)
+                engine = OverlapEngine(u1, u2, MeasurementSettings(), noise)
+                assert abs(engine.estimate_sum(th, op) - ref.estimate_overlap(
+                    u1, u2, th, op, MeasurementSettings(), noise, None)) <= TOL, \
+                    (fixed, p2)
 
 
 @st.composite

@@ -75,3 +75,19 @@ def test_cli_writes_files_only_through_the_manifest_and_the_log():
                    for m in modes):
                 offenders.append(f"line {node.lineno}: open for writing")
     assert offenders == []
+
+
+def test_no_module_reads_the_environment():
+    """No module of the package reads an environment variable, so every
+    setting is a config field or a command-line option: no ``os.environ``,
+    ``os.getenv`` or their bytes forms, by attribute or by import."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                offenders += [f"{path.name}:{node.lineno}: from os import {alias.name}"
+                              for alias in node.names if alias.name in names]
+    assert offenders == []
