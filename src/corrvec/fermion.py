@@ -65,12 +65,10 @@ def number_operator(m: int, modes: tuple[int, ...] | None = None) -> PauliSum:
     return PauliSum(m, terms)
 
 
-def _product_of_ladders(factors: list[tuple[int, bool]], m: int) -> PauliSum:
-    out = None
-    for mode, dagger in factors:
-        term = ladder_pauli(mode, dagger, m)
-        out = term if out is None else out * term
-    return PauliSum.identity(m) if out is None else out
+@lru_cache(maxsize=None)
+def _ladder_pair(a: int, a_dagger: bool, b: int, b_dagger: bool, m: int) -> PauliSum:
+    """Qubit form of the product of two ladder operators, built once."""
+    return ladder_pauli(a, a_dagger, m) * ladder_pauli(b, b_dagger, m)
 
 
 def hamiltonian_to_qubits(h: np.ndarray, g: np.ndarray, e_const: float,
@@ -104,7 +102,7 @@ def hamiltonian_to_qubits(h: np.ndarray, g: np.ndarray, e_const: float,
                     continue
                 for spin in (0, 1):
                     a, b = conv.index(p, spin), conv.index(q, spin)
-                    yield h[p, q], _product_of_ladders([(a, True), (b, False)], m)
+                    yield h[p, q], _ladder_pair(a, True, b, False, m)
         for p in range(n_orb):
             for q in range(n_orb):
                 for r in range(n_orb):
@@ -120,8 +118,8 @@ def hamiltonian_to_qubits(h: np.ndarray, g: np.ndarray, e_const: float,
                                 d = conv.index(r, sp)
                                 if a == b or c == d:
                                     continue
-                                yield coeff, _product_of_ladders(
-                                    [(a, True), (b, True), (c, False), (d, False)], m)
+                                yield coeff, (_ladder_pair(a, True, b, True, m)
+                                              * _ladder_pair(c, False, d, False, m))
 
     return weighted_sum(m, parts())
 

@@ -1,19 +1,28 @@
 """Dense reference solutions: exact ground states and Green's functions.
 
 Everything here works with explicit matrices, independent of the circuit
-machinery, so it can certify the variational pipeline.  Registers are capped
-at MAX_DENSE_QUBITS; particle-number sectors keep the linear algebra small
-well before that limit.
+machinery, so it can certify the variational pipeline.  ``materialize``
+refuses registers wider than MAX_DENSE_QUBITS; the ground state and the
+Green's function work on particle-number sectors instead.
 
-``GreensOracle`` holds the Green's function in pole/weight form.  It
-diagonalises the N+1 and N-1 sector blocks once each, H = V diag(E) V+, and
+A sector block of a Hamiltonian that conserves more than the particle
+number (each spin's count, an orbital symmetry) is block-diagonal after a
+permutation.  ``_decoupled_blocks`` finds those blocks as the connected
+components of the exact nonzero pattern, with no tolerance, so the split
+never changes the spectrum; a coupling that is only nearly zero merges two
+blocks, which costs time and not accuracy.  Every sector is diagonalised
+one decoupled block at a time.
+
+``GreensOracle`` holds the Green's function in pole/weight form.  Each block
+of the N+1 and N-1 sectors is diagonalised once, H = V diag(E) V+, and
 every frequency then reads W+ diag(1 / (z -+ (E - E0))) W off the transition
 amplitudes W = V+ c+_j|0> (particle branch, minus) or V+ c_j|0> (hole
-branch, plus).  The Jordan-Wigner blocks of real integrals are exactly real;
-when a block and its transition columns have no imaginary part the
-diagonalisation runs in real arithmetic, otherwise in complex.  The dense
-linear solve per frequency that this form replaces is the test reference in
-``tests/oracle_reference.py``.
+branch, plus).  A block that no transition c+-_j|0> reaches has no weight
+and contributes no poles.  The Jordan-Wigner blocks of real integrals are
+exactly real; when a block and its transition columns have no imaginary
+part the diagonalisation runs in real arithmetic, otherwise in complex.
+The dense linear solve per frequency that this form replaces is the test
+reference in ``tests/oracle_reference.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ import numpy as np
 from .fermion import ladder_pauli
 from .pauli import PauliSum, apply_sum, string_action
 
-# largest register the dense references build
+# widest register materialize builds and the oracle command accepts; the
+# sector blocks the oracle diagonalises stay far smaller
 MAX_DENSE_QUBITS = 14
 # strings whose signs on the basis project_to_sector holds at once
 _CHUNK_STRINGS = 64
@@ -94,10 +104,36 @@ def _real_if_exact(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(a.real for a in arrays)
 
 
+def _decoupled_blocks(block: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the exact nonzero pattern
+    of a square matrix, each ascending, in ascending order of their smallest
+    index.  The matrix is block-diagonal on them: ``block`` restricted to
+    one component has every nonzero entry of its rows and columns."""
+    linked = block != 0
+    linked |= linked.T
+    seen = np.zeros(block.shape[0], dtype=bool)
+    out = []
+    for start in range(block.shape[0]):
+        if seen[start]:
+            continue
+        comp = np.zeros_like(seen)
+        comp[start] = True
+        frontier = comp.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~comp
+            comp |= frontier
+        seen |= comp
+        out.append(np.flatnonzero(comp))
+    return out
+
+
 def exact_ground(h_op: PauliSum, n_particles: int | None = None) -> tuple[float, np.ndarray]:
     """Lowest eigenpair, optionally restricted to a particle-number sector.
 
-    Returns the energy and the full-register statevector.
+    Each decoupled block is diagonalised on its own.  A ground state
+    degenerate across blocks is taken from the first of them, in ascending
+    order of their smallest basis index.  Returns the energy and the
+    full-register statevector.
     """
     m = h_op.width
     if n_particles is None:
@@ -106,8 +142,15 @@ def exact_ground(h_op: PauliSum, n_particles: int | None = None) -> tuple[float,
     else:
         basis = sector_basis(m, n_particles)
         block = project_to_sector(h_op, basis)
-    vals, vecs = np.linalg.eigh(*_real_if_exact(block))
-    return float(vals[0]), embed_sector_vector(vecs[:, 0], basis, m)
+    best = None
+    for idx in _decoupled_blocks(block):
+        vals, vecs = np.linalg.eigh(*_real_if_exact(block[np.ix_(idx, idx)]))
+        if best is None or vals[0] < best[0]:
+            best = vals[0], idx, vecs[:, 0]
+    if best is None:
+        raise ValueError(f"no state has {n_particles} particles in {m} modes")
+    e0, idx, vec = best
+    return float(e0), embed_sector_vector(vec, basis[idx], m)
 
 
 def _mode_transitions(psi0: np.ndarray, m: int, dagger: bool) -> np.ndarray:
@@ -118,7 +161,7 @@ def _mode_transitions(psi0: np.ndarray, m: int, dagger: bool) -> np.ndarray:
 
 class GreensOracle:
     """Resolvent matrix elements from the poles and weights of the N+1 and
-    N-1 sectors, each diagonalised once.
+    N-1 sectors, each diagonalised once, one decoupled block at a time.
 
     Particle branch: <0| c_i [z - (H - e0)]^{-1} c+_j |0>
                      = sum_k conj(Wp[k, i]) Wp[k, j] / (z - Ep[k]).
@@ -127,9 +170,10 @@ class GreensOracle:
 
     ``particle`` and ``hole`` are the ``(poles, weights)`` pairs: excitation
     energies E_k - e0 of shape (n_poles,) and amplitudes <k|c+_j|0> or
-    <k|c_j|0> of shape (n_poles, m).  A branch whose sector does not exist
-    has no poles.  Without ``n_particles`` both branches span the full
-    register.
+    <k|c_j|0> of shape (n_poles, m), block after block.  A block whose
+    transition amplitudes are all exactly zero carries no weight and gives
+    no poles, and neither does a sector that does not exist.  Without
+    ``n_particles`` both branches span the full register.
     """
 
     def __init__(self, h_op: PauliSum, e0: float, psi0: np.ndarray,
@@ -149,9 +193,15 @@ class GreensOracle:
                 basis = sector_basis(m, n_particles + (1 if dagger else -1))
             block = project_to_sector(h_op, basis)
             trans = _mode_transitions(psi0, m, dagger)[basis, :]
-            block, trans = _real_if_exact(block, trans)
-            vals, vecs = np.linalg.eigh(block)
-            branches.append((vals - e0, vecs.conj().T @ trans))
+            poles, weights = [np.zeros(0)], [np.zeros((0, m))]
+            for idx in _decoupled_blocks(block):
+                if not trans[idx].any():
+                    continue
+                sub, amps = _real_if_exact(block[np.ix_(idx, idx)], trans[idx])
+                vals, vecs = np.linalg.eigh(sub)
+                poles.append(vals - e0)
+                weights.append(vecs.conj().T @ amps)
+            branches.append((np.concatenate(poles), np.concatenate(weights)))
         self.particle, self.hole = branches
 
     def matrix(self, z: complex) -> np.ndarray:

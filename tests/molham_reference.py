@@ -1,14 +1,21 @@
-"""Orbital rotations of molecular integrals, kept out of the package: a
-Givens rotation between two orbitals and the re-expression of the one- and
-two-body integrals in a rotated basis.  The tests use them to check that
-the full-CI energy does not depend on the orbital basis.
+"""References for molecular integrals, kept out of the package.
+
+Orbital rotations: a Givens rotation between two orbitals and the
+re-expression of the one- and two-body integrals in a rotated basis, which
+the tests use to check that the full-CI energy does not depend on the
+orbital basis.  ``four_ladder_hamiltonian``: the qubit Hamiltonian built
+term by term as a left-to-right chain of single ladder operators, the
+route that pins the coefficients and the term order of
+``corrvec.fermion.hamiltonian_to_qubits``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from corrvec.fermion import ladder_pauli, number_operator
 from corrvec.molham import MolecularIntegrals
+from corrvec.pauli import PauliSum, weighted_sum
 
 
 def rotate_orbitals(integrals: MolecularIntegrals, q: np.ndarray) -> MolecularIntegrals:
@@ -42,3 +49,46 @@ def givens_rotation(n: int, i: int, j: int, angle: float) -> np.ndarray:
     q[i, j] = -s
     q[j, i] = s
     return q
+
+
+def _product_of_ladders(factors: list[tuple[int, bool]], m: int) -> PauliSum:
+    out = None
+    for mode, dagger in factors:
+        term = ladder_pauli(mode, dagger, m)
+        out = term if out is None else out * term
+    return out
+
+
+def four_ladder_hamiltonian(h: np.ndarray, g: np.ndarray, e_const: float,
+                            mu: float = 0.0) -> PauliSum:
+    """Qubit Hamiltonian in the convention of ``hamiltonian_to_qubits``,
+    each one-body term c+_a c_b and two-body term c+_a c+_b c_c c_d
+    multiplied out one ladder operator at a time."""
+    n_orb = h.shape[0]
+    m = 2 * n_orb
+
+    def parts():
+        yield e_const, PauliSum.identity(m)
+        if mu != 0.0:
+            yield -mu, number_operator(m)
+        for p in range(n_orb):
+            for q in range(n_orb):
+                if abs(h[p, q]) <= 1e-14:
+                    continue
+                for spin in (0, 1):
+                    a, b = p + spin * n_orb, q + spin * n_orb
+                    yield h[p, q], _product_of_ladders([(a, True), (b, False)], m)
+        for p, q, r, s in np.ndindex(g.shape):
+            coeff = 0.5 * g[p, q, r, s]
+            if abs(coeff) <= 1e-14:
+                continue
+            for sp in (0, 1):
+                for sq in (0, 1):
+                    a, b = p + sp * n_orb, q + sq * n_orb
+                    c, d = s + sq * n_orb, r + sp * n_orb
+                    if a == b or c == d:
+                        continue
+                    yield coeff, _product_of_ladders(
+                        [(a, True), (b, True), (c, False), (d, False)], m)
+
+    return weighted_sum(m, parts())

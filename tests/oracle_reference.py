@@ -3,9 +3,11 @@ out of the package: the Green's function by one linear solve per branch and
 frequency, the shifted system Q chi = rhs with Q = z + sign (H - e0), and
 the quadratic form Q+ (1 - |V><V|/<V|V>) Q whose kernel is the normalized
 correction vector.  All build their matrices with
-``corrvec.oracle.materialize``; the spectral-weight sums read the poles and
-weights of a ``GreensOracle``.  ``expand_spin`` mirrors a spatial-orbital
-matrix onto both spin blocks, the layout of the oracle's matrices.
+``corrvec.oracle.materialize``, unless a caller hands ``solve_greens`` the
+sector blocks of a register too wide for it; the spectral-weight sums read
+the poles and weights of a ``GreensOracle``.  ``expand_spin`` mirrors a
+spatial-orbital matrix onto both spin blocks, the layout of the oracle's
+matrices.
 """
 
 from __future__ import annotations
@@ -14,19 +16,25 @@ import numpy as np
 
 from corrvec.fermion import ladder_pauli
 from corrvec.oracle import GreensOracle, materialize, sector_basis
-from corrvec.pauli import PauliSum
+from corrvec.pauli import PauliSum, apply_sum
 
 
 def solve_greens(h_op: PauliSum, e0: float, psi0: np.ndarray, zs: np.ndarray,
-                 n_particles: int | None = None) -> np.ndarray:
+                 n_particles: int | None = None, sector_block=None) -> np.ndarray:
     """G(z) at every z by dense linear solves on the N+1 and N-1 blocks.
 
     Particle branch: <0| c_i [z - (H - e0)]^{-1} c+_j |0>.
     Hole branch:     <0| c+_j [z + (H - e0)]^{-1} c_i |0>.
     Without ``n_particles`` both branches span the full register.
+    ``sector_block(basis)`` gives H on an ascending basis; by default it is
+    a slice of the materialized H, which wide registers cannot afford.
     """
     m = h_op.width
-    mat = materialize(h_op)
+    if sector_block is None:
+        mat = materialize(h_op)
+
+        def sector_block(basis):
+            return mat[np.ix_(basis, basis)]
     g = np.zeros((len(zs), m, m), dtype=complex)
     for dagger, sign in ((True, -1), (False, +1)):
         if n_particles is None:
@@ -36,8 +44,8 @@ def solve_greens(h_op: PauliSum, e0: float, psi0: np.ndarray, zs: np.ndarray,
             if not 0 <= n_sec <= m:
                 continue
             basis = sector_basis(m, n_sec)
-        block = mat[np.ix_(basis, basis)] - e0 * np.eye(basis.shape[0])
-        trans = np.stack([materialize(ladder_pauli(j, dagger, m)) @ psi0
+        block = sector_block(basis) - e0 * np.eye(basis.shape[0])
+        trans = np.stack([apply_sum(ladder_pauli(j, dagger, m), psi0)
                           for j in range(m)], axis=1)[basis, :]
         for k, z in enumerate(zs):
             sol = np.linalg.solve(z * np.eye(basis.shape[0]) + sign * block, trans)

@@ -16,7 +16,8 @@ from corrvec.molham import (
     read_fcidump,
 )
 from corrvec.oracle import exact_ground
-from molham_reference import givens_rotation, rotate_orbitals
+from molham_reference import (four_ladder_hamiltonian, givens_rotation,
+                              rotate_orbitals)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from fcidump import write_fcidump  # noqa: E402
@@ -33,6 +34,19 @@ def test_fcidump_roundtrip(tmp_path, h2_integrals):
     assert back.e_const == pytest.approx(h2_integrals.e_const, abs=1e-12)
     assert np.allclose(back.h, h2_integrals.h, atol=1e-12)
     assert np.allclose(back.g, h2_integrals.g, atol=1e-12)
+
+
+@pytest.mark.parametrize("name, mu", [
+    ("lih_integrals", 0.0), ("lih_cas", 0.0), ("h2_integrals", 0.0),
+    ("dimer_integrals", 0.0), ("lih_cas", 0.35)])
+def test_qubit_terms_match_the_four_ladder_route(request, name, mu):
+    """Built from cached ladder pairs, every coefficient and the order of
+    the terms equal those of the chain of single ladder operators, so every
+    compiled form downstream is unchanged."""
+    ints = request.getfixturevalue(name)
+    op = ints.to_qubits(mu=mu)
+    ref = four_ladder_hamiltonian(ints.h, ints.g, ints.e_const, mu=mu)
+    assert list(op.masks.items()) == list(ref.masks.items())
 
 
 def test_missing_file_raises():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrvec.fermion import hamiltonian_to_qubits, ladder_pauli, number_operator
@@ -124,6 +124,29 @@ def test_resolvent_routes_agree(h2_hamiltonian, h2_ground, h2_oracle):
     assert np.max(np.abs(series - ref)) < 1e-10
 
 
+def test_full_space_lih_oracle_matches_dense_solves(lih_integrals):
+    """The 12-qubit LiH oracle against one dense solve per branch and
+    frequency on the whole N+1 and N-1 sector blocks."""
+    h_op = lih_integrals.to_qubits()
+    m, n = h_op.width, lih_integrals.n_elec
+    assert (m, n) == (12, 4)
+    e0, psi0 = exact_ground(h_op, n)
+    block = project_to_sector(h_op, sector_basis(m, n))
+    assert block.shape == (495, 495)
+    assert e0 == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-10)
+    oracle = GreensOracle(h_op, e0, psi0, n)
+    # the N+1 sector splits: one dense block would give all 792 poles
+    assert oracle.particle[0].size < sector_basis(m, n + 1).size == 792
+    zs = np.array([-1.3 + 0.05j, 0.2 + 0.1j, 0.9 + 0.02j])
+    g = oracle.series(zs)
+    ref = solve_greens(h_op, e0, psi0, zs, n,
+                      sector_block=lambda basis: project_to_sector(h_op, basis))
+    assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # spin-up and spin-down orbitals never mix
+    half = m // 2
+    assert np.all(g[:, :half, half:] == 0) and np.all(g[:, half:, :half] == 0)
+
+
 def test_oracle_validates_state_dimension(h2_hamiltonian):
     with pytest.raises(ValueError):
         GreensOracle(h2_hamiltonian, -0.9, np.zeros(8), 2)
@@ -187,6 +210,19 @@ def _hopping_and_density(m, t, u):
     return out
 
 
+def _spin_hamiltonian(rng, n_orb):
+    """Random spin-independent one-body and density-density terms on n_orb
+    spatial orbitals: every sector splits by each spin's count, and at an
+    odd particle count the ground state is degenerate across the two
+    blocks related by a spin flip."""
+    h = rng.normal(size=(n_orb, n_orb))
+    g = np.zeros((n_orb,) * 4)
+    for p in range(n_orb):
+        for q in range(n_orb):
+            g[p, q, p, q] = g[q, p, q, p] = abs(rng.normal())
+    return hamiltonian_to_qubits((h + h.T) / 2, g, 0.0)
+
+
 @st.composite
 def conserving_hamiltonians(draw):
     """A particle-conserving Hamiltonian on 4-6 modes and a sector of it.
@@ -199,14 +235,8 @@ def conserving_hamiltonians(draw):
                                  "degenerate complex", "spin")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "spin":
-        n_orb = draw(st.integers(2, 3))
-        h = rng.normal(size=(n_orb, n_orb))
-        g = np.zeros((n_orb,) * 4)
-        for p in range(n_orb):
-            for q in range(n_orb):
-                g[p, q, p, q] = g[q, p, q, p] = abs(rng.normal())
-        h_op = hamiltonian_to_qubits((h + h.T) / 2, g, 0.0)
-        m = 2 * n_orb
+        h_op = _spin_hamiltonian(rng, draw(st.integers(2, 3)))
+        m = h_op.width
     else:
         m = draw(st.integers(4, 6))
         a = rng.normal(size=(m, m))
@@ -228,6 +258,11 @@ def conserving_hamiltonians(draw):
 @given(conserving_hamiltonians(),
        st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(0.02, 1.0)),
                 min_size=1, max_size=4))
+# ground states degenerate across the two spin-flipped blocks
+@example(("spin", _spin_hamiltonian(np.random.default_rng(5), 2), 1),
+         [(-0.4, 0.1), (1.2, 0.05)])
+@example(("spin", _spin_hamiltonian(np.random.default_rng(6), 3), 3),
+         [(0.3, 0.2)])
 def test_spectral_oracle_matches_solve_route(case, points):
     kind, h_op, n = case
     m = h_op.width
@@ -235,6 +270,8 @@ def test_spectral_oracle_matches_solve_route(case, points):
     basis = np.arange(1 << m) if n is None else sector_basis(m, n)
     block = materialize(h_op)[np.ix_(basis, basis)]
     assert e0 == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-10)
+    assert np.linalg.norm(psi0[basis]) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(block @ psi0[basis] - e0 * psi0[basis]) <= 1e-10
     oracle = GreensOracle(h_op, e0, psi0, n)
     for poles, weights in (oracle.particle, oracle.hole):
         if poles.size and "complex" not in kind:

@@ -1,11 +1,15 @@
 """The package's public surface, read from the source text: the names the
 package root exports, no public module-level function or class that only
-the tests use, and the one way the command line writes files."""
+the tests use, the one way the command line writes files, and the only
+packages it imports."""
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import corrvec
 
@@ -90,4 +94,28 @@ def test_no_module_reads_the_environment():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 offenders += [f"{path.name}:{node.lineno}: from os import {alias.name}"
                               for alias in node.names if alias.name in names]
+    assert offenders == []
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    """Every import in the package is relative, of ``corrvec``, of the
+    standard library or of a dependency ``pyproject.toml`` declares, which
+    is numpy alone: no scipy, for one, in the package."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep).group().lower()
+                for dep in project["dependencies"]}
+    assert declared == {"numpy"}
+    allowed = set(sys.stdlib_module_names) | declared | {"corrvec"}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in names
+                          if name.partition(".")[0] not in allowed]
     assert offenders == []
