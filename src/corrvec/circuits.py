@@ -43,17 +43,44 @@ cos(sigma t / 2) and sin(sigma t / 2); a density matrix X into
 and sin(sigma t).  The output at any t is the batch summed with the
 products of its members' weights.
 
-The rest of the circuit reaches the batch in one of two ways.  A noiseless
-circuit with one gate per slot and 2^m <= n_slots carries it as one
-2^m x 2^m unitary S_d, the gates after slot d's gate: S_0 comes from one
-run of those gates on the 2^m basis states, and each later slot peels the
-next segment off, S_{d+1} = S_d G^-1 for G the gates after slot d's gate
-up to and including slot d+1's, the last at its angle before the sweep
+The rest of the circuit reaches the batch in one of three ways.  A
+noiseless circuit with one gate per slot and 2^m <= n_slots carries it as
+one 2^m x 2^m unitary S_d, the gates after slot d's gate: S_0 comes from
+one run of those gates on the 2^m basis states, and each later slot peels
+the next segment off, S_{d+1} = S_d G^-1 for G the gates after slot d's
+gate up to and including slot d+1's, the last at its angle before the sweep
 moves it.  Slot d's batch is then its split pair times S_d.  Peeling costs
-about 2^m vector steps per gate where a suffix run costs about n_slots, so
-wider registers, and density matrices, whose 16^m suffix superoperator
-cannot be peeled stably, run the rest of the circuit on each slot's split
-batch instead.
+about 2^m vector steps per gate where a suffix run costs about n_slots, and
+a density matrix's 16^m suffix superoperator cannot be peeled stably.
+
+A noisy circuit with one gate per slot can be read in the Heisenberg
+picture instead, when the caller names the operators it estimates on the
+output.  At the start of the sweep one adjoint pass from the end of the
+circuit pulls every non-identity string P of those operators back to
+observables, at each noise level: a gate maps O to U+ O U, which is U+ on
+O's row qubit and U^T on its column qubit, and the pair channel is its own
+adjoint.  The identity needs no pass, the adjoint map being unital.  Every
+slotted gate after slot d's gate belongs to a later slot, which the sweep
+has not moved yet, so the angles of the pass still hold when slot d is
+read.  The pass keeps its stack only at each slot's next two-qubit gate and
+at the end of the circuit, depth + 1 stacks for ``build_hea``; slot d's
+split batch runs through the noiseless one-qubit gates up to its stack, and
+one matmul with it gives tr(member O) per member, level and string.  The
+restriction then sums those values, not density matrices, with the
+members' weights.
+
+The pass costs about one observable step per string and gate, where the
+suffix runs cost three member steps per gate after each slot's gate, and
+it holds (stacks + 2) x levels x strings density-sized arrays where a
+suffix run holds a few.  So a sweep pulls back only when strings x gates
+is at most three times the suffix runs' gate steps, for ``build_hea``
+about 1.5 strings per slot, and its arrays fit ``_PULL_BACK_ENTRIES``,
+which leaves room for 6 strings at 7 qubits with ZNE and depth 2.  In a
+timing scan of both paths at 4-6 qubits the pull-back was faster wherever
+the rule chose it (CHANGES.md).  Every other circuit, the noisy overlap
+prefix with its two gates per slot among them, runs the rest of the
+circuit on each slot's split batch, and a restriction with operators reads
+the densities it gives as their strings' values.
 
 Noise
 -----
@@ -70,7 +97,9 @@ Estimators
 Every number the method reads off a device is a weighted sum of per-string
 estimates.  A string's exact value is computed at each noise level: <P> on
 the statevector without noise, tr(rho P) on the density matrix of each level
-with it (p2, then boost * p2 under ZNE).  For an overlap <psi1|P|psi2> the
+with it (p2, then boost * p2 under ZNE), gathered per operator by
+``string_values``, or the values a pulled-back restriction gives at the
+slot's angle.  For an overlap <psi1|P|psi2> the
 values are the two ancilla readings of the Hadamard test, Re and then -Im of
 the overlap.  Under noise only the test's prefix is simulated, and the
 string's controlled-P suffix and readout are taken in closed form.  The
@@ -84,17 +113,21 @@ into 2 |0><1| (x) Q s.  A string of weight |P| thus reads
 2 (1 - c)^|P| tr(P rho_10), for rho_10 = rho[2^m:, :2^m] the prefix's
 off-diagonal ancilla block: one string-table read per level.
 
-``_estimate`` turns one string's values into one number: in sampled mode a
-binomial draw of ``shots`` per level, then zero-noise extrapolation when
-there are two levels.  Seeded runs depend on the draw order: strings in
-sorted label order (an expectation's identity string takes no draw), p2
-before boost * p2, and for an overlap the real part before the imaginary
-part.  Exact noiseless estimates skip the per-string step and apply the
-whole operator at once.
+One helper turns a read's values into its estimate, whatever the entry
+point: the exact values of every string at every level form one (rows,
+levels) array.  Sampled, each value is checked finite, clipped to [-1, 1]
+and drawn from a binomial of ``shots``, all in one call; zero-noise
+extrapolation then applies row by row when there are two levels, and the
+coefficient times estimate is summed string by string in sorted label
+order.  Seeded runs depend on the draw order: strings in sorted label order
+(an expectation's identity string takes no draw), for an overlap the real
+part before the imaginary part, and p2 before boost * p2.  Exact noiseless
+estimates skip the per-string step and apply the whole operator at once.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -103,7 +136,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .pauli import PauliSum, apply_sum, string_overlaps, string_traces
+from .pauli import (PauliSum, apply_sum, string_matrices, string_overlaps,
+                    string_traces)
 
 ONE_QUBIT_KINDS = frozenset({"H", "X", "PHASE", "RX", "RY", "RZ"})
 TWO_QUBIT_KINDS = frozenset({"CX", "CY", "CZ"})
@@ -341,18 +375,22 @@ def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2: float | Sequence[floa
                     m: int) -> np.ndarray:
     """Two-qubit depolarizing channel on (q1, q2), for a density matrix or
     each of a (..., 2^m, 2^m) batch.  ``p2`` is one strength, or one per
-    noise level of a (..., levels, 2^m, 2^m) batch.
+    noise level of a (..., levels, 2^m, 2^m) batch."""
+    c = _mixing_weight(p2)
+    return _depolarize(rho, q1, q2, c, m) if c.any() else rho
+
+
+def _depolarize(rho: np.ndarray, q1: int, q2: int, c: np.ndarray, m: int) -> np.ndarray:
+    """The channel step of ``depolarize_pair`` for mixing weights ``c``
+    already checked, c broadcasting against ``rho.shape[:-2]``.
 
     Uniform conjugation by all 16 Pauli pairs averages the pair to the
     maximally mixed state, so the channel reduces to
-    (1 - 16 p/15) rho + (16 p/15) tr_pair(rho) (x) I/4.  The partial trace
-    sums the four pair-diagonal cells of rho viewed as a tensor whose last
-    2m axes are the qubits: axis m-1-q of them is row qubit q and axis
-    2m-1-q column qubit q.
+    (1 - c) rho + c tr_pair(rho) (x) I/4.  The partial trace sums the four
+    pair-diagonal cells of rho viewed as a tensor whose last 2m axes are
+    the qubits: axis m-1-q of them is row qubit q and axis 2m-1-q column
+    qubit q.
     """
-    c = _mixing_weight(p2)
-    if not c.any():
-        return rho
     shape = rho.shape[:-2] + (2,) * (2 * m)
     cells = []
     for x in (0, 1):
@@ -389,15 +427,19 @@ def _evolve_density(rho: np.ndarray, gates: Iterable[Gate],
     """Apply the gates to a contiguous density matrix, or (..., 2^m, 2^m)
     batch of them, each two-qubit gate followed by the depolarizing channel
     of strength p2: one strength, or one per level of a
-    (..., levels, 2^m, 2^m) batch."""
+    (..., levels, 2^m, 2^m) batch.  The strengths are checked once, at
+    the first channel."""
     m = rho.shape[-1].bit_length() - 1
-    noisy = bool(np.any(p2))
+    c = None
     for target, control, u in _fused(gates, theta):
         flat = rho.reshape(-1)
         _apply(flat, u, target + m, None if control is None else control + m)
         _apply(flat, u.conj(), target, control)
-        if control is not None and noisy:
-            rho = depolarize_pair(rho, control, target, p2, m)
+        if control is not None:
+            if c is None:
+                c = _mixing_weight(p2)
+            if c.any():
+                rho = _depolarize(rho, control, target, c, m)
     return rho
 
 
@@ -450,26 +492,30 @@ class MeasurementSettings:
         return np.random.default_rng(np.random.SeedSequence([self.seed, *extra]))
 
 
-def sample_z_value(z_exact: float, shots: int, rng: np.random.Generator) -> float:
-    """Binomial estimate of an expectation value in [-1, 1]; a value just
-    outside that range is clipped, a non-finite one refused."""
-    if not math.isfinite(z_exact):
+def sample_z_value(z_exact, shots: int, rng: np.random.Generator):
+    """Binomial estimates of expectation values in [-1, 1]: one value, or
+    an array of them drawn in C order in one call, which gives the stream
+    of one call per value.  A value just outside [-1, 1] is clipped, and a
+    non-finite one anywhere is refused before any draw."""
+    z = np.asarray(z_exact, dtype=float)
+    if not np.isfinite(z).all():
         raise ValueError(f"cannot sample a non-finite expectation value {z_exact}")
-    p0 = min(1.0, max(0.0, 0.5 * (1.0 + z_exact)))
-    k = rng.binomial(shots, p0)
+    k = rng.binomial(shots, np.clip(0.5 * (1.0 + z), 0.0, 1.0))
     return 2.0 * k / shots - 1.0
 
 
-def zne_extrapolate(e_p: float, e_2p: float) -> float:
-    """Zero-noise value from estimates at strengths p and 2p.
+def zne_extrapolate(e_p, e_2p):
+    """Zero-noise values from estimates at strengths p and 2p, one pair or
+    elementwise over arrays.
 
-    Exponential decay gives E(0) = E(p)^2 / E(2p).  When the pair is
+    Exponential decay gives E(0) = E(p)^2 / E(2p).  When a pair is
     inconsistent with a decaying exponential (sign change or vanishing
     denominator) fall back to Richardson, 2 E(p) - E(2p).
     """
-    if abs(e_2p) > 1e-12 and e_p * e_2p > 0.0:
-        return e_p * e_p / e_2p
-    return 2.0 * e_p - e_2p
+    e_p, e_2p = np.asarray(e_p, dtype=float), np.asarray(e_2p, dtype=float)
+    decays = (np.abs(e_2p) > 1e-12) & (e_p * e_2p > 0.0)
+    return np.where(decays, e_p * e_p / np.where(decays, e_2p, 1.0),
+                    2.0 * e_p - e_2p)[()]
 
 
 def _noise_levels(noise: NoiseModel) -> list[float]:
@@ -490,21 +536,30 @@ def simulate(circ: Circuit, theta, noise: NoiseModel) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # slot restrictions
 
+# A noisy sweep pulls back only when the observables it holds, its stacks
+# among them, fit in this many complex entries (16 MiB; module notes).
+_PULL_BACK_ENTRIES = 1 << 20
+
 
 @dataclass
 class Restriction:
     """One circuit's output as a function of one slot's angle: a batch
     split once by each of the slot's gates, whose ``scales`` are listed in
-    gate order, the last split outermost.  Each member is a statevector,
-    or a (levels, 2^m, 2^m) stack of density matrices, one per noise
-    level."""
+    gate order, the last split outermost.  Each member is a statevector, a
+    (levels, 2^m, 2^m) stack of density matrices, one per noise level, or,
+    with ``reads``, the (levels, strings) values of the pulled-back strings
+    (module notes).  Density matrices are read as the values of the
+    strings of ``ops`` when there are any."""
 
     batch: np.ndarray
     scales: tuple[float, ...]
     pure: bool
+    reads: tuple | None = None
+    ops: tuple[PauliSum, ...] = ()
 
-    def at(self, t: float) -> list[np.ndarray]:
-        """The output with the slot at angle t, as ``simulate`` gives it."""
+    def at(self, t: float) -> list[np.ndarray] | StringValues:
+        """The output with the slot at angle t, as ``simulate`` gives it,
+        or as ``string_values`` gives it when there are operators."""
         w = None
         for sigma in self.scales:
             a = sigma * t
@@ -512,20 +567,66 @@ class Restriction:
                             else (1.0, math.cos(a), math.sin(a)))
             w = part if w is None else np.multiply.outer(part, w).ravel()
         out = (w @ self.batch.reshape(len(w), -1)).reshape(self.batch.shape[1:])
+        if self.reads is not None:
+            return StringValues(out, self.reads)
+        if self.ops:
+            return string_values(self.ops, list(out))
         return [out] if self.pure else list(out)
 
 
-def restrictions(circ: Circuit, theta: np.ndarray,
-                 noise: NoiseModel) -> Iterator[Restriction]:
+@dataclass(frozen=True)
+class StringValues:
+    """A noisy output as the estimators read it: ``values`` holds tr(rho P)
+    per noise level (rows) for strings P (columns); ``reads`` holds, per
+    operator, its strings in sorted label order and the columns of those
+    after the identity."""
+
+    values: np.ndarray
+    reads: tuple
+
+    def of(self, op: PauliSum):
+        """``op``'s strings and the (strings, levels) values of those after
+        the identity."""
+        for known, strings, cols in self.reads:
+            if known is op:
+                return strings, self.values[:, cols].T
+        raise ValueError("the output holds the values of other operators only: "
+                         "a cost must read exactly its ops")
+
+
+def string_values(ops: Sequence[PauliSum], states: list[np.ndarray]) -> StringValues:
+    """The values tr(rho P) of every string P of the hermitian ``ops`` after
+    the identity, on each noise level's density matrix of ``states``."""
+    reads, blocks, n = [], [], 0
+    for op in ops:
+        tables = [string_traces(op, rho) for rho in states]
+        strings = tables[0][0]
+        ident = _has_identity(strings)
+        blocks.append(np.array([vals.real[ident:] for _, vals in tables]))
+        reads.append((op, strings, np.arange(n, n + len(strings) - ident)))
+        n += len(strings) - ident
+    return StringValues(np.concatenate(blocks, axis=1), tuple(reads))
+
+
+def _has_identity(strings: list) -> int:
+    """1 if the identity (x = z = 0), which sorts first, is among the
+    strings, else 0."""
+    return int(bool(strings) and not (strings[0][1] or strings[0][2]))
+
+
+def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
+                 ops: Sequence[PauliSum] = ()) -> Iterator[Restriction]:
     """Each slot's restriction in turn, for one coordinate sweep.
 
     The state before slot d's first gate, under noise one batch holding a
     density matrix per noise level, is kept and advanced with the angles
     ``theta`` holds when slot d is reached: the caller moves theta[d] in
     place before it asks for slot d + 1.  The rest of the circuit is the
-    carried unitary or a suffix run per slot, by the rule of the module
-    notes.  The slots' first gates must come in slot order, and every
-    slotted gate must be an RX, RY or RZ.
+    carried unitary, the pulled-back strings or a suffix run per slot, by
+    the rules of the module notes.  Under noise, the hermitian ``ops`` are
+    the operators the caller estimates on the output, and each output is
+    then their strings' values.  The slots' first gates must come in slot
+    order, and every slotted gate must be an RX, RY or RZ.
     """
     _check_theta(circ, theta)
     gates = circ.gates
@@ -542,16 +643,40 @@ def restrictions(circ: Circuit, theta: np.ndarray,
     if levels is None:
         state = np.zeros(dim, dtype=complex)
         state[0] = 1.0
+        ops = ()
     else:
         state = np.zeros((len(levels), dim, dim), dtype=complex)
         state[:, 0, 0] = 1.0
-    carry = (levels is None and dim <= circ.n_slots
-             and all(len(at) == 1 for at in where.values()))
+        ops = tuple(ops)
+    one_gate = all(len(at) == 1 for at in where.values())
+    carry = levels is None and dim <= circ.n_slots and one_gate
     rest = None  # the carried S_d
+    pulled = None  # the pulled-back stacks, by the gate index they start at
+    if ops and one_gate:
+        pairs = [i for i, g in enumerate(gates) if len(g.qubits) == 2]
+        pairs.append(len(gates))
+        # each slot's next two-qubit gate, or the end of the circuit
+        stop = {at[0]: pairs[bisect.bisect(pairs, at[0])] for at in where.values()}
+        stops = sorted(set(stop.values()))
+        strings = len(set().union(*(op.masks for op in ops)) - {(0, 0)})
+        # the rule of the module notes: gate steps, then the entries held
+        suffix = 3 * sum(len(gates) - 1 - i for i in stop)
+        held = (len(stops) + 2) * len(levels) * strings * dim * dim
+        if strings * len(gates) <= suffix and held <= _PULL_BACK_ENTRIES:
+            reads, mats = _string_union(ops, dim)
+            pulled = _pull_back(gates, stops, theta, levels, mats)
     done = 0
     for at in where.values():
         state = _evolve(state, gates[done:at[0]], theta, levels)
-        if not carry:
+        if pulled is not None:
+            i = at[0]
+            batch = _evolve(_split(state[None], gates[i], levels),
+                            gates[i + 1:stop[i]], theta, levels)
+            # (levels, members, 4^m) times (levels, 4^m, strings)
+            traces = np.matmul(batch.reshape(3, len(levels), -1).transpose(1, 0, 2),
+                               pulled[stop[i]])
+            batch = traces.real.transpose(1, 0, 2)
+        elif not carry:
             batch = _slot_suffix(state, gates, at, theta, levels)
         else:
             if rest is None:
@@ -565,8 +690,57 @@ def restrictions(circ: Circuit, theta: np.ndarray,
                     _apply(rest, u.conj(), target, control)
             batch = _split(state[None], gates[at[0]], None) @ rest.T
         done = at[0]
-        yield Restriction(batch, tuple(gates[i].scale for i in at),
-                          levels is None)
+        yield Restriction(batch, tuple(gates[i].scale for i in at), levels is None,
+                          None if pulled is None else reads, ops)
+
+
+def _string_union(ops: Sequence[PauliSum], dim: int) -> tuple[tuple, np.ndarray]:
+    """The ``reads`` of ``StringValues`` for ``ops``, and the dense
+    matrices of the union of their non-identity strings, in column order."""
+    columns: dict[tuple[int, int], int] = {}
+    mats, reads = [], []
+    for op in ops:
+        strings, dense = string_matrices(op)
+        cols = []
+        for (_, x, z, _), mat in zip(strings, dense):
+            if x or z:
+                if (x, z) not in columns:
+                    columns[x, z] = len(mats)
+                    mats.append(mat)
+                cols.append(columns[x, z])
+        reads.append((op, strings, np.array(cols, dtype=np.intp)))
+    return tuple(reads), np.array(mats, dtype=complex).reshape(-1, dim, dim)
+
+
+def _pull_back(gates: Sequence[Gate], stops: list[int], theta: np.ndarray,
+               levels: list[float], mats: np.ndarray) -> dict[int, np.ndarray]:
+    """The observables ``mats`` pulled back through ``gates[stop:]`` at
+    each noise level, for each gate index ``stop`` of the ascending
+    ``stops``, in one adjoint pass from the end of the circuit.  Each is
+    kept as a (levels, 4^m, strings) stack whose row j 2^m + i holds entry
+    (i, j) of each observable, so one matmul with a flattened density
+    matrix gives tr(rho O) per string."""
+    dim = mats.shape[-1]
+    m = dim.bit_length() - 1
+    obs = np.broadcast_to(mats, (len(levels),) + mats.shape).copy()
+    # one mixing weight per level, broadcast over the strings
+    c = _mixing_weight(levels)[:, None]
+    noisy = c.any()
+    stacks = {}
+    end = len(gates)
+    for stop in reversed(stops):
+        for target, control, u in reversed(list(_fused(gates[stop:end], theta))):
+            # backwards, a two-qubit step's channel, its own adjoint, comes
+            # before its gate: U+ O U is U+ on the row and U^T on the column
+            if control is not None and noisy:
+                obs = _depolarize(obs, control, target, c, m)
+            flat = obs.reshape(-1)
+            _apply(flat, u.conj().T, target + m, None if control is None else control + m)
+            _apply(flat, u.T, target, control)
+        # a copy, as the pass goes on in place
+        stacks[stop] = obs.transpose(0, 3, 2, 1).reshape(len(levels), dim * dim, -1)
+        end = stop
+    return stacks
 
 
 def _evolve(states: np.ndarray, gates: Sequence[Gate], theta: np.ndarray,
@@ -611,47 +785,63 @@ def _split(batch: np.ndarray, gate: Gate, levels: list[float] | None) -> np.ndar
                            0.5j * (xs - sx)])
 
 
-def _estimate(values: Sequence[float], settings: MeasurementSettings,
-              rng: np.random.Generator | None) -> float:
-    """One string's estimate from its exact value at each noise level: a
-    binomial draw per level when sampled, then ZNE when there are two."""
+def _estimate_sum(values: np.ndarray, coeffs: Sequence, settings: MeasurementSettings,
+                  rng: np.random.Generator | None, total):
+    """``total`` plus coeff * estimate, string by string, from the strings'
+    exact values: a (strings, levels) array for an expectation, or a
+    (strings, 2, levels) one holding Re and -Im for an overlap.  Sampled,
+    every value takes a binomial draw, all in one call in C order; two
+    levels are then extrapolated to zero noise."""
+    rows = values.reshape(-1, values.shape[-1])
     if settings.mode == "sampled":
-        values = [sample_z_value(v, settings.shots, rng) for v in values]
-    return zne_extrapolate(*values) if len(values) == 2 else values[0]
+        rows = sample_z_value(rows, settings.shots, rng)
+    est = zne_extrapolate(rows[:, 0], rows[:, 1]) if rows.shape[1] == 2 else rows[:, 0]
+    if values.ndim == 3:
+        est = [complex(re, -im) for re, im in est.reshape(-1, 2).tolist()]
+    else:
+        est = est.tolist()
+    # one Python add per string, in order: numpy's pairwise sum would move
+    # the last bit of seeded outputs
+    for coeff, e in zip(coeffs, est):
+        total += coeff * e
+    return total
 
 
 def sample_pauli_expectation(circ: Circuit, theta, op: PauliSum,
                              settings: MeasurementSettings,
                              noise: NoiseModel,
                              rng: np.random.Generator | None = None,
-                             states: list[np.ndarray] | None = None) -> float:
+                             states: list[np.ndarray] | StringValues | None = None,
+                             ) -> float:
     """<A> on the circuit's output state, honoring mode and noise.
 
-    The identity component is added exactly and every other string goes
-    through ``_estimate``.  ``states`` is the output of
+    The identity component is added exactly and every other string is
+    estimated (module notes).  ``states`` is the output of
     ``simulate(circ, theta, noise)`` when the caller already has it, so
-    several operators can be estimated on one simulation.
+    several operators can be estimated on one simulation, or, under noise,
+    ``string_values`` of it for operators that include ``op``, which were
+    checked hermitian there.
     """
-    if not op.is_hermitian():
+    if not isinstance(states, StringValues) and not op.is_hermitian():
         raise ValueError("expectation sampling requires a hermitian operator")
     if settings.mode == "sampled" and rng is None:
         rng = settings.make_rng()
     if states is None:
         states = simulate(circ, theta, noise)
-    if not noise.enabled:
-        if settings.mode == "exact":
-            return expectation_from_state(states[0], op)
-        tables = [string_overlaps(op, states[0], states[0])]
+    if noise.enabled and not isinstance(states, StringValues):
+        states = string_values([op], states)
+    if isinstance(states, StringValues):
+        strings, values = states.of(op)
+    elif settings.mode == "exact":
+        return expectation_from_state(states[0], op)
     else:
-        tables = [string_traces(op, rho) for rho in states]
-    # per string, its values at each level as Python floats, which the
-    # scalar draw and ZNE handle faster than numpy scalars
-    per_string = zip(*(vals.real.tolist() for _, vals in tables))
-    total = 0.0
-    for (_, x, z, coeff), values in zip(tables[0][0], per_string):
-        # the identity (x = z = 0) sorts first; its value is exactly 1
-        total += coeff.real * (_estimate(values, settings, rng) if x or z else 1.0)
-    return float(total)
+        strings, vals = string_overlaps(op, states[0], states[0])
+        values = vals.real[_has_identity(strings):, None]
+    # the identity's value is exactly 1
+    ident = len(strings) - len(values)
+    total = strings[0][3].real if ident else 0.0
+    return float(_estimate_sum(values, [c.real for _, _, _, c in strings[ident:]],
+                               settings, rng, total))
 
 
 def expectation_from_state(psi: np.ndarray, op: PauliSum) -> float:
@@ -766,9 +956,7 @@ class OverlapEngine:
             rows = np.array([2.0 * (1.0 - _mixing_weight(lvl)) ** weight * traces
                              for lvl, (_, traces) in
                              zip(_noise_levels(self.noise), tables)])
-        total = 0.0 + 0j
-        for (_, _, _, coeff), ws in zip(strings, zip(*rows.tolist())):
-            z_re = _estimate([w.real for w in ws], settings, rng)
-            z_im = _estimate([-w.imag for w in ws], settings, rng)
-            total += coeff * complex(z_re, -z_im)
-        return total
+        # per string, Re and -Im of its value at each level
+        values = np.stack([rows.real, -rows.imag]).transpose(2, 0, 1)
+        return _estimate_sum(values, [coeff for _, _, _, coeff in strings],
+                             settings, rng, 0.0 + 0j)

@@ -13,14 +13,18 @@ advanced by one gate range per slot, and the rest of the circuit applied to
 its split batch gives the output at any angle of the slot.  A noiseless
 circuit with one gate per slot and 2^m <= n_slots carries the rest as one
 2^m x 2^m unitary, built once per sweep and peeled by one gate range per
-slot; density matrices and wider registers run it on each slot's batch.
-A sampled or noisy cost is then estimated on the outputs at +-pi/2 and at
-the angle the slot moves to, three estimates per slot, drawn as the
-estimators would on full simulations.  An exact cost <psi|M|psi> needs no
-estimate: with phi the state before slot d's gate R(t) = exp(-i t s/2) and
-S the rest of the circuit, psi(t) = cos(t/2) a + sin(t/2) b for a = S phi
-and b = -i S s phi, and the 2x2 matrix K of M on the pair (a, b) gives the
-slot's whole sinusoid.
+slot.  A noisy circuit with one gate per slot, when the cost's operators
+have few strings against its slots and a small register, has those strings
+pulled back through the rest once per sweep, and reads each slot as their
+values (the rule is in the notes of ``circuits``).  Other circuits run the
+rest on each slot's batch.  A sampled or noisy cost is then
+estimated on the outputs at +-pi/2 and at the angle the slot moves to,
+three estimates per slot, drawn as the estimators would on full
+simulations.  An exact cost <psi|M|psi> needs no estimate: with phi the
+state before slot d's gate R(t) = exp(-i t s/2) and S the rest of the
+circuit, psi(t) = cos(t/2) a + sin(t/2) b for a = S phi and b = -i S s phi,
+and the 2x2 matrix K of M on the pair (a, b) gives the slot's whole
+sinusoid.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import (Circuit, MeasurementSettings, NoiseModel, restrictions,
-                       sample_pauli_expectation, simulate)
+                       sample_pauli_expectation, simulate, string_values)
 from .pauli import PauliSum, apply_sum
 
 VALID_ROTATIONS = ("RX", "RY", "RZ")
@@ -144,14 +148,20 @@ class CircuitCost:
     the object evaluates the cost at full angles.  ``ops`` and ``w`` give
     the same cost as <psi|M|psi> on the first circuit's output, with M the
     sum of ``ops`` (hermitian sums, kept apart so that each keeps its
-    compiled action) minus |w><w|.  With exact, noiseless measurement the
-    sweep reads each slot off the 2x2 matrix of M (``matrix``), so the
-    first circuit must then hold one unit-scale gate per slot.
+    compiled action) minus |w><w|.  Under noise ``ops`` are also what
+    ``read`` estimates on that output: it is handed their strings' values
+    (``string_values``), at full angles as in a sweep, where they may come
+    from a pull-back, so a ``read`` that estimates anything else fails on
+    its first call.  With exact, noiseless measurement the sweep reads each
+    slot off the 2x2 matrix of M (``matrix``), so the first circuit must
+    then hold one unit-scale gate per slot.
     """
 
     def __init__(self, circuits: Sequence[Circuit], settings: MeasurementSettings,
                  noise: NoiseModel, read: Callable[[list], float],
                  ops: Sequence[PauliSum], w: np.ndarray | None = None):
+        if not all(op.is_hermitian() for op in ops):
+            raise ValueError("a cost's operators must be hermitian")
         self.circuits = list(circuits)
         self.noise = noise
         self.read = read
@@ -168,8 +178,10 @@ class CircuitCost:
         self.closed: tuple[np.ndarray, float] | None = None
 
     def __call__(self, theta: np.ndarray) -> float:
-        return float(self.read([simulate(c, theta, self.noise)
-                                for c in self.circuits]))
+        outputs = [simulate(c, theta, self.noise) for c in self.circuits]
+        if self.noise.enabled:
+            outputs[0] = string_values(self.ops, outputs[0])
+        return float(self.read(outputs))
 
     def matrix(self, pair: np.ndarray) -> tuple[np.ndarray, float]:
         """K[i, j] = <pair_i|M|pair_j> for a (2, 2^m) pair of states, and
@@ -207,10 +219,13 @@ def rotosolve_sweep(cost, theta: np.ndarray,
     start.  Each slot's restriction then comes from ``circuits.restrictions``
     per circuit of ``form``: the split pair times the carried unitary of
     the rest of the circuit for a noiseless circuit with one gate per slot
-    and 2^m <= n_slots, a suffix run per slot otherwise.  With exact, noiseless
-    measurement the restriction of the first circuit is a pair of states
-    (a, b), and the slot's whole sinusoid is read off the 2x2 matrix K of
-    the cost on it: a slot whose sinusoid is flat, its amplitude within
+    and 2^m <= n_slots; for a noisy first circuit with one gate per slot
+    whose ``form.ops`` have few strings against its slots, the values of
+    those strings pulled back once per sweep; a suffix run per slot
+    otherwise.  With exact, noiseless measurement
+    the restriction of the first circuit is a pair of states (a, b), and
+    the slot's whole sinusoid is read off the 2x2 matrix K of the cost on
+    it: a slot whose sinusoid is flat, its amplitude within
     round-off of the terms summed into K, keeps its angle, and the value at
     the slot's current angle must equal the carried one, the full
     evaluation at slot 0 and the previous slot's closed-form minimum after
@@ -225,7 +240,8 @@ def rotosolve_sweep(cost, theta: np.ndarray,
     if form.exact and form.closed is not None and np.array_equal(form.closed[0], theta):
         _check_carried(current, form.closed[1], "sweep start")
     half = 0.5 * np.pi
-    slots = zip(*(restrictions(c, theta, form.noise) for c in form.circuits))
+    slots = zip(*(restrictions(c, theta, form.noise, form.ops if i == 0 else ())
+                  for i, c in enumerate(form.circuits)))
     for d, parts in enumerate(slots):
         base = theta[d]
         if form.exact:

@@ -1,5 +1,7 @@
 """Gate simulation: unitaries, noise channel, sampling, overlap circuits."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,45 @@ def test_sample_z_value_clips_round_off_and_refuses_non_finite():
             sample_z_value(bad, 100, rng)
 
 
+def test_sample_z_value_draws_an_array_as_one_value_at_a_time():
+    """An array is drawn in C order in one call, which gives the stream of
+    one call per value; values a rounding step outside [-1, 1] are read as
+    the bounds."""
+    values = np.array([[0.3, -0.7], [1.0 + 4e-16, -1.0 - 4e-16], [0.0, 0.999]])
+    together = sample_z_value(values, 1000, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    # one scalar draw per value, in the arithmetic of a single estimate
+    alone = [2.0 * rng.binomial(1000, min(1.0, max(0.0, 0.5 * (1.0 + v)))) / 1000 - 1.0
+             for v in values.ravel().tolist()]
+    assert together.shape == values.shape
+    assert together.ravel().tolist() == alone
+    assert together[1].tolist() == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("where", [0, 3, 5])
+def test_sample_z_value_refuses_a_nan_anywhere_before_drawing(where):
+    values = np.full(6, 0.25)
+    values[where] = np.nan
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="non-finite"):
+        sample_z_value(values.reshape(3, 2), 100, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_zne_extrapolates_mixed_rows_as_one_pair_at_a_time():
+    """Rows that decay exponentially and rows that fall back to Richardson
+    (a sign change, a vanishing or a zero denominator) side by side in one
+    array, each as the scalar rule gives it and with no warning."""
+    e_p = np.array([0.8, 0.1, 0.3, -0.5, 0.2, 0.0])
+    e_2p = np.array([0.6, -0.2, 1e-13, -0.4, 0.0, 0.0])
+    rows = zne_extrapolate(e_p, e_2p)
+    assert rows.tolist() == [zne_extrapolate(a, b) for a, b
+                             in zip(e_p.tolist(), e_2p.tolist())]
+    assert rows[0] == 0.8 * 0.8 / 0.6
+    assert rows[1] == 2.0 * 0.1 + 0.2
+
+
 def test_zne_closed_form():
     e_true, c, p = 0.8, 120.0, 1e-3
     e_p = e_true * np.exp(-c * p)
@@ -361,3 +402,26 @@ def test_estimators_match_dense_references(mode, noise_name, rng):
     assert engine.estimate_sum(theta, op) == pytest.approx(
         estimate_overlap(u1, u2, theta, op, settings, noise,
                          settings.make_rng()), abs=1e-10)
+
+
+@pytest.mark.parametrize("noise_name", ["noiseless", "zne"])
+def test_sampled_estimates_match_the_references_bit_for_bit(noise_name, rng):
+    """Sampled draws are whole shot counts, so with the draws in the
+    documented order each estimate, and each coefficient times estimate
+    summed string by string, repeats the reference to the last bit; the
+    operators hold more strings than a pairwise sum adds one by one."""
+    noise = ESTIMATOR_NOISE[noise_name]
+    settings = MeasurementSettings(mode="sampled", shots=1000, seed=3)
+    u1, u2, theta = hadamard_case(rng)
+    labels = ["".join(p) for p in itertools.product("IXYZ", repeat=2)]
+    coeffs = rng.uniform(-1.0, 1.0, size=(2, len(labels)))
+    herm = PauliSum(2, zip(labels, coeffs[0]))
+    assert sample_pauli_expectation(u2, theta, herm, settings, noise,
+                                    np.random.default_rng(21)) == \
+        estimate_expectation(u2, theta, herm, settings, noise,
+                             np.random.default_rng(21))
+    op = PauliSum(2, zip(labels, coeffs[0] + 1j * coeffs[1]))
+    engine = OverlapEngine(u1, u2, settings, noise)
+    assert engine.estimate_sum(theta, op, np.random.default_rng(22)) == \
+        estimate_overlap(u1, u2, theta, op, settings, noise,
+                         np.random.default_rng(22))

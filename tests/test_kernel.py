@@ -2,6 +2,7 @@
 against the dense references in ``kron_reference``, and slot restrictions
 against full runs of the kernel."""
 
+import itertools
 from collections import Counter
 from unittest import mock
 
@@ -18,7 +19,7 @@ from corrvec.circuits import (ROTATION_KINDS, Circuit, MeasurementSettings,
 from corrvec.oracle import materialize
 from corrvec.pauli import (PauliSum, apply_sum, precompile, precompiled_sum,
                            string_overlaps, string_traces)
-from corrvec.vqe import AnsatzSpec, build_hea
+from corrvec.vqe import AnsatzSpec, build_hea, vqe_ground_state
 import kron_reference as ref
 
 TOL = 1e-12
@@ -210,13 +211,15 @@ def test_overlap_circuits_match_kron(data):
 
 @st.composite
 def restriction_cases(draw, case):
-    """(circuit, noise, start angles, probe angles, moved angles).
+    """(circuit, noise, start angles, probe angles, moved angles, operator).
 
     ``case`` "pure", "noisy" and "zne" draw an ansatz of width 1-4 and
     depth 1-2 over RX/RY/RZ, run without noise, at one noise level or at
     both ZNE levels; "overlap" draws the noisy ancilla prefix of an
     ``OverlapEngine`` on an ansatz of width 1-3 and depth 1, whose every
-    slot drives two half-angle rotations around a noisy CX.
+    slot drives two half-angle rotations around a noisy CX.  "noisy" and
+    "zne" also draw an operator on the ansatz's register, whose strings a
+    sweep can pull back; the other cases give None.
     """
     small = case == "overlap"
     spec = AnsatzSpec(draw(st.integers(1, 3 if small else 4)),
@@ -235,7 +238,13 @@ def restriction_cases(draw, case):
     n = spec.n_slots
     start, probes, moves = (np.array(draw(st.lists(angles, min_size=n, max_size=n)))
                             for _ in range(3))
-    return circ, noise, start, probes, moves
+    op = None
+    if case in ("noisy", "zne"):
+        labels = draw(st.lists(st.text("IXYZ", min_size=spec.width,
+                                       max_size=spec.width), min_size=1, max_size=8))
+        op = PauliSum(spec.width, [(label, draw(st.floats(-2.0, 2.0)))
+                                   for label in labels])
+    return circ, noise, start, probes, moves, op
 
 
 @pytest.mark.parametrize("case", ["pure", "noisy", "zne", "overlap"])
@@ -244,27 +253,107 @@ def restriction_cases(draw, case):
 def test_restrictions_match_full_runs(case, data):
     """Slot by slot, the restriction at an angle equals a full run with
     the slot at that angle, while the sweep moves each slot in turn, so
-    each slot also checks the prefix its predecessors advanced."""
-    check_sweep(*data.draw(restriction_cases(case)))
+    each slot also checks the prefix its predecessors advanced.  Under
+    noise with a drawn operator, the sweep that pulls its strings back
+    gives their values of those full runs."""
+    circ, noise, theta, probes, moves, op = data.draw(restriction_cases(case))
+    check_sweep(circ, noise, theta.copy(), probes, moves)
+    if op is not None:
+        check_sweep(circ, noise, theta, probes, moves, op)
 
 
-def check_sweep(circ, noise, theta, probes, moves):
+@pytest.mark.parametrize("pattern", [("RX",), ("RX", "RZ")])
+def test_pulled_back_strings_under_full_depolarization(pattern):
+    """At p2 = 15/16 every pair channel leaves the maximally mixed pair;
+    the pulled-back values of an RX ansatz still match full runs."""
+    spec = AnsatzSpec(3, 2, pattern)
+    noise = NoiseModel(enabled=True, p2=15.0 / 16.0, zne=False)
+    op = PauliSum(3, [("III", 0.5), ("XIZ", 1.0), ("YYI", -0.7), ("IIX", 0.3),
+                      ("ZZZ", 1.1)])
+    rng = np.random.default_rng(len(pattern))
+    theta, probes, moves = rng.uniform(-np.pi, np.pi, (3, spec.n_slots))
+    assert next(restrictions(build_hea(spec), theta, noise, [op])).reads is not None
+    check_sweep(build_hea(spec), noise, theta, probes, moves, op)
+
+
+def check_sweep(circ, noise, theta, probes, moves, op=None):
     """Each slot's restriction at its probe angle against a full run, the
-    sweep moving each slot to its ``moves`` angle after it is checked."""
+    sweep moving each slot to its ``moves`` angle after it is checked.
+    With ``op`` the restrictions are read as the values of its strings
+    after the identity, per noise level, and checked against
+    ``string_traces`` of each level's full run."""
     levels = [noise.p2, noise.boost * noise.p2] if noise.zne else [noise.p2]
     count = 0
-    for d, restriction in enumerate(restrictions(circ, theta, noise)):
+    for d, restriction in enumerate(restrictions(circ, theta, noise,
+                                                 () if op is None else [op])):
         probe = theta.copy()
         probe[d] = probes[d]
         full = ([run_pure(circ, probe)] if not noise.enabled else
                 [run_density(circ, probe, p2=lvl) for lvl in levels])
         at = restriction.at(probes[d])
-        assert len(at) == len(full)
-        for a, b in zip(at, full):
-            assert max_diff(a, b) <= TOL, d
+        if op is None:
+            assert len(at) == len(full)
+            for a, b in zip(at, full):
+                assert max_diff(a, b) <= TOL, d
+        else:
+            strings, values = at.of(op)
+            ident = len(strings) - len(values)
+            expect = np.array([string_traces(op, rho)[1][ident:].real
+                               for rho in full]).T
+            assert values.shape == expect.shape
+            assert np.abs(values - expect).max(initial=0.0) <= TOL, d
         theta[d] = moves[d]
         count += 1
     assert count == circ.n_slots
+
+
+def test_noisy_sweeps_pull_back_once_per_sweep(h2_hamiltonian, monkeypatch):
+    """A noisy ground-state sweep over ``build_hea`` runs one adjoint pass
+    per sweep, keeps depth + 1 stacks of pulled-back strings, one at each
+    CX ladder and one at the end, and runs no slot's suffix."""
+    spec = AnsatzSpec(4, 2)
+    stacks = []
+    pull_back = circuits._pull_back
+    monkeypatch.setattr(circuits, "_pull_back", lambda *args: stacks.append(
+        pull_back(*args)) or stacks[-1])
+    monkeypatch.setattr(circuits, "_slot_suffix", mock.Mock(
+        side_effect=AssertionError("a suffix run")))
+    settings_ = MeasurementSettings(mode="sampled", shots=1000, seed=5)
+    noise = NoiseModel(enabled=True, p2=0.01)
+    _, _, trace = vqe_ground_state(h2_hamiltonian, spec, settings_, noise,
+                                   max_sweeps=2)
+    assert trace.sweeps == 2
+    assert len(stacks) == 2
+    circ = build_hea(spec)
+    ladders = [i for i, g in enumerate(circ.gates)
+               if len(g.qubits) == 2 and len(circ.gates[i - 1].qubits) == 1]
+    for kept in stacks:
+        assert sorted(kept) == ladders + [len(circ.gates)]
+        assert len(kept) == spec.depth + 1
+        strings = len(h2_hamiltonian) - 1  # every string but the identity
+        assert all(s.shape == (2, 16 * 16, strings) for s in kept.values())
+
+
+def test_noisy_sweeps_run_suffixes_for_many_strings_or_a_wide_register(monkeypatch):
+    """The pull-back is taken only where the rule of the module notes
+    predicts it wins: an operator with every string of 3 qubits, 63
+    against 18 slots, and 10 strings on a 7-qubit register, whose stacks
+    would outgrow the cap, run a suffix per slot, and still read as their
+    strings' values."""
+    monkeypatch.setattr(circuits, "_pull_back", mock.Mock(
+        side_effect=AssertionError("a pull-back")))
+    noise = NoiseModel(enabled=True, p2=0.01)
+    spec = AnsatzSpec(3, 2)
+    every = PauliSum(3, [("".join(p), 0.1 * (k + 1)) for k, p in
+                         enumerate(itertools.product("IXYZ", repeat=3))])
+    rng = np.random.default_rng(7)
+    theta, probes, moves = rng.uniform(-np.pi, np.pi, (3, spec.n_slots))
+    check_sweep(build_hea(spec), noise, theta, probes, moves, every)
+    wide = AnsatzSpec(7, 1)
+    few = PauliSum(7, [("I" * q + "Z" + "I" * (6 - q), 1.0) for q in range(7)]
+                   + [("ZZIIIII", 0.5), ("IIZZIII", 0.5), ("IIIIIZZ", 0.5)])
+    first = next(restrictions(build_hea(wide), np.zeros(wide.n_slots), noise, [few]))
+    assert first.reads is None and first.ops == (few,)
 
 
 @pytest.mark.parametrize("spec, suffix_runs", [

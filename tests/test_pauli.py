@@ -12,6 +12,7 @@ from corrvec.pauli import (
     PauliSum,
     apply_sum,
     string_action,
+    string_matrices,
     string_overlaps,
     string_traces,
     sum_multiply,
@@ -152,6 +153,14 @@ def test_adjoint_and_hermiticity(rng):
     herm = a + a.adjoint()
     assert herm.is_hermitian()
     assert not (1j * herm + PauliSum.identity(3)).is_hermitian()
+
+
+def test_string_matrices_are_the_dense_strings(rng):
+    op = random_sum(3, 6, rng)
+    strings, mats = string_matrices(op)
+    assert [label for label, _, _, _ in strings] == sorted(op.terms)
+    for (label, _, _, _), mat in zip(strings, mats):
+        assert np.array_equal(mat, string_matrix(label))
 
 
 def test_string_action_matches_dense(rng):

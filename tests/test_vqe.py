@@ -17,7 +17,7 @@ from corrvec.vqe import (
     vqe_ground_state,
     wrap_angle,
 )
-from kron_reference import two_qubit_count
+from kron_reference import projector_sum, two_qubit_count
 
 
 def assert_sinusoidal(cost, theta, tol=1e-8):
@@ -110,17 +110,21 @@ MODES = (NoiseModel(), ESTIMATED)
 
 
 def circuit_cost(circ, op, noise, w=None):
-    """<op> - |<w|psi>|^2 on the circuit's output, as a ``CircuitCost``."""
+    """<op> - |<w|psi>|^2 on the circuit's output, as a ``CircuitCost``.
+    A noisy cost reads the values of its strings, not a state, so there
+    the w term is the operator -|w><w| beside op."""
+    ops = [op]
+    if w is not None and noise.enabled:
+        ops, w = [op, -projector_sum(w)], None
+
     def read(outputs):
-        value = sample_pauli_expectation(circ, None, op, EXACT, noise, None,
-                                         outputs[0])
+        value = sum(sample_pauli_expectation(circ, None, o, EXACT, noise, None,
+                                             outputs[0]) for o in ops)
         if w is not None:
-            out = outputs[0][0]
-            value -= (abs(np.vdot(w, out)) ** 2 if out.ndim == 1
-                      else np.vdot(w, out @ w).real)
+            value -= abs(np.vdot(w, outputs[0][0])) ** 2
         return value
 
-    return CircuitCost([circ], EXACT, noise, read, [op], w)
+    return CircuitCost([circ], EXACT, noise, read, ops, w)
 
 
 def one_rotation():
@@ -180,6 +184,25 @@ def test_rotosolve_rejects_non_finite_cost():
     cost.read = lambda outputs: next(estimates)
     with pytest.raises(ValueError, match="slot 0"):
         rotosolve_sweep(cost, np.array([0.0]), cost)
+
+
+def test_noisy_cost_reads_exactly_its_operators():
+    """Under noise a cost's read sees the values of its operators' strings,
+    at full angles as in a sweep, so a read of another operator fails on
+    its first call; a non-hermitian operator is refused when the cost is
+    built."""
+    circ = one_rotation()
+    z, x = PauliSum(1, [("Z", 1.0)]), PauliSum(1, [("X", 1.0)])
+
+    def read(outputs):
+        return sample_pauli_expectation(circ, None, x, EXACT, ESTIMATED, None,
+                                        outputs[0])
+
+    cost = CircuitCost([circ], EXACT, ESTIMATED, read, [z])
+    with pytest.raises(ValueError, match="exactly its ops"):
+        cost(np.array([0.3]))
+    with pytest.raises(ValueError, match="hermitian"):
+        CircuitCost([circ], EXACT, ESTIMATED, read, [PauliSum(1, [("Z", 1j)])])
 
 
 def test_rotosolve_monotone_on_circuit_cost(h2_hamiltonian, rng):
