@@ -4,6 +4,18 @@ Spin orbitals use blocked ordering: spatial orbital p with spin up sits on
 qubit p, spin down on qubit n_orb + p.  A creation operator on mode j maps to
 (X_j - i Y_j)/2 times a Z chain on all lower modes, which preserves the
 canonical anticommutation relations exactly.
+
+``hamiltonian_to_qubits`` builds each distinct product of two ladder
+operators once, as a ``PauliSum`` (``_ladder_pair``), and forms the
+two-body terms (c+_a c+_b)(c_c c_d) as one batch of products of those
+pairs, on their stacked masks (``pauli.weighted_products``).  The pairs
+stay ``PauliSum``s made by ``sum_multiply``: there are at most m(m-1) of
+each kind against thousands of two-body terms, so building them one by one
+costs little, the one-body terms use them as they are, and their cache
+keeps them for every later build in the process.  Every coefficient of a
+ladder product is a multiple of a power of two, so only the integrals'
+weights and the sums over terms round, in the order of the term-by-term
+route, and the result is bit-identical to it (``tests/molham_reference.py``).
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliSum, weighted_sum
+from .pauli import PauliSum, weighted_products
 
 
 @dataclass(frozen=True)
@@ -85,43 +97,40 @@ def hamiltonian_to_qubits(h: np.ndarray, g: np.ndarray, e_const: float,
     n_orb = h.shape[0]
     if h.shape != (n_orb, n_orb):
         raise ValueError(f"one-body matrix has shape {h.shape}")
-    if np.max(np.abs(h - h.T)) > 1e-10:
+    # relative to the entries, so round-off in a symmetric matrix of any
+    # scale passes and an asymmetric one of any scale does not
+    if np.max(np.abs(h - h.T)) > 1e-10 * np.max(np.abs(h)):
         raise ValueError("one-body matrix is not hermitian")
     if g.shape != (n_orb,) * 4:
         raise ValueError(f"two-body tensor has shape {g.shape}")
     conv = BlockedSpinOrbitals(n_orb)
     m = conv.n_modes
-
-    def parts():
-        yield e_const, PauliSum.identity(m)
-        if mu != 0.0:
-            yield -mu, number_operator(m)
-        for p in range(n_orb):
-            for q in range(n_orb):
-                if abs(h[p, q]) <= 1e-14:
-                    continue
-                for spin in (0, 1):
-                    a, b = conv.index(p, spin), conv.index(q, spin)
-                    yield h[p, q], _ladder_pair(a, True, b, False, m)
-        for p in range(n_orb):
-            for q in range(n_orb):
-                for r in range(n_orb):
-                    for s in range(n_orb):
-                        coeff = 0.5 * g[p, q, r, s]
-                        if abs(coeff) <= 1e-14:
-                            continue
-                        for sp in (0, 1):
-                            for sq in (0, 1):
-                                a = conv.index(p, sp)
-                                b = conv.index(q, sq)
-                                c = conv.index(s, sq)
-                                d = conv.index(r, sp)
-                                if a == b or c == d:
-                                    continue
-                                yield coeff, (_ladder_pair(a, True, b, True, m)
-                                              * _ladder_pair(c, False, d, False, m))
-
-    return weighted_sum(m, parts())
+    parts = [(e_const, PauliSum.identity(m))]
+    if mu != 0.0:
+        parts.append((-mu, number_operator(m)))
+    # the entries the term-by-term route keeps: not at or below the cut
+    for p, q in zip(*np.nonzero(~(np.abs(h) <= 1e-14))):
+        for spin in (0, 1):
+            a, b = conv.index(int(p), spin), conv.index(int(q), spin)
+            parts.append((h[p, q], _ladder_pair(a, True, b, False, m)))
+    # (c+_a c+_b)(c_c c_d) for every (p, q, r, s), then spins (sp, sq),
+    # without the terms that vanish by a == b or c == d
+    coeff = 0.5 * g
+    p, q, r, s = (k[:, None] for k in np.nonzero(~(np.abs(coeff) <= 1e-14)))
+    sp, sq = n_orb * np.array([0, 0, 1, 1]), n_orb * np.array([0, 1, 0, 1])
+    a, b, c, d = p + sp, q + sq, s + sq, r + sp
+    keep = (a != b) & (c != d)
+    weights = np.broadcast_to(coeff[p, q, r, s], keep.shape)[keep]
+    # each distinct pair once, in ascending order of its mode pair
+    pairs, factors = [], []
+    for lo, hi, dagger in ((a, b, True), (c, d, False)):
+        codes = lo[keep] * m + hi[keep]
+        used = np.zeros(m * m, dtype=bool)
+        used[codes] = True
+        pairs.append((np.cumsum(used) - 1)[codes])
+        factors.append([_ladder_pair(k // m, dagger, k % m, dagger, m)
+                        for k in np.flatnonzero(used).tolist()])
+    return weighted_products(m, parts, *factors, np.stack(pairs, axis=1), weights)
 
 
 def number_penalty(m: int, target: int, strength: float) -> PauliSum:

@@ -36,7 +36,7 @@ from .pauli import PauliSum, apply_sum, string_action
 # sector blocks the oracle diagonalises stay far smaller
 MAX_DENSE_QUBITS = 14
 # strings whose signs on the basis project_to_sector holds at once
-_CHUNK_STRINGS = 64
+_CHUNK_STRINGS = 16
 
 
 def materialize(op: PauliSum) -> np.ndarray:
@@ -63,8 +63,12 @@ def project_to_sector(op: PauliSum, basis: np.ndarray) -> np.ndarray:
     Pauli sums from particle-conserving fermionic operators map sector
     states into the same sector, so the block captures them exactly.  The
     strings that flip the same bits share one pattern of matrix cells; each
-    such group sums its strings' signed coefficients on the basis, a chunk of
-    strings at a time, and writes its cells at once.
+    such group sums its strings' signed coefficients on the basis and writes
+    its cells at once.  A chunk of strings at a time, the signs on the basis
+    are computed at once and each string's row is added to its group's row
+    on its own, in the strings' order, so every cell sums its terms in that
+    order.  (A reduction over each group's rows is not bit-identical: numpy
+    may pair the terms up.)
     """
     dim = basis.shape[0]
     out = np.zeros((dim, dim), dtype=complex)
@@ -80,8 +84,9 @@ def project_to_sector(op: PauliSum, basis: np.ndarray) -> np.ndarray:
     for lo in range(0, flips.shape[0], _CHUNK_STRINGS):
         part = slice(lo, lo + _CHUNK_STRINGS)
         odd = np.bitwise_count(basis[None, :] & z_masks[part, None]) & 1
-        np.add.at(summed, group_of[part],
-                  coeffs[part, None] * np.where(odd, -1.0, 1.0))
+        signed = np.where(odd, -coeffs[part, None], coeffs[part, None])
+        for group, row in zip(group_of[part].tolist(), signed):
+            summed[group] += row
     targets = basis[None, :] ^ groups[:, None]
     rows = np.minimum(np.searchsorted(basis, targets), dim - 1)
     found = basis[rows] == targets

@@ -33,6 +33,9 @@ PRUNE_TOL = 1e-14
 # a sum's strings as (label, x, z, coeff) in sorted label order
 Strings = list[tuple[str, int, int, complex]]
 
+# two-body terms whose products weighted_products forms at once
+_CHUNK_TERMS = 64
+
 # i^k for k = 0..3
 _I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 _X_BITS = str.maketrans("IXYZ", "0110")
@@ -173,6 +176,100 @@ def sum_multiply(a: PauliSum, b: PauliSum) -> PauliSum:
             k = ya + yb - (key[0] & key[1]).bit_count() + 2 * (za & xb).bit_count()
             merged[key] = merged.get(key, 0.0) + ca * cb * _I_POWERS[k & 3]
     return _from_masks(a.width, merged.items())
+
+
+def _stack(ops: Sequence[PauliSum]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(x, z, coeff)`` of shape (len(ops), n): row r holds the strings of
+    ``ops[r]`` in order, padded with zero coefficients to the longest."""
+    n = max(map(len, ops), default=0)
+    x = np.zeros((len(ops), n), dtype=np.int64)
+    z = np.zeros_like(x)
+    coeff = np.zeros(x.shape, dtype=complex)
+    for r, op in enumerate(ops):
+        k = len(op)
+        x[r, :k], z[r, :k] = np.array(list(op._terms), dtype=np.int64).reshape(k, 2).T
+        coeff[r, :k] = list(op._terms.values())
+    return x, z, coeff
+
+
+def _stack_products(xa, za, ca, xb, zb, cb) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise products of two stacks, each term of a row times each term
+    of the other's row, in ``sum_multiply``'s order and with its phase rule:
+    ``(x, z, coeff)`` of shape (rows, na * nb), unmerged."""
+    xa, za, ca = xa[:, :, None], za[:, :, None], ca[:, :, None]
+    xb, zb, cb = xb[:, None, :], zb[:, None, :], cb[:, None, :]
+    x, z = xa ^ xb, za ^ zb
+    k = (np.bitwise_count(xa & za).astype(np.int64) + np.bitwise_count(xb & zb)
+         - np.bitwise_count(x & z) + 2 * np.bitwise_count(za & xb))
+    coeff = ca * cb * np.array(_I_POWERS)[k & 3]
+    rows = x.shape[0]
+    return x.reshape(rows, -1), z.reshape(rows, -1), coeff.reshape(rows, -1)
+
+
+def weighted_products(width: int, parts: Iterable[tuple[complex, PauliSum]],
+                      left: Sequence[PauliSum], right: Sequence[PauliSum],
+                      pairs: np.ndarray, weights: np.ndarray) -> PauliSum:
+    """``weighted_sum`` of ``parts`` followed by the products
+    weights[t] * left[pairs[t, 0]] * right[pairs[t, 1]], each coefficient
+    accumulated in that order and the result pruned once, at the end.
+
+    Every product is merged and pruned as ``sum_multiply`` merges it before
+    its weight applies, and the terms run in chunks on the stacked masks of
+    ``left`` and ``right``.  The result equals the ``weighted_sum`` of
+    ``parts`` and the ``sum_multiply`` products bit for bit when every
+    product's coefficients are exact, as those of ladder operators
+    (multiples of powers of two) are: then only the weights and the sums
+    round, in the same order.
+    """
+    head = [(key, weight * c) for weight, op in parts for key, c in op._terms.items()]
+    (xa, za, ca), (xb, zb, cb) = _stack(left), _stack(right)
+    # every term's strings, in order, each product's own strings merged
+    n = len(head)
+    x = np.empty(n + len(weights) * ca.shape[1] * cb.shape[1], dtype=np.int64)
+    z = np.empty_like(x)
+    coeff = np.empty(x.shape, dtype=complex)
+    x[:n] = [key[0] for key, _ in head]
+    z[:n] = [key[1] for key, _ in head]
+    coeff[:n] = [c for _, c in head]
+    for lo in range(0, len(weights), _CHUNK_TERMS):
+        i, j = pairs[lo:lo + _CHUNK_TERMS].T
+        px, pz, pc = _stack_products(xa[i], za[i], ca[i], xb[j], zb[j], cb[j])
+        # a padded entry gets a string of its own, so it leads nothing
+        pad = ((ca[i] == 0)[:, :, None] | (cb[j] == 0)[:, None, :]).reshape(px.shape)
+        px[pad], pz[pad] = -1, -1 - np.nonzero(pad)[1]
+        # each product's equal strings merge onto their first occurrence,
+        # exactly; a signed zero here cannot survive the sums below, which
+        # start from +0.0
+        same = (px[:, :, None] == px[:, None, :]) & (pz[:, :, None] == pz[:, None, :])
+        pc = np.where(same, pc[:, None, :], 0).sum(axis=2)
+        keep = ((same.argmax(axis=2) == np.arange(px.shape[1]))
+                & (np.abs(pc) > PRUNE_TOL))
+        k = n + np.count_nonzero(keep)
+        x[n:k], z[n:k] = px[keep], pz[keep]
+        coeff[n:k] = (weights[lo:lo + _CHUNK_TERMS, None] * pc)[keep]
+        n = k
+    # one sum per distinct string, its terms added in order
+    ranks, first = _first_ranks(x[:n], z[:n])
+    summed = np.zeros(first.shape[0], dtype=complex)
+    np.add.at(summed, ranks, coeff[:n])
+    keys = zip(x[first].tolist(), z[first].tolist())
+    return _from_masks(width, zip(keys, summed.tolist()))
+
+
+def _first_ranks(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ranks, first)`` for the strings ``(x[k], z[k])``: the rank of each
+    among the distinct strings in order of first occurrence, and the index
+    of each distinct string's first occurrence, in that order."""
+    order = np.lexsort((np.arange(x.shape[0]), z, x))
+    new = np.ones(x.shape[0], dtype=bool)
+    new[1:] = (np.diff(x[order]) != 0) | (np.diff(z[order]) != 0)
+    first = order[new]
+    # a string's rank counts the first occurrences up to its own
+    is_first = np.zeros(x.shape[0], dtype=bool)
+    is_first[first] = True
+    ranks = np.empty_like(order)
+    ranks[order] = (np.cumsum(is_first) - 1)[first][np.cumsum(new) - 1]
+    return ranks, np.flatnonzero(is_first)
 
 
 def weighted_sum(width: int, parts: Iterable[tuple[complex, PauliSum]]) -> PauliSum:

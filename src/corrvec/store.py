@@ -34,6 +34,14 @@ def fmt_float(x: float) -> float:
     return float(FLOAT_FMT % x)
 
 
+def _canonical_floats(values: list[float]) -> list[float]:
+    """``fmt_float`` of each value, formatted in one pass."""
+    if not all(map(math.isfinite, values)):
+        fmt_float(next(x for x in values if not math.isfinite(x)))  # raises
+    text = " ".join([FLOAT_FMT] * len(values)) % tuple(values)
+    return [float(t) for t in text.split()]
+
+
 def _canonical(obj):
     if isinstance(obj, float):
         return fmt_float(obj)
@@ -42,6 +50,8 @@ def _canonical(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype.kind == "f":
+            return _canonical_floats(obj.tolist())
         return [_canonical(v) for v in obj.tolist()]
     if isinstance(obj, complex):
         return {"re": fmt_float(obj.real), "im": fmt_float(obj.imag)}

@@ -7,7 +7,9 @@ correction vector.  All build their matrices with
 sector blocks of a register too wide for it; the spectral-weight sums read
 the poles and weights of a ``GreensOracle``.  ``expand_spin`` mirrors a
 spatial-orbital matrix onto both spin blocks, the layout of the oracle's
-matrices.
+matrices.  ``add_at_projection`` is the sector block accumulated one chunk
+of strings at a time with ``np.add.at``, the route that pins the bits of
+``corrvec.oracle.project_to_sector``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,33 @@ import numpy as np
 from corrvec.fermion import ladder_pauli
 from corrvec.oracle import GreensOracle, materialize, sector_basis
 from corrvec.pauli import PauliSum, apply_sum
+
+
+def add_at_projection(op: PauliSum, basis: np.ndarray) -> np.ndarray:
+    """Dense block of ``op`` on an ascending sector basis: every group of
+    strings that flip the same bits sums its strings' signed rows with
+    ``np.add.at``, 64 strings at a time in their order, then writes its
+    cells."""
+    dim = basis.shape[0]
+    out = np.zeros((dim, dim), dtype=complex)
+    if dim == 0 or len(op) == 0:
+        return out
+    keys, coeffs = zip(*op.masks.items())
+    flips, z_masks = np.array(keys).T
+    coeffs = np.array(coeffs) * np.array([1, 1j, -1, -1j])[
+        np.bitwise_count(flips & z_masks) & 3]
+    groups, group_of = np.unique(flips, return_inverse=True)
+    summed = np.zeros((groups.shape[0], dim), dtype=complex)
+    for lo in range(0, flips.shape[0], 64):
+        part = slice(lo, lo + 64)
+        odd = np.bitwise_count(basis[None, :] & z_masks[part, None]) & 1
+        np.add.at(summed, group_of[part],
+                  coeffs[part, None] * np.where(odd, -1.0, 1.0))
+    targets = basis[None, :] ^ groups[:, None]
+    rows = np.minimum(np.searchsorted(basis, targets), dim - 1)
+    found = basis[rows] == targets
+    out[rows[found], np.broadcast_to(np.arange(dim), rows.shape)[found]] = summed[found]
+    return out
 
 
 def solve_greens(h_op: PauliSum, e0: float, psi0: np.ndarray, zs: np.ndarray,

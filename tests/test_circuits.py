@@ -353,6 +353,12 @@ def test_overlap_engine_noisy_path_consistent(rng):
                           NoiseModel(enabled=True, p2=1e-3, zne=True, boost=2.0))
     est = noisy.estimate_sum(theta, op)
     assert abs(est - direct) < 0.05
+    # string weights (1, 2) against op's (2, 1): the damping kept for one
+    # operator is not read for another
+    other = PauliSum(2, [("YI", 0.7), ("ZZ", -0.4j)])
+    fresh = [OverlapEngine(u1, u2, MeasurementSettings(), noisy.noise)
+             .estimate_sum(theta, o) for o in (other, op)]
+    assert [noisy.estimate_sum(theta, o) for o in (other, op, other)] == fresh + fresh[:1]
 
 
 def test_ancilla_z_reads_top_qubit():

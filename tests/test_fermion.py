@@ -82,6 +82,21 @@ def test_hamiltonian_is_hermitian_and_number_conserving(dimer_integrals):
     assert norm1(comm) < 1e-10
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e8])
+def test_hermiticity_guard_scales_with_the_matrix(scale):
+    """Q D Q^T is symmetric up to round-off at any scale, and passes; an
+    asymmetry far above round-off fails even on tiny entries."""
+    rng = np.random.default_rng(11)
+    g = np.zeros((3,) * 4)
+    for _ in range(20):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        h = (q * (scale * rng.normal(size=3))) @ q.T
+        hamiltonian_to_qubits(h, g, 0.0)
+    with pytest.raises(ValueError, match="not hermitian"):
+        hamiltonian_to_qubits(np.array([[0.0, 1e-11], [0.0, 0.0]]) * scale,
+                              np.zeros((2,) * 4), 0.0)
+
+
 def test_chemical_potential_shifts_sector_energy():
     ints = hubbard_dimer(1.0, 4.0)
     mu = 0.37

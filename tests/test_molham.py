@@ -2,11 +2,15 @@
 
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from corrvec.fermion import hamiltonian_to_qubits
 from corrvec.molham import (
     MolecularIntegrals,
     build_cas,
@@ -47,6 +51,80 @@ def test_qubit_terms_match_the_four_ladder_route(request, name, mu):
     op = ints.to_qubits(mu=mu)
     ref = four_ladder_hamiltonian(ints.h, ints.g, ints.e_const, mu=mu)
     assert list(op.masks.items()) == list(ref.masks.items())
+
+
+# the index permutations that leave a two-body tensor unchanged
+TWO_BODY_SYMMETRIES = ((2, 1, 0, 3), (0, 3, 2, 1), (1, 0, 3, 2))
+# exact zeros, ordinary values, and values at and near the 1e-14 cut of a
+# one-body entry or of half a two-body entry
+INTEGRAL_VALUES = st.one_of(
+    st.just(0.0),
+    st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
+    st.sampled_from([1e-14, -1e-14, 1.0000000000000002e-14, 9e-15, 2e-14,
+                     -2e-14, 2.0000000000000004e-14, 1.9e-14, 3e-14]))
+
+
+def _two_body_orbit(idx):
+    orbit, todo = {idx}, [idx]
+    while todo:
+        cur = todo.pop()
+        for perm in TWO_BODY_SYMMETRIES:
+            nxt = tuple(cur[k] for k in perm)
+            if nxt not in orbit:
+                orbit.add(nxt)
+                todo.append(nxt)
+    return orbit
+
+
+@st.composite
+def integral_sets(draw):
+    """(h, g, e_const, mu): a symmetric h and an 8-fold symmetric g over
+    1 to 3 orbitals, either possibly all zero."""
+    n = draw(st.integers(1, 3))
+    h = np.zeros((n, n))
+    for p in range(n):
+        for q in range(p, n):
+            h[p, q] = h[q, p] = draw(INTEGRAL_VALUES)
+    g = np.zeros((n,) * 4)
+    for idx in np.ndindex(g.shape):
+        if idx == min(_two_body_orbit(idx)):
+            value = draw(INTEGRAL_VALUES)
+            for other in _two_body_orbit(idx):
+                g[other] = value
+    e_const = draw(st.floats(-10.0, 10.0, allow_nan=False))
+    mu = draw(st.sampled_from([0.0, 0.35, -1.25]))
+    return h, g, e_const, mu
+
+
+def _coefficient_bits(op):
+    return np.array(list(op.masks.values()), dtype=complex).view(np.uint64)
+
+
+@settings(max_examples=40)
+@given(integral_sets())
+@example((np.array([[-1.5]]), np.zeros((1,) * 4), 0.7, 0.35))
+@example((np.array([[0.3, -0.8], [-0.8, 0.1]]), np.zeros((2,) * 4), 0.0, 0.0))
+@example((np.array([[0.3, 1e-14], [1e-14, 0.1]]), np.full((2,) * 4, 2e-14), 1.0, -1.25))
+def test_batched_build_is_bit_identical_to_the_four_ladder_route(case):
+    """Same strings in the same order and the same coefficient bits, signed
+    zeros included, as the term-by-term chain of single ladder operators."""
+    h, g, e_const, mu = case
+    op = hamiltonian_to_qubits(h, g, e_const, mu=mu)
+    ref = four_ladder_hamiltonian(h, g, e_const, mu=mu)
+    assert list(op.masks) == list(ref.masks)
+    assert np.array_equal(_coefficient_bits(op), _coefficient_bits(ref))
+
+
+def test_full_lih_build_stays_small(lih_integrals):
+    """The two-body products run in chunks, so the build's transient
+    arrays stay far below the size of all of them at once."""
+    tracemalloc.start()
+    try:
+        lih_integrals.to_qubits()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 def test_missing_file_raises():

@@ -17,9 +17,9 @@ from corrvec.oracle import (
     sector_basis,
 )
 from corrvec.pauli import PauliSum, apply_sum
-from oracle_reference import (broadened_trace_integral, dense_h_prime,
-                              exact_correction_vector, expand_spin,
-                              solve_greens, spectral_sum_budget)
+from oracle_reference import (add_at_projection, broadened_trace_integral,
+                              dense_h_prime, exact_correction_vector,
+                              expand_spin, solve_greens, spectral_sum_budget)
 
 
 def test_materialize_bit_order():
@@ -309,3 +309,17 @@ def test_project_to_sector_matches_dense_block(case):
     assert block.shape == (basis.shape[0],) * 2
     dense = materialize(op)[np.ix_(basis, basis)]
     assert np.max(np.abs(block - dense), initial=0.0) <= 1e-12
+    assert np.array_equal(block.view(np.uint64),
+                          add_at_projection(op, basis).view(np.uint64))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.35])
+@pytest.mark.parametrize("name", ["lih_integrals", "lih_cas"])
+def test_project_to_sector_is_bit_identical_to_add_at(request, name, mu):
+    """Every sector block of full-space LiH and of its CAS(2,2), bit for
+    bit, against the blocks summed with np.add.at."""
+    op = request.getfixturevalue(name).to_qubits(mu=mu)
+    for n in range(op.width + 1):
+        basis = sector_basis(op.width, n)
+        assert np.array_equal(project_to_sector(op, basis).view(np.uint64),
+                              add_at_projection(op, basis).view(np.uint64)), n

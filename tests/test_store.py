@@ -47,6 +47,21 @@ def test_dumps_canonical_is_deterministic():
     assert list(back) == sorted(back)
 
 
+def test_float_arrays_canonicalize_as_each_element():
+    """A 1-D float array, formatted in one pass, gives the text of
+    ``fmt_float`` per element; a non-finite entry still raises."""
+    values = np.array([3.0, -17.0, 0.0, -0.0, 1e-5, 1.2345678901234e-5,
+                       1e13, 1e17, 123456789012345.0, 0.1 + 0.2, 1.0 / 3.0,
+                       5e-324, -2.5e-310, 2.2250738585072014e-308])
+    for arr in (values, values.astype(np.float32), values[:0]):
+        expected = json.dumps([fmt_float(v) for v in arr.tolist()],
+                              separators=(",", ":"))
+        assert dumps_canonical(arr) == expected
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_canonical(np.array([1.0, bad, 2.0]))
+
+
 def test_write_text_atomic_replaces_and_leaves_no_temp(tmp_path):
     target = tmp_path / "deep" / "out.txt"
     write_text_atomic(target, "first\n")
