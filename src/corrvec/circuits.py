@@ -31,21 +31,21 @@ member.
 Slot restrictions
 -----------------
 A coordinate sweep needs each slot's output as a function of that slot's
-angle t alone (``restrictions``).  Slot d's restriction starts from the
-state before its first gate, advanced by one gate range per slot.  Under
-noise that state is one (levels, 2^m, 2^m) stack, so all noise levels run
-in one batch, and a split puts its members outside the levels.  A gate
-that reads the slot is R(sigma t) = exp(-i sigma t s / 2) for its Pauli
-generator s and scale sigma; instead of applying it, every member of a
-batch splits.  A statevector x splits into (x, -i s x), with weights
-cos(sigma t / 2) and sin(sigma t / 2); a density matrix X into
-1/2 (X + sXs), 1/2 (X - sXs) and i/2 (Xs - sX), with weights 1, cos(sigma t)
-and sin(sigma t).  The output at any t is the batch summed with the
-products of its members' weights.
+angle t alone (``restrictions``).  Every slot drives one gate,
+R(t) = exp(-i t s / 2) for its Pauli generator s (``slot_gates``).  Slot
+d's restriction starts from the state before that gate, advanced by one
+gate range per slot.  Under noise that state is one (levels, 2^m, 2^m)
+stack, so all noise levels run in one batch, and a split puts its members
+outside the levels.  Instead of applying the slot's gate, every member of
+a batch splits.  A statevector x splits into (x, -i s x), with weights
+cos(t/2) and sin(t/2), and so does a coherence block X whose slotted gate
+acts on its rows alone, into (X, -i s X).  A density matrix X splits into
+1/2 (X + sXs), 1/2 (X - sXs) and i/2 (Xs - sX), with weights 1, cos t and
+sin t.  The output at any t is the batch summed with its members' weights.
 
 The rest of the circuit reaches the batch in one of three ways.  A
-noiseless circuit with one gate per slot and 2^m <= n_slots carries it as
-one 2^m x 2^m unitary S_d, the gates after slot d's gate: S_0 comes from
+noiseless circuit with 2^m <= n_slots carries it as one 2^m x 2^m
+unitary S_d, the gates after slot d's gate: S_0 comes from
 one run of those gates on the 2^m basis states, and each later slot peels
 the next segment off, S_{d+1} = S_d G^-1 for G the gates after slot d's
 gate up to and including slot d+1's, the last at its angle before the sweep
@@ -53,12 +53,12 @@ moves it.  Slot d's batch is then its split pair times S_d.  Peeling costs
 about 2^m vector steps per gate where a suffix run costs about n_slots, and
 a density matrix's 16^m suffix superoperator cannot be peeled stably.
 
-A noisy circuit with one gate per slot can be read in the Heisenberg
-picture instead, when the caller names the operators it estimates on the
-output.  At the start of the sweep one adjoint pass from the end of the
-circuit pulls every non-identity string P of those operators back to
-observables, at each noise level: a gate maps O to U+ O U, which is U+ on
-O's row qubit and U^T on its column qubit, and the pair channel is its own
+A noisy circuit can be read in the Heisenberg picture instead, when the
+caller names the operators it estimates on the output.  At the start of the
+sweep one adjoint pass from the end of the circuit pulls every non-identity
+string P of those operators back to observables, at each noise level: a
+gate maps O to U+ O U, which is U+ on O's row qubit and U^T on its column
+qubit, a one-sided gate to O U or U+ O, and the pair channel is its own
 adjoint.  The identity needs no pass, the adjoint map being unital.  Every
 slotted gate after slot d's gate belongs to a later slot, which the sweep
 has not moved yet, so the angles of the pass still hold when slot d is
@@ -66,8 +66,8 @@ read.  The pass keeps its stack only at each slot's next two-qubit gate and
 at the end of the circuit, depth + 1 stacks for ``build_hea``; slot d's
 split batch runs through the noiseless one-qubit gates up to its stack, and
 one matmul with it gives tr(member O) per member, level and string.  The
-restriction then sums those values, not density matrices, with the
-members' weights.
+restriction then sums those values, not density matrices, with the members'
+weights.
 
 The pass costs about one observable step per string and gate, where the
 suffix runs cost three member steps per gate after each slot's gate, and
@@ -77,10 +77,10 @@ is at most three times the suffix runs' gate steps, for ``build_hea``
 about 1.5 strings per slot, and its arrays fit ``_PULL_BACK_ENTRIES``,
 which leaves room for 6 strings at 7 qubits with ZNE and depth 2.  In a
 timing scan of both paths at 4-6 qubits the pull-back was faster wherever
-the rule chose it (CHANGES.md).  Every other circuit, the noisy overlap
-prefix with its two gates per slot among them, runs the rest of the
-circuit on each slot's split batch, and a restriction with operators reads
-the densities it gives as their strings' values.
+the rule chose it (CHANGES.md).  Every other circuit, the overlap's
+coherence block among them, for which a sweep names no operators, runs the
+rest of the circuit on each slot's split batch, and a restriction with
+operators reads the densities it gives as their strings' values.
 
 Noise
 -----
@@ -99,11 +99,12 @@ estimates.  A string's exact value is computed at each noise level: <P> on
 the statevector without noise, tr(rho P) on the density matrix of each level
 with it (p2, then boost * p2 under ZNE), gathered per operator by
 ``string_values``, or the values a pulled-back restriction gives at the
-slot's angle.  For an overlap <psi1|P|psi2> the
-values are the two ancilla readings of the Hadamard test, Re and then -Im of
-the overlap.  Under noise only the test's prefix is simulated, and the
-string's controlled-P suffix and readout are taken in closed form.  The
-readout is tr(O rho) for O = 2 |0><1| (x) I on (ancilla, register).  Each
+slot's angle.  For an overlap <psi1|P|psi2> the values are the two ancilla
+readings of the Hadamard test, Re and then -Im of the overlap.  Under noise
+only the test's prefix is simulated: the ancilla in |+>, controlled-U1 on
+its 0 branch (between two X gates) and controlled-U2 on its 1 branch.  The
+string's controlled-P suffix and readout are taken in closed form, the
+readout being tr(O rho) for O = 2 |0><1| (x) I on (ancilla, register).  Each
 pair channel is covariant: a mixture of conjugations by the pair's Pauli
 strings, it commutes with every unitary on the pair, is its own adjoint and
 maps an operator A to (1 - c) A + c tr_pair(A) (x) I/4, c = 16 p2/15.  O is
@@ -112,6 +113,19 @@ only scales it by 1 - c, and each controlled letter s turns 2 |0><1| (x) Q
 into 2 |0><1| (x) Q s.  A string of weight |P| thus reads
 2 (1 - c)^|P| tr(P rho_10), for rho_10 = rho[2^m:, :2^m] the prefix's
 off-diagonal ancilla block: one string-table read per level.
+
+The ancilla is only ever a control or takes a PHASE, so rho_10 evolves on
+its own, on m qubits, from 1/2 |0...0><0...0|.  A register gate U acts on
+both sides and its pair channel as on a density matrix.  CX(anc, q) is X_q
+on the active side alone, the rows under U2 and the columns under U1; the
+channel after it scales the block by 1 - c, its mixed part being diagonal in
+the ancilla, and an ancilla PHASE(p) by exp(+-ip).  So a controlled
+rotation, two half-angle rotations around two CX(anc, q), is R(t) on the
+active side times (1 - c)^2, and a controlled CX is the Toffoli of
+``ccx_gates`` gate by gate, register-pair channels sitting between its
+ancilla gates.  ``OverlapEngine`` runs the block with one-sided gates (U rho
+is U on the row qubit, rho U+ conj(U) on the column qubit) and folds the 1/2
+and the ancilla channels and phases into one scalar per noise level.
 
 One helper turns a read's values into its estimate, whatever the entry
 point: the exact values of every string at every level form one (rows,
@@ -157,13 +171,14 @@ _TARGET_KIND = {"CX": "X", "CY": "Y", "CZ": "Z"}
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate application; angle is fixed or bound later via a slot."""
+    """One gate application; angle is fixed or bound later via a slot.  A
+    ``side``, "row" or "col", acts on that side of a coherence block alone."""
 
     kind: str
     qubits: tuple[int, ...]
     angle: float | None = None
     slot: int | None = None
-    scale: float = 1.0
+    side: str | None = None
 
 
 @dataclass
@@ -173,7 +188,7 @@ class Circuit:
     n_slots: int = 0
 
     def add(self, kind: str, *qubits: int, angle: float | None = None,
-            slot: int | None = None, scale: float = 1.0) -> None:
+            slot: int | None = None) -> None:
         if kind in ONE_QUBIT_KINDS:
             arity = 1
         elif kind in TWO_QUBIT_KINDS:
@@ -192,29 +207,18 @@ class Circuit:
             raise ValueError(f"{kind} requires an angle or a slot")
         if not needs_angle and (angle is not None or slot is not None):
             raise ValueError(f"{kind} takes no angle")
-        self.gates.append(Gate(kind, tuple(qubits), angle, slot, scale))
+        self.gates.append(Gate(kind, tuple(qubits), angle, slot))
         if slot is not None:
             self.n_slots = max(self.n_slots, slot + 1)
-
-    def extend(self, gates: Iterable[Gate]) -> None:
-        for g in gates:
-            self.gates.append(g)
-            if g.slot is not None:
-                self.n_slots = max(self.n_slots, g.slot + 1)
 
     def bound(self, theta: Sequence[float]) -> "Circuit":
         """Copy with every slot resolved to a fixed angle."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_slots,):
             raise ValueError(f"expected {self.n_slots} angles, got {theta.shape}")
-        out = Circuit(self.width)
-        for g in self.gates:
-            if g.slot is None:
-                out.gates.append(g)
-            else:
-                out.gates.append(replace(g, angle=g.scale * float(theta[g.slot]),
-                                         slot=None, scale=1.0))
-        return out
+        gates = [g if g.slot is None else replace(g, angle=float(theta[g.slot]), slot=None)
+                 for g in self.gates]
+        return Circuit(self.width, gates)
 
 
 def ccx_gates(c1: int, c2: int, t: int) -> list[Gate]:
@@ -266,28 +270,32 @@ _GENERATOR = {kind: _matrix(_ANGLELESS[s]) for kind, s in
 
 
 def _fused(gates: Iterable[Gate], theta: np.ndarray | None):
-    """(target, control or None, 2x2 matrix) per kernel step, angles bound.
+    """Kernel steps (target, control or None, 2x2 matrix, side), angles bound.
 
-    Runs of one-qubit gates on a qubit merge into one matrix, applied just
-    before the next two-qubit gate touching that qubit or at the end.  Only
-    noiseless one-qubit gates move, so the channel placement is unchanged.
+    Runs of one-qubit gates on a qubit and side merge into one matrix, applied
+    before the next gate on that qubit that is two-qubit or on another side,
+    or at the end.  Only noiseless one-qubit gates move: channels stay put.
     """
-    pending: dict[int, tuple] = {}
+    pending: dict[int, tuple] = {}  # qubit -> (side, entries)
     for g in gates:
-        angle = g.angle if g.slot is None else g.scale * float(theta[g.slot])
+        angle = g.angle if g.slot is None else float(theta[g.slot])
         if len(g.qubits) == 1:
             q = g.qubits[0]
             u = _entries(g.kind, angle)
             prev = pending.get(q)
-            pending[q] = u if prev is None else _times(u, prev)
+            if prev is not None and prev[0] != g.side:
+                yield q, None, _matrix(pending.pop(q)[1]), prev[0]
+                prev = None
+            pending[q] = (g.side, u if prev is None else _times(u, prev[1]))
             continue
         control, target = g.qubits
         for q in (control, target):
             if q in pending:
-                yield q, None, _matrix(pending.pop(q))
-        yield target, control, _matrix(_entries(_TARGET_KIND[g.kind], angle))
-    for q, u in pending.items():
-        yield q, None, _matrix(u)
+                side, u = pending.pop(q)
+                yield q, None, _matrix(u), side
+        yield target, control, _matrix(_entries(_TARGET_KIND[g.kind], angle)), None
+    for q, (side, u) in pending.items():
+        yield q, None, _matrix(u), side
 
 
 # A gate whose qubits all sit below bit _BLOCK_BITS, on a batch of at least
@@ -348,7 +356,7 @@ def apply_gates(states: np.ndarray, gates: Iterable[Gate],
                 theta: np.ndarray | None = None) -> np.ndarray:
     """Run noiseless gates in place on a contiguous (..., 2^m) batch of
     statevectors, slot angles taken from ``theta``; returns ``states``."""
-    for target, control, u in _fused(gates, theta):
+    for target, control, u, _ in _fused(gates, theta):
         _apply(states, u, target, control)
     return states
 
@@ -421,6 +429,16 @@ def _check_theta(circ: Circuit, theta) -> np.ndarray | None:
     return th
 
 
+def _step(flat: np.ndarray, u: np.ndarray, target: int, control: int | None,
+          side: str | None, m: int) -> None:
+    """One kernel step on a flattened density-shaped array of m qubits, on
+    both sides or on ``side`` alone (module notes)."""
+    if side != "col":
+        _apply(flat, u, target + m, None if control is None else control + m)
+    if side != "row":
+        _apply(flat, u.conj(), target, control)
+
+
 def _evolve_density(rho: np.ndarray, gates: Iterable[Gate],
                     theta: np.ndarray | None,
                     p2: float | Sequence[float]) -> np.ndarray:
@@ -431,10 +449,8 @@ def _evolve_density(rho: np.ndarray, gates: Iterable[Gate],
     the first channel."""
     m = rho.shape[-1].bit_length() - 1
     c = None
-    for target, control, u in _fused(gates, theta):
-        flat = rho.reshape(-1)
-        _apply(flat, u, target + m, None if control is None else control + m)
-        _apply(flat, u.conj(), target, control)
+    for target, control, u, side in _fused(gates, theta):
+        _step(rho.reshape(-1), u, target, control, side, m)
         if control is not None:
             if c is None:
                 c = _mixing_weight(p2)
@@ -544,34 +560,28 @@ _PULL_BACK_ENTRIES = 1 << 20
 @dataclass
 class Restriction:
     """One circuit's output as a function of one slot's angle: a batch
-    split once by each of the slot's gates, whose ``scales`` are listed in
-    gate order, the last split outermost.  Each member is a statevector, a
-    (levels, 2^m, 2^m) stack of density matrices, one per noise level, or,
-    with ``reads``, the (levels, strings) values of the pulled-back strings
-    (module notes).  Density matrices are read as the values of the
-    strings of ``ops`` when there are any."""
+    split at the slot's gate into two or three members (module notes).
+    Each member is a statevector, a (levels, 2^m, 2^m) stack of density
+    matrices or coherence blocks, one per noise level, or, with ``reads``,
+    the (levels, strings) values of the pulled-back strings.  Density
+    matrices are read as the values of the strings of ``ops`` when there
+    are any."""
 
     batch: np.ndarray
-    scales: tuple[float, ...]
-    pure: bool
     reads: tuple | None = None
     ops: tuple[PauliSum, ...] = ()
 
     def at(self, t: float) -> list[np.ndarray] | StringValues:
         """The output with the slot at angle t, as ``simulate`` gives it,
         or as ``string_values`` gives it when there are operators."""
-        w = None
-        for sigma in self.scales:
-            a = sigma * t
-            part = np.array((math.cos(0.5 * a), math.sin(0.5 * a)) if self.pure
-                            else (1.0, math.cos(a), math.sin(a)))
-            w = part if w is None else np.multiply.outer(part, w).ravel()
+        w = np.array((math.cos(0.5 * t), math.sin(0.5 * t)) if len(self.batch) == 2
+                     else (1.0, math.cos(t), math.sin(t)))
         out = (w @ self.batch.reshape(len(w), -1)).reshape(self.batch.shape[1:])
         if self.reads is not None:
             return StringValues(out, self.reads)
         if self.ops:
             return string_values(self.ops, list(out))
-        return [out] if self.pure else list(out)
+        return [out] if out.ndim == 1 else list(out)
 
 
 @dataclass(frozen=True)
@@ -614,30 +624,38 @@ def _has_identity(strings: list) -> int:
     return int(bool(strings) and not (strings[0][1] or strings[0][2]))
 
 
+def slot_gates(circ: Circuit) -> list[int]:
+    """The index of each slot's gate, in slot order, for a circuit whose
+    every slot drives one RX, RY or RZ, as a sweep reads it."""
+    at: dict[int, int] = {}
+    for i, g in enumerate(circ.gates):
+        if g.slot is not None:
+            if g.kind not in _GENERATOR:
+                raise ValueError(f"slot {g.slot} drives a {g.kind}, not a rotation")
+            if at.setdefault(g.slot, i) != i:
+                raise ValueError(f"slot {g.slot} drives more than one gate")
+    if list(at) != list(range(circ.n_slots)):
+        raise ValueError("the slots' gates are not in slot order")
+    return list(at.values())
+
+
 def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
                  ops: Sequence[PauliSum] = ()) -> Iterator[Restriction]:
     """Each slot's restriction in turn, for one coordinate sweep.
 
-    The state before slot d's first gate, under noise one batch holding a
-    density matrix per noise level, is kept and advanced with the angles
-    ``theta`` holds when slot d is reached: the caller moves theta[d] in
-    place before it asks for slot d + 1.  The rest of the circuit is the
-    carried unitary, the pulled-back strings or a suffix run per slot, by
-    the rules of the module notes.  Under noise, the hermitian ``ops`` are
-    the operators the caller estimates on the output, and each output is
-    then their strings' values.  The slots' first gates must come in slot
-    order, and every slotted gate must be an RX, RY or RZ.
+    The state before slot d's gate, under noise one batch holding a
+    density matrix or coherence block per noise level, is kept and
+    advanced with the angles ``theta`` holds when slot d is reached: the
+    caller moves theta[d] in place before it asks for slot d + 1.  The
+    rest of the circuit is the carried unitary, the pulled-back strings or
+    a suffix run per slot, by the rules of the module notes.  Under noise,
+    the hermitian ``ops`` are the operators the caller estimates on the
+    output, and each output is then their strings' values.  The circuit
+    must pass ``slot_gates``.
     """
     _check_theta(circ, theta)
     gates = circ.gates
-    where: dict[int, list[int]] = {}
-    for i, g in enumerate(gates):
-        if g.slot is not None:
-            if g.kind not in _GENERATOR:
-                raise ValueError(f"slot {g.slot} drives a {g.kind}, not a rotation")
-            where.setdefault(g.slot, []).append(i)
-    if list(where) != list(range(circ.n_slots)):
-        raise ValueError("the slots' first gates are not in slot order")
+    at = slot_gates(circ)
     levels = _noise_levels(noise) if noise.enabled else None
     dim = 1 << circ.width
     if levels is None:
@@ -648,15 +666,14 @@ def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
         state = np.zeros((len(levels), dim, dim), dtype=complex)
         state[:, 0, 0] = 1.0
         ops = tuple(ops)
-    one_gate = all(len(at) == 1 for at in where.values())
-    carry = levels is None and dim <= circ.n_slots and one_gate
+    carry = levels is None and dim <= circ.n_slots
     rest = None  # the carried S_d
     pulled = None  # the pulled-back stacks, by the gate index they start at
-    if ops and one_gate:
+    if ops:
         pairs = [i for i, g in enumerate(gates) if len(g.qubits) == 2]
         pairs.append(len(gates))
         # each slot's next two-qubit gate, or the end of the circuit
-        stop = {at[0]: pairs[bisect.bisect(pairs, at[0])] for at in where.values()}
+        stop = {i: pairs[bisect.bisect(pairs, i)] for i in at}
         stops = sorted(set(stop.values()))
         strings = len(set().union(*(op.masks for op in ops)) - {(0, 0)})
         # the rule of the module notes: gate steps, then the entries held
@@ -666,32 +683,30 @@ def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
             reads, mats = _string_union(ops, dim)
             pulled = _pull_back(gates, stops, theta, levels, mats)
     done = 0
-    for at in where.values():
-        state = _evolve(state, gates[done:at[0]], theta, levels)
+    for i in at:
+        state = _evolve(state, gates[done:i], theta, levels)
         if pulled is not None:
-            i = at[0]
             batch = _evolve(_split(state[None], gates[i], levels),
                             gates[i + 1:stop[i]], theta, levels)
             # (levels, members, 4^m) times (levels, 4^m, strings)
-            traces = np.matmul(batch.reshape(3, len(levels), -1).transpose(1, 0, 2),
-                               pulled[stop[i]])
+            traces = np.matmul(batch.reshape(len(batch), len(levels), -1)
+                               .transpose(1, 0, 2), pulled[stop[i]])
             batch = traces.real.transpose(1, 0, 2)
         elif not carry:
-            batch = _slot_suffix(state, gates, at, theta, levels)
+            batch = _slot_suffix(state, gates, i, theta, levels)
         else:
             if rest is None:
                 # row j of the run is S e_j
                 rest = apply_gates(np.eye(dim, dtype=complex),
-                                   gates[at[0] + 1:], theta).T.copy()
+                                   gates[i + 1:], theta).T.copy()
             else:
                 # S G^-1 is conj(g) on S's rows, in forward order, with
                 # this slot's gate at the angle it had when S was built
-                for target, control, u in _fused(gates[done + 1:at[0] + 1], theta):
+                for target, control, u, _ in _fused(gates[done + 1:i + 1], theta):
                     _apply(rest, u.conj(), target, control)
-            batch = _split(state[None], gates[at[0]], None) @ rest.T
-        done = at[0]
-        yield Restriction(batch, tuple(gates[i].scale for i in at), levels is None,
-                          None if pulled is None else reads, ops)
+            batch = _split(state[None], gates[i], None) @ rest.T
+        done = i
+        yield Restriction(batch, None if pulled is None else reads, ops)
 
 
 def _string_union(ops: Sequence[PauliSum], dim: int) -> tuple[tuple, np.ndarray]:
@@ -729,14 +744,14 @@ def _pull_back(gates: Sequence[Gate], stops: list[int], theta: np.ndarray,
     stacks = {}
     end = len(gates)
     for stop in reversed(stops):
-        for target, control, u in reversed(list(_fused(gates[stop:end], theta))):
+        for target, control, u, side in reversed(list(_fused(gates[stop:end], theta))):
             # backwards, a two-qubit step's channel, its own adjoint, comes
-            # before its gate: U+ O U is U+ on the row and U^T on the column
+            # before its gate; U+ O U is the step of U+, and U rho and rho U+
+            # pull back as O U and U+ O, steps of U+ on the other side
             if control is not None and noisy:
                 obs = _depolarize(obs, control, target, c, m)
-            flat = obs.reshape(-1)
-            _apply(flat, u.conj().T, target + m, None if control is None else control + m)
-            _apply(flat, u.T, target, control)
+            _step(obs.reshape(-1), u.conj().T, target, control,
+                  {"row": "col", "col": "row"}.get(side), m)
         # a copy, as the pass goes on in place
         stacks[stop] = obs.transpose(0, 3, 2, 1).reshape(len(levels), dim * dim, -1)
         end = stop
@@ -752,29 +767,27 @@ def _evolve(states: np.ndarray, gates: Sequence[Gate], theta: np.ndarray,
     return _evolve_density(states, gates, theta, levels)
 
 
-def _slot_suffix(state: np.ndarray, gates: Sequence[Gate], at: list[int],
+def _slot_suffix(state: np.ndarray, gates: Sequence[Gate], i: int,
                  theta: np.ndarray, levels: list[float] | None) -> np.ndarray:
-    """The restriction's batch: the gates from ``at[0]`` on run on
-    ``state``, every member splitting at the gates indexed by ``at``."""
-    batch = state[None]
-    for i, j in zip(at, at[1:] + [len(gates)]):
-        batch = _evolve(_split(batch, gates[i], levels), gates[i + 1:j], theta,
-                        levels)
-    return batch
+    """The restriction's batch: ``state`` split at the slot's gate
+    ``gates[i]``, then run through every gate after it."""
+    return _evolve(_split(state[None], gates[i], levels), gates[i + 1:], theta,
+                   levels)
 
 
 def _split(batch: np.ndarray, gate: Gate, levels: list[float] | None) -> np.ndarray:
     """Every member of ``batch`` split at the rotation ``gate`` (see the
-    module notes), the new components outermost."""
+    module notes), the new components outermost; a one-sided ``gate`` acts
+    on the rows."""
     s = _GENERATOR[gate.kind]
     (q,) = gate.qubits
-    if levels is None:
+    m = 0 if levels is None else batch.shape[-1].bit_length() - 1
+    if levels is None or gate.side is not None:
         out = np.concatenate([batch, batch])
         sx = out[batch.shape[0]:]
-        _apply(sx, s, q, None)
+        _apply(sx, s, q + m, None)
         sx *= -1j
         return out
-    m = batch.shape[-1].bit_length() - 1
     sx, xs = batch.copy(), batch.copy()
     _apply(sx.reshape(-1), s, q + m, None)
     # right multiplication by s is s^T = conj(s) on the column qubit
@@ -845,66 +858,53 @@ def sample_pauli_expectation(circ: Circuit, theta, op: PauliSum,
 
 
 def expectation_from_state(psi: np.ndarray, op: PauliSum) -> float:
-    val = np.vdot(psi, apply_sum(op, psi))
-    assert abs(val.imag) <= 1e-10
-    return float(val.real)
+    """<psi|A|psi> for a normalized psi, refused when its imaginary part
+    exceeds round-off relative to the sum of |coefficient| of A."""
+    val = complex(np.vdot(psi, apply_sum(op, psi)))
+    if not abs(val.imag) <= 1e-10 * sum(abs(c) for c in op.masks.values()):
+        raise ValueError(f"<psi|A|psi> = {val} is not real: A is not hermitian")
+    return val.real
 
 
 # ---------------------------------------------------------------------------
-# controlled circuits and the ancilla overlap test
+# the ancilla overlap test on its coherence block
 
 
-def make_controlled(circ: Circuit) -> Circuit:
-    """Circuit on width+1 qubits applying ``circ`` when the top qubit is 1.
-
-    The control is qubit ``circ.width``.  ``circ`` holds the gates
-    ``build_hea`` emits: RX, RY and RZ rotations, bound or slotted, and CX.
-    Controlled rotations split into two half-angle rotations around CNOTs,
-    so slot bindings carry through with scaled angles.  Toffolis from
-    controlled CNOTs are emitted decomposed.
-    """
-    m = circ.width
-    anc = m
-    out = Circuit(m + 1)
-    out.n_slots = circ.n_slots
+def _add_controlled(block: Circuit, circ: Circuit, side: str,
+                    c: np.ndarray) -> np.ndarray:
+    """Append what controlled-``circ``, of ``build_hea``'s gates, does to the
+    coherence block with the control active on ``side`` (module notes);
+    return its ancilla channels' and phases' scalar per mixing weight ``c``."""
+    anc = block.width
+    channels, phase = 0, 0.0
     for g in circ.gates:
-        k = g.kind
-        if k in ("RZ", "RY", "RX"):
-            (q,) = g.qubits
-            if k == "RX":
-                out.add("H", q)
-            inner = "RZ" if k == "RX" else k
-            _add_half(out, inner, q, g, +0.5)
-            out.add("CX", anc, q)
-            _add_half(out, inner, q, g, -0.5)
-            out.add("CX", anc, q)
-            if k == "RX":
-                out.add("H", q)
-        elif k == "CX":
-            out.extend(ccx_gates(anc, g.qubits[0], g.qubits[1]))
+        if g.kind in _GENERATOR:
+            # two half-angle rotations around two CX(anc, q)
+            block.gates.append(replace(g, side=side))
+            channels += 2
+        elif g.kind == "CX":
+            for t in ccx_gates(anc, *g.qubits):
+                if anc not in t.qubits:
+                    block.gates.append(t)
+                elif t.kind == "CX":
+                    block.gates.append(Gate("X", t.qubits[1:], side=side))
+                    channels += 1
+                else:  # a PHASE on the ancilla
+                    phase += t.angle
         else:
-            raise ValueError(f"cannot control gate kind {k!r}")
-    return out
-
-
-def _add_half(out: Circuit, kind: str, q: int, g: Gate, factor: float) -> None:
-    if g.slot is None:
-        out.add(kind, q, angle=factor * g.angle)
-    else:
-        out.add(kind, q, slot=g.slot, scale=factor * g.scale)
+            raise ValueError(f"cannot control gate kind {g.kind!r}")
+    return (1.0 - c) ** channels * cmath.exp(1j * (phase if side == "row" else -phase))
 
 
 class OverlapEngine:
     """Estimates sums of overlaps <psi1| P |U2(theta)|0> for many strings.
 
     Without noise the overlaps are read off psi1 = U1|0> and U2(theta)|0>.
-    With it, the Hadamard test's prefix (ancilla in |+>, controlled-U1 on
-    the 0 branch, controlled-U2 on the 1 branch) runs once per noise level,
-    and each string's controlled-P suffix and ancilla readout are taken in
-    closed form (module notes): 2 (1 - c)^|P| tr(P rho_10), for rho_10 the
-    prefix's off-diagonal ancilla block, c = 16 p2/15 and |P| the string's
-    weight.  Re and -Im of that value are the ancilla readings at phase 0
-    and pi/2.  ``u1`` is a bound circuit.
+    With it they are the Hadamard test's ancilla readings at phase 0 and
+    pi/2, Re and -Im of 2 (1 - c)^|P| tr(P rho_10) per string, c = 16 p2/15
+    (module notes).  ``circuit`` then evolves the coherence block rho_10 on
+    m qubits from |0...0><0...0|, and rho_10 is ``block_scale`` times its
+    output, one scalar per noise level.  ``u1`` is a bound circuit.
     """
 
     def __init__(self, u1: Circuit, u2: Circuit,
@@ -918,24 +918,21 @@ class OverlapEngine:
         # the circuit whose output estimate_sum reads
         self.circuit = u2
         if noise.enabled:
-            anc = self.m
-            prefix = Circuit(self.m + 1)
-            prefix.add("H", anc)
-            prefix.add("X", anc)
-            prefix.extend(make_controlled(u1).gates)
-            prefix.add("X", anc)
-            prefix.extend(make_controlled(u2).gates)
-            self.circuit = prefix
+            self.circuit = Circuit(self.m, n_slots=u2.n_slots)
+            c = _mixing_weight(_noise_levels(noise))
+            self.block_scale = (0.5 * _add_controlled(self.circuit, u1, "col", c)
+                                * _add_controlled(self.circuit, u2, "row", c))
         # the last operator read under noise and its _damping
         self._damped: tuple[PauliSum, np.ndarray] | None = None
 
     def _damping(self, op: PauliSum, strings) -> np.ndarray:
-        """2 (1 - c)^|P| per noise level (rows) and string of ``op``
-        (columns), computed once for a run of reads of the same operator."""
+        """2 (1 - c)^|P| times ``block_scale`` per noise level (rows) and
+        string of ``op`` (columns), computed once for a run of reads of the
+        same operator."""
         if self._damped is None or self._damped[0] is not op:
             weight = np.array([(x | z).bit_count() for _, x, z, _ in strings])
             c = _mixing_weight(_noise_levels(self.noise))[:, None]
-            self._damped = (op, 2.0 * (1.0 - c) ** weight)
+            self._damped = (op, 2.0 * self.block_scale[:, None] * (1.0 - c) ** weight)
         return self._damped[1]
 
     def estimate_sum(self, theta, op: PauliSum,
@@ -945,7 +942,7 @@ class OverlapEngine:
 
         ``states`` is the output of ``simulate(self.circuit, theta, noise)``
         when the caller already has it: U2(theta)|0> without noise, the
-        ancilla prefix's density matrix per noise level with it.
+        evolved coherence block per noise level with it.
         """
         if op.width != self.m:
             raise ValueError("operator width mismatch")
@@ -960,8 +957,7 @@ class OverlapEngine:
             strings, overlaps = string_overlaps(op, self.psi1, states[0])
             rows = overlaps[None, :]
         else:
-            half = 1 << self.m
-            tables = [string_traces(op, rho[half:, :half]) for rho in states]
+            tables = [string_traces(op, block) for block in states]
             strings = tables[0][0]
             rows = self._damping(op, strings) * np.array([t for _, t in tables])
         # per string, Re and -Im of its value at each level

@@ -53,7 +53,8 @@ def read_fcidump(path: str) -> MolecularIntegrals:
 
     Indices are 1-based in the file.  Lines with two zero indices carry the
     one-body part, the all-zero line the scalar constant.  Entries that
-    conflict with an earlier symmetry-equivalent value raise.
+    conflict with an earlier symmetry-equivalent value raise, and so does a
+    NaN or infinite value, which the term pruning would otherwise drop.
     """
     with open(path) as fh:
         text = fh.read()
@@ -74,11 +75,12 @@ def read_fcidump(path: str) -> MolecularIntegrals:
         raise ValueError(f"{path}: NORB={n_orb}")
 
     body = text[header_match.end():]
+    first = text.count("\n", 0, header_match.end()) + 1
     one: dict[tuple[int, int], float] = {}
     two: dict[tuple[int, int, int, int], float] = {}
     e_const = 0.0
     seen_const = False
-    for raw in body.splitlines():
+    for lineno, raw in enumerate(body.splitlines(), first):
         line = raw.strip()
         if not line:
             continue
@@ -86,6 +88,8 @@ def read_fcidump(path: str) -> MolecularIntegrals:
         if len(fields) != 5:
             raise ValueError(f"{path}: malformed line {raw!r}")
         val = float(fields[0])
+        if not np.isfinite(val):
+            raise ValueError(f"{path}, line {lineno}: non-finite integral {fields[0]}")
         i, j, k, l = (int(x) for x in fields[1:])
         for idx in (i, j, k, l):
             if idx < 0 or idx > n_orb:

@@ -139,9 +139,10 @@ class CorrectionProblem:
         """g at frequency z over the ansatz's angles, as a ``CircuitCost``.
 
         g reads one output of the ansatz for <Q+Q>, the penalty and, without
-        noise, the overlap; the noisy overlap reads the output of its own
-        ancilla circuit (``OverlapEngine.circuit``), the cost's second
-        circuit.  Estimates are drawn in the order <Q+Q>, overlap, penalty.
+        noise, the overlap; the noisy overlap reads the Hadamard test's
+        coherence block (``OverlapEngine.circuit``), the cost's second
+        circuit, whose every slot drives one gate on the block's rows.
+        Estimates are drawn in the order <Q+Q>, overlap, penalty.
         As an operator g is M = Q+Q + penalty - |w><w| / <V|V>: the overlap
         is <w|psi> with w = (V+Q)+ |psi0> = (z* + D) V|psi0>, which reuses
         the compiled D and V instead of compiling the adjoint of V+Q.

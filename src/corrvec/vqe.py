@@ -8,19 +8,19 @@ coordinate minimum in closed form, so no step sizes or gradients appear
 anywhere.
 
 Every mode reads a slot off the circuit's restriction to it
-(``circuits.restrictions``): the state before the slot's gate is kept and
-advanced by one gate range per slot, and the rest of the circuit applied to
-its split batch gives the output at any angle of the slot.  A noiseless
-circuit with one gate per slot and 2^m <= n_slots carries the rest as one
-2^m x 2^m unitary, built once per sweep and peeled by one gate range per
-slot.  A noisy circuit with one gate per slot, when the cost's operators
-have few strings against its slots and a small register, has those strings
-pulled back through the rest once per sweep, and reads each slot as their
-values (the rule is in the notes of ``circuits``).  Other circuits run the
-rest on each slot's batch.  A sampled or noisy cost is then
-estimated on the outputs at +-pi/2 and at the angle the slot moves to,
-three estimates per slot, drawn as the estimators would on full
-simulations.  An exact cost <psi|M|psi> needs no estimate: with phi the
+(``circuits.restrictions``), and every slot drives one rotation: the state
+before the slot's gate is kept and advanced by one gate range per slot,
+and the rest of the circuit applied to its split batch gives the output at
+any angle of the slot.  A noiseless circuit with 2^m <= n_slots carries
+the rest as one 2^m x 2^m unitary, built once per sweep and peeled by one
+gate range per slot.  A noisy circuit, when the cost's operators have few
+strings against its slots and a small register, has those strings pulled
+back through the rest once per sweep, and reads each slot as their values
+(the rule is in the notes of ``circuits``).  Other circuits, the noisy
+overlap's coherence block among them, run the rest on each slot's batch.
+A sampled or noisy cost is then estimated on the outputs at +-pi/2 and at
+the angle the slot moves to, three estimates per slot, drawn as the
+estimators would on full simulations.  An exact cost <psi|M|psi> needs no estimate: with phi the
 state before slot d's gate R(t) = exp(-i t s/2) and S the rest of the
 circuit, psi(t) = cos(t/2) a + sin(t/2) b for a = S phi and b = -i S s phi,
 and the 2x2 matrix K of M on the pair (a, b) gives the slot's whole
@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import (Circuit, MeasurementSettings, NoiseModel, restrictions,
-                       sample_pauli_expectation, simulate, string_values)
+                       sample_pauli_expectation, simulate, slot_gates,
+                       string_values)
 from .pauli import PauliSum, apply_sum
 
 VALID_ROTATIONS = ("RX", "RY", "RZ")
@@ -153,8 +154,9 @@ class CircuitCost:
     (``string_values``), at full angles as in a sweep, where they may come
     from a pull-back, so a ``read`` that estimates anything else fails on
     its first call.  With exact, noiseless measurement the sweep reads each
-    slot off the 2x2 matrix of M (``matrix``), so the first circuit must
-    then hold one unit-scale gate per slot.
+    slot off the 2x2 matrix of M (``matrix``), so the first circuit is then
+    checked as every sweep reads it (``circuits.slot_gates``): one RX, RY or
+    RZ per slot.
     """
 
     def __init__(self, circuits: Sequence[Circuit], settings: MeasurementSettings,
@@ -169,10 +171,7 @@ class CircuitCost:
         self.w = w
         self.exact = settings.mode == "exact" and not noise.enabled
         if self.exact:
-            slotted = [g for g in self.circuits[0].gates if g.slot is not None]
-            if (len(slotted) != self.circuits[0].n_slots
-                    or any(g.scale != 1.0 for g in slotted)):
-                raise ValueError("exact sweeps need one unit-scale gate per slot")
+            slot_gates(self.circuits[0])
         # exact sweeps: angles and closed-form value at the end of the last
         # sweep, which the next sweep's full evaluation checks
         self.closed: tuple[np.ndarray, float] | None = None
@@ -218,11 +217,10 @@ def rotosolve_sweep(cost, theta: np.ndarray,
     itself unless the call is to be observed); it is called once, at the
     start.  Each slot's restriction then comes from ``circuits.restrictions``
     per circuit of ``form``: the split pair times the carried unitary of
-    the rest of the circuit for a noiseless circuit with one gate per slot
-    and 2^m <= n_slots; for a noisy first circuit with one gate per slot
-    whose ``form.ops`` have few strings against its slots, the values of
-    those strings pulled back once per sweep; a suffix run per slot
-    otherwise.  With exact, noiseless measurement
+    the rest of the circuit for a noiseless circuit with 2^m <= n_slots;
+    for a noisy first circuit whose ``form.ops`` have few strings against
+    its slots, the values of those strings pulled back once per sweep; a
+    suffix run per slot otherwise.  With exact, noiseless measurement
     the restriction of the first circuit is a pair of states (a, b), and
     the slot's whole sinusoid is read off the 2x2 matrix K of the cost on
     it: a slot whose sinusoid is flat, its amplitude within

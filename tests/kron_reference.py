@@ -22,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from corrvec.circuits import (ONE_QUBIT_KINDS, Circuit, Gate, make_controlled,
+from corrvec.circuits import (ONE_QUBIT_KINDS, Circuit, Gate, ccx_gates,
                               sample_z_value, zne_extrapolate)
 from corrvec.pauli import PauliSum
 
@@ -99,7 +99,7 @@ def embed(factors: dict[int, np.ndarray], m: int) -> np.ndarray:
 
 def gate_matrix(gate: Gate, m: int, theta=None) -> np.ndarray:
     """Full-register unitary of one gate."""
-    angle = gate.angle if gate.slot is None else gate.scale * float(theta[gate.slot])
+    angle = gate.angle if gate.slot is None else float(theta[gate.slot])
     if gate.kind in ONE_QUBIT_KINDS:
         return embed({gate.qubits[0]: one_qubit_matrix(gate.kind, angle)}, m)
     c, t = gate.qubits
@@ -195,25 +195,63 @@ def assert_valid_density(rho: np.ndarray, tol: float = 1e-10) -> None:
     assert np.linalg.eigvalsh(rho).min() >= -tol, "density not positive"
 
 
-def overlap_circuit(u1_bound: Circuit, u2: Circuit, label: str, phi: float) -> Circuit:
+def make_controlled(circ: Circuit) -> Circuit:
+    """The literal controlled circuit on width + 1 qubits: ``circ`` applied
+    when the top qubit, ``circ.width``, is 1.
+
+    ``circ`` is bound and holds the gates ``build_hea`` emits.  A
+    controlled rotation is two half-angle rotations around two CNOTs from
+    the control (RX through H RZ H), a controlled CX the Toffoli of
+    ``ccx_gates``.
+    """
+    if circ.n_slots:
+        raise ValueError("bind the circuit's angles first")
+    anc = circ.width
+    out = Circuit(circ.width + 1)
+    for g in circ.gates:
+        if g.kind in ("RX", "RY", "RZ"):
+            (q,) = g.qubits
+            inner = "RZ" if g.kind == "RX" else g.kind
+            if g.kind == "RX":
+                out.add("H", q)
+            out.add(inner, q, angle=0.5 * g.angle)
+            out.add("CX", anc, q)
+            out.add(inner, q, angle=-0.5 * g.angle)
+            out.add("CX", anc, q)
+            if g.kind == "RX":
+                out.add("H", q)
+        elif g.kind == "CX":
+            out.gates += ccx_gates(anc, *g.qubits)
+        else:
+            raise ValueError(f"cannot control gate kind {g.kind!r}")
+    return out
+
+
+def prefix_circuit(u1_bound: Circuit, u2_bound: Circuit, phi: float = 0.0) -> Circuit:
+    """The literal Hadamard-test prefix on (register, ancilla): the ancilla
+    in |+> with phase phi, controlled-U1 on its 0 branch and controlled-U2
+    on its 1 branch.  Its block rho[2^m:, :2^m] is what ``OverlapEngine``
+    evolves."""
+    anc = u1_bound.width
+    circ = Circuit(anc + 1)
+    circ.add("H", anc)
+    circ.add("PHASE", anc, angle=phi)
+    circ.add("X", anc)
+    circ.gates += make_controlled(u1_bound).gates
+    circ.add("X", anc)
+    circ.gates += make_controlled(u2_bound).gates
+    return circ
+
+
+def overlap_circuit(u1_bound: Circuit, u2_bound: Circuit, label: str,
+                    phi: float) -> Circuit:
     """Literal single-ancilla interference circuit for one Pauli string.
 
     Measuring Z on the ancilla of the output state gives
     Re(exp(i phi) <0|U1' P U2|0>).
     """
-    if u1_bound.n_slots:
-        raise ValueError("u1 must be fully bound")
-    m = u1_bound.width
-    anc = m
-    circ = Circuit(m + 1)
-    circ.add("H", anc)
-    circ.add("PHASE", anc, angle=phi)
-    circ.add("X", anc)
-    circ.extend(make_controlled(u1_bound).gates)
-    circ.add("X", anc)
-    cu2 = make_controlled(u2)
-    circ.extend(cu2.gates)
-    circ.n_slots = max(circ.n_slots, cu2.n_slots)
+    anc = u1_bound.width
+    circ = prefix_circuit(u1_bound, u2_bound, phi)
     for q, ch in enumerate(label):
         if ch != "I":
             circ.add("C" + ch, anc, q)
@@ -271,12 +309,13 @@ def estimate_overlap(u1_bound: Circuit, u2: Circuit, theta, op: PauliSum,
     """Reference for ``OverlapEngine.estimate_sum``: the ancilla readings of
     the literal interference circuit at phi = 0 and pi/2, Re(<P>) and
     -Im(<P>), per string and noise level, drawn and extrapolated."""
+    u2_bound = u2.bound(theta if u2.n_slots else [])
     total = 0.0 + 0j
     for label in sorted(op.terms):
         parts = []
         for phi in (0.0, np.pi / 2):
-            circ = overlap_circuit(u1_bound, u2, label, phi)
-            values = [ancilla_z(_simulate(circ, theta, lvl))
+            circ = overlap_circuit(u1_bound, u2_bound, label, phi)
+            values = [ancilla_z(_simulate(circ, None, lvl))
                       for lvl in _levels(noise)]
             parts.append(_draw(values, settings, rng))
         total += op.coefficient(label) * complex(parts[0], -parts[1])

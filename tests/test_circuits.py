@@ -13,7 +13,6 @@ from corrvec.circuits import (
     ccx_gates,
     depolarize_pair,
     expectation_from_state,
-    make_controlled,
     run_density,
     run_pure,
     sample_pauli_expectation,
@@ -30,12 +29,14 @@ from kron_reference import (
     circuit_unitary,
     estimate_expectation,
     estimate_overlap,
+    make_controlled,
     overlap_circuit,
 )
 
 
 def small_parameterized(width=2):
-    """A circuit of the gate kinds build_hea emits, which make_controlled takes."""
+    """A circuit of the gate kinds build_hea emits, which make_controlled
+    takes once bound."""
     circ = Circuit(width)
     circ.add("RX", 0, angle=0.7)
     circ.add("RY", 0, slot=0)
@@ -91,7 +92,7 @@ def test_circuit_unitary_consistency(rng):
 
 def test_toffoli_decomposition_is_exact():
     circ = Circuit(3)
-    circ.extend(ccx_gates(0, 1, 2))
+    circ.gates += ccx_gates(0, 1, 2)
     u = circuit_unitary(circ)
     expect = np.eye(8, dtype=complex)
     # bits 0 and 1 set: flip bit 2
@@ -103,15 +104,17 @@ def test_toffoli_decomposition_is_exact():
 def test_controlled_circuit_block_structure(rng):
     circ = small_parameterized()
     theta = rng.uniform(-np.pi, np.pi, size=circ.n_slots)
-    ctrl = make_controlled(circ)
+    ctrl = make_controlled(circ.bound(theta))
     assert ctrl.width == 3
-    u_full = circuit_unitary(ctrl, theta)
+    u_full = circuit_unitary(ctrl)
     u = circuit_unitary(circ, theta)
     expect = np.zeros((8, 8), dtype=complex)
     expect[:4, :4] = np.eye(4)
     expect[4:, 4:] = u
     assert np.allclose(u_full, expect, atol=1e-12)
-    # only the kinds build_hea emits can be controlled
+    # only a bound circuit of the kinds build_hea emits can be controlled
+    with pytest.raises(ValueError, match="bind"):
+        make_controlled(circ)
     for kind, qubits in (("H", (0,)), ("X", (0,)), ("CZ", (0, 1))):
         other = Circuit(2)
         other.add(kind, *qubits)
@@ -327,8 +330,8 @@ def test_overlap_circuit_matches_direct(rng):
     for label in ("XY", "ZI", "II", "YZ"):
         direct = np.vdot(psi1, apply_string(label, psi2))
         for phi in (0.0, np.pi / 2):
-            circ = overlap_circuit(u1, u2, label, phi)
-            z = ancilla_z(run_pure(circ, theta))
+            circ = overlap_circuit(u1, u2.bound(theta), label, phi)
+            z = ancilla_z(run_pure(circ))
             expect = (np.exp(1j * phi) * direct).real
             assert z == pytest.approx(expect, abs=1e-10)
 

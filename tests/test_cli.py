@@ -138,6 +138,23 @@ def test_missing_fcidump_exits_3_without_outputs(tmp_path):
         assert not out.exists()
 
 
+def test_non_finite_fcidump_exits_3_naming_the_line(tmp_path, capsys):
+    """The oracle refuses a NaN integral instead of pruning its terms and
+    reporting a finite E0."""
+    out = tmp_path / "out"
+    bad = tmp_path / "nan.fcidump"
+    bad.write_text((FIXTURES / "h2_2.0.fcidump").read_text().replace(
+        "-7.7892203606895116E-01    1    1    0    0", "nan    1    1    0    0"))
+    cfg = write_config(tmp_path / "cfg.json", out_dir=str(out),
+                       hamiltonian={"kind": "fcidump", "path": str(bad)},
+                       grid={"kind": "retarded", "omega_min": -1.0,
+                             "omega_max": 1.0, "n": 3})
+    assert run("oracle", "--config", str(cfg)) == 3
+    assert capsys.readouterr().err == \
+        f"corrvec: {bad}, line 10: non-finite integral nan\n"
+    assert not out.exists()
+
+
 def test_unusable_active_space_exits_3_without_outputs(tmp_path):
     """An active space the fcidump cannot take: an odd electron count, and
     an orbital beyond NORB."""

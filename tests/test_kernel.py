@@ -4,18 +4,18 @@ against full runs of the kernel."""
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrvec import circuits, pauli
 from corrvec.circuits import (ROTATION_KINDS, Circuit, MeasurementSettings,
                               NoiseModel, OverlapEngine, depolarize_pair,
-                              make_controlled, restrictions, run_density,
-                              run_pure)
+                              restrictions, run_density, run_pure, simulate)
 from corrvec.oracle import materialize
 from corrvec.pauli import (PauliSum, apply_sum, precompile, precompiled_sum,
                            string_overlaps, string_traces)
@@ -25,7 +25,7 @@ import kron_reference as ref
 TOL = 1e-12
 ONE_QUBIT = ("H", "X", "PHASE", "RX", "RY", "RZ")
 TWO_QUBIT = ("CX", "CY", "CZ")
-# what make_controlled accepts: the gates build_hea emits
+# what the controlled references take: the gates build_hea emits
 CONTROLLABLE_ONE_QUBIT = ("RX", "RY", "RZ")
 CONTROLLABLE_TWO_QUBIT = ("CX",)
 
@@ -54,8 +54,7 @@ def random_circuits(draw, max_width=6, max_gates=12, controllable=False,
         if kind not in ROTATION_KINDS:
             circ.add(kind, *qubits)
         elif slots and draw(st.booleans()):
-            circ.add(kind, *qubits, slot=draw(st.integers(0, 3)),
-                     scale=draw(st.sampled_from((1.0, 0.5, -0.5))))
+            circ.add(kind, *qubits, slot=draw(st.integers(0, 3)))
         else:
             circ.add(kind, *qubits, angle=draw(angles))
     theta = np.array(draw(st.lists(angles, min_size=circ.n_slots,
@@ -71,7 +70,7 @@ def kernel_unitary(circ, theta):
         for q in range(circ.width):
             if b >> q & 1:
                 prep.add("X", q)
-        prep.extend(circ.gates)
+        prep.gates += circ.gates
         prep.n_slots = circ.n_slots
         cols.append(run_pure(prep, theta if circ.n_slots else None))
     return np.stack(cols, axis=1)
@@ -175,90 +174,112 @@ def test_stacked_levels_match_per_level_runs(min_size, data):
        st.sampled_from((0.0, 0.02)))
 def test_controlled_circuits_match_kron(case, p2):
     circ, theta = case
-    ctrl = make_controlled(circ)
-    assert max_diff(run_pure(ctrl, theta), ref.run_pure(ctrl, theta)) <= TOL
-    assert max_diff(run_density(ctrl, theta, p2=p2),
-                    ref.run_density(ctrl, theta, p2=p2)) <= TOL
+    ctrl = ref.make_controlled(circ.bound(theta))
+    assert max_diff(run_pure(ctrl), ref.run_pure(ctrl)) <= TOL
+    assert max_diff(run_density(ctrl, p2=p2), ref.run_density(ctrl, p2=p2)) <= TOL
+
+
+@st.composite
+def overlap_cases(draw):
+    """(bound u1, u2, its angles, label, phi) on one register of width 1-5."""
+    u1, _ = draw(random_circuits(max_width=5, max_gates=4, controllable=True,
+                                 slots=False))
+    u2, theta = draw(random_circuits(max_gates=4, controllable=True,
+                                     width=u1.width))
+    label = draw(st.text("IXYZ", min_size=u1.width, max_size=u1.width))
+    return u1, u2, theta, label, draw(angles)
+
+
+def hea_overlap_case(pattern, width, label, phi):
+    """An overlap case between two depth-1 ansatzes of ``pattern``."""
+    spec = AnsatzSpec(width, 1, pattern)
+    rng = np.random.default_rng(width)
+    u1 = build_hea(spec).bound(rng.uniform(-np.pi, np.pi, spec.n_slots))
+    return u1, build_hea(spec), rng.uniform(-np.pi, np.pi, spec.n_slots), label, phi
 
 
 @PROPERTY
-@given(st.data())
-def test_overlap_circuits_match_kron(data):
-    u1, _ = data.draw(random_circuits(max_width=5, max_gates=4,
-                                      controllable=True, slots=False))
+@given(overlap_cases())
+@example(hea_overlap_case(("RX",), 2, "XZ", 0.4))
+@example(hea_overlap_case(("RY", "RZ"), 1, "Y", -1.3))
+def test_overlap_circuits_match_kron(case):
+    u1, u2, theta, label, phi = case
     width = u1.width
-    u2, theta = data.draw(random_circuits(max_gates=4, controllable=True,
-                                          width=width))
-    label = data.draw(st.text("IXYZ", min_size=width, max_size=width))
-    phi = data.draw(angles)
-    circ = ref.overlap_circuit(u1, u2, label, phi)
-    th = theta if circ.n_slots else None
-    assert max_diff(run_pure(circ, th), ref.run_pure(circ, th)) <= TOL
+    u2_bound = u2.bound(theta)
+    circ = ref.overlap_circuit(u1, u2_bound, label, phi)
+    assert max_diff(run_pure(circ), ref.run_pure(circ)) <= TOL
     if width <= 3:
-        assert max_diff(run_density(circ, th, p2=0.01),
-                        ref.run_density(circ, th, p2=0.01)) <= TOL
-        # the engine's closed-form suffix against the literal circuit, on
-        # the drawn label and on fixed ones whose weight counts Z letters
-        for fixed in (label, "Z" * width, ("XZ" * width)[:width]):
-            op = PauliSum.from_label(fixed)
-            for p2 in (0.01, 0.3, 15.0 / 16.0):
-                noise = NoiseModel(enabled=True, p2=p2, zne=False)
-                engine = OverlapEngine(u1, u2, MeasurementSettings(), noise)
+        assert max_diff(run_density(circ, p2=0.01),
+                        ref.run_density(circ, p2=0.01)) <= TOL
+        th = theta if u2.n_slots else None
+        half = 1 << width
+        prefix = ref.prefix_circuit(u1, u2_bound)
+        for p2 in (0.01, 0.3, 15.0 / 16.0):
+            noise = NoiseModel(enabled=True, p2=p2, zne=False)
+            engine = OverlapEngine(u1, u2, MeasurementSettings(), noise)
+            # the coherence block the engine evolves against the literal
+            # prefix's, and its closed-form suffix against the literal
+            # circuit, on the drawn label and on fixed ones whose weight
+            # counts Z letters
+            (block,) = simulate(engine.circuit, th, noise)
+            assert max_diff(engine.block_scale[0] * block,
+                            ref.run_density(prefix, p2=p2)[half:, :half]) <= TOL, p2
+            for fixed in (label, "Z" * width, ("XZ" * width)[:width]):
+                op = PauliSum.from_label(fixed)
                 assert abs(engine.estimate_sum(th, op) - ref.estimate_overlap(
                     u1, u2, th, op, MeasurementSettings(), noise, None)) <= TOL, \
                     (fixed, p2)
 
 
 @st.composite
-def restriction_cases(draw, case):
-    """(circuit, noise, start angles, probe angles, moved angles, operator).
-
-    ``case`` "pure", "noisy" and "zne" draw an ansatz of width 1-4 and
-    depth 1-2 over RX/RY/RZ, run without noise, at one noise level or at
-    both ZNE levels; "overlap" draws the noisy ancilla prefix of an
-    ``OverlapEngine`` on an ansatz of width 1-3 and depth 1, whose every
-    slot drives two half-angle rotations around a noisy CX.  "noisy" and
-    "zne" also draw an operator on the ansatz's register, whose strings a
-    sweep can pull back; the other cases give None.
-    """
-    small = case == "overlap"
-    spec = AnsatzSpec(draw(st.integers(1, 3 if small else 4)),
-                      draw(st.integers(1, 1 if small else 2)),
+def ansatz_specs(draw):
+    """Ansatzes of width 1-4 and depth 1-2 over RX, RY and RZ."""
+    return AnsatzSpec(draw(st.integers(1, 4)), draw(st.integers(1, 2)),
                       tuple(draw(st.lists(st.sampled_from(("RX", "RY", "RZ")),
                                           min_size=1, max_size=2))))
-    noise = (NoiseModel() if case == "pure" else
-             NoiseModel(enabled=True, p2=draw(st.floats(0.001, 0.05)),
-                        zne=case != "noisy"))
-    circ = build_hea(spec)
-    if small:
-        u1_spec = AnsatzSpec(spec.width, 1)
-        u1 = build_hea(u1_spec).bound(draw(st.lists(
-            angles, min_size=u1_spec.n_slots, max_size=u1_spec.n_slots)))
-        circ = OverlapEngine(u1, circ, MeasurementSettings(), noise).circuit
-    n = spec.n_slots
-    start, probes, moves = (np.array(draw(st.lists(angles, min_size=n, max_size=n)))
-                            for _ in range(3))
-    op = None
-    if case in ("noisy", "zne"):
-        labels = draw(st.lists(st.text("IXYZ", min_size=spec.width,
-                                       max_size=spec.width), min_size=1, max_size=8))
-        op = PauliSum(spec.width, [(label, draw(st.floats(-2.0, 2.0)))
-                                   for label in labels])
-    return circ, noise, start, probes, moves, op
 
 
 @pytest.mark.parametrize("case", ["pure", "noisy", "zne", "overlap"])
 @settings(max_examples=8)
-@given(data=st.data())
-def test_restrictions_match_full_runs(case, data):
+@given(spec=ansatz_specs(), p2=st.sampled_from((0.01, 0.3, 15.0 / 16.0)),
+       seed=st.integers(0, 2**32 - 1))
+@example(spec=AnsatzSpec(2, 1, ("RX",)), p2=0.01, seed=1)
+@example(spec=AnsatzSpec(1, 2, ("RY", "RZ")), p2=0.3, seed=2)
+def test_restrictions_match_full_runs(case, spec, p2, seed):
     """Slot by slot, the restriction at an angle equals a full run with
     the slot at that angle, while the sweep moves each slot in turn, so
-    each slot also checks the prefix its predecessors advanced.  Under
-    noise with a drawn operator, the sweep that pulls its strings back
-    gives their values of those full runs."""
-    circ, noise, theta, probes, moves, op = data.draw(restriction_cases(case))
+    each slot also checks the prefix its predecessors advanced.  "pure"
+    runs the ansatz without noise, "noisy" at one noise level and "zne" at
+    both ZNE levels where the boosted p2 is valid; both also draw an
+    operator, and the sweep that pulls its strings back gives their values
+    of those full runs.  "overlap" sweeps the coherence block of an
+    ``OverlapEngine`` whose U2 is the ansatz, against the block of the
+    literal (m+1)-qubit prefix."""
+    rng = np.random.default_rng(seed)
+    noise = (NoiseModel() if case == "pure" else
+             NoiseModel(enabled=True, p2=p2,
+                        zne=case != "noisy" and 2.0 * p2 <= 15.0 / 16.0))
+    theta, probes, moves = rng.uniform(-2 * np.pi, 2 * np.pi, (3, spec.n_slots))
+    circ = build_hea(spec)
+    if case == "overlap":
+        u1 = build_hea(replace(spec, depth=1))
+        u1 = u1.bound(rng.uniform(-2 * np.pi, 2 * np.pi, u1.n_slots))
+        engine = OverlapEngine(u1, circ, MeasurementSettings(), noise)
+        half = 1 << spec.width
+
+        def literal(probe):
+            prefix = ref.prefix_circuit(u1, circ.bound(probe))
+            return [run_density(prefix, p2=lvl)[half:, :half]
+                    for lvl in levels_of(noise)]
+
+        check_sweep(engine.circuit, noise, theta, probes, moves,
+                    literal=(literal, engine.block_scale))
+        return
     check_sweep(circ, noise, theta.copy(), probes, moves)
-    if op is not None:
+    if case != "pure":
+        labels = ["".join(rng.choice(list("IXYZ"), spec.width))
+                  for _ in range(rng.integers(1, 9))]
+        op = PauliSum(spec.width, zip(labels, rng.uniform(-2.0, 2.0, len(labels))))
         check_sweep(circ, noise, theta, probes, moves, op)
 
 
@@ -276,22 +297,36 @@ def test_pulled_back_strings_under_full_depolarization(pattern):
     check_sweep(build_hea(spec), noise, theta, probes, moves, op)
 
 
-def check_sweep(circ, noise, theta, probes, moves, op=None):
+def levels_of(noise):
+    return [noise.p2, noise.boost * noise.p2] if noise.zne else [noise.p2]
+
+
+def full_runs(circ, theta, noise):
+    return ([run_pure(circ, theta)] if not noise.enabled else
+            [run_density(circ, theta, p2=lvl) for lvl in levels_of(noise)])
+
+
+def check_sweep(circ, noise, theta, probes, moves, op=None, literal=None):
     """Each slot's restriction at its probe angle against a full run, the
     sweep moving each slot to its ``moves`` angle after it is checked.
     With ``op`` the restrictions are read as the values of its strings
     after the identity, per noise level, and checked against
-    ``string_traces`` of each level's full run."""
-    levels = [noise.p2, noise.boost * noise.p2] if noise.zne else [noise.p2]
+    ``string_traces`` of each level's full run.  With ``literal``, a pair
+    (function of the probe angles, scale per level), the restriction times
+    the scale is checked against that function's blocks instead: divided by
+    the scale, where it is not 0, so that a small scale hides nothing."""
     count = 0
     for d, restriction in enumerate(restrictions(circ, theta, noise,
                                                  () if op is None else [op])):
         probe = theta.copy()
         probe[d] = probes[d]
-        full = ([run_pure(circ, probe)] if not noise.enabled else
-                [run_density(circ, probe, p2=lvl) for lvl in levels])
         at = restriction.at(probes[d])
-        if op is None:
+        if literal is not None:
+            blocks, scale = literal
+            for s, a, b in zip(scale, at, blocks(probe), strict=True):
+                assert max_diff(b if s == 0 else a - b / s, 0) <= TOL, d
+        elif op is None:
+            full = full_runs(circ, probe, noise)
             assert len(at) == len(full)
             for a, b in zip(at, full):
                 assert max_diff(a, b) <= TOL, d
@@ -299,7 +334,7 @@ def check_sweep(circ, noise, theta, probes, moves, op=None):
             strings, values = at.of(op)
             ident = len(strings) - len(values)
             expect = np.array([string_traces(op, rho)[1][ident:].real
-                               for rho in full]).T
+                               for rho in full_runs(circ, probe, noise)]).T
             assert values.shape == expect.shape
             assert np.abs(values - expect).max(initial=0.0) <= TOL, d
         theta[d] = moves[d]

@@ -132,6 +132,24 @@ def test_missing_file_raises():
         read_fcidump(str(FIXTURES / "no_such.fcidump"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry, lineno", [("1    1    1    1", 5),
+                                           ("1    1    0    0", 10),
+                                           ("0    0    0    0", 13)],
+                         ids=["two-body", "one-body", "scalar"])
+def test_non_finite_integrals_are_refused(tmp_path, entry, lineno, value):
+    """A NaN or infinite two-body, one-body or scalar value is refused with
+    the file and line named, where the pruned terms would otherwise hide
+    it."""
+    lines = (FIXTURES / "h2_2.0.fcidump").read_text().splitlines(keepends=True)
+    assert lines[lineno - 1].split(None, 1)[1].strip() == entry
+    lines[lineno - 1] = f" {value}    {entry}\n"
+    path = tmp_path / "bad.fcidump"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=rf"bad\.fcidump, line {lineno}: non-finite"):
+        read_fcidump(str(path))
+
+
 def test_two_body_tensor_has_eightfold_symmetry(lih_integrals):
     g = lih_integrals.g
     for perm in ((2, 1, 0, 3), (0, 3, 2, 1), (1, 0, 3, 2)):

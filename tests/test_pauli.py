@@ -200,3 +200,9 @@ def test_expectation_exact(rng):
     z0 = PauliSum.from_label("Z")
     assert expectation_from_state(np.array([1.0, 0.0], dtype=complex), z0).real == pytest.approx(1.0)
     assert expectation_from_state(np.array([0.0, 1.0], dtype=complex), z0).real == pytest.approx(-1.0)
+    # an anti-hermitian part is refused at any scale
+    skew = op - op.adjoint()
+    assert abs(np.vdot(psi, materialize(skew) @ psi)) > 0.1
+    for scale in (1e-6, 1.0, 1e8):
+        with pytest.raises(ValueError, match="not hermitian"):
+            expectation_from_state(psi, scale * (herm + 1e-3 * skew))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrvec.circuits import (MeasurementSettings, NoiseModel, make_controlled,
+from corrvec.circuits import (Circuit, MeasurementSettings, NoiseModel,
                               sample_pauli_expectation)
 from corrvec.oracle import materialize
 from corrvec.pauli import PauliSum
@@ -154,20 +154,24 @@ def test_pair_sweep_rejects_a_disagreeing_cost(rng):
 
 
 def test_exact_cost_needs_unit_rotation_slots():
-    """Exact sweeps read one unit-scale gate per slot; every sweep needs
-    rotation slots whose first gates come in slot order."""
+    """Every sweep reads one RX, RY or RZ per slot, the slots' gates in
+    slot order: an exact cost refuses any other circuit when it is built,
+    and a noisy sweep at its first slot, naming the fault."""
     spec = AnsatzSpec(width=2, depth=1)
-    op = PauliSum.identity(2)
-    theta = np.zeros(spec.n_slots)
-    with pytest.raises(ValueError, match="unit-scale"):
-        ground_state_form(make_controlled(build_hea(spec)), PauliSum.identity(3))
-    circ = build_hea(spec)
-    circ.add("PHASE", 0, slot=spec.n_slots)
-    form = ground_state_form(circ, op)
-    with pytest.raises(ValueError, match="not a rotation"):
-        rotosolve_sweep(form, np.zeros(circ.n_slots), form)
+    twice = Circuit(2)
+    twice.add("RY", 0, slot=0)
+    twice.add("CX", 0, 1)
+    twice.add("RY", 1, slot=0)
+    phase = build_hea(spec)
+    phase.add("PHASE", 0, slot=spec.n_slots)
     reordered = build_hea(spec)
     reordered.gates.reverse()
-    form = ground_state_form(reordered, op)
-    with pytest.raises(ValueError, match="slot order"):
-        rotosolve_sweep(form, theta, form)
+    noise = NoiseModel(enabled=True, p2=0.01)
+    for circ, fault in ((twice, "slot 0 drives more than one gate"),
+                        (phase, f"slot {spec.n_slots} drives a PHASE, not a rotation"),
+                        (reordered, "not in slot order")):
+        with pytest.raises(ValueError, match=fault):
+            ground_state_form(circ, PauliSum.identity(2))
+        form = CircuitCost([circ], EXACT, noise, lambda outputs: 0.0, [])
+        with pytest.raises(ValueError, match=fault):
+            rotosolve_sweep(lambda th: 0.0, np.zeros(circ.n_slots), form)

@@ -317,8 +317,8 @@ def test_sampled_noisy_solve_is_finite_and_repeatable(dimer_hamiltonian,
                                                       dimer_ground):
     """A hole-branch correction vector on the Hubbard dimer under shot
     sampling, depolarizing noise and ZNE: every estimate of its sweeps
-    reads the slot restrictions of the ansatz and of the noisy ancilla
-    prefix.  Its residual and gamma are finite, and a rerun with the same
+    reads the slot restrictions of the ansatz and of the Hadamard test's
+    coherence block.  Its residual and gamma are finite, and a rerun with the same
     seed repeats it bit for bit."""
     e0, _ = dimer_ground
     spec = AnsatzSpec(width=4, depth=1, pattern=("RY",))

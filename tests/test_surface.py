@@ -60,6 +60,15 @@ def test_no_module_imports_a_private_name_of_another():
     assert offenders == []
 
 
+def test_no_module_checks_with_an_assert_statement():
+    """Every check in the package raises an exception with a message: an
+    ``assert`` statement vanishes under ``python -O``."""
+    offenders = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+    assert offenders == []
+
+
 def test_cli_writes_files_only_through_the_manifest_and_the_log():
     """Every file a command writes goes through ``ManifestWriter.write``,
     which pins it, or ``store.append_lines``, the checkpoint log: the command

@@ -275,6 +275,20 @@ def test_vqe_reaches_h2_ground_state(h2_hamiltonian, h2_ground, rng):
     assert lines[0].startswith("0 ")
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 1e4, 1e6, 1e8])
+def test_exact_sweeps_run_at_any_scale_of_the_hamiltonian(lih_cas_hamiltonian, scale):
+    """Exact sweeps of LiH CAS(2,2) from a random start reach the same
+    energy per unit of H at any scale: the reality check on each
+    expectation value is relative to the operator's size."""
+    spec = AnsatzSpec(width=4, depth=3)
+    theta0 = np.random.default_rng(1).uniform(-np.pi, np.pi, spec.n_slots)
+    runs = [vqe_ground_state(s * lih_cas_hamiltonian, spec, MeasurementSettings(),
+                             NoiseModel(), tol=0.0, max_sweeps=3, theta0=theta0)
+            for s in (1.0, scale)]
+    assert runs[1][2].sweeps == 3
+    assert runs[1][0] / scale == pytest.approx(runs[0][0], rel=1e-10)
+
+
 def test_determinant_start_jitter_is_bounded_and_reproducible():
     spec = AnsatzSpec(width=4, depth=2)
     modes = [0, 2]
