@@ -100,12 +100,21 @@ def embed(factors: dict[int, np.ndarray], m: int) -> np.ndarray:
 def gate_matrix(gate: Gate, m: int, theta=None) -> np.ndarray:
     """Full-register unitary of one gate."""
     angle = gate.angle if gate.slot is None else float(theta[gate.slot])
-    if gate.kind in ONE_QUBIT_KINDS:
-        return embed({gate.qubits[0]: one_qubit_matrix(gate.kind, angle)}, m)
-    c, t = gate.qubits
-    target = {"CX": "X", "CY": "Y", "CZ": "Z"}[gate.kind]
-    u = one_qubit_matrix(target, angle)
-    return embed({c: P0}, m) + embed({c: P1, t: u}, m)
+    return _gate_matrix(gate.kind, gate.qubits, angle, m)
+
+
+@functools.lru_cache(maxsize=256)
+def _gate_matrix(kind: str, qubits: tuple, angle, m: int) -> np.ndarray:
+    """The full-register unitary, built once per gate and angle and shared
+    read-only, as the literal circuits repeat their gates."""
+    if kind in ONE_QUBIT_KINDS:
+        out = embed({qubits[0]: one_qubit_matrix(kind, angle)}, m)
+    else:
+        c, t = qubits
+        u = one_qubit_matrix({"CX": "X", "CY": "Y", "CZ": "Z"}[kind], angle)
+        out = embed({c: P0}, m) + embed({c: P1, t: u}, m)
+    out.flags.writeable = False
+    return out
 
 
 def circuit_unitary(circ: Circuit, theta=None) -> np.ndarray:
