@@ -254,12 +254,16 @@ def test_restrictions_match_full_runs(case, spec, p2, seed):
     operator, and the sweep that pulls its strings back gives their values
     of those full runs.  "overlap" sweeps the coherence block of an
     ``OverlapEngine`` whose U2 is the ansatz, against the block of the
-    literal (m+1)-qubit prefix."""
+    literal (m+1)-qubit prefix, and with the operator against full runs of
+    the block."""
     rng = np.random.default_rng(seed)
     noise = (NoiseModel() if case == "pure" else
              NoiseModel(enabled=True, p2=p2,
                         zne=case != "noisy" and 2.0 * p2 <= 15.0 / 16.0))
     theta, probes, moves = rng.uniform(-2 * np.pi, 2 * np.pi, (3, spec.n_slots))
+    labels = ["".join(rng.choice(list("IXYZ"), spec.width))
+              for _ in range(rng.integers(1, 9))]
+    op = PauliSum(spec.width, zip(labels, rng.uniform(-2.0, 2.0, len(labels))))
     circ = build_hea(spec)
     if case == "overlap":
         u1 = build_hea(replace(spec, depth=1))
@@ -272,14 +276,14 @@ def test_restrictions_match_full_runs(case, spec, p2, seed):
             return [run_density(prefix, p2=lvl)[half:, :half]
                     for lvl in levels_of(noise)]
 
-        check_sweep(engine.circuit, noise, theta, probes, moves,
+        check_sweep(engine.circuit, noise, theta.copy(), probes, moves,
                     literal=(literal, engine.block_scale))
-        return
-    check_sweep(circ, noise, theta.copy(), probes, moves)
+        # the real parts of its strings' values, pulled back through the
+        # one-sided gates or read off suffix runs
+        circ = engine.circuit
+    else:
+        check_sweep(circ, noise, theta.copy(), probes, moves)
     if case != "pure":
-        labels = ["".join(rng.choice(list("IXYZ"), spec.width))
-                  for _ in range(rng.integers(1, 9))]
-        op = PauliSum(spec.width, zip(labels, rng.uniform(-2.0, 2.0, len(labels))))
         check_sweep(circ, noise, theta, probes, moves, op)
 
 
