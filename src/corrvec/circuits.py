@@ -53,21 +53,19 @@ moves it.  Slot d's batch is then its split pair times S_d.  Peeling costs
 about 2^m vector steps per gate where a suffix run costs about n_slots, and
 a density matrix's 16^m suffix superoperator cannot be peeled stably.
 
-A noisy circuit can be read in the Heisenberg picture instead, when the
-caller names the operators it estimates on the output.  At the start of the
-sweep one adjoint pass from the end of the circuit pulls every non-identity
-string P of those operators back to observables, at each noise level: a
-gate maps O to U+ O U, which is U+ on O's row qubit and U^T on its column
-qubit, a one-sided gate to O U or U+ O, and the pair channel is its own
-adjoint.  The identity needs no pass, the adjoint map being unital.  Every
-slotted gate after slot d's gate belongs to a later slot, which the sweep
-has not moved yet, so the angles of the pass still hold when slot d is
-read.  The pass keeps its stack only at each slot's next two-qubit gate and
-at the end of the circuit, depth + 1 stacks for ``build_hea``; slot d's
-split batch runs through the noiseless one-qubit gates up to its stack, and
-one matmul with it gives tr(member O) per member, level and string.  The
-restriction then sums those values, not density matrices, with the members'
-weights.
+A noisy circuit is read through the strings of the operators its caller
+estimates on the output (Estimators), so it can be read in the Heisenberg
+picture.  At the start of the sweep one adjoint pass from the end of the
+circuit pulls every string P read back to observables, at each noise
+level: a gate maps O to U+ O U, which is U+ on O's row qubit and U^T on
+its column qubit, a one-sided gate to O U or U+ O, and the pair channel is
+its own adjoint.  Every slotted gate after slot d's gate belongs to a later
+slot, which the sweep has not moved yet, so the angles of the pass still
+hold when slot d is read.  The pass keeps its stack only at each slot's
+next two-qubit gate and at the end of the circuit, depth + 1 stacks for
+``build_hea``; slot d's split batch runs through the noiseless one-qubit
+gates up to its stack, and one matmul with it gives tr(member O) per
+member, level and string.
 
 The pass costs about one observable step per string and gate, where the
 suffix runs cost three member steps per gate after each slot's gate, and
@@ -77,10 +75,10 @@ is at most three times the suffix runs' gate steps, for ``build_hea``
 about 1.5 strings per slot, and its arrays fit ``_PULL_BACK_ENTRIES``,
 which leaves room for 6 strings at 7 qubits with ZNE and depth 2.  In a
 timing scan of both paths at 4-6 qubits the pull-back was faster wherever
-the rule chose it (CHANGES.md).  Every other circuit, the overlap's
-coherence block among them, for which a sweep names no operators, runs the
-rest of the circuit on each slot's split batch, and a restriction with
-operators reads the densities it gives as their strings' values.
+the rule chose it (CHANGES.md).  Otherwise slot d's split batch runs to the
+end of the circuit, and its members' strings are read once, as the
+restriction is built.  Either way a noisy restriction holds per-member
+string values and sums them with the members' weights.
 
 Noise
 -----
@@ -97,14 +95,18 @@ Estimators
 Every number the method reads off a device is a weighted sum of per-string
 estimates.  A string's exact value is computed at each noise level: <P> on
 the statevector without noise, tr(rho P) on the density matrix of each level
-with it (p2, then boost * p2 under ZNE), gathered per operator by
-``string_values``, or the values a pulled-back restriction gives at the
-slot's angle.  For an overlap <psi1|P|psi2> the values are the two ancilla
-readings of the Hadamard test, Re and then -Im of the overlap.  Under noise
-only the test's prefix is simulated: the ancilla in |+>, controlled-U1 on
-its 0 branch (between two X gates) and controlled-U2 on its 1 branch.  The
-string's controlled-P suffix and readout are taken in closed form, the
-readout being tr(O rho) for O = 2 |0><1| (x) I on (ancilla, register).  Each
+with it (p2, then boost * p2 under ZNE).  A noisy output reaches the
+estimators in one form, ``StringValues``: the values of the strings of the
+operators its caller names, from a full run (``simulate``) or a
+restriction.  An expectation reads real values and not the identity, whose
+value is 1; a read of the overlap's coherence block keeps complex values
+and the identity, as one-sided gates do not keep the block's trace.  For
+an overlap <psi1|P|psi2> the values are the two ancilla readings of the
+Hadamard test, Re and then -Im of the overlap.  Under noise only the test's
+prefix is simulated: the ancilla in |+>, controlled-U1 on its 0 branch
+(between two X gates) and controlled-U2 on its 1 branch.  The string's
+controlled-P suffix and readout are taken in closed form, the readout
+being tr(O rho) for O = 2 |0><1| (x) I on (ancilla, register).  Each
 pair channel is covariant: a mixture of conjugations by the pair's Pauli
 strings, it commutes with every unitary on the pair, is its own adjoint and
 maps an operator A to (1 - c) A + c tr_pair(A) (x) I/4, c = 16 p2/15.  O is
@@ -379,18 +381,9 @@ def _mixing_weight(p2: float | Sequence[float]) -> np.ndarray:
     return 16.0 * p2 / 15.0
 
 
-def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2: float | Sequence[float],
-                    m: int) -> np.ndarray:
-    """Two-qubit depolarizing channel on (q1, q2), for a density matrix or
-    each of a (..., 2^m, 2^m) batch.  ``p2`` is one strength, or one per
-    noise level of a (..., levels, 2^m, 2^m) batch."""
-    c = _mixing_weight(p2)
-    return _depolarize(rho, q1, q2, c, m) if c.any() else rho
-
-
 def _depolarize(rho: np.ndarray, q1: int, q2: int, c: np.ndarray, m: int) -> np.ndarray:
-    """The channel step of ``depolarize_pair`` for mixing weights ``c``
-    already checked, c broadcasting against ``rho.shape[:-2]``.
+    """The depolarizing channel on the pair (q1, q2) with mixing weights
+    ``c`` already checked, c broadcasting against ``rho.shape[:-2]``.
 
     Uniform conjugation by all 16 Pauli pairs averages the pair to the
     maximally mixed state, so the channel reduces to
@@ -520,18 +513,22 @@ def sample_z_value(z_exact, shots: int, rng: np.random.Generator):
     return 2.0 * k / shots - 1.0
 
 
-def zne_extrapolate(e_p, e_2p):
-    """Zero-noise values from estimates at strengths p and 2p, one pair or
-    elementwise over arrays.
+def zne_extrapolate(e_p, e_bp, boost: float):
+    """Zero-noise values from estimates at strengths p and boost * p, one
+    pair or elementwise over arrays.
 
-    Exponential decay gives E(0) = E(p)^2 / E(2p).  When a pair is
+    With l = boost, exponential decay gives
+    E(0) = E(p) |E(p)|^(1/(l-1)) / |E(lp)|^(1/(l-1)).  When a pair is
     inconsistent with a decaying exponential (sign change or vanishing
-    denominator) fall back to Richardson, 2 E(p) - E(2p).
+    denominator) fall back to Richardson, (l E(p) - E(lp)) / (l - 1).
     """
-    e_p, e_2p = np.asarray(e_p, dtype=float), np.asarray(e_2p, dtype=float)
-    decays = (np.abs(e_2p) > 1e-12) & (e_p * e_2p > 0.0)
-    return np.where(decays, e_p * e_p / np.where(decays, e_2p, 1.0),
-                    2.0 * e_p - e_2p)[()]
+    e_p, e_bp = np.asarray(e_p, dtype=float), np.asarray(e_bp, dtype=float)
+    decays = (np.abs(e_bp) > 1e-12) & (e_p * e_bp > 0.0)
+    # at boost 2 the powers are copies, so the values are bit for bit
+    # E(p)^2 / E(2p) and 2 E(p) - E(2p)
+    x = 1.0 / (boost - 1.0)
+    return np.where(decays, e_p * np.abs(e_p) ** x / np.abs(np.where(decays, e_bp, 1.0)) ** x,
+                    (boost * e_p - e_bp) / (boost - 1.0))[()]
 
 
 def _noise_levels(noise: NoiseModel) -> list[float]:
@@ -540,13 +537,17 @@ def _noise_levels(noise: NoiseModel) -> list[float]:
     return [noise.p2]
 
 
-def simulate(circ: Circuit, theta, noise: NoiseModel) -> list[np.ndarray]:
+def simulate(circ: Circuit, theta, noise: NoiseModel,
+             ops: Sequence[PauliSum]) -> np.ndarray | StringValues:
     """The circuit's output as the estimators read it: the statevector when
-    noise is off, else one density matrix per noise level (p2, then
-    boost * p2 under ZNE), all levels run as one batch."""
+    noise is off, else the values of the strings of ``ops``, the operators
+    the caller estimates, on its density matrix or coherence block at each
+    noise level (p2, then boost * p2 under ZNE), all levels run as one
+    batch."""
     if not noise.enabled:
-        return [run_pure(circ, theta)]
-    return list(run_density(circ, theta, p2=_noise_levels(noise)))
+        return run_pure(circ, theta)
+    return _string_values(ops, run_density(circ, theta, p2=_noise_levels(noise)),
+                          any(g.side for g in circ.gates))
 
 
 # ---------------------------------------------------------------------------
@@ -561,42 +562,34 @@ _PULL_BACK_ENTRIES = 1 << 20
 class Restriction:
     """One circuit's output as a function of one slot's angle: a batch
     split at the slot's gate into two or three members (module notes).
-    Each member is a statevector, a (levels, 2^m, 2^m) stack of density
-    matrices or coherence blocks, one per noise level, or, with ``reads``,
-    the (levels, strings) values of the pulled-back strings.  Density
-    matrices are read as the values of the strings of ``ops`` when there
-    are any."""
+    Without noise each member is a statevector; with it each member holds
+    the (levels, strings) values of the strings ``reads`` names."""
 
     batch: np.ndarray
     reads: tuple | None = None
-    ops: tuple[PauliSum, ...] = ()
 
-    def at(self, t: float) -> list[np.ndarray] | StringValues:
-        """The output with the slot at angle t, as ``simulate`` gives it,
-        or as ``string_values`` gives it when there are operators."""
+    def at(self, t: float) -> np.ndarray | StringValues:
+        """The output with the slot at angle t, as ``simulate`` gives it."""
         w = np.array((math.cos(0.5 * t), math.sin(0.5 * t)) if len(self.batch) == 2
                      else (1.0, math.cos(t), math.sin(t)))
         out = (w @ self.batch.reshape(len(w), -1)).reshape(self.batch.shape[1:])
-        if self.reads is not None:
-            return StringValues(out, self.reads)
-        if self.ops:
-            return string_values(self.ops, list(out))
-        return [out] if out.ndim == 1 else list(out)
+        return out if self.reads is None else StringValues(out, self.reads)
 
 
 @dataclass(frozen=True)
 class StringValues:
-    """A noisy output as the estimators read it: ``values`` holds tr(rho P)
-    per noise level (rows) for strings P (columns); ``reads`` holds, per
-    operator, its strings in sorted label order and the columns of those
-    after the identity."""
+    """A noisy output as the estimators read it: ``values`` holds tr(X P)
+    per noise level (rows) for strings P (columns), X the level's density
+    matrix or coherence block.  ``reads`` holds, per operator, its strings
+    in sorted label order and the columns of those it reads: the real
+    values of those after the identity for an expectation, the complex
+    values of all of them for a block (module notes)."""
 
     values: np.ndarray
     reads: tuple
 
     def of(self, op: PauliSum):
-        """``op``'s strings and the (strings, levels) values of those after
-        the identity."""
+        """``op``'s strings and the (strings, levels) values it reads."""
         for known, strings, cols in self.reads:
             if known is op:
                 return strings, self.values[:, cols].T
@@ -604,18 +597,41 @@ class StringValues:
                          "a cost must read exactly its ops")
 
 
-def string_values(ops: Sequence[PauliSum], states: list[np.ndarray]) -> StringValues:
-    """The values tr(rho P) of every string P of the hermitian ``ops`` after
-    the identity, on each noise level's density matrix of ``states``."""
-    reads, blocks, n = [], [], 0
+def _reads(ops: Sequence[PauliSum], block: bool, table) -> tuple[tuple, np.ndarray]:
+    """The ``reads`` of ``StringValues`` for ``ops``, and the row of
+    ``table`` each column reads.  Each distinct string is one column, in
+    order of first occurrence, the identity only in a block read.
+    ``table(op)`` gives ``op``'s strings in sorted label order and one row
+    per string; a column takes its row from the first operator holding it."""
+    columns: dict[tuple[int, int], int] = {}
+    rows, reads = [], []
     for op in ops:
-        tables = [string_traces(op, rho) for rho in states]
-        strings = tables[0][0]
-        ident = _has_identity(strings)
-        blocks.append(np.array([vals.real[ident:] for _, vals in tables]))
-        reads.append((op, strings, np.arange(n, n + len(strings) - ident)))
-        n += len(strings) - ident
-    return StringValues(np.concatenate(blocks, axis=1), tuple(reads))
+        strings, op_rows = table(op)
+        cols = []
+        for (_, x, z, _), row in zip(strings, op_rows):
+            if block or x or z:
+                if (x, z) not in columns:
+                    columns[x, z] = len(rows)
+                    rows.append(row)
+                cols.append(columns[x, z])
+        reads.append((op, strings, np.array(cols, dtype=np.intp)))
+    return tuple(reads), np.array(rows, dtype=complex)
+
+
+def _string_values(ops: Sequence[PauliSum], stack: np.ndarray,
+                   block: bool) -> StringValues:
+    """The values of the strings of ``ops`` on each density matrix, or
+    coherence block when ``block``, of a (..., 2^m, 2^m) ``stack``: values
+    of shape (..., strings)."""
+    flat = stack.reshape((-1,) + stack.shape[-2:])
+
+    def table(op):
+        traces = [string_traces(op, x) for x in flat]
+        return traces[0][0], np.array([t for _, t in traces]).T
+
+    reads, rows = _reads(ops, block, table)
+    values = rows.T.reshape(stack.shape[:-2] + (-1,))
+    return StringValues(values if block else values.real, reads)
 
 
 def _has_identity(strings: list) -> int:
@@ -640,7 +656,7 @@ def slot_gates(circ: Circuit) -> list[int]:
 
 
 def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
-                 ops: Sequence[PauliSum] = ()) -> Iterator[Restriction]:
+                 ops: Sequence[PauliSum]) -> Iterator[Restriction]:
     """Each slot's restriction in turn, for one coordinate sweep.
 
     The state before slot d's gate, under noise one batch holding a
@@ -648,53 +664,46 @@ def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
     advanced with the angles ``theta`` holds when slot d is reached: the
     caller moves theta[d] in place before it asks for slot d + 1.  The
     rest of the circuit is the carried unitary, the pulled-back strings or
-    a suffix run per slot, by the rules of the module notes.  Under noise,
-    the hermitian ``ops`` are the operators the caller estimates on the
-    output, and each output is then their strings' values.  The circuit
-    must pass ``slot_gates``.
+    a suffix run per slot, by the rules of the module notes.  ``ops`` are
+    the operators the caller estimates on the output; under noise each
+    output is their strings' values.  The circuit must pass
+    ``slot_gates``.
     """
     _check_theta(circ, theta)
     gates = circ.gates
     at = slot_gates(circ)
     levels = _noise_levels(noise) if noise.enabled else None
     dim = 1 << circ.width
+    # where each slot's split batch stops: its next two-qubit gate when
+    # pulled back, the end of the circuit otherwise
+    stop = dict.fromkeys(at, len(gates))
+    # rest is the carried S_d, pulled the stacks by the gate they start at
+    reads = rest = pulled = None
     if levels is None:
         state = np.zeros(dim, dtype=complex)
         state[0] = 1.0
-        ops = ()
     else:
         state = np.zeros((len(levels), dim, dim), dtype=complex)
         state[:, 0, 0] = 1.0
-        ops = tuple(ops)
-    carry = levels is None and dim <= circ.n_slots
-    rest = None  # the carried S_d
-    pulled = None  # the pulled-back stacks, by the gate index they start at
-    if ops:
-        pairs = [i for i, g in enumerate(gates) if len(g.qubits) == 2]
-        pairs.append(len(gates))
-        # each slot's next two-qubit gate, or the end of the circuit
-        stop = {i: pairs[bisect.bisect(pairs, i)] for i in at}
-        stops = sorted(set(stop.values()))
-        strings = len(set().union(*(op.masks for op in ops)) - {(0, 0)})
+        block = any(g.side for g in gates)
+        pairs = [i for i, g in enumerate(gates) if len(g.qubits) == 2] + [len(gates)]
+        nearest = {i: pairs[bisect.bisect(pairs, i)] for i in at}
+        stops = sorted(set(nearest.values()))
+        strings = len(set().union(*(op.masks for op in ops))
+                      - (set() if block else {(0, 0)}))
         # the rule of the module notes: gate steps, then the entries held
-        suffix = 3 * sum(len(gates) - 1 - i for i in stop)
+        suffix = 3 * sum(len(gates) - 1 - i for i in at)
         held = (len(stops) + 2) * len(levels) * strings * dim * dim
         if strings * len(gates) <= suffix and held <= _PULL_BACK_ENTRIES:
-            reads, mats = _string_union(ops, dim)
-            pulled = _pull_back(gates, stops, theta, levels, mats)
+            reads, mats = _reads(ops, block, string_matrices)
+            pulled = _pull_back(gates, stops, theta, levels,
+                                mats.reshape(-1, dim, dim))
+            stop = nearest
+    carry = levels is None and dim <= circ.n_slots
     done = 0
     for i in at:
         state = _evolve(state, gates[done:i], theta, levels)
-        if pulled is not None:
-            batch = _evolve(_split(state[None], gates[i], levels),
-                            gates[i + 1:stop[i]], theta, levels)
-            # (levels, members, 4^m) times (levels, 4^m, strings)
-            traces = np.matmul(batch.reshape(len(batch), len(levels), -1)
-                               .transpose(1, 0, 2), pulled[stop[i]])
-            batch = traces.real.transpose(1, 0, 2)
-        elif not carry:
-            batch = _slot_suffix(state, gates, i, theta, levels)
-        else:
+        if carry:
             if rest is None:
                 # row j of the run is S e_j
                 rest = apply_gates(np.eye(dim, dtype=complex),
@@ -705,26 +714,19 @@ def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
                 for target, control, u, _ in _fused(gates[done + 1:i + 1], theta):
                     _apply(rest, u.conj(), target, control)
             batch = _split(state[None], gates[i], None) @ rest.T
+        else:
+            batch = _evolve(_split(state[None], gates[i], levels),
+                            gates[i + 1:stop[i]], theta, levels)
+            if pulled is not None:
+                # (levels, members, 4^m) times (levels, 4^m, strings)
+                traces = np.matmul(batch.reshape(len(batch), len(levels), -1)
+                                   .transpose(1, 0, 2), pulled[stop[i]])
+                batch = (traces if block else traces.real).transpose(1, 0, 2)
+            elif levels is not None:
+                members = _string_values(ops, batch, block)
+                batch, reads = members.values, members.reads
         done = i
-        yield Restriction(batch, None if pulled is None else reads, ops)
-
-
-def _string_union(ops: Sequence[PauliSum], dim: int) -> tuple[tuple, np.ndarray]:
-    """The ``reads`` of ``StringValues`` for ``ops``, and the dense
-    matrices of the union of their non-identity strings, in column order."""
-    columns: dict[tuple[int, int], int] = {}
-    mats, reads = [], []
-    for op in ops:
-        strings, dense = string_matrices(op)
-        cols = []
-        for (_, x, z, _), mat in zip(strings, dense):
-            if x or z:
-                if (x, z) not in columns:
-                    columns[x, z] = len(mats)
-                    mats.append(mat)
-                cols.append(columns[x, z])
-        reads.append((op, strings, np.array(cols, dtype=np.intp)))
-    return tuple(reads), np.array(mats, dtype=complex).reshape(-1, dim, dim)
+        yield Restriction(batch, reads)
 
 
 def _pull_back(gates: Sequence[Gate], stops: list[int], theta: np.ndarray,
@@ -767,14 +769,6 @@ def _evolve(states: np.ndarray, gates: Sequence[Gate], theta: np.ndarray,
     return _evolve_density(states, gates, theta, levels)
 
 
-def _slot_suffix(state: np.ndarray, gates: Sequence[Gate], i: int,
-                 theta: np.ndarray, levels: list[float] | None) -> np.ndarray:
-    """The restriction's batch: ``state`` split at the slot's gate
-    ``gates[i]``, then run through every gate after it."""
-    return _evolve(_split(state[None], gates[i], levels), gates[i + 1:], theta,
-                   levels)
-
-
 def _split(batch: np.ndarray, gate: Gate, levels: list[float] | None) -> np.ndarray:
     """Every member of ``batch`` split at the rotation ``gate`` (see the
     module notes), the new components outermost; a one-sided ``gate`` acts
@@ -799,16 +793,17 @@ def _split(batch: np.ndarray, gate: Gate, levels: list[float] | None) -> np.ndar
 
 
 def _estimate_sum(values: np.ndarray, coeffs: Sequence, settings: MeasurementSettings,
-                  rng: np.random.Generator | None, total):
+                  boost: float, rng: np.random.Generator | None, total):
     """``total`` plus coeff * estimate, string by string, from the strings'
     exact values: a (strings, levels) array for an expectation, or a
     (strings, 2, levels) one holding Re and -Im for an overlap.  Sampled,
     every value takes a binomial draw, all in one call in C order; two
-    levels are then extrapolated to zero noise."""
+    levels, p2 and ``boost`` * p2, are then extrapolated to zero noise."""
     rows = values.reshape(-1, values.shape[-1])
     if settings.mode == "sampled":
         rows = sample_z_value(rows, settings.shots, rng)
-    est = zne_extrapolate(rows[:, 0], rows[:, 1]) if rows.shape[1] == 2 else rows[:, 0]
+    est = (zne_extrapolate(rows[:, 0], rows[:, 1], boost) if rows.shape[1] == 2
+           else rows[:, 0])
     if values.ndim == 3:
         est = [complex(re, -im) for re, im in est.reshape(-1, 2).tolist()]
     else:
@@ -824,37 +819,35 @@ def sample_pauli_expectation(circ: Circuit, theta, op: PauliSum,
                              settings: MeasurementSettings,
                              noise: NoiseModel,
                              rng: np.random.Generator | None = None,
-                             states: list[np.ndarray] | StringValues | None = None,
+                             states: np.ndarray | StringValues | None = None,
                              ) -> float:
     """<A> on the circuit's output state, honoring mode and noise.
 
     The identity component is added exactly and every other string is
     estimated (module notes).  ``states`` is the output of
-    ``simulate(circ, theta, noise)`` when the caller already has it, so
-    several operators can be estimated on one simulation, or, under noise,
-    ``string_values`` of it for operators that include ``op``, which were
-    checked hermitian there.
+    ``simulate(circ, theta, noise, ops)`` when the caller already has it,
+    for operators ``ops`` that include ``op``, so several operators can be
+    estimated on one simulation; the cost that names them checks them
+    hermitian.
     """
     if not isinstance(states, StringValues) and not op.is_hermitian():
         raise ValueError("expectation sampling requires a hermitian operator")
     if settings.mode == "sampled" and rng is None:
         rng = settings.make_rng()
     if states is None:
-        states = simulate(circ, theta, noise)
-    if noise.enabled and not isinstance(states, StringValues):
-        states = string_values([op], states)
+        states = simulate(circ, theta, noise, [op])
     if isinstance(states, StringValues):
         strings, values = states.of(op)
     elif settings.mode == "exact":
-        return expectation_from_state(states[0], op)
+        return expectation_from_state(states, op)
     else:
-        strings, vals = string_overlaps(op, states[0], states[0])
+        strings, vals = string_overlaps(op, states, states)
         values = vals.real[_has_identity(strings):, None]
     # the identity's value is exactly 1
     ident = len(strings) - len(values)
     total = strings[0][3].real if ident else 0.0
     return float(_estimate_sum(values, [c.real for _, _, _, c in strings[ident:]],
-                               settings, rng, total))
+                               settings, noise.boost, rng, total))
 
 
 def expectation_from_state(psi: np.ndarray, op: PauliSum) -> float:
@@ -937,12 +930,13 @@ class OverlapEngine:
 
     def estimate_sum(self, theta, op: PauliSum,
                      rng: np.random.Generator | None = None,
-                     states: list[np.ndarray] | None = None) -> complex:
+                     states: np.ndarray | StringValues | None = None) -> complex:
         """Sum of coeff * <psi1|P|psi2(theta)> over the strings of ``op``.
 
-        ``states`` is the output of ``simulate(self.circuit, theta, noise)``
-        when the caller already has it: U2(theta)|0> without noise, the
-        evolved coherence block per noise level with it.
+        ``states`` is the output of ``simulate(self.circuit, theta, noise,
+        ops)`` when the caller already has it, for operators ``ops`` that
+        include ``op``: U2(theta)|0> without noise, the values of the
+        strings on the coherence block per noise level with it.
         """
         if op.width != self.m:
             raise ValueError("operator width mismatch")
@@ -950,17 +944,18 @@ class OverlapEngine:
         if settings.mode == "sampled" and rng is None:
             rng = settings.make_rng()
         if states is None:
-            states = simulate(self.circuit, theta, self.noise)
+            states = simulate(self.circuit, theta, self.noise, [op])
         if not self.noise.enabled:
             if settings.mode == "exact":
-                return complex(np.vdot(self.psi1, apply_sum(op, states[0])))
-            strings, overlaps = string_overlaps(op, self.psi1, states[0])
+                return complex(np.vdot(self.psi1, apply_sum(op, states)))
+            strings, overlaps = string_overlaps(op, self.psi1, states)
             rows = overlaps[None, :]
         else:
-            tables = [string_traces(op, block) for block in states]
-            strings = tables[0][0]
-            rows = self._damping(op, strings) * np.array([t for _, t in tables])
+            strings, values = states.of(op)
+            if len(values) < len(strings):  # no one-sided gate: trace 1 known
+                values = np.concatenate([np.ones((1, values.shape[1])), values])
+            rows = self._damping(op, strings) * values.T
         # per string, Re and -Im of its value at each level
         values = np.stack([rows.real, -rows.imag]).transpose(2, 0, 1)
         return _estimate_sum(values, [coeff for _, _, _, coeff in strings],
-                             settings, rng, 0.0 + 0j)
+                             settings, self.noise.boost, rng, 0.0 + 0j)

@@ -142,7 +142,9 @@ class CorrectionProblem:
         noise, the overlap; the noisy overlap reads the Hadamard test's
         coherence block (``OverlapEngine.circuit``), the cost's second
         circuit, whose every slot drives one gate on the block's rows.
-        Estimates are drawn in the order <Q+Q>, overlap, penalty.
+        Each circuit carries the operators read on it: Q+Q and the penalty
+        on the ansatz, V+Q on the block.  Estimates are drawn in the order
+        <Q+Q>, overlap, penalty.
         As an operator g is M = Q+Q + penalty - |w><w| / <V|V>: the overlap
         is <w|psi> with w = (V+Q)+ |psi0> = (z* + D) V|psi0>, which reuses
         the compiled D and V instead of compiling the adjoint of V+Q.
@@ -166,8 +168,10 @@ class CorrectionProblem:
                                                   settings, noise, rng, states)
             return value
 
-        circuits = [circ, engine.circuit] if noise.enabled else [circ]
-        return CircuitCost(circuits, settings, noise, read, ops, w / np.sqrt(v_norm))
+        if noise.enabled:
+            return CircuitCost([circ, engine.circuit], settings, noise, read,
+                               [ops, [vdq]], w / np.sqrt(v_norm))
+        return CircuitCost([circ], settings, noise, read, [ops], w / np.sqrt(v_norm))
 
 
 def solve_correction_vector(problem: CorrectionProblem, z: complex,
@@ -226,8 +230,10 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
             history.clear()
 
     _, engine = problem.engine_for(replace(cur, depth=best_depth))
-    states = simulate(engine.circuit, best_theta, problem.noise)
-    denom = engine.estimate_sum(best_theta, problem.vdq(z), rng, states)
+    vdq = problem.vdq(z)
+    states = simulate(engine.circuit, best_theta, problem.noise,
+                      [vdq, *problem.element_ops])
+    denom = engine.estimate_sum(best_theta, vdq, rng, states)
     converged = bool(best_val / v_norm < options.epsilon)
     if abs(denom) < 1e-10:
         gamma, elements, converged = 0j, zeros, False

@@ -7,24 +7,18 @@ each angle: the value at the slot's angle and at +-pi/2 from it give the
 coordinate minimum in closed form, so no step sizes or gradients appear
 anywhere.
 
-Every mode reads a slot off the circuit's restriction to it
-(``circuits.restrictions``), and every slot drives one rotation: the state
-before the slot's gate is kept and advanced by one gate range per slot,
-and the rest of the circuit applied to its split batch gives the output at
-any angle of the slot.  A noiseless circuit with 2^m <= n_slots carries
-the rest as one 2^m x 2^m unitary, built once per sweep and peeled by one
-gate range per slot.  A noisy circuit, when the cost's operators have few
-strings against its slots and a small register, has those strings pulled
-back through the rest once per sweep, and reads each slot as their values
-(the rule is in the notes of ``circuits``).  Other circuits, the noisy
-overlap's coherence block among them, run the rest on each slot's batch.
-A sampled or noisy cost is then estimated on the outputs at +-pi/2 and at
-the angle the slot moves to, three estimates per slot, drawn as the
-estimators would on full simulations.  An exact cost <psi|M|psi> needs no estimate: with phi the
-state before slot d's gate R(t) = exp(-i t s/2) and S the rest of the
-circuit, psi(t) = cos(t/2) a + sin(t/2) b for a = S phi and b = -i S s phi,
-and the 2x2 matrix K of M on the pair (a, b) gives the slot's whole
-sinusoid.
+Every mode reads a slot off each circuit's restriction to it
+(``circuits.restrictions``), and every slot drives one rotation: the rest
+of the circuit is a carried unitary, a pull-back or a suffix run per slot,
+by the rules in the notes of ``circuits``.  Each circuit of a cost carries
+the operators estimated on its output, so under noise its restriction,
+like a full run, gives their strings' values.  A sampled or noisy cost is
+estimated on the outputs at +-pi/2 and at the angle the slot moves to,
+three estimates per slot, drawn as on full simulations.  An exact cost
+<psi|M|psi> needs no estimate: with phi the state before slot d's gate
+R(t) = exp(-i t s/2) and S the rest of the circuit,
+psi(t) = cos(t/2) a + sin(t/2) b for a = S phi and b = -i S s phi, and the
+2x2 matrix K of M on the pair (a, b) gives the slot's whole sinusoid.
 """
 
 from __future__ import annotations
@@ -35,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import (Circuit, MeasurementSettings, NoiseModel, restrictions,
-                       sample_pauli_expectation, simulate, slot_gates,
-                       string_values)
+                       sample_pauli_expectation, simulate, slot_gates)
 from .pauli import PauliSum, apply_sum
 
 VALID_ROTATIONS = ("RX", "RY", "RZ")
@@ -144,30 +137,29 @@ class CircuitCost:
     """A cost read off the outputs of circuits that share one set of slots,
     in the form ``rotosolve_sweep`` reads slot by slot.
 
-    ``read(outputs)`` estimates the cost from a list holding, per circuit,
-    its output as ``simulate`` gives it, drawing shots as it goes; calling
-    the object evaluates the cost at full angles.  ``ops`` and ``w`` give
-    the same cost as <psi|M|psi> on the first circuit's output, with M the
-    sum of ``ops`` (hermitian sums, kept apart so that each keeps its
-    compiled action) minus |w><w|.  Under noise ``ops`` are also what
-    ``read`` estimates on that output: it is handed their strings' values
-    (``string_values``), at full angles as in a sweep, where they may come
-    from a pull-back, so a ``read`` that estimates anything else fails on
-    its first call.  With exact, noiseless measurement the sweep reads each
-    slot off the 2x2 matrix of M (``matrix``), so the first circuit is then
-    checked as every sweep reads it (``circuits.slot_gates``): one RX, RY or
-    RZ per slot.
+    ``ops`` holds, per circuit, the operators ``read`` estimates on its
+    output.  ``read(outputs)`` estimates the cost from a list holding each
+    circuit's output as ``simulate`` gives it for those operators, drawing
+    shots as it goes, so under noise a ``read`` that estimates another
+    operator fails on its first call; calling the object evaluates the cost
+    at full angles.  The first circuit's operators (hermitian sums, kept
+    apart so that each keeps its compiled action) and ``w`` give the same
+    cost as <psi|M|psi> on that circuit's output, M their sum minus |w><w|.
+    With exact, noiseless measurement the sweep reads each slot off the
+    2x2 matrix of M (``matrix``), so the first circuit is then checked as
+    every sweep reads it (``circuits.slot_gates``): one RX, RY or RZ per
+    slot.
     """
 
     def __init__(self, circuits: Sequence[Circuit], settings: MeasurementSettings,
                  noise: NoiseModel, read: Callable[[list], float],
-                 ops: Sequence[PauliSum], w: np.ndarray | None = None):
-        if not all(op.is_hermitian() for op in ops):
-            raise ValueError("a cost's operators must be hermitian")
+                 ops: Sequence[Sequence[PauliSum]], w: np.ndarray | None = None):
         self.circuits = list(circuits)
+        self.ops = [tuple(o) for o in ops]
+        if not all(op.is_hermitian() for op in self.ops[0]):
+            raise ValueError("a cost's operators must be hermitian")
         self.noise = noise
         self.read = read
-        self.ops = tuple(ops)
         self.w = w
         self.exact = settings.mode == "exact" and not noise.enabled
         if self.exact:
@@ -177,16 +169,14 @@ class CircuitCost:
         self.closed: tuple[np.ndarray, float] | None = None
 
     def __call__(self, theta: np.ndarray) -> float:
-        outputs = [simulate(c, theta, self.noise) for c in self.circuits]
-        if self.noise.enabled:
-            outputs[0] = string_values(self.ops, outputs[0])
-        return float(self.read(outputs))
+        return float(self.read([simulate(c, theta, self.noise, o) for c, o
+                                in zip(self.circuits, self.ops, strict=True)]))
 
     def matrix(self, pair: np.ndarray) -> tuple[np.ndarray, float]:
         """K[i, j] = <pair_i|M|pair_j> for a (2, 2^m) pair of states, and
         the size of the terms summed into K: max |<pair|ops|pair>| plus
         max |<pair|w>|^2.  Round-off in K is a few eps times that size."""
-        k = pair.conj() @ sum(apply_sum(op, pair) for op in self.ops).T
+        k = pair.conj() @ sum(apply_sum(op, pair) for op in self.ops[0]).T
         scale = float(np.abs(k).max())
         if self.w is not None:
             x = pair @ self.w.conj()
@@ -216,20 +206,18 @@ def rotosolve_sweep(cost, theta: np.ndarray,
     ``cost(theta)`` evaluates ``form`` at full angles (pass ``form``
     itself unless the call is to be observed); it is called once, at the
     start.  Each slot's restriction then comes from ``circuits.restrictions``
-    per circuit of ``form``: the split pair times the carried unitary of
-    the rest of the circuit for a noiseless circuit with 2^m <= n_slots;
-    for a noisy first circuit whose ``form.ops`` have few strings against
-    its slots, the values of those strings pulled back once per sweep; a
-    suffix run per slot otherwise.  With exact, noiseless measurement
-    the restriction of the first circuit is a pair of states (a, b), and
-    the slot's whole sinusoid is read off the 2x2 matrix K of the cost on
-    it: a slot whose sinusoid is flat, its amplitude within
-    round-off of the terms summed into K, keeps its angle, and the value at
-    the slot's current angle must equal the carried one, the full
-    evaluation at slot 0 and the previous slot's closed-form minimum after
-    that, or AssertionError is raised.  Otherwise the cost is estimated on
-    the outputs at +-pi/2 from the slot's angle and at the angle it moves
-    to, in that order; the last is the next slot's value at its angle.
+    per circuit of ``form``, with that circuit's operators: a statevector
+    without noise, its operators' string values with it.  With exact,
+    noiseless measurement the restriction of the first circuit is a pair
+    of states (a, b), and the slot's whole sinusoid is read off the 2x2
+    matrix K of the cost on it: a slot whose sinusoid is flat, its
+    amplitude within round-off of the terms summed into K, keeps its
+    angle, and the value at the slot's current angle must equal the
+    carried one, the full evaluation at slot 0 and the previous slot's
+    closed-form minimum after that, or AssertionError is raised.
+    Otherwise the cost is estimated on the outputs at +-pi/2 from the
+    slot's angle and at the angle it moves to, in that order; the last is
+    the next slot's value at its angle.
     """
     theta = np.array(theta, dtype=float)
     current = float(cost(theta))
@@ -238,8 +226,8 @@ def rotosolve_sweep(cost, theta: np.ndarray,
     if form.exact and form.closed is not None and np.array_equal(form.closed[0], theta):
         _check_carried(current, form.closed[1], "sweep start")
     half = 0.5 * np.pi
-    slots = zip(*(restrictions(c, theta, form.noise, form.ops if i == 0 else ())
-                  for i, c in enumerate(form.circuits)))
+    slots = zip(*(restrictions(c, theta, form.noise, o)
+                  for c, o in zip(form.circuits, form.ops, strict=True)))
     for d, parts in enumerate(slots):
         base = theta[d]
         if form.exact:
@@ -312,7 +300,7 @@ def vqe_ground_state(h: PauliSum, spec: AnsatzSpec,
         return sample_pauli_expectation(circ, None, cost_op, settings, noise,
                                         rng, outputs[0])
 
-    cost = CircuitCost([circ], settings, noise, read, [cost_op])
+    cost = CircuitCost([circ], settings, noise, read, [[cost_op]])
     if theta0 is None:
         theta = rng.uniform(-0.1, 0.1, size=spec.n_slots)
     else:

@@ -22,8 +22,9 @@ import itertools
 
 import numpy as np
 
-from corrvec.circuits import (ONE_QUBIT_KINDS, Circuit, Gate, ccx_gates,
-                              sample_z_value, zne_extrapolate)
+from corrvec.circuits import (ONE_QUBIT_KINDS, Circuit, Gate, _depolarize,
+                              _mixing_weight, ccx_gates, sample_z_value,
+                              zne_extrapolate)
 from corrvec.pauli import PauliSum
 
 EYE2 = np.eye(2, dtype=complex)
@@ -149,6 +150,14 @@ def depolarize_kraus(rho: np.ndarray, q1: int, q2: int, p2: float, m: int) -> np
     for pm in _pauli_pairs(q1, q2, m):
         acc += pm @ rho @ pm.conj().T
     return (1.0 - p2) * rho + (p2 / 15.0) * (acc - rho)
+
+
+def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2, m: int) -> np.ndarray:
+    """The package's two-qubit depolarizing channel on (q1, q2), for a
+    density matrix or each of a (..., 2^m, 2^m) batch.  ``p2`` is one
+    strength, or one per noise level of a (..., levels, 2^m, 2^m) batch."""
+    c = _mixing_weight(p2)
+    return _depolarize(rho, q1, q2, c, m) if c.any() else rho
 
 
 def run_density(circ: Circuit, theta=None, p2: float = 0.0) -> np.ndarray:
@@ -290,10 +299,10 @@ def _simulate(circ: Circuit, theta, level) -> np.ndarray:
     return run_pure(circ, th) if level is None else run_density(circ, th, p2=level)
 
 
-def _draw(values: list[float], settings, rng) -> float:
+def _draw(values: list[float], settings, noise, rng) -> float:
     if settings.mode == "sampled":
         values = [sample_z_value(v, settings.shots, rng) for v in values]
-    return zne_extrapolate(*values) if len(values) == 2 else values[0]
+    return zne_extrapolate(*values, noise.boost) if len(values) == 2 else values[0]
 
 
 def estimate_expectation(circ: Circuit, theta, op: PauliSum, settings, noise,
@@ -309,7 +318,7 @@ def estimate_expectation(circ: Circuit, theta, op: PauliSum, settings, noise,
         p = string_matrix(label)
         values = [float(np.vdot(st, p @ st).real) if st.ndim == 1
                   else float(np.trace(st @ p).real) for st in states]
-        total += op.coefficient(label).real * _draw(values, settings, rng)
+        total += op.coefficient(label).real * _draw(values, settings, noise, rng)
     return float(total)
 
 
@@ -326,6 +335,7 @@ def estimate_overlap(u1_bound: Circuit, u2: Circuit, theta, op: PauliSum,
             circ = overlap_circuit(u1_bound, u2_bound, label, phi)
             values = [ancilla_z(_simulate(circ, None, lvl))
                       for lvl in _levels(noise)]
-            parts.append(_draw(values, settings, rng))
+            parts.append(_draw(values, settings, noise, rng))
         total += op.coefficient(label) * complex(parts[0], -parts[1])
     return total
+

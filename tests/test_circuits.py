@@ -11,7 +11,6 @@ from corrvec.circuits import (
     NoiseModel,
     OverlapEngine,
     ccx_gates,
-    depolarize_pair,
     expectation_from_state,
     run_density,
     run_pure,
@@ -27,6 +26,7 @@ from kron_reference import (
     assert_valid_density,
     assert_valid_state,
     circuit_unitary,
+    depolarize_pair,
     estimate_expectation,
     estimate_overlap,
     make_controlled,
@@ -254,8 +254,8 @@ def test_zne_extrapolates_mixed_rows_as_one_pair_at_a_time():
     array, each as the scalar rule gives it and with no warning."""
     e_p = np.array([0.8, 0.1, 0.3, -0.5, 0.2, 0.0])
     e_2p = np.array([0.6, -0.2, 1e-13, -0.4, 0.0, 0.0])
-    rows = zne_extrapolate(e_p, e_2p)
-    assert rows.tolist() == [zne_extrapolate(a, b) for a, b
+    rows = zne_extrapolate(e_p, e_2p, 2.0)
+    assert rows.tolist() == [zne_extrapolate(a, b, 2.0) for a, b
                              in zip(e_p.tolist(), e_2p.tolist())]
     assert rows[0] == 0.8 * 0.8 / 0.6
     assert rows[1] == 2.0 * 0.1 + 0.2
@@ -265,9 +265,24 @@ def test_zne_closed_form():
     e_true, c, p = 0.8, 120.0, 1e-3
     e_p = e_true * np.exp(-c * p)
     e_2p = e_true * np.exp(-2 * c * p)
-    assert zne_extrapolate(e_p, e_2p) == pytest.approx(e_true, abs=1e-12)
+    assert zne_extrapolate(e_p, e_2p, 2.0) == pytest.approx(e_true, abs=1e-12)
     # inconsistent pair falls back to the linear rule
-    assert zne_extrapolate(0.1, -0.2) == pytest.approx(0.4)
+    assert zne_extrapolate(0.1, -0.2, 2.0) == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("boost", [1.5, 2.0, 3.0])
+def test_zne_extrapolates_at_the_configured_boost(boost):
+    """Estimates at p2 and boost * p2 extrapolate to the zero-noise value
+    for any boost: exactly for exponential decay, and for linear data that
+    changes sign between the two strengths, where the rule falls back to
+    Richardson.  A negative decaying pair keeps its sign."""
+    p = 0.01
+    for scale in (0.8, -0.8):
+        decaying = [scale * np.exp(-5.0 * q) for q in (p, boost * p)]
+        assert zne_extrapolate(*decaying, boost) == pytest.approx(scale, abs=1e-12)
+    linear = [0.1 - 8.0 * q for q in (p, boost * p)]
+    assert linear[0] > 0 > linear[1]
+    assert zne_extrapolate(*linear, boost) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_sample_pauli_expectation_exact_mode(rng):

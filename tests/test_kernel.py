@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from corrvec import circuits, pauli
 from corrvec.circuits import (ROTATION_KINDS, Circuit, MeasurementSettings,
-                              NoiseModel, OverlapEngine, depolarize_pair,
-                              restrictions, run_density, run_pure, simulate)
+                              NoiseModel, OverlapEngine, restrictions,
+                              run_density, run_pure)
 from corrvec.oracle import materialize
 from corrvec.pauli import (PauliSum, apply_sum, precompile, precompiled_sum,
                            string_overlaps, string_traces)
 from corrvec.vqe import AnsatzSpec, build_hea, vqe_ground_state
 import kron_reference as ref
+from kron_reference import depolarize_pair
 
 TOL = 1e-12
 ONE_QUBIT = ("H", "X", "PHASE", "RX", "RY", "RZ")
@@ -221,7 +222,7 @@ def test_overlap_circuits_match_kron(case):
             # prefix's, and its closed-form suffix against the literal
             # circuit, on the drawn label and on fixed ones whose weight
             # counts Z letters
-            (block,) = simulate(engine.circuit, th, noise)
+            block = run_density(engine.circuit, th, p2=p2)
             assert max_diff(engine.block_scale[0] * block,
                             ref.run_density(prefix, p2=p2)[half:, :half]) <= TOL, p2
             for fixed in (label, "Z" * width, ("XZ" * width)[:width]):
@@ -250,12 +251,15 @@ def test_restrictions_match_full_runs(case, spec, p2, seed):
     the slot at that angle, while the sweep moves each slot in turn, so
     each slot also checks the prefix its predecessors advanced.  "pure"
     runs the ansatz without noise, "noisy" at one noise level and "zne" at
-    both ZNE levels where the boosted p2 is valid; both also draw an
-    operator, and the sweep that pulls its strings back gives their values
-    of those full runs.  "overlap" sweeps the coherence block of an
-    ``OverlapEngine`` whose U2 is the ansatz, against the block of the
-    literal (m+1)-qubit prefix, and with the operator against full runs of
-    the block."""
+    both ZNE levels where the boosted p2 is valid.  A noisy restriction is
+    read through operators: up to width 3 first through every string of
+    the register, which determines the density matrices, then through a
+    drawn operator.  "overlap" sweeps the coherence block of an
+    ``OverlapEngine`` whose U2 is the ansatz: its complex string values,
+    the identity's included, against those of the block of the literal
+    (m+1)-qubit prefix, then the drawn operator's against full runs of the
+    block.  Many strings run a suffix per slot and few are pulled back
+    (module notes), so both paths are checked."""
     rng = np.random.default_rng(seed)
     noise = (NoiseModel() if case == "pure" else
              NoiseModel(enabled=True, p2=p2,
@@ -264,6 +268,10 @@ def test_restrictions_match_full_runs(case, spec, p2, seed):
     labels = ["".join(rng.choice(list("IXYZ"), spec.width))
               for _ in range(rng.integers(1, 9))]
     op = PauliSum(spec.width, zip(labels, rng.uniform(-2.0, 2.0, len(labels))))
+    every = op
+    if spec.width <= 3:
+        strings = ["".join(p) for p in itertools.product("IXYZ", repeat=spec.width)]
+        every = PauliSum(spec.width, zip(strings, rng.uniform(0.5, 2.0, len(strings))))
     circ = build_hea(spec)
     if case == "overlap":
         u1 = build_hea(replace(spec, depth=1))
@@ -276,19 +284,19 @@ def test_restrictions_match_full_runs(case, spec, p2, seed):
             return [run_density(prefix, p2=lvl)[half:, :half]
                     for lvl in levels_of(noise)]
 
-        check_sweep(engine.circuit, noise, theta.copy(), probes, moves,
+        check_sweep(engine.circuit, noise, theta.copy(), probes, moves, every,
                     literal=(literal, engine.block_scale))
-        # the real parts of its strings' values, pulled back through the
-        # one-sided gates or read off suffix runs
         circ = engine.circuit
-    else:
+    elif case == "pure":
         check_sweep(circ, noise, theta.copy(), probes, moves)
+    elif every is not op:
+        check_sweep(circ, noise, theta.copy(), probes, moves, every)
     if case != "pure":
         check_sweep(circ, noise, theta, probes, moves, op)
 
 
 @pytest.mark.parametrize("pattern", [("RX",), ("RX", "RZ")])
-def test_pulled_back_strings_under_full_depolarization(pattern):
+def test_pulled_back_strings_under_full_depolarization(pattern, monkeypatch):
     """At p2 = 15/16 every pair channel leaves the maximally mixed pair;
     the pulled-back values of an RX ansatz still match full runs."""
     spec = AnsatzSpec(3, 2, pattern)
@@ -297,8 +305,12 @@ def test_pulled_back_strings_under_full_depolarization(pattern):
                       ("ZZZ", 1.1)])
     rng = np.random.default_rng(len(pattern))
     theta, probes, moves = rng.uniform(-np.pi, np.pi, (3, spec.n_slots))
-    assert next(restrictions(build_hea(spec), theta, noise, [op])).reads is not None
+    passes = []
+    pull_back = circuits._pull_back
+    monkeypatch.setattr(circuits, "_pull_back",
+                        lambda *args: passes.append(1) or pull_back(*args))
     check_sweep(build_hea(spec), noise, theta, probes, moves, op)
+    assert passes == [1]
 
 
 def levels_of(noise):
@@ -306,40 +318,45 @@ def levels_of(noise):
 
 
 def full_runs(circ, theta, noise):
-    return ([run_pure(circ, theta)] if not noise.enabled else
-            [run_density(circ, theta, p2=lvl) for lvl in levels_of(noise)])
+    return [run_density(circ, theta, p2=lvl) for lvl in levels_of(noise)]
 
 
 def check_sweep(circ, noise, theta, probes, moves, op=None, literal=None):
     """Each slot's restriction at its probe angle against a full run, the
     sweep moving each slot to its ``moves`` angle after it is checked.
-    With ``op`` the restrictions are read as the values of its strings
-    after the identity, per noise level, and checked against
-    ``string_traces`` of each level's full run.  With ``literal``, a pair
-    (function of the probe angles, scale per level), the restriction times
-    the scale is checked against that function's blocks instead: divided by
-    the scale, where it is not 0, so that a small scale hides nothing."""
+    Without noise the restriction is a statevector.  With it, it is read
+    as the values of the strings of ``op`` per noise level, checked against
+    ``string_traces`` of each level's full run: the real values after the
+    identity for an expectation, the complex values of every string for
+    the coherence block of a circuit with one-sided gates.  With
+    ``literal``, a pair (function of the probe angles, scale per level),
+    the block's values times the scale are checked against the string
+    traces of that function's blocks instead: divided by the scale, where
+    it is not 0, so that a small scale hides nothing."""
+    block = any(g.side for g in circ.gates)
     count = 0
     for d, restriction in enumerate(restrictions(circ, theta, noise,
                                                  () if op is None else [op])):
         probe = theta.copy()
         probe[d] = probes[d]
         at = restriction.at(probes[d])
-        if literal is not None:
-            blocks, scale = literal
-            for s, a, b in zip(scale, at, blocks(probe), strict=True):
-                assert max_diff(b if s == 0 else a - b / s, 0) <= TOL, d
-        elif op is None:
-            full = full_runs(circ, probe, noise)
-            assert len(at) == len(full)
-            for a, b in zip(at, full):
-                assert max_diff(a, b) <= TOL, d
+        if op is None:
+            assert max_diff(at, run_pure(circ, probe)) <= TOL, d
         else:
             strings, values = at.of(op)
-            ident = len(strings) - len(values)
-            expect = np.array([string_traces(op, rho)[1][ident:].real
-                               for rho in full_runs(circ, probe, noise)]).T
-            assert values.shape == expect.shape
+            ident = 0 if block else len(strings) - len(values)
+            runs = (full_runs(circ, probe, noise) if literal is None
+                    else literal[0](probe))
+            expect = np.array([string_traces(op, rho)[1][ident:] for rho in runs]).T
+            if not block:
+                expect = expect.real
+            elif literal is not None:
+                # the literal blocks over the scale, or, where it is 0,
+                # the literal blocks against 0
+                zero = literal[1] == 0
+                expect = np.where(zero, expect, expect / np.where(zero, 1, literal[1]))
+                values = np.where(zero, 0, values)
+            assert values.shape == expect.shape == (len(strings) - ident, len(runs))
             assert np.abs(values - expect).max(initial=0.0) <= TOL, d
         theta[d] = moves[d]
         count += 1
@@ -349,20 +366,24 @@ def check_sweep(circ, noise, theta, probes, moves, op=None, literal=None):
 def test_noisy_sweeps_pull_back_once_per_sweep(h2_hamiltonian, monkeypatch):
     """A noisy ground-state sweep over ``build_hea`` runs one adjoint pass
     per sweep, keeps depth + 1 stacks of pulled-back strings, one at each
-    CX ladder and one at the end, and runs no slot's suffix."""
+    CX ladder and one at the end, and runs no slot's suffix: the only
+    density matrices read as string values are the full runs'."""
     spec = AnsatzSpec(4, 2)
     stacks = []
     pull_back = circuits._pull_back
     monkeypatch.setattr(circuits, "_pull_back", lambda *args: stacks.append(
         pull_back(*args)) or stacks[-1])
-    monkeypatch.setattr(circuits, "_slot_suffix", mock.Mock(
-        side_effect=AssertionError("a suffix run")))
+    read = circuits._string_values
+    read_shapes = []
+    monkeypatch.setattr(circuits, "_string_values", lambda ops, stack, block:
+                        read_shapes.append(stack.shape) or read(ops, stack, block))
     settings_ = MeasurementSettings(mode="sampled", shots=1000, seed=5)
     noise = NoiseModel(enabled=True, p2=0.01)
     _, _, trace = vqe_ground_state(h2_hamiltonian, spec, settings_, noise,
                                    max_sweeps=2)
     assert trace.sweeps == 2
     assert len(stacks) == 2
+    assert read_shapes and all(shape == (2, 16, 16) for shape in read_shapes)
     circ = build_hea(spec)
     ladders = [i for i, g in enumerate(circ.gates)
                if len(g.qubits) == 2 and len(circ.gates[i - 1].qubits) == 1]
@@ -392,7 +413,8 @@ def test_noisy_sweeps_run_suffixes_for_many_strings_or_a_wide_register(monkeypat
     few = PauliSum(7, [("I" * q + "Z" + "I" * (6 - q), 1.0) for q in range(7)]
                    + [("ZZIIIII", 0.5), ("IIZZIII", 0.5), ("IIIIIZZ", 0.5)])
     first = next(restrictions(build_hea(wide), np.zeros(wide.n_slots), noise, [few]))
-    assert first.reads is None and first.ops == (few,)
+    strings, values = first.at(0.0).of(few)
+    assert len(strings) == 10 and values.shape == (10, 2)
 
 
 @pytest.mark.parametrize("spec, suffix_runs", [
@@ -406,9 +428,10 @@ def test_statevector_sweeps_carry_the_suffix_when_the_register_is_small(
     2^m <= n_slots and runs each slot's suffix otherwise; either way each
     restriction matches a full run."""
     runs = []
-    suffix = circuits._slot_suffix
-    monkeypatch.setattr(circuits, "_slot_suffix",
-                        lambda *args: runs.append(1) or suffix(*args))
+    evolve = circuits._evolve
+    # a suffix run evolves a slot's split pair
+    monkeypatch.setattr(circuits, "_evolve", lambda states, *args: runs.extend(
+        [1] * (states.ndim == 2)) or evolve(states, *args))
     rng = np.random.default_rng(spec.n_slots)
     theta, probes, moves = rng.uniform(-np.pi, np.pi, (3, spec.n_slots))
     check_sweep(build_hea(spec), NoiseModel(), theta, probes, moves)

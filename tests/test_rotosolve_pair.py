@@ -87,7 +87,7 @@ def ground_state_form(circ, op):
         return sample_pauli_expectation(circ, None, op, EXACT, NOISELESS, None,
                                         outputs[0])
 
-    return CircuitCost([circ], EXACT, NOISELESS, read, [op])
+    return CircuitCost([circ], EXACT, NOISELESS, read, [[op]])
 
 
 def ground_state_case(spec, rng):
@@ -172,6 +172,6 @@ def test_exact_cost_needs_unit_rotation_slots():
                         (reordered, "not in slot order")):
         with pytest.raises(ValueError, match=fault):
             ground_state_form(circ, PauliSum.identity(2))
-        form = CircuitCost([circ], EXACT, noise, lambda outputs: 0.0, [])
+        form = CircuitCost([circ], EXACT, noise, lambda outputs: 0.0, [[]])
         with pytest.raises(ValueError, match=fault):
             rotosolve_sweep(lambda th: 0.0, np.zeros(circ.n_slots), form)

@@ -344,3 +344,37 @@ def test_sampled_noisy_solve_is_finite_and_repeatable(dimer_hamiltonian,
     assert first.elements.tobytes() == again.elements.tobytes()
     assert (first.residual, first.gamma, first.sweeps, first.converged) == \
         (again.residual, again.gamma, again.sweeps, again.converged)
+
+
+@pytest.mark.parametrize("depth, block_pulled", [(2, False), (3, True)])
+def test_noisy_dimer_sweep_reads_the_block_by_the_pull_back_rule(
+        dimer_hamiltonian, dimer_ground, depth, block_pulled, monkeypatch):
+    """A noisy correction-vector sweep reads the coherence block through
+    the strings of V+Q, 18 on the dimer's particle branch, by the rule that
+    governs the ansatz: at depth 2, 18 strings x 216 gates exceed 3 x the
+    3,852 gate steps of the suffix runs, so each slot runs its suffix; at
+    depth 3, 18 x 316 <= 3 x 2,512, so the block is pulled back once."""
+    e0, _ = dimer_ground
+    # the ground state on the same ansatz, as a sweep prepares it
+    spec = AnsatzSpec(width=4, depth=depth)
+    gs_circ = build_hea(spec).bound(hf_start_angles(spec, [0, 2]))
+    settings = MeasurementSettings(mode="sampled", shots=100_000, seed=5)
+    noise = NoiseModel(enabled=True, p2=0.005, boost=2.0, zne=True)
+    problem = CorrectionProblem(dimer_hamiltonian, e0, -1,
+                                ladder_pauli(1, True, 4), gs_circ, settings,
+                                noise, n_target=3)
+    rng = np.random.default_rng(4)
+    z = -0.5 + 0.1j
+    cost = problem.make_cost(z, spec, problem.measure_v_norm(rng), rng)
+    assert len(problem.vdq(z)) == 18
+    assert len(cost.circuits[1].gates) == {2: 216, 3: 316}[depth]
+    pulled, suffix_reads = [], []
+    pull_back, read = circuits._pull_back, circuits._string_values
+    monkeypatch.setattr(circuits, "_pull_back", lambda gates, *args: pulled.append(
+        any(g.side for g in gates)) or pull_back(gates, *args))
+    monkeypatch.setattr(circuits, "_string_values", lambda ops, stack, block:
+                        suffix_reads.extend([block] * (stack.ndim == 4))
+                        or read(ops, stack, block))
+    solver.rotosolve_sweep(cost, rng.uniform(-0.1, 0.1, spec.n_slots), cost)
+    assert pulled == ([False, True] if block_pulled else [False])
+    assert suffix_reads == ([] if block_pulled else [True] * spec.n_slots)

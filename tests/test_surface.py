@@ -1,9 +1,10 @@
-"""The package's public surface, read from the source text: the names the
+"""The package's public surface, read from the source: the names the
 package root exports, no public module-level function or class that only
-the tests use, the one way the command line writes files, and the only
-packages it imports."""
+the tests use, the parameters the benchmark's hooks read by position, the
+one way the command line writes files, and the only packages it imports."""
 
 import ast
+import inspect
 import re
 import sys
 from collections import Counter
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import corrvec
+from corrvec import circuits, store, vqe
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "corrvec"
@@ -32,20 +34,40 @@ def test_package_exports_the_agreed_names():
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    """Each public function or class of a package module is referenced in
-    the package, bench/*.py or tools/*.py beyond its own definition."""
+    """Each public function or class of a package module is read as a name
+    or an attribute in the code of the package, bench/*.py or tools/*.py:
+    a docstring or comment that names it does not count."""
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     users = (modules + sorted((ROOT / "bench").glob("*.py"))
              + sorted((ROOT / "tools").glob("*.py")))
-    words = Counter()
+    used = Counter()
     for path in users:
-        words.update(re.findall(r"\w+", path.read_text()))
-    # the definition itself is one occurrence
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                used[node.attr] += 1
     unused = [f"{module.name}:{node.name}" for module in modules
               for node in ast.parse(module.read_text()).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and words[node.name] < 2]
+              and not node.name.startswith("_") and not used[node.name]]
     assert unused == []
+
+
+@pytest.mark.parametrize("function, position, name", [
+    (circuits.run_pure, 0, "circ"),
+    (circuits.run_density, 0, "circ"),
+    (circuits.sample_pauli_expectation, 2, "op"),
+    (circuits.sample_pauli_expectation, 3, "settings"),
+    (circuits.sample_pauli_expectation, 4, "noise"),
+    (circuits.OverlapEngine.estimate_sum, 2, "op"),  # counting self
+    (vqe.rotosolve_sweep, 0, "cost"),
+    (store.write_text_atomic, 1, "text"),
+])
+def test_benchmark_hooks_find_their_arguments_by_position(function, position, name):
+    """``bench/spans.py`` reads these arguments by position when they are
+    passed positionally, so each parameter keeps its place."""
+    assert list(inspect.signature(function).parameters)[position] == name
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -121,10 +121,10 @@ def circuit_cost(circ, op, noise, w=None):
         value = sum(sample_pauli_expectation(circ, None, o, EXACT, noise, None,
                                              outputs[0]) for o in ops)
         if w is not None:
-            value -= abs(np.vdot(w, outputs[0][0])) ** 2
+            value -= abs(np.vdot(w, outputs[0])) ** 2
         return value
 
-    return CircuitCost([circ], EXACT, noise, read, ops, w)
+    return CircuitCost([circ], EXACT, noise, read, [ops], w)
 
 
 def one_rotation():
@@ -198,11 +198,11 @@ def test_noisy_cost_reads_exactly_its_operators():
         return sample_pauli_expectation(circ, None, x, EXACT, ESTIMATED, None,
                                         outputs[0])
 
-    cost = CircuitCost([circ], EXACT, ESTIMATED, read, [z])
+    cost = CircuitCost([circ], EXACT, ESTIMATED, read, [[z]])
     with pytest.raises(ValueError, match="exactly its ops"):
         cost(np.array([0.3]))
     with pytest.raises(ValueError, match="hermitian"):
-        CircuitCost([circ], EXACT, ESTIMATED, read, [PauliSum(1, [("Z", 1j)])])
+        CircuitCost([circ], EXACT, ESTIMATED, read, [[PauliSum(1, [("Z", 1j)])]])
 
 
 def test_rotosolve_monotone_on_circuit_cost(h2_hamiltonian, rng):
