@@ -43,42 +43,29 @@ acts on its rows alone, into (X, -i s X).  A density matrix X splits into
 1/2 (X + sXs), 1/2 (X - sXs) and i/2 (Xs - sX), with weights 1, cos t and
 sin t.  The output at any t is the batch summed with its members' weights.
 
-The rest of the circuit reaches the batch in one of three ways.  A
-noiseless circuit with 2^m <= n_slots carries it as one 2^m x 2^m
-unitary S_d, the gates after slot d's gate: S_0 comes from
-one run of those gates on the 2^m basis states, and each later slot peels
-the next segment off, S_{d+1} = S_d G^-1 for G the gates after slot d's
-gate up to and including slot d+1's, the last at its angle before the sweep
-moves it.  Slot d's batch is then its split pair times S_d.  Peeling costs
-about 2^m vector steps per gate where a suffix run costs about n_slots, and
-a density matrix's 16^m suffix superoperator cannot be peeled stably.
-
-A noisy circuit is read through the strings of the operators its caller
-estimates on the output (Estimators), so it can be read in the Heisenberg
-picture.  At the start of the sweep one adjoint pass from the end of the
-circuit pulls every string P read back to observables, at each noise
-level: a gate maps O to U+ O U, which is U+ on O's row qubit and U^T on
-its column qubit, a one-sided gate to O U or U+ O, and the pair channel is
-its own adjoint.  Every slotted gate after slot d's gate belongs to a later
-slot, which the sweep has not moved yet, so the angles of the pass still
-hold when slot d is read.  The pass keeps its stack only at each slot's
-next two-qubit gate and at the end of the circuit, depth + 1 stacks for
-``build_hea``; slot d's split batch runs through the noiseless one-qubit
-gates up to its stack, and one matmul with it gives tr(member O) per
-member, level and string.
-
-The pass costs about one observable step per string and gate, where the
-suffix runs cost three member steps per gate after each slot's gate, and
-it holds (stacks + 2) x levels x strings density-sized arrays where a
-suffix run holds a few.  So a sweep pulls back only when strings x gates
-is at most three times the suffix runs' gate steps, for ``build_hea``
-about 1.5 strings per slot, and its arrays fit ``_PULL_BACK_ENTRIES``,
-which leaves room for 6 strings at 7 qubits with ZNE and depth 2.  In a
-timing scan of both paths at 4-6 qubits the pull-back was faster wherever
-the rule chose it (CHANGES.md).  Otherwise slot d's split batch runs to the
-end of the circuit, and its members' strings are read once, as the
-restriction is built.  Either way a noisy restriction holds per-member
-string values and sums them with the members' weights.
+The rest of the circuit reaches the batch in one of two ways, chosen by one
+rule.  Every slotted gate after slot d's gate belongs to a later slot, not
+yet moved, so one backward pass from the end of the circuit, at the sweep's
+starting angles, can take the rest for every slot.  Without noise it builds
+the unitary T of the rest: from T = I, each gate G taken backwards makes
+T <- T G, G^T on every row of T.  Under noise the output is read through
+the strings of the operators its caller estimates (Estimators), and the
+pass pulls each string back to an observable per noise level: a gate maps
+O to U+ O U, U+ on O's row qubit and U^T on its column qubit, a one-sided
+gate to O U or U+ O, and the pair channel is its own adjoint.  The pass
+keeps T or its observables at each slot's next two-qubit gate and at the
+end, depth + 1 stops for ``build_hea``.  Slot d's split batch runs through
+the one-qubit gates up to its stop, and one matmul gives the members at the
+end, or tr(member O) per member, level and string.  Otherwise it runs to
+the end of the circuit, and under noise its members' strings are read once.  The pass costs about one step per observable and
+gate, its observables being T's 2^m rows without noise and the strings read
+with it, and holds (stops + 2) x observables x (2^m, or levels x 4^m)
+entries; suffix runs cost about three member steps per gate after each
+slot's gate and hold a few states.  So a sweep pulls back when observables
+x gates is at most three times the suffix runs' gate steps, about 1.5
+observables per slot for ``build_hea``, and its entries fit
+``_PULL_BACK_ENTRIES``: 6 strings at 7 qubits with ZNE and depth 2, or T at
+9 qubits and depth 1.  CHANGES.md has a timing scan of both paths.
 
 Noise
 -----
@@ -553,15 +540,16 @@ def simulate(circ: Circuit, theta, noise: NoiseModel,
 # ---------------------------------------------------------------------------
 # slot restrictions
 
-# A noisy sweep pulls back only when the observables it holds, its stacks
-# among them, fit in this many complex entries (16 MiB; module notes).
+# A sweep pulls back only when the entries it holds, its stacks among
+# them, fit in this many complex entries (16 MiB; module notes).
 _PULL_BACK_ENTRIES = 1 << 20
 
 
 @dataclass
 class Restriction:
     """One circuit's output as a function of one slot's angle: a batch
-    split at the slot's gate into two or three members (module notes).
+    split at the slot's gate into two or three members and carried to the
+    end of the circuit by the pull-back or a suffix run (module notes).
     Without noise each member is a statevector; with it each member holds
     the (levels, strings) values of the strings ``reads`` names."""
 
@@ -663,99 +651,102 @@ def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
     density matrix or coherence block per noise level, is kept and
     advanced with the angles ``theta`` holds when slot d is reached: the
     caller moves theta[d] in place before it asks for slot d + 1.  The
-    rest of the circuit is the carried unitary, the pulled-back strings or
-    a suffix run per slot, by the rules of the module notes.  ``ops`` are
-    the operators the caller estimates on the output; under noise each
-    output is their strings' values.  The circuit must pass
-    ``slot_gates``.
+    rest of the circuit is pulled back once per sweep or run per slot, by
+    the rule of the module notes.  Under noise each output is the string
+    values of ``ops``, the operators the caller estimates on it.  The
+    circuit must pass ``slot_gates``.
     """
     _check_theta(circ, theta)
     gates = circ.gates
     at = slot_gates(circ)
     levels = _noise_levels(noise) if noise.enabled else None
     dim = 1 << circ.width
-    # where each slot's split batch stops: its next two-qubit gate when
-    # pulled back, the end of the circuit otherwise
-    stop = dict.fromkeys(at, len(gates))
-    # rest is the carried S_d, pulled the stacks by the gate they start at
-    reads = rest = pulled = None
+    block = any(g.side for g in gates)
+    pairs = [i for i, g in enumerate(gates) if len(g.qubits) == 2] + [len(gates)]
+    nearest = {i: pairs[bisect.bisect(pairs, i)] for i in at}
+    stops = sorted(set(nearest.values()))
+    # the rule of the module notes, on the observables pulled back, T's
+    # rows without noise and the strings read with it, and their entries
     if levels is None:
         state = np.zeros(dim, dtype=complex)
         state[0] = 1.0
+        observables, size = dim, dim
     else:
         state = np.zeros((len(levels), dim, dim), dtype=complex)
         state[:, 0, 0] = 1.0
-        block = any(g.side for g in gates)
-        pairs = [i for i, g in enumerate(gates) if len(g.qubits) == 2] + [len(gates)]
-        nearest = {i: pairs[bisect.bisect(pairs, i)] for i in at}
-        stops = sorted(set(nearest.values()))
-        strings = len(set().union(*(op.masks for op in ops))
-                      - (set() if block else {(0, 0)}))
-        # the rule of the module notes: gate steps, then the entries held
-        suffix = 3 * sum(len(gates) - 1 - i for i in at)
-        held = (len(stops) + 2) * len(levels) * strings * dim * dim
-        if strings * len(gates) <= suffix and held <= _PULL_BACK_ENTRIES:
+        observables = len(set().union(*(op.masks for op in ops))
+                          - (set() if block else {(0, 0)}))
+        size = len(levels) * dim * dim
+    # where each slot's split batch stops: its next two-qubit gate when
+    # pulled back, the end of the circuit otherwise
+    stop = dict.fromkeys(at, len(gates))
+    reads = pulled = None
+    if (observables * len(gates) <= 3 * sum(len(gates) - 1 - i for i in at)
+            and (len(stops) + 2) * observables * size <= _PULL_BACK_ENTRIES):
+        if levels is None:
+            mats = np.eye(dim, dtype=complex)
+        else:
             reads, mats = _reads(ops, block, string_matrices)
-            pulled = _pull_back(gates, stops, theta, levels,
-                                mats.reshape(-1, dim, dim))
-            stop = nearest
-    carry = levels is None and dim <= circ.n_slots
+            mats = mats.reshape(-1, dim, dim)
+        pulled = _pull_back(gates, stops, theta, levels, mats)
+        stop = nearest
     done = 0
     for i in at:
         state = _evolve(state, gates[done:i], theta, levels)
-        if carry:
-            if rest is None:
-                # row j of the run is S e_j
-                rest = apply_gates(np.eye(dim, dtype=complex),
-                                   gates[i + 1:], theta).T.copy()
-            else:
-                # S G^-1 is conj(g) on S's rows, in forward order, with
-                # this slot's gate at the angle it had when S was built
-                for target, control, u, _ in _fused(gates[done + 1:i + 1], theta):
-                    _apply(rest, u.conj(), target, control)
-            batch = _split(state[None], gates[i], None) @ rest.T
-        else:
-            batch = _evolve(_split(state[None], gates[i], levels),
-                            gates[i + 1:stop[i]], theta, levels)
-            if pulled is not None:
-                # (levels, members, 4^m) times (levels, 4^m, strings)
-                traces = np.matmul(batch.reshape(len(batch), len(levels), -1)
-                                   .transpose(1, 0, 2), pulled[stop[i]])
-                batch = (traces if block else traces.real).transpose(1, 0, 2)
-            elif levels is not None:
-                members = _string_values(ops, batch, block)
-                batch, reads = members.values, members.reads
+        batch = _evolve(_split(state[None], gates[i], levels),
+                        gates[i + 1:stop[i]], theta, levels)
         done = i
+        if pulled is not None and levels is None:
+            batch = batch @ pulled[stop[i]]
+        elif pulled is not None:
+            # (levels, members, 4^m) times (levels, 4^m, strings)
+            traces = np.matmul(batch.reshape(len(batch), len(levels), -1)
+                               .transpose(1, 0, 2), pulled[stop[i]])
+            batch = (traces if block else traces.real).transpose(1, 0, 2)
+        elif levels is not None:
+            members = _string_values(ops, batch, block)
+            batch, reads = members.values, members.reads
         yield Restriction(batch, reads)
 
 
 def _pull_back(gates: Sequence[Gate], stops: list[int], theta: np.ndarray,
-               levels: list[float], mats: np.ndarray) -> dict[int, np.ndarray]:
-    """The observables ``mats`` pulled back through ``gates[stop:]`` at
-    each noise level, for each gate index ``stop`` of the ascending
-    ``stops``, in one adjoint pass from the end of the circuit.  Each is
-    kept as a (levels, 4^m, strings) stack whose row j 2^m + i holds entry
-    (i, j) of each observable, so one matmul with a flattened density
-    matrix gives tr(rho O) per string."""
+               levels: list[float] | None, mats: np.ndarray) -> dict[int, np.ndarray]:
+    """The rest of the circuit, ``gates[stop:]`` for each gate index
+    ``stop`` of the ascending ``stops``, in one backward pass from the end
+    of the circuit (module notes).
+
+    Without noise levels ``mats`` is the identity, which becomes the
+    unitary T of the rest, kept as T^T, so a (members, 2^m) batch times it
+    gives the members at the end of the circuit.  With them the
+    observables ``mats`` are pulled back at each level, each kept as a
+    (levels, 4^m, strings) stack whose row j 2^m + i holds entry (i, j) of
+    each observable, so one matmul with a flattened density matrix gives
+    tr(rho O) per string."""
     dim = mats.shape[-1]
     m = dim.bit_length() - 1
-    obs = np.broadcast_to(mats, (len(levels),) + mats.shape).copy()
-    # one mixing weight per level, broadcast over the strings
-    c = _mixing_weight(levels)[:, None]
-    noisy = c.any()
+    noisy = False
+    if levels is None:
+        obs = mats.copy()
+    else:
+        obs = np.broadcast_to(mats, (len(levels),) + mats.shape).copy()
+        # one mixing weight per level, broadcast over the strings
+        c = _mixing_weight(levels)[:, None]
+        noisy = c.any()
     stacks = {}
     end = len(gates)
     for stop in reversed(stops):
         for target, control, u, side in reversed(list(_fused(gates[stop:end], theta))):
             # backwards, a two-qubit step's channel, its own adjoint, comes
             # before its gate; U+ O U is the step of U+, and U rho and rho U+
-            # pull back as O U and U+ O, steps of U+ on the other side
+            # pull back as O U and U+ O, steps of U+ on the other side.
+            # T <- T U is the column step of U+
             if control is not None and noisy:
                 obs = _depolarize(obs, control, target, c, m)
-            _step(obs.reshape(-1), u.conj().T, target, control,
-                  {"row": "col", "col": "row"}.get(side), m)
-        # a copy, as the pass goes on in place
-        stacks[stop] = obs.transpose(0, 3, 2, 1).reshape(len(levels), dim * dim, -1)
+            side = "col" if levels is None else {"row": "col", "col": "row"}.get(side)
+            _step(obs.reshape(-1), u.conj().T, target, control, side, m)
+        # copies, as the pass goes on in place
+        stacks[stop] = (obs.T.copy() if levels is None else
+                        obs.transpose(0, 3, 2, 1).reshape(len(levels), dim * dim, -1))
         end = stop
     return stacks
 

@@ -82,9 +82,6 @@ class CorrectionProblem:
                  element_ops: tuple[PauliSum, ...] = ()):
         if gs_circuit.n_slots:
             raise ValueError("ground-state circuit must be fully bound")
-        self.h = h
-        self.e0 = e0
-        self.sign = sign
         self.v_op = v_op
         self.element_ops = element_ops
         self.gs_circuit = gs_circuit

@@ -9,10 +9,10 @@ anywhere.
 
 Every mode reads a slot off each circuit's restriction to it
 (``circuits.restrictions``), and every slot drives one rotation: the rest
-of the circuit is a carried unitary, a pull-back or a suffix run per slot,
-by the rules in the notes of ``circuits``.  Each circuit of a cost carries
-the operators estimated on its output, so under noise its restriction,
-like a full run, gives their strings' values.  A sampled or noisy cost is
+of the circuit is pulled back once per sweep or run per slot, by the rule
+in the notes of ``circuits``.  Each circuit of a cost carries the
+operators estimated on its output, so under noise its restriction, like a
+full run, gives their strings' values.  A sampled or noisy cost is
 estimated on the outputs at +-pi/2 and at the angle the slot moves to,
 three estimates per slot, drawn as on full simulations.  An exact cost
 <psi|M|psi> needs no estimate: with phi the state before slot d's gate

@@ -233,9 +233,10 @@ def test_overlap_circuits_match_kron(case):
 
 
 @st.composite
-def ansatz_specs(draw):
-    """Ansatzes of width 1-4 and depth 1-2 over RX, RY and RZ."""
-    return AnsatzSpec(draw(st.integers(1, 4)), draw(st.integers(1, 2)),
+def ansatz_specs(draw, max_width=4):
+    """Ansatzes of width 1 to ``max_width`` and depth 1-2 over RX, RY and
+    RZ."""
+    return AnsatzSpec(draw(st.integers(1, max_width)), draw(st.integers(1, 2)),
                       tuple(draw(st.lists(st.sampled_from(("RX", "RY", "RZ")),
                                           min_size=1, max_size=2))))
 
@@ -417,25 +418,63 @@ def test_noisy_sweeps_run_suffixes_for_many_strings_or_a_wide_register(monkeypat
     assert len(strings) == 10 and values.shape == (10, 2)
 
 
-@pytest.mark.parametrize("spec, suffix_runs", [
-    (AnsatzSpec(4, 1, ("RY",)), 8),   # 8 slots, 2^4 > 8: a suffix run per slot
-    (AnsatzSpec(2, 2), 0),            # 12 slots, 2^2 <= 12: the carried S
-    (AnsatzSpec(4, 8), 0),            # 72 slots: peel drift over a long sweep
+@pytest.mark.parametrize("spec, entries, pulled", [
+    # 2^5 x 38 gates <= 3 x 555 suffix steps, and (3 + 2) x 4^5 entries
+    # fit: the pass, although 32 states outnumber the 30 slots
+    pytest.param(AnsatzSpec(5, 2), None, True, id="pass-5q-d2"),
+    # the same sweep with room for one entry fewer than the pass holds
+    pytest.param(AnsatzSpec(5, 2), 5 * 4**5 - 1, False, id="capped-5q-d2"),
+    pytest.param(AnsatzSpec(2, 2), None, True, id="pass-2q-d2"),
+    # 72 slots: T kept over a long sweep
+    pytest.param(AnsatzSpec(4, 8), None, True, id="pass-4q-d8"),
+    # 2^4 x 11 > 3 x 40 and 2^8 x 38 > 3 x 444
+    pytest.param(AnsatzSpec(4, 1, ("RY",)), None, False, id="suffix-4q-d1"),
+    pytest.param(AnsatzSpec(8, 2, ("RY",)), None, False, id="suffix-8q-d2"),
 ])
-def test_statevector_sweeps_carry_the_suffix_when_the_register_is_small(
-        spec, suffix_runs, monkeypatch):
-    """A noiseless sweep reads every slot off one carried unitary when
-    2^m <= n_slots and runs each slot's suffix otherwise; either way each
-    restriction matches a full run."""
-    runs = []
-    evolve = circuits._evolve
-    # a suffix run evolves a slot's split pair
-    monkeypatch.setattr(circuits, "_evolve", lambda states, *args: runs.extend(
-        [1] * (states.ndim == 2)) or evolve(states, *args))
+def test_statevector_sweeps_pull_back_by_the_rule(spec, entries, pulled, monkeypatch):
+    """A noiseless sweep pulls the rest of the circuit back once, and runs
+    no slot's suffix, exactly when the rule of the module notes says so;
+    otherwise it runs a suffix per slot.  Either way each restriction
+    matches a full run."""
+    if entries is not None:
+        monkeypatch.setattr(circuits, "_PULL_BACK_ENTRIES", entries)
+    passes, suffixes = [], []
+    pull_back, evolve = circuits._pull_back, circuits._evolve
+    monkeypatch.setattr(circuits, "_pull_back",
+                        lambda *args: passes.append(1) or pull_back(*args))
+    # a slot's split pair (the state it splits is one vector) stops at its
+    # next two-qubit gate when pulled back; a suffix run takes it through
+    # the ladders after it, which every slot before the closing layer meets
+    monkeypatch.setattr(circuits, "_evolve", lambda states, gates, *args: suffixes.extend(
+        [1] * (states.ndim == 2 and any(len(g.qubits) == 2 for g in gates)))
+        or evolve(states, gates, *args))
     rng = np.random.default_rng(spec.n_slots)
     theta, probes, moves = rng.uniform(-np.pi, np.pi, (3, spec.n_slots))
     check_sweep(build_hea(spec), NoiseModel(), theta, probes, moves)
-    assert len(runs) == suffix_runs
+    before_closing = spec.n_slots - spec.width * len(spec.pattern)
+    assert (len(passes), len(suffixes)) == ((1, 0) if pulled else (0, before_closing))
+
+
+@settings(max_examples=12)
+@given(spec=ansatz_specs(max_width=5), seed=st.integers(0, 2**32 - 1))
+@example(spec=AnsatzSpec(5, 1, ("RY",)), seed=3)
+@example(spec=AnsatzSpec(3, 2, ("RX", "RY", "RZ")), seed=4)
+def test_pure_pass_keeps_the_unitary_of_the_rest(spec, seed):
+    """Without noise levels the backward pass keeps, at each ladder and at
+    the end of the circuit, the transpose of the dense unitary of the gates
+    from there on: the closing rotation layer and every ladder after the
+    stop, at the drawn angles."""
+    circ = build_hea(spec)
+    theta = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi, spec.n_slots)
+    gates = circ.gates
+    stops = [i for i, g in enumerate(gates)
+             if len(g.qubits) == 2 and len(gates[i - 1].qubits) == 1] + [len(gates)]
+    dim = 1 << spec.width
+    kept = circuits._pull_back(gates, stops, theta, None, np.eye(dim, dtype=complex))
+    assert sorted(kept) == stops
+    for stop in stops:
+        rest = ref.circuit_unitary(Circuit(spec.width, gates[stop:]), theta)
+        assert max_diff(kept[stop].T, rest) <= TOL, stop
 
 
 @st.composite

@@ -1,9 +1,11 @@
 """The package's public surface, read from the source: the names the
 package root exports, no public module-level function or class that only
 the tests use, the parameters the benchmark's hooks read by position, the
-one way the command line writes files, and the only packages it imports."""
+hot spans the benchmark requires, the one way the command line writes
+files, and the only packages it imports."""
 
 import ast
+import importlib
 import inspect
 import re
 import sys
@@ -68,6 +70,35 @@ def test_benchmark_hooks_find_their_arguments_by_position(function, position, na
     """``bench/spans.py`` reads these arguments by position when they are
     passed positionally, so each parameter keeps its place."""
     assert list(inspect.signature(function).parameters)[position] == name
+
+
+def test_benchmark_hot_spans_name_public_functions():
+    """Each name in a ``hot`` tuple of ``bench/workloads.py`` is a public
+    function of a package module, or a public method of a public class
+    there, which the benchmark's tracer wraps: a renamed or inlined hot
+    function fails here, not only in a traced benchmark run."""
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    names = [name for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "hot" for t in node.targets)
+             for name in ast.literal_eval(node.value)]
+    assert len(names) >= 3
+    assert [name for name in names if _traced_function(name) is None] == []
+
+
+def _traced_function(name: str):
+    """The function or method a span name ``layer.function`` or
+    ``layer.Class.method`` resolves to, or None unless every part is public
+    and the function or class is defined in that layer's module."""
+    layer, *path = name.split(".")
+    module = importlib.import_module(f"corrvec.{layer}")
+    if len(path) not in (1, 2) or any(part.startswith("_") for part in path):
+        return None
+    obj = vars(module).get(path[0])
+    if getattr(obj, "__module__", None) != module.__name__:
+        return None
+    if len(path) == 2:
+        obj = vars(obj).get(path[1]) if inspect.isclass(obj) else None
+    return obj if inspect.isfunction(obj) else None
 
 
 def test_no_module_imports_a_private_name_of_another():
