@@ -143,11 +143,11 @@ from .pauli import (PauliSum, apply_sum, string_matrices, string_overlaps,
                     string_traces)
 
 ONE_QUBIT_KINDS = frozenset({"H", "X", "PHASE", "RX", "RY", "RZ"})
-TWO_QUBIT_KINDS = frozenset({"CX", "CY", "CZ"})
+TWO_QUBIT_KINDS = frozenset({"CX"})
 ROTATION_KINDS = frozenset({"PHASE", "RX", "RY", "RZ"})
 
-# 2x2 matrices as row-major entries (u00, u01, u10, u11); a controlled gate
-# acts on its target with the matrix of the kind it controls
+# 2x2 matrices as row-major entries (u00, u01, u10, u11); CX acts on its
+# target with X
 _R = 1.0 / math.sqrt(2.0)
 _ANGLELESS = {
     "H": (_R, _R, _R, -_R),
@@ -155,7 +155,6 @@ _ANGLELESS = {
     "Y": (0, -1j, 1j, 0),
     "Z": (1, 0, 0, -1),
 }
-_TARGET_KIND = {"CX": "X", "CY": "Y", "CZ": "Z"}
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,7 @@ def _fused(gates: Iterable[Gate], theta: np.ndarray | None):
             if q in pending:
                 side, u = pending.pop(q)
                 yield q, None, _matrix(u), side
-        yield target, control, _matrix(_entries(_TARGET_KIND[g.kind], angle)), None
+        yield target, control, _matrix(_ANGLELESS["X"]), None
     for q, (side, u) in pending.items():
         yield q, None, _matrix(u), side
 

@@ -357,8 +357,13 @@ def cmd_embed(args) -> int:
     rng = np.random.default_rng(cfg.measurement.seed)
     if args.inject_sigma > 0:
         shape = (args.realizations,) + g_sp.shape
-        noise = (rng.normal(0, args.inject_sigma, shape)
-                 + 1j * rng.normal(0, args.inject_sigma, shape))
+        try:
+            noise = (rng.normal(0, args.inject_sigma, shape)
+                     + 1j * rng.normal(0, args.inject_sigma, shape))
+        except (MemoryError, ValueError, OverflowError) as exc:
+            # numpy refuses a draw it cannot hold with one of these
+            raise CliFailure(EXIT_CONFIG, f"--realizations {args.realizations} "
+                                          f"is too large to draw ({exc})")
     else:
         noise = None
 

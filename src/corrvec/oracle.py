@@ -1,9 +1,13 @@
 """Dense reference solutions: exact ground states and Green's functions.
 
 Everything here works with explicit matrices, independent of the circuit
-machinery, so it can certify the variational pipeline.  ``materialize``
-refuses registers wider than MAX_DENSE_QUBITS; the ground state and the
-Green's function work on particle-number sectors instead.
+machinery, so it can certify the variational pipeline.  A dense matrix is
+the block of an operator on an ascending list of basis states
+(``project_to_sector``), filled from the strings' rows that ``pauli``
+merges by flip mask (``flip_rows``); the full matrix is the block on every
+state.  ``materialize`` refuses registers wider than MAX_DENSE_QUBITS; the
+ground state and the Green's function work on particle-number sectors
+instead.
 
 A sector block of a Hamiltonian that conserves more than the particle
 number (each spin's count, an orbital symmetry) is block-diagonal after a
@@ -30,25 +34,18 @@ from __future__ import annotations
 import numpy as np
 
 from .fermion import ladder_pauli
-from .pauli import PauliSum, apply_sum, string_action
+from .pauli import PauliSum, apply_sum, flip_rows
 
 # widest register materialize builds and the oracle command accepts; the
 # sector blocks the oracle diagonalises stay far smaller
 MAX_DENSE_QUBITS = 14
-# strings whose signs on the basis project_to_sector holds at once
-_CHUNK_STRINGS = 16
 
 
 def materialize(op: PauliSum) -> np.ndarray:
     """Dense matrix of a weighted Pauli sum (guarded against large registers)."""
     if op.width > MAX_DENSE_QUBITS:
         raise ValueError(f"refusing to materialize {op.width} qubits densely")
-    dim = 1 << op.width
-    out = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    for (x, z), coeff in op.masks.items():
-        out[cols ^ x, cols] += coeff * string_action(x, z, op.width)
-    return out
+    return project_to_sector(op, np.arange(1 << op.width))
 
 
 def sector_basis(m: int, n_particles: int) -> np.ndarray:
@@ -58,41 +55,26 @@ def sector_basis(m: int, n_particles: int) -> np.ndarray:
 
 
 def project_to_sector(op: PauliSum, basis: np.ndarray) -> np.ndarray:
-    """Dense block of the operator on a fixed-particle-number basis.
+    """Dense block of the operator on an ascending list of basis states.
 
-    Pauli sums from particle-conserving fermionic operators map sector
-    states into the same sector, so the block captures them exactly.  The
-    strings that flip the same bits share one pattern of matrix cells; each
-    such group sums its strings' signed coefficients on the basis and writes
-    its cells at once.  A chunk of strings at a time, the signs on the basis
-    are computed at once and each string's row is added to its group's row
-    on its own, in the strings' order, so every cell sums its terms in that
-    order.  (A reduction over each group's rows is not bit-identical: numpy
-    may pair the terms up.)
+    Pauli sums from particle-conserving fermionic operators map the states
+    of a particle-number sector into the same sector, so the block on the
+    sector basis captures them exactly.  The strings that flip the same
+    bits share one pattern of cells: each distinct flip mask's row of
+    summed signed coefficients (``flip_rows``) is written to its cells at
+    once, where the flipped state is in the basis.
     """
     dim = basis.shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    if dim == 0 or len(op) == 0:
-        return out
-    keys, coeffs = zip(*op.masks.items())
-    flips, z_masks = np.array(keys).T
-    # P = i^{|x & z|} X^x Z^z: each string's phase on the basis state 0
-    coeffs = np.array(coeffs) * np.array([1, 1j, -1, -1j])[
-        np.bitwise_count(flips & z_masks) & 3]
-    groups, group_of = np.unique(flips, return_inverse=True)
-    summed = np.zeros((groups.shape[0], dim), dtype=complex)
-    for lo in range(0, flips.shape[0], _CHUNK_STRINGS):
-        part = slice(lo, lo + _CHUNK_STRINGS)
-        odd = np.bitwise_count(basis[None, :] & z_masks[part, None]) & 1
-        signed = np.where(odd, -coeffs[part, None], coeffs[part, None])
-        for group, row in zip(group_of[part].tolist(), signed):
-            summed[group] += row
-    targets = basis[None, :] ^ groups[:, None]
-    rows = np.minimum(np.searchsorted(basis, targets), dim - 1)
-    found = basis[rows] == targets
-    # distinct flips send a column to distinct rows: every cell is set once
-    out[rows[found], np.broadcast_to(np.arange(dim), rows.shape)[found]] = summed[found]
-    return out
+    flips, summed = flip_rows(op, basis)
+    # each register state's row in the block; a state off the basis lands
+    # in row dim, which is dropped
+    row_of = np.full(1 << op.width, dim)
+    row_of[basis] = np.arange(dim)
+    out = np.zeros((dim + 1, dim), dtype=complex)
+    # distinct flips send a column to distinct rows: every cell of the
+    # block is set once
+    out[row_of[basis[None, :] ^ flips[:, None]], np.arange(dim)] = summed
+    return out[:dim]
 
 
 def embed_sector_vector(vec: np.ndarray, basis: np.ndarray, m: int) -> np.ndarray:

@@ -16,10 +16,15 @@ Coefficients are complex and terms with magnitude at or below PRUNE_TOL are
 dropped on construction, so the zero operator has no terms.
 
 A sum acts on states through forms compiled on first use and kept on the
-(immutable) sum: for ``apply_sum`` the strings that flip the same bits merge
-into one diagonal, and for the per-string estimators every string keeps its
-own row, next to its label and coefficient.  Either way a call is one
-vectorized gather, with no per-string Python loop.
+(immutable) sum, every phase in them from one rule, ``string_action``.
+``flip_rows`` merges the strings that flip the same bits into one row on a
+list of basis states: on the full register its rows are the diagonals
+``apply_sum`` gathers with, on a sector they fill the oracle's dense block.
+The per-string estimators read a string table instead, each string's own
+row next to its label and coefficient.  Either way a call is one
+vectorized gather, with no per-string Python loop.  A ``weighted_sum``
+keeps its parts and combines the forms they compile once and keep, so the
+sums built per frequency from the same parts compile no string.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ Strings = list[tuple[str, int, int, complex]]
 
 # two-body terms whose products weighted_products forms at once
 _CHUNK_TERMS = 64
+# strings whose signs on the basis flip_rows holds at once
+_CHUNK_STRINGS = 16
 
 # i^k for k = 0..3
 _I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
@@ -63,8 +70,9 @@ class PauliSum:
     """Immutable weighted sum of Pauli strings on ``width`` qubits."""
 
     # _terms maps (x, z) to the coefficient, in order of first occurrence;
-    # _compiled and _table stay unset until an action first needs them
-    __slots__ = ("width", "_terms", "_compiled", "_table")
+    # _compiled and _table stay unset until an action first needs them, and
+    # _parts is set only on a weighted_sum, to the (weight, op) it sums
+    __slots__ = ("width", "_terms", "_compiled", "_table", "_parts")
 
     def __init__(self, width: int, terms: Mapping[str, complex] | Iterable[tuple[str, complex]] = ()):
         if width < 1:
@@ -274,88 +282,76 @@ def _first_ranks(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def weighted_sum(width: int, parts: Iterable[tuple[complex, PauliSum]]) -> PauliSum:
     """Sum of weight * op over ``parts``, each coefficient accumulated in
-    order and the result pruned once, at the end."""
+    order and the result pruned once, at the end.  The sum keeps its parts,
+    and its forms are combined from theirs (module notes)."""
+    parts = tuple(parts)
     merged: dict[tuple[int, int], complex] = {}
     for weight, op in parts:
         for key, coeff in op._terms.items():
             merged[key] = merged.get(key, 0.0) + weight * coeff
-    return _from_masks(width, merged.items())
-
-
-def precompiled_sum(width: int, parts: Sequence[tuple[complex, PauliSum]]) -> PauliSum:
-    """``weighted_sum`` of ``parts``, holding each form that every part
-    holds (``precompile``), built from theirs with no string compiled
-    again: its action's rows are the weighted sums of the parts' rows, and
-    its string table takes each string's phases from a part."""
-    out = weighted_sum(width, parts)
-    if all(getattr(op, "_compiled", None) is not None for _, op in parts):
-        rows: dict[int, np.ndarray] = {}
-        for weight, op in parts:
-            idx, diag = op._compiled
-            for flip, row in zip(idx[:, 0].tolist(), diag):
-                acc = rows.get(flip)
-                rows[flip] = weight * row if acc is None else acc + weight * row
-        object.__setattr__(out, "_compiled", _by_flip(width, rows))
-    if all(getattr(op, "_table", None) is not None for _, op in parts):
-        _string_table(out, {(x, z): (label, row) for _, op in parts
-                            for (label, x, z, _), row
-                            in zip(op._table[0], op._table[2])})
+    out = _from_masks(width, merged.items())
+    object.__setattr__(out, "_parts", parts)
     return out
 
 
-def precompile(op: PauliSum, per_string: bool) -> PauliSum:
-    """Build and keep on ``op`` the form its reads use: the action
-    ``apply_sum`` gathers with, or with ``per_string`` the string table of
-    the per-string estimators.  Returns ``op``."""
-    if per_string:
-        _string_table(op)
-    else:
-        _compiled(op)
-    return op
+def string_action(x: np.ndarray, z: np.ndarray, basis: np.ndarray,
+                  coeff: complex | np.ndarray = 1.0) -> np.ndarray:
+    """``phases`` of shape (strings, basis states) with
+    coeff[s] P_s|b> = phases[s, k] |b ^ x[s]> for b = basis[k], for the
+    strings with masks ``(x[s], z[s])`` and coefficients ``coeff``."""
+    # coeff * i^{|x & z|}, negated where |b & z| is odd: a choice of sign,
+    # with no product per basis state
+    c = (np.asarray(coeff) * np.array(_I_POWERS)[np.bitwise_count(x & z) & 3])[:, None]
+    odd = np.bitwise_count(basis[None, :] & z[:, None]) & 1
+    return np.where(odd, -c, c)
 
 
-def string_action(x: int, z: int, width: int) -> np.ndarray:
-    """Action of the string with masks ``(x, z)`` on basis states: the
-    ``phases`` of shape (2**width,) with P|b> = phases[b] * |b ^ x>."""
-    # one product per Y, so every phase keeps the same signed zeros
-    phase0 = 1.0 + 0j
-    for _ in range((x & z).bit_count()):
-        phase0 *= 1j
-    b = np.arange(1 << width, dtype=np.uint64)
-    parity = np.bitwise_count(b & np.uint64(z)) & 1
-    return phase0 * np.where(parity, -1.0, 1.0).astype(complex)
+def flip_rows(op: PauliSum, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(flips, rows)`` with op|b> = sum_g rows[g, k] |b ^ flips[g]> for
+    b = basis[k]: each distinct flip mask, in order of first occurrence,
+    and the sum of its strings' signed rows.
+
+    The rows are computed a chunk of strings at a time and each is added to
+    its group's row on its own, in the strings' order from +0.0: a
+    reduction over a group's rows is not bit-identical, as numpy may pair
+    the terms up."""
+    keys = np.array(list(op._terms), dtype=np.int64).reshape(-1, 2)
+    coeffs = np.array(list(op._terms.values()), dtype=complex)
+    group: dict[int, int] = {}
+    group_of = [group.setdefault(x, len(group)) for x in keys[:, 0].tolist()]
+    rows = np.zeros((len(group), basis.shape[0]), dtype=complex)
+    for lo in range(0, len(group_of), _CHUNK_STRINGS):
+        part = slice(lo, lo + _CHUNK_STRINGS)
+        signed = string_action(keys[part, 0], keys[part, 1], basis, coeffs[part])
+        for g, row in zip(group_of[part], signed):
+            rows[g] += row
+    return np.fromiter(group, dtype=np.int64, count=len(group)), rows
 
 
 def _compiled(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
-    """``(idx, diag)`` with A|psi> = sum_g diag[g] * psi[idx[g]].
-
-    Row g gathers every string with flip mask f_g: idx[g] = b ^ f_g and
-    diag[g][b] = sum of coeff * phases[b ^ f_g] over those strings.  Built
-    once per operator and kept on it.
-    """
+    """``(idx, diag)`` with A|psi> = sum_g diag[g] * psi[idx[g]], built once
+    per operator and kept on it: idx[g] = b ^ f_g and diag[g][b] is the row
+    of flip f_g at b ^ f_g.  A weighted sum's rows are the weighted sums of
+    its parts' rows."""
     comp = getattr(op, "_compiled", None)
     if comp is None:
-        merged: dict[int, np.ndarray] = {}
-        for (x, z), coeff in op._terms.items():
-            phases = string_action(x, z, op.width)
-            acc = merged.get(x)
-            if acc is None:
-                merged[x] = coeff * phases
-            else:
-                acc += coeff * phases
-        idx, by_source = _by_flip(op.width, merged)
-        comp = (idx, np.take_along_axis(by_source, idx, axis=1))
+        cols = np.arange(1 << op.width)
+        parts = getattr(op, "_parts", None)
+        if parts is None:
+            flips, rows = flip_rows(op, cols)
+            idx = cols[None, :] ^ flips[:, None]
+            comp = (idx, np.take_along_axis(rows, idx, axis=1))
+        else:
+            merged: dict[int, np.ndarray] = {}
+            for weight, part in parts:
+                idx, diag = _compiled(part)
+                for flip, row in zip(idx[:, 0].tolist(), diag):
+                    acc = merged.get(flip)
+                    merged[flip] = weight * row if acc is None else acc + weight * row
+            idx = cols[None, :] ^ np.fromiter(merged, dtype=np.int64, count=len(merged))[:, None]
+            comp = (idx, np.array(list(merged.values()), dtype=complex).reshape(idx.shape))
         object.__setattr__(op, "_compiled", comp)
     return comp
-
-
-def _by_flip(width: int, rows: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``(idx, stacked)`` for rows keyed by flip mask f_g: idx[g] = b ^ f_g
-    and stacked[g] the row of f_g."""
-    dim = 1 << width
-    flips = np.fromiter(rows, dtype=np.intp, count=len(rows))
-    return (np.arange(dim)[None, :] ^ flips[:, None],
-            np.array(list(rows.values()), dtype=complex).reshape(-1, dim))
 
 
 def apply_sum(op: PauliSum, psi: np.ndarray) -> np.ndarray:
@@ -368,24 +364,29 @@ def apply_sum(op: PauliSum, psi: np.ndarray) -> np.ndarray:
     return np.einsum("gc,...gc->...c", diag, psi[..., idx])
 
 
-def _string_table(op: PauliSum,
-                  known: Mapping[tuple[int, int], tuple[str, np.ndarray]] | None = None,
-                  ) -> tuple[Strings, np.ndarray, np.ndarray]:
+def _string_table(op: PauliSum) -> tuple[Strings, np.ndarray, np.ndarray]:
     """``(strings, idx, phases)`` with P_s|b> = phases[s][b] |idx[s][b]>,
     the strings in sorted label order, the order every per-string estimate
-    is drawn in.  Built once per operator and kept; ``known`` maps every
-    string's masks to its label and phases when they are already computed."""
+    is drawn in.  Built once per operator and kept; a weighted sum takes
+    each string's label and phases from a part that has the string."""
     table = getattr(op, "_table", None)
     if table is None:
-        if known is None:
-            known = {(x, z): (_label(x, z, op.width), string_action(x, z, op.width))
-                     for x, z in op._terms}
-        strings = sorted((known[x, z][0], x, z, c) for (x, z), c in op._terms.items())
         dim = 1 << op.width
-        flips = np.array([x for _, x, _, _ in strings], dtype=np.intp)
-        phases = np.array([known[x, z][1] for _, x, z, _ in strings],
-                          dtype=complex).reshape(-1, dim)
-        table = (strings, np.arange(dim)[None, :] ^ flips[:, None], phases)
+        parts = getattr(op, "_parts", None)
+        if parts is None:
+            strings = sorted((_label(x, z, op.width), x, z, c) for (x, z), c in op._terms.items())
+            x, z = np.array([s[1:3] for s in strings], dtype=np.int64).reshape(-1, 2).T
+            phases = string_action(x, z, np.arange(dim))
+        else:
+            known = {}
+            for _, part in parts:
+                part_strings, _, part_phases = _string_table(part)
+                known.update(((x, z), (label, row)) for (label, x, z, _), row
+                             in zip(part_strings, part_phases))
+            strings = sorted((known[x, z][0], x, z, c) for (x, z), c in op._terms.items())
+            x = np.array([s[1] for s in strings], dtype=np.int64)
+            phases = np.array([known[s[1:3]][1] for s in strings], dtype=complex).reshape(-1, dim)
+        table = (strings, np.arange(dim)[None, :] ^ x[:, None], phases)
         object.__setattr__(op, "_table", table)
     return table
 

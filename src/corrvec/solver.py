@@ -23,7 +23,7 @@ import numpy as np
 from .circuits import (Circuit, MeasurementSettings, NoiseModel, OverlapEngine,
                        sample_pauli_expectation, simulate)
 from .fermion import ladder_pauli, number_penalty
-from .pauli import PauliSum, apply_sum, precompile, precompiled_sum
+from .pauli import PauliSum, apply_sum, weighted_sum
 from .store import fmt_float
 from .vqe import (AnsatzSpec, CircuitCost, build_hea, grow_hea_angles,
                   rotosolve_sweep)
@@ -89,15 +89,13 @@ class CorrectionProblem:
         self.noise = noise
         self.width = h.width
         # z-independent pieces: Q+Q = |z|^2 I + 2 Re(z) D + D^2 with
-        # D = sign (H - e0), and V+Q = z V+ + V+ D.  Each is compiled once,
-        # in the form the cost reads, and each z combines their forms.
-        per_string = settings.mode == "sampled" or noise.enabled
-        self.ident = precompile(PauliSum.identity(h.width), per_string)
-        self.d_op = precompile(sign * (h - PauliSum.identity(h.width, e0)),
-                               per_string)
-        self.d2 = precompile(self.d_op * self.d_op, per_string)
-        self.v_adj = precompile(v_op.adjoint(), per_string)
-        self.vdj = precompile(self.v_adj * self.d_op, per_string)
+        # D = sign (H - e0), and V+Q = z V+ + V+ D.  Each z's weighted sum
+        # combines the forms of these parts, each compiled once on first use.
+        self.ident = PauliSum.identity(h.width)
+        self.d_op = sign * (h - PauliSum.identity(h.width, e0))
+        self.d2 = self.d_op * self.d_op
+        self.v_adj = v_op.adjoint()
+        self.vdj = self.v_adj * self.d_op
         self.vvdag = self.v_adj * v_op
         # The solution lives in a fixed particle-number sector, while the
         # prepared reference obeys Q|psi0> = z|psi0> and so costs only |z|^2:
@@ -114,12 +112,12 @@ class CorrectionProblem:
                                         self.settings, self.noise, rng)
 
     def qdq(self, z: complex) -> PauliSum:
-        return precompiled_sum(self.width, [(abs(z) ** 2, self.ident),
-                                            (2.0 * z.real, self.d_op),
-                                            (1.0, self.d2)])
+        return weighted_sum(self.width, [(abs(z) ** 2, self.ident),
+                                         (2.0 * z.real, self.d_op),
+                                         (1.0, self.d2)])
 
     def vdq(self, z: complex) -> PauliSum:
-        return precompiled_sum(self.width, [(z, self.v_adj), (1.0, self.vdj)])
+        return weighted_sum(self.width, [(z, self.v_adj), (1.0, self.vdj)])
 
     def engine_for(self, spec: AnsatzSpec) -> tuple[Circuit, OverlapEngine]:
         cached = self._engines.get(spec.depth)

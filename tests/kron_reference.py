@@ -112,8 +112,7 @@ def _gate_matrix(kind: str, qubits: tuple, angle, m: int) -> np.ndarray:
         out = embed({qubits[0]: one_qubit_matrix(kind, angle)}, m)
     else:
         c, t = qubits
-        u = one_qubit_matrix({"CX": "X", "CY": "Y", "CZ": "Z"}[kind], angle)
-        out = embed({c: P0}, m) + embed({c: P1, t: u}, m)
+        out = embed({c: P0}, m) + embed({c: P1, t: PAULI["X"]}, m)
     out.flags.writeable = False
     return out
 
@@ -182,6 +181,14 @@ def projector_sum(w: np.ndarray) -> PauliSum:
     m = len(w).bit_length() - 1
     return PauliSum(m, {label: np.vdot(w, string_matrix(label) @ w) / len(w)
                         for label in map("".join, itertools.product("IXYZ", repeat=m))})
+
+
+def sum_matrix(op: PauliSum) -> np.ndarray:
+    """Dense matrix of a Pauli sum, string by string."""
+    out = np.zeros((1 << op.width,) * 2, dtype=complex)
+    for label, coeff in op:
+        out += coeff * string_matrix(label)
+    return out
 
 
 def apply_string(label: str, psi: np.ndarray) -> np.ndarray:
@@ -266,13 +273,22 @@ def overlap_circuit(u1_bound: Circuit, u2_bound: Circuit, label: str,
     """Literal single-ancilla interference circuit for one Pauli string.
 
     Measuring Z on the ancilla of the output state gives
-    Re(exp(i phi) <0|U1' P U2|0>).
+    Re(exp(i phi) <0|U1' P U2|0>).  Each controlled letter is a CX from
+    the ancilla in the letter's basis: Z = H X H and Y = S X S+.
     """
     anc = u1_bound.width
     circ = prefix_circuit(u1_bound, u2_bound, phi)
     for q, ch in enumerate(label):
-        if ch != "I":
-            circ.add("C" + ch, anc, q)
+        if ch == "X":
+            circ.add("CX", anc, q)
+        elif ch == "Z":
+            circ.add("H", q)
+            circ.add("CX", anc, q)
+            circ.add("H", q)
+        elif ch == "Y":
+            circ.add("PHASE", q, angle=-np.pi / 2)
+            circ.add("CX", anc, q)
+            circ.add("PHASE", q, angle=np.pi / 2)
     circ.add("H", anc)
     return circ
 

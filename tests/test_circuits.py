@@ -115,11 +115,14 @@ def test_controlled_circuit_block_structure(rng):
     # only a bound circuit of the kinds build_hea emits can be controlled
     with pytest.raises(ValueError, match="bind"):
         make_controlled(circ)
-    for kind, qubits in (("H", (0,)), ("X", (0,)), ("CZ", (0, 1))):
+    for kind in ("H", "X"):
         other = Circuit(2)
-        other.add(kind, *qubits)
+        other.add(kind, 0)
         with pytest.raises(ValueError):
             make_controlled(other)
+    # CX is the only two-qubit kind
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        Circuit(2).add("CZ", 0, 1)
 
 
 def test_depolarize_matches_pauli_kraus_sum(rng):

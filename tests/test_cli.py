@@ -562,6 +562,12 @@ def test_embed_command(tmp_path, capsys):
         assert run("embed", "--config", str(cfg_path), *flags) == 2, flags
         # the message names the flag whose value is refused
         assert flags[-2] in capsys.readouterr().err
+    # more realizations than numpy can draw at once, refused without
+    # allocating: more bytes than any address space, more entries than int64
+    for n in (10**16, 10**20):
+        assert run("embed", "--config", str(cfg_path), "--inject-sigma", "0.01",
+                   "--realizations", str(n)) == 2, n
+        assert "--realizations" in capsys.readouterr().err
     assert (out / "embed_report.json").read_bytes() == written
 
 

@@ -17,18 +17,17 @@ from corrvec.circuits import (ROTATION_KINDS, Circuit, MeasurementSettings,
                               NoiseModel, OverlapEngine, restrictions,
                               run_density, run_pure)
 from corrvec.oracle import materialize
-from corrvec.pauli import (PauliSum, apply_sum, precompile, precompiled_sum,
-                           string_overlaps, string_traces)
+from corrvec.pauli import (PauliSum, apply_sum, string_overlaps, string_traces,
+                           weighted_sum)
 from corrvec.vqe import AnsatzSpec, build_hea, vqe_ground_state
 import kron_reference as ref
 from kron_reference import depolarize_pair
 
 TOL = 1e-12
 ONE_QUBIT = ("H", "X", "PHASE", "RX", "RY", "RZ")
-TWO_QUBIT = ("CX", "CY", "CZ")
+TWO_QUBIT = ("CX",)
 # what the controlled references take: the gates build_hea emits
 CONTROLLABLE_ONE_QUBIT = ("RX", "RY", "RZ")
-CONTROLLABLE_TWO_QUBIT = ("CX",)
 
 # on top of the suite's derandomized profile (conftest.py)
 PROPERTY = settings(max_examples=30)
@@ -43,10 +42,9 @@ def random_circuits(draw, max_width=6, max_gates=12, controllable=False,
         width = draw(st.integers(1, max_width))
     circ = Circuit(width)
     one = CONTROLLABLE_ONE_QUBIT if controllable else ONE_QUBIT
-    two = CONTROLLABLE_TWO_QUBIT if controllable else TWO_QUBIT
     for _ in range(draw(st.integers(0, max_gates))):
         if width > 1 and draw(st.booleans()):
-            kind = draw(st.sampled_from(two))
+            kind = draw(st.sampled_from(TWO_QUBIT))
             qubits = draw(st.lists(st.integers(0, width - 1), min_size=2,
                                    max_size=2, unique=True))
         else:
@@ -534,23 +532,24 @@ def test_string_tables_match_dense(op, seed):
 
 @PROPERTY
 @given(st.data())
-def test_precompiled_sum_combines_precompiled_forms(data):
-    """A weighted sum of precompiled parts takes its action and its string
-    table from theirs, and both match the forms compiled from its terms."""
+def test_weighted_sum_combines_its_parts_forms(data):
+    """A weighted sum takes its action and its string table from the forms
+    its parts built by use, compiling no string, and both match the forms
+    compiled from its terms."""
     first = data.draw(pauli_sums(max_width=4))
     parts = [(data.draw(st.complex_numbers(max_magnitude=3.0)),
               data.draw(pauli_sums(max_width=4).filter(
                   lambda op: op.width == first.width)) if k else first)
              for k in range(3)]
-    for per_string in (False, True):
-        for _, op in parts:
-            precompile(op, per_string)
     rng = np.random.default_rng(len(first))
     dim = 1 << first.width
     bra, ket = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+    for _, op in parts:
+        apply_sum(op, ket)
+        string_overlaps(op, bra, ket)
     with mock.patch.object(pauli, "string_action",
                            side_effect=AssertionError("a string compiled again")):
-        combined = precompiled_sum(first.width, parts)
+        combined = weighted_sum(first.width, parts)
         action = apply_sum(combined, ket)
         strings, overlaps = string_overlaps(combined, bra, ket)
     fresh = PauliSum(first.width, combined.terms)

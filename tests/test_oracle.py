@@ -17,6 +17,7 @@ from corrvec.oracle import (
     sector_basis,
 )
 from corrvec.pauli import PauliSum, apply_sum
+from kron_reference import sum_matrix
 from oracle_reference import (add_at_projection, broadened_trace_integral,
                               dense_h_prime, exact_correction_vector,
                               expand_spin, solve_greens, spectral_sum_budget)
@@ -33,12 +34,15 @@ def test_materialize_bit_order():
 
 
 def test_materialize_matches_sparse_application(rng):
+    """The dense matrix and the sparse action, each against the kron
+    products of one-qubit matrices."""
     labels = ["XYZ", "ZZI", "IXY", "YII"]
     coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
     op = PauliSum(3, dict(zip(labels, coeffs)))
-    mat = materialize(op)
+    dense = sum_matrix(op)
+    assert np.allclose(materialize(op), dense, atol=1e-12)
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    assert np.allclose(mat @ psi, apply_sum(op, psi), atol=1e-12)
+    assert np.allclose(dense @ psi, apply_sum(op, psi), atol=1e-12)
 
 
 def test_materialize_refuses_large_registers():
@@ -307,7 +311,7 @@ def test_project_to_sector_matches_dense_block(case):
     op, basis = case
     block = project_to_sector(op, basis)
     assert block.shape == (basis.shape[0],) * 2
-    dense = materialize(op)[np.ix_(basis, basis)]
+    dense = sum_matrix(op)[np.ix_(basis, basis)]
     assert np.max(np.abs(block - dense), initial=0.0) <= 1e-12
     assert np.array_equal(block.view(np.uint64),
                           add_at_projection(op, basis).view(np.uint64))

@@ -164,16 +164,21 @@ def test_string_matrices_are_the_dense_strings(rng):
 
 
 def test_string_action_matches_dense(rng):
-    for label in ("XYZ", "IYI", "ZZX", "YYY"):
-        ((x, z),) = PauliSum.from_label(label).masks
-        phases = string_action(x, z, 3)
-        dim = 8
+    labels = ("XYZ", "IYI", "ZZX", "YYY")
+    x, z = np.array([next(iter(PauliSum.from_label(lbl).masks)) for lbl in labels]).T
+    dim = 8
+    for label, flip, phases in zip(labels, x, string_action(x, z, np.arange(dim))):
         rebuilt = np.zeros((dim, dim), dtype=complex)
         for b in range(dim):
-            rebuilt[b ^ x, b] = phases[b]
+            rebuilt[b ^ flip, b] = phases[b]
         assert np.allclose(rebuilt, string_matrix(label), atol=1e-14)
         assert np.allclose(materialize(PauliSum.from_label(label)),
                            string_matrix(label), atol=1e-14)
+    # a coefficient scales each row, on any list of basis states
+    coeff = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+    basis = np.array([1, 4, 6])
+    assert np.array_equal(string_action(x, z, basis, coeff),
+                          coeff[:, None] * string_action(x, z, np.arange(dim))[:, basis])
 
 
 def test_apply_string_and_sum(rng):

@@ -1,11 +1,12 @@
 """Per-frequency variational linear solves and their bookkeeping."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from corrvec import circuits, solver
+from corrvec import circuits, pauli, solver
 from corrvec.circuits import MeasurementSettings, NoiseModel
 from corrvec.config import ConfigError, parse, to_json_dict
 from corrvec.fermion import (ladder_pauli, number_operator, number_penalty,
@@ -161,6 +162,27 @@ def test_each_point_simulates_its_overlap_circuit_once(h2_hamiltonian,
     assert all(r.sweeps > 0 and r.gamma != 0 for r in records)
     assert [len(calls) for calls in per_point] == [1, 1]
     assert all(calls[0].n_slots for calls in per_point)
+
+
+@pytest.mark.parametrize("settings", [
+    MeasurementSettings(), MeasurementSettings(mode="sampled", shots=10_000, seed=4),
+], ids=["exact", "sampled"])
+def test_no_string_is_compiled_per_frequency(h2_hamiltonian, h2_gs, monkeypatch,
+                                             settings):
+    """Over one column of three frequencies every string is compiled while
+    the first point is solved: each later point's Q+Q and V+Q combine the
+    forms their parts already hold."""
+    e0, gs_circ = h2_gs
+    spy = mock.Mock(wraps=pauli.string_action)
+    monkeypatch.setattr(pauli, "string_action", spy)
+    per_point = []
+    zs = np.array([-0.5, 0.1, 0.6]) + 0.1j
+    solve_column(h2_hamiltonian, e0, gs_circ, zs, PARTICLE, 1, [0, 1],
+                 AnsatzSpec(width=4, depth=2), SolverOptions(max_sweeps=2),
+                 settings, NoiseModel(), seed=9, n_elec=2,
+                 on_point=lambda rec: per_point.append(spy.call_count))
+    assert per_point[0] > 0
+    assert per_point == [spy.call_count] * 3
 
 
 def test_warm_start_shape_is_checked(h2_hamiltonian, h2_gs, rng):

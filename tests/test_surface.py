@@ -1,8 +1,9 @@
 """The package's public surface, read from the source: the names the
 package root exports, no public module-level function or class that only
 the tests use, the parameters the benchmark's hooks read by position, the
-hot spans the benchmark requires, the one way the command line writes
-files, and the only packages it imports."""
+hot spans the benchmark requires, the private names and attributes each
+module keeps to itself, the one way the command line writes files, and the
+only packages it imports."""
 
 import ast
 import importlib
@@ -102,14 +103,27 @@ def _traced_function(name: str):
 
 
 def test_no_module_imports_a_private_name_of_another():
-    """Each module keeps its underscore names to itself: the Pauli string
-    format, for one, stays behind ``pauli``."""
+    """Each module keeps its underscore names to itself."""
     offenders = [f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
                  for path in sorted(PACKAGE.glob("*.py"))
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.ImportFrom)
                  and (node.level > 0 or (node.module or "").startswith("corrvec"))
                  for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
+
+
+def test_only_pauli_reads_private_attributes_of_other_objects():
+    """The Pauli string format stays behind ``pauli``: no other module
+    reads a single-underscore attribute of an object but ``self`` or
+    ``cls``, so a sum's terms, compiled forms and parts are read only
+    there."""
+    offenders = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                 for path in sorted(PACKAGE.glob("*.py")) if path.name != "pauli.py"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and re.match(r"_(?!_)", node.attr)
+                 and not (isinstance(node.value, ast.Name)
+                          and node.value.id in ("self", "cls"))]
     assert offenders == []
 
 
