@@ -483,8 +483,8 @@ class MeasurementSettings:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
-    def make_rng(self, *extra: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence([self.seed, *extra]))
+    def make_rng(self) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence([self.seed]))
 
 
 def sample_z_value(z_exact, shots: int, rng: np.random.Generator):
@@ -818,12 +818,12 @@ def sample_pauli_expectation(circ: Circuit, theta, op: PauliSum,
     ``simulate(circ, theta, noise, ops)`` when the caller already has it,
     for operators ``ops`` that include ``op``, so several operators can be
     estimated on one simulation; the cost that names them checks them
-    hermitian.
+    hermitian.  A sampled estimate draws from ``rng``, which it requires.
     """
     if not isinstance(states, StringValues) and not op.is_hermitian():
         raise ValueError("expectation sampling requires a hermitian operator")
     if settings.mode == "sampled" and rng is None:
-        rng = settings.make_rng()
+        raise ValueError("a sampled estimate requires an rng")
     if states is None:
         states = simulate(circ, theta, noise, [op])
     if isinstance(states, StringValues):
@@ -926,13 +926,14 @@ class OverlapEngine:
         ``states`` is the output of ``simulate(self.circuit, theta, noise,
         ops)`` when the caller already has it, for operators ``ops`` that
         include ``op``: U2(theta)|0> without noise, the values of the
-        strings on the coherence block per noise level with it.
+        strings on the coherence block per noise level with it.  A sampled
+        estimate draws from ``rng``, which it requires.
         """
         if op.width != self.m:
             raise ValueError("operator width mismatch")
         settings = self.settings
         if settings.mode == "sampled" and rng is None:
-            rng = settings.make_rng()
+            raise ValueError("a sampled estimate requires an rng")
         if states is None:
             states = simulate(self.circuit, theta, self.noise, [op])
         if not self.noise.enabled:

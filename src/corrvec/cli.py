@@ -143,7 +143,7 @@ def _ground_state(prob: Problem, spec: AnsatzSpec, theta0,
     """Search the ground state and write its record and trace."""
     cfg = prob.cfg
     e0, theta, trace = vqe_ground_state(
-        prob.h_op, spec, cfg.measurement, cfg.noise,
+        prob.h_op, spec, cfg.measurement, cfg.noise, cfg.measurement.make_rng(),
         tol=cfg.optimizer.gs_tol, max_sweeps=cfg.optimizer.gs_max_sweeps,
         penalty=prob.gs_penalty(), theta0=theta0)
     gs = GroundState(e0=float(e0), converged=bool(trace.converged),
@@ -209,7 +209,7 @@ def _reusable_points(path: Path, prob: Problem, spec: AnsatzSpec,
                 f"sweep into a fresh out_dir")
         if not (0 <= j < prob.n_orb and len(rec.elements_re) == prob.n_orb
                 and rec.depth in depths
-                and len(rec.theta) == spec.grown(rec.depth - spec.depth).n_slots):
+                and len(rec.theta) == replace(spec, depth=rec.depth).n_slots):
             raise CliFailure(
                 EXIT_CONFIG,
                 f"checkpoint in {path.parent} holds point ({branch}, {j}, k={k}), "
@@ -283,20 +283,19 @@ def cmd_sweep(args) -> int:
         manifest.write(log.name, _checkpoint_text(
             [rec for col in existing.values() for rec in col.values()]))
     records = sweep_columns(
-        prob.h_op, gs.e0, build_hea(spec).bound(gs.angles), zs,
-        list(range(prob.n_orb)), spec, cfg.optimizer, cfg.measurement,
-        cfg.noise, cfg.measurement.seed, n_elec=prob.n_elec, existing=existing,
+        prob.h_op, gs.e0, build_hea(spec).bound(gs.angles), zs, spec,
+        cfg.optimizer, cfg.measurement, cfg.noise, prob.n_elec,
+        existing=existing,
         on_point=lambda rec: append_lines(log, _checkpoint_text([rec])))
     records.sort(key=lambda r: (r.branch, r.orbital, r.k))
 
     n_conv = sum(r.converged for r in records)
     frac = n_conv / len(records)
-    orbitals = list(range(prob.n_orb))
-    g = assemble_matrices(records, orbitals, prob.n_orb, len(zs))
+    g = assemble_matrices(records, prob.n_orb, len(zs))
     # each element's bound sums those of the records that placed it
     bound = assemble_matrices(
-        records, orbitals, prob.n_orb, len(zs),
-        values=[np.full(len(orbitals), r.bound()) for r in records]).real
+        records, prob.n_orb, len(zs),
+        values=[np.full(prob.n_orb, r.bound()) for r in records]).real
     manifest.write("series.jsonl",
                    series_lines(zs, g, _series_extras(records, bound)))
     manifest.write("spectrum.csv", spectrum_csv(zs, g))
@@ -354,7 +353,7 @@ def cmd_embed(args) -> int:
     active = cfg.active_space
     g_sp = np.array([spin_up_block(gk) for gk in g_cas])
 
-    rng = np.random.default_rng(cfg.measurement.seed)
+    rng = cfg.measurement.make_rng()
     if args.inject_sigma > 0:
         shape = (args.realizations,) + g_sp.shape
         try:
@@ -506,7 +505,8 @@ def cmd_noise_scan(args) -> int:
     rows = []
     for p2, noise in zip(p2_values, models):
         e0, theta, trace = vqe_ground_state(
-            prob.h_op, spec, settings, noise, tol=cfg.optimizer.gs_tol,
+            prob.h_op, spec, settings, noise, settings.make_rng(),
+            tol=cfg.optimizer.gs_tol,
             max_sweeps=cfg.optimizer.gs_max_sweeps, penalty=penalty,
             theta0=theta0)
         row = {"p2": p2, "e0": float(e0), "sweeps": trace.sweeps,

@@ -33,10 +33,6 @@ class MolecularIntegrals:
         if not 0 <= self.n_elec <= 2 * self.n_orb:
             raise ValueError(f"n_elec={self.n_elec} impossible for {self.n_orb} orbitals")
 
-    @property
-    def n_modes(self) -> int:
-        return 2 * self.n_orb
-
     def to_qubits(self, mu: float = 0.0) -> PauliSum:
         return hamiltonian_to_qubits(self.h, self.g, self.e_const, mu=mu)
 

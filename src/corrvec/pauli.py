@@ -9,9 +9,10 @@ a string is ``kron(P[m-1], ..., P[0])``.  The product of two strings is the
 string (x1 ^ x2, z1 ^ z2) times i^k, k = |x1 & z1| + |x2 & z2| - |x3 & z3|
 + 2 |z1 & x2| mod 4.
 
-Text labels exist only where callers meet a sum: the constructor,
-``from_label``, ``identity``, ``terms``, iteration and ``coefficient`` take
-or give a ``str`` of letters from ``IXYZ``, letter q acting on qubit q.
+Text labels exist only where callers meet a sum: the constructor and
+``identity`` take, and iteration gives, a ``str`` of letters from
+``IXYZ``, letter q acting on qubit q, so ``dict(op)`` reads a sum's terms
+by label.
 Coefficients are complex and terms with magnitude at or below PRUNE_TOL are
 dropped on construction, so the zero operator has no terms.
 
@@ -98,14 +99,6 @@ class PauliSum:
     def identity(cls, width: int, coeff: complex = 1.0) -> "PauliSum":
         return cls(width, {"I" * width: coeff})
 
-    @classmethod
-    def from_label(cls, label: str, coeff: complex = 1.0) -> "PauliSum":
-        return cls(len(label), {label: coeff})
-
-    @property
-    def terms(self) -> dict[str, complex]:
-        return dict(self)
-
     @property
     def masks(self) -> dict[tuple[int, int], complex]:
         """The terms keyed by their ``(x, z)`` masks."""
@@ -125,9 +118,6 @@ class PauliSum:
     def __repr__(self) -> str:
         parts = [f"({c:+.6g})*{lbl}" for lbl, c in sorted(self)]
         return f"PauliSum({self.width}, {' + '.join(parts) or '0'})"
-
-    def coefficient(self, label: str) -> complex:
-        return self._terms.get(_string_masks(label, self.width), 0.0 + 0j)
 
     def _check_width(self, other: "PauliSum") -> None:
         if self.width != other.width:
@@ -162,7 +152,10 @@ class PauliSum:
         """Hermitian conjugate; strings are self-adjoint so only coefficients conjugate."""
         return _from_masks(self.width, ((k, np.conj(v)) for k, v in self._terms.items()))
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
+        """Every coefficient is real to within 1e-12 of the largest |c|,
+        so a sum and its multiples by any scale get the same answer."""
+        tol = 1e-12 * max(map(abs, self._terms.values()), default=0.0)
         return all(abs(c.imag) <= tol for c in self._terms.values())
 
 

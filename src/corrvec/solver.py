@@ -96,7 +96,7 @@ class CorrectionProblem:
         self.d2 = self.d_op * self.d_op
         self.v_adj = v_op.adjoint()
         self.vdj = self.v_adj * self.d_op
-        self.vvdag = self.v_adj * v_op
+        self.vdv = self.v_adj * v_op
         # The solution lives in a fixed particle-number sector, while the
         # prepared reference obeys Q|psi0> = z|psi0> and so costs only |z|^2:
         # at small |z| the optimizer can fall into that direction.  A sector
@@ -108,7 +108,7 @@ class CorrectionProblem:
         self._engines: dict[int, tuple[Circuit, OverlapEngine]] = {}
 
     def measure_v_norm(self, rng) -> float:
-        return sample_pauli_expectation(self.gs_circuit, None, self.vvdag,
+        return sample_pauli_expectation(self.gs_circuit, None, self.vdv,
                                         self.settings, self.noise, rng)
 
     def qdq(self, z: complex) -> PauliSum:
@@ -140,16 +140,15 @@ class CorrectionProblem:
         Each circuit carries the operators read on it: Q+Q and the penalty
         on the ansatz, V+Q on the block.  Estimates are drawn in the order
         <Q+Q>, overlap, penalty.
-        As an operator g is M = Q+Q + penalty - |w><w| / <V|V>: the overlap
-        is <w|psi> with w = (V+Q)+ |psi0> = (z* + D) V|psi0>, which reuses
-        the compiled D and V instead of compiling the adjoint of V+Q.
+        With exact, noiseless measurement, and only then, the sweep also
+        reads g as the operator M = Q+Q + penalty - |w><w| / <V|V>: the
+        overlap is <w|psi> with w = (V+Q)+ |psi0> = (z* + D) V|psi0>, which
+        reuses the compiled D and V instead of compiling the adjoint of V+Q.
         """
         qdq = self.qdq(z)
         vdq = self.vdq(z)
         circ, engine = self.engine_for(spec)
         settings, noise = self.settings, self.noise
-        v_psi0 = apply_sum(self.v_op, engine.psi1)
-        w = z.conjugate() * v_psi0 + apply_sum(self.d_op, v_psi0)
         ops = [qdq] if self.penalty_op is None else [qdq, self.penalty_op]
 
         def read(outputs) -> float:
@@ -165,26 +164,34 @@ class CorrectionProblem:
 
         if noise.enabled:
             return CircuitCost([circ, engine.circuit], settings, noise, read,
-                               [ops, [vdq]], w / np.sqrt(v_norm))
-        return CircuitCost([circ], settings, noise, read, [ops], w / np.sqrt(v_norm))
+                               [ops, [vdq]])
+        w = None
+        if settings.mode == "exact":
+            v_psi0 = apply_sum(self.v_op, engine.psi1)
+            w = (z.conjugate() * v_psi0 + apply_sum(self.d_op, v_psi0)) / np.sqrt(v_norm)
+        return CircuitCost([circ], settings, noise, read, [ops], w)
 
 
 def solve_correction_vector(problem: CorrectionProblem, z: complex,
                             spec: AnsatzSpec, options: SolverOptions,
                             rng: np.random.Generator,
                             theta0: np.ndarray | None = None,
-                            depth0: int | None = None,
                             ) -> CorrectionVectorSolution:
     """Rotosolve until g/<V|V> < epsilon, growing depth on stalls.
 
-    ``theta0``/``depth0`` warm-start from a neighboring frequency.  The
-    returned angles are the best seen by measured cost; ``converged``
-    means their residual is below ``options.epsilon`` and gamma is
-    defined.  One simulation of the overlap circuit at those angles then
-    gives the denominator of gamma and each element of
-    ``problem.element_ops``, estimated in that order.  A perturbation that
-    annihilates the ground state returns gamma 0, converged, with zero
-    elements.
+    ``theta0`` warm-starts from a neighboring frequency's angles, whose
+    number fixes the depth to start at: ``spec`` with that many blocks, or
+    ValueError for angles that are not whole blocks of it.  The returned
+    angles are the best seen by measured cost; ``converged`` means their
+    residual is below ``options.epsilon`` and gamma is defined.  One
+    simulation of the overlap circuit at those angles then gives the
+    denominator of gamma and each element of ``problem.element_ops``,
+    estimated in that order.  A perturbation that annihilates the ground
+    state returns gamma 0, converged, with zero elements.  So does a
+    denominator that vanishes, but not converged: at the correction vector
+    |<V|Q U|0>| >= sqrt(<V|V>) |Im z|, because Q is normal with
+    |eigenvalues| >= |Im z|, and a denominator below 1e-10 of that scale
+    defines no gamma.
     """
     zeros = np.zeros(len(problem.element_ops), dtype=complex)
     v_norm = problem.measure_v_norm(rng)
@@ -193,12 +200,14 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
             theta=np.zeros(spec.n_slots), residual=0.0, gamma=0j,
             depth=spec.depth, sweeps=0, converged=True, elements=zeros)
 
-    cur = spec if depth0 is None else replace(spec, depth=depth0)
+    cur = spec
     max_depth = spec.depth + options.extra_depth
     if theta0 is not None:
         theta = np.asarray(theta0, dtype=float)
-        if theta.shape != (cur.n_slots,):
-            raise ValueError("warm-start angles do not match the depth")
+        blocks, rest = divmod(theta.size, spec.width * len(spec.pattern))
+        if theta.ndim != 1 or rest or blocks < 2:
+            raise ValueError("warm-start angles are not whole blocks of the ansatz")
+        cur = replace(spec, depth=blocks - 1)
     else:
         theta = rng.uniform(-0.1, 0.1, size=cur.n_slots)
 
@@ -230,7 +239,7 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
                       [vdq, *problem.element_ops])
     denom = engine.estimate_sum(best_theta, vdq, rng, states)
     converged = bool(best_val / v_norm < options.epsilon)
-    if abs(denom) < 1e-10:
+    if abs(denom) < 1e-10 * np.sqrt(v_norm) * abs(z.imag):
         gamma, elements, converged = 0j, zeros, False
     else:
         gamma = complex(v_norm / denom)
@@ -316,17 +325,18 @@ def _point_rng(seed: int, branch: str, orbital: int, k: int):
 
 def solve_column(h: PauliSum, e0: float, gs_circuit: Circuit,
                  zs: np.ndarray, branch: str, orbital: int,
-                 orbitals: list[int], spec: AnsatzSpec, options: SolverOptions,
-                 settings: MeasurementSettings, noise: NoiseModel, seed: int,
-                 n_elec: int | None = None,
+                 spec: AnsatzSpec, options: SolverOptions,
+                 settings: MeasurementSettings, noise: NoiseModel, n_elec: int,
                  existing: dict[int, PointRecord] | None = None,
                  on_point=None) -> list[PointRecord]:
     """March one (orbital, branch) chain across the grid in order.
 
-    Each frequency is solved once, warm-started from its predecessor; its
-    record's residual bounds its error (``PointRecord.bound``), so no point
-    is judged by its neighbours.  ``n_elec`` (electrons in the reference
-    state) switches on the sector penalty for the N+1 / N-1 target space.
+    Each frequency is solved once, warm-started from its predecessor, with
+    draws seeded by ``settings.seed`` and the point; its record's residual
+    bounds its error (``PointRecord.bound``), so no point is judged by its
+    neighbours.  The column holds an element for each spatial orbital of
+    ``h``.  ``n_elec``, the electrons in the reference state, fixes the
+    N+1 / N-1 target space of the sector penalty.
     """
     if branch not in _BRANCH_SIGN:
         raise ValueError(f"unknown branch {branch!r}")
@@ -334,22 +344,22 @@ def solve_column(h: PauliSum, e0: float, gs_circuit: Circuit,
     sign = _BRANCH_SIGN[branch]
     create = branch == PARTICLE
     v_op = ladder_pauli(orbital, create, n_modes)
-    n_target = None if n_elec is None else n_elec + (1 if create else -1)
     problem = CorrectionProblem(
-        h, e0, sign, v_op, gs_circuit, settings, noise, n_target=n_target,
+        h, e0, sign, v_op, gs_circuit, settings, noise,
+        n_target=n_elec + (1 if create else -1),
         sector_penalty=options.sector_penalty,
-        element_ops=tuple(ladder_pauli(i, not create, n_modes) for i in orbitals))
+        element_ops=tuple(ladder_pauli(i, not create, n_modes)
+                          for i in range(n_modes // 2)))
     existing = existing or {}
 
     records: list[PointRecord] = []
-    prev: tuple[np.ndarray, int] | None = None
+    theta0 = None
     for k, z in enumerate(zs):
         rec = existing.get(k)
         if rec is None:
-            rng = _point_rng(seed, branch, orbital, k)
-            theta0, depth0 = prev if prev is not None else (None, None)
+            rng = _point_rng(settings.seed, branch, orbital, k)
             sol = solve_correction_vector(problem, complex(z), spec, options,
-                                          rng, theta0=theta0, depth0=depth0)
+                                          rng, theta0=theta0)
             rec = PointRecord(
                 k=k, z_re=z.real, z_im=z.imag, orbital=orbital, branch=branch,
                 elements_re=sol.elements.real, elements_im=sol.elements.imag,
@@ -359,16 +369,16 @@ def solve_column(h: PauliSum, e0: float, gs_circuit: Circuit,
                 converged=sol.converged)
             if on_point is not None:
                 on_point(rec)
-        prev = (rec.theta, rec.depth)
+        theta0 = rec.theta
         records.append(rec)
 
     return records
 
 
-def assemble_matrices(records: list[PointRecord], orbitals: list[int],
-                      n_orb: int, n_points: int,
+def assemble_matrices(records: list[PointRecord], n_orb: int, n_points: int,
                       values: list[np.ndarray] | None = None) -> np.ndarray:
-    """Spin-orbital Green's-function matrices from column records.
+    """Spin-orbital Green's-function matrices from column records, each
+    holding an element for every one of the ``n_orb`` spatial orbitals.
 
     Particle records fill column j over rows i; hole records fill row j over
     columns i.  The spatial (spin-up) block is mirrored onto the spin-down
@@ -382,27 +392,26 @@ def assemble_matrices(records: list[PointRecord], orbitals: list[int],
         values = [rec.elements for rec in records]
     for rec, vals in zip(records, values):
         if rec.branch == PARTICLE:
-            for pos, i in enumerate(orbitals):
-                out[rec.k, i, rec.orbital] += vals[pos]
+            out[rec.k, :n_orb, rec.orbital] += vals
         else:
-            for pos, i in enumerate(orbitals):
-                out[rec.k, rec.orbital, i] += vals[pos]
+            out[rec.k, rec.orbital, :n_orb] += vals
     out[:, n_orb:, n_orb:] = out[:, :n_orb, :n_orb]
     return out
 
 
 def sweep_columns(h: PauliSum, e0: float, gs_circuit: Circuit, zs: np.ndarray,
-                  orbitals: list[int], spec: AnsatzSpec, options: SolverOptions,
-                  settings: MeasurementSettings, noise: NoiseModel, seed: int,
-                  n_elec: int | None = None, existing: dict | None = None,
+                  spec: AnsatzSpec, options: SolverOptions,
+                  settings: MeasurementSettings, noise: NoiseModel, n_elec: int,
+                  existing: dict | None = None,
                   on_point=None) -> list[PointRecord]:
-    """All (branch, orbital) chains in a deterministic serial order."""
+    """The (branch, orbital) chain of every spatial orbital of ``h`` on
+    both branches (``solve_column``), in a deterministic serial order."""
     existing = existing or {}
     records: list[PointRecord] = []
     for branch in (PARTICLE, HOLE):
-        for j in orbitals:
+        for j in range(h.width // 2):
             records.extend(solve_column(
-                h, e0, gs_circuit, zs, branch, j, orbitals, spec, options,
-                settings, noise, seed, n_elec=n_elec,
+                h, e0, gs_circuit, zs, branch, j, spec, options,
+                settings, noise, n_elec,
                 existing=existing.get((branch, j)), on_point=on_point))
     return records

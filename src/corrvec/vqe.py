@@ -57,9 +57,6 @@ class AnsatzSpec:
     def n_slots(self) -> int:
         return self.width * len(self.pattern) * (self.depth + 1)
 
-    def grown(self, extra: int = 1) -> "AnsatzSpec":
-        return AnsatzSpec(self.width, self.depth + extra, self.pattern)
-
 
 def build_hea(spec: AnsatzSpec) -> Circuit:
     """Layered ansatz circuit; slot order is block-major, then qubit, then
@@ -142,13 +139,15 @@ class CircuitCost:
     circuit's output as ``simulate`` gives it for those operators, drawing
     shots as it goes, so under noise a ``read`` that estimates another
     operator fails on its first call; calling the object evaluates the cost
-    at full angles.  The first circuit's operators (hermitian sums, kept
-    apart so that each keeps its compiled action) and ``w`` give the same
-    cost as <psi|M|psi> on that circuit's output, M their sum minus |w><w|.
-    With exact, noiseless measurement the sweep reads each slot off the
-    2x2 matrix of M (``matrix``), so the first circuit is then checked as
-    every sweep reads it (``circuits.slot_gates``): one RX, RY or RZ per
-    slot.
+    at full angles.  The first circuit's operators are hermitian sums, kept
+    apart because an estimated ``read`` draws each at its own place in its
+    order of draws (the solver's cost: <Q+Q>, overlap, penalty); they and
+    ``w`` give the same cost as <psi|M|psi> on that circuit's output, M
+    their sum minus |w><w|.  With exact, noiseless
+    measurement the sweep reads each slot off the 2x2 matrix of M
+    (``matrix``), so the first circuit is then checked as every sweep reads
+    it (``circuits.slot_gates``): one RX, RY or RZ per slot.  No other mode
+    reads ``w``.
     """
 
     def __init__(self, circuits: Sequence[Circuit], settings: MeasurementSettings,
@@ -273,9 +272,9 @@ class OptimizationTrace:
 
 def vqe_ground_state(h: PauliSum, spec: AnsatzSpec,
                      settings: MeasurementSettings, noise: NoiseModel,
+                     rng: np.random.Generator,
                      tol: float = 1e-9, max_sweeps: int = 200,
                      penalty: PauliSum | None = None,
-                     rng: np.random.Generator | None = None,
                      theta0: np.ndarray | None = None,
                      ) -> tuple[float, np.ndarray, OptimizationTrace]:
     """Minimize <H> over the ansatz family.
@@ -283,16 +282,15 @@ def vqe_ground_state(h: PauliSum, spec: AnsatzSpec,
     ``penalty`` is an optional hermitian operator added to the cost only
     (symmetry enforcement); the returned energy is <H> alone at the final
     angles.  ``theta0`` fixes the starting angles (see hf_start_angles);
-    by default they are drawn uniformly from [-0.1, 0.1).  Convergence:
-    change in sweep cost below tol, judged on a 3-sweep moving average
-    when measurements are sampled or noisy.
+    by default they are drawn from ``rng``, uniformly from [-0.1, 0.1),
+    which then draws every sampled estimate too.  Convergence: change in
+    sweep cost below tol, judged on a 3-sweep moving average when
+    measurements are sampled or noisy.
     """
     if not h.is_hermitian():
         raise ValueError("Hamiltonian must be hermitian")
     if h.width != spec.width:
         raise ValueError("ansatz width does not match the Hamiltonian")
-    if rng is None:
-        rng = settings.make_rng()
     circ = build_hea(spec)
     cost_op = h if penalty is None else h + penalty
 

@@ -327,14 +327,15 @@ def estimate_expectation(circ: Circuit, theta, op: PauliSum, settings, noise,
     non-identity string from the dense states, drawn and extrapolated."""
     states = [_simulate(circ, theta, lvl) for lvl in _levels(noise)]
     ident = "I" * op.width
-    total = op.coefficient(ident).real
-    for label in sorted(op.terms):
+    terms = dict(op)
+    total = terms.get(ident, 0.0).real
+    for label in sorted(terms):
         if label == ident:
             continue
         p = string_matrix(label)
         values = [float(np.vdot(st, p @ st).real) if st.ndim == 1
                   else float(np.trace(st @ p).real) for st in states]
-        total += op.coefficient(label).real * _draw(values, settings, noise, rng)
+        total += terms[label].real * _draw(values, settings, noise, rng)
     return float(total)
 
 
@@ -344,14 +345,15 @@ def estimate_overlap(u1_bound: Circuit, u2: Circuit, theta, op: PauliSum,
     the literal interference circuit at phi = 0 and pi/2, Re(<P>) and
     -Im(<P>), per string and noise level, drawn and extrapolated."""
     u2_bound = u2.bound(theta if u2.n_slots else [])
+    terms = dict(op)
     total = 0.0 + 0j
-    for label in sorted(op.terms):
+    for label in sorted(terms):
         parts = []
         for phi in (0.0, np.pi / 2):
             circ = overlap_circuit(u1_bound, u2_bound, label, phi)
             values = [ancilla_z(_simulate(circ, None, lvl))
                       for lvl in _levels(noise)]
             parts.append(_draw(values, settings, noise, rng))
-        total += op.coefficient(label) * complex(parts[0], -parts[1])
+        total += terms[label] * complex(parts[0], -parts[1])
     return total
 

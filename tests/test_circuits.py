@@ -1,6 +1,7 @@
 """Gate simulation: unitaries, noise channel, sampling, overlap circuits."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ def test_depolarize_matches_pauli_kraus_sum(rng):
         for b in "IXYZ":
             label = [c for c in "III"]
             label[q1], label[q2] = a, b
-            pm = materialize(PauliSum.from_label("".join(label)))
+            pm = materialize(PauliSum(3, {"".join(label): 1.0}))
             acc += pm @ rho @ pm.conj().T
     expect = (1.0 - p2) * rho + (p2 / 15.0) * (acc - rho)
     assert np.allclose(out, expect, atol=1e-12)
@@ -198,10 +199,10 @@ def test_measurement_settings():
     with pytest.raises(ValueError):
         MeasurementSettings(seed=-1)
     s = MeasurementSettings(mode="sampled", shots=100, seed=5)
-    a = s.make_rng(1, 2).standard_normal(4)
-    b = s.make_rng(1, 2).standard_normal(4)
-    c = s.make_rng(1, 3).standard_normal(4)
-    assert np.allclose(a, b)
+    a = s.make_rng().standard_normal(4)
+    b = s.make_rng().standard_normal(4)
+    c = replace(s, seed=6).make_rng().standard_normal(4)
+    assert np.array_equal(a, b)
     assert not np.allclose(a, c)
 
 
@@ -303,8 +304,10 @@ def test_sampled_mode_is_seeded_and_consistent(rng):
     theta = rng.uniform(-np.pi, np.pi, size=circ.n_slots)
     op = PauliSum(2, [("ZI", 0.5), ("XX", 1.1)])
     settings = MeasurementSettings(mode="sampled", shots=200_000, seed=11)
-    a = sample_pauli_expectation(circ, theta, op, settings, NoiseModel())
-    b = sample_pauli_expectation(circ, theta, op, settings, NoiseModel())
+    a = sample_pauli_expectation(circ, theta, op, settings, NoiseModel(),
+                                 settings.make_rng())
+    b = sample_pauli_expectation(circ, theta, op, settings, NoiseModel(),
+                                 settings.make_rng())
     assert a == b
     exact = sample_pauli_expectation(circ, theta, op, MeasurementSettings(), NoiseModel())
     assert abs(a - exact) < 2e-2
@@ -425,10 +428,15 @@ def test_estimators_match_dense_references(mode, noise_name, rng):
     expect = estimate_overlap(u1, u2, theta, op, settings, noise,
                               np.random.default_rng(22))
     assert got == pytest.approx(expect, abs=1e-10)
-    # without a generator both draw from the settings' own seed
-    assert engine.estimate_sum(theta, op) == pytest.approx(
-        estimate_overlap(u1, u2, theta, op, settings, noise,
-                         settings.make_rng()), abs=1e-10)
+    # a sampled estimate opens no stream of its own; an exact one needs none
+    if mode == "exact":
+        assert engine.estimate_sum(theta, op) == got
+    else:
+        for estimate in (lambda: engine.estimate_sum(theta, op),
+                         lambda: sample_pauli_expectation(u2, theta, herm,
+                                                          settings, noise)):
+            with pytest.raises(ValueError, match="requires an rng"):
+                estimate()
 
 
 @pytest.mark.parametrize("noise_name", ["noiseless", "zne"])

@@ -12,6 +12,8 @@ import pytest
 
 from corrvec import solver
 from corrvec.cli import main
+from corrvec.molham import read_fcidump
+from corrvec.oracle import exact_ground
 from corrvec.store import (read_series, series_lines, sha256_of_file,
                            write_text_atomic)
 from manifest_check import verify_manifest
@@ -60,6 +62,29 @@ def test_ground_state_run_and_reproducibility(tmp_path, capsys):
     for name in ("ground_state.json", "trace.log"):
         assert sha256_of_file(tmp_path / "out1" / name) == \
             sha256_of_file(tmp_path / "out2" / name)
+
+
+def test_ground_state_of_an_odd_electron_count(tmp_path, capsys):
+    """An odd electron count has no closed-shell determinant to start from,
+    so the search starts from angles drawn from the seed's stream: it
+    reaches the exact energy of the one-electron sector, and a rerun
+    writes the same bytes.  The spin penalty is off, as S^2 vanishes on no
+    state of an odd count."""
+    odd = tmp_path / "odd.fcidump"
+    odd.write_text((FIXTURES / "h2_2.0.fcidump").read_text()
+                   .replace("NELEC=2", "NELEC=1", 1))
+    outs = [tmp_path / "out1", tmp_path / "out2"]
+    for out in outs:
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(out),
+                           hamiltonian={"kind": "fcidump", "path": str(odd)},
+                           spin_penalty=0.0)
+        assert run("ground-state", "--config", str(cfg)) == 0
+    e_ref, _ = exact_ground(read_fcidump(str(odd)).to_qubits(), 1)
+    payload = json.loads((outs[0] / "ground_state.json").read_text())
+    assert payload["converged"]
+    assert payload["e0"] == pytest.approx(e_ref, abs=1e-6)
+    for name in ("ground_state.json", "trace.log"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_sweep_outputs(dimer_sweep):
@@ -242,17 +267,17 @@ def test_killed_sweep_resumes_to_the_uninterrupted_bytes(dimer_sweep, tmp_path,
         number of points solved."""
         calls = []
 
-        def solve(problem, z, spec, options, rng, theta0=None, depth0=None):
+        def solve(problem, z, spec, options, rng, theta0=None):
             # a solve is a function of its point's draws and its warm
             # start, so each distinct one runs once across these sweeps
-            key = (z, str(rng.bit_generator.state), depth0,
+            key = (z, str(rng.bit_generator.state),
                    None if theta0 is None else np.asarray(theta0).tobytes())
             calls.append(key)
             if len(calls) == kill_at:
                 raise Killed
             if key not in solved:
                 solved[key] = real_solve(problem, z, spec, options, rng,
-                                         theta0=theta0, depth0=depth0)
+                                         theta0=theta0)
             return solved[key]
 
         cfg = write_config(tmp_path / "cfg.json", grid=grid, out_dir=str(out))
@@ -629,6 +654,28 @@ def test_compare_refuses_a_corrupt_manifest(dimer_sweep, tmp_path, capsys):
     assert run("compare", str(series), str(series)) == 5
     assert "manifest" in capsys.readouterr().err
     assert run("compare", str(series), str(series), "--force") == 0
+
+
+def test_compare_refuses_a_series_its_manifest_does_not_pin(dimer_sweep, tmp_path,
+                                                         capsys):
+    """A series that its manifest does not list, or whose bytes differ from
+    the digest listed, exits 5 naming the file, unless forced."""
+    unlisted, changed = tmp_path / "unlisted", tmp_path / "changed"
+    for out in (unlisted, changed):
+        shutil.copytree(dimer_sweep["out"], out)
+    manifest = json.loads((unlisted / "manifest.json").read_text())
+    del manifest["files"]["series.jsonl"]
+    (unlisted / "manifest.json").write_text(json.dumps(manifest))
+    series = changed / "series.jsonl"
+    series.write_text(series.read_text().replace("0", "1", 1))
+    for out, message in ((unlisted, "is not listed in"),
+                         (changed, "does not match its manifest digest")):
+        series = out / "series.jsonl"
+        capsys.readouterr()
+        assert run("compare", str(series), str(series)) == 5
+        err = capsys.readouterr().err
+        assert "series.jsonl" in err and message in err, err
+        assert run("compare", str(series), str(series), "--force") == 0
 
 
 def test_compare_refuses_bounds_of_the_wrong_length(dimer_sweep, tmp_path, capsys):

@@ -224,7 +224,7 @@ def test_overlap_circuits_match_kron(case):
             assert max_diff(engine.block_scale[0] * block,
                             ref.run_density(prefix, p2=p2)[half:, :half]) <= TOL, p2
             for fixed in (label, "Z" * width, ("XZ" * width)[:width]):
-                op = PauliSum.from_label(fixed)
+                op = PauliSum(width, {fixed: 1.0})
                 assert abs(engine.estimate_sum(th, op) - ref.estimate_overlap(
                     u1, u2, th, op, MeasurementSettings(), noise, None)) <= TOL, \
                     (fixed, p2)
@@ -379,7 +379,7 @@ def test_noisy_sweeps_pull_back_once_per_sweep(h2_hamiltonian, monkeypatch):
     settings_ = MeasurementSettings(mode="sampled", shots=1000, seed=5)
     noise = NoiseModel(enabled=True, p2=0.01)
     _, _, trace = vqe_ground_state(h2_hamiltonian, spec, settings_, noise,
-                                   max_sweeps=2)
+                                   settings_.make_rng(), max_sweeps=2)
     assert trace.sweeps == 2
     assert len(stacks) == 2
     assert read_shapes and all(shape == (2, 16, 16) for shape in read_shapes)
@@ -523,9 +523,9 @@ def test_string_tables_match_dense(op, seed):
     strings, overlaps = string_overlaps(op, bra, ket)
     _, traces = string_traces(op, rho)
     labels = [label for label, _, _, _ in strings]
-    assert labels == sorted(op.terms)
+    assert labels == sorted(dict(op))
     for label, ov, tr in zip(labels, overlaps, traces):
-        p = materialize(PauliSum.from_label(label))
+        p = materialize(PauliSum(op.width, {label: 1.0}))
         assert abs(ov - np.vdot(bra, p @ ket)) <= TOL
         assert abs(tr - np.trace(rho @ p)) <= TOL
 
@@ -552,7 +552,7 @@ def test_weighted_sum_combines_its_parts_forms(data):
         combined = weighted_sum(first.width, parts)
         action = apply_sum(combined, ket)
         strings, overlaps = string_overlaps(combined, bra, ket)
-    fresh = PauliSum(first.width, combined.terms)
+    fresh = PauliSum(first.width, dict(combined))
     assert max_diff(action, apply_sum(fresh, ket)) <= TOL
     fresh_strings, fresh_overlaps = string_overlaps(fresh, bra, ket)
     assert strings == fresh_strings

@@ -35,7 +35,7 @@ def h2_gs(h2_hamiltonian):
     theta0 = hf_start_angles(spec, [0, 2], jitter=0.02, rng=rng)
     pen = number_penalty(4, 2, 1.0) + total_spin_squared(2)
     e0, theta, trace = vqe_ground_state(
-        h2_hamiltonian, spec, MeasurementSettings(), NoiseModel(),
+        h2_hamiltonian, spec, MeasurementSettings(), NoiseModel(), rng,
         tol=1e-10, penalty=pen, theta0=theta0)
     assert trace.converged
     return e0, build_hea(spec).bound(theta)
@@ -92,8 +92,8 @@ def test_single_point_solve_matches_resolvent(h2_hamiltonian, h2_gs,
     options = SolverOptions(epsilon=1e-5)
     zs = np.array([1.0 + 0.2j])
     records = solve_column(h2_hamiltonian, e0, gs_circ, zs, PARTICLE, 0,
-                           [0, 1], spec, options, MeasurementSettings(),
-                           NoiseModel(), seed=9, n_elec=2)
+                           spec, options, MeasurementSettings(seed=9),
+                           NoiseModel(), n_elec=2)
     rec = records[0]
     assert rec.converged
     assert rec.residual < 1e-5
@@ -108,11 +108,11 @@ def test_grid_sweep_matches_oracle(h2_hamiltonian, h2_gs, h2_oracle):
     eta = 0.05
     omegas = np.array([-0.8, 0.0, 0.6])
     zs = omegas + 1j * eta
-    records = sweep_columns(h2_hamiltonian, e0, gs_circ, zs, [0, 1], spec,
-                            options, MeasurementSettings(), NoiseModel(),
-                            seed=11, n_elec=2)
+    records = sweep_columns(h2_hamiltonian, e0, gs_circ, zs, spec, options,
+                            MeasurementSettings(seed=11), NoiseModel(),
+                            n_elec=2)
     assert all(r.converged for r in records)
-    g = assemble_matrices(records, [0, 1], 2, len(zs))
+    g = assemble_matrices(records, 2, len(zs))
     ref = h2_oracle.series(zs)
     assert np.max(np.abs(g - ref)) < 2e-2
 
@@ -122,14 +122,50 @@ def test_zero_perturbation_short_circuits():
     spec = AnsatzSpec(width=4, depth=1)
     gs_circ = build_hea(spec).bound(np.zeros(spec.n_slots))
     zs = np.array([0.5 + 0.1j])
-    records = solve_column(h, 0.0, gs_circ, zs, HOLE, 1, [0, 1], spec,
-                           SolverOptions(), MeasurementSettings(),
-                           NoiseModel(), seed=3)
+    records = solve_column(h, 0.0, gs_circ, zs, HOLE, 1, spec,
+                           SolverOptions(), MeasurementSettings(seed=3),
+                           NoiseModel(), n_elec=0)
     rec = records[0]
     assert rec.converged
     assert rec.sweeps == 0
     assert rec.gamma == 0
     assert np.all(rec.elements == 0)
+
+
+def test_vanishing_overlap_refuses_gamma_at_any_scale(h2_hamiltonian, h2_gs,
+                                                    monkeypatch):
+    """A denominator <V|Q U|0> that vanishes defines no gamma: the point
+    stores gamma 0 and zero elements, is not converged, and is bounded by
+    1 / |Im z|.  A small but finite one, 1e-8 of the overlap read, still
+    defines gamma, and scaling H, E0 and z together leaves both verdicts
+    as they are: the guard is relative to sqrt(<V|V>) |Im z|, the least
+    |<V|Q U|0>| takes at the correction vector.  The options that weigh
+    terms of g, epsilon and the sector penalty, carry the units of Q+Q and
+    scale with it, so every scale runs the same sweeps."""
+    e0, gs_circ = h2_gs
+    real_estimate = circuits.OverlapEngine.estimate_sum
+    for scale in (1.0, 1e-4):
+        for factor in (0.0, 1e-8):
+            def estimate_sum(self, theta, op, rng=None, states=None):
+                value = real_estimate(self, theta, op, rng, states)
+                # only the reads after the sweeps name the angles
+                return value if theta is None else factor * value
+
+            monkeypatch.setattr(circuits.OverlapEngine, "estimate_sum",
+                                estimate_sum)
+            z = scale * (1.0 + 0.2j)
+            (rec,) = solve_column(
+                scale * h2_hamiltonian, scale * e0, gs_circ, np.array([z]),
+                PARTICLE, 0, AnsatzSpec(width=4, depth=2),
+                SolverOptions(max_sweeps=2, epsilon=0.05 * scale**2,
+                              sector_penalty=scale**2),
+                MeasurementSettings(seed=9),
+                NoiseModel(), n_elec=2)
+            assert (rec.gamma == 0) == (factor == 0), (scale, factor)
+            if factor == 0:
+                assert not rec.converged
+                assert np.all(rec.elements == 0)
+                assert rec.bound() == pytest.approx(1 / abs(z.imag))
 
 
 def test_each_point_simulates_its_overlap_circuit_once(h2_hamiltonian,
@@ -155,9 +191,9 @@ def test_each_point_simulates_its_overlap_circuit_once(h2_hamiltonian,
     per_point = []
     zs = np.array([-0.5 + 0.1j, 0.6 + 0.1j])
     records = solve_column(
-        h2_hamiltonian, e0, gs_circ, zs, PARTICLE, 1, [0, 1],
+        h2_hamiltonian, e0, gs_circ, zs, PARTICLE, 1,
         AnsatzSpec(width=4, depth=2), SolverOptions(max_sweeps=2),
-        MeasurementSettings(), NoiseModel(), seed=9, n_elec=2,
+        MeasurementSettings(seed=9), NoiseModel(), n_elec=2,
         on_point=lambda rec: per_point.append(list(after_sweeps)))
     assert all(r.sweeps > 0 and r.gamma != 0 for r in records)
     assert [len(calls) for calls in per_point] == [1, 1]
@@ -165,7 +201,7 @@ def test_each_point_simulates_its_overlap_circuit_once(h2_hamiltonian,
 
 
 @pytest.mark.parametrize("settings", [
-    MeasurementSettings(), MeasurementSettings(mode="sampled", shots=10_000, seed=4),
+    MeasurementSettings(seed=9), MeasurementSettings(mode="sampled", shots=10_000, seed=9),
 ], ids=["exact", "sampled"])
 def test_no_string_is_compiled_per_frequency(h2_hamiltonian, h2_gs, monkeypatch,
                                              settings):
@@ -177,23 +213,31 @@ def test_no_string_is_compiled_per_frequency(h2_hamiltonian, h2_gs, monkeypatch,
     monkeypatch.setattr(pauli, "string_action", spy)
     per_point = []
     zs = np.array([-0.5, 0.1, 0.6]) + 0.1j
-    solve_column(h2_hamiltonian, e0, gs_circ, zs, PARTICLE, 1, [0, 1],
+    solve_column(h2_hamiltonian, e0, gs_circ, zs, PARTICLE, 1,
                  AnsatzSpec(width=4, depth=2), SolverOptions(max_sweeps=2),
-                 settings, NoiseModel(), seed=9, n_elec=2,
+                 settings, NoiseModel(), n_elec=2,
                  on_point=lambda rec: per_point.append(spy.call_count))
     assert per_point[0] > 0
     assert per_point == [spy.call_count] * 3
 
 
 def test_warm_start_shape_is_checked(h2_hamiltonian, h2_gs, rng):
+    """Warm-start angles set the starting depth by their number, and are
+    refused unless they are whole blocks of at least a depth-1 ansatz."""
     e0, gs_circ = h2_gs
     spec = AnsatzSpec(width=4, depth=2)
     problem = CorrectionProblem(h2_hamiltonian, e0, -1,
                                 PauliSum.identity(4), gs_circ,
                                 MeasurementSettings(), NoiseModel())
-    with pytest.raises(ValueError):
-        solve_correction_vector(problem, 1.0 + 0.1j, spec, SolverOptions(),
-                                rng, theta0=np.zeros(3))
+    for bad in (np.zeros(3), np.zeros(8), np.zeros((3, 8))):
+        with pytest.raises(ValueError, match="whole blocks"):
+            solve_correction_vector(problem, 1.0 + 0.1j, spec, SolverOptions(),
+                                    rng, theta0=bad)
+    deeper = replace(spec, depth=3)
+    sol = solve_correction_vector(
+        problem, 1.0 + 0.1j, spec, SolverOptions(max_sweeps=1), rng,
+        theta0=rng.uniform(-0.1, 0.1, deeper.n_slots))
+    assert sol.depth == 3 and sol.theta.shape == (deeper.n_slots,)
 
 
 def particle_problem(h2_hamiltonian, h2_gs):
@@ -259,7 +303,7 @@ def test_each_point_is_solved_once(lih_cas_hamiltonian, monkeypatch):
     theta0 = hf_start_angles(spec, [0, 2], jitter=0.02, rng=rng)
     pen = number_penalty(4, 2, 1.0) + total_spin_squared(2)
     e0, theta, _ = vqe_ground_state(h, spec, MeasurementSettings(), NoiseModel(),
-                                    tol=1e-6, penalty=pen, theta0=theta0)
+                                    rng, tol=1e-6, penalty=pen, theta0=theta0)
     zs = np.linspace(-0.8, 0.0, 3) + 0.05j
     calls = []
     real_solve = solver.solve_correction_vector
@@ -269,9 +313,9 @@ def test_each_point_is_solved_once(lih_cas_hamiltonian, monkeypatch):
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(solver, "solve_correction_vector", counting)
-    records = sweep_columns(h, e0, build_hea(spec).bound(theta), zs, [0, 1],
-                            spec, SolverOptions(max_sweeps=4),
-                            MeasurementSettings(), NoiseModel(), seed=7,
+    records = sweep_columns(h, e0, build_hea(spec).bound(theta), zs, spec,
+                            SolverOptions(max_sweeps=4),
+                            MeasurementSettings(seed=7), NoiseModel(),
                             n_elec=2)
     assert len(records) == 12
     assert len(calls) == len(records)
@@ -327,7 +371,7 @@ def test_assemble_matrices_placement():
                     elements_re=(c.real, d.real), elements_im=(c.imag, d.imag),
                     **common),
     ]
-    out = assemble_matrices(recs, [0, 1], 2, 2)
+    out = assemble_matrices(recs, 2, 2)
     assert out.shape == (2, 4, 4)
     assert out[0, 0, 1] == a and out[0, 1, 1] == b
     assert out[1, 0, 0] == c and out[1, 0, 1] == d

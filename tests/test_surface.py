@@ -1,9 +1,10 @@
 """The package's public surface, read from the source: the names the
-package root exports, no public module-level function or class that only
-the tests use, the parameters the benchmark's hooks read by position, the
-hot spans the benchmark requires, the private names and attributes each
-module keeps to itself, the one way the command line writes files, and the
-only packages it imports."""
+package root exports, no public module-level function or class, and no
+public method or property of a class, that only the tests use, the
+parameters the benchmark's hooks read by position, the hot spans the
+benchmark requires, the private names and attributes each module keeps to
+itself, the one way the command line writes files, and the only packages
+it imports."""
 
 import ast
 import importlib
@@ -38,22 +39,33 @@ def test_package_exports_the_agreed_names():
 
 def test_every_public_name_is_used_outside_the_tests():
     """Each public function or class of a package module is read as a name
-    or an attribute in the code of the package, bench/*.py or tools/*.py:
+    or an attribute, and each public method or property of a class there
+    as an attribute, in the code of the package, bench/*.py or tools/*.py:
     a docstring or comment that names it does not count."""
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     users = (modules + sorted((ROOT / "bench").glob("*.py"))
              + sorted((ROOT / "tools").glob("*.py")))
-    used = Counter()
+    names, attributes = Counter(), Counter()
     for path in users:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
-                used[node.id] += 1
+                names[node.id] += 1
             elif isinstance(node, ast.Attribute):
-                used[node.attr] += 1
-    unused = [f"{module.name}:{node.name}" for module in modules
-              for node in ast.parse(module.read_text()).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and not used[node.name]]
+                attributes[node.attr] += 1
+    unused = []
+    for module in modules:
+        for node in ast.parse(module.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not (node.name.startswith("_") or names[node.name]
+                    or attributes[node.name]):
+                unused.append(f"{module.name}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [f"{module.name}:{node.name}.{member.name}"
+                           for member in node.body
+                           if isinstance(member, ast.FunctionDef)
+                           and not member.name.startswith("_")
+                           and not attributes[member.name]]
     assert unused == []
 
 

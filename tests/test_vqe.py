@@ -44,8 +44,6 @@ def test_ansatz_spec_validation():
         AnsatzSpec(width=2, depth=1, pattern=("RY", "CX"))
     spec = AnsatzSpec(width=3, depth=2)
     assert spec.n_slots == 3 * 2 * 3
-    assert spec.grown(2).depth == 4
-    assert spec.grown().n_slots == 3 * 2 * 4
 
 
 def test_build_hea_structure():
@@ -80,7 +78,7 @@ def test_determinant_start_empty_and_errors():
 
 def test_grow_hea_angles_mapping(rng):
     old = AnsatzSpec(width=2, depth=1)
-    new = old.grown()
+    new = AnsatzSpec(width=2, depth=2)
     theta = rng.uniform(-np.pi, np.pi, size=old.n_slots)
     out = grow_hea_angles(theta, old, new)
     per_block = 4
@@ -233,7 +231,7 @@ def test_flat_slots_keep_their_angle(h2_hamiltonian, rng):
     spec = AnsatzSpec(width=4, depth=2, pattern=("RZ", "RY"))
     theta0 = rng.uniform(-np.pi, np.pi, size=spec.n_slots)
     _, theta, trace = vqe_ground_state(h2_hamiltonian, spec,
-                                       MeasurementSettings(), NoiseModel(),
+                                       MeasurementSettings(), NoiseModel(), rng,
                                        max_sweeps=3, theta0=theta0)
     first_rz = [2 * q for q in range(spec.width)]
     assert trace.sweeps == 3
@@ -263,7 +261,7 @@ def test_vqe_reaches_h2_ground_state(h2_hamiltonian, h2_ground, rng):
                              jitter=0.02, rng=rng)
     pen = number_penalty(4, 2, 1.0) + total_spin_squared(2)
     e0, theta, trace = vqe_ground_state(
-        h2_hamiltonian, spec, MeasurementSettings(), NoiseModel(),
+        h2_hamiltonian, spec, MeasurementSettings(), NoiseModel(), rng,
         tol=1e-8, penalty=pen, theta0=theta0)
     assert trace.converged
     assert theta.shape == (spec.n_slots,)
@@ -283,7 +281,8 @@ def test_exact_sweeps_run_at_any_scale_of_the_hamiltonian(lih_cas_hamiltonian, s
     spec = AnsatzSpec(width=4, depth=3)
     theta0 = np.random.default_rng(1).uniform(-np.pi, np.pi, spec.n_slots)
     runs = [vqe_ground_state(s * lih_cas_hamiltonian, spec, MeasurementSettings(),
-                             NoiseModel(), tol=0.0, max_sweeps=3, theta0=theta0)
+                             NoiseModel(), np.random.default_rng(2), tol=0.0,
+                             max_sweeps=3, theta0=theta0)
             for s in (1.0, scale)]
     assert runs[1][2].sweeps == 3
     assert runs[1][0] / scale == pytest.approx(runs[0][0], rel=1e-10)
@@ -304,11 +303,12 @@ def test_determinant_start_jitter_is_bounded_and_reproducible():
         hf_start_angles(spec, modes, jitter=-0.1, rng=np.random.default_rng(5))
 
 
-def test_vqe_validates_inputs(h2_hamiltonian):
+def test_vqe_validates_inputs(h2_hamiltonian, rng):
     spec = AnsatzSpec(width=3, depth=1)
     with pytest.raises(ValueError):
-        vqe_ground_state(h2_hamiltonian, spec, MeasurementSettings(), NoiseModel())
+        vqe_ground_state(h2_hamiltonian, spec, MeasurementSettings(), NoiseModel(),
+                         rng)
     bad_start = np.zeros(5)
     with pytest.raises(ValueError):
         vqe_ground_state(h2_hamiltonian, AnsatzSpec(width=4, depth=1),
-                         MeasurementSettings(), NoiseModel(), theta0=bad_start)
+                         MeasurementSettings(), NoiseModel(), rng, theta0=bad_start)
