@@ -85,9 +85,10 @@ the statevector without noise, tr(rho P) on the density matrix of each level
 with it (p2, then boost * p2 under ZNE).  A noisy output reaches the
 estimators in one form, ``StringValues``: the values of the strings of the
 operators its caller names, from a full run (``simulate``) or a
-restriction.  An expectation reads real values and not the identity, whose
-value is 1; a read of the overlap's coherence block keeps complex values
-and the identity, as one-sided gates do not keep the block's trace.  For
+restriction, which the caller hands each estimate.  An expectation reads
+real values and not the identity, whose value is 1; a read of the overlap's
+coherence block, a ``Circuit.block``, keeps complex values and the
+identity, as one-sided gates do not keep the block's trace.  For
 an overlap <psi1|P|psi2> the values are the two ancilla readings of the
 Hadamard test, Re and then -Im of the overlap.  Under noise only the test's
 prefix is simulated: the ancilla in |+>, controlled-U1 on its 0 branch
@@ -112,9 +113,10 @@ the ancilla, and an ancilla PHASE(p) by exp(+-ip).  So a controlled
 rotation, two half-angle rotations around two CX(anc, q), is R(t) on the
 active side times (1 - c)^2, and a controlled CX is the Toffoli of
 ``ccx_gates`` gate by gate, register-pair channels sitting between its
-ancilla gates.  ``OverlapEngine`` runs the block with one-sided gates (U rho
-is U on the row qubit, rho U+ conj(U) on the column qubit) and folds the 1/2
-and the ancilla channels and phases into one scalar per noise level.
+ancilla gates.  ``OverlapEngine`` builds the block as a ``block`` circuit
+of one-sided gates (U rho is U on the row qubit, rho U+ conj(U) on the
+column qubit) and folds the 1/2 and the ancilla channels and phases into
+one scalar per noise level.
 
 One helper turns a read's values into its estimate, whatever the entry
 point: the exact values of every string at every level form one (rows,
@@ -174,6 +176,7 @@ class Circuit:
     width: int
     gates: list[Gate] = field(default_factory=list)
     n_slots: int = 0
+    block: bool = False  # runs the overlap test's coherence block (OverlapEngine)
 
     def add(self, kind: str, *qubits: int, angle: float | None = None,
             slot: int | None = None) -> None:
@@ -206,7 +209,7 @@ class Circuit:
             raise ValueError(f"expected {self.n_slots} angles, got {theta.shape}")
         gates = [g if g.slot is None else replace(g, angle=float(theta[g.slot]), slot=None)
                  for g in self.gates]
-        return Circuit(self.width, gates)
+        return Circuit(self.width, gates, block=self.block)
 
 
 def ccx_gates(c1: int, c2: int, t: int) -> list[Gate]:
@@ -533,7 +536,7 @@ def simulate(circ: Circuit, theta, noise: NoiseModel,
     if not noise.enabled:
         return run_pure(circ, theta)
     return _string_values(ops, run_density(circ, theta, p2=_noise_levels(noise)),
-                          any(g.side for g in circ.gates))
+                          circ.block)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +573,8 @@ class StringValues:
     matrix or coherence block.  ``reads`` holds, per operator, its strings
     in sorted label order and the columns of those it reads: the real
     values of those after the identity for an expectation, the complex
-    values of all of them for a block (module notes)."""
+    values of all of them for a block (module notes).  ``of`` refuses an
+    operator the output was not simulated for."""
 
     values: np.ndarray
     reads: tuple
@@ -581,7 +585,7 @@ class StringValues:
             if known is op:
                 return strings, self.values[:, cols].T
         raise ValueError("the output holds the values of other operators only: "
-                         "a cost must read exactly its ops")
+                         "simulate it for the operators estimated on it")
 
 
 def _reads(ops: Sequence[PauliSum], block: bool, table) -> tuple[tuple, np.ndarray]:
@@ -660,7 +664,7 @@ def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
     at = slot_gates(circ)
     levels = _noise_levels(noise) if noise.enabled else None
     dim = 1 << circ.width
-    block = any(g.side for g in gates)
+    block = circ.block
     pairs = [i for i, g in enumerate(gates) if len(g.qubits) == 2] + [len(gates)]
     nearest = {i: pairs[bisect.bisect(pairs, i)] for i in at}
     stops = sorted(set(nearest.values()))
@@ -885,9 +889,10 @@ class OverlapEngine:
     Without noise the overlaps are read off psi1 = U1|0> and U2(theta)|0>.
     With it they are the Hadamard test's ancilla readings at phase 0 and
     pi/2, Re and -Im of 2 (1 - c)^|P| tr(P rho_10) per string, c = 16 p2/15
-    (module notes).  ``circuit`` then evolves the coherence block rho_10 on
-    m qubits from |0...0><0...0|, and rho_10 is ``block_scale`` times its
-    output, one scalar per noise level.  ``u1`` is a bound circuit.
+    (module notes).  ``estimate_sum`` reads the output of ``circuit``: U2
+    without noise, with it a ``block`` circuit evolving rho_10 on m qubits
+    from |0...0><0...0|, rho_10 being ``block_scale`` times its output, one
+    scalar per noise level.  ``u1`` is a bound circuit.
     """
 
     def __init__(self, u1: Circuit, u2: Circuit,
@@ -898,10 +903,9 @@ class OverlapEngine:
         self.settings = settings
         self.noise = noise
         self.psi1 = run_pure(u1)
-        # the circuit whose output estimate_sum reads
         self.circuit = u2
         if noise.enabled:
-            self.circuit = Circuit(self.m, n_slots=u2.n_slots)
+            self.circuit = Circuit(self.m, n_slots=u2.n_slots, block=True)
             c = _mixing_weight(_noise_levels(noise))
             self.block_scale = (0.5 * _add_controlled(self.circuit, u1, "col", c)
                                 * _add_controlled(self.circuit, u2, "row", c))
@@ -918,24 +922,20 @@ class OverlapEngine:
             self._damped = (op, 2.0 * self.block_scale[:, None] * (1.0 - c) ** weight)
         return self._damped[1]
 
-    def estimate_sum(self, theta, op: PauliSum,
-                     rng: np.random.Generator | None = None,
-                     states: np.ndarray | StringValues | None = None) -> complex:
-        """Sum of coeff * <psi1|P|psi2(theta)> over the strings of ``op``.
-
-        ``states`` is the output of ``simulate(self.circuit, theta, noise,
-        ops)`` when the caller already has it, for operators ``ops`` that
-        include ``op``: U2(theta)|0> without noise, the values of the
-        strings on the coherence block per noise level with it.  A sampled
-        estimate draws from ``rng``, which it requires.
+    def estimate_sum(self, states: np.ndarray | StringValues, op: PauliSum,
+                     rng: np.random.Generator | None) -> complex:
+        """Sum of coeff * <psi1|P|psi2> over the strings of ``op``, read off
+        ``states``, the output of ``simulate(self.circuit, theta, noise,
+        ops)`` for operators ``ops`` that include ``op``: psi2 = U2(theta)|0>
+        without noise, the values of the strings on the coherence block per
+        noise level with it.  A sampled estimate draws from ``rng``, which
+        it requires.
         """
         if op.width != self.m:
             raise ValueError("operator width mismatch")
         settings = self.settings
         if settings.mode == "sampled" and rng is None:
             raise ValueError("a sampled estimate requires an rng")
-        if states is None:
-            states = simulate(self.circuit, theta, self.noise, [op])
         if not self.noise.enabled:
             if settings.mode == "exact":
                 return complex(np.vdot(self.psi1, apply_sum(op, states)))
@@ -943,8 +943,6 @@ class OverlapEngine:
             rows = overlaps[None, :]
         else:
             strings, values = states.of(op)
-            if len(values) < len(strings):  # no one-sided gate: trace 1 known
-                values = np.concatenate([np.ones((1, values.shape[1])), values])
             rows = self._damping(op, strings) * values.T
         # per string, Re and -Im of its value at each level
         values = np.stack([rows.real, -rows.imag]).transpose(2, 0, 1)

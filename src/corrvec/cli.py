@@ -11,6 +11,7 @@ its checkpoint log, which a resume reads back through ``config.parse``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,12 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import sample_pauli_expectation
+from .circuits import NoiseModel, sample_pauli_expectation
 from .config import ConfigError, RunConfig, load_config, parse, to_json_dict
 from .fermion import BlockedSpinOrbitals, number_penalty, total_spin_squared
 from .greens import (dyson_embed, nondyson_embed, spin_up_block, trace_spectrum)
 from .molham import build_cas, fock_matrix, hubbard_dimer, read_fcidump
 from .oracle import MAX_DENSE_QUBITS, GreensOracle, exact_ground
+from .pauli import PauliSum
 from .solver import PointRecord, assemble_matrices, sweep_columns
 from .store import (ManifestWriter, append_lines, dumps_canonical, fmt_float,
                     read_json_log, read_series, series_lines, sha256_of_file,
@@ -110,15 +112,30 @@ class Problem:
         except ValueError as exc:
             raise CliFailure(EXIT_CONFIG, f"ansatz: {exc}")
 
+    @functools.cached_property
     def gs_penalty(self):
+        """The number penalty plus spin_penalty times S^2 for an even count,
+        or (S^2 - 3/4)^2, zero on doublets, for an odd one."""
         cfg = self.cfg
         total = None
         if cfg.number_penalty > 0:
             total = number_penalty(self.n_modes, self.n_elec, cfg.number_penalty)
         if cfg.spin_penalty > 0:
-            spin = cfg.spin_penalty * total_spin_squared(self.n_orb)
+            s2 = total_spin_squared(self.n_orb)
+            if self.n_elec % 2:
+                s2 -= PauliSum.identity(self.n_modes, 0.75)
+                s2 = s2 * s2
+            spin = cfg.spin_penalty * s2
             total = spin if total is None else total + spin
         return total
+
+    def ground_state(self, spec: AnsatzSpec, noise: NoiseModel, theta0):
+        """``vqe_ground_state`` at the configured measurement, stop rule and
+        penalty, drawing from a fresh stream of the seed."""
+        cfg = self.cfg
+        return vqe_ground_state(self.h_op, spec, cfg.measurement, noise,
+                                cfg.measurement.make_rng(), cfg.optimizer.gs_tol,
+                                cfg.optimizer.gs_max_sweeps, self.gs_penalty, theta0)
 
 
 def _open_problem(cfg: RunConfig) -> Problem:
@@ -141,11 +158,7 @@ class GroundState:
 def _ground_state(prob: Problem, spec: AnsatzSpec, theta0,
                   manifest: ManifestWriter) -> GroundState:
     """Search the ground state and write its record and trace."""
-    cfg = prob.cfg
-    e0, theta, trace = vqe_ground_state(
-        prob.h_op, spec, cfg.measurement, cfg.noise, cfg.measurement.make_rng(),
-        tol=cfg.optimizer.gs_tol, max_sweeps=cfg.optimizer.gs_max_sweeps,
-        penalty=prob.gs_penalty(), theta0=theta0)
+    e0, theta, trace = prob.ground_state(spec, prob.cfg.noise, theta0)
     gs = GroundState(e0=float(e0), converged=bool(trace.converged),
                      sweeps=trace.sweeps, angles=tuple(theta))
     manifest.write("ground_state.json", dumps_canonical(to_json_dict(gs)) + "\n")
@@ -500,22 +513,16 @@ def cmd_noise_scan(args) -> int:
     spec = prob.ansatz()
     theta0 = prob.gs_start(spec)
     manifest = ManifestWriter(cfg.out_dir, to_json_dict(cfg))
-    penalty = prob.gs_penalty()
     settings = cfg.measurement
+    circ = build_hea(spec)
     rows = []
     for p2, noise in zip(p2_values, models):
-        e0, theta, trace = vqe_ground_state(
-            prob.h_op, spec, settings, noise, settings.make_rng(),
-            tol=cfg.optimizer.gs_tol,
-            max_sweeps=cfg.optimizer.gs_max_sweeps, penalty=penalty,
-            theta0=theta0)
+        e0, theta, trace = prob.ground_state(spec, noise, theta0)
         row = {"p2": p2, "e0": float(e0), "sweeps": trace.sweeps,
                "converged": bool(trace.converged)}
         if p2 > 0 and cfg.noise.zne:
-            raw = replace(noise, zne=False)
-            circ = build_hea(spec)
             row["e0_raw"] = float(sample_pauli_expectation(
-                circ, theta, prob.h_op, settings, raw,
+                circ, theta, prob.h_op, settings, replace(noise, zne=False),
                 settings.make_rng()))
         rows.append(row)
     manifest.write("noise_scan.json", dumps_canonical({"rows": rows}) + "\n")

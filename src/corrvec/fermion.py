@@ -67,13 +67,11 @@ def ladder_pauli(mode: int, dagger: bool, m: int) -> PauliSum:
     return PauliSum(m, [(x_label, 0.5), (y_label, 0.5 * sign)])
 
 
-def number_operator(m: int, modes: tuple[int, ...] | None = None) -> PauliSum:
-    """Sum of occupation operators (I - Z_j)/2 over the chosen modes."""
-    modes = tuple(range(m)) if modes is None else modes
-    terms: dict[str, complex] = {"I" * m: 0.5 * len(modes)}
-    for j in modes:
-        label = "I" * j + "Z" + "I" * (m - j - 1)
-        terms[label] = terms.get(label, 0.0) - 0.5
+def number_operator(m: int) -> PauliSum:
+    """Sum of occupation operators (I - Z_j)/2 over all m modes."""
+    terms: dict[str, complex] = {"I" * m: 0.5 * m}
+    for j in range(m):
+        terms["I" * j + "Z" + "I" * (m - j - 1)] = -0.5
     return PauliSum(m, terms)
 
 

@@ -131,45 +131,26 @@ class CorrectionProblem:
 
     def make_cost(self, z: complex, spec: AnsatzSpec, v_norm: float,
                   rng) -> CircuitCost:
-        """g at frequency z over the ansatz's angles, as a ``CircuitCost``.
-
-        g reads one output of the ansatz for <Q+Q>, the penalty and, without
-        noise, the overlap; the noisy overlap reads the Hadamard test's
-        coherence block (``OverlapEngine.circuit``), the cost's second
-        circuit, whose every slot drives one gate on the block's rows.
-        Each circuit carries the operators read on it: Q+Q and the penalty
-        on the ansatz, V+Q on the block.  Estimates are drawn in the order
-        <Q+Q>, overlap, penalty.
+        """g at frequency z over the ansatz's angles, as a ``CircuitCost``
+        of the ansatz with the operators Q+Q and the penalty and the
+        overlap term (engine, V+Q, <V|V>), estimated in the order <Q+Q>,
+        overlap, penalty.  Under noise the overlap is read off the Hadamard
+        test's coherence block (``OverlapEngine.circuit``), whose every slot
+        drives one gate on the block's rows.
         With exact, noiseless measurement, and only then, the sweep also
         reads g as the operator M = Q+Q + penalty - |w><w| / <V|V>: the
         overlap is <w|psi> with w = (V+Q)+ |psi0> = (z* + D) V|psi0>, which
         reuses the compiled D and V instead of compiling the adjoint of V+Q.
         """
-        qdq = self.qdq(z)
-        vdq = self.vdq(z)
+        qdq, vdq = self.qdq(z), self.vdq(z)
         circ, engine = self.engine_for(spec)
-        settings, noise = self.settings, self.noise
         ops = [qdq] if self.penalty_op is None else [qdq, self.penalty_op]
-
-        def read(outputs) -> float:
-            states = outputs[0]
-            term1 = sample_pauli_expectation(circ, None, qdq, settings, noise,
-                                             rng, states)
-            ov = engine.estimate_sum(None, vdq, rng, outputs[-1])
-            value = float(term1 - abs(ov) ** 2 / v_norm)
-            if self.penalty_op is not None:
-                value += sample_pauli_expectation(circ, None, self.penalty_op,
-                                                  settings, noise, rng, states)
-            return value
-
-        if noise.enabled:
-            return CircuitCost([circ, engine.circuit], settings, noise, read,
-                               [ops, [vdq]])
         w = None
-        if settings.mode == "exact":
+        if self.settings.mode == "exact" and not self.noise.enabled:
             v_psi0 = apply_sum(self.v_op, engine.psi1)
             w = (z.conjugate() * v_psi0 + apply_sum(self.d_op, v_psi0)) / np.sqrt(v_norm)
-        return CircuitCost([circ], settings, noise, read, [ops], w)
+        return CircuitCost(circ, self.settings, self.noise, rng, ops,
+                           (engine, vdq, v_norm), w)
 
 
 def solve_correction_vector(problem: CorrectionProblem, z: complex,
@@ -237,14 +218,14 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
     vdq = problem.vdq(z)
     states = simulate(engine.circuit, best_theta, problem.noise,
                       [vdq, *problem.element_ops])
-    denom = engine.estimate_sum(best_theta, vdq, rng, states)
+    denom = engine.estimate_sum(states, vdq, rng)
     converged = bool(best_val / v_norm < options.epsilon)
     if abs(denom) < 1e-10 * np.sqrt(v_norm) * abs(z.imag):
         gamma, elements, converged = 0j, zeros, False
     else:
         gamma = complex(v_norm / denom)
         elements = gamma * np.asarray(
-            [engine.estimate_sum(best_theta, a_op, rng, states)
+            [engine.estimate_sum(states, a_op, rng)
              for a_op in problem.element_ops], dtype=complex)
     return CorrectionVectorSolution(
         theta=best_theta, residual=float(best_val / v_norm), gamma=gamma,

@@ -10,9 +10,10 @@ anywhere.
 Every mode reads a slot off each circuit's restriction to it
 (``circuits.restrictions``), and every slot drives one rotation: the rest
 of the circuit is pulled back once per sweep or run per slot, by the rule
-in the notes of ``circuits``.  Each circuit of a cost carries the
-operators estimated on its output, so under noise its restriction, like a
-full run, gives their strings' values.  A sampled or noisy cost is
+in the notes of ``circuits``.  A cost names its operators once, and its
+circuits, their reads and its read follow from them, so under noise a
+restriction, like a full run, gives the strings' values its read takes.
+A sampled or noisy cost is
 estimated on the outputs at +-pi/2 and at the angle the slot moves to,
 three estimates per slot, drawn as on full simulations.  An exact cost
 <psi|M|psi> needs no estimate: with phi the state before slot d's gate
@@ -23,13 +24,14 @@ psi(t) = cos(t/2) a + sin(t/2) b for a = S phi and b = -i S s phi, and the
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import (Circuit, MeasurementSettings, NoiseModel, restrictions,
-                       sample_pauli_expectation, simulate, slot_gates)
+from .circuits import (Circuit, MeasurementSettings, NoiseModel, OverlapEngine,
+                       restrictions, sample_pauli_expectation, simulate,
+                       slot_gates)
 from .pauli import PauliSum, apply_sum
 
 VALID_ROTATIONS = ("RX", "RY", "RZ")
@@ -131,51 +133,69 @@ def wrap_angle(x: float) -> float:
 
 
 class CircuitCost:
-    """A cost read off the outputs of circuits that share one set of slots,
-    in the form ``rotosolve_sweep`` reads slot by slot.
+    """The sum of <ops> on the output psi of ``circ``, minus
+    |<psi1|V|psi>|^2 / norm for an ``overlap`` term (engine, V, norm) whose
+    ``OverlapEngine`` has ``circ`` as its U2, in the form
+    ``rotosolve_sweep`` reads slot by slot.
 
-    ``ops`` holds, per circuit, the operators ``read`` estimates on its
-    output.  ``read(outputs)`` estimates the cost from a list holding each
-    circuit's output as ``simulate`` gives it for those operators, drawing
-    shots as it goes, so under noise a ``read`` that estimates another
-    operator fails on its first call; calling the object evaluates the cost
-    at full angles.  The first circuit's operators are hermitian sums, kept
-    apart because an estimated ``read`` draws each at its own place in its
-    order of draws (the solver's cost: <Q+Q>, overlap, penalty); they and
-    ``w`` give the same cost as <psi|M|psi> on that circuit's output, M
-    their sum minus |w><w|.  With exact, noiseless
-    measurement the sweep reads each slot off the 2x2 matrix of M
-    (``matrix``), so the first circuit is then checked as every sweep reads
-    it (``circuits.slot_gates``): one RX, RY or RZ per slot.  No other mode
-    reads ``w``.
+    ``circuits`` holds ``circ`` and, under noise, the engine's coherence
+    block; ``reads`` the operators estimated on each, ``ops`` and (V,).
+    ``read(outputs)`` estimates the cost off each circuit's output as
+    ``simulate`` gives it for those operators, drawing from ``rng`` in the
+    order ops[0], overlap, ops[1:]; calling the object evaluates it at full
+    angles.  With <w|psi> = <psi1|V|psi> / sqrt(norm) the cost is
+    <psi|M|psi> for M the sum of ``ops`` minus |w><w|.  With exact,
+    noiseless measurement, the one mode that reads ``w``, the sweep reads
+    each slot off the 2x2 matrix of M (``matrix``), so ``circ`` is then
+    checked as every sweep reads it (``circuits.slot_gates``): one RX, RY
+    or RZ per slot.
     """
 
-    def __init__(self, circuits: Sequence[Circuit], settings: MeasurementSettings,
-                 noise: NoiseModel, read: Callable[[list], float],
-                 ops: Sequence[Sequence[PauliSum]], w: np.ndarray | None = None):
-        self.circuits = list(circuits)
-        self.ops = [tuple(o) for o in ops]
-        if not all(op.is_hermitian() for op in self.ops[0]):
+    def __init__(self, circ: Circuit, settings: MeasurementSettings,
+                 noise: NoiseModel, rng: np.random.Generator | None,
+                 ops: Sequence[PauliSum],
+                 overlap: tuple[OverlapEngine, PauliSum, float] | None = None,
+                 w: np.ndarray | None = None):
+        self.ops = tuple(ops)
+        if not all(op.is_hermitian() for op in self.ops):
             raise ValueError("a cost's operators must be hermitian")
-        self.noise = noise
-        self.read = read
-        self.w = w
+        self.circuits, self.reads = [circ], [self.ops]
+        if overlap is not None and noise.enabled:
+            self.circuits.append(overlap[0].circuit)
+            self.reads.append((overlap[1],))
+        self.settings, self.noise, self.rng = settings, noise, rng
+        self.overlap, self.w = overlap, w
         self.exact = settings.mode == "exact" and not noise.enabled
         if self.exact:
-            slot_gates(self.circuits[0])
+            slot_gates(circ)
         # exact sweeps: angles and closed-form value at the end of the last
         # sweep, which the next sweep's full evaluation checks
         self.closed: tuple[np.ndarray, float] | None = None
 
     def __call__(self, theta: np.ndarray) -> float:
         return float(self.read([simulate(c, theta, self.noise, o) for c, o
-                                in zip(self.circuits, self.ops, strict=True)]))
+                                in zip(self.circuits, self.reads, strict=True)]))
+
+    def read(self, outputs: list) -> float:
+        """The cost on one output per circuit, as the class notes say."""
+        def estimate(op):
+            return sample_pauli_expectation(self.circuits[0], None, op, self.settings,
+                                            self.noise, self.rng, outputs[0])
+
+        value = estimate(self.ops[0])
+        if self.overlap is not None:
+            engine, v_op, norm = self.overlap
+            ov = engine.estimate_sum(outputs[-1], v_op, self.rng)
+            value = float(value - abs(ov) ** 2 / norm)
+        for op in self.ops[1:]:
+            value += estimate(op)
+        return value
 
     def matrix(self, pair: np.ndarray) -> tuple[np.ndarray, float]:
         """K[i, j] = <pair_i|M|pair_j> for a (2, 2^m) pair of states, and
         the size of the terms summed into K: max |<pair|ops|pair>| plus
         max |<pair|w>|^2.  Round-off in K is a few eps times that size."""
-        k = pair.conj() @ sum(apply_sum(op, pair) for op in self.ops[0]).T
+        k = pair.conj() @ sum(apply_sum(op, pair) for op in self.ops).T
         scale = float(np.abs(k).max())
         if self.w is not None:
             x = pair @ self.w.conj()
@@ -226,7 +246,7 @@ def rotosolve_sweep(cost, theta: np.ndarray,
         _check_carried(current, form.closed[1], "sweep start")
     half = 0.5 * np.pi
     slots = zip(*(restrictions(c, theta, form.noise, o)
-                  for c, o in zip(form.circuits, form.ops, strict=True)))
+                  for c, o in zip(form.circuits, form.reads, strict=True)))
     for d, parts in enumerate(slots):
         base = theta[d]
         if form.exact:
@@ -272,8 +292,7 @@ class OptimizationTrace:
 
 def vqe_ground_state(h: PauliSum, spec: AnsatzSpec,
                      settings: MeasurementSettings, noise: NoiseModel,
-                     rng: np.random.Generator,
-                     tol: float = 1e-9, max_sweeps: int = 200,
+                     rng: np.random.Generator, tol: float, max_sweeps: int,
                      penalty: PauliSum | None = None,
                      theta0: np.ndarray | None = None,
                      ) -> tuple[float, np.ndarray, OptimizationTrace]:
@@ -292,13 +311,8 @@ def vqe_ground_state(h: PauliSum, spec: AnsatzSpec,
     if h.width != spec.width:
         raise ValueError("ansatz width does not match the Hamiltonian")
     circ = build_hea(spec)
-    cost_op = h if penalty is None else h + penalty
-
-    def read(outputs) -> float:
-        return sample_pauli_expectation(circ, None, cost_op, settings, noise,
-                                        rng, outputs[0])
-
-    cost = CircuitCost([circ], settings, noise, read, [[cost_op]])
+    cost = CircuitCost(circ, settings, noise, rng,
+                       [h if penalty is None else h + penalty])
     if theta0 is None:
         theta = rng.uniform(-0.1, 0.1, size=spec.n_slots)
     else:

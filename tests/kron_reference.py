@@ -18,7 +18,6 @@ strings in sorted label order, p2 before boost * p2, real before imaginary.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -174,13 +173,6 @@ def run_density(circ: Circuit, theta=None, p2: float = 0.0) -> np.ndarray:
 def string_matrix(label: str) -> np.ndarray:
     """Dense matrix of one Pauli string."""
     return embed({q: PAULI[ch] for q, ch in enumerate(label)}, len(label))
-
-
-def projector_sum(w: np.ndarray) -> PauliSum:
-    """|w><w| as a Pauli sum: the coefficient of P is <w|P|w> / 2^m."""
-    m = len(w).bit_length() - 1
-    return PauliSum(m, {label: np.vdot(w, string_matrix(label) @ w) / len(w)
-                        for label in map("".join, itertools.product("IXYZ", repeat=m))})
 
 
 def sum_matrix(op: PauliSum) -> np.ndarray:

@@ -17,6 +17,7 @@ from corrvec.circuits import (
     run_pure,
     sample_pauli_expectation,
     sample_z_value,
+    simulate,
     zne_extrapolate,
 )
 from corrvec.oracle import materialize
@@ -344,6 +345,12 @@ def hadamard_case(rng):
     return u1, u2, theta
 
 
+def overlap(engine, theta, op, rng=None):
+    """``engine.estimate_sum`` of ``op`` on its circuit's output at theta."""
+    return engine.estimate_sum(simulate(engine.circuit, theta, engine.noise, [op]),
+                               op, rng)
+
+
 def test_overlap_circuit_matches_direct(rng):
     u1, u2, theta = hadamard_case(rng)
     psi1 = run_pure(u1)
@@ -361,7 +368,7 @@ def test_overlap_engine_exact_matches_direct(rng):
     u1, u2, theta = hadamard_case(rng)
     op = PauliSum(2, [("XY", 0.3 - 0.2j), ("ZI", 1.2), ("II", 0.5j)])
     engine = OverlapEngine(u1, u2, MeasurementSettings(), NoiseModel())
-    est = engine.estimate_sum(theta, op)
+    est = overlap(engine, theta, op)
     direct = np.vdot(run_pure(u1), apply_sum(op, run_pure(u2, theta)))
     assert est == pytest.approx(complex(direct), abs=1e-10)
 
@@ -372,17 +379,17 @@ def test_overlap_engine_noisy_path_consistent(rng):
     direct = np.vdot(run_pure(u1), apply_sum(op, run_pure(u2, theta)))
     silent = OverlapEngine(u1, u2, MeasurementSettings(),
                            NoiseModel(enabled=True, p2=0.0))
-    assert silent.estimate_sum(theta, op) == pytest.approx(complex(direct), abs=1e-10)
+    assert overlap(silent, theta, op) == pytest.approx(complex(direct), abs=1e-10)
     noisy = OverlapEngine(u1, u2, MeasurementSettings(),
                           NoiseModel(enabled=True, p2=1e-3, zne=True, boost=2.0))
-    est = noisy.estimate_sum(theta, op)
+    est = overlap(noisy, theta, op)
     assert abs(est - direct) < 0.05
     # string weights (1, 2) against op's (2, 1): the damping kept for one
     # operator is not read for another
     other = PauliSum(2, [("YI", 0.7), ("ZZ", -0.4j)])
-    fresh = [OverlapEngine(u1, u2, MeasurementSettings(), noisy.noise)
-             .estimate_sum(theta, o) for o in (other, op)]
-    assert [noisy.estimate_sum(theta, o) for o in (other, op, other)] == fresh + fresh[:1]
+    fresh = [overlap(OverlapEngine(u1, u2, MeasurementSettings(), noisy.noise),
+                     theta, o) for o in (other, op)]
+    assert [overlap(noisy, theta, o) for o in (other, op, other)] == fresh + fresh[:1]
 
 
 def test_ancilla_z_reads_top_qubit():
@@ -424,15 +431,15 @@ def test_estimators_match_dense_references(mode, noise_name, rng):
 
     op = PauliSum(2, [("XY", 0.3 - 0.2j), ("ZI", 1.2), ("II", 0.5j)])
     engine = OverlapEngine(u1, u2, settings, noise)
-    got = engine.estimate_sum(theta, op, np.random.default_rng(22))
+    got = overlap(engine, theta, op, np.random.default_rng(22))
     expect = estimate_overlap(u1, u2, theta, op, settings, noise,
                               np.random.default_rng(22))
     assert got == pytest.approx(expect, abs=1e-10)
     # a sampled estimate opens no stream of its own; an exact one needs none
     if mode == "exact":
-        assert engine.estimate_sum(theta, op) == got
+        assert overlap(engine, theta, op) == got
     else:
-        for estimate in (lambda: engine.estimate_sum(theta, op),
+        for estimate in (lambda: overlap(engine, theta, op),
                          lambda: sample_pauli_expectation(u2, theta, herm,
                                                           settings, noise)):
             with pytest.raises(ValueError, match="requires an rng"):
@@ -457,6 +464,6 @@ def test_sampled_estimates_match_the_references_bit_for_bit(noise_name, rng):
                              np.random.default_rng(21))
     op = PauliSum(2, zip(labels, coeffs[0] + 1j * coeffs[1]))
     engine = OverlapEngine(u1, u2, settings, noise)
-    assert engine.estimate_sum(theta, op, np.random.default_rng(22)) == \
+    assert overlap(engine, theta, op, np.random.default_rng(22)) == \
         estimate_overlap(u1, u2, theta, op, settings, noise,
                          np.random.default_rng(22))

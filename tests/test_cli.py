@@ -67,24 +67,27 @@ def test_ground_state_run_and_reproducibility(tmp_path, capsys):
 def test_ground_state_of_an_odd_electron_count(tmp_path, capsys):
     """An odd electron count has no closed-shell determinant to start from,
     so the search starts from angles drawn from the seed's stream: it
-    reaches the exact energy of the one-electron sector, and a rerun
-    writes the same bytes.  The spin penalty is off, as S^2 vanishes on no
-    state of an odd count."""
+    reaches the exact energy of the one-electron sector with the spin
+    penalty off and at the default config, and a rerun writes the same
+    bytes.  S^2 is 3/4 on every state of an odd count, so the default
+    penalty there is (S^2 - 3/4)^2, which vanishes on every doublet: S^2
+    itself would let the two-electron singlet win."""
     odd = tmp_path / "odd.fcidump"
     odd.write_text((FIXTURES / "h2_2.0.fcidump").read_text()
                    .replace("NELEC=2", "NELEC=1", 1))
-    outs = [tmp_path / "out1", tmp_path / "out2"]
-    for out in outs:
-        cfg = write_config(tmp_path / "cfg.json", out_dir=str(out),
-                           hamiltonian={"kind": "fcidump", "path": str(odd)},
-                           spin_penalty=0.0)
-        assert run("ground-state", "--config", str(cfg)) == 0
     e_ref, _ = exact_ground(read_fcidump(str(odd)).to_qubits(), 1)
-    payload = json.loads((outs[0] / "ground_state.json").read_text())
-    assert payload["converged"]
-    assert payload["e0"] == pytest.approx(e_ref, abs=1e-6)
-    for name in ("ground_state.json", "trace.log"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    for overrides in ({"spin_penalty": 0.0}, {}):
+        outs = [tmp_path / "out1", tmp_path / "out2"]
+        for out in outs:
+            cfg = write_config(tmp_path / "cfg.json", out_dir=str(out),
+                               hamiltonian={"kind": "fcidump", "path": str(odd)},
+                               **overrides)
+            assert run("ground-state", "--config", str(cfg)) == 0
+        payload = json.loads((outs[0] / "ground_state.json").read_text())
+        assert payload["converged"], overrides
+        assert payload["e0"] == pytest.approx(e_ref, abs=1e-6), overrides
+        for name in ("ground_state.json", "trace.log"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_sweep_outputs(dimer_sweep):

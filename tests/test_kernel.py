@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from corrvec import circuits, pauli
 from corrvec.circuits import (ROTATION_KINDS, Circuit, MeasurementSettings,
                               NoiseModel, OverlapEngine, restrictions,
-                              run_density, run_pure)
+                              run_density, run_pure, simulate)
 from corrvec.oracle import materialize
 from corrvec.pauli import (PauliSum, apply_sum, string_overlaps, string_traces,
                            weighted_sum)
@@ -225,7 +225,8 @@ def test_overlap_circuits_match_kron(case):
                             ref.run_density(prefix, p2=p2)[half:, :half]) <= TOL, p2
             for fixed in (label, "Z" * width, ("XZ" * width)[:width]):
                 op = PauliSum(width, {fixed: 1.0})
-                assert abs(engine.estimate_sum(th, op) - ref.estimate_overlap(
+                states = simulate(engine.circuit, th, noise, [op])
+                assert abs(engine.estimate_sum(states, op, None) - ref.estimate_overlap(
                     u1, u2, th, op, MeasurementSettings(), noise, None)) <= TOL, \
                     (fixed, p2)
 
@@ -327,12 +328,12 @@ def check_sweep(circ, noise, theta, probes, moves, op=None, literal=None):
     as the values of the strings of ``op`` per noise level, checked against
     ``string_traces`` of each level's full run: the real values after the
     identity for an expectation, the complex values of every string for
-    the coherence block of a circuit with one-sided gates.  With
-    ``literal``, a pair (function of the probe angles, scale per level),
-    the block's values times the scale are checked against the string
-    traces of that function's blocks instead: divided by the scale, where
-    it is not 0, so that a small scale hides nothing."""
-    block = any(g.side for g in circ.gates)
+    the coherence block of a ``block`` circuit.  With ``literal``, a pair
+    (function of the probe angles, scale per level), the block's values
+    times the scale are checked against the string traces of that
+    function's blocks instead: divided by the scale, where it is not 0, so
+    that a small scale hides nothing."""
+    block = circ.block
     count = 0
     for d, restriction in enumerate(restrictions(circ, theta, noise,
                                                  () if op is None else [op])):
@@ -379,7 +380,7 @@ def test_noisy_sweeps_pull_back_once_per_sweep(h2_hamiltonian, monkeypatch):
     settings_ = MeasurementSettings(mode="sampled", shots=1000, seed=5)
     noise = NoiseModel(enabled=True, p2=0.01)
     _, _, trace = vqe_ground_state(h2_hamiltonian, spec, settings_, noise,
-                                   settings_.make_rng(), max_sweeps=2)
+                                   settings_.make_rng(), tol=1e-9, max_sweeps=2)
     assert trace.sweeps == 2
     assert len(stacks) == 2
     assert read_shapes and all(shape == (2, 16, 16) for shape in read_shapes)

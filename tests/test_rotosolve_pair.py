@@ -83,11 +83,7 @@ def assert_matches_resimulation(cost, start, final, value, seen):
 
 
 def ground_state_form(circ, op):
-    def read(outputs):
-        return sample_pauli_expectation(circ, None, op, EXACT, NOISELESS, None,
-                                        outputs[0])
-
-    return CircuitCost([circ], EXACT, NOISELESS, read, [[op]])
+    return CircuitCost(circ, EXACT, NOISELESS, None, [op])
 
 
 def ground_state_case(spec, rng):
@@ -172,6 +168,6 @@ def test_exact_cost_needs_unit_rotation_slots():
                         (reordered, "not in slot order")):
         with pytest.raises(ValueError, match=fault):
             ground_state_form(circ, PauliSum.identity(2))
-        form = CircuitCost([circ], EXACT, noise, lambda outputs: 0.0, [[]])
+        form = CircuitCost(circ, EXACT, noise, None, [PauliSum.identity(2)])
         with pytest.raises(ValueError, match=fault):
             rotosolve_sweep(lambda th: 0.0, np.zeros(circ.n_slots), form)

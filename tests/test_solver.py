@@ -36,7 +36,7 @@ def h2_gs(h2_hamiltonian):
     pen = number_penalty(4, 2, 1.0) + total_spin_squared(2)
     e0, theta, trace = vqe_ground_state(
         h2_hamiltonian, spec, MeasurementSettings(), NoiseModel(), rng,
-        tol=1e-10, penalty=pen, theta0=theta0)
+        tol=1e-10, max_sweeps=200, penalty=pen, theta0=theta0)
     assert trace.converged
     return e0, build_hea(spec).bound(theta)
 
@@ -143,13 +143,16 @@ def test_vanishing_overlap_refuses_gamma_at_any_scale(h2_hamiltonian, h2_gs,
     terms of g, epsilon and the sector penalty, carry the units of Q+Q and
     scale with it, so every scale runs the same sweeps."""
     e0, gs_circ = h2_gs
-    real_estimate = circuits.OverlapEngine.estimate_sum
+    real_estimate, real_simulate = circuits.OverlapEngine.estimate_sum, solver.simulate
+    # only the read-off after the sweeps simulates through the solver module
+    read_off = []
+    monkeypatch.setattr(solver, "simulate", lambda *args: read_off.append(
+        real_simulate(*args)) or read_off[-1])
     for scale in (1.0, 1e-4):
         for factor in (0.0, 1e-8):
-            def estimate_sum(self, theta, op, rng=None, states=None):
-                value = real_estimate(self, theta, op, rng, states)
-                # only the reads after the sweeps name the angles
-                return value if theta is None else factor * value
+            def estimate_sum(self, states, op, rng):
+                value = real_estimate(self, states, op, rng)
+                return factor * value if any(states is s for s in read_off) else value
 
             monkeypatch.setattr(circuits.OverlapEngine, "estimate_sum",
                                 estimate_sum)
@@ -274,6 +277,51 @@ def test_exact_cost_simulates_once(h2_hamiltonian, h2_gs, monkeypatch, rng):
     assert value == pytest.approx(dense, abs=1e-10)
 
 
+@pytest.mark.parametrize("noise", [
+    NoiseModel(), NoiseModel(enabled=True, p2=0.005, boost=2.0, zne=True)],
+    ids=["noiseless", "noisy"])
+def test_sampled_cost_draws_in_the_documented_order(h2_hamiltonian, h2_gs, noise,
+                                                    rng):
+    """A sampled cost reads its outputs as a read written out by hand in
+    the order <Q+Q>, overlap, penalty, bit for bit, drawing from an
+    identically seeded generator; the same draws in another order give
+    another value."""
+    e0, gs_circ = h2_gs
+    settings = MeasurementSettings(mode="sampled", shots=1000, seed=5)
+    problem = CorrectionProblem(h2_hamiltonian, e0, -1, ladder_pauli(0, True, 4),
+                                gs_circ, settings, noise, n_target=3)
+    z, spec = 1.0 + 0.2j, AnsatzSpec(width=4, depth=1)
+    v_norm = problem.measure_v_norm(np.random.default_rng(6))
+    cost = problem.make_cost(z, spec, v_norm, np.random.default_rng(7))
+    qdq, penalty = cost.ops
+    engine, vdq, norm = cost.overlap
+    assert (list(qdq), list(vdq)) == (list(problem.qdq(z)), list(problem.vdq(z)))
+    assert penalty is problem.penalty_op and norm == v_norm
+    circ = cost.circuits[0]
+    theta = rng.uniform(-np.pi, np.pi, size=spec.n_slots)
+    outputs = [circuits.simulate(circ, theta, noise, [qdq, penalty])]
+    if noise.enabled:
+        assert cost.circuits[1] is engine.circuit and cost.reads[1] == (vdq,)
+        outputs.append(circuits.simulate(engine.circuit, theta, noise, [vdq]))
+    assert len(cost.circuits) == len(outputs)
+
+    def by_hand(order):
+        draws, value = np.random.default_rng(7), {}
+        for term in order:
+            if term == "overlap":
+                value[term] = engine.estimate_sum(outputs[-1], vdq, draws)
+            else:
+                value[term] = circuits.sample_pauli_expectation(
+                    circ, None, {"qdq": qdq, "penalty": penalty}[term], settings,
+                    noise, draws, outputs[0])
+        return (float(value["qdq"] - abs(value["overlap"]) ** 2 / v_norm)
+                + value["penalty"])
+
+    expect = by_hand(["qdq", "overlap", "penalty"])
+    assert cost.read(outputs) == expect
+    assert by_hand(["penalty", "overlap", "qdq"]) != expect
+
+
 def test_converged_means_residual_below_epsilon(h2_hamiltonian, h2_gs):
     """A solve that runs out of sweeps is converged exactly when its
     residual is below epsilon and gamma is defined."""
@@ -303,7 +351,8 @@ def test_each_point_is_solved_once(lih_cas_hamiltonian, monkeypatch):
     theta0 = hf_start_angles(spec, [0, 2], jitter=0.02, rng=rng)
     pen = number_penalty(4, 2, 1.0) + total_spin_squared(2)
     e0, theta, _ = vqe_ground_state(h, spec, MeasurementSettings(), NoiseModel(),
-                                    rng, tol=1e-6, penalty=pen, theta0=theta0)
+                                    rng, tol=1e-6, max_sweeps=200, penalty=pen,
+                                    theta0=theta0)
     zs = np.linspace(-0.8, 0.0, 3) + 0.05j
     calls = []
     real_solve = solver.solve_correction_vector

@@ -3,6 +3,7 @@ manifests."""
 
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -69,6 +70,22 @@ def test_write_text_atomic_replaces_and_leaves_no_temp(tmp_path):
     assert target.read_text() == "second\n"
     leftovers = [p for p in target.parent.iterdir() if p.name != "out.txt"]
     assert leftovers == []
+
+
+def test_failed_atomic_write_keeps_the_old_file(tmp_path, monkeypatch):
+    """A write that fails before its rename leaves the target's old bytes
+    and no temporary file, and the error reaches the caller."""
+    target = tmp_path / "out.txt"
+    write_text_atomic(target, "first\n")
+
+    def failing(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", failing)
+    with pytest.raises(OSError, match="No space left"):
+        write_text_atomic(target, "second\n")
+    assert target.read_bytes() == b"first\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_sha256_of_file(tmp_path):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from corrvec.circuits import (Circuit, MeasurementSettings, NoiseModel, run_pure,
-                              sample_pauli_expectation)
+from corrvec.circuits import (Circuit, MeasurementSettings, NoiseModel,
+                              OverlapEngine, run_pure, sample_pauli_expectation,
+                              simulate)
 from corrvec.fermion import BlockedSpinOrbitals, number_penalty, total_spin_squared
 from corrvec.pauli import PauliSum
 from corrvec.vqe import (
@@ -17,7 +18,7 @@ from corrvec.vqe import (
     vqe_ground_state,
     wrap_angle,
 )
-from kron_reference import projector_sum, two_qubit_count
+from kron_reference import two_qubit_count
 
 
 def assert_sinusoidal(cost, theta, tol=1e-8):
@@ -107,22 +108,16 @@ ESTIMATED = NoiseModel(enabled=True, p2=0.0, zne=False)
 MODES = (NoiseModel(), ESTIMATED)
 
 
-def circuit_cost(circ, op, noise, w=None):
-    """<op> - |<w|psi>|^2 on the circuit's output, as a ``CircuitCost``.
-    A noisy cost reads the values of its strings, not a state, so there
-    the w term is the operator -|w><w| beside op."""
-    ops = [op]
-    if w is not None and noise.enabled:
-        ops, w = [op, -projector_sum(w)], None
-
-    def read(outputs):
-        value = sum(sample_pauli_expectation(circ, None, o, EXACT, noise, None,
-                                             outputs[0]) for o in ops)
-        if w is not None:
-            value -= abs(np.vdot(w, outputs[0])) ** 2
-        return value
-
-    return CircuitCost([circ], EXACT, noise, read, [ops], w)
+def circuit_cost(circ, op, noise, overlap=False):
+    """<op> on the circuit's output, minus |<0|psi>|^2 with ``overlap``, as
+    a ``CircuitCost``: that term is the overlap of an engine with an empty
+    U1, V = I and norm 1, which under noise reads the coherence block."""
+    if not overlap:
+        return CircuitCost(circ, EXACT, noise, None, [op])
+    engine = OverlapEngine(Circuit(circ.width), circ, EXACT, noise)
+    w = np.eye(1 << circ.width, 1, dtype=complex)[:, 0]
+    return CircuitCost(circ, EXACT, noise, None, [op],
+                       (engine, PauliSum.identity(circ.width), 1.0), w)
 
 
 def one_rotation():
@@ -185,22 +180,21 @@ def test_rotosolve_rejects_non_finite_cost():
 
 
 def test_noisy_cost_reads_exactly_its_operators():
-    """Under noise a cost's read sees the values of its operators' strings,
-    at full angles as in a sweep, so a read of another operator fails on
-    its first call; a non-hermitian operator is refused when the cost is
+    """Under noise an output holds the values of the strings of the
+    operators it was simulated for, so a cost, which reads the operators
+    it names, sees exactly those; an estimate of another operator on it is
+    refused, and a non-hermitian operator is refused when the cost is
     built."""
     circ = one_rotation()
     z, x = PauliSum(1, [("Z", 1.0)]), PauliSum(1, [("X", 1.0)])
-
-    def read(outputs):
-        return sample_pauli_expectation(circ, None, x, EXACT, ESTIMATED, None,
-                                        outputs[0])
-
-    cost = CircuitCost([circ], EXACT, ESTIMATED, read, [[z]])
-    with pytest.raises(ValueError, match="exactly its ops"):
-        cost(np.array([0.3]))
+    cost = CircuitCost(circ, EXACT, ESTIMATED, None, [z])
+    assert cost.circuits == [circ] and cost.reads == [(z,)]
+    assert cost(np.array([0.3])) == pytest.approx(np.cos(0.3), abs=1e-14)
+    output = simulate(circ, np.array([0.3]), ESTIMATED, [z])
+    with pytest.raises(ValueError, match="other operators only"):
+        sample_pauli_expectation(circ, None, x, EXACT, ESTIMATED, None, output)
     with pytest.raises(ValueError, match="hermitian"):
-        CircuitCost([circ], EXACT, ESTIMATED, read, [[PauliSum(1, [("Z", 1j)])]])
+        CircuitCost(circ, EXACT, ESTIMATED, None, [PauliSum(1, [("Z", 1j)])])
 
 
 def test_rotosolve_monotone_on_circuit_cost(h2_hamiltonian, rng):
@@ -232,7 +226,7 @@ def test_flat_slots_keep_their_angle(h2_hamiltonian, rng):
     theta0 = rng.uniform(-np.pi, np.pi, size=spec.n_slots)
     _, theta, trace = vqe_ground_state(h2_hamiltonian, spec,
                                        MeasurementSettings(), NoiseModel(), rng,
-                                       max_sweeps=3, theta0=theta0)
+                                       tol=1e-9, max_sweeps=3, theta0=theta0)
     first_rz = [2 * q for q in range(spec.width)]
     assert trace.sweeps == 3
     assert np.array_equal(theta[first_rz], theta0[first_rz])
@@ -244,9 +238,8 @@ def test_small_slots_of_large_terms_move():
     their round-off: sweeps move the slot to its minimum at +-pi, the exact
     one instead of calling it flat."""
     op = PauliSum(1, [("I", 0.5), ("Z", 0.5 + 1e-13)])
-    w = np.array([1.0, 0.0], dtype=complex)
     for noise in MODES:
-        cost = circuit_cost(one_rotation(), op, noise, w)
+        cost = circuit_cost(one_rotation(), op, noise, overlap=True)
         for start in (0.0, 0.3):
             theta, value = rotosolve_sweep(cost, np.array([start]), cost)
             assert abs(abs(theta[0]) - np.pi) < 1e-2, (start, noise)
@@ -262,7 +255,7 @@ def test_vqe_reaches_h2_ground_state(h2_hamiltonian, h2_ground, rng):
     pen = number_penalty(4, 2, 1.0) + total_spin_squared(2)
     e0, theta, trace = vqe_ground_state(
         h2_hamiltonian, spec, MeasurementSettings(), NoiseModel(), rng,
-        tol=1e-8, penalty=pen, theta0=theta0)
+        tol=1e-8, max_sweeps=200, penalty=pen, theta0=theta0)
     assert trace.converged
     assert theta.shape == (spec.n_slots,)
     assert e0 == pytest.approx(e_ref, abs=1e-6)
@@ -307,8 +300,9 @@ def test_vqe_validates_inputs(h2_hamiltonian, rng):
     spec = AnsatzSpec(width=3, depth=1)
     with pytest.raises(ValueError):
         vqe_ground_state(h2_hamiltonian, spec, MeasurementSettings(), NoiseModel(),
-                         rng)
+                         rng, tol=1e-9, max_sweeps=200)
     bad_start = np.zeros(5)
     with pytest.raises(ValueError):
         vqe_ground_state(h2_hamiltonian, AnsatzSpec(width=4, depth=1),
-                         MeasurementSettings(), NoiseModel(), rng, theta0=bad_start)
+                         MeasurementSettings(), NoiseModel(), rng, tol=1e-9,
+                         max_sweeps=200, theta0=bad_start)
