@@ -9,7 +9,8 @@ FCIDUMP reader, the ansatz and its statevector run, and the dense oracle.
 Everything else is imported from its module.
 """
 
-from . import cli
+import importlib
+
 from .circuits import run_pure
 from .molham import (MolecularIntegrals, hubbard_dimer, hubbard_dimer_energy,
                      read_fcidump)
@@ -23,3 +24,11 @@ __all__ = [
     "exact_ground", "hubbard_dimer", "hubbard_dimer_energy", "materialize",
     "read_fcidump", "run_pure",
 ]
+
+
+def __getattr__(name: str):
+    # the command line is imported on first use, so that ``python -m
+    # corrvec.cli`` runs it once, as __main__, and not a second time
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,7 +26,8 @@ such as the members of a slot's restriction or the noise levels of one
 circuit, runs the same way: stored as one contiguous (..., 2^m) or
 (..., 2^m, 2^m) array, its batch index acts as extra most-significant
 qubits that no gate touches, and the depolarizing channel acts on every
-member.
+member.  ``apply_gates`` is the one forward entry: full runs, from the one
+start state, and both gate ranges of a restriction run through it.
 
 Slot restrictions
 -----------------
@@ -343,23 +344,6 @@ def _apply(vec: np.ndarray, u: np.ndarray, target: int, control: int | None) -> 
     np.matmul(u, w, out=w)
 
 
-def apply_gates(states: np.ndarray, gates: Iterable[Gate],
-                theta: np.ndarray | None = None) -> np.ndarray:
-    """Run noiseless gates in place on a contiguous (..., 2^m) batch of
-    statevectors, slot angles taken from ``theta``; returns ``states``."""
-    for target, control, u, _ in _fused(gates, theta):
-        _apply(states, u, target, control)
-    return states
-
-
-def run_pure(circ: Circuit, theta: Sequence[float] | None = None) -> np.ndarray:
-    """Noiseless statevector after the circuit, starting from |0...0>."""
-    th = _check_theta(circ, theta)
-    psi = np.zeros(1 << circ.width, dtype=complex)
-    psi[0] = 1.0
-    return apply_gates(psi, circ.gates, th)
-
-
 def _mixing_weight(p2: float | Sequence[float]) -> np.ndarray:
     """The weight c = 16 p2/15 that the depolarizing channel of strength p2
     moves to the maximally mixed pair, for one strength or an array of
@@ -421,24 +405,47 @@ def _step(flat: np.ndarray, u: np.ndarray, target: int, control: int | None,
         _apply(flat, u.conj(), target, control)
 
 
-def _evolve_density(rho: np.ndarray, gates: Iterable[Gate],
-                    theta: np.ndarray | None,
-                    p2: float | Sequence[float]) -> np.ndarray:
-    """Apply the gates to a contiguous density matrix, or (..., 2^m, 2^m)
-    batch of them, each two-qubit gate followed by the depolarizing channel
-    of strength p2: one strength, or one per level of a
-    (..., levels, 2^m, 2^m) batch.  The strengths are checked once, at
-    the first channel."""
-    m = rho.shape[-1].bit_length() - 1
+def apply_gates(states: np.ndarray, gates: Iterable[Gate], theta: np.ndarray | None,
+                levels: float | Sequence[float] | None) -> np.ndarray:
+    """Run the gates on a contiguous batch, slot angles taken from ``theta``,
+    and return it.  Without ``levels`` the batch is (..., 2^m) statevectors,
+    run in place.  Otherwise ``levels`` is one strength p2, or one per level
+    of a (..., levels, 2^m, 2^m) batch of density matrices, and each
+    two-qubit gate is followed by the depolarizing channel at each level,
+    after which the batch is a new array; the strengths are checked once,
+    at the first channel."""
+    if levels is None:
+        for target, control, u, _ in _fused(gates, theta):
+            _apply(states, u, target, control)
+        return states
+    m = states.shape[-1].bit_length() - 1
     c = None
     for target, control, u, side in _fused(gates, theta):
-        _step(rho.reshape(-1), u, target, control, side, m)
+        _step(states.reshape(-1), u, target, control, side, m)
         if control is not None:
             if c is None:
-                c = _mixing_weight(p2)
+                c = _mixing_weight(levels)
             if c.any():
-                rho = _depolarize(rho, control, target, c, m)
-    return rho
+                states = _depolarize(states, control, target, c, m)
+    return states
+
+
+def _start(m: int, levels: float | Sequence[float] | None) -> np.ndarray:
+    """|0...0> on m qubits without ``levels``, else |0...0><0...0| at each."""
+    dim = 1 << m
+    if levels is None:
+        state = np.zeros(dim, dtype=complex)
+        state[0] = 1.0
+    else:
+        state = np.zeros(np.shape(levels) + (dim, dim), dtype=complex)
+        state[..., 0, 0] = 1.0
+    return state
+
+
+def run_pure(circ: Circuit, theta: Sequence[float] | None = None) -> np.ndarray:
+    """Noiseless statevector after the circuit, starting from |0...0>."""
+    th = _check_theta(circ, theta)
+    return apply_gates(_start(circ.width, None), circ.gates, th, None)
 
 
 def run_density(circ: Circuit, theta: Sequence[float] | None = None,
@@ -447,10 +454,7 @@ def run_density(circ: Circuit, theta: Sequence[float] | None = None,
     strength p2 following every two-qubit gate; for a sequence of
     strengths, a (levels, 2^m, 2^m) stack of them, all run as one batch."""
     th = _check_theta(circ, theta)
-    dim = 1 << circ.width
-    rho = np.zeros(np.shape(p2) + (dim, dim), dtype=complex)
-    rho[..., 0, 0] = 1.0
-    return _evolve_density(rho, circ.gates, th, p2)
+    return apply_gates(_start(circ.width, p2), circ.gates, th, p2)
 
 
 # ---------------------------------------------------------------------------
@@ -668,24 +672,17 @@ def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
     pairs = [i for i, g in enumerate(gates) if len(g.qubits) == 2] + [len(gates)]
     nearest = {i: pairs[bisect.bisect(pairs, i)] for i in at}
     stops = sorted(set(nearest.values()))
+    state = _start(circ.width, levels)
     # the rule of the module notes, on the observables pulled back, T's
-    # rows without noise and the strings read with it, and their entries
-    if levels is None:
-        state = np.zeros(dim, dtype=complex)
-        state[0] = 1.0
-        observables, size = dim, dim
-    else:
-        state = np.zeros((len(levels), dim, dim), dtype=complex)
-        state[:, 0, 0] = 1.0
-        observables = len(set().union(*(op.masks for op in ops))
-                          - (set() if block else {(0, 0)}))
-        size = len(levels) * dim * dim
+    # rows without noise and the strings read with it, of state.size entries
+    observables = dim if levels is None else len(
+        set().union(*(op.masks for op in ops)) - (set() if block else {(0, 0)}))
     # where each slot's split batch stops: its next two-qubit gate when
     # pulled back, the end of the circuit otherwise
     stop = dict.fromkeys(at, len(gates))
     reads = pulled = None
     if (observables * len(gates) <= 3 * sum(len(gates) - 1 - i for i in at)
-            and (len(stops) + 2) * observables * size <= _PULL_BACK_ENTRIES):
+            and (len(stops) + 2) * observables * state.size <= _PULL_BACK_ENTRIES):
         if levels is None:
             mats = np.eye(dim, dtype=complex)
         else:
@@ -695,9 +692,9 @@ def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
         stop = nearest
     done = 0
     for i in at:
-        state = _evolve(state, gates[done:i], theta, levels)
-        batch = _evolve(_split(state[None], gates[i], levels),
-                        gates[i + 1:stop[i]], theta, levels)
+        state = apply_gates(state, gates[done:i], theta, levels)
+        batch = apply_gates(_split(state[None], gates[i], levels),
+                            gates[i + 1:stop[i]], theta, levels)
         done = i
         if pulled is not None and levels is None:
             batch = batch @ pulled[stop[i]]
@@ -752,15 +749,6 @@ def _pull_back(gates: Sequence[Gate], stops: list[int], theta: np.ndarray,
                         obs.transpose(0, 3, 2, 1).reshape(len(levels), dim * dim, -1))
         end = stop
     return stacks
-
-
-def _evolve(states: np.ndarray, gates: Sequence[Gate], theta: np.ndarray,
-            levels: list[float] | None) -> np.ndarray:
-    """Run gates on a batch of statevectors without noise levels, else on
-    a batch of (levels, 2^m, 2^m) stacks with the channel at each level."""
-    if levels is None:
-        return apply_gates(states, gates, theta)
-    return _evolve_density(states, gates, theta, levels)
 
 
 def _split(batch: np.ndarray, gate: Gate, levels: list[float] | None) -> np.ndarray:

@@ -50,6 +50,16 @@ class CliFailure(SystemExit):
         super().__init__(code)
 
 
+def _finite(op: PauliSum, field: str) -> PauliSum:
+    """``op``, refused (exit 2) when the sum of its |coefficient|, which
+    bounds every value read off it, overflows: the config value ``field``
+    is too large for it."""
+    if not math.isfinite(sum(map(abs, op.masks.values()))):
+        raise CliFailure(EXIT_CONFIG, f"{field}: too large, the operator it "
+                                      f"builds has coefficients that overflow")
+    return op
+
+
 def _load_config(args) -> RunConfig:
     try:
         cfg = load_config(args.config)
@@ -91,7 +101,8 @@ class Problem:
                 raise IngestError(f"active_space: {exc}")
         else:
             self.problem_integrals = self.integrals
-        self.h_op = self.problem_integrals.to_qubits(mu=cfg.mu)
+        self.h_op = _finite(self.problem_integrals.to_qubits(mu=cfg.mu),
+                            "hamiltonian or mu" if cfg.mu else "hamiltonian")
         self.n_orb = self.problem_integrals.n_orb
         self.n_elec = self.problem_integrals.n_elec
         self.n_modes = 2 * self.n_orb
@@ -115,19 +126,34 @@ class Problem:
     @functools.cached_property
     def gs_penalty(self):
         """The number penalty plus spin_penalty times S^2 for an even count,
-        or (S^2 - 3/4)^2, zero on doublets, for an odd one."""
+        or (S^2 - 3/4)^2, zero on doublets, for an odd one; exit 2 when a
+        weight overflows a part or H plus the sum (``_finite``)."""
         cfg = self.cfg
         total = None
         if cfg.number_penalty > 0:
-            total = number_penalty(self.n_modes, self.n_elec, cfg.number_penalty)
+            total = _finite(number_penalty(self.n_modes, self.n_elec, cfg.number_penalty),
+                            "number_penalty")
         if cfg.spin_penalty > 0:
             s2 = total_spin_squared(self.n_orb)
             if self.n_elec % 2:
                 s2 -= PauliSum.identity(self.n_modes, 0.75)
                 s2 = s2 * s2
-            spin = cfg.spin_penalty * s2
+            spin = _finite(cfg.spin_penalty * s2, "spin_penalty")
             total = spin if total is None else total + spin
+        if total is not None:
+            _finite(self.h_op + total, "number_penalty or spin_penalty")
         return total
+
+    def check_penalties(self, sectors: bool) -> None:
+        """Build the ground-state penalty, and with ``sectors`` the sector
+        penalty of both branches' targets, so that a weight that overflows
+        one exits 2 before a command writes anything."""
+        self.gs_penalty  # checked as it is built, once
+        weight = self.cfg.optimizer.sector_penalty
+        if sectors and weight > 0:
+            for n_target in (self.n_elec - 1, self.n_elec + 1):
+                _finite(number_penalty(self.n_modes, n_target, weight),
+                        "optimizer.sector_penalty")
 
     def ground_state(self, spec: AnsatzSpec, noise: NoiseModel, theta0):
         """``vqe_ground_state`` at the configured measurement, stop rule and
@@ -171,6 +197,7 @@ def _ground_state(prob: Problem, spec: AnsatzSpec, theta0,
 def cmd_ground_state(args) -> int:
     cfg = _load_config(args)
     prob = _open_problem(cfg)
+    prob.check_penalties(sectors=False)
     spec = prob.ansatz()
     theta0 = prob.gs_start(spec)
     manifest = ManifestWriter(cfg.out_dir, to_json_dict(cfg))
@@ -260,6 +287,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     zs = _grid_points(cfg, "sweep")
     prob = _open_problem(cfg)
+    prob.check_penalties(sectors=True)
     spec = prob.ansatz()
     theta0 = prob.gs_start(spec)
     out = Path(cfg.out_dir)
@@ -510,6 +538,7 @@ def cmd_noise_scan(args) -> int:
     except ValueError as exc:
         raise CliFailure(EXIT_CONFIG, f"--p2: {exc}")
     prob = _open_problem(cfg)
+    prob.check_penalties(sectors=False)
     spec = prob.ansatz()
     theta0 = prob.gs_start(spec)
     manifest = ManifestWriter(cfg.out_dir, to_json_dict(cfg))

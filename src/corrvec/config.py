@@ -186,6 +186,13 @@ class GridConfig:
                 raise ValueError("omega_max must be positive")
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
+        # every solve reads |z|^2 (CorrectionProblem.qdq), largest at an end
+        # of the grid; a Matsubara grid has no omega_min
+        for w in (self.omega_min or 0.0, self.omega_max):
+            try:
+                abs(complex(w, self.eta or 0.0)) ** 2
+            except OverflowError:
+                raise ValueError(f"|z|^2 overflows at the grid's end omega = {w}") from None
 
     def points(self) -> np.ndarray:
         """The complex frequencies in grid order.  A retarded grid spaces

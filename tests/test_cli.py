@@ -448,6 +448,30 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert run("ground-state", "--config", str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize("command, overrides, field", [
+    ("ground-state", {"number_penalty": 1e308}, "number_penalty"),
+    ("ground-state", {"mu": 1e308}, "mu"),
+    ("ground-state", {"spin_penalty": 1e308}, "spin_penalty"),
+    ("sweep", {"optimizer": {"sector_penalty": 1e308}}, "optimizer.sector_penalty"),
+    # each penalty fits alone; H plus their sum does not
+    ("ground-state", {"number_penalty": 4e307, "spin_penalty": 3e307},
+     "number_penalty or spin_penalty"),
+])
+def test_an_overflowing_operator_exits_2_naming_its_field(tmp_path, capsys, command,
+                                                          overrides, field):
+    """A value the parser accepts but whose operator overflows, its
+    coefficients summing past the largest float, is refused before
+    anything is written: H with mu, a ground-state penalty, or the sector
+    penalty of a sweep's branches."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out_dir=str(out), **overrides,
+                       grid={"kind": "retarded", "omega_min": -1.0,
+                             "omega_max": 1.0, "n": 2})
+    assert run(command, "--config", str(cfg)) == 2
+    assert f"{field}: too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_out_dir_exits_2(tmp_path, monkeypatch):
     """An empty out_dir, from the config or from --out, names the current
     directory: it is refused before anything is written there."""
@@ -702,3 +726,12 @@ def test_cli_import_leaves_scipy_out():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_module_run_warns_of_nothing():
+    """``python -m corrvec.cli`` runs the command line once, as __main__:
+    the package root does not import it first, which runpy would warn of."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "corrvec.cli", "--help"],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")

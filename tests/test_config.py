@@ -123,6 +123,11 @@ def test_grid_validation_and_build():
         {"kind": "matsubara", "omega_max": 1.0, "n": 0},
         {"kind": "matsubara", "omega_max": 1.0, "n": 5, "eta": 0.1},
         {"kind": "legendre", "omega_max": 1.0, "n": 5},
+        # each point's |z|^2 overflows at an end of the grid
+        {"kind": "matsubara", "omega_max": 1e300, "n": 2},
+        {"kind": "retarded", "omega_min": -1e160, "omega_max": 1.0, "n": 5},
+        {"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0, "n": 5,
+         "eta": 1e155},
     ):
         with pytest.raises(ConfigError):
             parse(GridConfig, bad, "grid")

@@ -139,12 +139,13 @@ def test_apply_matches_kron_on_both_branches(width, seed):
 @given(data=st.data())
 def test_stacked_levels_match_per_level_runs(min_size, data):
     """A batch holding every noise level runs the channel, and the gates,
-    exactly as one run per level does.  The kernel branch is pinned for both
-    runs: the view path everywhere, or the block path wherever the qubits
-    allow.  Each branch computes a member alike however large its batch, so
-    equality is exact; each level gets two or three members, so that no
-    block matmul has a single row, which BLAS would take as a
-    matrix-vector product."""
+    exactly as one run per level does, and a batch of statevectors runs
+    each of its members as a run of that member alone does.  The kernel
+    branch is pinned for both runs: the view path everywhere, or the block
+    path wherever the qubits allow.  Each branch computes a member alike
+    however large its batch, so equality is exact; each level or member
+    gets two or three rows, so that no block matmul has a single row,
+    which BLAS would take as a matrix-vector product."""
     circ, theta = data.draw(random_circuits(max_width=3, max_gates=8))
     levels = data.draw(st.lists(st.sampled_from((0.0, 0.01, 0.3, 15.0 / 16.0)),
                                 min_size=1, max_size=3))
@@ -153,12 +154,18 @@ def test_stacked_levels_match_per_level_runs(min_size, data):
     shape = (data.draw(st.integers(2, 3)), len(levels), 1 << m, 1 << m)
     stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     th = theta if circ.n_slots else None
+    vectors = np.ascontiguousarray(stack[..., 0])  # (rows, members, 2^m)
     with mock.patch.object(circuits, "_BLOCK_MIN_SIZE", min_size):
-        together = circuits._evolve_density(stack.copy(), circ.gates, th, levels)
+        together = circuits.apply_gates(stack.copy(), circ.gates, th, levels)
         for k, p2 in enumerate(levels):
-            alone = circuits._evolve_density(np.ascontiguousarray(stack[:, k]),
-                                             circ.gates, th, p2)
+            alone = circuits.apply_gates(np.ascontiguousarray(stack[:, k]),
+                                         circ.gates, th, p2)
             assert np.array_equal(together[:, k], alone), p2
+        together = circuits.apply_gates(vectors.copy(), circ.gates, th, None)
+        for k in range(vectors.shape[1]):
+            alone = circuits.apply_gates(np.ascontiguousarray(vectors[:, k]),
+                                         circ.gates, th, None)
+            assert np.array_equal(together[:, k], alone), k
     if m >= 2:
         q1, q2 = data.draw(st.lists(st.integers(0, m - 1), min_size=2,
                                     max_size=2, unique=True))
@@ -438,15 +445,16 @@ def test_statevector_sweeps_pull_back_by_the_rule(spec, entries, pulled, monkeyp
     if entries is not None:
         monkeypatch.setattr(circuits, "_PULL_BACK_ENTRIES", entries)
     passes, suffixes = [], []
-    pull_back, evolve = circuits._pull_back, circuits._evolve
+    pull_back, forward = circuits._pull_back, circuits.apply_gates
     monkeypatch.setattr(circuits, "_pull_back",
                         lambda *args: passes.append(1) or pull_back(*args))
     # a slot's split pair (the state it splits is one vector) stops at its
     # next two-qubit gate when pulled back; a suffix run takes it through
-    # the ladders after it, which every slot before the closing layer meets
-    monkeypatch.setattr(circuits, "_evolve", lambda states, gates, *args: suffixes.extend(
+    # the ladders after it, which every slot before the closing layer meets;
+    # full runs and the state before each slot are single vectors
+    monkeypatch.setattr(circuits, "apply_gates", lambda states, gates, *args: suffixes.extend(
         [1] * (states.ndim == 2 and any(len(g.qubits) == 2 for g in gates)))
-        or evolve(states, gates, *args))
+        or forward(states, gates, *args))
     rng = np.random.default_rng(spec.n_slots)
     theta, probes, moves = rng.uniform(-np.pi, np.pi, (3, spec.n_slots))
     check_sweep(build_hea(spec), NoiseModel(), theta, probes, moves)
