@@ -836,7 +836,7 @@ def expectation_from_state(psi: np.ndarray, op: PauliSum) -> float:
     """<psi|A|psi> for a normalized psi, refused when its imaginary part
     exceeds round-off relative to the sum of |coefficient| of A."""
     val = complex(np.vdot(psi, apply_sum(op, psi)))
-    if not abs(val.imag) <= 1e-10 * sum(abs(c) for c in op.masks.values()):
+    if not abs(val.imag) <= 1e-10 * op.one_norm():
         raise ValueError(f"<psi|A|psi> = {val} is not real: A is not hermitian")
     return val.real
 

@@ -27,10 +27,11 @@ from .greens import (dyson_embed, nondyson_embed, spin_up_block, trace_spectrum)
 from .molham import build_cas, fock_matrix, hubbard_dimer, read_fcidump
 from .oracle import MAX_DENSE_QUBITS, GreensOracle, exact_ground
 from .pauli import PauliSum
-from .solver import PointRecord, assemble_matrices, sweep_columns
-from .store import (ManifestWriter, append_lines, dumps_canonical, fmt_float,
-                    read_json_log, read_series, series_lines, sha256_of_file,
-                    spectrum_csv)
+from .solver import (HOLE, PARTICLE, PointRecord, assemble_matrices,
+                     sweep_columns, target_sector)
+from .store import (ManifestWriter, append_lines, canonical_fields,
+                    dumps_canonical, fmt_float, read_json_log, read_series,
+                    series_lines, sha256_of_file, spectrum_csv)
 from .vqe import AnsatzSpec, build_hea, hf_start_angles, vqe_ground_state
 
 EXIT_OK = 0
@@ -38,10 +39,6 @@ EXIT_CONFIG = 2
 EXIT_INGEST = 3
 EXIT_BUDGET = 4
 EXIT_COMPARE = 5
-
-
-class IngestError(RuntimeError):
-    """Raised when a Hamiltonian source cannot be loaded."""
 
 
 class CliFailure(SystemExit):
@@ -54,7 +51,7 @@ def _finite(op: PauliSum, field: str) -> PauliSum:
     """``op``, refused (exit 2) when the sum of its |coefficient|, which
     bounds every value read off it, overflows: the config value ``field``
     is too large for it."""
-    if not math.isfinite(sum(map(abs, op.masks.values()))):
+    if not math.isfinite(op.one_norm()):
         raise CliFailure(EXIT_CONFIG, f"{field}: too large, the operator it "
                                       f"builds has coefficients that overflow")
     return op
@@ -77,7 +74,7 @@ def _load_config(args) -> RunConfig:
 
 
 class Problem:
-    """Everything a command needs once ingestion succeeded."""
+    """Everything a command needs once ingestion succeeded (exit 3 if not)."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -85,12 +82,12 @@ class Problem:
             try:
                 self.integrals = read_fcidump(cfg.hamiltonian.path)
             except FileNotFoundError:
-                raise IngestError(f"fcidump not found: {cfg.hamiltonian.path}")
+                raise CliFailure(EXIT_INGEST, f"fcidump not found: {cfg.hamiltonian.path}")
             except OSError as exc:
-                raise IngestError(f"{cfg.hamiltonian.path}: cannot be read "
-                                  f"({exc.strerror or exc})")
+                raise CliFailure(EXIT_INGEST, f"{cfg.hamiltonian.path}: cannot "
+                                              f"be read ({exc.strerror or exc})")
             except ValueError as exc:
-                raise IngestError(str(exc))
+                raise CliFailure(EXIT_INGEST, str(exc))
         else:
             self.integrals = hubbard_dimer(cfg.hamiltonian.t, cfg.hamiltonian.u)
         if cfg.active_space is not None:
@@ -98,11 +95,12 @@ class Problem:
                 self.problem_integrals = build_cas(self.integrals,
                                                    cfg.active_space)
             except ValueError as exc:
-                raise IngestError(f"active_space: {exc}")
+                raise CliFailure(EXIT_INGEST, f"active_space: {exc}")
         else:
             self.problem_integrals = self.integrals
+        self.h_field = "hamiltonian or mu" if cfg.mu else "hamiltonian"
         self.h_op = _finite(self.problem_integrals.to_qubits(mu=cfg.mu),
-                            "hamiltonian or mu" if cfg.mu else "hamiltonian")
+                            self.h_field)
         self.n_orb = self.problem_integrals.n_orb
         self.n_elec = self.problem_integrals.n_elec
         self.n_modes = 2 * self.n_orb
@@ -144,16 +142,27 @@ class Problem:
             _finite(self.h_op + total, "number_penalty or spin_penalty")
         return total
 
-    def check_penalties(self, sectors: bool) -> None:
-        """Build the ground-state penalty, and with ``sectors`` the sector
-        penalty of both branches' targets, so that a weight that overflows
-        one exits 2 before a command writes anything."""
+    def check_penalties(self, zs: np.ndarray | None = None) -> None:
+        """Build the ground-state penalty, and for a sweep over ``zs`` the
+        sector penalty of both branches' targets, so that a weight that
+        overflows one exits 2 before a command writes anything.  So does a
+        sweep whose solves' Q+Q plus that penalty would overflow: Q+Q sums
+        to at most (max |z| + 2 sum|c_H|)^2 in |coefficient|, as
+        |E0| <= sum|c_H|."""
         self.gs_penalty  # checked as it is built, once
-        weight = self.cfg.optimizer.sector_penalty
-        if sectors and weight > 0:
-            for n_target in (self.n_elec - 1, self.n_elec + 1):
-                _finite(number_penalty(self.n_modes, n_target, weight),
-                        "optimizer.sector_penalty")
+        if zs is None:
+            return
+        penalty = max(_finite(number_penalty(self.n_modes,
+                                             target_sector(branch, self.n_elec),
+                                             self.cfg.optimizer.sector_penalty),
+                              "optimizer.sector_penalty").one_norm()
+                      for branch in (HOLE, PARTICLE))
+        z_max, h_size = float(np.abs(zs).max()), 2.0 * self.h_op.one_norm()
+        # a product, which overflows to inf where ** raises OverflowError
+        if not math.isfinite((z_max + h_size) * (z_max + h_size) + penalty):
+            field = "grid" if z_max > h_size else self.h_field
+            raise CliFailure(EXIT_CONFIG, f"{field}: too large, the cost of a "
+                                          f"sweep's solves (Q+Q) would overflow")
 
     def ground_state(self, spec: AnsatzSpec, noise: NoiseModel, theta0):
         """``vqe_ground_state`` at the configured measurement, stop rule and
@@ -164,26 +173,24 @@ class Problem:
                                 cfg.optimizer.gs_max_sweeps, self.gs_penalty, theta0)
 
 
-def _open_problem(cfg: RunConfig) -> Problem:
-    try:
-        return Problem(cfg)
-    except IngestError as exc:
-        raise CliFailure(EXIT_INGEST, str(exc))
-
-
 @dataclass(frozen=True)
 class GroundState:
-    """The one-line record of ``ground_state.json`` a sweep starts from."""
+    """The one-line record of ``ground_state.json`` a sweep starts from, its
+    floats rounded to their stored text as it is built (``canonical_fields``)."""
 
     e0: float
     converged: bool
     sweeps: int
     angles: tuple[float, ...]
 
+    def __post_init__(self):
+        canonical_fields(self)
+
 
 def _ground_state(prob: Problem, spec: AnsatzSpec, theta0,
-                  manifest: ManifestWriter) -> GroundState:
-    """Search the ground state and write its record and trace."""
+                  manifest: ManifestWriter) -> tuple[float, GroundState]:
+    """Search the ground state and write its record and trace: the energy
+    as estimated, and the record."""
     e0, theta, trace = prob.ground_state(spec, prob.cfg.noise, theta0)
     gs = GroundState(e0=float(e0), converged=bool(trace.converged),
                      sweeps=trace.sweeps, angles=tuple(theta))
@@ -191,19 +198,19 @@ def _ground_state(prob: Problem, spec: AnsatzSpec, theta0,
     manifest.write("trace.log", trace.log_lines())
     manifest.stage("ground-state", "ok", e0=gs.e0, sweeps=gs.sweeps,
                    converged=gs.converged)
-    return gs
+    return float(e0), gs
 
 
 def cmd_ground_state(args) -> int:
     cfg = _load_config(args)
-    prob = _open_problem(cfg)
-    prob.check_penalties(sectors=False)
+    prob = Problem(cfg)
+    prob.check_penalties()
     spec = prob.ansatz()
     theta0 = prob.gs_start(spec)
     manifest = ManifestWriter(cfg.out_dir, to_json_dict(cfg))
-    gs = _ground_state(prob, spec, theta0, manifest)
+    e0, gs = _ground_state(prob, spec, theta0, manifest)
     manifest.finish()
-    print(f"E0 = {gs.e0:.10f} ({gs.sweeps} sweeps, "
+    print(f"E0 = {e0:.10f} ({gs.sweeps} sweeps, "
           f"converged={gs.converged}) -> {manifest.out_dir}")
     return EXIT_OK
 
@@ -286,8 +293,8 @@ def _grid_points(cfg: RunConfig, command: str) -> np.ndarray:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     zs = _grid_points(cfg, "sweep")
-    prob = _open_problem(cfg)
-    prob.check_penalties(sectors=True)
+    prob = Problem(cfg)
+    prob.check_penalties(zs)
     spec = prob.ansatz()
     theta0 = prob.gs_start(spec)
     out = Path(cfg.out_dir)
@@ -296,24 +303,21 @@ def cmd_sweep(args) -> int:
     manifest = ManifestWriter(out, to_json_dict(cfg))
 
     gs_path = out / "ground_state.json"
-    reused = gs_path.exists()
-    if not reused:
-        _ground_state(prob, spec, theta0, manifest)
-    # continue from the canonicalized values on disk, so a later resume
-    # reads exactly what this run used
-    try:
-        with open(gs_path) as fh:
-            # the record is one line, as _ground_state writes it
-            gs = parse(GroundState, json.load(fh), f"{gs_path}, line 1")
-    except json.JSONDecodeError as exc:
-        raise CliFailure(EXIT_INGEST, f"{gs_path}, line {exc.lineno}: "
-                                      f"not JSON ({exc.msg})")
-    except ConfigError as exc:
-        raise CliFailure(EXIT_INGEST, str(exc))
-    if len(gs.angles) != spec.n_slots:
-        raise CliFailure(EXIT_CONFIG,
-                         "stored ground state does not match the ansatz")
-    if reused:
+    if not gs_path.exists():
+        _, gs = _ground_state(prob, spec, theta0, manifest)
+    else:
+        try:
+            with open(gs_path) as fh:
+                # the record is one line, as _ground_state writes it
+                gs = parse(GroundState, json.load(fh), f"{gs_path}, line 1")
+        except json.JSONDecodeError as exc:
+            raise CliFailure(EXIT_INGEST, f"{gs_path}, line {exc.lineno}: "
+                                          f"not JSON ({exc.msg})")
+        except ConfigError as exc:
+            raise CliFailure(EXIT_INGEST, str(exc))
+        if len(gs.angles) != spec.n_slots:
+            raise CliFailure(EXIT_CONFIG,
+                             "stored ground state does not match the ansatz")
         manifest.register(gs_path)
         if (out / "trace.log").exists():
             manifest.register(out / "trace.log")
@@ -379,7 +383,7 @@ def cmd_embed(args) -> int:
         raise CliFailure(EXIT_CONFIG, "embed requires embedding mode != 'none'")
     if cfg.hamiltonian.kind != "fcidump":
         raise CliFailure(EXIT_CONFIG, "embedding needs a molecular fcidump source")
-    prob = _open_problem(cfg)
+    prob = Problem(cfg)
     out = Path(cfg.out_dir)
     series_path = out / "series.jsonl"
     if not series_path.exists():
@@ -444,7 +448,7 @@ def cmd_embed(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = _load_config(args)
     zs = _grid_points(cfg, "oracle")
-    prob = _open_problem(cfg)
+    prob = Problem(cfg)
     if prob.n_modes > MAX_DENSE_QUBITS:
         raise CliFailure(EXIT_CONFIG,
                          f"{prob.n_modes} modes is beyond dense diagonalization")
@@ -537,8 +541,8 @@ def cmd_noise_scan(args) -> int:
         models = [replace(cfg.noise, enabled=p2 != 0, p2=p2) for p2 in p2_values]
     except ValueError as exc:
         raise CliFailure(EXIT_CONFIG, f"--p2: {exc}")
-    prob = _open_problem(cfg)
-    prob.check_penalties(sectors=False)
+    prob = Problem(cfg)
+    prob.check_penalties()
     spec = prob.ansatz()
     theta0 = prob.gs_start(spec)
     manifest = ManifestWriter(cfg.out_dir, to_json_dict(cfg))

@@ -104,6 +104,10 @@ class PauliSum:
         """The terms keyed by their ``(x, z)`` masks."""
         return dict(self._terms)
 
+    def one_norm(self) -> float:
+        """The sum of |coefficient|, which bounds the operator norm."""
+        return float(sum(map(abs, self._terms.values())))
+
     def __len__(self) -> int:
         return len(self._terms)
 

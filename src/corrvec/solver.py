@@ -12,11 +12,13 @@ gamma = <V|V> / <V|Q U|0> reproduces every Green's-function element of the
 column without further optimization: after its sweeps each point simulates
 its overlap circuit once and reads the denominator of gamma and every
 element of the column off that one output.
+``CorrectionProblem`` derives a column's operators from its labels
+(orbital, branch), and each solve returns the ``PointRecord`` it stores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .circuits import (Circuit, MeasurementSettings, NoiseModel, OverlapEngine,
                        sample_pauli_expectation, simulate)
 from .fermion import ladder_pauli, number_penalty
 from .pauli import PauliSum, apply_sum, weighted_sum
-from .store import fmt_float
+from .store import canonical_fields
 from .vqe import (AnsatzSpec, CircuitCost, build_hea, grow_hea_angles,
                   rotosolve_sweep)
 
@@ -33,17 +35,6 @@ _BRANCH_CODE = {PARTICLE: 0, HOLE: 1}
 _BRANCH_SIGN = {PARTICLE: -1, HOLE: +1}
 
 V_NORM_THRESHOLD = 1e-8
-
-
-@dataclass
-class CorrectionVectorSolution:
-    theta: np.ndarray
-    residual: float              # g / <V|V> at the returned angles
-    gamma: complex               # 0 when V|psi0> or the overlap vanished
-    depth: int
-    sweeps: int
-    converged: bool
-    elements: np.ndarray         # gamma * <psi0|A_i|U|0> over element_ops
 
 
 @dataclass(frozen=True)
@@ -68,42 +59,51 @@ class SolverOptions:
             raise ValueError("sector_penalty must be nonnegative")
 
 
-class CorrectionProblem:
-    """Shared per-column operators and the cost function at one frequency.
+def target_sector(branch: str, n_elec: int) -> int:
+    """The particle number of a branch's correction vector: V = c+ adds an
+    electron to the reference's ``n_elec``, V = c removes one."""
+    if branch not in _BRANCH_SIGN:
+        raise ValueError(f"unknown branch {branch!r}")
+    return n_elec - _BRANCH_SIGN[branch]
 
-    ``element_ops`` are the operators A_i whose overlaps, times gamma, give
-    the column's elements: the adjoint ladder operators of its orbitals.
+
+class CorrectionProblem:
+    """One (orbital, branch) column's operators and its cost at each
+    frequency, derived from those labels: V is c+ of ``orbital`` (sign -1)
+    on the particle branch and c (sign +1) on the hole branch, and
+    ``element_ops``, whose overlaps times gamma give the column's elements,
+    are the adjoint ladder operators of every spatial orbital of ``h``.
     """
 
-    def __init__(self, h: PauliSum, e0: float, sign: int, v_op: PauliSum,
-                 gs_circuit: Circuit, settings: MeasurementSettings,
-                 noise: NoiseModel, n_target: int | None = None,
-                 sector_penalty: float = 1.0,
-                 element_ops: tuple[PauliSum, ...] = ()):
+    def __init__(self, h: PauliSum, e0: float, branch: str, orbital: int,
+                 n_elec: int, gs_circuit: Circuit, settings: MeasurementSettings,
+                 noise: NoiseModel, sector_penalty: float):
         if gs_circuit.n_slots:
             raise ValueError("ground-state circuit must be fully bound")
-        self.v_op = v_op
-        self.element_ops = element_ops
-        self.gs_circuit = gs_circuit
-        self.settings = settings
-        self.noise = noise
+        n_target = target_sector(branch, n_elec)
+        create = branch == PARTICLE
+        self.branch, self.orbital = branch, orbital
+        self.v_op = ladder_pauli(orbital, create, h.width)
+        self.element_ops = tuple(ladder_pauli(i, not create, h.width)
+                                 for i in range(h.width // 2))
+        self.gs_circuit, self.settings, self.noise = gs_circuit, settings, noise
         self.width = h.width
         # z-independent pieces: Q+Q = |z|^2 I + 2 Re(z) D + D^2 with
         # D = sign (H - e0), and V+Q = z V+ + V+ D.  Each z's weighted sum
         # combines the forms of these parts, each compiled once on first use.
         self.ident = PauliSum.identity(h.width)
-        self.d_op = sign * (h - PauliSum.identity(h.width, e0))
+        self.d_op = _BRANCH_SIGN[branch] * (h - PauliSum.identity(h.width, e0))
         self.d2 = self.d_op * self.d_op
-        self.v_adj = v_op.adjoint()
+        self.v_adj = self.v_op.adjoint()
         self.vdj = self.v_adj * self.d_op
-        self.vdv = self.v_adj * v_op
+        self.vdv = self.v_adj * self.v_op
         # The solution lives in a fixed particle-number sector, while the
         # prepared reference obeys Q|psi0> = z|psi0> and so costs only |z|^2:
         # at small |z| the optimizer can fall into that direction.  A sector
         # penalty (N - n_target)^2 removes every wrong-number direction and
         # is exactly zero on the states the solve is meant to reach.
         self.penalty_op = None
-        if n_target is not None and sector_penalty > 0:
+        if sector_penalty > 0:
             self.penalty_op = number_penalty(h.width, n_target, sector_penalty)
         self._engines: dict[int, tuple[Circuit, OverlapEngine]] = {}
 
@@ -153,33 +153,39 @@ class CorrectionProblem:
                            (engine, vdq, v_norm), w)
 
 
-def solve_correction_vector(problem: CorrectionProblem, z: complex,
+def solve_correction_vector(problem: CorrectionProblem, k: int, z: complex,
                             spec: AnsatzSpec, options: SolverOptions,
                             rng: np.random.Generator,
-                            theta0: np.ndarray | None = None,
-                            ) -> CorrectionVectorSolution:
-    """Rotosolve until g/<V|V> < epsilon, growing depth on stalls.
+                            theta0: np.ndarray | None = None) -> PointRecord:
+    """The record of point ``k`` of the problem's column, at frequency z:
+    Rotosolve until g/<V|V> < epsilon, growing depth on stalls.
 
     ``theta0`` warm-starts from a neighboring frequency's angles, whose
     number fixes the depth to start at: ``spec`` with that many blocks, or
-    ValueError for angles that are not whole blocks of it.  The returned
+    ValueError for angles that are not whole blocks of it.  The recorded
     angles are the best seen by measured cost; ``converged`` means their
     residual is below ``options.epsilon`` and gamma is defined.  One
     simulation of the overlap circuit at those angles then gives the
     denominator of gamma and each element of ``problem.element_ops``,
     estimated in that order.  A perturbation that annihilates the ground
-    state returns gamma 0, converged, with zero elements.  So does a
+    state records gamma 0, converged, with zero elements.  So does a
     denominator that vanishes, but not converged: at the correction vector
     |<V|Q U|0>| >= sqrt(<V|V>) |Im z|, because Q is normal with
     |eigenvalues| >= |Im z|, and a denominator below 1e-10 of that scale
     defines no gamma.
     """
+    def record(theta, depth, sweeps, residual, gamma, elements, converged):
+        return PointRecord(
+            k=k, z_re=z.real, z_im=z.imag, orbital=problem.orbital,
+            branch=problem.branch, elements_re=elements.real,
+            elements_im=elements.imag, theta=theta, depth=depth, sweeps=sweeps,
+            residual=residual, gamma_re=gamma.real, gamma_im=gamma.imag,
+            converged=converged)
+
     zeros = np.zeros(len(problem.element_ops), dtype=complex)
     v_norm = problem.measure_v_norm(rng)
     if v_norm < V_NORM_THRESHOLD:
-        return CorrectionVectorSolution(
-            theta=np.zeros(spec.n_slots), residual=0.0, gamma=0j,
-            depth=spec.depth, sweeps=0, converged=True, elements=zeros)
+        return record(np.zeros(spec.n_slots), spec.depth, 0, 0.0, 0j, zeros, True)
 
     cur = spec
     max_depth = spec.depth + options.extra_depth
@@ -227,10 +233,8 @@ def solve_correction_vector(problem: CorrectionProblem, z: complex,
         elements = gamma * np.asarray(
             [engine.estimate_sum(states, a_op, rng)
              for a_op in problem.element_ops], dtype=complex)
-    return CorrectionVectorSolution(
-        theta=best_theta, residual=float(best_val / v_norm), gamma=gamma,
-        depth=best_depth, sweeps=sweeps, converged=converged,
-        elements=elements)
+    return record(best_theta, best_depth, sweeps, float(best_val / v_norm),
+                  gamma, elements, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +271,7 @@ class PointRecord:
             raise ValueError(f"unknown branch {self.branch!r}")
         if len(self.elements_re) != len(self.elements_im):
             raise ValueError("elements_re and elements_im differ in length")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float":
-                value = fmt_float(value)
-            elif f.type == "tuple[float, ...]":
-                value = tuple(map(fmt_float, value))
-            object.__setattr__(self, f.name, value)
+        canonical_fields(self)
 
     @property
     def z(self) -> complex:
@@ -304,55 +302,29 @@ def _point_rng(seed: int, branch: str, orbital: int, k: int):
         [seed & 0xFFFFFFFF, _BRANCH_CODE[branch], orbital, k, 0]))
 
 
-def solve_column(h: PauliSum, e0: float, gs_circuit: Circuit,
-                 zs: np.ndarray, branch: str, orbital: int,
-                 spec: AnsatzSpec, options: SolverOptions,
-                 settings: MeasurementSettings, noise: NoiseModel, n_elec: int,
-                 existing: dict[int, PointRecord] | None = None,
-                 on_point=None) -> list[PointRecord]:
-    """March one (orbital, branch) chain across the grid in order.
+def solve_column(problem: CorrectionProblem, zs: np.ndarray, spec: AnsatzSpec,
+                 options: SolverOptions, existing: dict[int, PointRecord],
+                 on_point) -> list[PointRecord]:
+    """March the problem's (orbital, branch) chain across the grid in order.
 
-    Each frequency is solved once, warm-started from its predecessor, with
-    draws seeded by ``settings.seed`` and the point; its record's residual
-    bounds its error (``PointRecord.bound``), so no point is judged by its
-    neighbours.  The column holds an element for each spatial orbital of
-    ``h``.  ``n_elec``, the electrons in the reference state, fixes the
-    N+1 / N-1 target space of the sector penalty.
+    Each frequency whose record ``existing`` lacks is solved once,
+    warm-started from its predecessor, with draws seeded by the settings'
+    seed and the point, and handed to ``on_point`` as it is solved; its
+    record's residual bounds its error (``PointRecord.bound``), so no point
+    is judged by its neighbours.
     """
-    if branch not in _BRANCH_SIGN:
-        raise ValueError(f"unknown branch {branch!r}")
-    n_modes = h.width
-    sign = _BRANCH_SIGN[branch]
-    create = branch == PARTICLE
-    v_op = ladder_pauli(orbital, create, n_modes)
-    problem = CorrectionProblem(
-        h, e0, sign, v_op, gs_circuit, settings, noise,
-        n_target=n_elec + (1 if create else -1),
-        sector_penalty=options.sector_penalty,
-        element_ops=tuple(ladder_pauli(i, not create, n_modes)
-                          for i in range(n_modes // 2)))
-    existing = existing or {}
-
     records: list[PointRecord] = []
     theta0 = None
     for k, z in enumerate(zs):
         rec = existing.get(k)
         if rec is None:
-            rng = _point_rng(settings.seed, branch, orbital, k)
-            sol = solve_correction_vector(problem, complex(z), spec, options,
+            rng = _point_rng(problem.settings.seed, problem.branch,
+                             problem.orbital, k)
+            rec = solve_correction_vector(problem, k, complex(z), spec, options,
                                           rng, theta0=theta0)
-            rec = PointRecord(
-                k=k, z_re=z.real, z_im=z.imag, orbital=orbital, branch=branch,
-                elements_re=sol.elements.real, elements_im=sol.elements.imag,
-                theta=sol.theta, depth=sol.depth, sweeps=sol.sweeps,
-                residual=sol.residual,
-                gamma_re=sol.gamma.real, gamma_im=sol.gamma.imag,
-                converged=sol.converged)
-            if on_point is not None:
-                on_point(rec)
+            on_point(rec)
         theta0 = rec.theta
         records.append(rec)
-
     return records
 
 
@@ -383,16 +355,16 @@ def assemble_matrices(records: list[PointRecord], n_orb: int, n_points: int,
 def sweep_columns(h: PauliSum, e0: float, gs_circuit: Circuit, zs: np.ndarray,
                   spec: AnsatzSpec, options: SolverOptions,
                   settings: MeasurementSettings, noise: NoiseModel, n_elec: int,
-                  existing: dict | None = None,
-                  on_point=None) -> list[PointRecord]:
+                  existing: dict, on_point) -> list[PointRecord]:
     """The (branch, orbital) chain of every spatial orbital of ``h`` on
-    both branches (``solve_column``), in a deterministic serial order."""
-    existing = existing or {}
+    both branches (``solve_column``), in a deterministic serial order, from
+    a reference of ``n_elec`` electrons; ``existing`` holds the records
+    already solved by (branch, orbital), then by k."""
     records: list[PointRecord] = []
     for branch in (PARTICLE, HOLE):
         for j in range(h.width // 2):
-            records.extend(solve_column(
-                h, e0, gs_circuit, zs, branch, j, spec, options,
-                settings, noise, n_elec,
-                existing=existing.get((branch, j)), on_point=on_point))
+            problem = CorrectionProblem(h, e0, branch, j, n_elec, gs_circuit,
+                                        settings, noise, options.sector_penalty)
+            records.extend(solve_column(problem, zs, spec, options,
+                                        existing.get((branch, j), {}), on_point))
     return records

@@ -20,6 +20,7 @@ import math
 import os
 import tempfile
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,18 @@ def fmt_float(x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"non-finite value {x!r} cannot be persisted")
     return float(FLOAT_FMT % x)
+
+
+def canonical_fields(record) -> None:
+    """Round each ``float`` and ``tuple[float, ...]`` field of the frozen
+    dataclass ``record`` to its stored text, in place, as it is built: the
+    record then equals the one its written line reads back to."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type == "float":
+            object.__setattr__(record, f.name, fmt_float(value))
+        elif f.type == "tuple[float, ...]":
+            object.__setattr__(record, f.name, tuple(map(fmt_float, value)))
 
 
 def _canonical_floats(values: list[float]) -> list[float]:

@@ -159,6 +159,9 @@ class CircuitCost:
         self.ops = tuple(ops)
         if not all(op.is_hermitian() for op in self.ops):
             raise ValueError("a cost's operators must be hermitian")
+        # the sum of |coefficient| over ops bounds every term summed into the
+        # cost, the overlap term too: by Cauchy-Schwarz it is at most <Q+Q>
+        self.size = sum(op.one_norm() for op in self.ops)
         self.circuits, self.reads = [circ], [self.ops]
         if overlap is not None and noise.enabled:
             self.circuits.append(overlap[0].circuit)
@@ -209,8 +212,10 @@ class CircuitCost:
 _FLAT = 64 * np.finfo(float).eps
 
 
-def _check_carried(value: float, carried: float, where: str) -> None:
-    if not abs(value - carried) <= 1e-10 * (1.0 + abs(carried)):
+def _check_carried(value: float, carried: float, size: float, where: str) -> None:
+    """Refuse an exact cost that differs from the carried one by more than
+    1e-10 of ``size``, the size of the terms summed into it."""
+    if not abs(value - carried) <= 1e-10 * size:
         raise AssertionError(f"{where}: exact cost {value:.15g} differs from "
                              f"the carried value {carried:.15g}")
 
@@ -232,8 +237,9 @@ def rotosolve_sweep(cost, theta: np.ndarray,
     matrix K of the cost on it: a slot whose sinusoid is flat, its
     amplitude within round-off of the terms summed into K, keeps its
     angle, and the value at the slot's current angle must equal the
-    carried one, the full evaluation at slot 0 and the previous slot's
-    closed-form minimum after that, or AssertionError is raised.
+    carried one to 1e-10 of ``form.size``, the full evaluation at slot 0
+    and the previous slot's closed-form minimum after that, or
+    AssertionError is raised.
     Otherwise the cost is estimated on the outputs at +-pi/2 from the
     slot's angle and at the angle it moves to, in that order; the last is
     the next slot's value at its angle.
@@ -243,7 +249,7 @@ def rotosolve_sweep(cost, theta: np.ndarray,
     if not np.isfinite(current):
         raise ValueError("cost returned a non-finite value at the start point")
     if form.exact and form.closed is not None and np.array_equal(form.closed[0], theta):
-        _check_carried(current, form.closed[1], "sweep start")
+        _check_carried(current, form.closed[1], form.size, "sweep start")
     half = 0.5 * np.pi
     slots = zip(*(restrictions(c, theta, form.noise, o)
                   for c, o in zip(form.circuits, form.reads, strict=True)))
@@ -259,7 +265,7 @@ def rotosolve_sweep(cost, theta: np.ndarray,
             c, s = np.cos(base), np.sin(base)
             rel_c = amp_c * c + amp_s * s
             rel_s = amp_s * c - amp_c * s
-            _check_carried(mean + rel_c, current, f"slot {d}")
+            _check_carried(mean + rel_c, current, form.size, f"slot {d}")
             amp = np.hypot(amp_c, amp_s)
             if amp <= _FLAT * scale:
                 current = float(mean + rel_c)

@@ -111,6 +111,23 @@ def test_sweep_outputs(dimer_sweep):
     assert len(csv_lines) == 4
 
 
+def test_sweep_reusing_a_ground_state_writes_the_bytes_of_one_that_wrote_it(
+        dimer_sweep, tmp_path):
+    """A sweep that searches its ground state goes on from the record it
+    writes, rounded as it is built, so a sweep that reuses the
+    ground_state.json of a ground-state run writes the same bytes."""
+    src, out = dimer_sweep["out"], tmp_path / "reused"
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        grid={"kind": "retarded", "omega_min": -1.0, "omega_max": 1.0, "n": 3},
+        out_dir=str(out))
+    assert run("ground-state", "--config", str(cfg)) == 0
+    assert run("sweep", "--config", str(cfg)) == 0
+    for name in ("ground_state.json", "trace.log", "series.jsonl",
+                 "spectrum.csv", "checkpoint.jsonl"):
+        assert (out / name).read_bytes() == (src / name).read_bytes(), name
+
+
 def test_resume_matches_uninterrupted(dimer_sweep, tmp_path):
     src = dimer_sweep["out"]
     out = tmp_path / "resumed"
@@ -270,7 +287,7 @@ def test_killed_sweep_resumes_to_the_uninterrupted_bytes(dimer_sweep, tmp_path,
         number of points solved."""
         calls = []
 
-        def solve(problem, z, spec, options, rng, theta0=None):
+        def solve(problem, k, z, spec, options, rng, theta0=None):
             # a solve is a function of its point's draws and its warm
             # start, so each distinct one runs once across these sweeps
             key = (z, str(rng.bit_generator.state),
@@ -279,7 +296,7 @@ def test_killed_sweep_resumes_to_the_uninterrupted_bytes(dimer_sweep, tmp_path,
             if len(calls) == kill_at:
                 raise Killed
             if key not in solved:
-                solved[key] = real_solve(problem, z, spec, options, rng,
+                solved[key] = real_solve(problem, k, z, spec, options, rng,
                                          theta0=theta0)
             return solved[key]
 
@@ -456,13 +473,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # each penalty fits alone; H plus their sum does not
     ("ground-state", {"number_penalty": 4e307, "spin_penalty": 3e307},
      "number_penalty or spin_penalty"),
+    # H's coefficients fit, but Q+Q squares them
+    ("sweep", {"mu": 1e160}, "hamiltonian or mu"),
 ])
 def test_an_overflowing_operator_exits_2_naming_its_field(tmp_path, capsys, command,
                                                           overrides, field):
     """A value the parser accepts but whose operator overflows, its
     coefficients summing past the largest float, is refused before
-    anything is written: H with mu, a ground-state penalty, or the sector
-    penalty of a sweep's branches."""
+    anything is written: H with mu, a ground-state penalty, the sector
+    penalty of a sweep's branches, or the Q+Q of a sweep's solves."""
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json", out_dir=str(out), **overrides,
                        grid={"kind": "retarded", "omega_min": -1.0,
@@ -470,6 +489,21 @@ def test_an_overflowing_operator_exits_2_naming_its_field(tmp_path, capsys, comm
     assert run(command, "--config", str(cfg)) == 2
     assert f"{field}: too large" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, overrides, code", [
+    ("ground-state", {"number_penalty": 1e307, "optimizer": {"gs_max_sweeps": 2}}, 0),
+    ("sweep", {"grid": {"kind": "matsubara", "omega_max": 1e150, "n": 1},
+               "optimizer": {"gs_max_sweeps": 5, "max_sweeps": 10}}, 4),
+])
+def test_a_cost_far_below_its_terms_runs_to_its_exit_code(tmp_path, command,
+                                                          overrides, code):
+    """An exact sweep checks the value it carries to 1e-10 of the size of
+    the terms summed into the cost, so a cost that cancels far below a huge
+    penalty or |z|^2 runs to its exit code instead of failing that check."""
+    cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"),
+                       **overrides)
+    assert run(command, "--config", str(cfg)) == code
 
 
 def test_empty_out_dir_exits_2(tmp_path, monkeypatch):

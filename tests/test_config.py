@@ -20,7 +20,9 @@ from corrvec.config import (
     parse,
     to_json_dict,
 )
-from corrvec.solver import SolverOptions
+from corrvec.cli import GroundState
+from corrvec.solver import HOLE, PARTICLE, PointRecord, SolverOptions
+from corrvec.store import dumps_canonical
 
 
 def minimal(**overrides):
@@ -319,6 +321,44 @@ def test_every_section_roundtrips():
     assert {type(x) for x in examples} == reachable_sections(RunConfig)
     for x in examples:
         assert parse(type(x), to_json_dict(x), "section") == x
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def record_fields(draw):
+    """(record class, field values): a ``PointRecord`` or a ``GroundState``
+    with finite floats of any size, subnormals and -0.0 among them."""
+    def floats(min_size=0, max_size=6):
+        return tuple(draw(st.lists(FINITE, min_size=min_size, max_size=max_size)))
+
+    if draw(st.booleans()):
+        return GroundState, dict(e0=draw(FINITE), converged=draw(st.booleans()),
+                                 sweeps=draw(st.integers(0, 10**4)), angles=floats())
+    n = draw(st.integers(0, 4))
+    return PointRecord, dict(
+        k=draw(st.integers(0, 10**4)), z_re=draw(FINITE), z_im=draw(FINITE),
+        orbital=draw(st.integers(0, 20)), branch=draw(st.sampled_from((PARTICLE, HOLE))),
+        elements_re=floats(n, n), elements_im=floats(n, n), theta=floats(),
+        depth=draw(st.integers(1, 9)), sweeps=draw(st.integers(0, 10**4)),
+        residual=draw(FINITE), gamma_re=draw(FINITE), gamma_im=draw(FINITE),
+        converged=draw(st.booleans()), attempts=draw(st.integers(1, 2)))
+
+
+@settings(max_examples=80)
+@given(record_fields())
+def test_records_roundtrip_through_their_line(case):
+    """A record is rounded to its stored text as it is built: the line it
+    writes parses back to an equal record, and building it again from its
+    own values rounds nothing further."""
+    cls, values = case
+    rec = cls(**values)
+    line = dumps_canonical(to_json_dict(rec))
+    assert parse(cls, json.loads(line), "record") == rec
+    again = replace(rec)
+    assert again == rec
+    assert dumps_canonical(to_json_dict(again)) == line
 
 
 def test_integral_values_accepted():

@@ -9,14 +9,14 @@ ground-state cost and for the correction-vector cost, whose K must also be
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrvec.circuits import (Circuit, MeasurementSettings, NoiseModel,
                               sample_pauli_expectation)
 from corrvec.oracle import materialize
 from corrvec.pauli import PauliSum
-from corrvec.solver import CorrectionProblem
+from corrvec.solver import HOLE, PARTICLE, CorrectionProblem
 from corrvec.vqe import AnsatzSpec, CircuitCost, build_hea, rotosolve_sweep
 from oracle_reference import dense_h_prime
 
@@ -34,12 +34,10 @@ def ansatz_cases(draw):
     return spec, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
-def random_sum(rng, width: int, n_terms: int, hermitian: bool = True) -> PauliSum:
+def random_sum(rng, width: int, n_terms: int) -> PauliSum:
+    """A hermitian sum of random strings with real normal coefficients."""
     labels = ["".join(rng.choice(list("IXYZ"), size=width)) for _ in range(n_terms)]
-    coeffs = rng.normal(size=n_terms)
-    if not hermitian:
-        coeffs = coeffs + 1j * rng.normal(size=n_terms)
-    return PauliSum(width, zip(labels, coeffs))
+    return PauliSum(width, zip(labels, rng.normal(size=n_terms)))
 
 
 def recorded_sweep(cost, theta, form):
@@ -107,19 +105,26 @@ def test_ground_state_pair_matches_resimulation(case):
 
 
 @settings(max_examples=40)
-@given(ansatz_cases())
-def test_correction_pair_matches_dense_form_and_resimulation(case):
+@given(ansatz_cases(), st.sampled_from((PARTICLE, HOLE)))
+@example((AnsatzSpec(4, 3), np.random.default_rng(1)), PARTICLE)
+@example((AnsatzSpec(5, 2, ("RX", "RZ")), np.random.default_rng(2)), HOLE)
+@example((AnsatzSpec(1, 1, ("RY",)), np.random.default_rng(3)), HOLE)
+def test_correction_pair_matches_dense_form_and_resimulation(case, branch):
+    """A random H, reference circuit, z, orbital and electron count on
+    either branch; the problem derives V, sign and target sector from its
+    labels."""
     spec, rng = case
     m = spec.width
     h = random_sum(rng, m, 6)
-    v_op = random_sum(rng, m, 3, hermitian=False) + PauliSum.identity(m, 2.0)
     gs_spec = AnsatzSpec(m, 1)
     gs_circ = build_hea(gs_spec).bound(rng.uniform(-np.pi, np.pi, gs_spec.n_slots))
-    e0, sign = float(rng.normal()), int(rng.choice([-1, 1]))
+    e0 = float(rng.normal())
+    # an orbital is a spin-up mode, the first ceil(m / 2) of the register
+    orbital, n_elec = int(rng.integers(0, (m + 1) // 2)), int(rng.integers(0, m + 1))
     z = complex(rng.normal(), rng.uniform(0.05, 0.5))
-    problem = CorrectionProblem(h, e0, sign, v_op, gs_circ, EXACT, NOISELESS,
-                                n_target=int(rng.integers(0, m + 1)),
-                                sector_penalty=0.7)
+    problem = CorrectionProblem(h, e0, branch, orbital, n_elec, gs_circ, EXACT,
+                                NOISELESS, 0.7)
+    sign = -1 if branch == PARTICLE else +1
     v_norm = problem.measure_v_norm(rng)
     cost = problem.make_cost(z, spec, v_norm, rng)
 
@@ -128,7 +133,7 @@ def test_correction_pair_matches_dense_form_and_resimulation(case):
     assert_matches_resimulation(cost, start, final, value, seen)
 
     psi0 = problem.engine_for(spec)[1].psi1
-    dense = (dense_h_prime(h, e0, z, sign, materialize(v_op) @ psi0)
+    dense = (dense_h_prime(h, e0, z, sign, materialize(problem.v_op) @ psi0)
              + materialize(problem.penalty_op))
     scale = np.abs(dense).max()
     for pair, k in seen:
@@ -147,6 +152,29 @@ def test_pair_sweep_rejects_a_disagreeing_cost(rng):
     theta, _ = rotosolve_sweep(cost, theta, exact)
     with pytest.raises(AssertionError, match="sweep start"):
         rotosolve_sweep(lambda th: cost(th) + 1e-6, theta, exact)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+def test_carried_check_is_relative_to_the_size_of_the_cost(scale, rng):
+    """The check of the carried value holds to 1e-10 of the size of the
+    terms summed into the cost, the sum of |coefficient| of its operators:
+    honest sweeps pass, and an offset of 1e-6 of that size trips it at slot
+    0 and at the start of a sweep, whatever the scale of the operator."""
+    spec = AnsatzSpec(width=3, depth=2, pattern=("RY", "RX"))
+    op = scale * random_sum(rng, spec.width, 6)
+    form = ground_state_form(build_hea(spec), op)
+    assert form.size == pytest.approx(sum(abs(c) for _, c in op))
+
+    def shifted(theta):
+        return form(theta) + 1e-6 * form.size
+
+    theta = rng.uniform(-np.pi, np.pi, spec.n_slots)
+    with pytest.raises(AssertionError, match="slot 0"):
+        rotosolve_sweep(shifted, theta, form)
+    for _ in range(2):
+        theta, _ = rotosolve_sweep(form, theta, form)
+    with pytest.raises(AssertionError, match="sweep start"):
+        rotosolve_sweep(shifted, theta, form)
 
 
 def test_exact_cost_needs_unit_rotation_slots():

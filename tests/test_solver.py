@@ -12,7 +12,6 @@ from corrvec.config import ConfigError, parse, to_json_dict
 from corrvec.fermion import (ladder_pauli, number_operator, number_penalty,
                              total_spin_squared)
 from corrvec.oracle import materialize
-from corrvec.pauli import PauliSum
 from corrvec.solver import (
     HOLE,
     PARTICLE,
@@ -23,6 +22,7 @@ from corrvec.solver import (
     solve_column,
     solve_correction_vector,
     sweep_columns,
+    target_sector,
 )
 from corrvec.vqe import AnsatzSpec, build_hea, hf_start_angles, vqe_ground_state
 
@@ -41,6 +41,10 @@ def h2_gs(h2_hamiltonian):
     return e0, build_hea(spec).bound(theta)
 
 
+def discard(rec):
+    """An ``on_point`` that keeps nothing."""
+
+
 def particle_column(oracle, z, j):
     """Column j of the particle branch alone, from the oracle's poles and
     weights."""
@@ -49,17 +53,25 @@ def particle_column(oracle, z, j):
 
 
 def test_build_q_matches_dense(dimer_hamiltonian, dimer_ground):
-    """The cost's operators against Q = z + sign (H - e0) built densely:
-    qdq(z) is Q+Q and vdq(z) is V+Q."""
+    """The column's operators follow from its labels: V = c+ of the orbital
+    with sign -1 and target N+1 on the particle branch, V = c with sign +1
+    and target N-1 on the hole branch, and the adjoint ladder operators of
+    every orbital as elements.  The cost's operators against
+    Q = z + sign (H - e0) built densely: qdq(z) is Q+Q and vdq(z) is V+Q."""
     e0, _ = dimer_ground
     mat = materialize(dimer_hamiltonian)
     eye = np.eye(mat.shape[0])
     gs_circ = build_hea(AnsatzSpec(width=4, depth=1)).bound(np.zeros(16))
-    v_op = ladder_pauli(1, True, 4)
-    v_adj = materialize(v_op).conj().T
-    for sign in (-1, +1):
-        problem = CorrectionProblem(dimer_hamiltonian, e0, sign, v_op, gs_circ,
-                                    MeasurementSettings(), NoiseModel())
+    for branch, sign in ((PARTICLE, -1), (HOLE, +1)):
+        problem = CorrectionProblem(dimer_hamiltonian, e0, branch, 1, 2, gs_circ,
+                                    MeasurementSettings(), NoiseModel(), 0.5)
+        create = sign < 0
+        assert problem.v_op == ladder_pauli(1, create, 4)
+        assert problem.element_ops == tuple(ladder_pauli(i, not create, 4)
+                                            for i in (0, 1))
+        assert target_sector(branch, 2) == 2 - sign
+        assert problem.penalty_op == number_penalty(4, 2 - sign, 0.5)
+        v_adj = materialize(problem.v_op).conj().T
         for z in (0.3 + 0.05j, -1.7 + 0.2j, 2.5j, 0.8):
             q = z * eye + sign * (mat - e0 * eye)
             assert np.allclose(materialize(problem.qdq(z)), q.conj().T @ q,
@@ -79,10 +91,13 @@ def test_solver_options_validation():
 def test_correction_problem_requires_bound_circuit(h2_hamiltonian):
     spec = AnsatzSpec(width=4, depth=1)
     unbound = build_hea(spec)
-    with pytest.raises(ValueError):
-        CorrectionProblem(h2_hamiltonian, -0.9, -1,
-                          PauliSum.identity(4), unbound,
-                          MeasurementSettings(), NoiseModel())
+    with pytest.raises(ValueError, match="fully bound"):
+        CorrectionProblem(h2_hamiltonian, -0.9, PARTICLE, 0, 2, unbound,
+                          MeasurementSettings(), NoiseModel(), 1.0)
+    bound = unbound.bound(np.zeros(spec.n_slots))
+    with pytest.raises(ValueError, match="unknown branch"):
+        CorrectionProblem(h2_hamiltonian, -0.9, "up", 0, 2, bound,
+                          MeasurementSettings(), NoiseModel(), 1.0)
 
 
 def test_single_point_solve_matches_resolvent(h2_hamiltonian, h2_gs,
@@ -91,9 +106,10 @@ def test_single_point_solve_matches_resolvent(h2_hamiltonian, h2_gs,
     spec = AnsatzSpec(width=4, depth=3)
     options = SolverOptions(epsilon=1e-5)
     zs = np.array([1.0 + 0.2j])
-    records = solve_column(h2_hamiltonian, e0, gs_circ, zs, PARTICLE, 0,
-                           spec, options, MeasurementSettings(seed=9),
-                           NoiseModel(), n_elec=2)
+    problem = CorrectionProblem(h2_hamiltonian, e0, PARTICLE, 0, 2, gs_circ,
+                                MeasurementSettings(seed=9), NoiseModel(),
+                                options.sector_penalty)
+    records = solve_column(problem, zs, spec, options, {}, discard)
     rec = records[0]
     assert rec.converged
     assert rec.residual < 1e-5
@@ -109,8 +125,8 @@ def test_grid_sweep_matches_oracle(h2_hamiltonian, h2_gs, h2_oracle):
     omegas = np.array([-0.8, 0.0, 0.6])
     zs = omegas + 1j * eta
     records = sweep_columns(h2_hamiltonian, e0, gs_circ, zs, spec, options,
-                            MeasurementSettings(seed=11), NoiseModel(),
-                            n_elec=2)
+                            MeasurementSettings(seed=11), NoiseModel(), 2, {},
+                            discard)
     assert all(r.converged for r in records)
     g = assemble_matrices(records, 2, len(zs))
     ref = h2_oracle.series(zs)
@@ -122,9 +138,9 @@ def test_zero_perturbation_short_circuits():
     spec = AnsatzSpec(width=4, depth=1)
     gs_circ = build_hea(spec).bound(np.zeros(spec.n_slots))
     zs = np.array([0.5 + 0.1j])
-    records = solve_column(h, 0.0, gs_circ, zs, HOLE, 1, spec,
-                           SolverOptions(), MeasurementSettings(seed=3),
-                           NoiseModel(), n_elec=0)
+    problem = CorrectionProblem(h, 0.0, HOLE, 1, 0, gs_circ,
+                                MeasurementSettings(seed=3), NoiseModel(), 1.0)
+    records = solve_column(problem, zs, spec, SolverOptions(), {}, discard)
     rec = records[0]
     assert rec.converged
     assert rec.sweeps == 0
@@ -157,13 +173,13 @@ def test_vanishing_overlap_refuses_gamma_at_any_scale(h2_hamiltonian, h2_gs,
             monkeypatch.setattr(circuits.OverlapEngine, "estimate_sum",
                                 estimate_sum)
             z = scale * (1.0 + 0.2j)
-            (rec,) = solve_column(
-                scale * h2_hamiltonian, scale * e0, gs_circ, np.array([z]),
-                PARTICLE, 0, AnsatzSpec(width=4, depth=2),
-                SolverOptions(max_sweeps=2, epsilon=0.05 * scale**2,
-                              sector_penalty=scale**2),
-                MeasurementSettings(seed=9),
-                NoiseModel(), n_elec=2)
+            options = SolverOptions(max_sweeps=2, epsilon=0.05 * scale**2,
+                                    sector_penalty=scale**2)
+            problem = CorrectionProblem(
+                scale * h2_hamiltonian, scale * e0, PARTICLE, 0, 2, gs_circ,
+                MeasurementSettings(seed=9), NoiseModel(), options.sector_penalty)
+            (rec,) = solve_column(problem, np.array([z]),
+                                  AnsatzSpec(width=4, depth=2), options, {}, discard)
             assert (rec.gamma == 0) == (factor == 0), (scale, factor)
             if factor == 0:
                 assert not rec.converged
@@ -193,11 +209,11 @@ def test_each_point_simulates_its_overlap_circuit_once(h2_hamiltonian,
         monkeypatch.setattr(module, "simulate", simulate)
     per_point = []
     zs = np.array([-0.5 + 0.1j, 0.6 + 0.1j])
+    problem = CorrectionProblem(h2_hamiltonian, e0, PARTICLE, 1, 2, gs_circ,
+                                MeasurementSettings(seed=9), NoiseModel(), 1.0)
     records = solve_column(
-        h2_hamiltonian, e0, gs_circ, zs, PARTICLE, 1,
-        AnsatzSpec(width=4, depth=2), SolverOptions(max_sweeps=2),
-        MeasurementSettings(seed=9), NoiseModel(), n_elec=2,
-        on_point=lambda rec: per_point.append(list(after_sweeps)))
+        problem, zs, AnsatzSpec(width=4, depth=2), SolverOptions(max_sweeps=2),
+        {}, lambda rec: per_point.append(list(after_sweeps)))
     assert all(r.sweeps > 0 and r.gamma != 0 for r in records)
     assert [len(calls) for calls in per_point] == [1, 1]
     assert all(calls[0].n_slots for calls in per_point)
@@ -216,10 +232,11 @@ def test_no_string_is_compiled_per_frequency(h2_hamiltonian, h2_gs, monkeypatch,
     monkeypatch.setattr(pauli, "string_action", spy)
     per_point = []
     zs = np.array([-0.5, 0.1, 0.6]) + 0.1j
-    solve_column(h2_hamiltonian, e0, gs_circ, zs, PARTICLE, 1,
-                 AnsatzSpec(width=4, depth=2), SolverOptions(max_sweeps=2),
-                 settings, NoiseModel(), n_elec=2,
-                 on_point=lambda rec: per_point.append(spy.call_count))
+    problem = CorrectionProblem(h2_hamiltonian, e0, PARTICLE, 1, 2, gs_circ,
+                                settings, NoiseModel(), 1.0)
+    solve_column(problem, zs, AnsatzSpec(width=4, depth=2),
+                 SolverOptions(max_sweeps=2), {},
+                 lambda rec: per_point.append(spy.call_count))
     assert per_point[0] > 0
     assert per_point == [spy.call_count] * 3
 
@@ -229,25 +246,23 @@ def test_warm_start_shape_is_checked(h2_hamiltonian, h2_gs, rng):
     refused unless they are whole blocks of at least a depth-1 ansatz."""
     e0, gs_circ = h2_gs
     spec = AnsatzSpec(width=4, depth=2)
-    problem = CorrectionProblem(h2_hamiltonian, e0, -1,
-                                PauliSum.identity(4), gs_circ,
-                                MeasurementSettings(), NoiseModel())
+    problem = CorrectionProblem(h2_hamiltonian, e0, PARTICLE, 1, 2, gs_circ,
+                                MeasurementSettings(), NoiseModel(), 1.0)
     for bad in (np.zeros(3), np.zeros(8), np.zeros((3, 8))):
         with pytest.raises(ValueError, match="whole blocks"):
-            solve_correction_vector(problem, 1.0 + 0.1j, spec, SolverOptions(),
-                                    rng, theta0=bad)
+            solve_correction_vector(problem, 0, 1.0 + 0.1j, spec,
+                                    SolverOptions(), rng, theta0=bad)
     deeper = replace(spec, depth=3)
-    sol = solve_correction_vector(
-        problem, 1.0 + 0.1j, spec, SolverOptions(max_sweeps=1), rng,
+    rec = solve_correction_vector(
+        problem, 0, 1.0 + 0.1j, spec, SolverOptions(max_sweeps=1), rng,
         theta0=rng.uniform(-0.1, 0.1, deeper.n_slots))
-    assert sol.depth == 3 and sol.theta.shape == (deeper.n_slots,)
+    assert rec.depth == 3 and len(rec.theta) == deeper.n_slots
 
 
 def particle_problem(h2_hamiltonian, h2_gs):
     e0, gs_circ = h2_gs
-    return CorrectionProblem(h2_hamiltonian, e0, -1, ladder_pauli(0, True, 4),
-                             gs_circ, MeasurementSettings(), NoiseModel(),
-                             n_target=3)
+    return CorrectionProblem(h2_hamiltonian, e0, PARTICLE, 0, 2, gs_circ,
+                             MeasurementSettings(), NoiseModel(), 1.0)
 
 
 def test_exact_cost_simulates_once(h2_hamiltonian, h2_gs, monkeypatch, rng):
@@ -288,8 +303,8 @@ def test_sampled_cost_draws_in_the_documented_order(h2_hamiltonian, h2_gs, noise
     another value."""
     e0, gs_circ = h2_gs
     settings = MeasurementSettings(mode="sampled", shots=1000, seed=5)
-    problem = CorrectionProblem(h2_hamiltonian, e0, -1, ladder_pauli(0, True, 4),
-                                gs_circ, settings, noise, n_target=3)
+    problem = CorrectionProblem(h2_hamiltonian, e0, PARTICLE, 0, 2, gs_circ,
+                                settings, noise, 1.0)
     z, spec = 1.0 + 0.2j, AnsatzSpec(width=4, depth=1)
     v_norm = problem.measure_v_norm(np.random.default_rng(6))
     cost = problem.make_cost(z, spec, v_norm, np.random.default_rng(7))
@@ -324,22 +339,24 @@ def test_sampled_cost_draws_in_the_documented_order(h2_hamiltonian, h2_gs, noise
 
 def test_converged_means_residual_below_epsilon(h2_hamiltonian, h2_gs):
     """A solve that runs out of sweeps is converged exactly when its
-    residual is below epsilon and gamma is defined."""
+    residual is below epsilon and gamma is defined.  Its record carries the
+    point's labels."""
     problem = particle_problem(h2_hamiltonian, h2_gs)
     spec = AnsatzSpec(width=4, depth=2)
     options = SolverOptions(epsilon=0.05, max_sweeps=1, extra_depth=0)
-    sol = solve_correction_vector(problem, 1.0 + 0.2j, spec, options,
+    rec = solve_correction_vector(problem, 4, 1.0 + 0.2j, spec, options,
                                   np.random.default_rng(5))
-    assert sol.sweeps == options.max_sweeps
-    assert sol.residual < options.epsilon
-    assert sol.gamma != 0
-    assert sol.converged
+    assert (rec.k, rec.z, rec.orbital, rec.branch) == (4, 1.0 + 0.2j, 0, PARTICLE)
+    assert rec.sweeps == options.max_sweeps
+    assert rec.residual < options.epsilon
+    assert rec.gamma != 0
+    assert rec.converged
 
-    strict = replace(options, epsilon=sol.residual / 2)
-    sol = solve_correction_vector(problem, 1.0 + 0.2j, spec, strict,
+    strict = replace(options, epsilon=rec.residual / 2)
+    rec = solve_correction_vector(problem, 4, 1.0 + 0.2j, spec, strict,
                                   np.random.default_rng(5))
-    assert sol.residual >= strict.epsilon
-    assert not sol.converged
+    assert rec.residual >= strict.epsilon
+    assert not rec.converged
 
 
 def test_each_point_is_solved_once(lih_cas_hamiltonian, monkeypatch):
@@ -364,8 +381,8 @@ def test_each_point_is_solved_once(lih_cas_hamiltonian, monkeypatch):
     monkeypatch.setattr(solver, "solve_correction_vector", counting)
     records = sweep_columns(h, e0, build_hea(spec).bound(theta), zs, spec,
                             SolverOptions(max_sweeps=4),
-                            MeasurementSettings(seed=7), NoiseModel(),
-                            n_elec=2)
+                            MeasurementSettings(seed=7), NoiseModel(), 2, {},
+                            discard)
     assert len(records) == 12
     assert len(calls) == len(records)
     assert all(r.attempts == 1 for r in records)
@@ -429,12 +446,12 @@ def test_assemble_matrices_placement():
 
 
 def test_sampled_noisy_solve_is_finite_and_repeatable(dimer_hamiltonian,
-                                                      dimer_ground):
+                                                      dimer_ground, monkeypatch):
     """A hole-branch correction vector on the Hubbard dimer under shot
     sampling, depolarizing noise and ZNE: every estimate of its sweeps
     reads the slot restrictions of the ansatz and of the Hadamard test's
     coherence block.  Its residual and gamma are finite, and a rerun with the same
-    seed repeats it bit for bit."""
+    seed repeats its sweeps bit for bit, and so its record."""
     e0, _ = dimer_ground
     spec = AnsatzSpec(width=4, depth=1, pattern=("RY",))
     gs_circ = build_hea(spec).bound(hf_start_angles(spec, [0, 2]))
@@ -442,23 +459,25 @@ def test_sampled_noisy_solve_is_finite_and_repeatable(dimer_hamiltonian,
     noise = NoiseModel(enabled=True, p2=0.005, boost=2.0, zne=True)
     options = SolverOptions(max_sweeps=1, extra_depth=0)
 
-    def solve():
-        problem = CorrectionProblem(
-            dimer_hamiltonian, e0, +1, ladder_pauli(0, False, 4), gs_circ,
-            settings, noise, n_target=1,
-            element_ops=tuple(ladder_pauli(i, True, 4) for i in (0, 1)))
-        return solve_correction_vector(problem, -0.5 + 0.1j, spec, options,
-                                       np.random.default_rng(3))
+    real_sweep = solver.rotosolve_sweep
 
-    first, again = solve(), solve()
-    assert first.sweeps == 1
+    def solve():
+        swept = []
+        monkeypatch.setattr(solver, "rotosolve_sweep", lambda *args: swept.append(
+            real_sweep(*args)) or swept[-1])
+        problem = CorrectionProblem(dimer_hamiltonian, e0, HOLE, 0, 2, gs_circ,
+                                    settings, noise, options.sector_penalty)
+        rec = solve_correction_vector(problem, 0, -0.5 + 0.1j, spec, options,
+                                      np.random.default_rng(3))
+        return rec, [(theta.tobytes(), value) for theta, value in swept]
+
+    (first, swept), (again, swept_again) = solve(), solve()
+    assert first.sweeps == 1 and len(swept) == 1
     assert np.isfinite(first.residual) and np.isfinite(first.gamma)
     assert first.gamma != 0
     assert first.elements.shape == (2,) and np.isfinite(first.elements).all()
-    assert first.theta.tobytes() == again.theta.tobytes()
-    assert first.elements.tobytes() == again.elements.tobytes()
-    assert (first.residual, first.gamma, first.sweeps, first.converged) == \
-        (again.residual, again.gamma, again.sweeps, again.converged)
+    assert swept == swept_again
+    assert first == again
 
 
 @pytest.mark.parametrize("depth, block_pulled", [(2, False), (3, True)])
@@ -475,9 +494,8 @@ def test_noisy_dimer_sweep_reads_the_block_by_the_pull_back_rule(
     gs_circ = build_hea(spec).bound(hf_start_angles(spec, [0, 2]))
     settings = MeasurementSettings(mode="sampled", shots=100_000, seed=5)
     noise = NoiseModel(enabled=True, p2=0.005, boost=2.0, zne=True)
-    problem = CorrectionProblem(dimer_hamiltonian, e0, -1,
-                                ladder_pauli(1, True, 4), gs_circ, settings,
-                                noise, n_target=3)
+    problem = CorrectionProblem(dimer_hamiltonian, e0, PARTICLE, 1, 2, gs_circ,
+                                settings, noise, 1.0)
     rng = np.random.default_rng(4)
     z = -0.5 + 0.1j
     cost = problem.make_cost(z, spec, problem.measure_v_norm(rng), rng)
