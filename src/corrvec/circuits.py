@@ -1,4 +1,4 @@
-"""Gate-level simulation: statevectors, density matrices, noise, overlaps.
+"""Gate-level simulation: statevectors, Pauli coefficients, noise, overlaps.
 
 Conventions
 -----------
@@ -17,17 +17,27 @@ control=1 slice only.  That is one small product per 2^(t+1) amplitudes, so
 on a large batch a gate whose qubits all sit below bit 4 is instead one
 matmul of the flat (-1, 2^(top+1)) view, top its highest qubit, with the
 gate's block matrix on those low qubits.  Consecutive one-qubit gates on a
-qubit are first multiplied into one 2x2 matrix.  A density matrix of m
-qubits runs through the same kernel as a vector of 2m qubits: its row index
-supplies qubits m..2m-1 and its column index qubits 0..m-1, so U rho U+ is U
-on row qubit t + m and conj(U) on column qubit t; the column updates are
-the ones on low qubits.  A batch of statevectors or of density matrices,
-such as the members of a slot's restriction or the noise levels of one
-circuit, runs the same way: stored as one contiguous (..., 2^m) or
-(..., 2^m, 2^m) array, its batch index acts as extra most-significant
-qubits that no gate touches, and the depolarizing channel acts on every
-member.  ``apply_gates`` is the one forward entry: full runs, from the one
-start state, and both gate ranges of a restriction run through it.
+qubit are first multiplied into one 2x2 matrix.
+
+A noisy circuit runs on Pauli coefficients x_P = tr(P X), X a density
+matrix or the overlap's coherence block (Estimators): 4^m values, qubit q
+being the base-4 digit of weight 4^q, whose value x + 2 z (I, X, Z, Y)
+holds the letter's bits of the masks of ``corrvec.pauli``, so each string
+is one entry.  A fused one-qubit step is a 4x4 matrix on its qubit's digit,
+applied as a 2x2 one is to a statevector, with the block path where its
+block has at most 16 rows: entry (d, e) is tr(s_d U s_e U+) / 2 for
+U X U+, which is real, and tr(s_d U s_e) / 2 or tr(s_d s_e U+) / 2 for the
+one-sided U X or X U+, which are complex.  A CX is a signed permutation of
+the 16 values of its pair's digits, one gather over the register.
+|0...0><0...0| is 1 on every string of I and Z letters, and ``run_density``
+turns the coefficients into density matrices once, at its end.  A batch of
+statevectors or of coefficient vectors, such as the members of a slot's
+restriction or the noise levels of one circuit, runs the same way: stored
+as one contiguous (..., 2^m) or (..., 4^m) array, its batch index acts as
+extra most-significant digits that no gate touches, and the depolarizing
+channel acts on every member.  ``apply_gates`` is the one forward entry:
+full runs, from the one start state, and both gate ranges of a restriction
+run through it.
 
 Slot restrictions
 -----------------
@@ -35,14 +45,17 @@ A coordinate sweep needs each slot's output as a function of that slot's
 angle t alone (``restrictions``).  Every slot drives one gate,
 R(t) = exp(-i t s / 2) for its Pauli generator s (``slot_gates``).  Slot
 d's restriction starts from the state before that gate, advanced by one
-gate range per slot.  Under noise that state is one (levels, 2^m, 2^m)
-stack, so all noise levels run in one batch, and a split puts its members
-outside the levels.  Instead of applying the slot's gate, every member of
-a batch splits.  A statevector x splits into (x, -i s x), with weights
-cos(t/2) and sin(t/2), and so does a coherence block X whose slotted gate
-acts on its rows alone, into (X, -i s X).  A density matrix X splits into
-1/2 (X + sXs), 1/2 (X - sXs) and i/2 (Xs - sX), with weights 1, cos t and
-sin t.  The output at any t is the batch summed with its members' weights.
+gate range per slot.  Under noise that state is one (levels, 4^m) stack of
+coefficients, so all noise levels run in one batch, and a split puts its
+members outside the levels.  Instead of applying the slot's gate, every
+member of a batch splits.  A statevector x splits into (x, -i s x), with
+weights cos(t/2) and sin(t/2), and so does a coherence block X whose
+slotted gate acts on its rows alone, into the coefficients of X and of
+-i s X.  On both sides the rotation's 4x4 matrix is
+A0 + cos t A1 + sin t A2, with A0 + A1, A0 - A1 and A0 + A2 its matrices at
+0, pi and pi/2, so the coefficients x split into A0 x, A1 x and A2 x, with
+weights 1, cos t and sin t.  The output at any t is the batch summed with
+its members' weights.
 
 The rest of the circuit reaches the batch in one of two ways, chosen by one
 rule.  Every slotted gate after slot d's gate belongs to a later slot, not
@@ -50,43 +63,49 @@ yet moved, so one backward pass from the end of the circuit, at the sweep's
 starting angles, can take the rest for every slot.  Without noise it builds
 the unitary T of the rest: from T = I, each gate G taken backwards makes
 T <- T G, G^T on every row of T.  Under noise the output is read through
-the strings of the operators its caller estimates (Estimators), and the
-pass pulls each string back to an observable per noise level: a gate maps
-O to U+ O U, U+ on O's row qubit and U^T on its column qubit, a one-sided
-gate to O U or U+ O, and the pair channel is its own adjoint.  The pass
-keeps T or its observables at each slot's next two-qubit gate and at the
-end, depth + 1 stops for ``build_hea``.  Slot d's split batch runs through
-the one-qubit gates up to its stop, and one matmul gives the members at the
-end, or tr(member O) per member, level and string.  Otherwise it runs to
-the end of the circuit, and under noise its members' strings are read once.  The pass costs about one step per observable and
-gate, its observables being T's 2^m rows without noise and the strings read
-with it, and holds (stops + 2) x observables x (2^m, or levels x 4^m)
-entries; suffix runs cost about three member steps per gate after each
-slot's gate and hold a few states.  So a sweep pulls back when observables
-x gates is at most three times the suffix runs' gate steps, about 1.5
-observables per slot for ``build_hea``, and its entries fit
-``_PULL_BACK_ENTRIES``: 6 strings at 7 qubits with ZNE and depth 2, or T at
-9 qubits and depth 1.  CHANGES.md has a timing scan of both paths.
+the strings of the operators its caller estimates (Estimators): each
+string is the unit vector at its entry, and the pass pulls it back per
+noise level with the transpose of each step, as a string's value at the
+end is that vector dotted with the coefficients there.  A CX, a signed
+permutation and its own inverse, and the pair channel, which is diagonal,
+are their own transposes.  The pass keeps T or its observables at each
+slot's next two-qubit gate and at the end, depth + 1 stops for
+``build_hea``.  Slot d's split batch runs through the one-qubit gates up to
+its stop, and one matmul gives the members at the end, or each string's
+value per member and level.  Otherwise it runs to the end of the circuit,
+and under noise its members' strings are read off as entries.  The pass
+costs about one step per observable and gate, its observables being T's
+2^m rows without noise and the strings read with it, and holds stops + 2
+stacks of observables x (2^m, or levels x 4^m) entries; suffix runs cost
+two or three member steps per gate after each slot's gate and hold a few
+states.  So a sweep pulls back when observables x gates is at most c times
+the suffix runs' gate steps, and its stacks fit ``_PULL_BACK_BYTES``: 12
+real strings at 7 qubits with ZNE and depth 2, or T at 9 qubits and depth
+1.  Without noise c = 3.  Under noise c = 2^(7 - m): the pass takes fewer,
+larger steps, which gain most where per-call overhead dominates, and a
+timing scan of both paths (CHANGES.md) put the crossover near 8 at 4
+qubits, 4 at 5 and 2 at 6, with the pass faster in every case at 3.
 
 Noise
 -----
 The two-qubit depolarizing channel of strength p2 follows every two-qubit
 gate, on that gate's pair; single-qubit gates are noiseless.  It is the
-local map (1 - 16 p2/15) rho + (16 p2/15) tr_pair(rho) (x) I/4, with the
-partial trace taken over the pair's axes of the reshaped density matrix.
-On a stack of noise levels it takes one strength per level (p2, then
-boost * p2 under ZNE), so all levels run as one batch with the arithmetic
-of separate runs.
+local map (1 - c) X + c tr_pair(X) (x) I/4, c = 16 p2/15, which keeps each
+string that is the identity on the pair and scales every other string by
+1 - c: a mask over the coefficients.  On a stack of noise levels it takes
+one strength per level (p2, then boost * p2 under ZNE), so all levels run
+as one batch with the arithmetic of separate runs.
 
 Estimators
 ----------
 Every number the method reads off a device is a weighted sum of per-string
 estimates.  A string's exact value is computed at each noise level: <P> on
-the statevector without noise, tr(rho P) on the density matrix of each level
-with it (p2, then boost * p2 under ZNE).  A noisy output reaches the
-estimators in one form, ``StringValues``: the values of the strings of the
-operators its caller names, from a full run (``simulate``) or a
-restriction, which the caller hands each estimate.  An expectation reads
+the statevector without noise, tr(rho P) at each level with it (p2, then
+boost * p2 under ZNE).  A noisy output reaches the estimators in one form,
+``StringValues``: the values of the strings of the operators its caller
+names, read off the density matrices of a full run (``simulate``) or as
+entries of a restriction's coefficients, which the caller hands each
+estimate.  An expectation reads
 real values and not the identity, whose value is 1; a read of the overlap's
 coherence block, a ``Circuit.block``, keeps complex values and the
 identity, as one-sided gates do not keep the block's trace.  For
@@ -106,8 +125,9 @@ into 2 |0><1| (x) Q s.  A string of weight |P| thus reads
 off-diagonal ancilla block: one string-table read per level.
 
 The ancilla is only ever a control or takes a PHASE, so rho_10 evolves on
-its own, on m qubits, from 1/2 |0...0><0...0|.  A register gate U acts on
-both sides and its pair channel as on a density matrix.  CX(anc, q) is X_q
+its own, on m qubits, from 1/2 |0...0><0...0|, as complex coefficients.  A
+register gate U acts on both sides and its pair channel as on a density
+matrix.  CX(anc, q) is X_q
 on the active side alone, the rows under U2 and the columns under U1; the
 channel after it scales the block by 1 - c, its mixed part being diagonal in
 the ancilla, and an ancilla PHASE(p) by exp(+-ip).  So a controlled
@@ -115,9 +135,9 @@ rotation, two half-angle rotations around two CX(anc, q), is R(t) on the
 active side times (1 - c)^2, and a controlled CX is the Toffoli of
 ``ccx_gates`` gate by gate, register-pair channels sitting between its
 ancilla gates.  ``OverlapEngine`` builds the block as a ``block`` circuit
-of one-sided gates (U rho is U on the row qubit, rho U+ conj(U) on the
-column qubit) and folds the 1/2 and the ancilla channels and phases into
-one scalar per noise level.
+of one-sided gates (U rho on the "row" side, rho U+ on the "col" side) and
+folds the 1/2 and the ancilla channels and phases into one scalar per
+noise level.
 
 One helper turns a read's values into its estimate, whatever the entry
 point: the exact values of every string at every level form one (rows,
@@ -142,8 +162,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .pauli import (PauliSum, apply_sum, string_matrices, string_overlaps,
-                    string_traces)
+from .pauli import PauliSum, apply_sum, string_overlaps, string_traces
 
 ONE_QUBIT_KINDS = frozenset({"H", "X", "PHASE", "RX", "RY", "RZ"})
 TWO_QUBIT_KINDS = frozenset({"CX"})
@@ -291,57 +310,128 @@ def _fused(gates: Iterable[Gate], theta: np.ndarray | None):
 
 
 # A gate whose qubits all sit below bit _BLOCK_BITS, on a batch of at least
-# _BLOCK_MIN_SIZE amplitudes, takes the block path (module notes).  Both
-# come from a timing scan of the two paths over register widths 1-6 and
-# batch sizes 1-46 (CHANGES.md): from 512 amplitudes on, the block path was
-# never more than 10% slower than the view for a gate below bit 4.
+# _BLOCK_MIN_SIZE amplitudes, takes the block path (module notes); a step
+# on coefficient digits does where its block has at most 2^_BLOCK_BITS
+# rows.  Both come from a timing scan of the two paths over register widths
+# 1-6 and batch sizes 1-46 (CHANGES.md): from 512 amplitudes on, the block
+# path was never more than 10% slower than the view for a gate below bit 4.
 _BLOCK_BITS = 4
 _BLOCK_MIN_SIZE = 512
-_ONE_ZERO = np.array([1.0, 0.0], dtype=complex)
 
 
 @functools.cache
-def _block_source(target: int, control: int | None) -> np.ndarray:
-    """For each entry of the transposed block matrix of a gate on qubits
-    0..top, its index in (u00, u01, u10, u11, 1, 0): 1 on the diagonal
-    where the control is 0, 0 where the gate links no pair.  Read-only, as
-    every caller shares it."""
+def _block_source(target: int, control: int | None, radix: int = 2) -> np.ndarray:
+    """For each entry of the transposed block matrix of a gate on the
+    base-``radix`` digits 0..top, its index in (u entries, 1, 0): 1 on the
+    diagonal where the control is 0, 0 where the gate links no pair.
+    Read-only, as every caller shares it."""
     top = target if control is None else max(target, control)
-    dim = 2 << top
-    src = np.full((dim, dim), 5)
+    dim = radix ** (top + 1)
+    step = radix ** target
+    src = np.full((dim, dim), radix * radix + 1)
     for j in range(dim):
         if control is not None and not j >> control & 1:
-            src[j, j] = 4
+            src[j, j] = radix * radix
             continue
-        bit = j >> target & 1
-        for out in (0, 1):
-            src[j, j & ~(1 << target) | out << target] = 2 * out + bit
+        digit = j // step % radix
+        for out in range(radix):
+            src[j, j + (out - digit) * step] = radix * out + digit
     src.flags.writeable = False
     return src
 
 
 def _apply(vec: np.ndarray, u: np.ndarray, target: int, control: int | None) -> None:
-    """vec <- u on the target qubit (on the control=1 slice), in place.
+    """vec <- u on the target digit (on the control=1 slice), in place: a
+    2x2 u on a qubit of statevectors, a 4x4 one on a qubit's digit of
+    Pauli coefficient vectors.
 
-    A gate on low qubits of a large batch is one matmul with its block
-    matrix (above).  Otherwise the view puts the target qubit on axis -2,
+    A gate on low digits of a large batch is one matmul with its block
+    matrix (above).  Otherwise the view puts the target digit on axis -2,
     so one broadcast matmul updates every amplitude pair.  ``vec`` must be
     contiguous.
     """
+    radix = len(u)
     top = target if control is None else max(target, control)
-    if top < _BLOCK_BITS and vec.size >= _BLOCK_MIN_SIZE:
-        src = _block_source(target, control)
+    if radix ** (top + 1) <= 1 << _BLOCK_BITS and vec.size >= _BLOCK_MIN_SIZE:
+        src = _block_source(target, control, radix)
         w = vec.reshape(-1, len(src))
-        np.matmul(w, np.concatenate((u.ravel(), _ONE_ZERO))[src], out=w)
+        np.matmul(w, np.concatenate((u.ravel(), (1, 0)))[src], out=w)
         return
     if control is None:
-        w = vec.reshape(-1, 2, 1 << target)
+        w = vec.reshape(-1, radix, radix ** target)
     elif control > target:
         w = vec.reshape(-1, 2, 1 << (control - target - 1), 2, 1 << target)[:, 1]
     else:
         w = vec.reshape(-1, 2, 1 << (target - control - 1), 2,
                         1 << control)[:, :, :, 1].transpose(0, 2, 1, 3)
     np.matmul(u, w, out=w)
+
+
+# the Pauli matrices of a coefficient digit x + 2 z: I, X, Z, Y
+_SIGMA = np.array([np.eye(2)] + [_matrix(_ANGLELESS[s]) for s in "XZY"])
+# _PTM @ (L (x) M) is the 4x4 matrix of X -> L X M on a digit:
+# entry (d, e) is tr(sigma_d L sigma_e M) / 2
+_PTM = 0.5 * np.einsum("dli,ejk->deijkl", _SIGMA, _SIGMA).reshape(16, 16)
+_EYE2 = np.eye(2, dtype=complex)
+
+
+def _transfer(u: np.ndarray, side: str | None) -> np.ndarray:
+    """The 4x4 matrix on a qubit's digit of the coefficients of u X u+,
+    which is real, or of the one-sided u X ("row") or X u+ ("col")."""
+    left = _EYE2 if side == "col" else u
+    right = _EYE2 if side == "row" else u.conj().T
+    out = (_PTM @ np.multiply.outer(left, right).ravel()).reshape(4, 4)
+    return out if side else np.ascontiguousarray(out.real)
+
+
+def _rotation_split(s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(A0, A1, A2) with A0 + cos t A1 + sin t A2 the digit matrix of the
+    rotation exp(-i t s/2) on both sides: A0 + A1, A0 - A1 and A0 + A2 are
+    its matrices at 0, pi and pi/2, X, sXs and (X + sXs + iXs - isX)/2."""
+    flip = _transfer(s, None)
+    turn = (0.5j * (_transfer(s, "col") - _transfer(s, "row"))).real
+    return 0.5 * (np.eye(4) + flip), 0.5 * (np.eye(4) - flip), turn
+
+
+_SPLIT = {kind: _rotation_split(s) for kind, s in _GENERATOR.items()}
+
+
+def _digit_places(x, z, m: int):
+    """The place in a coefficient vector of the string with masks (x, z):
+    digit q, of weight 4^q, is x_q + 2 z_q."""
+    return sum(((x >> q & 1) | (z >> q & 1) << 1) << 2 * q for q in range(m))
+
+
+@functools.cache
+def _pair_tables(control: int, target: int, m: int) -> tuple[np.ndarray, ...]:
+    """(source, sign, keep) over the 4^m coefficients of m qubits: after
+    CX(control, target) coefficient j is sign[j] times coefficient
+    source[j] before it, and keep marks the identity on the pair, the
+    components the pair channel leaves alone.  Read-only."""
+    cx = np.eye(4)[[0, 1, 3, 2]]  # control on the high bit of the pair
+    pair = [np.kron(_SIGMA[c], _SIGMA[t]) for c in range(4) for t in range(4)]
+    # CX P CX = sign P' for each pair string P, found by its overlaps
+    overlaps = np.array([[np.trace(p @ cx @ q @ cx).real / 4 for q in pair] for p in pair])
+    image = np.abs(overlaps).argmax(axis=1)
+    j = np.arange(4 ** m)
+    dc, dt = j >> 2 * control & 3, j >> 2 * target & 3
+    k = image[4 * dc + dt]
+    source = j + ((k >> 2) - dc << 2 * control) + ((k & 3) - dt << 2 * target)
+    sign = overlaps[4 * dc + dt, k]
+    keep = (dc == 0) & (dt == 0)
+    for a in (source, sign, keep):
+        a.flags.writeable = False
+    return source, sign, keep
+
+
+def _cx(vec: np.ndarray, control: int, target: int) -> np.ndarray:
+    """A new batch: CX(control, target) on each coefficient vector, a
+    signed permutation, which is its own transpose."""
+    source, sign, _ = _pair_tables(control, target,
+                                   (vec.shape[-1].bit_length() - 1) // 2)
+    out = np.take(vec, source, axis=-1)
+    out *= sign
+    return out
 
 
 def _mixing_weight(p2: float | Sequence[float]) -> np.ndarray:
@@ -354,34 +444,15 @@ def _mixing_weight(p2: float | Sequence[float]) -> np.ndarray:
     return 16.0 * p2 / 15.0
 
 
-def _depolarize(rho: np.ndarray, q1: int, q2: int, c: np.ndarray, m: int) -> np.ndarray:
-    """The depolarizing channel on the pair (q1, q2) with mixing weights
-    ``c`` already checked, c broadcasting against ``rho.shape[:-2]``.
-
-    Uniform conjugation by all 16 Pauli pairs averages the pair to the
-    maximally mixed state, so the channel reduces to
-    (1 - c) rho + c tr_pair(rho) (x) I/4.  The partial trace sums the four
-    pair-diagonal cells of rho viewed as a tensor whose last 2m axes are
-    the qubits: axis m-1-q of them is row qubit q and axis 2m-1-q column
-    qubit q.
-    """
-    shape = rho.shape[:-2] + (2,) * (2 * m)
-    cells = []
-    for x in (0, 1):
-        for y in (0, 1):
-            cell = [slice(None)] * (2 * m)
-            cell[m - 1 - q1] = cell[2 * m - 1 - q1] = x
-            cell[m - 1 - q2] = cell[2 * m - 1 - q2] = y
-            cells.append((Ellipsis, *cell))
-    t = rho.reshape(shape)
-    reduced = t[cells[0]] + t[cells[1]] + t[cells[2]] + t[cells[3]]
-    # one weight per level, broadcast over the qubit axes that remain
-    reduced *= 0.25 * c.reshape(c.shape + (1,) * (2 * m - 4))
-    out = (1.0 - c)[..., None, None] * rho
-    o = out.reshape(shape)
-    for cell in cells:
-        o[cell] += reduced
-    return out
+def _depolarize(vec: np.ndarray, q1: int, q2: int, c: np.ndarray) -> np.ndarray:
+    """A new batch: the depolarizing channel on the pair (q1, q2) of each
+    coefficient vector, with mixing weights ``c`` already checked, c
+    broadcasting against ``vec.shape[:-1]``.  The channel is
+    (1 - c) X + c tr_pair(X) (x) I/4, so every component that is not the
+    identity on the pair scales by 1 - c; it is diagonal, its own
+    transpose."""
+    _, _, keep = _pair_tables(q1, q2, (vec.shape[-1].bit_length() - 1) // 2)
+    return vec * np.where(keep, 1.0, (1.0 - c)[..., None])
 
 
 def _check_theta(circ: Circuit, theta) -> np.ndarray | None:
@@ -395,51 +466,62 @@ def _check_theta(circ: Circuit, theta) -> np.ndarray | None:
     return th
 
 
-def _step(flat: np.ndarray, u: np.ndarray, target: int, control: int | None,
-          side: str | None, m: int) -> None:
-    """One kernel step on a flattened density-shaped array of m qubits, on
-    both sides or on ``side`` alone (module notes)."""
-    if side != "col":
-        _apply(flat, u, target + m, None if control is None else control + m)
-    if side != "row":
-        _apply(flat, u.conj(), target, control)
-
-
 def apply_gates(states: np.ndarray, gates: Iterable[Gate], theta: np.ndarray | None,
                 levels: float | Sequence[float] | None) -> np.ndarray:
     """Run the gates on a contiguous batch, slot angles taken from ``theta``,
     and return it.  Without ``levels`` the batch is (..., 2^m) statevectors,
     run in place.  Otherwise ``levels`` is one strength p2, or one per level
-    of a (..., levels, 2^m, 2^m) batch of density matrices, and each
-    two-qubit gate is followed by the depolarizing channel at each level,
-    after which the batch is a new array; the strengths are checked once,
-    at the first channel."""
+    of a (..., levels, 4^m) batch of Pauli coefficient vectors, run in place
+    up to the first two-qubit gate; each two-qubit gate makes a new batch and
+    is followed by the depolarizing channel at each level.  The strengths
+    are checked once, at the first channel."""
     if levels is None:
         for target, control, u, _ in _fused(gates, theta):
             _apply(states, u, target, control)
         return states
-    m = states.shape[-1].bit_length() - 1
     c = None
     for target, control, u, side in _fused(gates, theta):
-        _step(states.reshape(-1), u, target, control, side, m)
-        if control is not None:
-            if c is None:
-                c = _mixing_weight(levels)
-            if c.any():
-                states = _depolarize(states, control, target, c, m)
+        if control is None:
+            _apply(states, _transfer(u, side), target, None)
+            continue
+        states = _cx(states, control, target)
+        if c is None:
+            c = _mixing_weight(levels)
+        if c.any():
+            states = _depolarize(states, control, target, c)
     return states
 
 
-def _start(m: int, levels: float | Sequence[float] | None) -> np.ndarray:
-    """|0...0> on m qubits without ``levels``, else |0...0><0...0| at each."""
-    dim = 1 << m
+def _start(m: int, levels: float | Sequence[float] | None, block: bool = False) -> np.ndarray:
+    """|0...0> on m qubits without ``levels``, else the coefficients of
+    |0...0><0...0| at each, 1 on every string of I and Z letters: real, or
+    complex for a ``block`` circuit's one-sided gates."""
     if levels is None:
-        state = np.zeros(dim, dtype=complex)
+        state = np.zeros(1 << m, dtype=complex)
         state[0] = 1.0
     else:
-        state = np.zeros(np.shape(levels) + (dim, dim), dtype=complex)
-        state[..., 0, 0] = 1.0
+        state = np.zeros(np.shape(levels) + (4 ** m,), dtype=complex if block else float)
+        state[..., _digit_places(0, np.arange(1 << m), m)] = 1.0
     return state
+
+
+# a qubit's digit of coefficients to its entries: row 2a + b is X_ab
+_ENTRIES = 0.5 * _SIGMA.reshape(4, 4).T
+
+
+def _density(vec: np.ndarray) -> np.ndarray:
+    """The (..., 2^m, 2^m) matrices X = 2^-m sum_P x_P P of a (..., 4^m)
+    batch of coefficient vectors."""
+    m = (vec.shape[-1].bit_length() - 1) // 2
+    out = vec.astype(complex, order="C")
+    for q in range(m):
+        _apply(out, _ENTRIES, q, None)
+    # digit q now holds (a, b), the row bit a on bit 2q + 1 of the index
+    lead = vec.ndim - 1
+    rows = [lead + 2 * k for k in range(m)]
+    tensor = out.reshape(vec.shape[:-1] + (2,) * (2 * m))
+    return (tensor.transpose(list(range(lead)) + rows + [r + 1 for r in rows])
+            .reshape(vec.shape[:-1] + (1 << m, 1 << m)))
 
 
 def run_pure(circ: Circuit, theta: Sequence[float] | None = None) -> np.ndarray:
@@ -452,9 +534,12 @@ def run_density(circ: Circuit, theta: Sequence[float] | None = None,
                 p2: float | Sequence[float] = 0.0) -> np.ndarray:
     """Density matrix after the circuit with a depolarizing channel of
     strength p2 following every two-qubit gate; for a sequence of
-    strengths, a (levels, 2^m, 2^m) stack of them, all run as one batch."""
+    strengths, a (levels, 2^m, 2^m) stack of them, all run as one batch.
+    The run is on Pauli coefficients (module notes), turned into density
+    matrices once, at the end; a ``block`` circuit gives its coherence
+    block."""
     th = _check_theta(circ, theta)
-    return apply_gates(_start(circ.width, p2), circ.gates, th, p2)
+    return _density(apply_gates(_start(circ.width, p2, circ.block), circ.gates, th, p2))
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +631,9 @@ def simulate(circ: Circuit, theta, noise: NoiseModel,
 # ---------------------------------------------------------------------------
 # slot restrictions
 
-# A sweep pulls back only when the entries it holds, its stacks among
-# them, fit in this many complex entries (16 MiB; module notes).
-_PULL_BACK_ENTRIES = 1 << 20
+# A sweep pulls back only when the stacks it holds fit in this many bytes
+# (module notes).
+_PULL_BACK_BYTES = 16 << 20
 
 
 @dataclass
@@ -592,7 +677,7 @@ class StringValues:
                          "simulate it for the operators estimated on it")
 
 
-def _reads(ops: Sequence[PauliSum], block: bool, table) -> tuple[tuple, np.ndarray]:
+def _reads(ops: Sequence[PauliSum], block: bool, table) -> tuple[tuple, list]:
     """The ``reads`` of ``StringValues`` for ``ops``, and the row of
     ``table`` each column reads.  Each distinct string is one column, in
     order of first occurrence, the identity only in a block read.
@@ -610,7 +695,7 @@ def _reads(ops: Sequence[PauliSum], block: bool, table) -> tuple[tuple, np.ndarr
                     rows.append(row)
                 cols.append(columns[x, z])
         reads.append((op, strings, np.array(cols, dtype=np.intp)))
-    return tuple(reads), np.array(rows, dtype=complex)
+    return tuple(reads), rows
 
 
 def _string_values(ops: Sequence[PauliSum], stack: np.ndarray,
@@ -625,7 +710,7 @@ def _string_values(ops: Sequence[PauliSum], stack: np.ndarray,
         return traces[0][0], np.array([t for _, t in traces]).T
 
     reads, rows = _reads(ops, block, table)
-    values = rows.T.reshape(stack.shape[:-2] + (-1,))
+    values = np.array(rows, dtype=complex).T.reshape(stack.shape[:-2] + (-1,))
     return StringValues(values if block else values.real, reads)
 
 
@@ -654,14 +739,15 @@ def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
                  ops: Sequence[PauliSum]) -> Iterator[Restriction]:
     """Each slot's restriction in turn, for one coordinate sweep.
 
-    The state before slot d's gate, under noise one batch holding a
-    density matrix or coherence block per noise level, is kept and
-    advanced with the angles ``theta`` holds when slot d is reached: the
-    caller moves theta[d] in place before it asks for slot d + 1.  The
-    rest of the circuit is pulled back once per sweep or run per slot, by
-    the rule of the module notes.  Under noise each output is the string
-    values of ``ops``, the operators the caller estimates on it.  The
-    circuit must pass ``slot_gates``.
+    The state before slot d's gate, under noise one batch holding the
+    Pauli coefficients of the density matrix or coherence block at each
+    noise level, is kept and advanced with the angles ``theta`` holds when
+    slot d is reached: the caller moves theta[d] in place before it asks
+    for slot d + 1.  The rest of the circuit is pulled back once per sweep
+    or run per slot, by the rule of the module notes.  Under noise each
+    output is the string values of ``ops``, the operators the caller
+    estimates on it, read off as entries of the coefficients.  The circuit
+    must pass ``slot_gates``.
     """
     _check_theta(circ, theta)
     gates = circ.gates
@@ -672,23 +758,27 @@ def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
     pairs = [i for i, g in enumerate(gates) if len(g.qubits) == 2] + [len(gates)]
     nearest = {i: pairs[bisect.bisect(pairs, i)] for i in at}
     stops = sorted(set(nearest.values()))
-    state = _start(circ.width, levels)
+    state = _start(circ.width, levels, block)
+    reads = places = None
+    if levels is not None:
+        reads, places = _reads(ops, block, _places)
+        places = np.array(places, dtype=np.intp)
     # the rule of the module notes, on the observables pulled back, T's
-    # rows without noise and the strings read with it, of state.size entries
-    observables = dim if levels is None else len(
-        set().union(*(op.masks for op in ops)) - (set() if block else {(0, 0)}))
+    # rows without noise and the strings read with it, each of state's size
+    observables = dim if levels is None else len(places)
+    gain = 3.0 if levels is None else 2.0 ** (7 - circ.width)
     # where each slot's split batch stops: its next two-qubit gate when
     # pulled back, the end of the circuit otherwise
     stop = dict.fromkeys(at, len(gates))
-    reads = pulled = None
-    if (observables * len(gates) <= 3 * sum(len(gates) - 1 - i for i in at)
-            and (len(stops) + 2) * observables * state.size <= _PULL_BACK_ENTRIES):
+    pulled = None
+    if (observables * len(gates) <= gain * sum(len(gates) - 1 - i for i in at)
+            and (len(stops) + 2) * observables * state.nbytes <= _PULL_BACK_BYTES):
         if levels is None:
-            mats = np.eye(dim, dtype=complex)
+            obs = np.eye(dim, dtype=complex)
         else:
-            reads, mats = _reads(ops, block, string_matrices)
-            mats = mats.reshape(-1, dim, dim)
-        pulled = _pull_back(gates, stops, theta, levels, mats)
+            obs = np.zeros((len(places), state.shape[-1]), dtype=state.dtype)
+            obs[np.arange(len(places)), places] = 1.0
+        pulled = _pull_back(gates, stops, theta, levels, obs)
         stop = nearest
     done = 0
     for i in at:
@@ -700,78 +790,78 @@ def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
             batch = batch @ pulled[stop[i]]
         elif pulled is not None:
             # (levels, members, 4^m) times (levels, 4^m, strings)
-            traces = np.matmul(batch.reshape(len(batch), len(levels), -1)
-                               .transpose(1, 0, 2), pulled[stop[i]])
-            batch = (traces if block else traces.real).transpose(1, 0, 2)
+            batch = np.matmul(batch.transpose(1, 0, 2), pulled[stop[i]]).transpose(1, 0, 2)
         elif levels is not None:
-            members = _string_values(ops, batch, block)
-            batch, reads = members.values, members.reads
+            batch = batch[..., places]
         yield Restriction(batch, reads)
 
 
+def _places(op: PauliSum) -> tuple[list, list[int]]:
+    """``op``'s strings in sorted label order and the place of each in a
+    coefficient vector."""
+    strings = sorted((label, x, z, c) for (label, c), (x, z) in zip(op, op.masks))
+    return strings, [_digit_places(x, z, op.width) for _, x, z, _ in strings]
+
+
 def _pull_back(gates: Sequence[Gate], stops: list[int], theta: np.ndarray,
-               levels: list[float] | None, mats: np.ndarray) -> dict[int, np.ndarray]:
+               levels: list[float] | None, obs: np.ndarray) -> dict[int, np.ndarray]:
     """The rest of the circuit, ``gates[stop:]`` for each gate index
     ``stop`` of the ascending ``stops``, in one backward pass from the end
     of the circuit (module notes).
 
-    Without noise levels ``mats`` is the identity, which becomes the
+    Without noise levels ``obs`` is the identity, which becomes the
     unitary T of the rest, kept as T^T, so a (members, 2^m) batch times it
-    gives the members at the end of the circuit.  With them the
-    observables ``mats`` are pulled back at each level, each kept as a
-    (levels, 4^m, strings) stack whose row j 2^m + i holds entry (i, j) of
-    each observable, so one matmul with a flattened density matrix gives
-    tr(rho O) per string."""
-    dim = mats.shape[-1]
-    m = dim.bit_length() - 1
-    noisy = False
+    gives the members at the end of the circuit.  With them ``obs`` holds
+    one unit coefficient vector per string read, and each step's transpose
+    pulls it back at each level; each is kept as a (levels, 4^m, strings)
+    stack, so one matmul with a coefficient vector gives the value of each
+    string at the end."""
     if levels is None:
-        obs = mats.copy()
+        obs = obs.copy()
     else:
-        obs = np.broadcast_to(mats, (len(levels),) + mats.shape).copy()
+        obs = np.broadcast_to(obs, (len(levels),) + obs.shape).copy()
         # one mixing weight per level, broadcast over the strings
         c = _mixing_weight(levels)[:, None]
-        noisy = c.any()
     stacks = {}
     end = len(gates)
     for stop in reversed(stops):
         for target, control, u, side in reversed(list(_fused(gates[stop:end], theta))):
-            # backwards, a two-qubit step's channel, its own adjoint, comes
-            # before its gate; U+ O U is the step of U+, and U rho and rho U+
-            # pull back as O U and U+ O, steps of U+ on the other side.
-            # T <- T U is the column step of U+
-            if control is not None and noisy:
-                obs = _depolarize(obs, control, target, c, m)
-            side = "col" if levels is None else {"row": "col", "col": "row"}.get(side)
-            _step(obs.reshape(-1), u.conj().T, target, control, side, m)
+            if levels is None:
+                # T <- T U, the column step of U: u^T on each row
+                _apply(obs, u.T, target, control)
+            elif control is None:
+                _apply(obs, _transfer(u, side).T, target, None)
+            else:
+                # backwards the channel comes first; both are their own
+                # transposes
+                if c.any():
+                    obs = _depolarize(obs, control, target, c)
+                obs = _cx(obs, control, target)
         # copies, as the pass goes on in place
-        stacks[stop] = (obs.T.copy() if levels is None else
-                        obs.transpose(0, 3, 2, 1).reshape(len(levels), dim * dim, -1))
+        stacks[stop] = obs.T.copy() if levels is None else obs.transpose(0, 2, 1).copy()
         end = stop
     return stacks
 
 
 def _split(batch: np.ndarray, gate: Gate, levels: list[float] | None) -> np.ndarray:
     """Every member of ``batch`` split at the rotation ``gate`` (see the
-    module notes), the new components outermost; a one-sided ``gate`` acts
-    on the rows."""
+    module notes), the new components outermost."""
     s = _GENERATOR[gate.kind]
     (q,) = gate.qubits
-    m = 0 if levels is None else batch.shape[-1].bit_length() - 1
-    if levels is None or gate.side is not None:
+    if levels is None:
         out = np.concatenate([batch, batch])
         sx = out[batch.shape[0]:]
-        _apply(sx, s, q + m, None)
+        _apply(sx, s, q, None)
         sx *= -1j
         return out
-    sx, xs = batch.copy(), batch.copy()
-    _apply(sx.reshape(-1), s, q + m, None)
-    # right multiplication by s is s^T = conj(s) on the column qubit
-    _apply(xs.reshape(-1), s.conj(), q, None)
-    sxs = xs.copy()
-    _apply(sxs.reshape(-1), s, q + m, None)
-    return np.concatenate([0.5 * (batch + sxs), 0.5 * (batch - sxs),
-                           0.5j * (xs - sx)])
+    # one-sided: (x, -i s x); on both sides the three matrices of _SPLIT
+    parts = ((None, _transfer(-1j * s, gate.side)) if gate.side is not None
+             else _SPLIT[gate.kind])
+    out = np.concatenate([batch] * len(parts))
+    for k, a in enumerate(parts):
+        if a is not None:
+            _apply(out[k * len(batch):(k + 1) * len(batch)], a, q, None)
+    return out
 
 
 def _estimate_sum(values: np.ndarray, coeffs: Sequence, settings: MeasurementSettings,

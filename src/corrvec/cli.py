@@ -57,6 +57,19 @@ def _finite(op: PauliSum, field: str) -> PauliSum:
     return op
 
 
+def _unhidden(size: float, penalty: float, field: str) -> None:
+    """Exit 2 when a cost that sums a penalty of sum of |coefficient|
+    ``penalty`` with an operator of sum ``size`` cannot see that operator:
+    its values carry a round-off of eps times the size of the terms
+    summed, eps = 2^-52, while the operator moves them by at most its
+    size, so at size <= eps (size + penalty) every value the operator adds
+    lies within the round-off of the penalty's.  An operator of size 0
+    adds nothing to hide."""
+    if 0.0 < size <= np.finfo(float).eps * (size + penalty):
+        raise CliFailure(EXIT_CONFIG, f"{field}: too large, the penalty hides "
+                                      f"the cost's other terms below its round-off")
+
+
 def _load_config(args) -> RunConfig:
     try:
         cfg = load_config(args.config)
@@ -125,7 +138,8 @@ class Problem:
     def gs_penalty(self):
         """The number penalty plus spin_penalty times S^2 for an even count,
         or (S^2 - 3/4)^2, zero on doublets, for an odd one; exit 2 when a
-        weight overflows a part or H plus the sum (``_finite``)."""
+        weight overflows a part or H plus the sum (``_finite``), or when
+        the sum hides H below its round-off (``_unhidden``)."""
         cfg = self.cfg
         total = None
         if cfg.number_penalty > 0:
@@ -139,7 +153,9 @@ class Problem:
             spin = _finite(cfg.spin_penalty * s2, "spin_penalty")
             total = spin if total is None else total + spin
         if total is not None:
-            _finite(self.h_op + total, "number_penalty or spin_penalty")
+            field = "number_penalty or spin_penalty"
+            _finite(self.h_op + total, field)
+            _unhidden(self.h_op.one_norm(), total.one_norm(), field)
         return total
 
     def check_penalties(self, zs: np.ndarray | None = None) -> None:
@@ -148,7 +164,8 @@ class Problem:
         overflows one exits 2 before a command writes anything.  So does a
         sweep whose solves' Q+Q plus that penalty would overflow: Q+Q sums
         to at most (max |z| + 2 sum|c_H|)^2 in |coefficient|, as
-        |E0| <= sum|c_H|."""
+        |E0| <= sum|c_H|; and one whose sector penalty would hide even that
+        bound below its round-off (``_unhidden``)."""
         self.gs_penalty  # checked as it is built, once
         if zs is None:
             return
@@ -159,10 +176,12 @@ class Problem:
                       for branch in (HOLE, PARTICLE))
         z_max, h_size = float(np.abs(zs).max()), 2.0 * self.h_op.one_norm()
         # a product, which overflows to inf where ** raises OverflowError
-        if not math.isfinite((z_max + h_size) * (z_max + h_size) + penalty):
+        qq_size = (z_max + h_size) * (z_max + h_size)
+        if not math.isfinite(qq_size + penalty):
             field = "grid" if z_max > h_size else self.h_field
             raise CliFailure(EXIT_CONFIG, f"{field}: too large, the cost of a "
                                           f"sweep's solves (Q+Q) would overflow")
+        _unhidden(qq_size, penalty, "optimizer.sector_penalty")
 
     def ground_state(self, spec: AnsatzSpec, noise: NoiseModel, theta0):
         """``vqe_ground_state`` at the configured measurement, stop rule and

@@ -394,16 +394,6 @@ def string_overlaps(op: PauliSum, bra: np.ndarray, ket: np.ndarray) -> tuple[Str
     return strings, np.einsum("sb,sb,b->s", bra.conj()[idx], phases, ket)
 
 
-def string_matrices(op: PauliSum) -> tuple[Strings, np.ndarray]:
-    """The strings of ``op`` in sorted label order and the dense
-    (2^m, 2^m) matrix of each."""
-    strings, idx, phases = _string_table(op)
-    dim = 1 << op.width
-    mats = np.zeros((len(strings), dim, dim), dtype=complex)
-    mats[np.arange(len(strings))[:, None], idx, np.arange(dim)] = phases
-    return strings, mats
-
-
 def string_traces(op: PauliSum, rho: np.ndarray) -> tuple[Strings, np.ndarray]:
     """The strings of ``op`` in sorted label order and tr(rho P) for each."""
     strings, idx, phases = _string_table(op)

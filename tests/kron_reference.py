@@ -7,7 +7,10 @@ position m-1-q), the depolarizing channel is the explicit Kraus sum over the
 16 Pauli pairs, and a Pauli sum acts string by string through the dense
 matrices of its letters.  Slow by design: the point is independence from the
 local-gate kernel and from the mask form of ``corrvec.pauli``; the letter
-product table here is the reference for the mask products.
+product table here is the reference for the mask products.  The noisy
+kernel runs on Pauli coefficients x_P = tr(P X); its reference is the dense
+superoperator of a map on the basis of dense strings, taken in the order
+the kernel documents.
 
 The estimator references read each string's exact value off these dense
 simulations (an overlap from the literal single-ancilla interference
@@ -24,6 +27,9 @@ import numpy as np
 from corrvec.circuits import (ONE_QUBIT_KINDS, Circuit, Gate, _depolarize,
                               _mixing_weight, ccx_gates, sample_z_value,
                               zne_extrapolate)
+
+# the letter of each value of a coefficient digit, x + 2 z
+DIGIT_LETTERS = "IXZY"
 from corrvec.pauli import PauliSum
 
 EYE2 = np.eye(2, dtype=complex)
@@ -150,18 +156,58 @@ def depolarize_kraus(rho: np.ndarray, q1: int, q2: int, p2: float, m: int) -> np
     return (1.0 - p2) * rho + (p2 / 15.0) * (acc - rho)
 
 
+@functools.lru_cache(maxsize=None)
+def pauli_basis(m: int) -> np.ndarray:
+    """The 4^m dense strings of m qubits in the order of a coefficient
+    vector: string j has letter DIGIT_LETTERS[digit q of j in base 4] on
+    qubit q.  Shared read-only."""
+    basis = np.array([embed({q: PAULI[DIGIT_LETTERS[j >> 2 * q & 3]] for q in range(m)}, m)
+                      for j in range(4 ** m)])
+    basis.flags.writeable = False
+    return basis
+
+
+def pauli_vector(mat: np.ndarray) -> np.ndarray:
+    """tr(P X) for every string P, for a matrix X or each of a batch."""
+    m = mat.shape[-1].bit_length() - 1
+    return np.einsum("pij,...ji->...p", pauli_basis(m), mat)
+
+
+def from_pauli_vector(vec: np.ndarray) -> np.ndarray:
+    """The matrix X = 2^-m sum_P x_P P of a coefficient vector, or of each
+    of a batch."""
+    m = (vec.shape[-1].bit_length() - 1) // 2
+    return np.einsum("...p,pij->...ij", vec, pauli_basis(m)) / (1 << m)
+
+
+def superoperator(channel, m: int) -> np.ndarray:
+    """The 4^m x 4^m matrix of a linear map on m-qubit matrices acting on
+    coefficient vectors: column Q is the coefficients of channel(Q) / 2^m."""
+    basis = pauli_basis(m)
+    images = np.array([channel(p) for p in basis])
+    # entry (P, Q) is tr(P channel(Q)), summed over both matrix indices
+    return (basis.reshape(len(basis), -1) @ images.transpose(0, 2, 1).reshape(len(basis), -1).T
+            / (1 << m))
+
+
 def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2, m: int) -> np.ndarray:
     """The package's two-qubit depolarizing channel on (q1, q2), for a
-    density matrix or each of a (..., 2^m, 2^m) batch.  ``p2`` is one
-    strength, or one per noise level of a (..., levels, 2^m, 2^m) batch."""
+    density matrix or each of a (..., 2^m, 2^m) batch, applied to its
+    coefficients.  ``p2`` is one strength, or one per noise level of a
+    (..., levels, 2^m, 2^m) batch."""
     c = _mixing_weight(p2)
-    return _depolarize(rho, q1, q2, c, m) if c.any() else rho
+    return from_pauli_vector(_depolarize(pauli_vector(rho), q1, q2, c))
 
 
 def run_density(circ: Circuit, theta=None, p2: float = 0.0) -> np.ndarray:
     dim = 1 << circ.width
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
+    return evolve_density(circ, rho, theta, p2)
+
+
+def evolve_density(circ: Circuit, rho: np.ndarray, theta=None, p2: float = 0.0) -> np.ndarray:
+    """Any 2^m x 2^m matrix taken through the noisy circuit."""
     for g in circ.gates:
         u = gate_matrix(g, circ.width, theta)
         rho = u @ rho @ u.conj().T

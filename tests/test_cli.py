@@ -491,8 +491,41 @@ def test_an_overflowing_operator_exits_2_naming_its_field(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, overrides, field", [
+    # E0 = 1.957 against -1.236 before this was refused
+    ("ground-state", {"number_penalty": 1e307, "optimizer": {"gs_max_sweeps": 2}},
+     "number_penalty or spin_penalty"),
+    ("ground-state", {"number_penalty": 0.0, "spin_penalty": 1e300},
+     "number_penalty or spin_penalty"),
+    ("sweep", {"optimizer": {"sector_penalty": 1e300}}, "optimizer.sector_penalty"),
+])
+def test_a_penalty_that_hides_the_cost_exits_2(tmp_path, capsys, command,
+                                               overrides, field):
+    """A penalty whose sum of |coefficient| puts H's, or for a sweep the
+    Q+Q bound's, below the round-off of the cost that sums them is refused
+    with its field named, before anything is written."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", out_dir=str(out), **overrides,
+                       grid={"kind": "retarded", "omega_min": -1.0,
+                             "omega_max": 1.0, "n": 2})
+    assert run(command, "--config", str(cfg)) == 2
+    assert f"{field}: too large, the penalty hides" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", [None, 1e6])
+def test_a_penalty_that_leaves_h_visible_runs(tmp_path, weight):
+    """The default weights and a large one that still leaves H far above
+    the cost's round-off run the ground state."""
+    penalty = {} if weight is None else {"number_penalty": weight}
+    cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"),
+                       optimizer={"gs_max_sweeps": 2}, **penalty)
+    assert run("ground-state", "--config", str(cfg)) == 0
+    assert (tmp_path / "out" / "ground_state.json").exists()
+
+
 @pytest.mark.parametrize("command, overrides, code", [
-    ("ground-state", {"number_penalty": 1e307, "optimizer": {"gs_max_sweeps": 2}}, 0),
+    ("ground-state", {"number_penalty": 1e12, "optimizer": {"gs_max_sweeps": 2}}, 0),
     ("sweep", {"grid": {"kind": "matsubara", "omega_max": 1e150, "n": 1},
                "optimizer": {"gs_max_sweeps": 5, "max_sweeps": 10}}, 4),
 ])

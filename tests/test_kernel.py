@@ -21,7 +21,6 @@ from corrvec.pauli import (PauliSum, apply_sum, string_overlaps, string_traces,
                            weighted_sum)
 from corrvec.vqe import AnsatzSpec, build_hea, vqe_ground_state
 import kron_reference as ref
-from kron_reference import depolarize_pair
 
 TOL = 1e-12
 ONE_QUBIT = ("H", "X", "PHASE", "RX", "RY", "RZ")
@@ -138,23 +137,25 @@ def test_apply_matches_kron_on_both_branches(width, seed):
 @PROPERTY
 @given(data=st.data())
 def test_stacked_levels_match_per_level_runs(min_size, data):
-    """A batch holding every noise level runs the channel, and the gates,
-    exactly as one run per level does, and a batch of statevectors runs
-    each of its members as a run of that member alone does.  The kernel
-    branch is pinned for both runs: the view path everywhere, or the block
-    path wherever the qubits allow.  Each branch computes a member alike
-    however large its batch, so equality is exact; each level or member
-    gets two or three rows, so that no block matmul has a single row,
-    which BLAS would take as a matrix-vector product."""
+    """A batch of Pauli coefficient vectors holding every noise level runs
+    the channel, and the gates, exactly as one run per level does, and a
+    batch of statevectors runs each of its members as a run of that
+    member alone does.  The kernel branch is pinned for both runs: the
+    view path everywhere, or the block path wherever the digits allow.
+    Each branch computes a member alike however large its batch, so
+    equality is exact; each level or member gets two or three rows, so
+    that no block matmul has a single row, which BLAS would take as a
+    matrix-vector product."""
     circ, theta = data.draw(random_circuits(max_width=3, max_gates=8))
     levels = data.draw(st.lists(st.sampled_from((0.0, 0.01, 0.3, 15.0 / 16.0)),
                                 min_size=1, max_size=3))
     m = circ.width
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    shape = (data.draw(st.integers(2, 3)), len(levels), 1 << m, 1 << m)
+    shape = (data.draw(st.integers(2, 3)), len(levels), 4 ** m)
     stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     th = theta if circ.n_slots else None
-    vectors = np.ascontiguousarray(stack[..., 0])  # (rows, members, 2^m)
+    # (rows, members, 2^m)
+    vectors = np.ascontiguousarray(stack[..., :1 << m])
     with mock.patch.object(circuits, "_BLOCK_MIN_SIZE", min_size):
         together = circuits.apply_gates(stack.copy(), circ.gates, th, levels)
         for k, p2 in enumerate(levels):
@@ -169,10 +170,11 @@ def test_stacked_levels_match_per_level_runs(min_size, data):
     if m >= 2:
         q1, q2 = data.draw(st.lists(st.integers(0, m - 1), min_size=2,
                                     max_size=2, unique=True))
-        together = depolarize_pair(stack, q1, q2, levels, m)
+        c = circuits._mixing_weight(levels)
+        together = circuits._depolarize(stack, q1, q2, c)
         for k, p2 in enumerate(levels):
             assert np.array_equal(together[:, k],
-                                  depolarize_pair(stack[:, k], q1, q2, p2, m)), p2
+                                  circuits._depolarize(stack[:, k], q1, q2, c[k])), p2
 
 
 @PROPERTY
@@ -265,8 +267,8 @@ def test_restrictions_match_full_runs(case, spec, p2, seed):
     ``OverlapEngine`` whose U2 is the ansatz: its complex string values,
     the identity's included, against those of the block of the literal
     (m+1)-qubit prefix, then the drawn operator's against full runs of the
-    block.  Many strings run a suffix per slot and few are pulled back
-    (module notes), so both paths are checked."""
+    block.  Up to 4 qubits the rule of the module notes pulls these reads
+    back; the suffix side has its own test below."""
     rng = np.random.default_rng(seed)
     noise = (NoiseModel() if case == "pure" else
              NoiseModel(enabled=True, p2=p2,
@@ -373,7 +375,8 @@ def check_sweep(circ, noise, theta, probes, moves, op=None, literal=None):
 def test_noisy_sweeps_pull_back_once_per_sweep(h2_hamiltonian, monkeypatch):
     """A noisy ground-state sweep over ``build_hea`` runs one adjoint pass
     per sweep, keeps depth + 1 stacks of pulled-back strings, one at each
-    CX ladder and one at the end, and runs no slot's suffix: the only
+    CX ladder and one at the end, and runs no slot's suffix: no split
+    batch, (members, levels, 4^m), meets a two-qubit gate, and the only
     density matrices read as string values are the full runs'."""
     spec = AnsatzSpec(4, 2)
     stacks = []
@@ -384,12 +387,18 @@ def test_noisy_sweeps_pull_back_once_per_sweep(h2_hamiltonian, monkeypatch):
     read_shapes = []
     monkeypatch.setattr(circuits, "_string_values", lambda ops, stack, block:
                         read_shapes.append(stack.shape) or read(ops, stack, block))
+    forward = circuits.apply_gates
+    suffixes = []
+    monkeypatch.setattr(circuits, "apply_gates", lambda states, gates, *args: suffixes.extend(
+        [1] * (states.ndim == 3 and any(len(g.qubits) == 2 for g in gates)))
+        or forward(states, gates, *args))
     settings_ = MeasurementSettings(mode="sampled", shots=1000, seed=5)
     noise = NoiseModel(enabled=True, p2=0.01)
     _, _, trace = vqe_ground_state(h2_hamiltonian, spec, settings_, noise,
                                    settings_.make_rng(), tol=1e-9, max_sweeps=2)
     assert trace.sweeps == 2
     assert len(stacks) == 2
+    assert not suffixes
     assert read_shapes and all(shape == (2, 16, 16) for shape in read_shapes)
     circ = build_hea(spec)
     ladders = [i for i, g in enumerate(circ.gates)
@@ -403,33 +412,37 @@ def test_noisy_sweeps_pull_back_once_per_sweep(h2_hamiltonian, monkeypatch):
 
 def test_noisy_sweeps_run_suffixes_for_many_strings_or_a_wide_register(monkeypatch):
     """The pull-back is taken only where the rule of the module notes
-    predicts it wins: an operator with every string of 3 qubits, 63
-    against 18 slots, and 10 strings on a 7-qubit register, whose stacks
-    would outgrow the cap, run a suffix per slot, and still read as their
-    strings' values."""
+    predicts it wins: every string of 4 qubits, 255 against 16 slots, read
+    on the ansatz and on an overlap's coherence block, runs a suffix per
+    slot (255 x 19 > 8 x 144 suffix steps, and 255 x 116 > 8 x 456 for
+    the block), and still matches full runs; 7 strings on an 8-qubit
+    register, 7 x 39 <= 608 / 2 but with stacks of 28 MiB, over the cap,
+    run a suffix too and still read as their strings' values."""
     monkeypatch.setattr(circuits, "_pull_back", mock.Mock(
         side_effect=AssertionError("a pull-back")))
     noise = NoiseModel(enabled=True, p2=0.01)
-    spec = AnsatzSpec(3, 2)
-    every = PauliSum(3, [("".join(p), 0.1 * (k + 1)) for k, p in
-                         enumerate(itertools.product("IXYZ", repeat=3))])
+    spec = AnsatzSpec(4, 1)
+    every = PauliSum(4, [("".join(p), 0.1 * (k + 1)) for k, p in
+                         enumerate(itertools.product("IXYZ", repeat=4))])
     rng = np.random.default_rng(7)
     theta, probes, moves = rng.uniform(-np.pi, np.pi, (3, spec.n_slots))
-    check_sweep(build_hea(spec), noise, theta, probes, moves, every)
-    wide = AnsatzSpec(7, 1)
-    few = PauliSum(7, [("I" * q + "Z" + "I" * (6 - q), 1.0) for q in range(7)]
-                   + [("ZZIIIII", 0.5), ("IIZZIII", 0.5), ("IIIIIZZ", 0.5)])
+    check_sweep(build_hea(spec), noise, theta.copy(), probes, moves, every)
+    u1 = build_hea(spec).bound(rng.uniform(-np.pi, np.pi, spec.n_slots))
+    engine = OverlapEngine(u1, build_hea(spec), MeasurementSettings(), noise)
+    check_sweep(engine.circuit, noise, theta, probes, moves, every)
+    wide = AnsatzSpec(8, 1)
+    few = PauliSum(8, [("I" * q + "Z" + "I" * (7 - q), 1.0) for q in range(7)])
     first = next(restrictions(build_hea(wide), np.zeros(wide.n_slots), noise, [few]))
     strings, values = first.at(0.0).of(few)
-    assert len(strings) == 10 and values.shape == (10, 2)
+    assert len(strings) == 7 and values.shape == (7, 2)
 
 
-@pytest.mark.parametrize("spec, entries, pulled", [
-    # 2^5 x 38 gates <= 3 x 555 suffix steps, and (3 + 2) x 4^5 entries
-    # fit: the pass, although 32 states outnumber the 30 slots
+@pytest.mark.parametrize("spec, cap, pulled", [
+    # 2^5 x 38 gates <= 3 x 555 suffix steps, and (3 + 2) x 4^5 complex
+    # entries fit: the pass, although 32 states outnumber the 30 slots
     pytest.param(AnsatzSpec(5, 2), None, True, id="pass-5q-d2"),
-    # the same sweep with room for one entry fewer than the pass holds
-    pytest.param(AnsatzSpec(5, 2), 5 * 4**5 - 1, False, id="capped-5q-d2"),
+    # the same sweep with room for one byte fewer than the pass holds
+    pytest.param(AnsatzSpec(5, 2), 5 * 4**5 * 16 - 1, False, id="capped-5q-d2"),
     pytest.param(AnsatzSpec(2, 2), None, True, id="pass-2q-d2"),
     # 72 slots: T kept over a long sweep
     pytest.param(AnsatzSpec(4, 8), None, True, id="pass-4q-d8"),
@@ -437,13 +450,13 @@ def test_noisy_sweeps_run_suffixes_for_many_strings_or_a_wide_register(monkeypat
     pytest.param(AnsatzSpec(4, 1, ("RY",)), None, False, id="suffix-4q-d1"),
     pytest.param(AnsatzSpec(8, 2, ("RY",)), None, False, id="suffix-8q-d2"),
 ])
-def test_statevector_sweeps_pull_back_by_the_rule(spec, entries, pulled, monkeypatch):
+def test_statevector_sweeps_pull_back_by_the_rule(spec, cap, pulled, monkeypatch):
     """A noiseless sweep pulls the rest of the circuit back once, and runs
     no slot's suffix, exactly when the rule of the module notes says so;
     otherwise it runs a suffix per slot.  Either way each restriction
     matches a full run."""
-    if entries is not None:
-        monkeypatch.setattr(circuits, "_PULL_BACK_ENTRIES", entries)
+    if cap is not None:
+        monkeypatch.setattr(circuits, "_PULL_BACK_BYTES", cap)
     passes, suffixes = [], []
     pull_back, forward = circuits._pull_back, circuits.apply_gates
     monkeypatch.setattr(circuits, "_pull_back",
@@ -482,6 +495,134 @@ def test_pure_pass_keeps_the_unitary_of_the_rest(spec, seed):
     for stop in stops:
         rest = ref.circuit_unitary(Circuit(spec.width, gates[stop:]), theta)
         assert max_diff(kept[stop].T, rest) <= TOL, stop
+
+
+def coefficients(rng, shape):
+    """Random complex Pauli coefficient vectors."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("side", [None, "row", "col"])
+@PROPERTY
+@given(kind=st.sampled_from(ONE_QUBIT), angle=angles, width=st.integers(1, 4))
+@example(kind="H", angle=0.0, width=1)
+@example(kind="RY", angle=2.5, width=4)
+def test_one_qubit_steps_match_their_superoperators(kind, angle, side, width):
+    """A fused one-qubit step is a 4x4 matrix on its qubit's digit: real
+    for U X U+, complex for the one-sided U X and X U+.  Applied by
+    ``_apply`` to a batch of coefficient vectors, one vector and a batch
+    large enough for the block path, it matches the dense superoperator
+    of the map on every target."""
+    rng = np.random.default_rng(width)
+    u = circuits._matrix(circuits._entries(kind, angle))
+    step = circuits._transfer(u, side)
+    assert step.shape == (4, 4) and np.isrealobj(step) == (side is None)
+    edge = -(-circuits._BLOCK_MIN_SIZE // 4 ** width)
+    for target in range(width):
+        full = ref.embed({target: ref.one_qubit_matrix(kind, angle)}, width)
+        channel = {None: lambda x: full @ x @ full.conj().T,
+                   "row": lambda x: full @ x, "col": lambda x: x @ full.conj().T}[side]
+        dense = ref.superoperator(channel, width)
+        for batch in (1, edge):
+            vec = coefficients(rng, (batch, 4 ** width))
+            out = vec.copy()
+            circuits._apply(out, step, target, None)
+            assert max_diff(out, vec @ dense.T) <= TOL, (target, batch)
+
+
+@pytest.mark.parametrize("width, control, target", [
+    (2, 0, 1), (2, 1, 0), (3, 0, 2), (3, 2, 0), (4, 3, 1), (4, 0, 3)])
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cx_is_the_signed_permutation_of_its_superoperator(width, control, target, seed):
+    """CX on a pair, adjacent or not, in either orientation, is a signed
+    permutation of the coefficients: its dense superoperator, which is its
+    own transpose."""
+    full = ref.gate_matrix(circuits.Gate("CX", (control, target)), width)
+    dense = ref.superoperator(lambda x: full @ x @ full.conj().T, width)
+    assert max_diff(dense, dense.T) <= TOL
+    assert set(np.round(np.abs(dense), 12).ravel()) == {0.0, 1.0}
+    vec = coefficients(np.random.default_rng(seed), (3, 4 ** width))
+    assert max_diff(circuits._cx(vec, control, target), vec @ dense.T) <= TOL
+
+
+def small_noisy_circuit(width):
+    circ = Circuit(width)
+    circ.add("RY", 0, angle=0.4)
+    if width > 1:
+        circ.add("CX", width - 1, 0)
+        circ.add("RX", width - 1, angle=-1.1)
+        circ.add("CX", 0, width - 1)
+    return circ, np.zeros(0)
+
+
+@PROPERTY
+@given(case=random_circuits(max_width=3, max_gates=6),
+       levels=st.lists(st.sampled_from((0.0, 0.01, 0.3, 15.0 / 16.0)),
+                       min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=small_noisy_circuit(1), levels=[0.3, 0.01], seed=1)
+@example(case=small_noisy_circuit(3), levels=[15.0 / 16.0], seed=2)
+@example(case=small_noisy_circuit(2), levels=[0.01, 15.0 / 16.0, 0.0], seed=3)
+def test_stacked_noisy_runs_match_their_superoperators(case, levels, seed):
+    """A (levels, 4^m) stack of coefficient vectors run through a circuit
+    with the pair channel at one strength per level: each level matches
+    the dense superoperator of the circuit with the Kraus channel at its
+    strength, for any input, not only |0...0><0...0|."""
+    circ, theta = case
+    m = circ.width
+    th = theta if circ.n_slots else None
+    vec = coefficients(np.random.default_rng(seed), (len(levels), 4 ** m))
+    out = circuits.apply_gates(vec.copy(), circ.gates, th, levels)
+    for k, p2 in enumerate(levels):
+        dense = ref.superoperator(lambda x: ref.evolve_density(circ, x, th, p2), m)
+        assert max_diff(out[k], dense @ vec[k]) <= TOL, p2
+
+
+@PROPERTY
+@given(case=random_circuits(max_width=3, max_gates=8),
+       levels=st.lists(st.sampled_from((0.0, 0.01, 0.3, 15.0 / 16.0)),
+                       min_size=1, max_size=2),
+       sides=st.lists(st.sampled_from((None, "row", "col")), min_size=8, max_size=8),
+       data=st.data())
+def test_pull_back_is_the_transpose_of_the_forward_run(case, levels, sides, data):
+    """For random observables o and inputs x, sum o.(A x) = sum (A^T o).x:
+    every stop's pulled-back stack against the forward run from that stop,
+    at each level, with one-qubit gates on both sides or one."""
+    circ, theta = case
+    m = circ.width
+    gates = [replace(g, side=side) if len(g.qubits) == 1 else g
+             for g, side in zip(circ.gates, sides + [None] * len(circ.gates))]
+    th = theta if circ.n_slots else None
+    stops = sorted(set(data.draw(st.lists(st.integers(0, len(gates)), min_size=1,
+                                          max_size=3))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    obs = coefficients(rng, (data.draw(st.integers(1, 4)), 4 ** m))
+    x = coefficients(rng, (len(levels), 4 ** m))
+    stacks = circuits._pull_back(gates, stops, th, levels, obs)
+    assert sorted(stacks) == stops
+    for stop in stops:
+        ax = circuits.apply_gates(x.copy(), gates[stop:], th, levels)
+        assert stacks[stop].shape == (len(levels), 4 ** m, len(obs))
+        assert max_diff(np.einsum("sp,lp->ls", obs, ax),
+                        np.einsum("lps,lp->ls", stacks[stop], x)) <= TOL, stop
+
+
+@PROPERTY
+@given(st.data())
+def test_places_read_each_strings_value(data):
+    """A string's value is one entry of the coefficient vector: at the
+    place ``_places`` gives it, in the sorted label order the density
+    reads use."""
+    op = data.draw(pauli_sums(max_width=4).filter(len))
+    rng = np.random.default_rng(len(op))
+    dim = 1 << op.width
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    strings, places = circuits._places(op)
+    expect_strings, traces = string_traces(op, mat)
+    assert strings == expect_strings
+    assert max_diff(ref.pauli_vector(mat)[places], traces) <= TOL
+    assert max_diff(circuits._density(ref.pauli_vector(mat)), mat) <= TOL
 
 
 @st.composite

@@ -12,7 +12,6 @@ from corrvec.pauli import (
     PauliSum,
     apply_sum,
     string_action,
-    string_matrices,
     string_overlaps,
     string_traces,
     sum_multiply,
@@ -181,14 +180,6 @@ def test_hermiticity_verdict_is_scale_invariant(data):
         scaled = 10.0 ** k * op
         assert len(scaled) == len(op)
         assert scaled.is_hermitian() == expect, k
-
-
-def test_string_matrices_are_the_dense_strings(rng):
-    op = random_sum(3, 6, rng)
-    strings, mats = string_matrices(op)
-    assert [label for label, _, _, _ in strings] == sorted(dict(op))
-    for (label, _, _, _), mat in zip(strings, mats):
-        assert np.array_equal(mat, string_matrix(label))
 
 
 def test_string_action_matches_dense(rng):

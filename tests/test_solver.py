@@ -480,14 +480,17 @@ def test_sampled_noisy_solve_is_finite_and_repeatable(dimer_hamiltonian,
     assert first == again
 
 
-@pytest.mark.parametrize("depth, block_pulled", [(2, False), (3, True)])
+@pytest.mark.parametrize("depth, block_pulled", [(2, True), (3, True), (2, False)])
 def test_noisy_dimer_sweep_reads_the_block_by_the_pull_back_rule(
         dimer_hamiltonian, dimer_ground, depth, block_pulled, monkeypatch):
     """A noisy correction-vector sweep reads the coherence block through
     the strings of V+Q, 18 on the dimer's particle branch, by the rule that
-    governs the ansatz: at depth 2, 18 strings x 216 gates exceed 3 x the
-    3,852 gate steps of the suffix runs, so each slot runs its suffix; at
-    depth 3, 18 x 316 <= 3 x 2,512, so the block is pulled back once."""
+    governs the ansatz: at depth 2, 18 strings x 216 gates <= 8 x the
+    1,284 gate steps of the suffix runs, and at depth 3, 18 x 316 <=
+    8 x 2,512, so the block is pulled back once.  With the memory cap at 0
+    bytes nothing is pulled back, and every slot of the block but the
+    closing layer's runs a suffix that meets a two-qubit gate: a split
+    batch of complex (members, levels, 4^m) coefficients."""
     e0, _ = dimer_ground
     # the ground state on the same ansatz, as a sweep prepares it
     spec = AnsatzSpec(width=4, depth=depth)
@@ -501,13 +504,17 @@ def test_noisy_dimer_sweep_reads_the_block_by_the_pull_back_rule(
     cost = problem.make_cost(z, spec, problem.measure_v_norm(rng), rng)
     assert len(problem.vdq(z)) == 18
     assert len(cost.circuits[1].gates) == {2: 216, 3: 316}[depth]
-    pulled, suffix_reads = [], []
-    pull_back, read = circuits._pull_back, circuits._string_values
+    if not block_pulled:
+        monkeypatch.setattr(circuits, "_PULL_BACK_BYTES", 0)
+    pulled, suffix_runs = [], []
+    pull_back, forward = circuits._pull_back, circuits.apply_gates
     monkeypatch.setattr(circuits, "_pull_back", lambda gates, *args: pulled.append(
         any(g.side for g in gates)) or pull_back(gates, *args))
-    monkeypatch.setattr(circuits, "_string_values", lambda ops, stack, block:
-                        suffix_reads.extend([block] * (stack.ndim == 4))
-                        or read(ops, stack, block))
+    monkeypatch.setattr(circuits, "apply_gates", lambda states, gates, *args: suffix_runs.extend(
+        [1] * (np.iscomplexobj(states) and states.ndim == 3
+               and any(len(g.qubits) == 2 for g in gates)))
+        or forward(states, gates, *args))
     solver.rotosolve_sweep(cost, rng.uniform(-0.1, 0.1, spec.n_slots), cost)
-    assert pulled == ([False, True] if block_pulled else [False])
-    assert suffix_reads == ([] if block_pulled else [True] * spec.n_slots)
+    assert pulled == ([False, True] if block_pulled else [])
+    before_closing = spec.n_slots - spec.width * len(spec.pattern)
+    assert len(suffix_runs) == (0 if block_pulled else before_closing)
