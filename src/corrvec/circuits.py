@@ -310,13 +310,14 @@ def _fused(gates: Iterable[Gate], theta: np.ndarray | None):
 
 
 # A gate whose qubits all sit below bit _BLOCK_BITS, on a batch of at least
-# _BLOCK_MIN_SIZE amplitudes, takes the block path (module notes); a step
-# on coefficient digits does where its block has at most 2^_BLOCK_BITS
+# _BLOCK_MIN_SIZE amplitudes, takes the block path (module notes), and so
+# does a step on coefficient digits whose block has at most 2^_BLOCK_BITS
 # rows.  Both come from a timing scan of the two paths over register widths
 # 1-6 and batch sizes 1-46 (CHANGES.md): from 512 amplitudes on, the block
 # path was never more than 10% slower than the view for a gate below bit 4.
 _BLOCK_BITS = 4
 _BLOCK_MIN_SIZE = 512
+_ONE_ZERO = np.array([1.0, 0.0], dtype=complex)
 
 
 @functools.cache
@@ -341,30 +342,42 @@ def _block_source(target: int, control: int | None, radix: int = 2) -> np.ndarra
 
 
 def _apply(vec: np.ndarray, u: np.ndarray, target: int, control: int | None) -> None:
-    """vec <- u on the target digit (on the control=1 slice), in place: a
-    2x2 u on a qubit of statevectors, a 4x4 one on a qubit's digit of
-    Pauli coefficient vectors.
+    """vec <- u on the target qubit (on the control=1 slice), in place.
 
-    A gate on low digits of a large batch is one matmul with its block
-    matrix (above).  Otherwise the view puts the target digit on axis -2,
+    A gate on low qubits of a large batch is one matmul with its block
+    matrix (above).  Otherwise the view puts the target qubit on axis -2,
     so one broadcast matmul updates every amplitude pair.  ``vec`` must be
     contiguous.
     """
-    radix = len(u)
     top = target if control is None else max(target, control)
-    if radix ** (top + 1) <= 1 << _BLOCK_BITS and vec.size >= _BLOCK_MIN_SIZE:
-        src = _block_source(target, control, radix)
+    if top < _BLOCK_BITS and vec.size >= _BLOCK_MIN_SIZE:
+        src = _block_source(target, control)
         w = vec.reshape(-1, len(src))
-        np.matmul(w, np.concatenate((u.ravel(), (1, 0)))[src], out=w)
+        np.matmul(w, np.concatenate((u.ravel(), _ONE_ZERO))[src], out=w)
         return
     if control is None:
-        w = vec.reshape(-1, radix, radix ** target)
+        w = vec.reshape(-1, 2, 1 << target)
     elif control > target:
         w = vec.reshape(-1, 2, 1 << (control - target - 1), 2, 1 << target)[:, 1]
     else:
         w = vec.reshape(-1, 2, 1 << (target - control - 1), 2,
                         1 << control)[:, :, :, 1].transpose(0, 2, 1, 3)
     np.matmul(u, w, out=w)
+
+
+def _digit_step(vec: np.ndarray, a: np.ndarray, q: int) -> None:
+    """vec <- a, a 4x4 matrix, on qubit q's digit of each coefficient
+    vector, in place, as ``_apply`` does a one-qubit gate: one matmul with
+    the block matrix on digits 0..q where it has at most 2^_BLOCK_BITS rows
+    and the batch is large, else the view path.  ``vec`` must be
+    contiguous."""
+    if 4 << 2 * q <= 1 << _BLOCK_BITS and vec.size >= _BLOCK_MIN_SIZE:
+        src = _block_source(q, None, 4)
+        w = vec.reshape(-1, len(src))
+        np.matmul(w, np.concatenate((a.ravel(), (1, 0)))[src], out=w)
+        return
+    w = vec.reshape(-1, 4, 4 ** q)
+    np.matmul(a, w, out=w)
 
 
 # the Pauli matrices of a coefficient digit x + 2 z: I, X, Z, Y
@@ -482,7 +495,7 @@ def apply_gates(states: np.ndarray, gates: Iterable[Gate], theta: np.ndarray | N
     c = None
     for target, control, u, side in _fused(gates, theta):
         if control is None:
-            _apply(states, _transfer(u, side), target, None)
+            _digit_step(states, _transfer(u, side), target)
             continue
         states = _cx(states, control, target)
         if c is None:
@@ -515,7 +528,7 @@ def _density(vec: np.ndarray) -> np.ndarray:
     m = (vec.shape[-1].bit_length() - 1) // 2
     out = vec.astype(complex, order="C")
     for q in range(m):
-        _apply(out, _ENTRIES, q, None)
+        _digit_step(out, _ENTRIES, q)
     # digit q now holds (a, b), the row bit a on bit 2q + 1 of the index
     lead = vec.ndim - 1
     rows = [lead + 2 * k for k in range(m)]
@@ -830,7 +843,7 @@ def _pull_back(gates: Sequence[Gate], stops: list[int], theta: np.ndarray,
                 # T <- T U, the column step of U: u^T on each row
                 _apply(obs, u.T, target, control)
             elif control is None:
-                _apply(obs, _transfer(u, side).T, target, None)
+                _digit_step(obs, _transfer(u, side).T, target)
             else:
                 # backwards the channel comes first; both are their own
                 # transposes
@@ -860,7 +873,7 @@ def _split(batch: np.ndarray, gate: Gate, levels: list[float] | None) -> np.ndar
     out = np.concatenate([batch] * len(parts))
     for k, a in enumerate(parts):
         if a is not None:
-            _apply(out[k * len(batch):(k + 1) * len(batch)], a, q, None)
+            _digit_step(out[k * len(batch):(k + 1) * len(batch)], a, q)
     return out
 
 

@@ -510,7 +510,7 @@ def coefficients(rng, shape):
 def test_one_qubit_steps_match_their_superoperators(kind, angle, side, width):
     """A fused one-qubit step is a 4x4 matrix on its qubit's digit: real
     for U X U+, complex for the one-sided U X and X U+.  Applied by
-    ``_apply`` to a batch of coefficient vectors, one vector and a batch
+    ``_digit_step`` to a batch of coefficient vectors, one vector and a batch
     large enough for the block path, it matches the dense superoperator
     of the map on every target."""
     rng = np.random.default_rng(width)
@@ -526,7 +526,7 @@ def test_one_qubit_steps_match_their_superoperators(kind, angle, side, width):
         for batch in (1, edge):
             vec = coefficients(rng, (batch, 4 ** width))
             out = vec.copy()
-            circuits._apply(out, step, target, None)
+            circuits._digit_step(out, step, target)
             assert max_diff(out, vec @ dense.T) <= TOL, (target, batch)
 
 
