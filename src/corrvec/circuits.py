@@ -20,22 +20,21 @@ gate's block matrix on those low qubits.  Consecutive one-qubit gates on a
 qubit are first multiplied into one 2x2 matrix.
 
 A noisy circuit runs on Pauli coefficients x_P = tr(P X), X a density
-matrix or the overlap's coherence block (Estimators): 4^m values, qubit q
-being the base-4 digit of weight 4^q, whose value x + 2 z (I, X, Z, Y)
-holds the letter's bits of the masks of ``corrvec.pauli``, so each string
-is one entry.  A fused one-qubit step is a 4x4 matrix on its qubit's digit,
-applied as a 2x2 one is to a statevector, with the block path where its
-block has at most 16 rows: entry (d, e) is tr(s_d U s_e U+) / 2 for
-U X U+, which is real, and tr(s_d U s_e) / 2 or tr(s_d s_e U+) / 2 for the
-one-sided U X or X U+, which are complex.  A CX is a signed permutation of
-the 16 values of its pair's digits, one gather over the register.
+matrix or the overlap's coherence block (Estimators): 4^m values in which
+qubit q is the base-4 digit of weight 4^q, of value x + 2 z (I, X, Z, Y)
+for its bits of a string's masks (``corrvec.pauli``), so each string is one
+entry.  A fused one-qubit step is then a 4x4 matrix on its qubit's digit,
+applied as a 2x2 one is to a statevector: entry (d, e) is
+tr(s_d U s_e U+) / 2 for U X U+, which is real, and tr(s_d U s_e) / 2 or
+tr(s_d s_e U+) / 2 for the one-sided U X or X U+.  A CX is a signed
+permutation of the 16 values of its pair's digits, one gather.
 |0...0><0...0| is 1 on every string of I and Z letters, and ``run_density``
 turns the coefficients into density matrices once, at its end.  A batch of
 statevectors or of coefficient vectors, such as the members of a slot's
-restriction or the noise levels of one circuit, runs the same way: stored
-as one contiguous (..., 2^m) or (..., 4^m) array, its batch index acts as
-extra most-significant digits that no gate touches, and the depolarizing
-channel acts on every member.  ``apply_gates`` is the one forward entry:
+restriction or the noise levels of one circuit, is one contiguous
+(..., 2^m) or (..., 4^m) array whose batch index acts as extra
+most-significant digits that no gate touches; the depolarizing channel acts
+on every member.  ``apply_gates`` is the one forward entry:
 full runs, from the one start state, and both gate ranges of a restriction
 run through it.
 
@@ -393,8 +392,8 @@ def _transfer(u: np.ndarray, side: str | None) -> np.ndarray:
     which is real, or of the one-sided u X ("row") or X u+ ("col")."""
     left = _EYE2 if side == "col" else u
     right = _EYE2 if side == "row" else u.conj().T
-    out = (_PTM @ np.multiply.outer(left, right).ravel()).reshape(4, 4)
-    return out if side else np.ascontiguousarray(out.real)
+    out = np.dot(_PTM, np.outer(left, right).ravel()).reshape(4, 4)
+    return out if side else out.real
 
 
 def _rotation_split(s: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -421,16 +420,14 @@ def _pair_tables(control: int, target: int, m: int) -> tuple[np.ndarray, ...]:
     CX(control, target) coefficient j is sign[j] times coefficient
     source[j] before it, and keep marks the identity on the pair, the
     components the pair channel leaves alone.  Read-only."""
-    cx = np.eye(4)[[0, 1, 3, 2]]  # control on the high bit of the pair
-    pair = [np.kron(_SIGMA[c], _SIGMA[t]) for c in range(4) for t in range(4)]
-    # CX P CX = sign P' for each pair string P, found by its overlaps
-    overlaps = np.array([[np.trace(p @ cx @ q @ cx).real / 4 for q in pair] for p in pair])
-    image = np.abs(overlaps).argmax(axis=1)
     j = np.arange(4 ** m)
     dc, dt = j >> 2 * control & 3, j >> 2 * target & 3
-    k = image[4 * dc + dt]
-    source = j + ((k >> 2) - dc << 2 * control) + ((k & 3) - dt << 2 * target)
-    sign = overlaps[4 * dc + dt, k]
+    xc, zc, xt, zt = dc & 1, dc >> 1, dt & 1, dt >> 1
+    # CX P CX: X spreads from the control to the target, Z from the target
+    # to the control, and XZ and YY on (control, target) change sign
+    # (Aaronson and Gottesman, Phys. Rev. A 70, 052328 (2004))
+    source = j + ((zc ^ zt) - zc << 2 * control + 1) + ((xt ^ xc) - xt << 2 * target)
+    sign = 1.0 - 2.0 * (xc & zt & (xt ^ zc ^ 1))
     keep = (dc == 0) & (dt == 0)
     for a in (source, sign, keep):
         a.flags.writeable = False

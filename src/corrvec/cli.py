@@ -58,13 +58,11 @@ def _finite(op: PauliSum, field: str) -> PauliSum:
 
 
 def _unhidden(size: float, penalty: float, field: str) -> None:
-    """Exit 2 when a cost that sums a penalty of sum of |coefficient|
-    ``penalty`` with an operator of sum ``size`` cannot see that operator:
-    its values carry a round-off of eps times the size of the terms
-    summed, eps = 2^-52, while the operator moves them by at most its
-    size, so at size <= eps (size + penalty) every value the operator adds
-    lies within the round-off of the penalty's.  An operator of size 0
-    adds nothing to hide."""
+    """Exit 2 when a penalty of sum of |coefficient| ``penalty`` hides an
+    operator of sum ``size`` summed into the same cost: the cost carries a
+    round-off of eps = 2^-52 times the size of its terms, and the operator
+    moves it by at most ``size``, so at size <= eps (size + penalty) all it
+    adds lies within that round-off.  An operator of size 0 hides nothing."""
     if 0.0 < size <= np.finfo(float).eps * (size + penalty):
         raise CliFailure(EXIT_CONFIG, f"{field}: too large, the penalty hides "
                                       f"the cost's other terms below its round-off")
