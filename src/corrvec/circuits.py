@@ -864,7 +864,8 @@ def _split(batch: np.ndarray, gate: Gate, levels: list[float] | None) -> np.ndar
         _apply(sx, s, q, None)
         sx *= -1j
         return out
-    # one-sided: (x, -i s x); on both sides the three matrices of _SPLIT
+    # one-sided: x and its image under -i s on the gate's side; on both
+    # sides, the three matrices of _SPLIT
     parts = ((None, _transfer(-1j * s, gate.side)) if gate.side is not None
              else _SPLIT[gate.kind])
     out = np.concatenate([batch] * len(parts))
