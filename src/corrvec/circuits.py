@@ -31,12 +31,11 @@ permutation of the 16 values of its pair's digits, one gather.
 |0...0><0...0| is 1 on every string of I and Z letters, and ``run_density``
 turns the coefficients into density matrices once, at its end.  A batch of
 statevectors or of coefficient vectors, such as the members of a slot's
-restriction or the noise levels of one circuit, is one contiguous
-(..., 2^m) or (..., 4^m) array whose batch index acts as extra
-most-significant digits that no gate touches; the depolarizing channel acts
-on every member.  ``apply_gates`` is the one forward entry:
-full runs, from the one start state, and both gate ranges of a restriction
-run through it.
+restriction or the noise levels of one circuit, is one contiguous (..., 2^m)
+or (..., 4^m) array whose batch index acts as extra most-significant digits
+that no gate touches; the depolarizing channel acts on every member.
+``apply_gates`` is the one forward entry: full runs, from the one start
+state, and both gate ranges of a restriction run through it.
 
 Slot restrictions
 -----------------
@@ -83,7 +82,7 @@ real strings at 7 qubits with ZNE and depth 2, or T at 9 qubits and depth
 1.  Without noise c = 3.  Under noise c = 2^(7 - m): the pass takes fewer,
 larger steps, which gain most where per-call overhead dominates, and a
 timing scan of both paths (CHANGES.md) put the crossover near 8 at 4
-qubits, 4 at 5 and 2 at 6, with the pass faster in every case at 3.
+qubits, 4 at 5 and 2-2.6 at 6, with the pass faster in every case at 3.
 
 Noise
 -----
@@ -104,39 +103,38 @@ boost * p2 under ZNE).  A noisy output reaches the estimators in one form,
 ``StringValues``: the values of the strings of the operators its caller
 names, read off the density matrices of a full run (``simulate``) or as
 entries of a restriction's coefficients, which the caller hands each
-estimate.  An expectation reads
-real values and not the identity, whose value is 1; a read of the overlap's
-coherence block, a ``Circuit.block``, keeps complex values and the
-identity, as one-sided gates do not keep the block's trace.  For
-an overlap <psi1|P|psi2> the values are the two ancilla readings of the
-Hadamard test, Re and then -Im of the overlap.  Under noise only the test's
-prefix is simulated: the ancilla in |+>, controlled-U1 on its 0 branch
-(between two X gates) and controlled-U2 on its 1 branch.  The string's
-controlled-P suffix and readout are taken in closed form, the readout
-being tr(O rho) for O = 2 |0><1| (x) I on (ancilla, register).  Each
-pair channel is covariant: a mixture of conjugations by the pair's Pauli
-strings, it commutes with every unitary on the pair, is its own adjoint and
-maps an operator A to (1 - c) A + c tr_pair(A) (x) I/4, c = 16 p2/15.  O is
-traceless in the ancilla, so pulled back through the suffix each channel
-only scales it by 1 - c, and each controlled letter s turns 2 |0><1| (x) Q
-into 2 |0><1| (x) Q s.  A string of weight |P| thus reads
+estimate.  An expectation reads real values and not the identity, whose
+value is 1; a read of the overlap's coherence block, a ``Circuit.block``,
+keeps complex values and the identity, as one-sided gates do not keep the
+block's trace.  For an overlap <psi1|P|psi2> the values are the two
+ancilla readings of the Hadamard test, Re and then -Im of the overlap.
+Under noise only the test's prefix is simulated: the ancilla in |+>,
+controlled-U1 on its 0 branch (between two X gates) and controlled-U2 on
+its 1 branch.  The string's controlled-P suffix and readout are taken in
+closed form, the readout being tr(O rho) for O = 2 |0><1| (x) I on
+(ancilla, register).  Each pair channel is covariant: a mixture of
+conjugations by the pair's Pauli strings, it commutes with every unitary on
+the pair, is its own adjoint and maps an operator A to
+(1 - c) A + c tr_pair(A) (x) I/4, c = 16 p2/15.  O is traceless in the
+ancilla, so pulled back through the suffix each channel only scales it by
+1 - c, and each controlled letter s turns 2 |0><1| (x) Q into
+2 |0><1| (x) Q s.  A string of weight |P| thus reads
 2 (1 - c)^|P| tr(P rho_10), for rho_10 = rho[2^m:, :2^m] the prefix's
-off-diagonal ancilla block: one string-table read per level.
+off-diagonal ancilla block: one value per string and level.
 
 The ancilla is only ever a control or takes a PHASE, so rho_10 evolves on
 its own, on m qubits, from 1/2 |0...0><0...0|, as complex coefficients.  A
 register gate U acts on both sides and its pair channel as on a density
-matrix.  CX(anc, q) is X_q
-on the active side alone, the rows under U2 and the columns under U1; the
-channel after it scales the block by 1 - c, its mixed part being diagonal in
-the ancilla, and an ancilla PHASE(p) by exp(+-ip).  So a controlled
-rotation, two half-angle rotations around two CX(anc, q), is R(t) on the
-active side times (1 - c)^2, and a controlled CX is the Toffoli of
-``ccx_gates`` gate by gate, register-pair channels sitting between its
-ancilla gates.  ``OverlapEngine`` builds the block as a ``block`` circuit
-of one-sided gates (U rho on the "row" side, rho U+ on the "col" side) and
-folds the 1/2 and the ancilla channels and phases into one scalar per
-noise level.
+matrix.  CX(anc, q) is X_q on the active side alone, the rows under U2 and
+the columns under U1; the channel after it scales the block by 1 - c, its
+mixed part being diagonal in the ancilla, and an ancilla PHASE(p) by
+exp(+-ip).  So a controlled rotation, two half-angle rotations around two
+CX(anc, q), is R(t) on the active side times (1 - c)^2, and a controlled CX
+is the Toffoli of ``ccx_gates`` gate by gate, register-pair channels
+sitting between its ancilla gates.  ``OverlapEngine`` builds the block as a
+``block`` circuit of one-sided gates (U rho on the "row" side, rho U+ on
+the "col" side) and folds the 1/2 and the ancilla channels and phases into
+one scalar per noise level.
 
 One helper turns a read's values into its estimate, whatever the entry
 point: the exact values of every string at every level form one (rows,
@@ -381,9 +379,10 @@ def _digit_step(vec: np.ndarray, a: np.ndarray, q: int) -> None:
 
 # the Pauli matrices of a coefficient digit x + 2 z: I, X, Z, Y
 _SIGMA = np.array([np.eye(2)] + [_matrix(_ANGLELESS[s]) for s in "XZY"])
-# _PTM @ (L (x) M) is the 4x4 matrix of X -> L X M on a digit:
-# entry (d, e) is tr(sigma_d L sigma_e M) / 2
-_PTM = 0.5 * np.einsum("dli,ejk->deijkl", _SIGMA, _SIGMA).reshape(16, 16)
+# _PTM @ (L (x) M) is the 4x4 matrix of X -> L X M on a digit: entry
+# (d, e) is tr(sigma_d L sigma_e M) / 2, the sum of (sigma_d)_li L_ij
+# (sigma_e)_jk M_kl / 2
+_PTM = 0.5 * np.multiply.outer(_SIGMA, _SIGMA).transpose(0, 3, 2, 4, 5, 1).reshape(16, 16)
 _EYE2 = np.eye(2, dtype=complex)
 
 
@@ -396,22 +395,19 @@ def _transfer(u: np.ndarray, side: str | None) -> np.ndarray:
     return out if side else out.real
 
 
-def _rotation_split(s: np.ndarray) -> tuple[np.ndarray, ...]:
+@functools.cache
+def _rotation_split(kind: str) -> tuple[np.ndarray, ...]:
     """(A0, A1, A2) with A0 + cos t A1 + sin t A2 the digit matrix of the
-    rotation exp(-i t s/2) on both sides: A0 + A1, A0 - A1 and A0 + A2 are
-    its matrices at 0, pi and pi/2, X, sXs and (X + sXs + iXs - isX)/2."""
+    rotation exp(-i t s/2) of a slot's ``kind`` on both sides: A0 + A1,
+    A0 - A1 and A0 + A2 are its matrices at 0, pi and pi/2, X, sXs and
+    (X + sXs + iXs - isX)/2.  Shared read-only."""
+    s = _GENERATOR[kind]
     flip = _transfer(s, None)
     turn = (0.5j * (_transfer(s, "col") - _transfer(s, "row"))).real
-    return 0.5 * (np.eye(4) + flip), 0.5 * (np.eye(4) - flip), turn
-
-
-_SPLIT = {kind: _rotation_split(s) for kind, s in _GENERATOR.items()}
-
-
-def _digit_places(x, z, m: int):
-    """The place in a coefficient vector of the string with masks (x, z):
-    digit q, of weight 4^q, is x_q + 2 z_q."""
-    return sum(((x >> q & 1) | (z >> q & 1) << 1) << 2 * q for q in range(m))
+    parts = 0.5 * (np.eye(4) + flip), 0.5 * (np.eye(4) - flip), turn
+    for a in parts:
+        a.flags.writeable = False
+    return parts
 
 
 @functools.cache
@@ -511,7 +507,8 @@ def _start(m: int, levels: float | Sequence[float] | None, block: bool = False) 
         state[0] = 1.0
     else:
         state = np.zeros(np.shape(levels) + (4 ** m,), dtype=complex if block else float)
-        state[..., _digit_places(0, np.arange(1 << m), m)] = 1.0
+        # the strings with no X bit: bit 2q of their place is 0 for every q
+        state[..., np.arange(4 ** m) & (4 ** m - 1) // 3 == 0] = 1.0
     return state
 
 
@@ -808,9 +805,10 @@ def restrictions(circ: Circuit, theta: np.ndarray, noise: NoiseModel,
 
 def _places(op: PauliSum) -> tuple[list, list[int]]:
     """``op``'s strings in sorted label order and the place of each in a
-    coefficient vector."""
+    coefficient vector, whose digit q is x_q + 2 z_q."""
     strings = sorted((label, x, z, c) for (label, c), (x, z) in zip(op, op.masks))
-    return strings, [_digit_places(x, z, op.width) for _, x, z, _ in strings]
+    return strings, [sum(((x >> q & 1) | (z >> q & 1) << 1) << 2 * q for q in range(op.width))
+                     for _, x, z, _ in strings]
 
 
 def _pull_back(gates: Sequence[Gate], stops: list[int], theta: np.ndarray,
@@ -865,9 +863,9 @@ def _split(batch: np.ndarray, gate: Gate, levels: list[float] | None) -> np.ndar
         sx *= -1j
         return out
     # one-sided: x and its image under -i s on the gate's side; on both
-    # sides, the three matrices of _SPLIT
+    # sides, the three matrices of _rotation_split
     parts = ((None, _transfer(-1j * s, gate.side)) if gate.side is not None
-             else _SPLIT[gate.kind])
+             else _rotation_split(gate.kind))
     out = np.concatenate([batch] * len(parts))
     for k, a in enumerate(parts):
         if a is not None:

@@ -27,11 +27,10 @@ import numpy as np
 from corrvec.circuits import (ONE_QUBIT_KINDS, Circuit, Gate, _depolarize,
                               _mixing_weight, ccx_gates, sample_z_value,
                               zne_extrapolate)
+from corrvec.pauli import PauliSum
 
 # the letter of each value of a coefficient digit, x + 2 z
 DIGIT_LETTERS = "IXZY"
-from corrvec.pauli import PauliSum
-
 EYE2 = np.eye(2, dtype=complex)
 PAULI = {
     "I": EYE2,
